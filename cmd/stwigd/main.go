@@ -12,30 +12,37 @@
 //	stwigd -rmat-scale 13 -ns 'tenantA=rmat:scale=12,labels=8,inflight=4' \
 //	       -ns 'tenantB=file:/data/b.bin,machines=4'
 //
-// Endpoints (see internal/server for the wire format):
+// Endpoints, all under /v1 (see internal/server for the wire format and
+// the full route table):
 //
-//	POST /ns/{name}/query    {"pattern": "(a:L1)-(b:L2)"}       → NDJSON match stream
-//	POST /ns/{name}/explain  {"pattern": ...}                   → rendered plan
-//	POST /ns/{name}/update   {"op": "add_edge", "u": 1, "v": 2} → applied mutation
-//	GET  /ns/{name}/stats                                       → per-tenant counters
-//	GET  /ns                                                    → list namespaces
-//	POST /ns                 {"name": "t", "spec": "rmat:scale=10"} → create tenant
-//	DELETE /ns/{name}                                           → drop tenant
-//	GET  /healthz                                               → liveness + build info
-//	GET  /version                                               → build identity
-//	GET  /debug/pprof/                                          → live profiling (admin token)
+//	POST /v1/ns/{name}/query    {"pattern": "(a:L1)-(b:L2)"}       → NDJSON match stream
+//	POST /v1/ns/{name}/explain  {"pattern": ...}                   → rendered plan
+//	POST /v1/ns/{name}/update   {"op": "add_edge", "u": 1, "v": 2} → applied mutation
+//	POST /v1/ns/{name}/update/bulk {"updates": [...]}              → one journaled batch
+//	GET  /v1/ns/{name}/stats                                       → per-tenant counters
+//	GET  /v1/ns                                                    → list namespaces
+//	POST /v1/ns                 {"name": "t", "spec": "rmat:scale=10"} → create tenant
+//	DELETE /v1/ns/{name}                                           → drop tenant
+//	GET  /v1/healthz                                               → liveness + build info
+//	GET  /v1/version                                               → build identity
+//	GET  /v1/metrics                                               → Prometheus text
+//	GET  /debug/pprof/                                             → live profiling (admin token)
 //
-// POST /ns, DELETE /ns/{name}, and /debug/pprof require the -admin-token
-// (or STWIGD_ADMIN_TOKEN) bearer token and are disabled when none is set —
-// the admin surface shares the listener with untrusted tenant traffic.
+// The tenant paths directly under /v1 (/v1/query, /v1/explain, /v1/update,
+// /v1/stats) address the "default" namespace; unversioned paths other than
+// /debug/pprof/ are 404s. POST /v1/ns, DELETE /v1/ns/{name}, and
+// /debug/pprof require the -admin-token (or STWIGD_ADMIN_TOKEN) bearer token
+// and are disabled when none is set — the admin surface shares the listener
+// with untrusted tenant traffic.
 //
 // Every request is logged as one structured line on stderr carrying a
 // trace ID (X-Stwig-Trace, honored from the client or minted); -slow-query
 // DURATION additionally logs a per-phase span breakdown for slow queries.
 //
-// The unprefixed /query, /explain, /update, and /stats routes alias the
-// "default" namespace. Server limits may also come from STWIGD_* env vars
-// (see server.Config.FromEnv); explicit flags win over the environment.
+// Server limits may also come from STWIGD_* env vars (see
+// server.Config.FromEnv); explicit flags win over the environment.
+// -max-timeout 0 (the default) caps client-requested deadlines at 4×
+// -timeout.
 //
 // SIGINT/SIGTERM begins a graceful drain: health flips to 503, new queries
 // are refused, in-flight streams run to completion (bounded by -drain),
@@ -68,59 +75,10 @@ func (n *nsFlags) Set(v string) error {
 }
 
 func main() {
-	// Environment supplies the limit defaults; explicit flags override.
-	// ShardID seeds as -1 (coordinator) so STWIGD_SHARD_ID=0 — shard zero —
-	// stays distinguishable from "unset".
-	envCfg, err := server.Config{ShardID: -1}.FromEnv(nil)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "stwigd:", err)
-		os.Exit(1)
-	}
-	var (
-		addr      = flag.String("addr", ":7029", "listen address")
-		graphPath = flag.String("graph", "", "default namespace's graph file (binary from mkgraph, or text with -text)")
-		textGraph = flag.Bool("text", false, "graph file is in text format")
-
-		rmatScale  = flag.Int("rmat-scale", 0, "generate an R-MAT graph with 2^scale vertices instead of loading a file")
-		rmatDegree = flag.Int("rmat-degree", 8, "R-MAT average degree")
-		rmatLabels = flag.Int("rmat-labels", 16, "R-MAT label alphabet size")
-		rmatSeed   = flag.Int64("rmat-seed", 1, "R-MAT generation seed")
-		relabel    = flag.String("relabel", "", "relabel the graph after load: 'degree' assigns celebrity/regular/bot by degree band")
-
-		machines  = flag.Int("machines", 8, "simulated cluster size")
-		planCache = flag.Int("plan-cache", 0, "plan cache capacity (0 = default 128, negative = disabled)")
-
-		maxInFlight = flag.Int("max-inflight", intOr(envCfg.MaxInFlight, 16), "admission limit: concurrent queries per namespace before 429")
-		defTimeout  = flag.Duration("timeout", durOr(envCfg.DefaultTimeout, 30*time.Second), "default per-request deadline")
-		maxTimeout  = flag.Duration("max-timeout", durOr(envCfg.MaxTimeout, 2*time.Minute), "cap on client-requested deadlines")
-		maxMatches  = flag.Int("max-matches", envCfg.MaxMatches, "per-request match cap (0 = unlimited)")
-		maxBytes    = flag.Int64("max-bytes", envCfg.MaxBytes, "per-response byte cap (0 = unlimited)")
-		parallel    = flag.Int("parallelism", envCfg.Parallelism, "per-query intra-machine workers for every namespace (0 = GOMAXPROCS, 1 = sequential; specs override with parallelism=N)")
-		updQueue    = flag.Int("update-queue-depth", intOr(envCfg.UpdateQueueDepth, 64), "per-namespace update queue capacity (queue full → 503 with Retry-After)")
-		updBatch    = flag.Int("update-batch-max", intOr(envCfg.UpdateBatchMax, 32), "max queued mutations applied per writer window")
-		updFairness = flag.Duration("update-fairness-window", envCfg.UpdateFairnessWindow, "reader grace period before a parked update blocks new queries; 0 selects min(100ms, half the lock wait), and it must stay shorter than -update-lock-wait")
-		updLockWait = flag.Duration("update-lock-wait", durOr(envCfg.UpdateLockWait, time.Second), "how long a queued update batch waits for the writer window before 503")
-		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window for in-flight streams")
-		nsRoot      = flag.String("ns-root", envCfg.NamespaceRoot, "directory POST /ns may load file:/text: graphs from (empty disables runtime file sources)")
-		adminToken  = flag.String("admin-token", envCfg.AdminToken, "bearer token required by POST /ns and DELETE /ns/{name} (empty disables namespace mutation over HTTP)")
-		dataDir     = flag.String("data-dir", envCfg.DataDir, "durability root: journal every update batch, checkpoint periodically, and recover namespaces on boot (empty disables persistence)")
-		follow      = flag.String("follow", envCfg.FollowURL, "leader base URL (host:port or http://...): run as a read-only replica that bootstraps and tails every namespace the leader persists; writes answer 403 until POST /v1/admin/promote (STWIGD_FOLLOW)")
-		shardMap    = flag.String("shard-map", envCfg.ShardMap, "comma-separated shard base URLs enabling cluster mode; position in the list is the shard id (STWIGD_SHARD_MAP)")
-		shardID     = flag.Int("shard-id", envCfg.ShardID, "this process's position in -shard-map; omit (or pass a negative value) to run as the coordinator that fans queries out over the map (STWIGD_SHARD_ID)")
-		ckptEvery   = flag.Int("checkpoint-every", intOr(envCfg.CheckpointEvery, 256), "journaled update batches between checkpoint/compaction cycles")
-		jrnlFsync   = flag.Bool("journal-fsync", !envCfg.JournalNoSync, "fsync the journal before applying each batch (disabling voids crash durability)")
-		gcWindow    = flag.Duration("group-commit-window", envCfg.GroupCommitWindow, "how long the dispatcher lingers collecting concurrent updates to share one journal fsync (0 = coalesce only what is already queued; STWIGD_GROUP_COMMIT_WINDOW)")
-		gcBatches   = flag.Int("group-commit-batches", intOr(envCfg.GroupCommitBatches, 8), "max journal records sharing one fsync window (STWIGD_GROUP_COMMIT_BATCHES)")
-		jrnlAlign   = flag.Int64("journal-align", int64Or(envCfg.JournalAlign, 4096), "pad journal fsyncs to this block alignment in bytes; 1 disables (STWIGD_JOURNAL_ALIGN)")
-		slowQuery   = flag.Duration("slow-query", envCfg.SlowQuery, "log a Warn-level span breakdown for queries whose execution exceeds this duration (0 disables; STWIGD_SLOW_QUERY)")
-		logLevel    = flag.String("log-level", "info", "minimum request-log level: debug, info, warn, or error")
-		logJSON     = flag.Bool("log-json", false, "emit request logs as JSON lines instead of logfmt-style text")
-		showVersion = flag.Bool("version", false, "print build identity and exit")
-	)
-	var namespaces nsFlags
-	flag.Var(&namespaces, "ns", "additional namespace as name=spec, e.g. 'tenantA=rmat:scale=12,labels=8,inflight=4' or 'b=file:/data/g.bin' (repeatable)")
-	flag.Parse()
-	if *showVersion {
+	cfg, showVersion, err := parseFlags(os.Args[1:], nil)
+	switch {
+	case err != nil:
+	case showVersion:
 		bv := server.BuildVersion()
 		fmt.Printf("stwigd %s %s", bv.Version, bv.GoVersion)
 		if bv.Revision != "" {
@@ -131,16 +89,79 @@ func main() {
 			fmt.Print(")")
 		}
 		fmt.Println()
-		return
+	default:
+		err = run(cfg)
 	}
-	logger, err := buildLogger(*logLevel, *logJSON)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stwigd:", err)
 		os.Exit(1)
 	}
+}
+
+// parseFlags turns the command line into the daemon's configuration.
+// Environment (lookupEnv; nil means the process's) supplies the limit
+// defaults and explicit flags override it. A limit whose default is derived
+// from another setting (-max-timeout, -update-fairness-window) defaults to
+// 0 here so the one derivation rule in server.Config applies.
+func parseFlags(args []string, lookupEnv func(string) (string, bool)) (daemonConfig, bool, error) {
+	// ShardID seeds as -1 (coordinator) so STWIGD_SHARD_ID=0 — shard zero —
+	// stays distinguishable from "unset".
+	envCfg, err := server.Config{ShardID: -1}.FromEnv(lookupEnv)
+	if err != nil {
+		return daemonConfig{}, false, err
+	}
+	fs := flag.NewFlagSet("stwigd", flag.ExitOnError)
+	var (
+		addr      = fs.String("addr", ":7029", "listen address")
+		graphPath = fs.String("graph", "", "default namespace's graph file (binary from mkgraph, or text with -text)")
+		textGraph = fs.Bool("text", false, "graph file is in text format")
+
+		rmatScale  = fs.Int("rmat-scale", 0, "generate an R-MAT graph with 2^scale vertices instead of loading a file")
+		rmatDegree = fs.Int("rmat-degree", 8, "R-MAT average degree")
+		rmatLabels = fs.Int("rmat-labels", 16, "R-MAT label alphabet size")
+		rmatSeed   = fs.Int64("rmat-seed", 1, "R-MAT generation seed")
+		relabel    = fs.String("relabel", "", "relabel the graph after load: 'degree' assigns celebrity/regular/bot by degree band")
+
+		machines  = fs.Int("machines", 8, "simulated cluster size")
+		planCache = fs.Int("plan-cache", 0, "plan cache capacity (0 = default 128, negative = disabled)")
+
+		maxInFlight = fs.Int("max-inflight", intOr(envCfg.MaxInFlight, 16), "admission limit: concurrent queries per namespace before 429")
+		defTimeout  = fs.Duration("timeout", durOr(envCfg.DefaultTimeout, 30*time.Second), "default per-request deadline")
+		maxTimeout  = fs.Duration("max-timeout", envCfg.MaxTimeout, "cap on client-requested deadlines (0 = 4× -timeout)")
+		maxMatches  = fs.Int("max-matches", envCfg.MaxMatches, "per-request match cap (0 = unlimited)")
+		maxBytes    = fs.Int64("max-bytes", envCfg.MaxBytes, "per-response byte cap (0 = unlimited)")
+		parallel    = fs.Int("parallelism", envCfg.Parallelism, "per-query intra-machine workers for every namespace (0 = GOMAXPROCS, 1 = sequential; specs override with parallelism=N)")
+		updQueue    = fs.Int("update-queue-depth", intOr(envCfg.UpdateQueueDepth, 64), "per-namespace update queue capacity (queue full → 503 with Retry-After)")
+		updBatch    = fs.Int("update-batch-max", intOr(envCfg.UpdateBatchMax, 32), "max queued mutations applied per writer window")
+		updFairness = fs.Duration("update-fairness-window", envCfg.UpdateFairnessWindow, "reader grace period before a parked update blocks new queries; 0 selects min(100ms, half the lock wait), and it must stay shorter than -update-lock-wait")
+		updLockWait = fs.Duration("update-lock-wait", durOr(envCfg.UpdateLockWait, time.Second), "how long a queued update batch waits for the writer window before 503")
+		drain       = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain window for in-flight streams")
+		nsRoot      = fs.String("ns-root", envCfg.NamespaceRoot, "directory POST /v1/ns may load file:/text: graphs from (empty disables runtime file sources)")
+		adminToken  = fs.String("admin-token", envCfg.AdminToken, "bearer token required by POST /v1/ns and DELETE /v1/ns/{name} (empty disables namespace mutation over HTTP)")
+		dataDir     = fs.String("data-dir", envCfg.DataDir, "durability root: journal every update batch, checkpoint periodically, and recover namespaces on boot (empty disables persistence)")
+		follow      = fs.String("follow", envCfg.FollowURL, "leader base URL (host:port or http://...): run as a read-only replica that bootstraps and tails every namespace the leader persists; writes answer 403 until POST /v1/admin/promote (STWIGD_FOLLOW)")
+		shardMap    = fs.String("shard-map", envCfg.ShardMap, "comma-separated shard base URLs enabling cluster mode; position in the list is the shard id (STWIGD_SHARD_MAP)")
+		shardID     = fs.Int("shard-id", envCfg.ShardID, "this process's position in -shard-map; omit (or pass a negative value) to run as the coordinator that fans queries out over the map (STWIGD_SHARD_ID)")
+		ckptEvery   = fs.Int("checkpoint-every", intOr(envCfg.CheckpointEvery, 256), "journaled update batches between checkpoint/compaction cycles")
+		jrnlFsync   = fs.Bool("journal-fsync", !envCfg.JournalNoSync, "fsync the journal before applying each batch (disabling voids crash durability)")
+		gcWindow    = fs.Duration("group-commit-window", envCfg.GroupCommitWindow, "how long the dispatcher lingers collecting concurrent updates to share one journal fsync (0 = coalesce only what is already queued; STWIGD_GROUP_COMMIT_WINDOW)")
+		gcBatches   = fs.Int("group-commit-batches", intOr(envCfg.GroupCommitBatches, 8), "max journal records sharing one fsync window (STWIGD_GROUP_COMMIT_BATCHES)")
+		jrnlAlign   = fs.Int64("journal-align", int64Or(envCfg.JournalAlign, 4096), "pad journal fsyncs to this block alignment in bytes; 1 disables (STWIGD_JOURNAL_ALIGN)")
+		slowQuery   = fs.Duration("slow-query", envCfg.SlowQuery, "log a Warn-level span breakdown for queries whose execution exceeds this duration (0 disables; STWIGD_SLOW_QUERY)")
+		logLevel    = fs.String("log-level", "info", "minimum request-log level: debug, info, warn, or error")
+		logJSON     = fs.Bool("log-json", false, "emit request logs as JSON lines instead of logfmt-style text")
+		showVersion = fs.Bool("version", false, "print build identity and exit")
+	)
+	var namespaces nsFlags
+	fs.Var(&namespaces, "ns", "additional namespace as name=spec, e.g. 'tenantA=rmat:scale=12,labels=8,inflight=4' or 'b=file:/data/g.bin' (repeatable)")
+	_ = fs.Parse(args) // ExitOnError: a bad flag has already exited
+	logger, err := buildLogger(*logLevel, *logJSON)
+	if err != nil {
+		return daemonConfig{}, false, err
+	}
 	explicit := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if err := run(daemonConfig{
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	return daemonConfig{
 		explicit: explicit,
 		addr:     *addr, graphPath: *graphPath, textGraph: *textGraph,
 		rmatScale: *rmatScale, rmatDegree: *rmatDegree, rmatLabels: *rmatLabels, rmatSeed: *rmatSeed,
@@ -174,10 +195,7 @@ func main() {
 			Logger:               logger,
 		},
 		drain: *drain,
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "stwigd:", err)
-		os.Exit(1)
-	}
+	}, *showVersion, nil
 }
 
 // buildLogger assembles the daemon's structured logger: logfmt-style text

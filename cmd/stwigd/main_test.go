@@ -1,0 +1,142 @@
+package main
+
+import (
+	"strings"
+	"testing"
+	"time"
+
+	"stwig/internal/server"
+)
+
+// envOf is a parseFlags environment backed by a map.
+func envOf(env map[string]string) func(string) (string, bool) {
+	return func(k string) (string, bool) {
+		v, ok := env[k]
+		return v, ok
+	}
+}
+
+// TestMaxTimeoutPrecedence pins flag > env > derived default for
+// -max-timeout. The derived default is server.Config's own "4× the default
+// timeout" rule: the flag must not shadow it with a fixed 2m, which made
+// `stwigd -timeout 3m` fail validation (MaxTimeout 2m0s < DefaultTimeout
+// 3m0s).
+func TestMaxTimeoutPrecedence(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		env  map[string]string
+		// want is what parseFlags hands server.Config; 0 leaves the cap to
+		// Config's derivation.
+		want time.Duration
+	}{
+		{"defaults", nil, nil, 0},
+		{"derived from -timeout", []string{"-timeout", "3m"}, nil, 0},
+		{"derived from STWIGD_TIMEOUT", nil, map[string]string{"STWIGD_TIMEOUT": "3m"}, 0},
+		{"env sets it", []string{"-timeout", "3m"}, map[string]string{"STWIGD_MAX_TIMEOUT": "5m"}, 5 * time.Minute},
+		{"flag beats env", []string{"-max-timeout", "7m"}, map[string]string{"STWIGD_MAX_TIMEOUT": "5m"}, 7 * time.Minute},
+		{"explicit 0 re-derives", []string{"-timeout", "3m", "-max-timeout", "0"}, map[string]string{"STWIGD_MAX_TIMEOUT": "5m"}, 0},
+	}
+	for _, tc := range cases {
+		cfg, _, err := parseFlags(tc.args, envOf(tc.env))
+		if err != nil {
+			t.Fatalf("%s: parseFlags: %v", tc.name, err)
+		}
+		if cfg.srv.MaxTimeout != tc.want {
+			t.Errorf("%s: Config.MaxTimeout = %v, want %v", tc.name, cfg.srv.MaxTimeout, tc.want)
+		}
+		if err := cfg.srv.Validate(); err != nil {
+			t.Errorf("%s: config does not validate: %v", tc.name, err)
+		}
+	}
+
+	// An explicit cap below the default deadline is still refused.
+	cfg, _, err := parseFlags([]string{"-timeout", "3m", "-max-timeout", "1m"}, envOf(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.srv.Validate(); err == nil {
+		t.Error("-max-timeout 1m below -timeout 3m validated")
+	}
+}
+
+// TestBootSpecs pins the boot flag surface → namespace spec mapping.
+func TestBootSpecs(t *testing.T) {
+	cases := []struct {
+		name      string
+		args      []string
+		recovered int
+		want      []server.NamespaceSpec
+		wantErr   string
+	}{
+		{
+			name: "rmat default namespace",
+			args: []string{"-rmat-scale", "8", "-rmat-degree", "4", "-rmat-labels", "3", "-rmat-seed", "9", "-machines", "2", "-relabel", "degree"},
+			want: []server.NamespaceSpec{{Name: server.DefaultNamespace, Source: "rmat", Scale: 8, Degree: 4, Labels: 3, Seed: 9, Machines: 2, Relabel: "degree"}},
+		},
+		{
+			name: "binary graph file",
+			args: []string{"-graph", "/data/g.bin", "-plan-cache", "-1"},
+			want: []server.NamespaceSpec{{Name: server.DefaultNamespace, Source: "file", Path: "/data/g.bin", Machines: 8, PlanCache: -1}},
+		},
+		{
+			name: "text graph file",
+			args: []string{"-graph", "/data/g.txt", "-text"},
+			want: []server.NamespaceSpec{{Name: server.DefaultNamespace, Source: "text", Path: "/data/g.txt", Machines: 8}},
+		},
+		{
+			name: "default plus -ns tenant",
+			args: []string{"-rmat-scale", "6", "-ns", "t=rmat:scale=5,labels=2"},
+			want: []server.NamespaceSpec{
+				{Name: server.DefaultNamespace, Source: "rmat", Scale: 6, Degree: 8, Labels: 16, Seed: 1, Machines: 8},
+				mustParseNS(t, "t=rmat:scale=5,labels=2"),
+			},
+		},
+		{
+			name: "pure -ns deployment",
+			args: []string{"-ns", "a=rmat:scale=5", "-ns", "b=file:/data/b.bin,machines=4"},
+			want: []server.NamespaceSpec{mustParseNS(t, "a=rmat:scale=5"), mustParseNS(t, "b=file:/data/b.bin,machines=4")},
+		},
+		{name: "recovered tenants need no flags", recovered: 1},
+		{name: "nothing to serve", wantErr: "set -graph FILE"},
+		{name: "both sources", args: []string{"-graph", "g.bin", "-rmat-scale", "8"}, wantErr: "only one of -graph and -rmat-scale"},
+		{name: "unknown relabel mode", args: []string{"-rmat-scale", "8", "-relabel", "pagerank"}, wantErr: "unknown -relabel mode"},
+		{name: "default-shaping flag without a default", args: []string{"-ns", "a=rmat:scale=5", "-machines", "4"}, wantErr: "-machines shapes the default namespace"},
+		{name: "bad -ns spec", args: []string{"-ns", "no-equals-sign"}, wantErr: "no-equals-sign"},
+	}
+	for _, tc := range cases {
+		cfg, _, err := parseFlags(tc.args, envOf(nil))
+		if err != nil {
+			t.Fatalf("%s: parseFlags: %v", tc.name, err)
+		}
+		got, err := bootSpecs(cfg, tc.recovered)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: %d specs %+v, want %d", tc.name, len(got), got, len(tc.want))
+			continue
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s: spec %d =\n %+v, want\n %+v", tc.name, i, got[i], tc.want[i])
+			}
+		}
+	}
+}
+
+func mustParseNS(t *testing.T, flag string) server.NamespaceSpec {
+	t.Helper()
+	spec, err := server.ParseNamespaceFlag(flag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}

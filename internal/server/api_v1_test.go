@@ -1,12 +1,11 @@
-// HTTP-level pins for the /v1 surface: every endpoint serves under both
-// its versioned and legacy path, legacy responses carry the RFC 9745
-// Deprecation header pointing at the successor, and every non-2xx body —
-// whatever the failure — is the uniform error envelope.
+// HTTP-level pins for the /v1 surface: every endpoint serves under its
+// versioned path only — the unversioned spelling of the same path falls
+// through to the uniform 404 — and every non-2xx body, whatever the
+// failure, is the uniform error envelope.
 package server_test
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -15,30 +14,30 @@ import (
 	"stwig/internal/server"
 )
 
-// TestV1AndLegacyRoutesServe walks representative routes through both
-// mounts: both must answer identically-shaped 2xx, and only the legacy
-// path may carry the deprecation headers.
-func TestV1AndLegacyRoutesServe(t *testing.T) {
+// TestV1OnlyRoutesServe walks representative routes: the /v1 mount must
+// answer 2xx with no deprecation headers, and the unversioned path — the
+// legacy surface, removed — must answer the 404 not_found envelope.
+func TestV1OnlyRoutesServe(t *testing.T) {
 	eng := newEngine(t, 8, 6, 3, 2)
 	_, ts, _ := newTestServer(t, eng, server.Config{})
 
 	queryBody := `{"pattern":"(a:L0)-(b:L1)"}`
 	routes := []struct {
 		method, path, body string
-		wantStatus         int
 	}{
-		{http.MethodPost, "/query", queryBody, http.StatusOK},
-		{http.MethodPost, "/explain", queryBody, http.StatusOK},
-		{http.MethodGet, "/stats", "", http.StatusOK},
-		{http.MethodPost, "/ns/default/query", queryBody, http.StatusOK},
-		{http.MethodGet, "/ns/default/stats", "", http.StatusOK},
-		{http.MethodGet, "/ns", "", http.StatusOK},
-		{http.MethodGet, "/healthz", "", http.StatusOK},
-		{http.MethodGet, "/version", "", http.StatusOK},
-		{http.MethodGet, "/metrics", "", http.StatusOK},
+		{http.MethodPost, "/query", queryBody},
+		{http.MethodPost, "/explain", queryBody},
+		{http.MethodPost, "/update", `{"op":"add_node","label":"x"}`},
+		{http.MethodGet, "/stats", ""},
+		{http.MethodPost, "/ns/default/query", queryBody},
+		{http.MethodGet, "/ns/default/stats", ""},
+		{http.MethodGet, "/ns", ""},
+		{http.MethodGet, "/healthz", ""},
+		{http.MethodGet, "/version", ""},
+		{http.MethodGet, "/metrics", ""},
 	}
 	for _, rt := range routes {
-		for _, prefix := range []string{"", "/v1"} {
+		for _, prefix := range []string{"/v1", ""} {
 			var body io.Reader
 			if rt.body != "" {
 				body = strings.NewReader(rt.body)
@@ -51,25 +50,24 @@ func TestV1AndLegacyRoutesServe(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s%s: %v", rt.method, prefix, rt.path, err)
 			}
-			raw, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != rt.wantStatus {
-				t.Fatalf("%s %s%s = %d, want %d\n%s", rt.method, prefix, rt.path, resp.StatusCode, rt.wantStatus, raw)
-			}
-			dep := resp.Header.Get("Deprecation")
-			link := resp.Header.Get("Link")
-			if prefix == "/v1" {
-				if dep != "" || link != "" {
-					t.Errorf("%s /v1%s: versioned route marked deprecated (Deprecation=%q Link=%q)", rt.method, rt.path, dep, link)
+			if prefix == "" {
+				if resp.StatusCode != http.StatusNotFound {
+					resp.Body.Close()
+					t.Errorf("%s %s: unversioned path = %d, want 404", rt.method, rt.path, resp.StatusCode)
+					continue
+				}
+				if env := decodeEnvelope(t, rt.method+" "+rt.path, resp); env.Code != server.CodeNotFound {
+					t.Errorf("%s %s: unversioned path code = %q, want %q", rt.method, rt.path, env.Code, server.CodeNotFound)
 				}
 				continue
 			}
-			if dep != "true" {
-				t.Errorf("%s %s: legacy route Deprecation = %q, want \"true\"", rt.method, rt.path, dep)
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s /v1%s = %d, want 200\n%s", rt.method, rt.path, resp.StatusCode, raw)
 			}
-			wantLink := fmt.Sprintf("</v1%s>; rel=\"successor-version\"", rt.path)
-			if link != wantLink {
-				t.Errorf("%s %s: Link = %q, want %q", rt.method, rt.path, link, wantLink)
+			if dep, link := resp.Header.Get("Deprecation"), resp.Header.Get("Link"); dep != "" || link != "" {
+				t.Errorf("%s /v1%s: versioned route marked deprecated (Deprecation=%q Link=%q)", rt.method, rt.path, dep, link)
 			}
 		}
 	}
@@ -107,7 +105,7 @@ func TestErrorEnvelopeOnEveryPath(t *testing.T) {
 	}{
 		{"unknown route", http.MethodGet, "/v1/no/such/route", "", "",
 			http.StatusNotFound, server.CodeNotFound},
-		{"unknown legacy route", http.MethodGet, "/no/such/route", "", "",
+		{"unknown unversioned route", http.MethodGet, "/no/such/route", "", "",
 			http.StatusNotFound, server.CodeNotFound},
 		{"malformed query body", http.MethodPost, "/v1/query", "{not json", "",
 			http.StatusBadRequest, server.CodeBadRequest},

@@ -3,8 +3,7 @@
 // cannot drift, and it decodes /query NDJSON streams incrementally — the
 // caller sees each match as it arrives, exactly like core.Engine.MatchStream.
 //
-// All calls target the versioned /v1 surface; the unversioned legacy
-// routes stay served (with a Deprecation header) for older clients.
+// All calls target the versioned /v1 surface, the only one stwigd serves.
 // Tenant data-plane calls live on Client; control-plane calls (namespace
 // lifecycle, promotion, profiling) live on Admin, obtained via
 // Client.Admin().

@@ -44,10 +44,15 @@ type testCluster struct {
 	shardURLs []string
 
 	mu          sync.Mutex
-	handlers    []http.Handler          // nil = shard down (connection refused at the handler level)
-	shardTraces []map[string]bool       // trace IDs each shard's /query legs carried
+	handlers    []http.Handler    // nil = shard down (connection refused at the handler level)
+	shardTraces []map[string]bool // trace IDs each shard's /query legs carried
 	shards      []*server.Server
+	coord       *server.Server
 }
+
+// coordinatorRole is the role newTestCluster's config hook sees for the
+// coordinator; shards see their shard id.
+const coordinatorRole = -1
 
 // down takes one shard off the air: its listener stays up but every request
 // is met with a hijack-and-drop, which the coordinator sees as a transport
@@ -70,8 +75,10 @@ func (tc *testCluster) tracesSeen(i int) map[string]bool {
 
 // newTestCluster boots nShards replicas of the clusterParams graph behind a
 // coordinator. Listeners start before the servers exist so the shard map —
-// which every member's config needs — is known up front.
-func newTestCluster(t *testing.T, nShards int) *testCluster {
+// which every member's config needs — is known up front. Each tune hook may
+// adjust a member's config (role is the shard id, or coordinatorRole) after
+// the cluster wiring is filled in.
+func newTestCluster(t *testing.T, nShards int, tune ...func(role int, cfg *server.Config)) *testCluster {
 	t.Helper()
 	tc := &testCluster{
 		handlers:    make([]http.Handler, nShards),
@@ -113,11 +120,11 @@ func newTestCluster(t *testing.T, nShards int) *testCluster {
 		if err := cluster.LoadGraph(g); err != nil {
 			t.Fatal(err)
 		}
-		svc, err := server.New(core.NewEngine(cluster, core.Options{}), server.Config{
-			ShardMap:   shardMap,
-			ShardID:    i,
-			AdminToken: testAdminToken,
-		})
+		cfg := server.Config{ShardMap: shardMap, ShardID: i, AdminToken: testAdminToken}
+		for _, fn := range tune {
+			fn(i, &cfg)
+		}
+		svc, err := server.New(core.NewEngine(cluster, core.Options{}), cfg)
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
@@ -128,18 +135,18 @@ func newTestCluster(t *testing.T, nShards int) *testCluster {
 		tc.mu.Unlock()
 	}
 
-	coord, err := server.NewMulti(server.Config{
-		ShardMap:   shardMap,
-		ShardID:    -1,
-		AdminToken: testAdminToken,
-	})
+	cfg := server.Config{ShardMap: shardMap, ShardID: coordinatorRole, AdminToken: testAdminToken}
+	for _, fn := range tune {
+		fn(coordinatorRole, &cfg)
+	}
+	coord, err := server.NewMulti(cfg)
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
 	t.Cleanup(coord.Close)
 	cts := httptest.NewServer(coord)
 	t.Cleanup(cts.Close)
-	tc.coordURL = cts.URL
+	tc.coordURL, tc.coord = cts.URL, coord
 	return tc
 }
 

@@ -8,20 +8,23 @@
 // NDJSON match streaming with a trailing stats record, dynamic graph
 // updates behind a per-tenant writer lock, and live observability.
 //
-// Endpoints:
+// Endpoints, all under /v1 (pipeline.go's route table is the definition):
 //
-//	POST /ns/{name}/query    stream matches as NDJSON (terminal "stats"/"error" record)
-//	POST /ns/{name}/explain  render the execution plan without running the query
-//	POST /ns/{name}/update   add_node / add_edge / remove_edge against the live graph
-//	GET  /ns/{name}/stats    per-tenant plan cache, admission, net, update, latency
-//	GET  /ns                 list namespaces
-//	POST /ns                 create a namespace from a spec (file or R-MAT); needs AdminToken
-//	DELETE /ns/{name}        drop a namespace (in-flight requests finish); needs AdminToken
-//	GET  /healthz            liveness (503 while draining)
+//	POST /v1/ns/{name}/query        stream matches as NDJSON (terminal "stats"/"error" record)
+//	POST /v1/ns/{name}/explain      render the execution plan; analyze=true also runs it
+//	POST /v1/ns/{name}/update       add_node / add_edge / remove_edge against the live graph
+//	POST /v1/ns/{name}/update/bulk  an array of mutations as one journaled batch
+//	GET  /v1/ns/{name}/stats        per-tenant plan cache, admission, net, update, latency
+//	GET  /v1/ns/{name}/wal|snapshot WAL-shipping replication (with /v1/replication/manifest, /v1/admin/promote)
+//	GET  /v1/ns                     list namespaces
+//	POST /v1/ns                     create a namespace from a spec (file or R-MAT); needs AdminToken
+//	DELETE /v1/ns/{name}            drop a namespace (in-flight requests finish); needs AdminToken
+//	GET  /v1/healthz|version|metrics liveness (503 while draining), build identity, Prometheus text
 //
-// The legacy unprefixed routes /query, /explain, /update, and /stats alias
-// the "default" namespace. See wire.go for the request/response schema and
-// internal/server/client for the Go client.
+// The tenant paths directly under /v1 (/v1/query, /v1/stats, ...) address the
+// "default" namespace; anything unversioned but /debug/pprof/ is a 404. See
+// wire.go for the request/response schema and internal/server/client for
+// the Go client.
 package server
 
 import (
@@ -36,8 +39,8 @@ import (
 	"stwig/internal/journal"
 )
 
-// DefaultNamespace is the tenant the legacy unprefixed routes (/query,
-// /explain, /update, /stats) resolve to.
+// DefaultNamespace is the tenant the un-namespaced routes (/v1/query,
+// /v1/explain, /v1/update, /v1/stats, ...) resolve to.
 const DefaultNamespace = "default"
 
 // Config tunes the service. The zero value selects production-ish defaults

@@ -130,32 +130,15 @@ func (c *coordinator) info() *ClusterInfo {
 	return ci
 }
 
-// nsName resolves the request's namespace the same way nsRoute does: the
-// {ns} path segment, or the default namespace on unprefixed routes.
-func nsName(r *http.Request) string {
-	if name := r.PathValue("ns"); name != "" {
-		return name
-	}
-	return DefaultNamespace
+// tenantPath is one tenant endpoint's path on a shard.
+func tenantPath(ns, endpoint string) string {
+	return "/v1/ns/" + url.PathEscape(ns) + endpoint
 }
 
-// legPath builds a shard-leg URL for one tenant endpoint.
-func (l *shardLeg) legPath(ns, endpoint string) string {
-	return l.url + "/v1/ns/" + url.PathEscape(ns) + endpoint
+// unavailable tags a failed leg so the degraded-mode envelope can name it.
+func (l *shardLeg) unavailable(err error) error {
+	return fmt.Errorf("shard %d (%s) unavailable: %w", l.id, l.url, err)
 }
-
-// legError tags a failed leg so the degraded-mode envelope can name it.
-type legError struct {
-	shard int
-	url   string
-	err   error
-}
-
-func (e *legError) Error() string {
-	return fmt.Sprintf("shard %d (%s) unavailable: %v", e.shard, e.url, e.err)
-}
-
-func (e *legError) Unwrap() error { return e.err }
 
 // ---- scatter-gather query ----
 
@@ -167,50 +150,24 @@ type legMsg struct {
 }
 
 type legQueryResult struct {
-	shard   int
-	url     string
+	leg     *shardLeg
 	matches int
 	bytes   int64
 	elapsed time.Duration
 	stats   *StreamStats // the leg's own trailer, nil if it never arrived
-	err     error
-	// refuseStatus/refuseCode are set when the leg answered a deterministic
-	// client-level 4xx (unknown namespace, read-only, overloaded, ...). The
-	// shards answer those consistently, so the refusal is relayed to the
-	// client as-is — status, code and message — rather than dressed up as a
-	// shard_unavailable infrastructure failure.
-	refuseStatus int
-	refuseCode   string
+	// err is the leg's failure. A deterministic client-level 4xx (unknown
+	// namespace, read-only, overloaded, ...) is an *apiError: every shard
+	// answers those the same, so it is relayed as-is — status, code and
+	// message — not dressed up as a shard_unavailable failure.
+	err error
 }
 
-func (c *coordinator) handleQuery(w http.ResponseWriter, r *http.Request) bool {
-	s := c.s
-	if s.draining.Load() {
-		writeErrorCode(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return true
-	}
-	name := nsName(r)
-	var req QueryRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return true
-	}
-	if req.Shard != nil {
-		writeError(w, http.StatusBadRequest, "the shard selector is set by the coordinator; do not send one")
-		return true
-	}
-	// Reject malformed queries here rather than fanning garbage out K ways.
-	if _, err := compileQuery(req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return true
-	}
-	timeout, maxMatches := s.cfg.effectiveLimits(req)
-	lim := core.Limits{Timeout: timeout, MaxMatches: maxMatches}
-	ctx, cancel := s.requestContext(r, lim)
-	defer cancel()
-	trace := w.Header().Get(TraceHeader)
+func (c *coordinator) limits() *Config { return &c.s.cfg }
 
+// streamMatches is the remote match source: one leg per shard, merged into
+// the client's stream under the request's global caps.
+func (c *coordinator) streamMatches(ctx context.Context, rq *request, req QueryRequest, _ *core.Query, emit blockEmit, trailer *StreamStats) *apiError {
+	start := time.Now()
 	// Snapshot the namespace's vertex count once and pin it into every
 	// leg's selector: while an add_node broadcast is in flight the shards'
 	// local counts differ, and legs partitioning over different N put a
@@ -218,27 +175,27 @@ func (c *coordinator) handleQuery(w http.ResponseWriter, r *http.Request) bool {
 	// One shared N keeps the legs' slices disjoint and complete. A zero
 	// snapshot (empty namespace, or the stats fetch failed) falls back to
 	// each shard's local count — the pre-existing best-effort behavior.
-	partN := c.nodeCount(ctx, r, name)
+	partN := c.nodeCount(ctx, rq.r, rq.namespace)
 
 	// Fan out one leg per shard. Legs push match records and their terminal
-	// result into one channel; the merge loop below is the only writer to
-	// the client, enforcing the global caps.
+	// result into one channel; the merge loop below is the only caller of
+	// emit, which enforces the global caps.
 	legCtx, legCancel := context.WithCancel(ctx)
 	defer legCancel()
 	msgs := make(chan legMsg, coordMergeBlock)
 	var wg sync.WaitGroup
-	for i := range c.legs {
-		leg := c.legs[i]
+	for _, leg := range c.legs {
 		legReq := req
 		legReq.Shard = &ShardSelector{Index: leg.id, Count: len(c.legs), N: partN}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res := c.queryLeg(legCtx, leg, name, legReq, trace, msgs)
+			res := c.queryLeg(legCtx, leg, rq.r, rq.namespace, legReq, msgs)
 			// 4xx refusals and context cancellation are not shard failures;
 			// only transport errors and 5xx count against the leg.
+			var refusal *apiError
 			leg.record(res.bytes, res.elapsed,
-				res.err != nil && res.refuseStatus == 0 && !errors.Is(res.err, context.Canceled))
+				res.err != nil && !errors.As(res.err, &refusal) && !errors.Is(res.err, context.Canceled))
 			msgs <- legMsg{done: res}
 		}()
 	}
@@ -246,25 +203,6 @@ func (c *coordinator) handleQuery(w http.ResponseWriter, r *http.Request) bool {
 		wg.Wait()
 		close(msgs)
 	}()
-
-	sw := newStreamWriter(w, s.cfg.MaxBytes)
-	headerDone := false
-	writeHeader := func() {
-		if !headerDone {
-			w.Header().Set("Content-Type", ndjsonContentType)
-			w.Header().Set("X-Accel-Buffering", "no")
-			w.WriteHeader(http.StatusOK)
-			headerDone = true
-		}
-	}
-	sl := lim.NewStreamLimiter()
-	matchesSent := 0
-	emitBlock := sl.WrapBlock(func(ms []core.Match) (int, bool) {
-		writeHeader()
-		sent, ok := sw.writeMatchBlock(ms)
-		matchesSent += sent
-		return sent, ok
-	})
 
 	// Merge: re-batch the interleaved leg records into blocks. Stop feeding
 	// the client the moment a global cap trips or any leg fails, but keep
@@ -274,16 +212,16 @@ func (c *coordinator) handleQuery(w http.ResponseWriter, r *http.Request) bool {
 		if len(block) == 0 {
 			return true
 		}
-		_, ok := emitBlock(block)
+		_, ok := emit(block)
 		block = block[:0]
 		return ok
 	}
-	results := make([]*legQueryResult, len(c.legs))
+	results := make([]*legQueryResult, len(c.legs)) // every leg reports exactly once
 	var failed *legQueryResult
 	capped := false
 	for msg := range msgs {
 		if msg.done != nil {
-			results[msg.done.shard] = msg.done
+			results[msg.done.leg.id] = msg.done
 			if msg.done.err != nil && failed == nil && !capped {
 				failed = msg.done
 				legCancel() // degrade: a partial merge would be a wrong answer
@@ -298,94 +236,62 @@ func (c *coordinator) handleQuery(w http.ResponseWriter, r *http.Request) bool {
 			ids[i] = graph.NodeID(v)
 		}
 		block = append(block, core.Match{Assignment: ids})
-		if len(block) >= coordMergeBlock {
-			if !flush() {
-				capped = true
-				legCancel() // the caps are satisfied; stop the shards' work
-			}
-		}
-	}
-	if failed == nil && !capped {
-		if !flush() {
+		if len(block) >= coordMergeBlock && !flush() {
 			capped = true
+			legCancel() // the caps are satisfied; stop the shards' work
 		}
 	}
+	if failed == nil && !capped && !flush() {
+		capped = true
+	}
+	rq.exec = time.Since(start)
 
 	if failed != nil {
-		le := &legError{shard: failed.shard, url: failed.url, err: failed.err}
-		msg, code, status := le.Error(), CodeShardUnavailable, http.StatusBadGateway
-		switch {
-		case failed.refuseStatus != 0:
-			// Deterministic client error from a leg (404 unknown namespace,
-			// 403 read_only, 429 overloaded): every replica answers it the
-			// same way, so relay it untranslated — IsNotFound and friends
-			// keep working, and it is not booked as a shard failure.
-			msg, code, status = failed.err.Error(), failed.refuseCode, failed.refuseStatus
-		case errors.Is(failed.err, context.DeadlineExceeded):
-			msg, code, status = "deadline exceeded", CodeDeadline, http.StatusGatewayTimeout
-		case errors.Is(failed.err, context.Canceled):
-			msg, code, status = "canceled", CodeCanceled, http.StatusServiceUnavailable
-		}
-		if !headerDone {
-			writeErrorCode(w, status, code, msg)
-			return true
-		}
-		sw.writeRecord(Record{Type: RecordError, Error: msg, Code: code, TraceID: trace})
-		return true
+		// A refusal is relayed untranslated — IsNotFound and friends keep
+		// working, and it is not booked as a shard failure; anything else
+		// that is not the request's own context ending names the dead shard.
+		return errFrom(failed.leg.unavailable(failed.err), http.StatusBadGateway, CodeShardUnavailable)
 	}
 
-	writeHeader()
-	merged := &StreamStats{
-		TraceID:    trace,
-		Matches:    matchesSent,
-		Truncated:  capped || sw.capHit,
-		LimitHit:   sl.LimitHit(),
-		ByteCapHit: sw.capHit,
-		Shards:     make([]ShardLegStats, len(results)),
-	}
+	trailer.Truncated = capped
+	trailer.Shards = make([]ShardLegStats, len(results))
 	var elapsedMax time.Duration
 	planCacheHit := true
 	for i, res := range results {
-		st := ShardLegStats{Shard: i}
-		if res != nil {
-			st.URL = res.url
-			st.Matches = res.matches
-			st.Bytes = res.bytes
-			st.ElapsedMicros = res.elapsed.Microseconds()
-			if res.elapsed > elapsedMax {
-				elapsedMax = res.elapsed
-			}
-			if res.err != nil {
-				st.Error = res.err.Error()
-			}
-			if legStats := res.stats; legStats != nil {
-				merged.Truncated = merged.Truncated || legStats.Truncated
-				merged.PlanMicros += legStats.PlanMicros
-				merged.ExploreMicros += legStats.ExploreMicros
-				merged.JoinMicros += legStats.JoinMicros
-				merged.NetMessages += legStats.NetMessages
-				merged.NetBytes += legStats.NetBytes
-				merged.ParallelTasks += legStats.ParallelTasks
-				merged.EmitFlushes += legStats.EmitFlushes
-				planCacheHit = planCacheHit && legStats.PlanCacheHit
-			} else {
-				planCacheHit = false
-			}
+		st := ShardLegStats{Shard: i, URL: res.leg.url, Matches: res.matches, Bytes: res.bytes, ElapsedMicros: res.elapsed.Microseconds()}
+		if res.err != nil {
+			st.Error = res.err.Error()
 		}
-		merged.Shards[i] = st
+		trailer.Shards[i] = st
+		// A coordinator's slow-query breakdown is per leg.
+		rq.spans = append(rq.spans, core.Span{Name: fmt.Sprintf("shard %d", i), Duration: res.elapsed, Matches: int64(res.matches)})
+		elapsedMax = max(elapsedMax, res.elapsed)
+		legStats := res.stats
+		if legStats == nil {
+			planCacheHit = false
+			continue
+		}
+		trailer.Truncated = trailer.Truncated || legStats.Truncated
+		trailer.PlanMicros += legStats.PlanMicros
+		trailer.ExploreMicros += legStats.ExploreMicros
+		trailer.JoinMicros += legStats.JoinMicros
+		trailer.NetMessages += legStats.NetMessages
+		trailer.NetBytes += legStats.NetBytes
+		trailer.ParallelTasks += legStats.ParallelTasks
+		trailer.EmitFlushes += legStats.EmitFlushes
+		planCacheHit = planCacheHit && legStats.PlanCacheHit
 	}
-	merged.PlanCacheHit = planCacheHit
-	merged.ElapsedMicros = elapsedMax.Microseconds()
-	sw.writeRecord(Record{Type: RecordStats, Stats: merged})
-	return false
+	trailer.PlanCacheHit = planCacheHit
+	trailer.ElapsedMicros = elapsedMax.Microseconds()
+	return nil
 }
 
 // queryLeg runs one shard's query leg: POST the shard-scoped request,
 // stream its NDJSON records into msgs, and return the leg summary. A
 // cancelled context (cap satisfied, sibling failure, client gone) surfaces
 // as a context error, which the merge loop knows not to blame on the shard.
-func (c *coordinator) queryLeg(ctx context.Context, leg *shardLeg, ns string, req QueryRequest, trace string, msgs chan<- legMsg) *legQueryResult {
-	res := &legQueryResult{shard: leg.id, url: leg.url}
+func (c *coordinator) queryLeg(ctx context.Context, leg *shardLeg, r *http.Request, ns string, req QueryRequest, msgs chan<- legMsg) *legQueryResult {
+	res := &legQueryResult{leg: leg}
 	start := time.Now()
 	defer func() { res.elapsed = time.Since(start) }()
 	fail := func(err error) *legQueryResult {
@@ -400,13 +306,7 @@ func (c *coordinator) queryLeg(ctx context.Context, leg *shardLeg, ns string, re
 	if err != nil {
 		return fail(err)
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, leg.legPath(ns, "/query"), bytes.NewReader(body))
-	if err != nil {
-		return fail(err)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set(TraceHeader, trace)
-	resp, err := c.hc.Do(hreq)
+	resp, err := c.do(ctx, r, http.MethodPost, leg.url+tenantPath(ns, "/query"), body)
 	if err != nil {
 		return fail(err)
 	}
@@ -415,17 +315,15 @@ func (c *coordinator) queryLeg(ctx context.Context, leg *shardLeg, ns string, re
 		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
 			// A client-level refusal, not a dead shard: relay it.
 			raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			res.refuseStatus = resp.StatusCode
-			res.refuseCode = CodeBadRequest
-			msg := strings.TrimSpace(string(raw))
+			refusal := errCode(resp.StatusCode, CodeBadRequest, strings.TrimSpace(string(raw)))
 			var env ErrorResponse
 			if json.Unmarshal(raw, &env) == nil && env.Error != "" {
-				msg = env.Error
+				refusal.msg = env.Error
 				if env.Code != "" {
-					res.refuseCode = env.Code
+					refusal.code = env.Code
 				}
 			}
-			res.err = errors.New(msg)
+			res.err = refusal
 			return res
 		}
 		return fail(fmt.Errorf("leg status %d: %s", resp.StatusCode, readEnvelopeError(resp)))
@@ -476,8 +374,23 @@ type legHTTPResult struct {
 	err    error
 }
 
-// callLeg performs one HTTP call against a shard, forwarding the trace and
-// any Authorization header, and books the leg's counters.
+// do sends one request to a shard, forwarding the client request's trace ID
+// (the effective one — beginRequest stamped it) and any Authorization.
+func (c *coordinator) do(ctx context.Context, r *http.Request, method, target string, body []byte) (*http.Response, error) {
+	hreq, err := http.NewRequestWithContext(ctx, method, target, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set(TraceHeader, r.Header.Get(TraceHeader))
+	if auth := r.Header.Get("Authorization"); auth != "" {
+		hreq.Header.Set("Authorization", auth)
+	}
+	return c.hc.Do(hreq)
+}
+
+// callLeg performs one buffered HTTP call against a shard and books the
+// leg's counters.
 func (c *coordinator) callLeg(ctx context.Context, leg *shardLeg, r *http.Request, method, target string, body []byte) legHTTPResult {
 	// Bound the call by the server's default request deadline on top of
 	// whatever the caller's context carries: a shard that accepts the TCP
@@ -487,75 +400,80 @@ func (c *coordinator) callLeg(ctx context.Context, leg *shardLeg, r *http.Reques
 	defer cancel()
 	start := time.Now()
 	out := legHTTPResult{leg: leg}
-	hreq, err := http.NewRequestWithContext(ctx, method, target, bytes.NewReader(body))
+	resp, err := c.do(ctx, r, method, target, body)
 	if err == nil {
-		hreq.Header.Set("Content-Type", "application/json")
-		hreq.Header.Set(TraceHeader, r.Header.Get(TraceHeader))
-		if auth := r.Header.Get("Authorization"); auth != "" {
-			hreq.Header.Set("Authorization", auth)
-		}
-		var resp *http.Response
-		if resp, err = c.hc.Do(hreq); err == nil {
-			out.status = resp.StatusCode
-			out.body, err = io.ReadAll(io.LimitReader(resp.Body, coordMaxLine))
-			resp.Body.Close()
-		}
+		out.status = resp.StatusCode
+		out.body, err = io.ReadAll(io.LimitReader(resp.Body, coordMaxLine))
+		resp.Body.Close()
 	}
 	out.err = err
 	leg.record(int64(len(out.body)), time.Since(start), err != nil || out.status >= 500)
 	return out
 }
 
-// broadcast performs the same call against every shard concurrently and
-// returns the replies in shard order.
-func (c *coordinator) broadcast(ctx context.Context, r *http.Request, method, endpoint string, nsPath bool, ns string, body []byte) []legHTTPResult {
-	results := make([]legHTTPResult, len(c.legs))
+// broadcast performs the same call against each of legs concurrently and
+// returns the replies in leg order.
+func (c *coordinator) broadcast(ctx context.Context, r *http.Request, legs []*shardLeg, method, path string, body []byte) []legHTTPResult {
+	results := make([]legHTTPResult, len(legs))
 	var wg sync.WaitGroup
-	for i := range c.legs {
-		leg := c.legs[i]
+	for i, leg := range legs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			target := leg.url + endpoint
-			if nsPath {
-				target = leg.legPath(ns, endpoint)
-			}
-			results[leg.id] = c.callLeg(ctx, leg, r, method, target, body)
+			results[i] = c.callLeg(ctx, leg, r, method, leg.url+path, body)
 		}()
 	}
 	wg.Wait()
 	return results
 }
 
-// firstFailure scans broadcast replies for a dead shard: a transport error
-// or a 5xx. Client-level refusals (4xx: conflict, unauthorized, ...) are
-// not failures — the shards answer those consistently and the owner's reply
-// is relayed as-is.
-func firstFailure(results []legHTTPResult) *legError {
+// firstFailure scans shard replies for a dead shard — a transport error or
+// a 5xx — and reports it with the degraded-mode envelope that names the
+// shard. Client-level refusals (4xx: conflict, unauthorized, ...) are not
+// failures — the shards answer those consistently and one reply is relayed
+// as-is.
+func firstFailure(results ...legHTTPResult) *apiError {
 	for _, res := range results {
-		if res.err != nil {
-			return &legError{shard: res.leg.id, url: res.leg.url, err: res.err}
+		err := res.err
+		if err == nil && res.status >= 500 {
+			err = fmt.Errorf("status %d: %s", res.status, strings.TrimSpace(string(res.body)))
 		}
-		if res.status >= 500 {
-			return &legError{shard: res.leg.id, url: res.leg.url,
-				err: fmt.Errorf("status %d: %s", res.status, strings.TrimSpace(string(res.body)))}
+		if err != nil {
+			return errCode(http.StatusBadGateway, CodeShardUnavailable, res.leg.unavailable(err).Error())
 		}
 	}
 	return nil
 }
 
 // relay copies one shard's reply to the client verbatim.
-func relay(w http.ResponseWriter, res legHTTPResult) bool {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(res.status)
-	_, _ = w.Write(res.body)
-	return res.status >= 400
+func relay(rq *request, res legHTTPResult) *apiError {
+	rq.w.Header().Set("Content-Type", "application/json")
+	rq.w.WriteHeader(res.status)
+	_, _ = rq.w.Write(res.body)
+	return nil
 }
 
-// writeLegError reports a dead shard with the degraded-mode envelope.
-func writeLegError(w http.ResponseWriter, le *legError) bool {
-	writeErrorCode(w, http.StatusBadGateway, CodeShardUnavailable, le.Error())
-	return true
+// forward serves a route the coordinator has nothing to add to: the request
+// goes to the shards unparsed, under its own path — any admin token it
+// carries is theirs to check — and shard 0's reply is relayed, since every
+// replica answers the same (plans, the namespace list, a create). Reads
+// (all=false) ask shard 0 alone; a create reaches every shard.
+func (c *coordinator) forward(all bool) handler {
+	return func(rq *request) *apiError {
+		body, err := io.ReadAll(http.MaxBytesReader(rq.w, rq.r.Body, c.s.cfg.MaxRequestBytes))
+		if err != nil {
+			return errStatus(http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		}
+		legs := c.legs
+		if !all {
+			legs = legs[:1]
+		}
+		results := c.broadcast(rq.r.Context(), rq.r, legs, rq.r.Method, rq.r.URL.EscapedPath(), body)
+		if e := firstFailure(results...); e != nil {
+			return e
+		}
+		return relay(rq, results[0])
+	}
 }
 
 // nodeCount returns the namespace's cached vertex count, fetching it from
@@ -572,7 +490,7 @@ func (c *coordinator) nodeCount(ctx context.Context, r *http.Request, ns string)
 		}
 	}
 	leg := c.legs[0]
-	res := c.callLeg(ctx, leg, r, http.MethodGet, leg.legPath(ns, "/stats"), nil)
+	res := c.callLeg(ctx, leg, r, http.MethodGet, leg.url+tenantPath(ns, "/stats"), nil)
 	if res.err != nil || res.status != http.StatusOK {
 		return 0
 	}
@@ -620,180 +538,86 @@ func (c *coordinator) ownerShard(ctx context.Context, r *http.Request, ns string
 	return part.Owner(graph.NodeID(anchor))
 }
 
-func (c *coordinator) handleUpdate(w http.ResponseWriter, r *http.Request) bool {
-	s := c.s
-	if s.draining.Load() {
-		writeErrorCode(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return true
-	}
-	name := nsName(r)
-	var req UpdateRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return true
-	}
-	if _, err := mutationFromRequest(req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return true
-	}
-	// Single writer per namespace: overlapping broadcasts would reach the
-	// shards in different orders, and shard-locally assigned add_node ids
-	// would diverge across replicas — silently and permanently.
+// applyUpdates is the remote update sink: the batch is broadcast to every
+// shard — all replicas must converge — and the owning shard's reply is the
+// one relayed to the client.
+func (c *coordinator) applyUpdates(rq *request, reqs []UpdateRequest, _ []memcloud.Mutation, bulk bool) *apiError {
+	name, ctx := rq.namespace, rq.r.Context()
+	// Single writer per namespace (see nsWrite): every shard must apply the
+	// batches in one order.
 	lock := c.writeLock(name)
 	lock.Lock()
 	defer lock.Unlock()
-	body, _ := json.Marshal(req)
-	results := c.broadcast(r.Context(), r, http.MethodPost, "/update", true, name, body)
-	if le := firstFailure(results); le != nil {
+	start := time.Now()
+	endpoint, body := "/update", []byte(nil)
+	if bulk {
+		endpoint = "/update/bulk"
+		body, _ = json.Marshal(BulkUpdateRequest{Updates: reqs})
+	} else {
+		body, _ = json.Marshal(reqs[0])
+	}
+	results := c.broadcast(ctx, rq.r, c.legs, http.MethodPost, tenantPath(name, endpoint), body)
+	rq.exec = time.Since(start)
+	if e := firstFailure(results...); e != nil {
 		// At least one replica missed the write: converging the survivors
 		// while a shard is gone would fork the replicas, so the whole
 		// update is reported failed. (Shards that did apply it are ahead;
 		// the runbook's answer is restoring the dead shard from a peer's
 		// snapshot, exactly like a follower bootstrap.)
-		return writeLegError(w, le)
+		return e
 	}
+	// Keep the node-count cache warm off the batch's add_node results; a
+	// lone add_node is owned by whoever owns the id it was just assigned.
 	var newNode int64 = -1
-	if req.Op == OpAddNode {
-		var ur UpdateResponse
-		if json.Unmarshal(results[0].body, &ur) == nil && results[0].status == http.StatusOK {
-			newNode = ur.NodeID
-			c.bumpNodeCount(name, newNode+1)
-		}
-	}
-	owner := c.ownerShard(r.Context(), r, name, req, newNode)
-	return relay(w, results[owner])
-}
-
-func (c *coordinator) handleBulkUpdate(w http.ResponseWriter, r *http.Request) bool {
-	s := c.s
-	if s.draining.Load() {
-		writeErrorCode(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return true
-	}
-	name := nsName(r)
-	var req BulkUpdateRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return true
-	}
-	if len(req.Updates) == 0 {
-		writeError(w, http.StatusBadRequest, "bulk update requires at least one mutation")
-		return true
-	}
-	if len(req.Updates) > MaxBulkUpdates {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("bulk update carries %d mutations; the limit is %d", len(req.Updates), MaxBulkUpdates))
-		return true
-	}
-	for i, u := range req.Updates {
-		if _, err := mutationFromRequest(u); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("updates[%d]: %v", i, err))
-			return true
-		}
-	}
-	// Same single-writer rule as handleUpdate: every shard must apply the
-	// batches in one order.
-	lock := c.writeLock(name)
-	lock.Lock()
-	defer lock.Unlock()
-	body, _ := json.Marshal(req)
-	results := c.broadcast(r.Context(), r, http.MethodPost, "/update/bulk", true, name, body)
-	if le := firstFailure(results); le != nil {
-		return writeLegError(w, le)
-	}
-	// Keep the node-count cache warm off the batch's add_node results.
 	if results[0].status == http.StatusOK {
-		var br BulkUpdateResponse
-		if json.Unmarshal(results[0].body, &br) == nil {
-			for _, item := range br.Results {
-				if item.NodeID >= 0 {
-					c.bumpNodeCount(name, item.NodeID+1)
+		if bulk {
+			var br BulkUpdateResponse
+			if json.Unmarshal(results[0].body, &br) == nil {
+				for _, item := range br.Results {
+					if item.NodeID >= 0 {
+						c.bumpNodeCount(name, item.NodeID+1)
+					}
 				}
+			}
+		} else if reqs[0].Op == OpAddNode {
+			var ur UpdateResponse
+			if json.Unmarshal(results[0].body, &ur) == nil {
+				newNode = ur.NodeID
+				c.bumpNodeCount(name, newNode+1)
 			}
 		}
 	}
-	owner := c.ownerShard(r.Context(), r, name, req.Updates[0], -1)
-	return relay(w, results[owner])
+	return relay(rq, results[c.ownerShard(ctx, rq.r, name, reqs[0], newNode)])
 }
 
-func (c *coordinator) handleExplain(w http.ResponseWriter, r *http.Request) bool {
-	if c.s.draining.Load() {
-		writeErrorCode(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return true
-	}
-	// Plans are identical on every replica; shard 0 answers for the cluster.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.s.cfg.MaxRequestBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return true
-	}
-	leg := c.legs[0]
-	res := c.callLeg(r.Context(), leg, r, http.MethodPost, leg.legPath(nsName(r), "/explain"), body)
-	if res.err != nil || res.status >= 500 {
-		return writeLegError(w, firstFailure([]legHTTPResult{res}))
-	}
-	return relay(w, res)
-}
-
-// handleStats serves the cluster view of a namespace: shard 0's stats body
+// proxyStats serves the cluster view of a namespace: shard 0's stats body
 // (graph, engine, queue — identical shape on every replica) with the
 // coordinator's own cluster block and endpoint counters spliced in.
-func (c *coordinator) handleStats(w http.ResponseWriter, r *http.Request) bool {
+func (c *coordinator) proxyStats(rq *request) *apiError {
 	leg := c.legs[0]
-	res := c.callLeg(r.Context(), leg, r, http.MethodGet, leg.legPath(nsName(r), "/stats"), nil)
-	if res.err != nil || res.status >= 500 {
-		return writeLegError(w, firstFailure([]legHTTPResult{res}))
+	res := c.callLeg(rq.r.Context(), leg, rq.r, http.MethodGet, leg.url+tenantPath(rq.namespace, "/stats"), nil)
+	if e := firstFailure(res); e != nil {
+		return e
 	}
 	if res.status != http.StatusOK {
-		return relay(w, res)
+		return relay(rq, res)
 	}
 	var st StatsResponse
 	if err := json.Unmarshal(res.body, &st); err != nil {
-		return writeLegError(w, &legError{shard: leg.id, url: leg.url, err: fmt.Errorf("bad stats body: %w", err)})
+		res.err = fmt.Errorf("bad stats body: %w", err)
+		return firstFailure(res)
 	}
 	c.bumpNodeCount(st.Namespace, st.Graph.Nodes)
 	st.UptimeSeconds = time.Since(c.s.start).Seconds()
 	st.Draining = c.s.draining.Load()
 	st.Cluster = c.info()
 	st.Endpoints = c.s.met.snapshot()
-	writeJSON(w, http.StatusOK, st)
-	return false
+	writeJSON(rq.w, http.StatusOK, st)
+	return nil
 }
 
-func (c *coordinator) handleListNamespaces(w http.ResponseWriter, r *http.Request) bool {
-	leg := c.legs[0]
-	res := c.callLeg(r.Context(), leg, r, http.MethodGet, leg.url+"/v1/ns", nil)
-	if res.err != nil || res.status >= 500 {
-		return writeLegError(w, firstFailure([]legHTTPResult{res}))
-	}
-	return relay(w, res)
-}
-
-func (c *coordinator) handleCreateNamespace(w http.ResponseWriter, r *http.Request) bool {
-	if c.s.draining.Load() {
-		writeErrorCode(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return true
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.s.cfg.MaxRequestBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return true
-	}
-	results := c.broadcast(r.Context(), r, http.MethodPost, "/v1/ns", false, "", body)
-	if le := firstFailure(results); le != nil {
-		return writeLegError(w, le)
-	}
-	return relay(w, results[0])
-}
-
-func (c *coordinator) handleDropNamespace(w http.ResponseWriter, r *http.Request) bool {
-	if c.s.draining.Load() {
-		writeErrorCode(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return true
-	}
-	name := nsName(r)
+func (c *coordinator) proxyDropNamespace(rq *request) *apiError {
+	name := rq.r.PathValue("ns")
 	// A drop is a mutating broadcast too: serialize it with the namespace's
 	// updates so it cannot interleave mid-stream on some shards, and so the
 	// node-count cache eviction below cannot race a concurrent add_node's
@@ -801,10 +625,10 @@ func (c *coordinator) handleDropNamespace(w http.ResponseWriter, r *http.Request
 	lock := c.writeLock(name)
 	lock.Lock()
 	defer lock.Unlock()
-	results := c.broadcast(r.Context(), r, http.MethodDelete, "", true, name, nil)
-	if le := firstFailure(results); le != nil {
-		return writeLegError(w, le)
+	results := c.broadcast(rq.r.Context(), rq.r, c.legs, http.MethodDelete, tenantPath(name, ""), nil)
+	if e := firstFailure(results...); e != nil {
+		return e
 	}
 	c.nsNodes.Delete(name)
-	return relay(w, results[0])
+	return relay(rq, results[0])
 }

@@ -84,7 +84,7 @@ func TestCoordinatorLegDeadline(t *testing.T) {
 	c := testCoordinator(ts.URL, 50*time.Millisecond)
 	req := httptest.NewRequest(http.MethodGet, "/", nil)
 	start := time.Now()
-	res := c.callLeg(context.Background(), c.legs[0], req, http.MethodGet, ts.URL+"/stats", nil)
+	res := c.callLeg(context.Background(), c.legs[0], req, http.MethodGet, ts.URL+"/v1/stats", nil)
 	if res.err == nil {
 		t.Fatalf("wedged shard produced no error (status %d)", res.status)
 	}

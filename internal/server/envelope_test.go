@@ -36,7 +36,7 @@ func TestDefaultErrorCodeMapping(t *testing.T) {
 func TestWriteErrorEnvelope(t *testing.T) {
 	rec := httptest.NewRecorder()
 	rec.Header().Set(TraceHeader, "trace-42")
-	writeError(rec, http.StatusNotFound, "unknown namespace \"x\"")
+	writeEnvelope(rec, errStatus(http.StatusNotFound, "unknown namespace \"x\""))
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("status = %d", rec.Code)
 	}
@@ -57,7 +57,7 @@ func TestWriteErrorEnvelope(t *testing.T) {
 func TestWriteRetryErrorSubSecondHint(t *testing.T) {
 	rec := httptest.NewRecorder()
 	rec.Header().Set(TraceHeader, "t")
-	writeRetryError(rec, http.StatusServiceUnavailable, CodeBusy, "busy", 250*time.Millisecond)
+	writeEnvelope(rec, errRetry(http.StatusServiceUnavailable, CodeBusy, "busy", 250*time.Millisecond))
 	if got := rec.Header().Get("Retry-After"); got != "1" {
 		t.Fatalf("Retry-After = %q, want the rounded-up \"1\"", got)
 	}
@@ -74,7 +74,7 @@ func TestWriteRetryErrorSubSecondHint(t *testing.T) {
 
 	// A sub-millisecond (but nonzero) hint must not round to "retry never".
 	rec = httptest.NewRecorder()
-	writeRetryError(rec, http.StatusTooManyRequests, CodeOverloaded, "overloaded", 100*time.Microsecond)
+	writeEnvelope(rec, errRetry(http.StatusTooManyRequests, CodeOverloaded, "overloaded", 100*time.Microsecond))
 	env = ErrorResponse{}
 	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
 		t.Fatal(err)

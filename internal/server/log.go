@@ -36,19 +36,27 @@ func sanitizeTraceID(id string) string {
 	return id
 }
 
-// requestLog accumulates the fields of one request's summary log line as
-// the handler runs: the trace ID, the phases' durations, and the stream
-// outcome. One line is emitted per request by logRequest.
-type requestLog struct {
+// request is one HTTP request on its way through the pipeline: the
+// response writer and *http.Request every handler needs, the tenant the
+// wrapper resolved, and the fields of the request's summary log line, which
+// the handler fills as it runs — the trace ID, the phases' durations, and
+// the stream outcome. One line is emitted per request by logRequest.
+type request struct {
+	w *statusWriter
+	r *http.Request
+	// ns is the tenant a tenant route resolved to, nil on a coordinator
+	// (which hosts none); be is where that tenant's graph lives either way.
+	// Both are nil on non-tenant routes.
+	ns *namespace
+	be backend
+
 	route     string
-	method    string
 	trace     string
 	namespace string
-	sw        *statusWriter
 
 	// wait is time spent queued (reader gate, update queue); exec the
-	// engine or dispatcher work; emit the serialized match emission inside
-	// exec. Zero when the route has no such phase.
+	// engine, dispatcher, or shard fan-out work; emit the serialized match
+	// emission inside exec. Zero when the route has no such phase.
 	wait, exec, emit time.Duration
 	matches          int
 	// spans is the traced execution's phase tree, kept for the slow-query
@@ -91,54 +99,55 @@ func (sw *statusWriter) Flush() {
 // (client-sent X-Stwig-Trace honored when well-formed, minted otherwise),
 // echoes it as a response header before any handler output, threads it
 // into the request context for the engine, and wraps the ResponseWriter so
-// status and bytes are captured for the summary log.
-func (s *Server) beginRequest(route string, w http.ResponseWriter, r *http.Request) (*requestLog, *statusWriter, *http.Request) {
+// status and bytes are captured for the summary log. The effective ID also
+// replaces the request's own header, so a coordinator forwarding this
+// request's headers to a shard forwards the ID the client will see.
+func beginRequest(route string, w http.ResponseWriter, r *http.Request) *request {
 	trace := sanitizeTraceID(r.Header.Get(TraceHeader))
 	if trace == "" {
 		trace = core.NewTraceID()
 	}
 	w.Header().Set(TraceHeader, trace)
 	r = r.WithContext(core.WithTraceID(r.Context(), trace))
-	sw := &statusWriter{ResponseWriter: w}
-	return &requestLog{route: route, method: r.Method, trace: trace, sw: sw}, sw, r
+	r.Header.Set(TraceHeader, trace)
+	return &request{w: &statusWriter{ResponseWriter: w}, r: r, route: route, trace: trace}
 }
 
 // logRequest emits the one structured summary line every request gets, and
 // the slow-query breakdown when the query's execution time crosses
 // Config.SlowQuery. Scrape-style routes log at debug so a 10s-interval
 // monitor does not drown the query log.
-func (s *Server) logRequest(rl *requestLog, d time.Duration, isErr bool) {
+func (s *Server) logRequest(rq *request, d time.Duration, isErr bool) {
 	logger := s.cfg.Logger
 	level := slog.LevelInfo
-	if rl.route == "/healthz" || rl.route == "/metrics" {
+	if rq.route == "/healthz" || rq.route == "/metrics" {
 		level = slog.LevelDebug
 	}
-	status := rl.sw.status
+	status := rq.w.status
 	if status == 0 {
-		// The handler wrote nothing (e.g. the client vanished mid-update);
-		// net/http would have sent 200 with an empty body.
+		// The handler wrote nothing; net/http sends 200 with an empty body.
 		status = http.StatusOK
 	}
 	logger.LogAttrs(context.Background(), level, "request",
-		slog.String("trace_id", rl.trace),
-		slog.String("route", rl.route),
-		slog.String("method", rl.method),
-		slog.String("namespace", rl.namespace),
+		slog.String("trace_id", rq.trace),
+		slog.String("route", rq.route),
+		slog.String("method", rq.r.Method),
+		slog.String("namespace", rq.namespace),
 		slog.Int("status", status),
 		slog.Bool("error", isErr),
 		slog.Duration("duration", d),
-		slog.Duration("wait", rl.wait),
-		slog.Duration("exec", rl.exec),
-		slog.Duration("emit", rl.emit),
-		slog.Int("matches", rl.matches),
-		slog.Int64("bytes", rl.sw.bytes),
+		slog.Duration("wait", rq.wait),
+		slog.Duration("exec", rq.exec),
+		slog.Duration("emit", rq.emit),
+		slog.Int("matches", rq.matches),
+		slog.Int64("bytes", rq.w.bytes),
 	)
-	if s.cfg.SlowQuery > 0 && rl.exec >= s.cfg.SlowQuery && len(rl.spans) > 0 {
+	if s.cfg.SlowQuery > 0 && rq.exec >= s.cfg.SlowQuery && len(rq.spans) > 0 {
 		logger.LogAttrs(context.Background(), slog.LevelWarn, "slow query",
-			slog.String("trace_id", rl.trace),
-			slog.String("namespace", rl.namespace),
-			slog.Duration("exec", rl.exec),
-			slog.String("spans", core.FormatSpans(rl.spans)),
+			slog.String("trace_id", rq.trace),
+			slog.String("namespace", rq.namespace),
+			slog.Duration("exec", rq.exec),
+			slog.String("spans", core.FormatSpans(rq.spans)),
 		)
 	}
 }

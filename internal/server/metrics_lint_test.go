@@ -18,7 +18,7 @@ import (
 // scrapeMetrics fetches /metrics and returns the exposition text.
 func scrapeMetrics(t *testing.T, url string) string {
 	t.Helper()
-	resp, err := http.Get(url + "/metrics")
+	resp, err := http.Get(url + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Get(ts.URL + "/metrics")
+				resp, err := http.Get(ts.URL + "/v1/metrics")
 				if err != nil {
 					scrapeErrs <- err.Error()
 					return

@@ -51,7 +51,7 @@ func TestTwoTenantIsolation(t *testing.T) {
 	// Saturate A: two admitted streams pinned mid-flight (their clients
 	// stop reading; the remaining output exceeds socket buffering).
 	for i := 0; i < 2; i++ {
-		cancel, typ := startStream(t, ts.URL+"/ns/a", hc)
+		cancel, typ := startStream(t, ts.URL+"/v1/ns/a", hc)
 		defer cancel()
 		if typ != server.RecordMatch {
 			t.Fatalf("tenant A stream %d: first record %q, want a match", i, typ)
@@ -524,7 +524,7 @@ func TestUpdateQueueBackpressureAndDrain(t *testing.T) {
 	baseline := runtime.NumGoroutine() + 8
 
 	// Pin a stream: its executor holds the reader gate until canceled.
-	cancel, typ := startStream(t, ts.URL, hc)
+	cancel, typ := startStream(t, ts.URL+"/v1", hc)
 	defer cancel()
 	if typ != server.RecordMatch {
 		t.Fatalf("first record %q, want a match", typ)
@@ -626,7 +626,7 @@ func TestDropWhileUpdateParkedReportsClosed(t *testing.T) {
 	hc := &http.Client{Transport: tr}
 	defer tr.CloseIdleConnections()
 
-	cancel, typ := startStream(t, ts.URL+"/ns/x", hc)
+	cancel, typ := startStream(t, ts.URL+"/v1/ns/x", hc)
 	defer cancel()
 	if typ != server.RecordMatch {
 		t.Fatalf("first record %q, want a match", typ)

@@ -528,8 +528,12 @@ func (st *nsStorage) checkpoint() error {
 	return nil
 }
 
-// journalStats snapshots the counters for /stats.
+// journalStats snapshots the counters for /stats and /metrics; nil for a
+// namespace that is not persisted (a nil receiver).
 func (st *nsStorage) journalStats() *JournalInfo {
+	if st == nil {
+		return nil
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	out := st.info

@@ -15,7 +15,8 @@ import (
 func (s *Server) registerDebug(mux *http.ServeMux) {
 	gate := func(h http.HandlerFunc) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
-			if !s.authorizeBearer(w, r, "live profiling over /debug/pprof") {
+			if e := s.authorizeBearer(w, r, "live profiling over /debug/pprof"); e != nil {
+				writeEnvelope(w, e)
 				return
 			}
 			h(w, r)

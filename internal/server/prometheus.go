@@ -84,7 +84,7 @@ type nsState struct {
 	jour  *JournalInfo
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) bool {
+func (s *Server) handleMetrics(rq *request) *apiError {
 	list := s.reg.list()
 	states := make([]nsState, len(list))
 	for i, ns := range list {
@@ -94,7 +94,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) bool {
 			snap:  ns.eng.Snapshot(),
 			adm:   ns.adm.stats(),
 			upd:   ns.pipe.stats(),
-			jour:  journalStatsOf(ns),
+			jour:  ns.store.journalStats(),
 		}
 	}
 
@@ -335,10 +335,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) bool {
 		p.latencyHistogram("stwig_http_request_duration_seconds", &ep.lat, "ns", nsName, "route", route)
 	})
 
-	w.Header().Set("Content-Type", prometheusContentType)
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write([]byte(p.b.String()))
-	return false
+	rq.w.Header().Set("Content-Type", prometheusContentType)
+	rq.w.WriteHeader(http.StatusOK)
+	_, _ = rq.w.Write([]byte(p.b.String()))
+	return nil
 }
 
 func anyJournal(states []nsState) bool {

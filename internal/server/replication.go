@@ -42,10 +42,17 @@ const (
 // maxWALWait caps the wal long-poll window a client may request.
 const maxWALWait = 30 * time.Second
 
+// walHeader stamps a wal or snapshot reply with the leader's positions.
+func walHeader(w http.ResponseWriter, last, ckpt uint64) {
+	w.Header().Set("Content-Type", walContentType)
+	w.Header().Set(LeaderSeqHeader, strconv.FormatUint(last, 10))
+	w.Header().Set(CheckpointSeqHeader, strconv.FormatUint(ckpt, 10))
+}
+
 // notPersistedError refuses a replication endpoint on a namespace without a
 // journal — there is nothing to ship.
-func notPersistedError(w http.ResponseWriter, name string) {
-	writeErrorCode(w, http.StatusConflict, CodeNotPersisted,
+func notPersistedError(name string) *apiError {
+	return errCode(http.StatusConflict, CodeNotPersisted,
 		fmt.Sprintf("namespace %q has no journal to replicate (start the leader with -data-dir)", name))
 }
 
@@ -56,21 +63,19 @@ func notPersistedError(w http.ResponseWriter, name string) {
 // answers — possibly with an empty body, which just means "still caught
 // up". The response is one bounded batch, not an infinite stream; the
 // follower loops.
-func (s *Server) handleWALTail(ns *namespace, rl *requestLog, w http.ResponseWriter, r *http.Request) bool {
+func (s *Server) handleWALTail(rq *request) *apiError {
+	ns, w, r := rq.ns, rq.w, rq.r
 	q := r.URL.Query()
 	from, err := parseUintParam(q.Get("from"), "from")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return true
+		return errStatus(http.StatusBadRequest, err.Error())
 	}
 	waitMS, err := parseUintParam(q.Get("wait_ms"), "wait_ms")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return true
+		return errStatus(http.StatusBadRequest, err.Error())
 	}
 	if ns.store == nil {
-		notPersistedError(w, ns.name)
-		return true
+		return notPersistedError(ns.name)
 	}
 	wait := time.Duration(waitMS) * time.Millisecond
 	if wait > maxWALWait {
@@ -86,29 +91,24 @@ func (s *Server) handleWALTail(ns *namespace, rl *requestLog, w http.ResponseWri
 		// outside the window, but only discards records ≤ CheckpointSeq — all
 		// shipped long ago or covered by the snapshot_required refusal.)
 		if err := ns.gate.rlock(r.Context()); err != nil {
-			writeGateError(w, err)
-			return true
+			return errContext(err, gateWait)
 		}
 		last, ckpt := ns.store.tailState()
 		if from < ckpt {
 			ns.gate.runlock()
-			writeErrorCode(w, http.StatusConflict, CodeSnapshotRequired,
+			return errCode(http.StatusConflict, CodeSnapshotRequired,
 				fmt.Sprintf("records after seq %d were compacted into the checkpoint at seq %d; bootstrap from /v1/ns/%s/snapshot", from, ckpt, ns.name))
-			return true
 		}
 		if last > from {
 			tail, err := journal.TailAfter(filepath.Join(ns.store.dir, journalName), from)
 			ns.gate.runlock()
 			if err != nil {
-				writeError(w, http.StatusInternalServerError, fmt.Sprintf("reading journal tail: %v", err))
-				return true
+				return errStatus(http.StatusInternalServerError, fmt.Sprintf("reading journal tail: %v", err))
 			}
-			w.Header().Set("Content-Type", walContentType)
-			w.Header().Set(LeaderSeqHeader, strconv.FormatUint(last, 10))
-			w.Header().Set(CheckpointSeqHeader, strconv.FormatUint(ckpt, 10))
+			walHeader(w, last, ckpt)
 			w.WriteHeader(http.StatusOK)
 			_, _ = w.Write(tail.Frames) // client gone mid-write = torn tail on its side
-			return false
+			return nil
 		}
 		// Caught up: park on the append notifier outside the gate, bounded by
 		// the wait window and the client's own context.
@@ -116,18 +116,15 @@ func (s *Server) handleWALTail(ns *namespace, rl *requestLog, w http.ResponseWri
 		ns.gate.runlock()
 		remain := time.Until(deadline)
 		if remain <= 0 {
-			w.Header().Set("Content-Type", walContentType)
-			w.Header().Set(LeaderSeqHeader, strconv.FormatUint(last, 10))
-			w.Header().Set(CheckpointSeqHeader, strconv.FormatUint(ckpt, 10))
+			walHeader(w, last, ckpt)
 			w.WriteHeader(http.StatusOK)
-			return false
+			return nil
 		}
 		t := time.NewTimer(remain)
 		select {
 		case <-r.Context().Done():
 			t.Stop()
-			writeGateError(w, r.Context().Err())
-			return true
+			return errContext(r.Context().Err(), gateWait)
 		case <-ch:
 			t.Stop()
 		case <-t.C:
@@ -140,33 +137,29 @@ func (s *Server) handleWALTail(ns *namespace, rl *requestLog, w http.ResponseWri
 // under the reader gate so the snapshot, its sequence number, and its epoch
 // are one consistent triple. A follower saves the body as checkpoint.bin
 // and runs ordinary recovery over it.
-func (s *Server) handleSnapshot(ns *namespace, rl *requestLog, w http.ResponseWriter, r *http.Request) bool {
+func (s *Server) handleSnapshot(rq *request) *apiError {
+	ns, w, r := rq.ns, rq.w, rq.r
 	if ns.store == nil {
-		notPersistedError(w, ns.name)
-		return true
+		return notPersistedError(ns.name)
 	}
 	if err := ns.gate.rlock(r.Context()); err != nil {
-		writeGateError(w, err)
-		return true
+		return errContext(err, gateWait)
 	}
 	g, err := ns.eng.Cluster().SnapshotGraph()
 	last, ckpt := ns.store.tailState()
 	epoch := ns.eng.Cluster().Epoch()
 	ns.gate.runlock()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("snapshotting graph: %v", err))
-		return true
+		return errStatus(http.StatusInternalServerError, fmt.Sprintf("snapshotting graph: %v", err))
 	}
-	w.Header().Set("Content-Type", walContentType)
-	w.Header().Set(LeaderSeqHeader, strconv.FormatUint(last, 10))
-	w.Header().Set(CheckpointSeqHeader, strconv.FormatUint(ckpt, 10))
+	walHeader(w, last, ckpt)
 	w.Header().Set(EpochHeader, strconv.FormatUint(epoch, 10))
 	w.WriteHeader(http.StatusOK)
 	// The snapshot stream covers everything up to and including last, so the
 	// header is stamped with last (not the on-disk checkpoint's seq): the
 	// follower resumes tailing from exactly here.
 	_ = writeCheckpointTo(w, g, last, epoch) // client gone mid-stream: its problem
-	return false
+	return nil
 }
 
 // handleReplicationManifest serves GET /v1/replication/manifest: every
@@ -175,10 +168,9 @@ func (s *Server) handleSnapshot(ns *namespace, rl *requestLog, w http.ResponseWr
 // server without -data-dir) are not replicable and are omitted; a fully
 // journal-less server answers not_persisted so a follower fails loudly
 // instead of replicating nothing.
-func (s *Server) handleReplicationManifest(w http.ResponseWriter, r *http.Request) bool {
+func (s *Server) handleReplicationManifest(rq *request) *apiError {
 	if s.store == nil {
-		notPersistedError(w, "(all)")
-		return true
+		return notPersistedError("(all)")
 	}
 	resp := ReplicationManifest{Namespaces: []ReplicaNamespace{}}
 	for _, ns := range s.reg.list() {
@@ -198,8 +190,8 @@ func (s *Server) handleReplicationManifest(w http.ResponseWriter, r *http.Reques
 			Epoch:         ns.eng.Cluster().Epoch(),
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
-	return false
+	writeJSON(rq.w, http.StatusOK, resp)
+	return nil
 }
 
 // handlePromote serves POST /v1/admin/promote: the follower stops tailing,
@@ -207,22 +199,17 @@ func (s *Server) handleReplicationManifest(w http.ResponseWriter, r *http.Reques
 // Idempotent — promoting an already-promoted follower reports the same
 // success, so a failover script can retry safely. A server that follows
 // nobody answers 409 not_a_follower.
-func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) bool {
-	if !s.authorizeBearer(w, r, "promotion over the admin API") {
-		return true
-	}
+func (s *Server) handlePromote(rq *request) *apiError {
 	if s.repl == nil {
-		writeErrorCode(w, http.StatusConflict, CodeNotFollower,
+		return errCode(http.StatusConflict, CodeNotFollower,
 			"this server follows no leader (start stwigd with -follow to run a follower)")
-		return true
 	}
 	names, err := s.repl.promote()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("sealing journal tails: %v", err))
-		return true
+		return errStatus(http.StatusInternalServerError, fmt.Sprintf("sealing journal tails: %v", err))
 	}
-	writeJSON(w, http.StatusOK, PromoteResponse{Promoted: true, Namespaces: names})
-	return false
+	writeJSON(rq.w, http.StatusOK, PromoteResponse{Promoted: true, Namespaces: names})
+	return nil
 }
 
 // replicationInfoFor returns the /stats replication block for one

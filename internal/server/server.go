@@ -3,24 +3,16 @@ package server
 import (
 	"context"
 	"crypto/subtle"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"stwig/internal/core"
-	"stwig/internal/graph"
-	"stwig/internal/memcloud"
-	"stwig/internal/pattern"
 )
-
-// ndjsonContentType is the /query stream's media type.
-const ndjsonContentType = "application/x-ndjson"
 
 // Server is the multi-tenant query service: a registry of named
 // namespaces, each a fully isolated Cluster+Engine pair with its own
@@ -28,11 +20,8 @@ const ndjsonContentType = "application/x-ndjson"
 // http.Handler and is safe for concurrent use, including namespace
 // creation and removal under live traffic.
 //
-// Tenant routes are /ns/{name}/query|explain|update|stats; the legacy
-// unprefixed routes alias the "default" namespace. Admin routes GET/POST
-// /ns and DELETE /ns/{name} list, create, and drop namespaces at runtime;
-// the mutating pair requires Config.AdminToken (and is disabled when no
-// token is configured).
+// Every route lives under /v1; pipeline.go holds the route table and the
+// package comment lists it.
 type Server struct {
 	cfg   Config // per-tenant defaults; each namespace may override limits
 	reg   *registry
@@ -114,106 +103,17 @@ func NewMulti(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	mux := http.NewServeMux()
-	// route mounts one handler at its canonical /v1 path and at the legacy
-	// unversioned alias. The alias serves the exact same handler instance
-	// (one metrics series per logical endpoint) but answers with a
-	// Deprecation header and a Link to its /v1 successor, so consumers can
-	// migrate mechanically.
-	route := func(pattern string, h http.HandlerFunc) {
-		method, path, ok := strings.Cut(pattern, " ")
-		if !ok {
-			panic("server: route pattern must be \"METHOD /path\"")
-		}
-		mux.HandleFunc(method+" /v1"+path, h)
-		mux.HandleFunc(pattern, deprecateLegacy(h))
-	}
 	if cfg.ShardMap != "" && cfg.ShardID < 0 {
-		// Coordinator mode: the tenant surface is served by scatter-gather
-		// fan-out over the shard map, not by the local registry — the
-		// coordinator owns no graph. Replication wire routes are absent
-		// (replication runs per shard); healthz/version/metrics below stay
-		// local.
+		// Coordinator mode: the tenant surface is served by fan-out over
+		// the shard map, not by the local registry.
 		s.coord = newCoordinator(s)
-		route("POST /query", s.instrument("/query", s.coord.handleQuery))
-		route("POST /explain", s.instrument("/explain", s.coord.handleExplain))
-		route("POST /update", s.instrument("/update", s.coord.handleUpdate))
-		route("GET /stats", s.instrument("/stats", s.coord.handleStats))
-		route("POST /ns/{ns}/query", s.instrument("/query", s.coord.handleQuery))
-		route("POST /ns/{ns}/explain", s.instrument("/explain", s.coord.handleExplain))
-		route("POST /ns/{ns}/update", s.instrument("/update", s.coord.handleUpdate))
-		route("GET /ns/{ns}/stats", s.instrument("/stats", s.coord.handleStats))
-		route("GET /ns", s.instrument("/ns", s.coord.handleListNamespaces))
-		route("POST /ns", s.instrument("/ns", s.coord.handleCreateNamespace))
-		route("DELETE /ns/{ns}", s.instrument("/ns", s.coord.handleDropNamespace))
-		mux.HandleFunc("POST /v1/ns/{ns}/update/bulk", s.instrument("/update/bulk", s.coord.handleBulkUpdate))
-		mux.HandleFunc("POST /v1/update/bulk", s.instrument("/update/bulk", s.coord.handleBulkUpdate))
-	} else {
-		// Unprefixed tenant routes alias the default namespace…
-		route("POST /query", s.nsRoute("/query", s.handleQuery))
-		route("POST /explain", s.nsRoute("/explain", s.handleExplain))
-		route("POST /update", s.nsRoute("/update", s.handleUpdate))
-		route("GET /stats", s.nsRoute("/stats", s.handleStats))
-		// …and the routed forms address any tenant.
-		route("POST /ns/{ns}/query", s.nsRoute("/query", s.handleQuery))
-		route("POST /ns/{ns}/explain", s.nsRoute("/explain", s.handleExplain))
-		route("POST /ns/{ns}/update", s.nsRoute("/update", s.handleUpdate))
-		route("GET /ns/{ns}/stats", s.nsRoute("/stats", s.handleStats))
-		// Admin: list, create, drop.
-		route("GET /ns", s.instrument("/ns", s.handleListNamespaces))
-		route("POST /ns", s.instrument("/ns", s.handleCreateNamespace))
-		route("DELETE /ns/{ns}", s.instrument("/ns", s.handleDropNamespace))
-		// Replication wire protocol and promotion are /v1-only: they are new
-		// with the versioned surface, so no legacy alias exists to deprecate.
-		mux.HandleFunc("GET /v1/ns/{ns}/wal", s.nsRoute("/wal", s.handleWALTail))
-		mux.HandleFunc("GET /v1/ns/{ns}/snapshot", s.nsRoute("/snapshot", s.handleSnapshot))
-		mux.HandleFunc("GET /v1/wal", s.nsRoute("/wal", s.handleWALTail))
-		mux.HandleFunc("GET /v1/snapshot", s.nsRoute("/snapshot", s.handleSnapshot))
-		// Bulk updates are likewise /v1-only: the endpoint arrived with group
-		// commit, after the unversioned surface was frozen.
-		mux.HandleFunc("POST /v1/ns/{ns}/update/bulk", s.nsRoute("/update/bulk", s.handleBulkUpdate))
-		mux.HandleFunc("POST /v1/update/bulk", s.nsRoute("/update/bulk", s.handleBulkUpdate))
-		mux.HandleFunc("GET /v1/replication/manifest", s.instrument("/replication/manifest", s.handleReplicationManifest))
-		mux.HandleFunc("POST /v1/admin/promote", s.instrument("/admin/promote", s.handlePromote))
 	}
-	route("GET /healthz", s.instrument("/healthz", s.handleHealthz))
-	route("GET /version", s.instrument("/version", s.handleVersion))
-	route("GET /metrics", s.instrument("/metrics", s.handleMetrics))
-	// Unknown paths get the uniform error envelope instead of net/http's
-	// plain-text 404.
-	mux.HandleFunc("/", s.instrument("/{unknown}", func(w http.ResponseWriter, r *http.Request) bool {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no route for %s %s", r.Method, r.URL.Path))
-		return true
-	}))
-	// Admin-token-gated live profiling. /debug stays unversioned: it is an
-	// operator surface with net/http-dictated paths, not part of the API.
-	s.registerDebug(mux)
-	s.mux = mux
+	s.mux = s.mount()
 	if s.cfg.FollowURL != "" {
 		s.repl = newReplicator(s, s.cfg.FollowURL)
 		s.repl.start()
 	}
 	return s, nil
-}
-
-// deprecateLegacy wraps a legacy unversioned route: same handler, plus the
-// RFC 9745 Deprecation header and a successor-version Link so clients know
-// where the route moved.
-func deprecateLegacy(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "</v1"+r.URL.Path+`>; rel="successor-version"`)
-		h(w, r)
-	}
-}
-
-// MustNew is New that panics on error.
-func MustNew(eng *core.Engine, cfg Config) *Server {
-	s, err := New(eng, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -280,360 +180,6 @@ func (s *Server) recoverPersisted() error {
 	return nil
 }
 
-// instrument wraps a non-tenant handler with per-request observability:
-// trace ID resolution/echo, request counting, latency observation, and the
-// structured summary log line; the handler reports whether the request
-// ended in an error.
-func (s *Server) instrument(route string, h func(http.ResponseWriter, *http.Request) bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rl, sw, r := s.beginRequest(route, w, r)
-		isErr := h(sw, r)
-		d := time.Since(start)
-		s.met.record(route, d, isErr)
-		s.logRequest(rl, d, isErr)
-	}
-}
-
-// nsRoute resolves the request's namespace ({ns} path segment, or
-// "default" on the legacy unprefixed routes) and dispatches to h. Metrics
-// are recorded against the tenant's own counters under the logical
-// endpoint name, so /query and /ns/default/query share one series. Like
-// instrument, it owns the request's trace ID and summary log line; the
-// handler fills rl's phase fields as it goes.
-func (s *Server) nsRoute(endpoint string, h func(*namespace, *requestLog, http.ResponseWriter, *http.Request) bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rl, sw, r := s.beginRequest(endpoint, w, r)
-		name := r.PathValue("ns")
-		if name == "" {
-			name = DefaultNamespace
-		}
-		rl.namespace = name
-		ns, ok := s.reg.get(name)
-		if !ok {
-			writeError(sw, http.StatusNotFound, fmt.Sprintf("unknown namespace %q", name))
-			// A dedicated key: these requests belong to no tenant, so they
-			// must not collide with (or hide behind) any namespace's own
-			// endpoint series in the default tenant's stats fold.
-			d := time.Since(start)
-			s.met.record("/ns/{unknown}", d, true)
-			s.logRequest(rl, d, true)
-			return
-		}
-		isErr := h(ns, rl, sw, r)
-		d := time.Since(start)
-		ns.met.record(endpoint, d, isErr)
-		s.logRequest(rl, d, isErr)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
-}
-
-// writeError sends the uniform error envelope with the code derived from
-// the status. Call sites with a sharper cause use writeErrorCode; retryable
-// refusals use writeRetryError so the envelope carries the sub-second hint.
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeErrorCode(w, status, defaultErrorCode(status), msg)
-}
-
-// defaultErrorCode maps an HTTP status to the envelope code writeError uses
-// when the call site did not name a sharper one.
-func defaultErrorCode(status int) string {
-	switch status {
-	case http.StatusBadRequest:
-		return CodeBadRequest
-	case http.StatusUnauthorized:
-		return CodeUnauthorized
-	case http.StatusForbidden:
-		return CodeForbidden
-	case http.StatusNotFound:
-		return CodeNotFound
-	case http.StatusConflict:
-		return CodeConflict
-	case http.StatusTooManyRequests:
-		return CodeOverloaded
-	case http.StatusServiceUnavailable:
-		return CodeUnavailable
-	case http.StatusGatewayTimeout:
-		return CodeDeadline
-	default:
-		return CodeInternal
-	}
-}
-
-// writeErrorCode sends the envelope {error, code, trace_id}. The trace ID is
-// read back from the response header beginRequest set before any handler
-// ran, so every error body is greppable in the server log.
-func writeErrorCode(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, ErrorResponse{
-		Error:   msg,
-		Code:    code,
-		TraceID: w.Header().Get(TraceHeader),
-	})
-}
-
-// writeRetryError is writeErrorCode plus the retry hint, in both shapes: the
-// Retry-After header (whole seconds, rounded up — RFC 9110 allows nothing
-// finer) and the envelope's exact retry_after_ms, which clients prefer.
-func writeRetryError(w http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
-	setRetryAfter(w, retryAfter)
-	ms := retryAfter.Milliseconds()
-	if ms == 0 && retryAfter > 0 {
-		ms = 1
-	}
-	writeJSON(w, status, ErrorResponse{
-		Error:        msg,
-		Code:         code,
-		TraceID:      w.Header().Get(TraceHeader),
-		RetryAfterMS: ms,
-	})
-}
-
-// setRetryAfter attaches the Retry-After hint, rounded up to whole seconds.
-func setRetryAfter(w http.ResponseWriter, d time.Duration) {
-	secs := int((d + time.Second - 1) / time.Second)
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-}
-
-// writeGateError reports a reader-gate wait that ended without admission:
-// 504 when the request's deadline expired while a parked writer held the
-// cutoff, 503 for every other cancellation.
-func writeGateError(w http.ResponseWriter, err error) {
-	if errors.Is(err, context.DeadlineExceeded) {
-		writeErrorCode(w, http.StatusGatewayTimeout, CodeDeadline,
-			"deadline exceeded while waiting for a graph update")
-		return
-	}
-	writeErrorCode(w, http.StatusServiceUnavailable, CodeCanceled,
-		"canceled while waiting for a graph update")
-}
-
-// rejectOverloaded sends the 429 admission refusal with a Retry-After hint.
-func (s *Server) rejectOverloaded(w http.ResponseWriter, ns *namespace) {
-	writeRetryError(w, http.StatusTooManyRequests, CodeOverloaded,
-		fmt.Sprintf("overloaded: namespace %q has too many in-flight queries", ns.name),
-		ns.cfg.RetryAfter)
-}
-
-// decodeQueryRequest parses and compiles the body of /query and /explain.
-// On failure it returns the HTTP status the caller should send.
-func (s *Server) decodeQueryRequest(ns *namespace, w http.ResponseWriter, r *http.Request) (QueryRequest, *core.Query, int, error) {
-	var req QueryRequest
-	r.Body = http.MaxBytesReader(w, r.Body, ns.cfg.MaxRequestBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return req, nil, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
-	}
-	q, err := compileQuery(req)
-	if err != nil {
-		return req, nil, http.StatusBadRequest, err
-	}
-	return req, q, 0, nil
-}
-
-// compileQuery turns a request into a validated core.Query.
-func compileQuery(req QueryRequest) (*core.Query, error) {
-	var q *core.Query
-	var err error
-	switch {
-	case req.Pattern != "" && req.Query != "", req.Pattern == "" && req.Query == "":
-		return nil, errors.New("set exactly one of \"pattern\" and \"query\"")
-	case req.Pattern != "":
-		q, err = pattern.Parse(req.Pattern)
-	default:
-		q, err = core.ParseQuery(strings.NewReader(req.Query))
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := core.ValidateQuery(q); err != nil {
-		return nil, err
-	}
-	return q, nil
-}
-
-// requestContext joins the client's context to the server's run context and
-// applies the request's deadline.
-func (s *Server) requestContext(r *http.Request, lim core.Limits) (context.Context, context.CancelFunc) {
-	ctx, cancel := lim.WithContext(r.Context())
-	stopWatch := context.AfterFunc(s.runCtx, cancel)
-	return ctx, func() { stopWatch(); cancel() }
-}
-
-func (s *Server) handleQuery(ns *namespace, rl *requestLog, w http.ResponseWriter, r *http.Request) bool {
-	if s.draining.Load() {
-		writeErrorCode(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return true
-	}
-	if !ns.adm.tryAcquire() {
-		s.rejectOverloaded(w, ns)
-		return true
-	}
-	defer ns.adm.release()
-
-	req, q, status, err := s.decodeQueryRequest(ns, w, r)
-	if err != nil {
-		writeError(w, status, err.Error())
-		return true
-	}
-	if req.Shard != nil {
-		if code, serr := s.validateShard(req.Shard); serr != nil {
-			writeErrorCode(w, http.StatusBadRequest, code, serr.Error())
-			return true
-		}
-	}
-	timeout, maxMatches := ns.cfg.effectiveLimits(req)
-	lim := core.Limits{Timeout: timeout, MaxMatches: maxMatches}
-	ctx, cancel := s.requestContext(r, lim)
-	defer cancel()
-
-	// Enter the tenant's reader gate. A parked update dispatcher past its
-	// fairness window holds the gate against new readers; the park here is
-	// bounded by the writer's patience (UpdateLockWait) and this request's
-	// own deadline.
-	gateStart := time.Now()
-	if err := ns.gate.rlock(ctx); err != nil {
-		writeGateError(w, err)
-		return true
-	}
-	rl.wait = time.Since(gateStart)
-	defer ns.gate.runlock()
-
-	// The 200 header is deferred to the first record: execution errors
-	// that precede any output can still use a proper error status.
-	sw := newStreamWriter(w, ns.cfg.MaxBytes)
-	headerDone := false
-	writeHeader := func() {
-		if !headerDone {
-			w.Header().Set("Content-Type", ndjsonContentType)
-			w.Header().Set("X-Accel-Buffering", "no")
-			w.WriteHeader(http.StatusOK)
-			headerDone = true
-		}
-	}
-
-	sl := lim.NewStreamLimiter()
-	matchesSent := 0
-	emitBlock := sl.WrapBlock(func(ms []core.Match) (int, bool) {
-		writeHeader()
-		// Whole blocks go to the wire with one flush; records that reached
-		// the wire count toward the stats trailer even when the block's
-		// last record hit the byte cap.
-		sent, ok := sw.writeMatchBlock(ms)
-		matchesSent += sent
-		return sent, ok
-	})
-	emit := emitBlock
-	if req.Shard != nil {
-		// Cluster mode's disjointness contract: the full graph is
-		// replicated on every shard, but this shard only emits matches
-		// whose root vertex (assignment[0]) it owns under the range
-		// partition of the id space — so the coordinator's merged union
-		// over all shards is exactly the single-machine answer, with no
-		// duplicates. The partition divides the selector's pinned N when
-		// set (the coordinator's one snapshot for the whole fan-out, so
-		// every leg draws the same range boundaries even mid-broadcast),
-		// falling back to the local count for selector-bearing requests
-		// sent directly. The filter runs before the stream limiter:
-		// dropped matches must not count against the request's match cap.
-		partN := req.Shard.N
-		if partN <= 0 {
-			partN = ns.eng.Snapshot().Nodes
-		}
-		part := memcloud.RangePartitioner{K: req.Shard.Count, N: partN}
-		want := req.Shard.Index
-		emit = func(ms []core.Match) (int, bool) {
-			kept := make([]core.Match, 0, len(ms))
-			for _, m := range ms {
-				var root graph.NodeID
-				if len(m.Assignment) > 0 {
-					root = m.Assignment[0]
-				}
-				if part.Owner(root) == want {
-					kept = append(kept, m)
-				}
-			}
-			if len(kept) == 0 {
-				return 0, true
-			}
-			return emitBlock(kept)
-		}
-	}
-	start := time.Now()
-	stats, err := ns.eng.MatchStreamBlocks(ctx, q, emit)
-	elapsed := time.Since(start)
-	rl.exec = elapsed
-	rl.matches = matchesSent
-	if stats != nil {
-		rl.spans = stats.Spans
-		if emit := core.SpanByName(stats.Spans, "emit"); emit != nil {
-			rl.emit = emit.Duration
-		}
-	}
-	if err != nil {
-		msg, code := err.Error(), CodeInternal
-		errStatus := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			msg, code = "deadline exceeded", CodeDeadline
-			errStatus = http.StatusGatewayTimeout
-		case errors.Is(err, context.Canceled):
-			msg, code = "canceled", CodeCanceled
-			errStatus = http.StatusServiceUnavailable
-		}
-		if !headerDone {
-			writeErrorCode(w, errStatus, code, msg)
-			return true
-		}
-		sw.writeRecord(Record{Type: RecordError, Error: msg, Code: code, TraceID: rl.trace})
-		return true
-	}
-	writeHeader()
-	sw.writeRecord(Record{Type: RecordStats, Stats: &StreamStats{
-		TraceID:       rl.trace,
-		Matches:       matchesSent,
-		Truncated:     stats.Truncated || sw.capHit,
-		LimitHit:      sl.LimitHit(),
-		ByteCapHit:    sw.capHit,
-		PlanCacheHit:  stats.PlanCacheHit,
-		PlanMicros:    stats.PlanTime.Microseconds(),
-		ExploreMicros: stats.ExploreTime.Microseconds(),
-		JoinMicros:    stats.JoinTime.Microseconds(),
-		ElapsedMicros: elapsed.Microseconds(),
-		NetMessages:   stats.Net.Messages,
-		NetBytes:      stats.Net.Bytes,
-		Parallelism:   stats.Parallelism,
-		ParallelTasks: stats.ParallelTasks,
-		EmitFlushes:   stats.EmitFlushes,
-	}})
-	return false
-}
-
-// validateShard checks a request's shard selector: internally consistent,
-// and — on a process that knows its own cluster identity — matching this
-// shard. A selector addressed to the wrong shard would silently drop or
-// duplicate matches in the coordinator's merge, so it is refused loudly.
-func (s *Server) validateShard(sel *ShardSelector) (code string, err error) {
-	if sel.Count < 1 || sel.Index < 0 || sel.Index >= sel.Count {
-		return CodeBadRequest, fmt.Errorf("invalid shard selector: index %d of %d", sel.Index, sel.Count)
-	}
-	if sel.N < 0 {
-		return CodeBadRequest, fmt.Errorf("invalid shard selector: negative vertex count %d", sel.N)
-	}
-	if s.cfg.ShardMap != "" && s.cfg.ShardID >= 0 {
-		if n := len(parseShardMap(s.cfg.ShardMap)); sel.Count != n || sel.Index != s.cfg.ShardID {
-			return CodeWrongShard, fmt.Errorf("shard selector %d of %d does not match this process (shard %d of %d)",
-				sel.Index, sel.Count, s.cfg.ShardID, n)
-		}
-	}
-	return "", nil
-}
-
 // clusterInfo snapshots the process's cluster-mode state for /stats; nil
 // outside cluster mode.
 func (s *Server) clusterInfo() *ClusterInfo {
@@ -651,417 +197,61 @@ func (s *Server) clusterInfo() *ClusterInfo {
 	return ci
 }
 
-// journalStatsOf snapshots a namespace's journal counters, nil when it is
-// not persisted.
-func journalStatsOf(ns *namespace) *JournalInfo {
-	if ns.store == nil {
-		return nil
-	}
-	return ns.store.journalStats()
-}
-
-func assignmentInt64(m core.Match) []int64 {
-	out := make([]int64, len(m.Assignment))
-	for i, id := range m.Assignment {
-		out[i] = int64(id)
-	}
-	return out
-}
-
-func (s *Server) handleExplain(ns *namespace, rl *requestLog, w http.ResponseWriter, r *http.Request) bool {
-	if s.draining.Load() {
-		writeErrorCode(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return true
-	}
-	// Explain is query work: a cache miss pays full planning and holds the
-	// read lock, so it goes through the same admission gate as /query —
-	// otherwise an explain loop evades the in-flight limit and starves
-	// updates unobserved. EXPLAIN ANALYZE runs the whole query, so the
-	// shared gate matters doubly there.
-	if !ns.adm.tryAcquire() {
-		s.rejectOverloaded(w, ns)
-		return true
-	}
-	defer ns.adm.release()
-	req, q, status, err := s.decodeQueryRequest(ns, w, r)
-	if err != nil {
-		writeError(w, status, err.Error())
-		return true
-	}
-	// Same gate discipline as /query: bounded by the server's default
-	// deadline while a parked writer holds the cutoff, with the same
-	// status split for the two ways the wait can end.
-	ctx, cancel := s.requestContext(r, core.Limits{Timeout: ns.cfg.DefaultTimeout})
-	defer cancel()
-	gateStart := time.Now()
-	if err := ns.gate.rlock(ctx); err != nil {
-		writeGateError(w, err)
-		return true
-	}
-	rl.wait = time.Since(gateStart)
-	// Deferred like every other gate exit: if ExplainCached panics (and
-	// net/http's recover swallows it), a non-deferred release would leak
-	// the reader forever and brick this tenant's update path.
-	defer ns.gate.runlock()
-	if req.Analyze {
-		// EXPLAIN ANALYZE: execute the query under this request's trace,
-		// discarding matches, and return the span tree alongside the plan.
-		execStart := time.Now()
-		ar, err := ns.eng.ExplainAnalyze(ctx, q)
-		rl.exec = time.Since(execStart)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return true
-		}
-		rl.matches = ar.Matches
-		rl.spans = ar.Stats.Spans
-		writeJSON(w, http.StatusOK, ExplainResponse{
-			Plan:         ar.Plan.String(),
-			PlanCacheHit: ar.Stats.PlanCacheHit,
-			Analyze:      ar.String(),
-			TraceID:      ar.Stats.TraceID,
-		})
-		return false
-	}
-	plan, hit, err := ns.eng.ExplainCached(q)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return true
-	}
-	writeJSON(w, http.StatusOK, ExplainResponse{Plan: plan.String(), PlanCacheHit: hit})
-	return false
-}
-
-// readOnly reports the server is an unpromoted follower: every mutating
-// endpoint is refused so replicated state can only advance by WAL shipping
-// from the leader.
-func (s *Server) readOnly() bool { return s.repl != nil && !s.repl.isPromoted() }
-
-// writeReadOnly is the follower's refusal of a mutating request; the header
-// names the leader so a client (or proxy) can redirect the write itself.
-func (s *Server) writeReadOnly(w http.ResponseWriter) {
-	w.Header().Set("X-Stwig-Leader", s.repl.leader)
-	writeErrorCode(w, http.StatusForbidden, CodeReadOnly,
-		fmt.Sprintf("read-only follower: send writes to the leader at %s (or promote this replica)", s.repl.leader))
-}
-
-// mutationFromRequest validates one wire-level update and converts it to a
-// store mutation. Obviously-invalid IDs are rejected before they share a
-// batch with other clients' mutations; the store re-validates against the
-// live vertex range under the write lock.
-func mutationFromRequest(req UpdateRequest) (memcloud.Mutation, error) {
-	switch req.Op {
-	case OpAddNode:
-		if req.Label == "" {
-			return memcloud.Mutation{}, fmt.Errorf("add_node requires a label")
-		}
-		return memcloud.Mutation{Op: memcloud.MutAddNode, Label: req.Label}, nil
-	case OpAddEdge, OpRemoveEdge:
-		if req.U < 0 || req.V < 0 {
-			return memcloud.Mutation{}, fmt.Errorf("u and v must be non-negative vertex IDs")
-		}
-		op := memcloud.MutAddEdge
-		if req.Op == OpRemoveEdge {
-			op = memcloud.MutRemoveEdge
-		}
-		return memcloud.Mutation{Op: op, U: graph.NodeID(req.U), V: graph.NodeID(req.V)}, nil
-	default:
-		return memcloud.Mutation{}, fmt.Errorf("unknown op %q (want %s, %s, or %s)",
-			req.Op, OpAddNode, OpAddEdge, OpRemoveEdge)
-	}
-}
-
-func (s *Server) handleUpdate(ns *namespace, rl *requestLog, w http.ResponseWriter, r *http.Request) bool {
-	if s.draining.Load() {
-		writeErrorCode(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return true
-	}
-	if s.readOnly() {
-		s.writeReadOnly(w)
-		return true
-	}
-	var req UpdateRequest
-	r.Body = http.MaxBytesReader(w, r.Body, ns.cfg.MaxRequestBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return true
-	}
-	mut, err := mutationFromRequest(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return true
-	}
-
-	job, full, err := ns.pipe.enqueue(mut)
-	switch {
-	case full:
-		writeRetryError(w, http.StatusServiceUnavailable, CodeQueueFull,
-			fmt.Sprintf("update queue full: namespace %q has %d updates pending; retry", ns.name, ns.cfg.UpdateQueueDepth),
-			ns.cfg.RetryAfter)
-		return true
-	case err != nil: // queue closed: the namespace was dropped
-		writeError(w, http.StatusServiceUnavailable, "namespace is shutting down")
-		return true
-	}
-
-	select {
-	case out := <-job.done:
-		switch {
-		case errors.Is(out.err, errUpdateBusy):
-			writeRetryError(w, http.StatusServiceUnavailable, CodeBusy,
-				"update busy: in-flight queries hold the graph; retry", ns.cfg.RetryAfter)
-			return true
-		case errors.Is(out.err, errUpdateQueueClosed):
-			writeError(w, http.StatusServiceUnavailable, "namespace dropped while the update was queued")
-			return true
-		case out.err != nil: // recovered batch panic
-			writeError(w, http.StatusInternalServerError, out.err.Error())
-			return true
-		case out.res[0].Err != nil:
-			writeError(w, http.StatusConflict, out.res[0].Err.Error())
-			return true
-		}
-		rl.wait = time.Duration(out.waitMicros) * time.Microsecond
-		resp := UpdateResponse{Epoch: out.res[0].Epoch, WaitMicros: out.waitMicros}
-		if out.res[0].NodeID != graph.InvalidNode {
-			resp.NodeID = int64(out.res[0].NodeID)
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return false
-	case <-r.Context().Done():
-		// The client is gone; the queued mutation may still apply — at
-		// this point it is the dispatcher's, not the request's.
-		return true
-	}
-}
-
-// handleBulkUpdate accepts an array of mutations and enqueues them as ONE
-// dispatcher job: the whole array shares a single journal record and a
-// single durability window, so a client that batches N writes pays one
-// fsync instead of N. Per-item conflicts do not fail the request — the
-// response carries one result slot per input, and Conflicts counts the
-// losers. Queue-level failures (full, draining, closed) fail the request
-// as a whole with the same envelope as /update.
-func (s *Server) handleBulkUpdate(ns *namespace, rl *requestLog, w http.ResponseWriter, r *http.Request) bool {
-	if s.draining.Load() {
-		writeErrorCode(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return true
-	}
-	if s.readOnly() {
-		s.writeReadOnly(w)
-		return true
-	}
-	var req BulkUpdateRequest
-	r.Body = http.MaxBytesReader(w, r.Body, ns.cfg.MaxRequestBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return true
-	}
-	if len(req.Updates) == 0 {
-		writeError(w, http.StatusBadRequest, "bulk update requires at least one mutation")
-		return true
-	}
-	if len(req.Updates) > MaxBulkUpdates {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("bulk update carries %d mutations; the limit is %d", len(req.Updates), MaxBulkUpdates))
-		return true
-	}
-	muts := make([]memcloud.Mutation, len(req.Updates))
-	for i, u := range req.Updates {
-		mut, err := mutationFromRequest(u)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("updates[%d]: %v", i, err))
-			return true
-		}
-		muts[i] = mut
-	}
-
-	job, full, err := ns.pipe.enqueueMuts(muts)
-	switch {
-	case full:
-		writeRetryError(w, http.StatusServiceUnavailable, CodeQueueFull,
-			fmt.Sprintf("update queue full: namespace %q has %d updates pending; retry", ns.name, ns.cfg.UpdateQueueDepth),
-			ns.cfg.RetryAfter)
-		return true
-	case err != nil: // queue closed: the namespace was dropped
-		writeError(w, http.StatusServiceUnavailable, "namespace is shutting down")
-		return true
-	}
-
-	select {
-	case out := <-job.done:
-		switch {
-		case errors.Is(out.err, errUpdateBusy):
-			writeRetryError(w, http.StatusServiceUnavailable, CodeBusy,
-				"update busy: in-flight queries hold the graph; retry", ns.cfg.RetryAfter)
-			return true
-		case errors.Is(out.err, errUpdateQueueClosed):
-			writeError(w, http.StatusServiceUnavailable, "namespace dropped while the update was queued")
-			return true
-		case out.err != nil: // journal failure or recovered batch panic
-			writeError(w, http.StatusInternalServerError, out.err.Error())
-			return true
-		}
-		rl.wait = time.Duration(out.waitMicros) * time.Microsecond
-		resp := BulkUpdateResponse{
-			Results:    make([]BulkUpdateItem, len(out.res)),
-			Epoch:      out.res[len(out.res)-1].Epoch,
-			WaitMicros: out.waitMicros,
-		}
-		for i, res := range out.res {
-			item := BulkUpdateItem{NodeID: -1}
-			if res.NodeID != graph.InvalidNode {
-				item.NodeID = int64(res.NodeID)
-			}
-			if res.Err != nil {
-				item.Error = res.Err.Error()
-				item.Code = CodeConflict
-				resp.Conflicts++
-			}
-			resp.Results[i] = item
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return false
-	case <-r.Context().Done():
-		// The client is gone; the queued mutations may still apply — at
-		// this point they are the dispatcher's, not the request's.
-		return true
-	}
-}
-
-func (s *Server) handleStats(ns *namespace, rl *requestLog, w http.ResponseWriter, r *http.Request) bool {
-	snap := ns.eng.Snapshot()
-	endpoints := ns.met.snapshot()
-	if ns.name == DefaultNamespace {
-		// The default tenant's stats double as the server's legacy /stats
-		// surface, so fold in the non-tenant routes (healthz, admin).
-		for route, st := range s.met.snapshot() {
-			if _, taken := endpoints[route]; !taken {
-				endpoints[route] = st
-			}
-		}
-	}
-	writeJSON(w, http.StatusOK, StatsResponse{
-		Namespace:     ns.name,
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Draining:      s.draining.Load(),
-		Graph: GraphInfo{
-			Nodes:       snap.Nodes,
-			Machines:    snap.Machines,
-			Epoch:       snap.Epoch,
-			MemoryBytes: snap.MemoryBytes,
-		},
-		Engine: EngineInfo{
-			Queries:        snap.Queries,
-			MatchesEmitted: snap.MatchesEmitted,
-			Parallelism:    snap.Parallelism,
-			ParallelTasks:  snap.ParallelTasks,
-			EmitFlushes:    snap.EmitFlushes,
-		},
-		PlanCache: PlanCacheInfo{
-			Hits:      snap.PlanCache.Hits,
-			Misses:    snap.PlanCache.Misses,
-			Evictions: snap.PlanCache.Evictions,
-			Size:      snap.PlanCache.Size,
-			Capacity:  snap.PlanCache.Capacity,
-		},
-		Net: NetInfo{Messages: snap.Net.Messages, Bytes: snap.Net.Bytes},
-		Updates: UpdateInfo{
-			NodesAdded:   snap.Updates.NodesAdded,
-			EdgesAdded:   snap.Updates.EdgesAdded,
-			EdgesRemoved: snap.Updates.EdgesRemoved,
-			GarbageWords: snap.Updates.GarbageWords,
-		},
-		Admission:   ns.adm.stats(),
-		UpdateQueue: ns.pipe.stats(),
-		Journal:     journalStatsOf(ns),
-		Replication: s.replicationInfoFor(ns.name),
-		Cluster:     s.clusterInfo(),
-		Endpoints:   endpoints,
-	})
-	return false
-}
-
-// authorizeAdmin gates the namespace mutation endpoints (POST /ns,
-// DELETE /ns/{name}). They are served on the same listener as untrusted
-// tenant traffic, and a drop is unbounded destruction of a tenant's whole
-// graph — so with no AdminToken configured the mutations are disabled
+// authorizeBearer is the admin-token check behind namespace mutation,
+// promotion, and /debug/pprof; what names the protected capability in the
+// error body. With no AdminToken configured the capability is disabled
 // outright (403), mirroring the NamespaceRoot opt-in for file sources, and
 // with one configured the request must present it as a bearer token (401
 // otherwise). The comparison is constant-time so the token cannot be
-// recovered byte by byte from response timing. GET /ns stays open: listing
-// reveals nothing a tenant's own stats route does not.
-func (s *Server) authorizeAdmin(w http.ResponseWriter, r *http.Request) bool {
-	return s.authorizeBearer(w, r, "namespace mutation over the admin API")
-}
-
-// authorizeBearer is the shared admin-token check behind authorizeAdmin and
-// the /debug/pprof gate; what names the protected capability in the error
-// body.
-func (s *Server) authorizeBearer(w http.ResponseWriter, r *http.Request, what string) bool {
+// recovered byte by byte from response timing.
+func (s *Server) authorizeBearer(w http.ResponseWriter, r *http.Request, what string) *apiError {
 	if s.cfg.AdminToken == "" {
-		writeError(w, http.StatusForbidden,
+		return errStatus(http.StatusForbidden,
 			what+" is disabled (start stwigd with -admin-token or STWIGD_ADMIN_TOKEN)")
-		return false
 	}
 	tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
 	if !ok || subtle.ConstantTimeCompare([]byte(tok), []byte(s.cfg.AdminToken)) != 1 {
 		w.Header().Set("WWW-Authenticate", `Bearer realm="stwigd admin"`)
-		writeError(w, http.StatusUnauthorized, what+" requires the admin bearer token")
-		return false
+		return errStatus(http.StatusUnauthorized, what+" requires the admin bearer token")
 	}
-	return true
+	return nil
 }
 
-func (s *Server) handleListNamespaces(w http.ResponseWriter, r *http.Request) bool {
+func (s *Server) handleListNamespaces(rq *request) *apiError {
 	list := s.reg.list()
 	resp := NamespaceListResponse{Namespaces: make([]NamespaceInfo, len(list))}
 	for i, ns := range list {
 		resp.Namespaces[i] = ns.info()
 	}
-	writeJSON(w, http.StatusOK, resp)
-	return false
+	writeJSON(rq.w, http.StatusOK, resp)
+	return nil
 }
 
-func (s *Server) handleCreateNamespace(w http.ResponseWriter, r *http.Request) bool {
-	if !s.authorizeAdmin(w, r) {
-		return true
-	}
-	if s.draining.Load() {
-		writeErrorCode(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return true
-	}
-	if s.readOnly() {
-		s.writeReadOnly(w)
-		return true
-	}
+func (s *Server) handleCreateNamespace(rq *request) *apiError {
 	var req CreateNamespaceRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return true
+	if e := decodeBody(rq, s.cfg.MaxRequestBytes, &req); e != nil {
+		return e
 	}
 	spec, err := ParseNamespaceSpec(req.Name, req.Spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return true
+		return errStatus(http.StatusBadRequest, err.Error())
+	}
+	atCapacity := func(err error) *apiError {
+		return errRetry(http.StatusTooManyRequests, CodeCapacity, err.Error(), s.cfg.RetryAfter)
 	}
 	spec, err = s.checkRuntimeSpec(spec)
 	if err != nil {
 		if errors.Is(err, ErrNamespaceCapacity) {
-			writeRetryError(w, http.StatusTooManyRequests, CodeCapacity, err.Error(), s.cfg.RetryAfter)
-			return true
+			return atCapacity(err)
 		}
-		writeError(w, http.StatusBadRequest, err.Error())
-		return true
+		return errStatus(http.StatusBadRequest, err.Error())
 	}
 	select {
 	case s.buildSem <- struct{}{}:
 		defer func() { <-s.buildSem }()
 	default:
-		writeRetryError(w, http.StatusTooManyRequests, CodeOverloaded,
+		return errRetry(http.StatusTooManyRequests, CodeOverloaded,
 			"overloaded: too many namespace builds in progress", s.cfg.RetryAfter)
-		return true
 	}
 	if err := s.addNamespaceSpec(spec, maxRuntimeNamespaces); err != nil {
 		// Past parsing and the runtime guardrails, rmat failures can only
@@ -1073,60 +263,43 @@ func (s *Server) handleCreateNamespace(w http.ResponseWriter, r *http.Request) b
 		case errors.Is(err, ErrNamespaceExists):
 			status = http.StatusConflict
 		case errors.Is(err, ErrNamespaceCapacity):
-			writeRetryError(w, http.StatusTooManyRequests, CodeCapacity, err.Error(), s.cfg.RetryAfter)
-			return true
+			return atCapacity(err)
 		case spec.Source != "rmat" && !errors.Is(err, fs.ErrNotExist):
 			status = http.StatusInternalServerError
 		}
-		writeError(w, status, err.Error())
-		return true
+		return errStatus(status, err.Error())
 	}
-	ns, _ := s.reg.get(spec.Name)
-	if ns == nil {
-		// Created then immediately dropped by a concurrent DELETE; report
-		// the create anyway.
-		writeJSON(w, http.StatusCreated, NamespaceInfo{Name: spec.Name})
-		return false
+	// A concurrent DELETE may already have dropped it again; report the
+	// create anyway.
+	info := NamespaceInfo{Name: spec.Name}
+	if ns, ok := s.reg.get(spec.Name); ok {
+		info = ns.info()
 	}
-	writeJSON(w, http.StatusCreated, ns.info())
-	return false
+	writeJSON(rq.w, http.StatusCreated, info)
+	return nil
 }
 
-func (s *Server) handleDropNamespace(w http.ResponseWriter, r *http.Request) bool {
-	if !s.authorizeAdmin(w, r) {
-		return true
-	}
-	if s.draining.Load() {
-		writeErrorCode(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return true
-	}
-	if s.readOnly() {
-		s.writeReadOnly(w)
-		return true
-	}
-	name := r.PathValue("ns")
+func (s *Server) handleDropNamespace(rq *request) *apiError {
+	name := rq.r.PathValue("ns")
 	dropped, err := s.DropNamespace(name)
 	if err != nil {
 		// The durable intent could not be recorded; the namespace is still
 		// live and serving — destroying it anyway would resurrect it on the
 		// next boot.
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return true
+		return errStatus(http.StatusInternalServerError, err.Error())
 	}
 	if !dropped {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown namespace %q", name))
-		return true
+		return errStatus(http.StatusNotFound, fmt.Sprintf("unknown namespace %q", name))
 	}
-	writeJSON(w, http.StatusOK, DropNamespaceResponse{Dropped: name})
-	return false
+	writeJSON(rq.w, http.StatusOK, DropNamespaceResponse{Dropped: name})
+	return nil
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) bool {
-	status := "ok"
-	httpStatus := http.StatusOK
+func (s *Server) handleHealthz(rq *request) *apiError {
+	status, httpStatus := "ok", http.StatusOK
 	if s.draining.Load() {
 		status, httpStatus = "draining", http.StatusServiceUnavailable
 	}
-	writeJSON(w, httpStatus, HealthzResponse{Status: status, Build: BuildVersion()})
-	return httpStatus != http.StatusOK
+	writeJSON(rq.w, httpStatus, HealthzResponse{Status: status, Build: BuildVersion()})
+	return nil
 }

@@ -118,7 +118,7 @@ func TestQueryBadRequests(t *testing.T) {
 	}
 
 	// Non-JSON body.
-	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader("not json"))
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader("not json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestConcurrentStreamingAdmissionCancelAndStats(t *testing.T) {
 	const admitted = 4
 	cancels := make([]context.CancelFunc, 0, admitted)
 	for i := 0; i < admitted; i++ {
-		cancel, typ := startStream(t, ts.URL, hc)
+		cancel, typ := startStream(t, ts.URL+"/v1", hc)
 		cancels = append(cancels, cancel)
 		if typ != server.RecordMatch {
 			t.Fatalf("stream %d: first record %q, want a match", i, typ)
@@ -469,7 +469,7 @@ func TestConcurrentStreamingAdmissionCancelAndStats(t *testing.T) {
 		}
 	}
 	// The 429 carries a Retry-After hint.
-	resp, err := http.Post(ts.URL+"/query", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json",
 		strings.NewReader(fmt.Sprintf(`{"pattern": %q}`, heavyPattern)))
 	if err != nil {
 		t.Fatal(err)
@@ -544,7 +544,7 @@ func TestDeadlineExceededErrorRecord(t *testing.T) {
 	_, ts, _ := newTestServer(t, eng, server.Config{})
 
 	body, _ := json.Marshal(server.QueryRequest{Pattern: heavyPattern, TimeoutMS: 250})
-	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,7 +596,7 @@ func TestUpdateBusyBehindStream(t *testing.T) {
 	hc := &http.Client{Transport: tr}
 	defer tr.CloseIdleConnections()
 
-	cancel, typ := startStream(t, ts.URL, hc)
+	cancel, typ := startStream(t, ts.URL+"/v1", hc)
 	defer cancel()
 	if typ != server.RecordMatch {
 		t.Fatalf("first record %q, want a match", typ)
@@ -629,7 +629,7 @@ func TestClientDisconnectFreesExecutor(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine() + 8
 
-	cancel, typ := startStream(t, ts.URL, hc)
+	cancel, typ := startStream(t, ts.URL+"/v1", hc)
 	if typ != server.RecordMatch {
 		t.Fatalf("first record %q, want a match", typ)
 	}

@@ -2,70 +2,43 @@ package server
 
 import (
 	"encoding/json"
-	"net/http"
 
 	"stwig/internal/core"
 )
 
-// streamWriter encodes Records as NDJSON over a ResponseWriter, flushing
-// per record (terminal records) or per engine block (matches) so results
-// reach the client as they are found, and enforcing the per-response byte
-// cap. It is not safe for concurrent use; the handler serializes writes
-// through the engine's emit callback.
+// streamWriter encodes a query's Records as NDJSON over a ResponseWriter,
+// flushing per engine block so results reach the client as they are found,
+// and enforcing the per-response byte cap. It is not safe for concurrent
+// use; the handler serializes writes through the engine's emit callback.
 type streamWriter struct {
-	w        http.ResponseWriter
-	flusher  http.Flusher // nil when the writer cannot flush
-	enc      *json.Encoder
+	// w counts the bytes written, which until the trailer are all match
+	// payload — what the cap bounds.
+	w        *statusWriter
+	enc      *json.Encoder // appends the NDJSON newline itself
 	maxBytes int64
-	written  int64
 	capHit   bool
 	failed   bool
 }
 
-func newStreamWriter(w http.ResponseWriter, maxBytes int64) *streamWriter {
-	sw := &streamWriter{w: w, maxBytes: maxBytes}
-	sw.flusher, _ = w.(http.Flusher)
-	sw.enc = json.NewEncoder(sw)
-	return sw
+func newStreamWriter(w *statusWriter, maxBytes int64) *streamWriter {
+	return &streamWriter{w: w, enc: json.NewEncoder(w), maxBytes: maxBytes}
 }
 
-// Write counts bytes and forwards to the response; json.Encoder appends the
-// NDJSON newline itself.
-func (sw *streamWriter) Write(p []byte) (int, error) {
-	n, err := sw.w.Write(p)
-	sw.written += int64(n)
-	return n, err
-}
-
-// writeRecord emits one NDJSON line. It returns false once the stream is
-// unusable for further matches: a write error (client gone) or the byte cap
-// reached. Terminal records may still be attempted after a byte-cap stop —
-// the cap bounds match payload, not the ~100-byte trailer.
-func (sw *streamWriter) writeRecord(rec Record) bool {
-	if sw.failed {
-		return false
+// writeTrailer emits the terminal stats record. It is attempted even after
+// a byte-cap stop: the cap bounds match payload, not the ~100-byte trailer.
+func (sw *streamWriter) writeTrailer(stats *StreamStats) {
+	if !sw.failed && sw.enc.Encode(Record{Type: RecordStats, Stats: stats}) == nil {
+		sw.w.Flush()
 	}
-	if err := sw.enc.Encode(rec); err != nil {
-		sw.failed = true
-		return false
-	}
-	if sw.flusher != nil {
-		sw.flusher.Flush()
-	}
-	if sw.maxBytes > 0 && sw.written >= sw.maxBytes {
-		sw.capHit = true
-		return false
-	}
-	return true
 }
 
 // writeMatchBlock encodes one engine block of match records and flushes
-// once at the end — the batched counterpart of writeRecord, amortizing the
-// flush (and any underlying chunked write) over the whole block. The byte
-// cap is still checked per record so it cuts inside a block at the same
-// match it would have under per-record writes. sent is how many of the
-// block's records reached the wire (the cap-hitting record included); ok
-// reports whether the stream can accept further matches.
+// once at the end, amortizing the flush (and any underlying chunked write)
+// over the whole block. The byte cap is still checked per record so it
+// cuts inside a block at the same match it would have under per-record
+// writes. sent is how many of the block's records reached the wire (the
+// cap-hitting record included); ok reports whether the stream can accept
+// further matches.
 func (sw *streamWriter) writeMatchBlock(ms []core.Match) (sent int, ok bool) {
 	if sw.failed {
 		return 0, false
@@ -76,13 +49,19 @@ func (sw *streamWriter) writeMatchBlock(ms []core.Match) (sent int, ok bool) {
 			break
 		}
 		sent++
-		if sw.maxBytes > 0 && sw.written >= sw.maxBytes {
+		if sw.maxBytes > 0 && sw.w.bytes >= sw.maxBytes {
 			sw.capHit = true
 			break
 		}
 	}
-	if sw.flusher != nil {
-		sw.flusher.Flush()
-	}
+	sw.w.Flush()
 	return sent, !sw.failed && !sw.capHit
+}
+
+func assignmentInt64(m core.Match) []int64 {
+	out := make([]int64, len(m.Assignment))
+	for i, id := range m.Assignment {
+		out[i] = int64(id)
+	}
+	return out
 }

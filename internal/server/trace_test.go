@@ -95,7 +95,7 @@ func TestTraceFourSurfaces(t *testing.T) {
 	// Surface 1 + 2: raw HTTP, so the response header and the NDJSON trailer
 	// are both visible.
 	body, _ := json.Marshal(server.QueryRequest{Pattern: "(a:L0)-(b:L1)", MaxMatches: 5})
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/query", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/query", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestTraceMinted(t *testing.T) {
 		"bad\ttrace",            // control character
 	}
 	for _, sent := range cases {
-		req, err := http.NewRequest(http.MethodGet, ts.URL+"/healthz", nil)
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/healthz", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestTraceMinted(t *testing.T) {
 	}
 
 	// A well-formed client ID is honored verbatim.
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/healthz", nil)
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/healthz", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestVersionAndHealthzBuild(t *testing.T) {
 		t.Fatalf("go_version = %q, want %q", v.GoVersion, runtime.Version())
 	}
 
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

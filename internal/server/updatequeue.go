@@ -233,15 +233,11 @@ func newUpdatePipeline(eng *core.Engine, gate *updateGate, cfg Config, store *ns
 	}
 }
 
-// enqueue queues one mutation, starting the dispatcher on first use, and
+// enqueueMuts queues a request's mutations — /update's one, or a bulk
+// request's whole array — as one job sharing one queue slot, one writer
+// window, and one journal record. It starts the dispatcher on first use and
 // returns the job to wait on. The error is errUpdateQueueClosed after close
 // or nil; full reports a queue-full refusal.
-func (p *updatePipeline) enqueue(mut memcloud.Mutation) (job *updateJob, full bool, err error) {
-	return p.enqueueMuts([]memcloud.Mutation{mut})
-}
-
-// enqueueMuts queues a bulk request's mutation array as one job: the whole
-// array shares one queue slot, one writer window, and one journal record.
 func (p *updatePipeline) enqueueMuts(muts []memcloud.Mutation) (job *updateJob, full bool, err error) {
 	job = &updateJob{muts: muts, enq: time.Now(), done: make(chan updateJobResult, 1)}
 	p.mu.Lock()

@@ -37,7 +37,7 @@ func BuildVersion() VersionResponse {
 	return v
 }
 
-func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) bool {
-	writeJSON(w, http.StatusOK, BuildVersion())
-	return false
+func (s *Server) handleVersion(rq *request) *apiError {
+	writeJSON(rq.w, http.StatusOK, BuildVersion())
+	return nil
 }

@@ -275,13 +275,13 @@ const (
 	CodeWrongShard       = "wrong_shard"       // request's shard selector does not match this process
 )
 
-// StatsResponse is the body of GET /stats and GET /ns/{name}/stats. All
+// StatsResponse is the body of GET /v1/stats and /v1/ns/{name}/stats. All
 // graph, engine, plan-cache, net, update, admission, and endpoint counters
 // are scoped to the one namespace named by Namespace; only UptimeSeconds
 // and Draining are process-wide.
 type StatsResponse struct {
-	// Namespace is the tenant these counters belong to ("default" on the
-	// legacy unprefixed route).
+	// Namespace is the tenant these counters belong to ("default" on
+	// /v1/stats).
 	Namespace     string  `json:"namespace"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Draining reports the server has begun graceful shutdown.
