@@ -12,37 +12,18 @@
 //	stwigd -rmat-scale 13 -ns 'tenantA=rmat:scale=12,labels=8,inflight=4' \
 //	       -ns 'tenantB=file:/data/b.bin,machines=4'
 //
-// Endpoints, all under /v1 (see internal/server for the wire format and
-// the full route table):
+// The HTTP surface, all under /v1, is internal/server's: its package doc has
+// the route table and the wire format. POST /v1/ns, DELETE /v1/ns/{name}, and
+// /debug/pprof require the -admin-token bearer token and are disabled when
+// none is set — the admin surface shares the listener with untrusted tenant
+// traffic. Every request is logged as one structured line on stderr carrying
+// a trace ID (X-Stwig-Trace, honored from the client or minted).
 //
-//	POST /v1/ns/{name}/query    {"pattern": "(a:L1)-(b:L2)"}       → NDJSON match stream
-//	POST /v1/ns/{name}/explain  {"pattern": ...}                   → rendered plan
-//	POST /v1/ns/{name}/update   {"op": "add_edge", "u": 1, "v": 2} → applied mutation
-//	POST /v1/ns/{name}/update/bulk {"updates": [...]}              → one journaled batch
-//	GET  /v1/ns/{name}/stats                                       → per-tenant counters
-//	GET  /v1/ns                                                    → list namespaces
-//	POST /v1/ns                 {"name": "t", "spec": "rmat:scale=10"} → create tenant
-//	DELETE /v1/ns/{name}                                           → drop tenant
-//	GET  /v1/healthz                                               → liveness + build info
-//	GET  /v1/version                                               → build identity
-//	GET  /v1/metrics                                               → Prometheus text
-//	GET  /debug/pprof/                                             → live profiling (admin token)
-//
-// The tenant paths directly under /v1 (/v1/query, /v1/explain, /v1/update,
-// /v1/stats) address the "default" namespace; unversioned paths other than
-// /debug/pprof/ are 404s. POST /v1/ns, DELETE /v1/ns/{name}, and
-// /debug/pprof require the -admin-token (or STWIGD_ADMIN_TOKEN) bearer token
-// and are disabled when none is set — the admin surface shares the listener
-// with untrusted tenant traffic.
-//
-// Every request is logged as one structured line on stderr carrying a
-// trace ID (X-Stwig-Trace, honored from the client or minted); -slow-query
-// DURATION additionally logs a per-phase span breakdown for slow queries.
-//
-// Server limits may also come from STWIGD_* env vars (see
-// server.Config.FromEnv); explicit flags win over the environment.
-// -max-timeout 0 (the default) caps client-requested deadlines at 4×
-// -timeout.
+// Every server setting is a flag and a STWIGD_* environment variable (the
+// flag name upper-snake-cased; explicit flags win), both derived from the
+// tags on server.Config; `stwigd -help` and README "Settings reference" list
+// them. A setting whose default derives from another (-max-timeout,
+// -update-fairness-window) defaults to 0, and passing 0 re-derives it.
 //
 // SIGINT/SIGTERM begins a graceful drain: health flips to 503, new queries
 // are refused, in-flight streams run to completion (bounded by -drain),
@@ -58,21 +39,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
 
 	"stwig/internal/server"
 )
-
-// nsFlags collects repeated -ns name=spec flags.
-type nsFlags []string
-
-func (n *nsFlags) String() string { return fmt.Sprint([]string(*n)) }
-func (n *nsFlags) Set(v string) error {
-	*n = append(*n, v)
-	return nil
-}
 
 func main() {
 	cfg, showVersion, err := parseFlags(os.Args[1:], nil)
@@ -98,104 +71,37 @@ func main() {
 	}
 }
 
-// parseFlags turns the command line into the daemon's configuration.
-// Environment (lookupEnv; nil means the process's) supplies the limit
-// defaults and explicit flags override it. A limit whose default is derived
-// from another setting (-max-timeout, -update-fairness-window) defaults to
-// 0 here so the one derivation rule in server.Config applies.
+// parseFlags turns the command line into the daemon's configuration. The
+// server settings and the default-namespace shaping flags are bound from
+// internal/server's settings tables: environment (lookupEnv; nil means the
+// process's) supplies the setting defaults, explicit flags override it.
 func parseFlags(args []string, lookupEnv func(string) (string, bool)) (daemonConfig, bool, error) {
-	// ShardID seeds as -1 (coordinator) so STWIGD_SHARD_ID=0 — shard zero —
-	// stays distinguishable from "unset".
-	envCfg, err := server.Config{ShardID: -1}.FromEnv(lookupEnv)
-	if err != nil {
-		return daemonConfig{}, false, err
-	}
 	fs := flag.NewFlagSet("stwigd", flag.ExitOnError)
-	var (
-		addr      = fs.String("addr", ":7029", "listen address")
-		graphPath = fs.String("graph", "", "default namespace's graph file (binary from mkgraph, or text with -text)")
-		textGraph = fs.Bool("text", false, "graph file is in text format")
-
-		rmatScale  = fs.Int("rmat-scale", 0, "generate an R-MAT graph with 2^scale vertices instead of loading a file")
-		rmatDegree = fs.Int("rmat-degree", 8, "R-MAT average degree")
-		rmatLabels = fs.Int("rmat-labels", 16, "R-MAT label alphabet size")
-		rmatSeed   = fs.Int64("rmat-seed", 1, "R-MAT generation seed")
-		relabel    = fs.String("relabel", "", "relabel the graph after load: 'degree' assigns celebrity/regular/bot by degree band")
-
-		machines  = fs.Int("machines", 8, "simulated cluster size")
-		planCache = fs.Int("plan-cache", 0, "plan cache capacity (0 = default 128, negative = disabled)")
-
-		maxInFlight = fs.Int("max-inflight", intOr(envCfg.MaxInFlight, 16), "admission limit: concurrent queries per namespace before 429")
-		defTimeout  = fs.Duration("timeout", durOr(envCfg.DefaultTimeout, 30*time.Second), "default per-request deadline")
-		maxTimeout  = fs.Duration("max-timeout", envCfg.MaxTimeout, "cap on client-requested deadlines (0 = 4× -timeout)")
-		maxMatches  = fs.Int("max-matches", envCfg.MaxMatches, "per-request match cap (0 = unlimited)")
-		maxBytes    = fs.Int64("max-bytes", envCfg.MaxBytes, "per-response byte cap (0 = unlimited)")
-		parallel    = fs.Int("parallelism", envCfg.Parallelism, "per-query intra-machine workers for every namespace (0 = GOMAXPROCS, 1 = sequential; specs override with parallelism=N)")
-		updQueue    = fs.Int("update-queue-depth", intOr(envCfg.UpdateQueueDepth, 64), "per-namespace update queue capacity (queue full → 503 with Retry-After)")
-		updBatch    = fs.Int("update-batch-max", intOr(envCfg.UpdateBatchMax, 32), "max queued mutations applied per writer window")
-		updFairness = fs.Duration("update-fairness-window", envCfg.UpdateFairnessWindow, "reader grace period before a parked update blocks new queries; 0 selects min(100ms, half the lock wait), and it must stay shorter than -update-lock-wait")
-		updLockWait = fs.Duration("update-lock-wait", durOr(envCfg.UpdateLockWait, time.Second), "how long a queued update batch waits for the writer window before 503")
-		drain       = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain window for in-flight streams")
-		nsRoot      = fs.String("ns-root", envCfg.NamespaceRoot, "directory POST /v1/ns may load file:/text: graphs from (empty disables runtime file sources)")
-		adminToken  = fs.String("admin-token", envCfg.AdminToken, "bearer token required by POST /v1/ns and DELETE /v1/ns/{name} (empty disables namespace mutation over HTTP)")
-		dataDir     = fs.String("data-dir", envCfg.DataDir, "durability root: journal every update batch, checkpoint periodically, and recover namespaces on boot (empty disables persistence)")
-		follow      = fs.String("follow", envCfg.FollowURL, "leader base URL (host:port or http://...): run as a read-only replica that bootstraps and tails every namespace the leader persists; writes answer 403 until POST /v1/admin/promote (STWIGD_FOLLOW)")
-		shardMap    = fs.String("shard-map", envCfg.ShardMap, "comma-separated shard base URLs enabling cluster mode; position in the list is the shard id (STWIGD_SHARD_MAP)")
-		shardID     = fs.Int("shard-id", envCfg.ShardID, "this process's position in -shard-map; omit (or pass a negative value) to run as the coordinator that fans queries out over the map (STWIGD_SHARD_ID)")
-		ckptEvery   = fs.Int("checkpoint-every", intOr(envCfg.CheckpointEvery, 256), "journaled update batches between checkpoint/compaction cycles")
-		jrnlFsync   = fs.Bool("journal-fsync", !envCfg.JournalNoSync, "fsync the journal before applying each batch (disabling voids crash durability)")
-		gcWindow    = fs.Duration("group-commit-window", envCfg.GroupCommitWindow, "how long the dispatcher lingers collecting concurrent updates to share one journal fsync (0 = coalesce only what is already queued; STWIGD_GROUP_COMMIT_WINDOW)")
-		gcBatches   = fs.Int("group-commit-batches", intOr(envCfg.GroupCommitBatches, 8), "max journal records sharing one fsync window (STWIGD_GROUP_COMMIT_BATCHES)")
-		jrnlAlign   = fs.Int64("journal-align", int64Or(envCfg.JournalAlign, 4096), "pad journal fsyncs to this block alignment in bytes; 1 disables (STWIGD_JOURNAL_ALIGN)")
-		slowQuery   = fs.Duration("slow-query", envCfg.SlowQuery, "log a Warn-level span breakdown for queries whose execution exceeds this duration (0 disables; STWIGD_SLOW_QUERY)")
-		logLevel    = fs.String("log-level", "info", "minimum request-log level: debug, info, warn, or error")
-		logJSON     = fs.Bool("log-json", false, "emit request logs as JSON lines instead of logfmt-style text")
-		showVersion = fs.Bool("version", false, "print build identity and exit")
-	)
-	var namespaces nsFlags
-	fs.Var(&namespaces, "ns", "additional namespace as name=spec, e.g. 'tenantA=rmat:scale=12,labels=8,inflight=4' or 'b=file:/data/g.bin' (repeatable)")
-	_ = fs.Parse(args) // ExitOnError: a bad flag has already exited
-	logger, err := buildLogger(*logLevel, *logJSON)
-	if err != nil {
+	var cfg daemonConfig
+	fs.StringVar(&cfg.addr, "addr", ":7029", "listen address")
+	fs.StringVar(&cfg.graphPath, "graph", "", "default namespace's graph file (binary from mkgraph, or text with -text)")
+	fs.BoolVar(&cfg.textGraph, "text", false, "graph file is in text format")
+	fs.Func("ns", "additional namespace as name=spec, e.g. 'tenantA=rmat:scale=12,labels=8,inflight=4' or 'b=file:/data/g.bin' (repeatable)", func(v string) error {
+		cfg.namespaces = append(cfg.namespaces, v)
+		return nil
+	})
+	fs.DurationVar(&cfg.drain, "drain", 10*time.Second, "graceful-shutdown drain window for in-flight streams")
+	logLevel := fs.String("log-level", "info", "minimum request-log level: debug, info, warn, or error")
+	logJSON := fs.Bool("log-json", false, "emit request logs as JSON lines instead of logfmt-style text")
+	showVersion := fs.Bool("version", false, "print build identity and exit")
+	shaping := append(cfg.def.BindFlags(fs), "text")
+	if err := cfg.srv.BindFlags(fs, lookupEnv); err != nil {
 		return daemonConfig{}, false, err
 	}
-	explicit := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	return daemonConfig{
-		explicit: explicit,
-		addr:     *addr, graphPath: *graphPath, textGraph: *textGraph,
-		rmatScale: *rmatScale, rmatDegree: *rmatDegree, rmatLabels: *rmatLabels, rmatSeed: *rmatSeed,
-		relabel: *relabel, machines: *machines, planCache: *planCache,
-		namespaces: namespaces,
-		srv: server.Config{
-			MaxInFlight:          *maxInFlight,
-			DefaultTimeout:       *defTimeout,
-			MaxTimeout:           *maxTimeout,
-			MaxMatches:           *maxMatches,
-			MaxBytes:             *maxBytes,
-			Parallelism:          *parallel,
-			MaxRequestBytes:      envCfg.MaxRequestBytes,
-			RetryAfter:           envCfg.RetryAfter,
-			UpdateLockWait:       *updLockWait,
-			UpdateQueueDepth:     *updQueue,
-			UpdateBatchMax:       *updBatch,
-			UpdateFairnessWindow: *updFairness,
-			NamespaceRoot:        *nsRoot,
-			AdminToken:           *adminToken,
-			DataDir:              *dataDir,
-			FollowURL:            *follow,
-			ShardMap:             *shardMap,
-			ShardID:              *shardID,
-			CheckpointEvery:      *ckptEvery,
-			JournalNoSync:        !*jrnlFsync,
-			GroupCommitWindow:    *gcWindow,
-			GroupCommitBatches:   *gcBatches,
-			JournalAlign:         *jrnlAlign,
-			SlowQuery:            *slowQuery,
-			Logger:               logger,
-		},
-		drain: *drain,
-	}, *showVersion, nil
+	_ = fs.Parse(args) // ExitOnError: a bad flag has already exited
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(shaping, f.Name) {
+			cfg.strayShaping = f.Name
+		}
+	})
+	var err error
+	cfg.srv.Logger, err = buildLogger(*logLevel, *logJSON)
+	return cfg, *showVersion, err
 }
 
 // buildLogger assembles the daemon's structured logger: logfmt-style text
@@ -223,47 +129,18 @@ func buildLogger(level string, asJSON bool) (*slog.Logger, error) {
 	return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
 }
 
-// intOr / durOr pick the env-supplied value when set, else the flag's
-// built-in default.
-func intOr(v, def int) int {
-	if v != 0 {
-		return v
-	}
-	return def
-}
-
-func durOr(v, def time.Duration) time.Duration {
-	if v != 0 {
-		return v
-	}
-	return def
-}
-
-func int64Or(v, def int64) int64 {
-	if v != 0 {
-		return v
-	}
-	return def
-}
-
 type daemonConfig struct {
-	// explicit records which flags were set on the command line, so flags
-	// that only shape the default namespace can be rejected (not silently
-	// dropped) in a pure -ns deployment.
-	explicit   map[string]bool
-	addr       string
-	graphPath  string
-	textGraph  bool
-	rmatScale  int
-	rmatDegree int
-	rmatLabels int
-	rmatSeed   int64
-	relabel    string
-	machines   int
-	planCache  int
-	namespaces []string
-	srv        server.Config
-	drain      time.Duration
+	// strayShaping names a flag set on the command line that only shapes the
+	// default namespace, so it can be rejected (not silently dropped) in a
+	// pure -ns deployment.
+	strayShaping string
+	addr         string
+	graphPath    string
+	textGraph    bool
+	def          server.NamespaceSpec // the default namespace, less its source
+	namespaces   []string
+	srv          server.Config
+	drain        time.Duration
 }
 
 func run(cfg daemonConfig) error {
@@ -290,31 +167,27 @@ func run(cfg daemonConfig) error {
 	// it fronts the shard map.
 	var specs []server.NamespaceSpec
 	if cfg.srv.ShardMap != "" && cfg.srv.ShardID < 0 {
-		if cfg.graphPath != "" || cfg.rmatScale > 0 || len(cfg.namespaces) > 0 || cfg.srv.DataDir != "" {
+		if cfg.graphPath != "" || cfg.def.Scale > 0 || len(cfg.namespaces) > 0 || cfg.srv.DataDir != "" {
 			svc.Close()
-			return fmt.Errorf("the coordinator holds no graphs; drop -graph, -rmat-scale, -ns, and -data-dir")
+			return fmt.Errorf("a coordinator holds no graphs: it takes no -graph, -rmat-scale or -ns, and no data directory")
 		}
 		fmt.Printf("stwigd: cluster coordinator over %d shard(s): %s\n",
 			len(strings.Split(cfg.srv.ShardMap, ",")), cfg.srv.ShardMap)
 	} else if cfg.srv.FollowURL != "" {
-		if cfg.graphPath != "" || cfg.rmatScale > 0 || len(cfg.namespaces) > 0 {
+		if cfg.graphPath != "" || cfg.def.Scale > 0 || len(cfg.namespaces) > 0 {
 			svc.Close()
-			return fmt.Errorf("-follow replicates the leader's namespaces; drop -graph, -rmat-scale, and -ns")
+			return fmt.Errorf("a follower replicates the leader's namespaces; drop -graph, -rmat-scale, and -ns")
 		}
 		fmt.Printf("stwigd: read-only follower of %s (promote with POST /v1/admin/promote)\n", cfg.srv.FollowURL)
 	} else if specs, err = bootSpecs(cfg, len(recovered)); err != nil {
 		return err
-	}
-	already := make(map[string]bool, len(recovered))
-	for _, name := range recovered {
-		already[name] = true
 	}
 	for _, spec := range specs {
 		nsStart := time.Now()
 		if err := svc.AddNamespaceSpec(spec); err != nil {
 			return err
 		}
-		if already[spec.Name] {
+		if slices.Contains(recovered, spec.Name) {
 			continue // recovered above; the flag just re-stated it
 		}
 		ns, _ := svc.NamespaceInfo(spec.Name)
@@ -378,42 +251,29 @@ func run(cfg daemonConfig) error {
 func bootSpecs(cfg daemonConfig, recovered int) ([]server.NamespaceSpec, error) {
 	var specs []server.NamespaceSpec
 	switch {
-	case cfg.graphPath != "" && cfg.rmatScale > 0:
+	case cfg.graphPath != "" && cfg.def.Scale > 0:
 		return nil, fmt.Errorf("set only one of -graph and -rmat-scale")
-	case cfg.graphPath != "" || cfg.rmatScale > 0:
-		if cfg.relabel != "" && cfg.relabel != "degree" {
-			return nil, fmt.Errorf("unknown -relabel mode %q (want 'degree')", cfg.relabel)
+	case cfg.graphPath != "" || cfg.def.Scale > 0:
+		if cfg.def.Relabel != "" && cfg.def.Relabel != "degree" {
+			return nil, fmt.Errorf("unknown -relabel mode %q (want 'degree')", cfg.def.Relabel)
 		}
-		spec := server.NamespaceSpec{
-			Name:      server.DefaultNamespace,
-			Relabel:   cfg.relabel,
-			Machines:  cfg.machines,
-			PlanCache: cfg.planCache,
-		}
+		spec := cfg.def
+		spec.Name, spec.Source = server.DefaultNamespace, "rmat"
 		if cfg.graphPath != "" {
-			spec.Source = "file"
+			// A file source has no generator parameters.
+			spec.Scale, spec.Degree, spec.Labels, spec.Seed = 0, 0, 0, 0
+			spec.Path, spec.Source = cfg.graphPath, "file"
 			if cfg.textGraph {
 				spec.Source = "text"
 			}
-			spec.Path = cfg.graphPath
-		} else {
-			spec.Source = "rmat"
-			spec.Scale = cfg.rmatScale
-			spec.Degree = cfg.rmatDegree
-			spec.Labels = cfg.rmatLabels
-			spec.Seed = cfg.rmatSeed
 		}
 		specs = append(specs, spec)
 	case len(cfg.namespaces) == 0 && recovered == 0:
 		return nil, fmt.Errorf("set -graph FILE, -rmat-scale N, or at least one -ns name=spec (see -help)")
-	default:
-		// Pure -ns deployment: flags that shape the default namespace must
+	case cfg.strayShaping != "":
+		// Pure -ns deployment: a flag that shapes the default namespace must
 		// not be silently dropped.
-		for _, name := range []string{"text", "rmat-degree", "rmat-labels", "rmat-seed", "relabel", "machines", "plan-cache"} {
-			if cfg.explicit[name] {
-				return nil, fmt.Errorf("-%s shapes the default namespace and needs -graph or -rmat-scale; use the equivalent option inside the -ns spec instead", name)
-			}
-		}
+		return nil, fmt.Errorf("-%s shapes the default namespace and needs -graph or a positive -rmat-scale; use the equivalent option inside the -ns spec instead", cfg.strayShaping)
 	}
 	for _, f := range cfg.namespaces {
 		spec, err := server.ParseNamespaceFlag(f)

@@ -60,6 +60,57 @@ func TestMaxTimeoutPrecedence(t *testing.T) {
 	}
 }
 
+// TestBodyAndRetryBounds: a negative request-body bound used to boot a daemon
+// that answered every POST with 400 (http.MaxBytesReader clamps it to 0), and
+// a negative retry hint one that dropped Retry-After from every 429/503.
+// Both now have the flag every setting has, and a bound.
+func TestBodyAndRetryBounds(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		env  map[string]string
+	}{
+		{env: map[string]string{"STWIGD_MAX_REQUEST_BYTES": "-1"}},
+		{env: map[string]string{"STWIGD_RETRY_AFTER": "-1s"}},
+		{args: []string{"-max-request-bytes", "-1"}},
+		{args: []string{"-retry-after", "-1s"}},
+	} {
+		cfg, _, err := parseFlags(tc.args, envOf(tc.env))
+		if err != nil {
+			t.Fatalf("%v %v: parseFlags: %v", tc.args, tc.env, err)
+		}
+		if err := cfg.srv.Validate(); err == nil {
+			t.Errorf("%v %v validated; want a bound violation", tc.args, tc.env)
+		}
+	}
+	cfg, _, err := parseFlags([]string{"-max-request-bytes", "2097152"}, envOf(map[string]string{"STWIGD_RETRY_AFTER": "2s"}))
+	if err != nil || cfg.srv.MaxRequestBytes != 2<<20 || cfg.srv.RetryAfter != 2*time.Second || cfg.srv.Validate() != nil {
+		t.Errorf("valid body bound and retry hint: %+v, %v", cfg.srv, err)
+	}
+}
+
+// TestShardIDAndFsyncSpellings pins the two settings whose flag is not the
+// field read plainly: zero is a real shard id, so "unset" is -1 (coordinator);
+// and -journal-fsync is the negation of Config.JournalNoSync.
+func TestShardIDAndFsyncSpellings(t *testing.T) {
+	for _, tc := range []struct {
+		args       []string
+		env        map[string]string
+		wantShard  int
+		wantNoSync bool
+	}{
+		{wantShard: -1},
+		{env: map[string]string{"STWIGD_SHARD_ID": "0", "STWIGD_JOURNAL_FSYNC": "false"}, wantShard: 0, wantNoSync: true},
+		{args: []string{"-shard-id", "1", "-journal-fsync"}, env: map[string]string{"STWIGD_SHARD_ID": "0", "STWIGD_JOURNAL_FSYNC": "false"}, wantShard: 1},
+		{args: []string{"-journal-fsync=false"}, wantShard: -1, wantNoSync: true},
+	} {
+		cfg, _, err := parseFlags(tc.args, envOf(tc.env))
+		if err != nil || cfg.srv.ShardID != tc.wantShard || cfg.srv.JournalNoSync != tc.wantNoSync {
+			t.Errorf("%v %v: ShardID %d JournalNoSync %v, %v; want %d %v", tc.args, tc.env,
+				cfg.srv.ShardID, cfg.srv.JournalNoSync, err, tc.wantShard, tc.wantNoSync)
+		}
+	}
+}
+
 // TestBootSpecs pins the boot flag surface → namespace spec mapping.
 func TestBootSpecs(t *testing.T) {
 	cases := []struct {

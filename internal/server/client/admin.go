@@ -116,24 +116,3 @@ func (a *Admin) Profile(ctx context.Context, name, query string) (io.ReadCloser,
 	}
 	return resp.Body, nil
 }
-
-// CreateNamespace asks the server to materialize a new tenant.
-//
-// Deprecated: use Admin().CreateNamespace.
-func (c *Client) CreateNamespace(ctx context.Context, req server.CreateNamespaceRequest) (*server.NamespaceInfo, error) {
-	return c.Admin().CreateNamespace(ctx, req)
-}
-
-// DropNamespace removes a tenant.
-//
-// Deprecated: use Admin().DropNamespace.
-func (c *Client) DropNamespace(ctx context.Context, name string) error {
-	return c.Admin().DropNamespace(ctx, name)
-}
-
-// ListNamespaces returns every tenant's summary.
-//
-// Deprecated: use Admin().ListNamespaces.
-func (c *Client) ListNamespaces(ctx context.Context) ([]server.NamespaceInfo, error) {
-	return c.Admin().ListNamespaces(ctx)
-}

@@ -131,32 +131,6 @@ func New(base string, opts ...Option) *Client {
 	return c
 }
 
-// SetHTTPClient replaces the underlying HTTP client.
-//
-// Deprecated: pass WithHTTPClient to New.
-func (c *Client) SetHTTPClient(hc *http.Client) { WithHTTPClient(hc)(c) }
-
-// SetLogger installs a structured logger for retry decisions; nil restores
-// the default (discard).
-//
-// Deprecated: pass WithLogger to New.
-func (c *Client) SetLogger(l *slog.Logger) {
-	if l == nil {
-		l = discardLogger
-	}
-	c.logger = l
-}
-
-// SetUpdateRetry tunes Update's 503 retry budget.
-//
-// Deprecated: pass WithRetry to New.
-func (c *Client) SetUpdateRetry(retries int, maxWait time.Duration) { WithRetry(retries, maxWait)(c) }
-
-// SetAdminToken sets the bearer token the control-plane calls send.
-//
-// Deprecated: pass WithToken to New.
-func (c *Client) SetAdminToken(token string) { c.adminToken = token }
-
 // authorize attaches the admin bearer token, if one is set.
 func (c *Client) authorize(req *http.Request) {
 	if c.adminToken != "" {

@@ -46,8 +46,7 @@ func flakyUpdateServer(t *testing.T, busyCount int32, retryAfter string) (*httpt
 // maxWait) and the eventual success is returned.
 func TestUpdateRetriesBusy(t *testing.T) {
 	ts, hits := flakyUpdateServer(t, 2, "1")
-	c := client.New(ts.URL)
-	c.SetUpdateRetry(3, 5*time.Millisecond) // cap the 1s server hint for test speed
+	c := client.New(ts.URL, client.WithRetry(3, 5*time.Millisecond)) // cap the 1s server hint for test speed
 
 	start := time.Now()
 	resp, err := c.Update(context.Background(), server.UpdateRequest{Op: server.OpAddNode, Label: "x"})
@@ -71,8 +70,7 @@ func TestUpdateRetriesBusy(t *testing.T) {
 // budget, carrying the parsed Retry-After.
 func TestUpdateRetryBudgetExhausted(t *testing.T) {
 	ts, hits := flakyUpdateServer(t, 1000, "2")
-	c := client.New(ts.URL)
-	c.SetUpdateRetry(2, time.Millisecond)
+	c := client.New(ts.URL, client.WithRetry(2, time.Millisecond))
 
 	_, err := c.Update(context.Background(), server.UpdateRequest{Op: server.OpAddNode, Label: "x"})
 	se, ok := err.(*client.StatusError)
@@ -96,8 +94,7 @@ func TestUpdateRetryBudgetExhausted(t *testing.T) {
 // server can never dictate client sleep time.
 func TestUpdateRetryZeroMaxWaitIgnoresServerHint(t *testing.T) {
 	ts, hits := flakyUpdateServer(t, 2, "3600")
-	c := client.New(ts.URL)
-	c.SetUpdateRetry(3, 0)
+	c := client.New(ts.URL, client.WithRetry(3, 0))
 
 	start := time.Now()
 	if _, err := c.Update(context.Background(), server.UpdateRequest{Op: server.OpAddNode, Label: "x"}); err != nil {
@@ -133,8 +130,7 @@ func TestUpdateNoRetryWithout503Hint(t *testing.T) {
 // the raw contract tests and latency-sensitive callers pin.
 func TestUpdateRetryDisabled(t *testing.T) {
 	ts, hits := flakyUpdateServer(t, 1000, "1")
-	c := client.New(ts.URL)
-	c.SetUpdateRetry(0, 0)
+	c := client.New(ts.URL, client.WithRetry(0, 0))
 
 	_, err := c.Update(context.Background(), server.UpdateRequest{Op: server.OpAddNode, Label: "x"})
 	if !client.IsBusy(err) {
@@ -149,8 +145,7 @@ func TestUpdateRetryDisabled(t *testing.T) {
 // retry loop with the context's error instead of sleeping on.
 func TestUpdateRetryHonorsContext(t *testing.T) {
 	ts, _ := flakyUpdateServer(t, 1000, "1")
-	c := client.New(ts.URL)
-	c.SetUpdateRetry(5, 10*time.Second) // would sleep ~1s per retry
+	c := client.New(ts.URL, client.WithRetry(5, 10*time.Second)) // would sleep ~1s per retry
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -203,8 +198,7 @@ func TestNamespaceClientInheritsRetryPolicy(t *testing.T) {
 		json.NewEncoder(w).Encode(server.UpdateResponse{Epoch: 1})
 	}))
 	t.Cleanup(ts.Close)
-	root := client.New(ts.URL)
-	root.SetUpdateRetry(1, time.Millisecond)
+	root := client.New(ts.URL, client.WithRetry(1, time.Millisecond))
 	if _, err := root.Namespace("t").Update(context.Background(), server.UpdateRequest{Op: server.OpAddNode, Label: "x"}); err != nil {
 		t.Fatalf("scoped update with one transient busy: %v", err)
 	}
@@ -298,8 +292,7 @@ func traceServer(t *testing.T, busyCount int32) (*httptest.Server, *[]string, *s
 // one, a minted one otherwise — so a retry chain greps as one trace.
 func TestUpdateTraceStableAcrossRetries(t *testing.T) {
 	ts, traces, mu := traceServer(t, 2)
-	c := client.New(ts.URL)
-	c.SetUpdateRetry(3, time.Millisecond)
+	c := client.New(ts.URL, client.WithRetry(3, time.Millisecond))
 
 	ctx := core.WithTraceID(context.Background(), "retry-chain-7")
 	if _, err := c.Update(ctx, server.UpdateRequest{Op: server.OpAddNode, Label: "x"}); err != nil {
@@ -321,8 +314,7 @@ func TestUpdateTraceStableAcrossRetries(t *testing.T) {
 // mints one, still stable across the whole retry chain and non-empty.
 func TestUpdateTraceMintedWithoutContext(t *testing.T) {
 	ts, traces, mu := traceServer(t, 1)
-	c := client.New(ts.URL)
-	c.SetUpdateRetry(2, time.Millisecond)
+	c := client.New(ts.URL, client.WithRetry(2, time.Millisecond))
 
 	if _, err := c.Update(context.Background(), server.UpdateRequest{Op: server.OpAddNode, Label: "x"}); err != nil {
 		t.Fatal(err)
@@ -344,10 +336,9 @@ func TestUpdateTraceMintedWithoutContext(t *testing.T) {
 // decision at Debug, tagged with the trace ID and attempt number.
 func TestSetLoggerRetryLogs(t *testing.T) {
 	ts, _, _ := traceServer(t, 2)
-	c := client.New(ts.URL)
-	c.SetUpdateRetry(3, time.Millisecond)
 	var buf bytes.Buffer
-	c.SetLogger(slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})))
+	c := client.New(ts.URL, client.WithRetry(3, time.Millisecond),
+		client.WithLogger(slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))))
 
 	ctx := core.WithTraceID(context.Background(), "logged-trace")
 	if _, err := c.Update(ctx, server.UpdateRequest{Op: server.OpAddNode, Label: "x"}); err != nil {
@@ -378,8 +369,7 @@ func TestSetLoggerRetryLogs(t *testing.T) {
 
 	// StatusError carries the echoed trace for a terminal failure too.
 	ts2, _, _ := traceServer(t, 100)
-	c2 := client.New(ts2.URL)
-	c2.SetUpdateRetry(1, time.Millisecond)
+	c2 := client.New(ts2.URL, client.WithRetry(1, time.Millisecond))
 	_, err := c2.Update(core.WithTraceID(context.Background(), "doomed-trace"), server.UpdateRequest{Op: server.OpAddNode, Label: "x"})
 	se, ok := err.(*client.StatusError)
 	if !ok {

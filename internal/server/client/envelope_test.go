@@ -28,8 +28,7 @@ func TestStatusErrorParsesEnvelope(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := client.New(ts.URL)
-	c.SetUpdateRetry(0, 0)
+	c := client.New(ts.URL, client.WithRetry(0, 0))
 	_, err := c.Update(context.Background(), server.UpdateRequest{Op: server.OpAddNode, Label: "x"})
 	se, ok := err.(*client.StatusError)
 	if !ok {
@@ -61,8 +60,7 @@ func TestStatusErrorHeaderFallback(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := client.New(ts.URL)
-	c.SetUpdateRetry(0, 0)
+	c := client.New(ts.URL, client.WithRetry(0, 0))
 	_, err := c.Update(context.Background(), server.UpdateRequest{Op: server.OpAddNode, Label: "x"})
 	se, ok := err.(*client.StatusError)
 	if !ok {

@@ -572,11 +572,10 @@ func TestClusterStatsAndMetrics(t *testing.T) {
 // tenant fan out, and a drop removes it everywhere.
 func TestClusterAdminLifecycle(t *testing.T) {
 	tc := newTestCluster(t, 2)
-	c := client.New(tc.coordURL)
-	c.SetAdminToken(testAdminToken)
+	c := client.New(tc.coordURL, client.WithToken(testAdminToken))
 	ctx := context.Background()
 
-	if _, err := c.CreateNamespace(ctx, server.CreateNamespaceRequest{
+	if _, err := c.Admin().CreateNamespace(ctx, server.CreateNamespaceRequest{
 		Name: "tenant2", Spec: "rmat:scale=5,degree=3,labels=2,seed=7,machines=2",
 	}); err != nil {
 		t.Fatalf("create via coordinator: %v", err)
@@ -594,7 +593,7 @@ func TestClusterAdminLifecycle(t *testing.T) {
 	}
 	requireSetEqual(t, "tenant2 via coordinator", serverSet(t, c.Namespace("tenant2"), "(a:L0)-(b:L1)"), want)
 
-	if err := c.DropNamespace(ctx, "tenant2"); err != nil {
+	if err := c.Admin().DropNamespace(ctx, "tenant2"); err != nil {
 		t.Fatalf("drop via coordinator: %v", err)
 	}
 	for i := range tc.shards {

@@ -28,15 +28,14 @@
 package server
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
-	"strconv"
+	"slices"
 	"strings"
 	"time"
-
-	"stwig/internal/journal"
 )
 
 // DefaultNamespace is the tenant the un-namespaced routes (/v1/query,
@@ -44,44 +43,45 @@ import (
 const DefaultNamespace = "default"
 
 // Config tunes the service. The zero value selects production-ish defaults
-// via normalize; Validate rejects nonsense.
+// via normalize; Validate rejects nonsense. The field tags are the settings
+// table (see setting): flag, environment variable, default and bound.
 type Config struct {
 	// MaxInFlight is the admission controller's concurrent query limit
 	// (default 16). Requests beyond it receive 429 with a Retry-After.
-	MaxInFlight int
+	MaxInFlight int `flag:"max-inflight" def:"16" min:"1" help:"admission limit: concurrent queries per namespace before 429"`
 	// DefaultTimeout is the per-request deadline applied when the request
 	// does not choose one (default 30s).
-	DefaultTimeout time.Duration
+	DefaultTimeout time.Duration `flag:"timeout" def:"30s" min:"0" help:"default per-request deadline"`
 	// MaxTimeout caps client-requested timeouts (default 4× DefaultTimeout).
-	MaxTimeout time.Duration
+	MaxTimeout time.Duration `flag:"max-timeout" min:"0" help:"cap on client-requested deadlines (0 = 4× the default deadline)"`
 	// MaxMatches caps any single request's match count; 0 means unlimited.
 	// A request's own max_matches is clamped to this.
-	MaxMatches int
+	MaxMatches int `flag:"max-matches" min:"0" help:"per-request match cap (0 = unlimited)"`
 	// MaxBytes caps any single response's match payload bytes; 0 means
 	// unlimited.
-	MaxBytes int64
+	MaxBytes int64 `flag:"max-bytes" min:"0" help:"per-response byte cap (0 = unlimited)"`
 	// MaxRequestBytes bounds request bodies (default 1 MiB).
-	MaxRequestBytes int64
+	MaxRequestBytes int64 `flag:"max-request-bytes" def:"1048576" min:"1" help:"request body bound in bytes"`
 	// Parallelism is the per-query intra-machine worker count engines use
 	// (core.Options.Parallelism): 0 (the default) resolves to GOMAXPROCS,
 	// 1 disables intra-machine parallelism. Namespace specs may override
 	// it per tenant with parallelism=N.
-	Parallelism int
+	Parallelism int `flag:"parallelism" min:"0" help:"per-query intra-machine workers for every namespace (0 = GOMAXPROCS, 1 = sequential; specs override it per tenant)"`
 	// RetryAfter is the Retry-After hint attached to 429 responses
 	// (default 1s).
-	RetryAfter time.Duration
+	RetryAfter time.Duration `flag:"retry-after" def:"1s" min:"0" help:"Retry-After hint attached to 429 and 503 responses"`
 	// UpdateLockWait bounds how long the update dispatcher parks for the
 	// writer window before failing the batch with 503 (default 1s). When
 	// the dispatcher gives up, the reader cutoff is lifted, so queries
 	// never stall behind a writer that is no longer trying.
-	UpdateLockWait time.Duration
+	UpdateLockWait time.Duration `flag:"update-lock-wait" def:"1s" min:"0" help:"how long a queued update batch waits for the writer window before 503"`
 	// UpdateQueueDepth is the per-tenant bounded update FIFO's capacity
 	// (default 64). Updates beyond it receive 503 with a Retry-After.
-	UpdateQueueDepth int
+	UpdateQueueDepth int `flag:"update-queue-depth" def:"64" min:"1" help:"per-namespace update queue capacity (queue full → 503 with Retry-After)"`
 	// UpdateBatchMax caps how many queued mutations the dispatcher applies
 	// under one writer window (default 32) — the lock-traffic amortization
 	// the batching pipeline exists for.
-	UpdateBatchMax int
+	UpdateBatchMax int `flag:"update-batch-max" def:"32" min:"1" help:"max queued mutations applied per writer window"`
 	// UpdateFairnessWindow is the reader grace period after the dispatcher
 	// parks for the writer window (default min(100ms, UpdateLockWait/2)):
 	// new readers are still admitted during it, and blocked after it (the
@@ -89,29 +89,29 @@ type Config struct {
 	// own updates while a parked writer still bounds read unavailability.
 	// Validate rejects a window the writer's patience would always outlast
 	// — the cutoff could never fire and starvation would return silently.
-	UpdateFairnessWindow time.Duration
+	UpdateFairnessWindow time.Duration `flag:"update-fairness-window" min:"0" help:"reader grace period before a parked update blocks new queries; 0 selects min(100ms, half the lock wait), and it must stay shorter than the lock wait"`
 	// NamespaceRoot, when non-empty, permits POST /ns to create tenants
 	// from file:/text: sources confined under this directory. Empty
 	// (the default) disables file sources over the admin API entirely —
 	// a network client must never choose arbitrary server-side paths.
 	// Boot-time -ns flags are operator-controlled and unaffected.
-	NamespaceRoot string
+	NamespaceRoot string `flag:"ns-root" help:"directory POST /v1/ns may load file:/text: graphs from (empty disables runtime file sources)"`
 	// DataDir, when non-empty, enables durability: every namespace created
 	// from a spec is recorded in <DataDir>/manifest.json, its update batches
 	// are journaled (append + fsync before apply) under <DataDir>/ns/<name>/,
 	// and on boot every manifest namespace is re-created and its journal
 	// replayed. Empty (the default) keeps the PR 2–4 behavior: everything is
 	// in-memory and lost on exit.
-	DataDir string
+	DataDir string `flag:"data-dir" help:"durability root: journal every update batch, checkpoint periodically, and recover namespaces on boot (empty disables persistence)"`
 	// CheckpointEvery is how many journaled batches accumulate before the
 	// namespace's cluster is snapshotted and its journal truncated (default
 	// 256). Smaller values bound replay time tighter at the cost of more
 	// snapshot I/O.
-	CheckpointEvery int
+	CheckpointEvery int `flag:"checkpoint-every" def:"256" min:"1" help:"journaled update batches between checkpoint/compaction cycles"`
 	// JournalNoSync skips the per-batch fsync. Throughput testing only: a
 	// crash may then lose acknowledged updates, voiding the recovery
 	// contract the crash tests pin.
-	JournalNoSync bool
+	JournalNoSync bool `flag:"!journal-fsync" help:"fsync the journal before applying each batch (false voids crash durability)"`
 	// GroupCommitWindow is how long the update dispatcher lingers after the
 	// first queued batch arrives, gathering more batches so they all share
 	// one journal fsync (default 0: no deliberate wait — the dispatcher
@@ -119,17 +119,17 @@ type Config struct {
 	// shared fsync window, which is where group commit's win comes from
 	// under load). A positive window trades that much ack latency for
 	// fewer fsyncs on slow devices.
-	GroupCommitWindow time.Duration
+	GroupCommitWindow time.Duration `flag:"group-commit-window" min:"0" help:"how long the dispatcher lingers collecting concurrent updates to share one journal fsync (0 = coalesce only what is already queued)"`
 	// GroupCommitBatches caps how many coalesced batches (journal records)
 	// one shared fsync may cover (default 8). Bounds both the work a
 	// single writer window holds readers out for and the loss radius of
 	// one failed fsync, which fails every batch in its window.
-	GroupCommitBatches int
+	GroupCommitBatches int `flag:"group-commit-batches" def:"8" min:"1" help:"max journal records sharing one fsync window"`
 	// JournalAlign is the block alignment journal fsyncs pad the file to
 	// (default 4096, one flash block; 1 disables padding). Padding is
 	// zeros past the last frame — recovery truncates it as a torn tail
 	// and closed journals are trimmed, so only live files carry it.
-	JournalAlign int64
+	JournalAlign int64 `flag:"journal-align" def:"4096" min:"1" help:"pad journal fsyncs to this block alignment in bytes (1 disables)"`
 	// FollowURL, when non-empty, starts the server as a read-only follower
 	// of the leader at this base URL: on boot the replicator fetches the
 	// leader's replication manifest, bootstraps each listed namespace (from
@@ -137,14 +137,14 @@ type Config struct {
 	// GET /v1/ns/{name}/wal, replaying batches through the same apply path
 	// recovery uses. Mutating endpoints answer 403 read_only until
 	// POST /v1/admin/promote. A bare host:port is promoted to http://.
-	FollowURL string
+	FollowURL string `flag:"follow" help:"leader base URL (host:port or http://...): run as a read-only replica that bootstraps and tails every namespace the leader persists; writes answer 403 until POST /v1/admin/promote"`
 	// ShardMap, when non-empty, switches the server into cluster mode. It
 	// is the static shard map: a comma-separated list of base URLs, one
 	// per shard, position = shard id (e.g.
 	// "http://10.0.0.1:8080,http://10.0.0.2:8080"). Every process of one
 	// cluster must be started with the identical map. Bare host:port
 	// entries are promoted to http:// like FollowURL.
-	ShardMap string
+	ShardMap string `flag:"shard-map" help:"comma-separated shard base URLs enabling cluster mode; position in the list is the shard id"`
 	// ShardID is this process's index into ShardMap and is only
 	// meaningful when ShardMap is set. A negative value selects
 	// coordinator mode: the process owns no graph and instead fans
@@ -153,7 +153,7 @@ type Config struct {
 	// shard's response is returned). 0..len(ShardMap)-1 selects shard
 	// mode: the process hosts the full graph but only emits matches whose
 	// root vertex it owns under the range partition of the id space.
-	ShardID int
+	ShardID int `flag:"shard-id" unset:"-1" help:"this process's position in the shard map; omit (or pass a negative value) to run as the coordinator that fans queries out over the map"`
 	// AdminToken, when non-empty, is the bearer token POST /ns,
 	// DELETE /ns/{name}, and the /debug/pprof endpoints require
 	// (Authorization: Bearer <token>). Empty (the default) disables
@@ -162,7 +162,7 @@ type Config struct {
 	// tenants is operator business, and the admin surface shares the
 	// listener with untrusted tenant traffic. GET /ns and the tenant
 	// routes are unaffected.
-	AdminToken string
+	AdminToken string `flag:"admin-token" help:"bearer token required by POST /v1/ns, DELETE /v1/ns/{name} and /debug/pprof (empty disables them)"`
 	// Logger receives the structured request log: one summary line per
 	// query/update/admin call (trace_id, namespace, route, status,
 	// wait/exec/emit durations, matches, bytes) plus slow-query and boot
@@ -172,120 +172,53 @@ type Config struct {
 	// SlowQuery, when positive, is the execution-time threshold past which
 	// a query's full span breakdown is logged at warn level. 0 disables
 	// the slow-query log.
-	SlowQuery time.Duration
+	SlowQuery time.Duration `flag:"slow-query" min:"0" help:"log a Warn-level span breakdown for queries whose execution exceeds this duration (0 disables)"`
 }
 
+// configTable is Config's settings table (see setting).
+var configTable = tableOf(Config{})
+
+// normalize resolves zero values: each setting's table default, then the
+// defaults derived from other settings and the URL promotions.
 func (cfg Config) normalize() Config {
-	if cfg.MaxInFlight == 0 {
-		cfg.MaxInFlight = 16
-	}
-	if cfg.DefaultTimeout == 0 {
-		cfg.DefaultTimeout = 30 * time.Second
-	}
+	applyDefaults(configTable, &cfg, false)
 	if cfg.MaxTimeout == 0 {
 		cfg.MaxTimeout = 4 * cfg.DefaultTimeout
-	}
-	if cfg.MaxRequestBytes == 0 {
-		cfg.MaxRequestBytes = 1 << 20
-	}
-	if cfg.RetryAfter == 0 {
-		cfg.RetryAfter = time.Second
-	}
-	if cfg.UpdateLockWait == 0 {
-		cfg.UpdateLockWait = time.Second
-	}
-	if cfg.UpdateQueueDepth == 0 {
-		cfg.UpdateQueueDepth = 64
-	}
-	if cfg.UpdateBatchMax == 0 {
-		cfg.UpdateBatchMax = 32
-	}
-	if cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = 256
-	}
-	if cfg.GroupCommitBatches == 0 {
-		cfg.GroupCommitBatches = 8
-	}
-	if cfg.JournalAlign == 0 {
-		cfg.JournalAlign = journal.DefaultAlign
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	if cfg.FollowURL != "" && !strings.Contains(cfg.FollowURL, "://") {
-		cfg.FollowURL = "http://" + cfg.FollowURL
+	cfg.FollowURL = baseURL(cfg.FollowURL)
+	shards := parseShardMap(cfg.ShardMap)
+	for i, u := range shards {
+		shards[i] = baseURL(u)
 	}
-	cfg.FollowURL = strings.TrimRight(cfg.FollowURL, "/")
-	if cfg.ShardMap != "" {
-		shards := parseShardMap(cfg.ShardMap)
-		for i, u := range shards {
-			if u != "" && !strings.Contains(u, "://") {
-				u = "http://" + u
-			}
-			shards[i] = strings.TrimRight(u, "/")
-		}
-		cfg.ShardMap = strings.Join(shards, ",")
-	}
+	cfg.ShardMap = strings.Join(shards, ",")
 	if cfg.UpdateFairnessWindow == 0 {
 		// The cutoff only matters if it fires before the writer gives up;
 		// adapt the default to short writer patience instead of silently
 		// configuring a cutoff that can never mature.
-		cfg.UpdateFairnessWindow = 100 * time.Millisecond
-		if half := cfg.UpdateLockWait / 2; half < cfg.UpdateFairnessWindow {
-			cfg.UpdateFairnessWindow = half
-		}
+		cfg.UpdateFairnessWindow = min(100*time.Millisecond, cfg.UpdateLockWait/2)
 	}
 	return cfg
 }
 
-// Validate rejects configurations the service cannot honor.
+// Validate rejects configurations the service cannot honor: a setting below
+// its table minimum, or one of the cross-setting rules.
 func (cfg Config) Validate() error {
 	cfg = cfg.normalize()
-	if cfg.MaxInFlight < 1 {
-		return fmt.Errorf("server: MaxInFlight %d < 1", cfg.MaxInFlight)
-	}
-	if cfg.DefaultTimeout < 0 || cfg.MaxTimeout < 0 {
-		return fmt.Errorf("server: negative timeout")
+	for _, b := range bind(configTable, &cfg) {
+		if err := b.check(); err != nil {
+			return fmt.Errorf("server: %s %v", b.name, err)
+		}
 	}
 	if cfg.MaxTimeout < cfg.DefaultTimeout {
 		return fmt.Errorf("server: MaxTimeout %v < DefaultTimeout %v", cfg.MaxTimeout, cfg.DefaultTimeout)
 	}
-	if cfg.MaxMatches < 0 || cfg.MaxBytes < 0 {
-		return fmt.Errorf("server: negative cap")
-	}
-	if cfg.Parallelism < 0 {
-		return fmt.Errorf("server: Parallelism %d < 0", cfg.Parallelism)
-	}
-	if cfg.UpdateQueueDepth < 1 {
-		return fmt.Errorf("server: UpdateQueueDepth %d < 1", cfg.UpdateQueueDepth)
-	}
-	if cfg.UpdateBatchMax < 1 {
-		return fmt.Errorf("server: UpdateBatchMax %d < 1", cfg.UpdateBatchMax)
-	}
-	if cfg.UpdateLockWait < 0 || cfg.UpdateFairnessWindow < 0 {
-		return fmt.Errorf("server: negative update window")
-	}
-	if cfg.CheckpointEvery < 1 {
-		return fmt.Errorf("server: CheckpointEvery %d < 1", cfg.CheckpointEvery)
-	}
-	if cfg.GroupCommitWindow < 0 {
-		return fmt.Errorf("server: GroupCommitWindow %v < 0", cfg.GroupCommitWindow)
-	}
-	if cfg.GroupCommitBatches < 1 {
-		return fmt.Errorf("server: GroupCommitBatches %d < 1", cfg.GroupCommitBatches)
-	}
-	if cfg.JournalAlign < 1 {
-		return fmt.Errorf("server: JournalAlign %d < 1", cfg.JournalAlign)
-	}
-	if cfg.SlowQuery < 0 {
-		return fmt.Errorf("server: SlowQuery %v < 0", cfg.SlowQuery)
-	}
 	if cfg.ShardMap != "" {
 		shards := parseShardMap(cfg.ShardMap)
-		for i, u := range shards {
-			if u == "" {
-				return fmt.Errorf("server: ShardMap entry %d is empty", i)
-			}
+		if i := slices.Index(shards, ""); i >= 0 {
+			return fmt.Errorf("server: ShardMap entry %d is empty", i)
 		}
 		if cfg.ShardID >= len(shards) {
 			return fmt.Errorf("server: ShardID %d out of range for a %d-shard map", cfg.ShardID, len(shards))
@@ -304,6 +237,14 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
+// baseURL promotes a bare host:port to http:// and drops trailing slashes.
+func baseURL(u string) string {
+	if u != "" && !strings.Contains(u, "://") {
+		u = "http://" + u
+	}
+	return strings.TrimRight(u, "/")
+}
+
 // parseShardMap splits a shard map string into per-shard base URLs,
 // trimming surrounding whitespace. Position = shard id.
 func parseShardMap(s string) []string {
@@ -317,121 +258,35 @@ func parseShardMap(s string) []string {
 	return parts
 }
 
-// FromEnv overlays STWIGD_* environment variables onto cfg and returns the
-// result. Unset variables leave the corresponding field untouched; a set
-// but unparsable variable is an error (a typo'd limit must not silently
-// select the default). lookup defaults to os.LookupEnv; tests inject their
-// own.
-//
-//	STWIGD_MAX_INFLIGHT       int       admission limit
-//	STWIGD_TIMEOUT            duration  default per-request deadline
-//	STWIGD_MAX_TIMEOUT        duration  cap on client-requested deadlines
-//	STWIGD_MAX_MATCHES        int       per-request match cap
-//	STWIGD_MAX_BYTES          int       per-response byte cap
-//	STWIGD_MAX_REQUEST_BYTES  int       request body bound
-//	STWIGD_PARALLELISM        int       per-query intra-machine workers (0 = GOMAXPROCS)
-//	STWIGD_RETRY_AFTER        duration  Retry-After hint on 429/503
-//	STWIGD_UPDATE_LOCK_WAIT   duration  writer-window patience before a batch fails 503
-//	STWIGD_UPDATE_QUEUE_DEPTH int       per-tenant update queue capacity (503 when full)
-//	STWIGD_UPDATE_BATCH_MAX   int       mutations applied per writer window
-//	STWIGD_UPDATE_FAIRNESS_WINDOW duration  reader grace period before a parked writer blocks new readers
-//	STWIGD_NS_ROOT            path      root for admin-API file:/text: sources
-//	STWIGD_ADMIN_TOKEN        string    bearer token for POST/DELETE /ns (unset disables them)
-//	STWIGD_DATA_DIR           path      durability root (journal + checkpoints + manifest; unset disables)
-//	STWIGD_FOLLOW             url       leader base URL; start as a read-only WAL-shipping follower
-//	STWIGD_SHARD_MAP          urls      comma-separated shard base URLs (position = shard id); enables cluster mode
-//	STWIGD_SHARD_ID           int       this process's index into the shard map (negative = coordinator)
-//	STWIGD_CHECKPOINT_EVERY   int       journaled batches between checkpoint/compaction cycles
-//	STWIGD_JOURNAL_FSYNC      bool      false skips the per-batch fsync (crash durability lost)
-//	STWIGD_GROUP_COMMIT_WINDOW  duration  linger gathering batches into one shared fsync (0 = opportunistic only)
-//	STWIGD_GROUP_COMMIT_BATCHES int       max journal records one shared fsync may cover
-//	STWIGD_JOURNAL_ALIGN      int       block alignment fsyncs pad the journal to (1 disables)
-//	STWIGD_SLOW_QUERY         duration  span-breakdown log threshold for slow queries (0 disables)
+// FromEnv overlays the STWIGD_* environment variables (README "Settings
+// reference" lists them) onto cfg and returns the result. An unset variable
+// leaves its field untouched; a set but unparsable one is an error (a typo'd
+// limit must not silently select the default). lookup defaults to
+// os.LookupEnv; tests inject their own.
 func (cfg Config) FromEnv(lookup func(string) (string, bool)) (Config, error) {
 	if lookup == nil {
 		lookup = os.LookupEnv
 	}
-	var err error
-	envInt := func(key string, dst *int) {
-		if v, ok := lookup(key); ok && err == nil {
-			n, perr := strconv.Atoi(v)
-			if perr != nil {
-				err = fmt.Errorf("server: %s=%q: not an integer", key, v)
-				return
+	for _, b := range bind(configTable, &cfg) {
+		if v, ok := lookup(b.env()); ok {
+			if err := b.Set(v); err != nil {
+				return cfg, fmt.Errorf("server: %s=%q: %v", b.env(), v, err)
 			}
-			*dst = n
 		}
-	}
-	envInt64 := func(key string, dst *int64) {
-		if v, ok := lookup(key); ok && err == nil {
-			n, perr := strconv.ParseInt(v, 10, 64)
-			if perr != nil {
-				err = fmt.Errorf("server: %s=%q: not an integer", key, v)
-				return
-			}
-			*dst = n
-		}
-	}
-	envDur := func(key string, dst *time.Duration) {
-		if v, ok := lookup(key); ok && err == nil {
-			d, perr := time.ParseDuration(v)
-			if perr != nil {
-				err = fmt.Errorf("server: %s=%q: not a duration (want e.g. 30s)", key, v)
-				return
-			}
-			*dst = d
-		}
-	}
-	envInt("STWIGD_MAX_INFLIGHT", &cfg.MaxInFlight)
-	envDur("STWIGD_TIMEOUT", &cfg.DefaultTimeout)
-	envDur("STWIGD_MAX_TIMEOUT", &cfg.MaxTimeout)
-	envInt("STWIGD_MAX_MATCHES", &cfg.MaxMatches)
-	envInt64("STWIGD_MAX_BYTES", &cfg.MaxBytes)
-	envInt64("STWIGD_MAX_REQUEST_BYTES", &cfg.MaxRequestBytes)
-	envInt("STWIGD_PARALLELISM", &cfg.Parallelism)
-	envDur("STWIGD_RETRY_AFTER", &cfg.RetryAfter)
-	envDur("STWIGD_UPDATE_LOCK_WAIT", &cfg.UpdateLockWait)
-	envInt("STWIGD_UPDATE_QUEUE_DEPTH", &cfg.UpdateQueueDepth)
-	envInt("STWIGD_UPDATE_BATCH_MAX", &cfg.UpdateBatchMax)
-	envDur("STWIGD_UPDATE_FAIRNESS_WINDOW", &cfg.UpdateFairnessWindow)
-	envBool := func(key string, dst *bool) {
-		if v, ok := lookup(key); ok && err == nil {
-			b, perr := strconv.ParseBool(v)
-			if perr != nil {
-				err = fmt.Errorf("server: %s=%q: not a boolean", key, v)
-				return
-			}
-			*dst = b
-		}
-	}
-	if v, ok := lookup("STWIGD_NS_ROOT"); ok {
-		cfg.NamespaceRoot = v
-	}
-	if v, ok := lookup("STWIGD_ADMIN_TOKEN"); ok {
-		cfg.AdminToken = v
-	}
-	if v, ok := lookup("STWIGD_DATA_DIR"); ok {
-		cfg.DataDir = v
-	}
-	if v, ok := lookup("STWIGD_FOLLOW"); ok {
-		cfg.FollowURL = v
-	}
-	if v, ok := lookup("STWIGD_SHARD_MAP"); ok {
-		cfg.ShardMap = v
-	}
-	envInt("STWIGD_SHARD_ID", &cfg.ShardID)
-	envInt("STWIGD_CHECKPOINT_EVERY", &cfg.CheckpointEvery)
-	envDur("STWIGD_GROUP_COMMIT_WINDOW", &cfg.GroupCommitWindow)
-	envInt("STWIGD_GROUP_COMMIT_BATCHES", &cfg.GroupCommitBatches)
-	envInt64("STWIGD_JOURNAL_ALIGN", &cfg.JournalAlign)
-	envDur("STWIGD_SLOW_QUERY", &cfg.SlowQuery)
-	fsync := !cfg.JournalNoSync
-	envBool("STWIGD_JOURNAL_FSYNC", &fsync)
-	cfg.JournalNoSync = !fsync
-	if err != nil {
-		return cfg, err
 	}
 	return cfg, nil
+}
+
+// BindFlags registers one flag per setting on fs, bound to the fields of cfg
+// (a zero Config). A flag's default is the setting's environment variable
+// when lookupEnv (nil means os.LookupEnv) has it, else the table's — so after
+// fs.Parse the precedence is flag > environment > default.
+func (cfg *Config) BindFlags(fs *flag.FlagSet, lookupEnv func(string) (string, bool)) error {
+	applyDefaults(configTable, cfg, true)
+	var err error
+	*cfg, err = cfg.FromEnv(lookupEnv)
+	bindFlags(fs, configTable, cfg, true)
+	return err
 }
 
 // ValidateNamespaceName rejects names the router and the spec grammar
@@ -463,12 +318,13 @@ func ValidateNamespaceName(name string) error {
 //	file:/path/to/graph.bin[,OPT...]
 //	text:/path/to/graph.txt[,OPT...]
 //
-// where OPT is any of machines=N, plancache=N, relabel=degree,
-// inflight=N, maxmatches=N, maxbytes=N, parallelism=N, semijoincap=N.
+// where OPT is key=value for any field's spec key below that applies to the
+// source kind (README "Settings reference" lists them with their defaults).
 // inflight/maxmatches/maxbytes override the server's defaults for this
 // tenant only; parallelism/semijoincap tune the tenant engine's intra-
 // machine workers and semi-join volume gate; the rest shape the cluster
-// the graph is loaded onto.
+// the graph is loaded onto. Fields that also carry a flag shape stwigd's
+// default namespace.
 type NamespaceSpec struct {
 	Name string
 
@@ -477,31 +333,42 @@ type NamespaceSpec struct {
 	// Path is the graph file for file/text sources.
 	Path string
 	// Scale, Degree, Labels, Seed parameterize the rmat source.
-	Scale  int
-	Degree int
-	Labels int
-	Seed   int64
+	Scale  int   `spec:"scale" flag:"rmat-scale" only:"rmat" help:"R-MAT graph with 2^N vertices; required by rmat specs, and the flag generates the default namespace instead of loading -graph"`
+	Degree int   `spec:"degree" flag:"rmat-degree" only:"rmat" def:"8" help:"R-MAT average degree"`
+	Labels int   `spec:"labels" flag:"rmat-labels" only:"rmat" def:"16" help:"R-MAT label alphabet size"`
+	Seed   int64 `spec:"seed" flag:"rmat-seed" only:"rmat" def:"1" help:"R-MAT generation seed"`
 
 	// Relabel is "" or "degree" (celebrity/regular/bot by degree band).
-	Relabel string
+	Relabel string `spec:"relabel" flag:"relabel" in:"degree" help:"relabel the graph after load: 'degree' assigns celebrity/regular/bot by degree band"`
 	// Machines is the simulated cluster size (default 8).
-	Machines int
+	Machines int `spec:"machines" flag:"machines" def:"8" min:"1" help:"simulated cluster size"`
 	// PlanCache is the plan-cache capacity (0 = engine default, negative =
 	// disabled).
-	PlanCache int
+	PlanCache int `spec:"plancache" flag:"plan-cache" help:"plan cache capacity (0 = engine default 128, negative = disabled)"`
 
 	// Per-tenant limit overrides; 0 inherits the server's Config.
-	MaxInFlight int
-	MaxMatches  int
-	MaxBytes    int64
+	MaxInFlight int   `spec:"inflight" min:"0" help:"this tenant's admission limit (0 inherits the server's)"`
+	MaxMatches  int   `spec:"maxmatches" min:"0" help:"this tenant's per-request match cap (0 inherits the server's)"`
+	MaxBytes    int64 `spec:"maxbytes" min:"0" help:"this tenant's per-response byte cap (0 inherits the server's)"`
 
 	// Parallelism overrides the server's per-query intra-machine worker
 	// count for this tenant's engine; 0 inherits Config.Parallelism.
-	Parallelism int
+	Parallelism int `spec:"parallelism" min:"0" help:"this tenant's per-query intra-machine workers (0 inherits the server's)"`
 	// SemijoinCap overrides the engine's semi-join volume gate in words
 	// (core.Options.SemijoinWordCap); 0 keeps the engine default, negative
 	// disables the reduction.
-	SemijoinCap int
+	SemijoinCap int `spec:"semijoincap" help:"semi-join volume gate in words (0 = engine default, negative disables the reduction)"`
+}
+
+// specTable is NamespaceSpec's settings table (see setting).
+var specTable = tableOf(NamespaceSpec{})
+
+// BindFlags registers the flags that shape stwigd's default namespace —
+// every spec field that carries one — on fs, bound to spec's fields with
+// the spec grammar's own defaults, and returns their names.
+func (spec *NamespaceSpec) BindFlags(fs *flag.FlagSet) []string {
+	applyDefaults(specTable, spec, false)
+	return bindFlags(fs, specTable, spec, false)
 }
 
 // ParseNamespaceFlag parses stwigd's -ns flag form "name=spec".
@@ -522,7 +389,8 @@ func ParseNamespaceSpec(name, spec string) (NamespaceSpec, error) {
 	if !ok {
 		return NamespaceSpec{}, fmt.Errorf("server: namespace %q: spec %q: want kind:args with kind rmat, file, or text", name, spec)
 	}
-	out := NamespaceSpec{Name: name, Source: kind, Degree: 8, Labels: 16, Seed: 1, Machines: 8}
+	out := NamespaceSpec{Name: name, Source: kind}
+	applyDefaults(specTable, &out, false)
 	parts := strings.Split(rest, ",")
 	switch kind {
 	case "file", "text":
@@ -537,6 +405,7 @@ func ParseNamespaceSpec(name, spec string) (NamespaceSpec, error) {
 	default:
 		return NamespaceSpec{}, fmt.Errorf("server: namespace %q: unknown source kind %q (want rmat, file, or text)", name, kind)
 	}
+	opts := bind(specTable, &out)
 	for _, p := range parts {
 		if p == "" {
 			continue
@@ -545,104 +414,49 @@ func ParseNamespaceSpec(name, spec string) (NamespaceSpec, error) {
 		if !ok {
 			return NamespaceSpec{}, fmt.Errorf("server: namespace %q: option %q: want key=value", name, p)
 		}
-		perr := func() error {
-			return fmt.Errorf("server: namespace %q: option %s=%q: not an integer", name, k, v)
-		}
-		n, nerr := strconv.ParseInt(v, 10, 64)
-		switch k {
-		case "relabel":
-			if v != "degree" {
-				return NamespaceSpec{}, fmt.Errorf("server: namespace %q: relabel=%q (only \"degree\" is supported)", name, v)
-			}
-			out.Relabel = v
-			continue
-		case "scale", "degree", "labels", "seed":
-			if kind != "rmat" {
-				return NamespaceSpec{}, fmt.Errorf("server: namespace %q: option %q only applies to rmat sources", name, k)
-			}
-			if nerr != nil {
-				return NamespaceSpec{}, perr()
-			}
-		case "machines", "plancache", "inflight", "maxmatches", "maxbytes", "parallelism", "semijoincap":
-			if nerr != nil {
-				return NamespaceSpec{}, perr()
-			}
-		default:
+		i := slices.IndexFunc(opts, func(b bound) bool { return b.spec == k })
+		if i < 0 {
 			return NamespaceSpec{}, fmt.Errorf("server: namespace %q: unknown option %q", name, k)
 		}
-		switch k {
-		case "scale":
-			out.Scale = int(n)
-		case "degree":
-			out.Degree = int(n)
-		case "labels":
-			out.Labels = int(n)
-		case "seed":
-			out.Seed = n
-		case "machines":
-			out.Machines = int(n)
-		case "plancache":
-			out.PlanCache = int(n)
-		case "inflight":
-			out.MaxInFlight = int(n)
-		case "maxmatches":
-			out.MaxMatches = int(n)
-		case "maxbytes":
-			out.MaxBytes = n
-		case "parallelism":
-			out.Parallelism = int(n)
-		case "semijoincap":
-			out.SemijoinCap = int(n)
+		b := opts[i]
+		if b.only != "" && b.only != kind {
+			return NamespaceSpec{}, fmt.Errorf("server: namespace %q: option %q only applies to %s sources", name, k, b.only)
+		}
+		err := b.Set(v)
+		if err == nil {
+			err = b.check()
+		}
+		if err != nil {
+			return NamespaceSpec{}, fmt.Errorf("server: namespace %q: option %s=%q: %v", name, k, v, err)
 		}
 	}
 	if kind == "rmat" && out.Scale <= 0 {
 		return NamespaceSpec{}, fmt.Errorf("server: namespace %q: rmat source needs scale=N (N ≥ 1)", name)
 	}
-	if out.Machines < 1 {
-		return NamespaceSpec{}, fmt.Errorf("server: namespace %q: machines=%d < 1", name, out.Machines)
-	}
-	if out.MaxInFlight < 0 || out.MaxMatches < 0 || out.MaxBytes < 0 || out.Parallelism < 0 {
-		return NamespaceSpec{}, fmt.Errorf("server: namespace %q: negative limit override", name)
-	}
 	return out, nil
 }
 
 // SpecString renders the spec back into the textual grammar
-// ParseNamespaceSpec accepts, canonically (fixed option order). It is what
-// the durability manifest records, so a persisted namespace is re-created
-// by the exact parser the boot flags use; ParseNamespaceSpec(name,
-// spec.SpecString()) round-trips to an identical spec.
+// ParseNamespaceSpec accepts, canonically (table order). It is what the
+// durability manifest records, so a persisted namespace is re-created by
+// the exact parser the boot flags use; ParseNamespaceSpec(name,
+// spec.SpecString()) round-trips to an identical spec. A key with a parse
+// default is always written (omitting it would mean the default, not the
+// field), as are the source kind's own keys; the rest only when set.
 func (spec NamespaceSpec) SpecString() string {
-	var b strings.Builder
-	switch spec.Source {
-	case "rmat":
-		fmt.Fprintf(&b, "rmat:scale=%d,degree=%d,labels=%d,seed=%d", spec.Scale, spec.Degree, spec.Labels, spec.Seed)
-	default: // file, text
-		fmt.Fprintf(&b, "%s:%s", spec.Source, spec.Path)
+	var parts []string
+	if spec.Source != "rmat" { // file, text
+		parts = append(parts, spec.Path)
 	}
-	if spec.Relabel != "" {
-		fmt.Fprintf(&b, ",relabel=%s", spec.Relabel)
+	for _, b := range bind(specTable, &spec) {
+		if b.only != "" && b.only != spec.Source {
+			continue
+		}
+		if b.def != "" || b.only != "" || !b.f.IsZero() {
+			parts = append(parts, b.spec+"="+b.String())
+		}
 	}
-	fmt.Fprintf(&b, ",machines=%d", spec.Machines)
-	if spec.PlanCache != 0 {
-		fmt.Fprintf(&b, ",plancache=%d", spec.PlanCache)
-	}
-	if spec.MaxInFlight != 0 {
-		fmt.Fprintf(&b, ",inflight=%d", spec.MaxInFlight)
-	}
-	if spec.MaxMatches != 0 {
-		fmt.Fprintf(&b, ",maxmatches=%d", spec.MaxMatches)
-	}
-	if spec.MaxBytes != 0 {
-		fmt.Fprintf(&b, ",maxbytes=%d", spec.MaxBytes)
-	}
-	if spec.Parallelism != 0 {
-		fmt.Fprintf(&b, ",parallelism=%d", spec.Parallelism)
-	}
-	if spec.SemijoinCap != 0 {
-		fmt.Fprintf(&b, ",semijoincap=%d", spec.SemijoinCap)
-	}
-	return b.String()
+	return spec.Source + ":" + strings.Join(parts, ",")
 }
 
 // configFor folds the spec's per-tenant overrides into the server's base

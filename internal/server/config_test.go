@@ -119,7 +119,9 @@ func TestConfigValidateUpdatePipeline(t *testing.T) {
 		{UpdateFairnessWindow: -time.Second},
 		{UpdateFairnessWindow: 2 * time.Second, UpdateLockWait: time.Second}, // cutoff could never fire
 		{UpdateFairnessWindow: time.Second, UpdateLockWait: time.Second},     // ... nor at equality
-		{CheckpointEvery: -3}, // a negative cadence would never checkpoint
+		{CheckpointEvery: -3},      // a negative cadence would never checkpoint
+		{MaxRequestBytes: -1},      // http.MaxBytesReader clamps it to 0: every body would 400
+		{RetryAfter: -time.Second}, // would strip Retry-After from every 429/503
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("Validate accepted %+v", bad)
@@ -178,26 +180,85 @@ func TestParseNamespaceSpec(t *testing.T) {
 		t.Fatalf("text spec = %+v err=%v", spec, err)
 	}
 
-	for _, bad := range []struct{ name, spec string }{
-		{"bad name", "rmat:scale=10"},           // invalid name
-		{"t", "rmat"},                           // no colon
-		{"t", "zip:/g.bin"},                     // unknown kind
-		{"t", "rmat:degree=8"},                  // rmat without scale
-		{"t", "rmat:scale=0"},                   // scale must be ≥ 1
-		{"t", "rmat:scale=ten"},                 // non-integer value
-		{"t", "rmat:scale=10,flavor=hot"},       // unknown option
-		{"t", "rmat:scale=10,degree"},           // option without value
-		{"t", "rmat:scale=10,relabel=pagerank"}, // unsupported relabel mode
-		{"t", "rmat:scale=10,machines=0"},
-		{"t", "rmat:scale=10,maxbytes=-1"},
-		{"t", "file:"},                // file without path
-		{"t", "file:/g.bin,scale=10"}, // rmat-only option on a file source
-		{"t", "text:/g.txt,seed=7"},   // rmat-only option on a text source
-	} {
+	for _, bad := range badSpecs {
 		if _, err := ParseNamespaceSpec(bad.name, bad.spec); err == nil {
 			t.Errorf("ParseNamespaceSpec(%q, %q) accepted an invalid spec", bad.name, bad.spec)
 		}
 	}
+}
+
+// badSpecs are specs ParseNamespaceSpec must refuse; they also seed
+// FuzzParseNamespaceSpec.
+var badSpecs = []struct{ name, spec string }{
+	{"bad name", "rmat:scale=10"},           // invalid name
+	{"t", "rmat"},                           // no colon
+	{"t", "zip:/g.bin"},                     // unknown kind
+	{"t", "rmat:degree=8"},                  // rmat without scale
+	{"t", "rmat:scale=0"},                   // scale must be ≥ 1
+	{"t", "rmat:scale=ten"},                 // non-integer value
+	{"t", "rmat:scale=10,flavor=hot"},       // unknown option
+	{"t", "rmat:scale=10,degree"},           // option without value
+	{"t", "rmat:scale=10,relabel=pagerank"}, // unsupported relabel mode
+	{"t", "rmat:scale=10,machines=0"},
+	{"t", "rmat:scale=10,maxbytes=-1"},
+	{"t", "file:"},                           // file without path
+	{"t", "file:/g.bin,scale=10"},            // rmat-only option on a file source
+	{"t", "text:/g.txt,seed=7"},              // rmat-only option on a text source
+	{"t", "rmat:scale=10,relabel="},          // ... nor an empty one
+	{"t", "rmat:scale=10,=5"},                // option without a key
+	{"t", "rmat:scale=99999999999999999999"}, // out of range
+}
+
+// goldenSpecs maps accepted specs to their canonical SpecString bytes, which
+// manifests written by earlier builds already hold.
+var goldenSpecs = map[string]string{
+	"rmat:scale=10":                       "rmat:scale=10,degree=8,labels=16,seed=1,machines=8",
+	"rmat:scale=5,,parallelism=2,scale=6": "rmat:scale=6,degree=8,labels=16,seed=1,machines=8,parallelism=2",
+	"file:/data/g.bin":                    "file:/data/g.bin,machines=8",
+	"text:rel/graph.txt,plancache=-1":     "text:rel/graph.txt,machines=8,plancache=-1",
+	"rmat:scale=12,degree=6,labels=4,seed=9,machines=2,plancache=64,inflight=3,maxmatches=100,maxbytes=4096,relabel=degree,parallelism=2,semijoincap=-1": "rmat:scale=12,degree=6,labels=4,seed=9,relabel=degree,machines=2,plancache=64,inflight=3,maxmatches=100,maxbytes=4096,parallelism=2,semijoincap=-1",
+}
+
+// TestSpecStringGolden pins SpecString's bytes: the manifest stores them, so
+// a data dir written by an earlier build must recover to the same specs.
+func TestSpecStringGolden(t *testing.T) {
+	for spec, want := range goldenSpecs {
+		got, err := ParseNamespaceSpec("g", spec)
+		if err != nil {
+			t.Fatalf("%q: %v", spec, err)
+		}
+		if got.SpecString() != want {
+			t.Errorf("%q renders as\n %q, want\n %q", spec, got.SpecString(), want)
+		}
+	}
+	// The -graph boot path builds its spec literally, rmat fields zero.
+	boot := NamespaceSpec{Name: DefaultNamespace, Source: "file", Path: "/data/g.bin", Machines: 8, PlanCache: -1}
+	if got, want := boot.SpecString(), "file:/data/g.bin,machines=8,plancache=-1"; got != want {
+		t.Errorf("literal file spec renders as %q, want %q", got, want)
+	}
+}
+
+// FuzzParseNamespaceSpec: spec strings arrive over POST /v1/ns and are
+// persisted. The parser must never panic, and whatever it accepts must
+// survive the manifest round trip unchanged.
+func FuzzParseNamespaceSpec(f *testing.F) {
+	for _, bad := range badSpecs {
+		f.Add(bad.name, bad.spec)
+	}
+	for spec := range goldenSpecs {
+		f.Add("t", spec)
+	}
+	f.Fuzz(func(t *testing.T, name, text string) {
+		spec, err := ParseNamespaceSpec(name, text)
+		if err != nil {
+			return
+		}
+		again, err := ParseNamespaceSpec(name, spec.SpecString())
+		if err != nil || again != spec {
+			t.Fatalf("ParseNamespaceSpec(%q, %q) = %+v, but its SpecString %q re-parses to %+v, %v",
+				name, text, spec, spec.SpecString(), again, err)
+		}
+	})
 }
 
 func TestParseNamespaceFlag(t *testing.T) {
@@ -280,8 +341,8 @@ func TestConfigShardMap(t *testing.T) {
 		t.Fatalf("valid coordinator config refused: %v", err)
 	}
 	for _, bad := range []Config{
-		{ShardMap: "http://a:1,,http://b:2", ShardID: 0},            // empty entry
-		{ShardMap: "http://a:1,http://b:2", ShardID: 2},             // id past the map
+		{ShardMap: "http://a:1,,http://b:2", ShardID: 0},             // empty entry
+		{ShardMap: "http://a:1,http://b:2", ShardID: 2},              // id past the map
 		{ShardMap: "http://a:1", ShardID: -1, FollowURL: "http://l"}, // coordinator + follower
 	} {
 		if err := bad.Validate(); err == nil {

@@ -328,8 +328,7 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := newHTTPServer(t, svc)
-	root := client.New(ts.URL)
-	root.SetAdminToken(testAdminToken)
+	root := client.New(ts.URL, client.WithToken(testAdminToken))
 
 	const scrapers = 4
 	const churns = 6
@@ -390,7 +389,7 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 	// Namespace churn: create + query + drop, serially, while scrapes run.
 	for i := range churns {
 		name := fmt.Sprintf("churn%d", i)
-		if _, err := root.CreateNamespace(context.Background(), server.CreateNamespaceRequest{
+		if _, err := root.Admin().CreateNamespace(context.Background(), server.CreateNamespaceRequest{
 			Name: name, Spec: "rmat:scale=4,degree=3,labels=2,seed=7,machines=1",
 		}); err != nil {
 			t.Fatalf("create %s: %v", name, err)
@@ -400,7 +399,7 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 				t.Fatalf("query %s: %v", name, err)
 			}
 		}
-		if err := root.DropNamespace(context.Background(), name); err != nil {
+		if err := root.Admin().DropNamespace(context.Background(), name); err != nil {
 			t.Fatalf("drop %s: %v", name, err)
 		}
 	}

@@ -40,9 +40,8 @@ func TestTwoTenantIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := newHTTPServer(t, svc)
-	root := client.New(ts.URL)
 	// This test pins the raw 503 busy contract; retries would mask it.
-	root.SetUpdateRetry(0, 0)
+	root := client.New(ts.URL, client.WithRetry(0, 0))
 	ca, cb := root.Namespace("a"), root.Namespace("b")
 	tr := &http.Transport{}
 	hc := &http.Client{Transport: tr}
@@ -128,7 +127,7 @@ func TestNamespaceAdminLifecycle(t *testing.T) {
 	svc, _, c := newTestServer(t, eng, server.Config{})
 	ctx := context.Background()
 
-	info, err := c.CreateNamespace(ctx, server.CreateNamespaceRequest{
+	info, err := c.Admin().CreateNamespace(ctx, server.CreateNamespaceRequest{
 		Name: "tenant2", Spec: "rmat:scale=8,degree=8,labels=4,seed=7,machines=2,inflight=3",
 	})
 	if err != nil {
@@ -138,7 +137,7 @@ func TestNamespaceAdminLifecycle(t *testing.T) {
 		t.Fatalf("created info = %+v, want a loaded tenant2 with inflight 3", info)
 	}
 
-	list, err := c.ListNamespaces(ctx)
+	list, err := c.Admin().ListNamespaces(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +151,7 @@ func TestNamespaceAdminLifecycle(t *testing.T) {
 	}
 
 	// Duplicates conflict; bad names and bad specs are rejected up front.
-	_, err = c.CreateNamespace(ctx, server.CreateNamespaceRequest{Name: "tenant2", Spec: "rmat:scale=6"})
+	_, err = c.Admin().CreateNamespace(ctx, server.CreateNamespaceRequest{Name: "tenant2", Spec: "rmat:scale=6"})
 	if se, ok := err.(*client.StatusError); !ok || se.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate create: err = %v, want 409", err)
 	}
@@ -169,31 +168,31 @@ func TestNamespaceAdminLifecycle(t *testing.T) {
 		{Name: "ok", Spec: "rmat:scale=10,plancache=1000000"}, // beyond the runtime plan-cache cap
 		{Name: "ok", Spec: "file:/no/such/file.bin"},          // file sources disabled without a -ns-root
 	} {
-		_, err := c.CreateNamespace(ctx, req)
+		_, err := c.Admin().CreateNamespace(ctx, req)
 		if se, ok := err.(*client.StatusError); !ok || se.StatusCode != http.StatusBadRequest {
 			t.Fatalf("create %+v: err = %v, want 400", req, err)
 		}
 	}
 
-	if err := c.DropNamespace(ctx, "tenant2"); err != nil {
+	if err := c.Admin().DropNamespace(ctx, "tenant2"); err != nil {
 		t.Fatalf("drop: %v", err)
 	}
 	_, err = c.Namespace("tenant2").Query(ctx, server.QueryRequest{Pattern: "(a:L0)-(b:L1)"}, nil)
 	if se, ok := err.(*client.StatusError); !ok || se.StatusCode != http.StatusNotFound {
 		t.Fatalf("query dropped tenant: err = %v, want 404", err)
 	}
-	err = c.DropNamespace(ctx, "tenant2")
+	err = c.Admin().DropNamespace(ctx, "tenant2")
 	if se, ok := err.(*client.StatusError); !ok || se.StatusCode != http.StatusNotFound {
 		t.Fatalf("double drop: err = %v, want 404", err)
 	}
 
 	// Namespace mutations are refused during drain, like all other writes.
 	svc.BeginDrain()
-	_, err = c.CreateNamespace(ctx, server.CreateNamespaceRequest{Name: "late", Spec: "rmat:scale=6"})
+	_, err = c.Admin().CreateNamespace(ctx, server.CreateNamespaceRequest{Name: "late", Spec: "rmat:scale=6"})
 	if se, ok := err.(*client.StatusError); !ok || se.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("create while draining: err = %v, want 503", err)
 	}
-	err = c.DropNamespace(ctx, "default")
+	err = c.Admin().DropNamespace(ctx, "default")
 	if se, ok := err.(*client.StatusError); !ok || se.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("drop while draining: err = %v, want 503", err)
 	}
@@ -227,8 +226,7 @@ func TestRuntimeFileSourceConfinement(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := newHTTPServer(t, svc)
-	c := client.New(ts.URL)
-	c.SetAdminToken(testAdminToken)
+	c := client.New(ts.URL, client.WithToken(testAdminToken))
 	ctx := context.Background()
 
 	for _, spec := range []string{
@@ -236,7 +234,7 @@ func TestRuntimeFileSourceConfinement(t *testing.T) {
 		"file:" + root + "/../escape.bin",     // dot-dot escape
 		"text:" + filepath.Dir(root) + "/x.t", // sibling of the root
 	} {
-		_, err := c.CreateNamespace(ctx, server.CreateNamespaceRequest{Name: "probe", Spec: spec})
+		_, err := c.Admin().CreateNamespace(ctx, server.CreateNamespaceRequest{Name: "probe", Spec: spec})
 		se, ok := err.(*client.StatusError)
 		if !ok || se.StatusCode != http.StatusBadRequest || !strings.Contains(se.Message, "outside the namespace root") {
 			t.Fatalf("create %q: err = %v, want 400 naming the root confinement", spec, err)
@@ -252,25 +250,25 @@ func TestRuntimeFileSourceConfinement(t *testing.T) {
 	if err := os.Symlink(outside, filepath.Join(root, "sneaky.bin")); err != nil {
 		t.Skipf("symlinks unavailable: %v", err)
 	}
-	_, err = c.CreateNamespace(ctx, server.CreateNamespaceRequest{Name: "sneaky", Spec: "file:" + filepath.Join(root, "sneaky.bin")})
+	_, err = c.Admin().CreateNamespace(ctx, server.CreateNamespaceRequest{Name: "sneaky", Spec: "file:" + filepath.Join(root, "sneaky.bin")})
 	if se, ok := err.(*client.StatusError); !ok || se.StatusCode != http.StatusBadRequest || !strings.Contains(se.Message, "outside the namespace root") {
 		t.Fatalf("symlink escape: err = %v, want 400 naming the root confinement", err)
 	}
 
 	// A typo'd filename inside the root is the client's mistake (400), not
 	// a server fault.
-	_, err = c.CreateNamespace(ctx, server.CreateNamespaceRequest{Name: "typo", Spec: "file:" + filepath.Join(root, "nope.bin")})
+	_, err = c.Admin().CreateNamespace(ctx, server.CreateNamespaceRequest{Name: "typo", Spec: "file:" + filepath.Join(root, "nope.bin")})
 	if se, ok := err.(*client.StatusError); !ok || se.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing file inside root: err = %v, want 400", err)
 	}
 
 	// Runtime overrides may only tighten the operator's server-wide caps.
-	_, err = c.CreateNamespace(ctx, server.CreateNamespaceRequest{Name: "loose", Spec: "rmat:scale=8,maxmatches=200"})
+	_, err = c.Admin().CreateNamespace(ctx, server.CreateNamespaceRequest{Name: "loose", Spec: "rmat:scale=8,maxmatches=200"})
 	if se, ok := err.(*client.StatusError); !ok || se.StatusCode != http.StatusBadRequest || !strings.Contains(se.Message, "exceeds the server cap") {
 		t.Fatalf("loosening maxmatches: err = %v, want 400 naming the server cap", err)
 	}
 
-	info, err := c.CreateNamespace(ctx, server.CreateNamespaceRequest{
+	info, err := c.Admin().CreateNamespace(ctx, server.CreateNamespaceRequest{
 		Name: "filetenant", Spec: "file:" + filepath.Join(root, "g.bin") + ",machines=2",
 	})
 	if err != nil {
@@ -287,7 +285,7 @@ func TestRuntimeFileSourceConfinement(t *testing.T) {
 	if err := os.Symlink(filepath.Join(root, "g.bin"), filepath.Join(root, "alias.bin")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CreateNamespace(ctx, server.CreateNamespaceRequest{Name: "alias", Spec: "file:" + filepath.Join(root, "alias.bin")}); err != nil {
+	if _, err := c.Admin().CreateNamespace(ctx, server.CreateNamespaceRequest{Name: "alias", Spec: "file:" + filepath.Join(root, "alias.bin")}); err != nil {
 		t.Fatalf("create via in-root symlink: %v", err)
 	}
 }
@@ -306,10 +304,10 @@ func TestNamespaceAdminAuth(t *testing.T) {
 		t.Fatal(err)
 	}
 	open := client.New(newHTTPServer(t, svc).URL)
-	if _, err := open.CreateNamespace(ctx, server.CreateNamespaceRequest{Name: "t", Spec: "rmat:scale=6"}); !isStatusErr(err, http.StatusForbidden) {
+	if _, err := open.Admin().CreateNamespace(ctx, server.CreateNamespaceRequest{Name: "t", Spec: "rmat:scale=6"}); !isStatusErr(err, http.StatusForbidden) {
 		t.Fatalf("create with admin disabled: err = %v, want 403", err)
 	}
-	if err := open.DropNamespace(ctx, "default"); !isStatusErr(err, http.StatusForbidden) {
+	if err := open.Admin().DropNamespace(ctx, "default"); !isStatusErr(err, http.StatusForbidden) {
 		t.Fatalf("drop with admin disabled: err = %v, want 403", err)
 	}
 	if _, ok := svc.NamespaceInfo("default"); !ok {
@@ -318,26 +316,24 @@ func TestNamespaceAdminAuth(t *testing.T) {
 
 	// With a token: reads and tenant traffic stay open, mutation demands
 	// exactly the configured bearer token.
-	_, _, c := newTestServer(t, newEngine(t, 8, 8, 4, 2), server.Config{AdminToken: "s3cret"})
-	anon := *c // same server, no token
-	anon.SetAdminToken("")
-	if _, err := anon.ListNamespaces(ctx); err != nil {
+	_, ts, c := newTestServer(t, newEngine(t, 8, 8, 4, 2), server.Config{AdminToken: "s3cret"})
+	anon := client.New(ts.URL) // same server, no token
+	if _, err := anon.Admin().ListNamespaces(ctx); err != nil {
 		t.Fatalf("tokenless list: %v", err)
 	}
 	if _, err := anon.Query(ctx, server.QueryRequest{Pattern: "(a:L0)-(b:L1)", MaxMatches: 1}, nil); err != nil {
 		t.Fatalf("tokenless query: %v", err)
 	}
-	if _, err := anon.CreateNamespace(ctx, server.CreateNamespaceRequest{Name: "t", Spec: "rmat:scale=6"}); !isStatusErr(err, http.StatusUnauthorized) {
+	if _, err := anon.Admin().CreateNamespace(ctx, server.CreateNamespaceRequest{Name: "t", Spec: "rmat:scale=6"}); !isStatusErr(err, http.StatusUnauthorized) {
 		t.Fatalf("tokenless create: err = %v, want 401", err)
 	}
-	anon.SetAdminToken("wrong")
-	if err := anon.DropNamespace(ctx, "default"); !isStatusErr(err, http.StatusUnauthorized) {
+	if err := client.New(ts.URL, client.WithToken("wrong")).Admin().DropNamespace(ctx, "default"); !isStatusErr(err, http.StatusUnauthorized) {
 		t.Fatalf("wrong-token drop: err = %v, want 401", err)
 	}
-	if _, err := c.CreateNamespace(ctx, server.CreateNamespaceRequest{Name: "t", Spec: "rmat:scale=6"}); err != nil {
+	if _, err := c.Admin().CreateNamespace(ctx, server.CreateNamespaceRequest{Name: "t", Spec: "rmat:scale=6"}); err != nil {
 		t.Fatalf("authorized create: %v", err)
 	}
-	if err := c.DropNamespace(ctx, "t"); err != nil {
+	if err := c.Admin().DropNamespace(ctx, "t"); err != nil {
 		t.Fatalf("authorized drop: %v", err)
 	}
 }
@@ -358,7 +354,7 @@ func TestRuntimeNamespaceCeiling(t *testing.T) {
 	created := 0
 	var capErr error
 	for i := 0; i < 100; i++ { // cap is 64; 100 bounds a regression runaway
-		_, err := c.CreateNamespace(ctx, server.CreateNamespaceRequest{
+		_, err := c.Admin().CreateNamespace(ctx, server.CreateNamespaceRequest{
 			Name: fmt.Sprintf("fill%d", i), Spec: "rmat:scale=4,degree=2,labels=2,machines=1",
 		})
 		if err != nil {
@@ -372,7 +368,7 @@ func TestRuntimeNamespaceCeiling(t *testing.T) {
 		t.Fatalf("after %d creates: err = %v, want 429 at the ceiling", created, capErr)
 	}
 	// default + created == the ceiling.
-	list, err := c.ListNamespaces(ctx)
+	list, err := c.Admin().ListNamespaces(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,10 +376,10 @@ func TestRuntimeNamespaceCeiling(t *testing.T) {
 		t.Fatalf("registry holds %d namespaces after hitting the cap (created %d), want 64", len(list), created)
 	}
 	// Dropping one frees a slot.
-	if err := c.DropNamespace(ctx, "fill0"); err != nil {
+	if err := c.Admin().DropNamespace(ctx, "fill0"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CreateNamespace(ctx, server.CreateNamespaceRequest{
+	if _, err := c.Admin().CreateNamespace(ctx, server.CreateNamespaceRequest{
 		Name: "afterdrop", Spec: "rmat:scale=4,degree=2,labels=2,machines=1",
 	}); err != nil {
 		t.Fatalf("create after drop: %v", err)
@@ -505,14 +501,14 @@ func TestWriterFairnessUnderReaderSaturation(t *testing.T) {
 // is refused with 503 + Retry-After; once the stream dies the queue drains,
 // both held updates land, and stopping the pipeline leaks no goroutines.
 func TestUpdateQueueBackpressureAndDrain(t *testing.T) {
-	svc, ts, c := newTestServer(t, saturationEngine(t), server.Config{
+	svc, ts, _ := newTestServer(t, saturationEngine(t), server.Config{
 		MaxInFlight:          4,
 		UpdateQueueDepth:     1,
 		UpdateBatchMax:       1,
 		UpdateLockWait:       30 * time.Second,
 		UpdateFairnessWindow: 50 * time.Millisecond,
 	})
-	c.SetUpdateRetry(0, 0) // the 503 is the assertion, not a transient
+	c := client.New(ts.URL, client.WithRetry(0, 0)) // the 503 is the assertion, not a transient
 	ctx := context.Background()
 	tr := &http.Transport{}
 	hc := &http.Client{Transport: tr}
@@ -620,8 +616,7 @@ func TestDropWhileUpdateParkedReportsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := newHTTPServer(t, svc)
-	c := client.New(ts.URL).Namespace("x")
-	c.SetUpdateRetry(0, 0)
+	c := client.New(ts.URL, client.WithRetry(0, 0)).Namespace("x")
 	tr := &http.Transport{}
 	hc := &http.Client{Transport: tr}
 	defer tr.CloseIdleConnections()
@@ -714,7 +709,7 @@ func TestConcurrentCreateDropUnderLiveQueries(t *testing.T) {
 				// The twin churner may have won the create (409), dropped
 				// the namespace mid-query (404), or beaten us to the drop
 				// (404) — all legal outcomes; anything else is a bug.
-				_, err := c.CreateNamespace(ctx, server.CreateNamespaceRequest{
+				_, err := c.Admin().CreateNamespace(ctx, server.CreateNamespaceRequest{
 					Name: "churn", Spec: "rmat:scale=6,degree=4,labels=2,machines=2",
 				})
 				if err != nil && !isStatus(err, http.StatusConflict) {
@@ -726,7 +721,7 @@ func TestConcurrentCreateDropUnderLiveQueries(t *testing.T) {
 					errs <- fmt.Errorf("query churn: %w", err)
 					return
 				}
-				if err := c.DropNamespace(ctx, "churn"); err != nil && !isStatus(err, http.StatusNotFound) {
+				if err := c.Admin().DropNamespace(ctx, "churn"); err != nil && !isStatus(err, http.StatusNotFound) {
 					errs <- fmt.Errorf("drop churn: %w", err)
 					return
 				}
@@ -753,10 +748,10 @@ func TestConcurrentCreateDropUnderLiveQueries(t *testing.T) {
 
 	// After the churn at most the twins' last create survives; clean it up
 	// and the registry holds exactly the default namespace.
-	if err := c.DropNamespace(ctx, "churn"); err != nil && !isStatus(err, http.StatusNotFound) {
+	if err := c.Admin().DropNamespace(ctx, "churn"); err != nil && !isStatus(err, http.StatusNotFound) {
 		t.Fatal(err)
 	}
-	list, err := c.ListNamespaces(ctx)
+	list, err := c.Admin().ListNamespaces(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

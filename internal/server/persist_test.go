@@ -551,8 +551,7 @@ func TestServerCloseDrainThenClose(t *testing.T) {
 	}
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
-	root := client.New(ts.URL)
-	root.SetUpdateRetry(0, 0)
+	root := client.New(ts.URL, client.WithRetry(0, 0))
 	c := root.Namespace(durName)
 	baseline := runtime.NumGoroutine() + 8
 

@@ -48,8 +48,7 @@ func newTestServer(t testing.TB, eng *core.Engine, cfg server.Config) (*server.S
 	t.Cleanup(svc.Close) // after ts.Close (LIFO): stop update dispatchers
 	ts := httptest.NewServer(svc)
 	t.Cleanup(ts.Close)
-	c := client.New(ts.URL)
-	c.SetAdminToken(cfg.AdminToken)
+	c := client.New(ts.URL, client.WithToken(cfg.AdminToken))
 	return svc, ts, c
 }
 
@@ -589,9 +588,9 @@ func TestDeadlineExceededErrorRecord(t *testing.T) {
 // early-stopped client stream surfaces as ErrStopped.
 func TestUpdateBusyBehindStream(t *testing.T) {
 	eng := heavyEngine()
-	_, ts, c := newTestServer(t, eng, server.Config{UpdateLockWait: 50 * time.Millisecond})
+	_, ts, _ := newTestServer(t, eng, server.Config{UpdateLockWait: 50 * time.Millisecond})
 	// This test pins the raw 503 busy contract; retries would mask it.
-	c.SetUpdateRetry(0, 0)
+	c := client.New(ts.URL, client.WithRetry(0, 0))
 	tr := &http.Transport{}
 	hc := &http.Client{Transport: tr}
 	defer tr.CloseIdleConnections()
