@@ -5,11 +5,12 @@ import (
 	"time"
 )
 
-// Limits caps one query request. It is the single request-lifecycle
-// vocabulary shared by every front end — cmd/stwigql's -timeout/-max-matches
-// flags and internal/server's per-request deadline and match caps both
-// compile down to a Limits value — so the CLI and the daemon enforce
-// identical semantics through one code path.
+// Limits caps one query request. It is the request-lifecycle vocabulary the
+// front ends share: cmd/stwigql's -timeout/-max-matches flags compile down
+// to a Limits value and a StreamLimiter, and internal/server derives each
+// request's deadline from one. (The daemon's match cap is enforced by its
+// response sink, which counts records as it puts them on the wire, with the
+// same rule: the match that reaches the cap is still delivered.)
 type Limits struct {
 	// Timeout bounds the request's wall-clock time; 0 means no deadline.
 	Timeout time.Duration
@@ -63,35 +64,6 @@ func (sl *StreamLimiter) Wrap(emit func(Match) bool) func(Match) bool {
 			return false
 		}
 		return true
-	}
-}
-
-// WrapBlock adapts a MatchStreamBlocks emit the same way: a block that
-// would overshoot the cap is clipped, the clipped prefix is still
-// delivered, and the stream stops once the cap is reached. Count advances
-// by however many matches the downstream reports consumed, so a write
-// failure mid-block is accounted exactly, mirroring Wrap.
-func (sl *StreamLimiter) WrapBlock(emitBlock func([]Match) (int, bool)) func([]Match) (int, bool) {
-	return func(ms []Match) (int, bool) {
-		if sl.max > 0 {
-			if sl.n >= sl.max {
-				sl.hit = true
-				return 0, false
-			}
-			if rest := sl.max - sl.n; len(ms) > rest {
-				ms = ms[:rest]
-			}
-		}
-		n, ok := emitBlock(ms)
-		sl.n += n
-		if !ok {
-			return n, false
-		}
-		if sl.max > 0 && sl.n >= sl.max {
-			sl.hit = true
-			return n, false
-		}
-		return n, true
 	}
 }
 

@@ -305,7 +305,17 @@ func (c *Client) Query(ctx context.Context, req server.QueryRequest, onMatch fun
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	arity := 0 // every match of one query binds the same number of vertices
 	for sc.Scan() {
+		// Nearly every line is a match in the server's canonical spelling,
+		// which needs no JSON decoder; everything else does.
+		if a, ok := server.ParseMatchLine(sc.Bytes(), make([]int64, 0, arity)); ok {
+			arity = len(a)
+			if onMatch != nil && !onMatch(a) {
+				return nil, ErrStopped
+			}
+			continue
+		}
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue

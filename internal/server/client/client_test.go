@@ -7,6 +7,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -377,5 +379,51 @@ func TestSetLoggerRetryLogs(t *testing.T) {
 	}
 	if se.TraceID != "doomed-trace" {
 		t.Fatalf("StatusError.TraceID = %q, want doomed-trace", se.TraceID)
+	}
+}
+
+// TestQueryDecodesEverySpellingOfAMatch pins Query's two decode paths against
+// a scripted stream: canonical match lines take the allocation-light parser,
+// any other valid spelling (spaces, reordered keys, CRLF, an empty
+// assignment, blank lines between) falls back to encoding/json, and both
+// hand the callback a fresh slice with the same values, in order.
+func TestQueryDecodesEverySpellingOfAMatch(t *testing.T) {
+	const stream = `{"type":"match","assignment":[1,2,3]}` + "\n" +
+		`{"type":"match","assignment":[-4,9223372036854775807,0]}` + "\n" +
+		"\n" +
+		`{ "type": "match", "assignment": [5, 6, 7] }` + "\n" +
+		`{"assignment":[8,9,10],"type":"match"}` + "\r\n" +
+		`{"type":"match","assignment":[11,12,13]}` + "\r\n" +
+		`{"type":"match"}` + "\n" +
+		`{"type":"stats","stats":{"matches":6,"plan_cache_hit":true}}` + "\n"
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(stream))
+	}))
+	defer ts.Close()
+	var got [][]int64
+	stats, err := client.New(ts.URL).Query(context.Background(), server.QueryRequest{Pattern: "(a:x)-(b:y)"}, func(a []int64) bool {
+		got = append(got, a) // kept: each callback must own its slice
+		return true
+	})
+	if err != nil || stats == nil || stats.Matches != 6 {
+		t.Fatalf("stats = %+v, err = %v; want the trailer with 6 matches", stats, err)
+	}
+	want := [][]int64{{1, 2, 3}, {-4, 9223372036854775807, 0}, {5, 6, 7}, {8, 9, 10}, {11, 12, 13}, nil}
+	if len(got) != len(want) {
+		t.Fatalf("callback saw %d matches, want %d: %v", len(got), len(want), got)
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Errorf("match %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+
+	// A line that is no record at all still fails the stream loudly.
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"type":"match","assignment":[1,2,` + "\n"))
+	}))
+	defer bad.Close()
+	if _, err := client.New(bad.URL).Query(context.Background(), server.QueryRequest{Pattern: "(a:x)-(b:y)"}, nil); err == nil || !strings.Contains(err.Error(), "bad stream record") {
+		t.Fatalf("truncated match line: err = %v, want a bad stream record", err)
 	}
 }

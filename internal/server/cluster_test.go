@@ -80,6 +80,19 @@ func (tc *testCluster) tracesSeen(i int) map[string]bool {
 // the cluster wiring is filled in.
 func newTestCluster(t *testing.T, nShards int, tune ...func(role int, cfg *server.Config)) *testCluster {
 	t.Helper()
+	return newTestClusterOn(t, nShards, func() *core.Engine {
+		cluster := memcloud.MustNewCluster(memcloud.Config{Machines: 2})
+		if err := cluster.LoadGraph(rmat.MustGenerate(clusterParams)); err != nil {
+			t.Fatal(err)
+		}
+		return core.NewEngine(cluster, core.Options{})
+	}, tune...)
+}
+
+// newTestClusterOn is newTestCluster with each shard's replica built by
+// engine.
+func newTestClusterOn(t *testing.T, nShards int, engine func() *core.Engine, tune ...func(role int, cfg *server.Config)) *testCluster {
+	t.Helper()
 	tc := &testCluster{
 		handlers:    make([]http.Handler, nShards),
 		shardTraces: make([]map[string]bool, nShards),
@@ -115,16 +128,11 @@ func newTestCluster(t *testing.T, nShards int, tune ...func(role int, cfg *serve
 	shardMap := strings.Join(tc.shardURLs, ",")
 
 	for i := 0; i < nShards; i++ {
-		g := rmat.MustGenerate(clusterParams)
-		cluster := memcloud.MustNewCluster(memcloud.Config{Machines: 2})
-		if err := cluster.LoadGraph(g); err != nil {
-			t.Fatal(err)
-		}
 		cfg := server.Config{ShardMap: shardMap, ShardID: i, AdminToken: testAdminToken}
 		for _, fn := range tune {
 			fn(i, &cfg)
 		}
-		svc, err := server.New(core.NewEngine(cluster, core.Options{}), cfg)
+		svc, err := server.New(engine(), cfg)
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
@@ -476,6 +484,117 @@ func TestClusterLegClientErrorRelay(t *testing.T) {
 			t.Fatalf("shard %d booked %d leg errors for a 404 refusal", i, sh.Errors)
 		}
 	}
+}
+
+// TestClusterRelaysRetryHint pins that a shard's 429 keeps its retry hint on
+// the way through a coordinator: with every shard's one admission slot held
+// by a stream whose client has stopped reading, a second query draws 429
+// overloaded with Retry-After and retry_after_ms — wire.go's contract for
+// that code — and the refusal is not booked as a leg error.
+func TestClusterRelaysRetryHint(t *testing.T) {
+	tc := newTestClusterOn(t, 2, heavyEngine, func(role int, cfg *server.Config) {
+		if role != coordinatorRole {
+			cfg.MaxInFlight = 1
+		}
+	})
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	// The first record reaches this client only after both legs were
+	// admitted (the leg handshake), so both slots are provably taken.
+	cancel, typ := startStream(t, tc.coordURL+"/v1", &http.Client{Transport: tr})
+	defer cancel()
+	if typ != server.RecordMatch {
+		t.Fatalf("pinned stream's first record is %q, want a match", typ)
+	}
+
+	resp, err := http.Post(tc.coordURL+"/v1/query", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"pattern": %q}`, heavyPattern)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	retryAfter := resp.Header.Get("Retry-After")
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("second query: status %d, want 429", resp.StatusCode)
+	}
+	env := decodeEnvelope(t, "second query", resp)
+	if env.Code != server.CodeOverloaded || env.RetryAfterMS <= 0 || retryAfter == "" {
+		t.Fatalf("relayed refusal: code %q, retry_after_ms %d, Retry-After %q; want %s with both hints",
+			env.Code, env.RetryAfterMS, retryAfter, server.CodeOverloaded)
+	}
+	st, err := client.New(tc.coordURL).Stats(context.Background())
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	for i, sh := range st.Cluster.Shards {
+		if sh.Errors != 0 {
+			t.Fatalf("shard %d booked %d leg errors for a 429 refusal", i, sh.Errors)
+		}
+	}
+}
+
+// TestClusterConcurrentClients hammers the mutex-shared sink path: many
+// clients at once against a 3-shard coordinator, each query's three legs
+// forwarding into one response, capped and uncapped. Every answer must be
+// whole and exact; run it under -race -count=10.
+func TestClusterConcurrentClients(t *testing.T) {
+	// A graph whose answers run to thousands of matches, so every leg sends
+	// several blocks and the legs really interleave on the sink.
+	tc := newTestClusterOn(t, 3, func() *core.Engine { return newEngine(t, 11, 8, 2, 4) })
+	c := client.New(tc.coordURL)
+	patterns := []string{"(a:L0)-(b:L1)", "(a:L0)-(b:L0)", "(a:L1)-(b:L1)"}
+	want := make([]map[string]bool, len(patterns))
+	for i, p := range patterns {
+		if want[i] = serverSet(t, client.New(tc.shardURLs[0]), p); len(want[i]) < 1000 {
+			t.Fatalf("%s: only %d matches; the legs would send a block each", p, len(want[i]))
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 6; round++ {
+				i := (w + round) % len(patterns)
+				cap := 0
+				if round%3 == 2 {
+					cap = 100 * (1 + w)
+				}
+				got := map[string]bool{}
+				stats, err := c.Query(context.Background(), server.QueryRequest{Pattern: patterns[i], MaxMatches: cap},
+					func(a []int64) bool { got[assignmentKey64(a)] = true; return true })
+				if err != nil {
+					t.Errorf("worker %d round %d: %v", w, round, err)
+					return
+				}
+				legSum := 0
+				for _, leg := range stats.Shards {
+					legSum += leg.Matches
+				}
+				if stats.Matches != len(got) || legSum != len(got) {
+					t.Errorf("worker %d round %d: trailer counts %d, legs sum to %d, %d distinct matches arrived", w, round, stats.Matches, legSum, len(got))
+				}
+				if cap > 0 {
+					if len(got) != cap || !stats.LimitHit {
+						t.Errorf("worker %d round %d: %d matches under max_matches=%d (limit_hit=%v)", w, round, len(got), cap, stats.LimitHit)
+					}
+					for k := range got {
+						if !want[i][k] {
+							t.Errorf("worker %d round %d: match [%s] is not in the full answer", w, round, k)
+						}
+					}
+				} else if len(got) != len(want[i]) {
+					t.Errorf("worker %d round %d: %d matches, want %d", w, round, len(got), len(want[i]))
+				} else {
+					for k := range want[i] {
+						if !got[k] {
+							t.Errorf("worker %d round %d: match [%s] missing", w, round, k)
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestClusterShardSelectorPinnedN pins that a selector's N overrides the

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -32,21 +31,25 @@ import (
 // VF2/Ullmann cross-check holds over the wire.
 //
 // Queries fan out scatter-gather: one HTTP leg per shard, each carrying the
-// request's trace ID in X-Stwig-Trace, re-batched into blocks at the
-// coordinator with the match and byte caps enforced globally there (a
-// per-leg cap would let K×cap records through). Updates broadcast to every
-// shard — all replicas must converge — and the owning shard's
-// acknowledgement is the one returned to the client. Any leg failure
-// degrades loudly: the response is a shard_unavailable envelope (or
-// mid-stream error record) naming the dead shard, never a silently partial
-// match set.
-
-// coordMergeBlock is how many merged matches the coordinator buffers before
-// flushing one NDJSON block to the client.
-const coordMergeBlock = 64
+// request's trace ID in X-Stwig-Trace. A shard encodes a match once; from
+// there it is bytes. Each leg checks the lines it reads against the canonical
+// match-line spelling without parsing them and forwards whole blocks of them
+// straight into the client's stream, under one mutex the legs share — only a
+// leg's terminal record (and a line in any other spelling) is ever decoded.
+// The match and byte caps are enforced globally on the forwarded bytes, at a
+// line boundary (a per-leg cap would let K×cap records through). Nothing
+// reaches the client until every leg has answered with response headers —
+// a shard sends them the moment the request is admitted — so a shard that is
+// down, refusing or 5xx when the query starts always costs the client a
+// status-coded envelope; one that fails after that handshake ends the stream
+// with an error record. Either way any leg failure degrades loudly, as
+// shard_unavailable naming the dead shard, never as a silently partial match
+// set. Updates broadcast to every shard — all replicas must converge — and
+// the owning shard's acknowledgement is the one returned to the client.
 
 // coordMaxLine bounds one NDJSON line read off a shard leg (mirrors the Go
-// client's scanner cap).
+// client's scanner cap); a leg's read buffer grows past blockBufSize only to
+// hold one line longer than that.
 const coordMaxLine = 16 << 20
 
 // shardLeg is one shard's slot in the coordinator: its address plus the
@@ -108,8 +111,14 @@ func newCoordinator(s *Server) *coordinator {
 		legs[i] = &shardLeg{id: i, url: u}
 	}
 	// Per-request deadlines come from each request's context; the transport
-	// keeps per-shard connections pooled across requests.
-	return &coordinator{s: s, legs: legs, hc: &http.Client{}}
+	// keeps per-shard connections pooled across requests. Every query in
+	// flight holds one connection to each shard, so the idle pool is sized
+	// to the in-flight limit — http.DefaultTransport's two per host would
+	// dial and tear down a connection per leg beyond the second.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = s.cfg.MaxInFlight
+	tr.MaxIdleConns = s.cfg.MaxInFlight * len(legs)
+	return &coordinator{s: s, legs: legs, hc: &http.Client{Transport: tr}}
 }
 
 // info snapshots the per-leg counters for /stats.
@@ -142,31 +151,83 @@ func (l *shardLeg) unavailable(err error) error {
 
 // ---- scatter-gather query ----
 
-// legMsg is one event off a fan-out leg: a match record, or (exclusively)
-// the leg's terminal result.
-type legMsg struct {
-	assignment []int64
-	done       *legQueryResult
-}
-
 type legQueryResult struct {
 	leg     *shardLeg
-	matches int
-	bytes   int64
+	matches int   // this leg's records that reached the client's stream
+	bytes   int64 // read off the leg's response body
 	elapsed time.Duration
 	stats   *StreamStats // the leg's own trailer, nil if it never arrived
 	// err is the leg's failure. A deterministic client-level 4xx (unknown
 	// namespace, read-only, overloaded, ...) is an *apiError: every shard
-	// answers those the same, so it is relayed as-is — status, code and
-	// message — not dressed up as a shard_unavailable failure.
+	// answers those the same, so it is relayed as-is — status, code,
+	// message and retry hint — not dressed up as a shard_unavailable
+	// failure.
 	err error
+}
+
+// fanout is what one query's legs share: the client's sink, and how the
+// fan-out ended early if it did. mu serializes the legs over both — the
+// shape of the engine's emitMu over machine goroutines — so a block is
+// forwarded whole and nothing is forwarded once the outcome is decided.
+type fanout struct {
+	mu   sync.Mutex
+	sink *streamWriter
+	// failed is the first leg to fail while the answer was still open: the
+	// response degrades to its error, since a partial merge would be a wrong
+	// answer. full reports the sink declined more (a global cap tripped): the
+	// answer is complete, and whatever the other legs report after that is
+	// not a failure. Either one cancels every leg.
+	failed *legQueryResult
+	full   bool
+	cancel context.CancelFunc
+	// handshake releases the legs to forward once each of them has answered
+	// with response headers or failed.
+	handshake sync.WaitGroup
+}
+
+// fail books a leg's failure. Once the legs' context has ended — a sibling
+// failed, a cap was satisfied, the client left — whatever a leg trips over
+// is reported as that context error, which nobody blames on the shard; a
+// refusal to relay stays what it is.
+func (f *fanout) fail(ctx context.Context, res *legQueryResult, err error) {
+	var refusal *apiError
+	if ctx.Err() != nil && !errors.As(err, &refusal) {
+		err = ctx.Err()
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	res.err = err
+	if f.failed == nil && !f.full {
+		f.failed = res
+		f.cancel()
+	}
+}
+
+// forward hands the sink one block of a leg's canonical match lines. Once
+// the fan-out is decided — by this block or before it — the leg is told to
+// stop the way its cancelled context would.
+func (f *fanout) forward(res *legQueryResult, block []byte) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.failed != nil || f.full {
+		return context.Canceled
+	}
+	taken, ok := f.sink.writeLines(block)
+	res.matches += taken
+	if !ok {
+		f.full = true
+		f.cancel() // the caps are satisfied; stop the shards' work
+		return context.Canceled
+	}
+	return nil
 }
 
 func (c *coordinator) limits() *Config { return &c.s.cfg }
 
-// streamMatches is the remote match source: one leg per shard, merged into
-// the client's stream under the request's global caps.
-func (c *coordinator) streamMatches(ctx context.Context, rq *request, req QueryRequest, _ *core.Query, emit blockEmit, trailer *StreamStats) *apiError {
+// streamMatches is the remote match source: one leg per shard, each
+// forwarding its shard's encoded lines into the client's stream under the
+// request's global caps.
+func (c *coordinator) streamMatches(ctx context.Context, rq *request, req QueryRequest, _ *core.Query, sink *streamWriter, trailer *StreamStats) *apiError {
 	start := time.Now()
 	// Snapshot the namespace's vertex count once and pin it into every
 	// leg's selector: while an add_node broadcast is in flight the shards'
@@ -177,83 +238,38 @@ func (c *coordinator) streamMatches(ctx context.Context, rq *request, req QueryR
 	// each shard's local count — the pre-existing best-effort behavior.
 	partN := c.nodeCount(ctx, rq.r, rq.namespace)
 
-	// Fan out one leg per shard. Legs push match records and their terminal
-	// result into one channel; the merge loop below is the only caller of
-	// emit, which enforces the global caps.
 	legCtx, legCancel := context.WithCancel(ctx)
 	defer legCancel()
-	msgs := make(chan legMsg, coordMergeBlock)
+	f := &fanout{sink: sink, cancel: legCancel}
+	f.handshake.Add(len(c.legs))
+	results := make([]*legQueryResult, len(c.legs))
 	var wg sync.WaitGroup
-	for _, leg := range c.legs {
+	for i, leg := range c.legs {
 		legReq := req
 		legReq.Shard = &ShardSelector{Index: leg.id, Count: len(c.legs), N: partN}
+		res := &legQueryResult{leg: leg}
+		results[i] = res
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res := c.queryLeg(legCtx, leg, rq.r, rq.namespace, legReq, msgs)
+			c.queryLeg(legCtx, f, res, rq.r, rq.namespace, legReq)
 			// 4xx refusals and context cancellation are not shard failures;
 			// only transport errors and 5xx count against the leg.
 			var refusal *apiError
 			leg.record(res.bytes, res.elapsed,
 				res.err != nil && !errors.As(res.err, &refusal) && !errors.Is(res.err, context.Canceled))
-			msgs <- legMsg{done: res}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(msgs)
-	}()
-
-	// Merge: re-batch the interleaved leg records into blocks. Stop feeding
-	// the client the moment a global cap trips or any leg fails, but keep
-	// draining the channel so every leg goroutine can finish and report.
-	block := make([]core.Match, 0, coordMergeBlock)
-	flush := func() bool {
-		if len(block) == 0 {
-			return true
-		}
-		_, ok := emit(block)
-		block = block[:0]
-		return ok
-	}
-	results := make([]*legQueryResult, len(c.legs)) // every leg reports exactly once
-	var failed *legQueryResult
-	capped := false
-	for msg := range msgs {
-		if msg.done != nil {
-			results[msg.done.leg.id] = msg.done
-			if msg.done.err != nil && failed == nil && !capped {
-				failed = msg.done
-				legCancel() // degrade: a partial merge would be a wrong answer
-			}
-			continue
-		}
-		if failed != nil || capped {
-			continue
-		}
-		ids := make([]graph.NodeID, len(msg.assignment))
-		for i, v := range msg.assignment {
-			ids[i] = graph.NodeID(v)
-		}
-		block = append(block, core.Match{Assignment: ids})
-		if len(block) >= coordMergeBlock && !flush() {
-			capped = true
-			legCancel() // the caps are satisfied; stop the shards' work
-		}
-	}
-	if failed == nil && !capped && !flush() {
-		capped = true
-	}
+	wg.Wait()
 	rq.exec = time.Since(start)
 
-	if failed != nil {
+	if failed := f.failed; failed != nil {
 		// A refusal is relayed untranslated — IsNotFound and friends keep
 		// working, and it is not booked as a shard failure; anything else
 		// that is not the request's own context ending names the dead shard.
 		return errFrom(failed.leg.unavailable(failed.err), http.StatusBadGateway, CodeShardUnavailable)
 	}
 
-	trailer.Truncated = capped
 	trailer.Shards = make([]ShardLegStats, len(results))
 	var elapsedMax time.Duration
 	planCacheHit := true
@@ -286,82 +302,152 @@ func (c *coordinator) streamMatches(ctx context.Context, rq *request, req QueryR
 	return nil
 }
 
-// queryLeg runs one shard's query leg: POST the shard-scoped request,
-// stream its NDJSON records into msgs, and return the leg summary. A
-// cancelled context (cap satisfied, sibling failure, client gone) surfaces
-// as a context error, which the merge loop knows not to blame on the shard.
-func (c *coordinator) queryLeg(ctx context.Context, leg *shardLeg, r *http.Request, ns string, req QueryRequest, msgs chan<- legMsg) *legQueryResult {
-	res := &legQueryResult{leg: leg}
+// queryLeg runs one shard's query leg into res: POST the shard-scoped
+// request, meet the other legs at the handshake, then forward the response's
+// records until its terminal one.
+func (c *coordinator) queryLeg(ctx context.Context, f *fanout, res *legQueryResult, r *http.Request, ns string, req QueryRequest) {
 	start := time.Now()
 	defer func() { res.elapsed = time.Since(start) }()
-	fail := func(err error) *legQueryResult {
-		if ctx.Err() != nil {
-			err = ctx.Err()
-		}
-		res.err = err
-		return res
+	resp, err := c.openLeg(ctx, res.leg, r, ns, req)
+	if err != nil {
+		f.fail(ctx, res, err)
 	}
+	// The leg handshake: no leg forwards a byte until every leg has answered
+	// or failed, so a shard that was never going to answer is reported by
+	// status — there is no first block to lose a race against.
+	f.handshake.Done()
+	if err != nil {
+		return
+	}
+	defer resp.Body.Close()
+	f.handshake.Wait()
+	if err := forwardLeg(f, res, resp.Body); err != nil {
+		f.fail(ctx, res, err)
+	}
+}
 
+// openLeg sends one leg's request and returns its 200 response. A 4xx comes
+// back as the *apiError to relay — a client-level refusal, not a dead shard.
+func (c *coordinator) openLeg(ctx context.Context, leg *shardLeg, r *http.Request, ns string, req QueryRequest) (*http.Response, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	resp, err := c.do(ctx, r, http.MethodPost, leg.url+tenantPath(ns, "/query"), body)
 	if err != nil {
-		return fail(err)
+		return nil, err
+	}
+	if resp.StatusCode == http.StatusOK {
+		return resp, nil
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			// A client-level refusal, not a dead shard: relay it.
-			raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			refusal := errCode(resp.StatusCode, CodeBadRequest, strings.TrimSpace(string(raw)))
-			var env ErrorResponse
-			if json.Unmarshal(raw, &env) == nil && env.Error != "" {
-				refusal.msg = env.Error
-				if env.Code != "" {
-					refusal.code = env.Code
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+		return nil, fmt.Errorf("leg status %d: %s", resp.StatusCode, readEnvelopeError(resp))
+	}
+	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+	refusal := errCode(resp.StatusCode, CodeBadRequest, strings.TrimSpace(string(raw)))
+	var env ErrorResponse
+	if json.Unmarshal(raw, &env) == nil && env.Error != "" {
+		refusal.msg = env.Error
+		if env.Code != "" {
+			refusal.code = env.Code
+		}
+		refusal.retryAfter = time.Duration(env.RetryAfterMS) * time.Millisecond
+	}
+	return nil, refusal
+}
+
+// forwardLeg reads one leg's NDJSON body in chunks and moves it into the
+// client's stream line by whole line. It returns nil once the leg's stats
+// trailer has arrived.
+func forwardLeg(f *fanout, res *legQueryResult, body io.Reader) error {
+	bp := blockPool.Get().(*[]byte)
+	defer putBlock(bp)
+	buf := (*bp)[:cap(*bp)]
+	n := 0 // buf[:n] is the start of a line still arriving
+	for {
+		m, readErr := body.Read(buf[n:])
+		res.bytes += int64(m)
+		// Whatever precedes the last newline this read brought is whole lines.
+		nl := bytes.LastIndexByte(buf[n:n+m], '\n')
+		n += m
+		if whole := n - m + nl + 1; nl >= 0 {
+			if terminal, err := forwardLines(f, res, buf[:whole]); terminal || err != nil {
+				if terminal && readErr == nil {
+					// The trailer is in. Reading on to the body's end — all
+					// that is left of it — lets the transport keep this
+					// connection for the next query instead of closing it.
+					_, _ = body.Read(buf)
+				}
+				return err
+			}
+			n = copy(buf, buf[whole:n])
+		}
+		switch {
+		case readErr == io.EOF:
+			if n > 0 { // a last line that ends without a newline
+				if terminal, err := forwardRecord(f, res, buf[:n]); terminal || err != nil {
+					return err
 				}
 			}
-			res.err = refusal
-			return res
+			return io.ErrUnexpectedEOF // the stream ended without a terminal record
+		case readErr != nil:
+			return readErr
+		case n < len(buf):
+		case n >= coordMaxLine:
+			return fmt.Errorf("bad stream record: a line longer than %d bytes", coordMaxLine)
+		default: // one line fills the whole buffer: grow it to fit
+			*bp = make([]byte, min(2*n, coordMaxLine))
+			copy(*bp, buf)
+			buf = *bp
 		}
-		return fail(fmt.Errorf("leg status %d: %s", resp.StatusCode, readEnvelopeError(resp)))
 	}
+}
 
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), coordMaxLine)
-	for sc.Scan() {
-		line := sc.Bytes()
-		res.bytes += int64(len(line)) + 1
-		if len(bytes.TrimSpace(line)) == 0 {
+// forwardLines moves whole lines into the client's stream: every run of
+// canonical match lines goes to the sink as one opaque block, and only a
+// line that is not one is decoded.
+func forwardLines(f *fanout, res *legQueryResult, lines []byte) (terminal bool, err error) {
+	for len(lines) > 0 {
+		if run := matchLinesLen(lines); run > 0 {
+			if err := f.forward(res, lines[:run]); err != nil {
+				return false, err
+			}
+			lines = lines[run:]
 			continue
 		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return fail(fmt.Errorf("bad stream record: %w", err))
+		end := bytes.IndexByte(lines, '\n')
+		if terminal, err := forwardRecord(f, res, lines[:end]); terminal || err != nil {
+			return terminal, err
 		}
-		switch rec.Type {
-		case RecordMatch:
-			res.matches++
-			select {
-			case msgs <- legMsg{assignment: rec.Assignment}:
-			case <-ctx.Done():
-				return fail(ctx.Err())
-			}
-		case RecordStats:
-			res.stats = rec.Stats
-			return res
-		case RecordError:
-			return fail(fmt.Errorf("%s (%s)", rec.Error, rec.Code))
-		default:
-			return fail(fmt.Errorf("unknown stream record type %q", rec.Type))
-		}
+		lines = lines[end+1:]
 	}
-	if err := sc.Err(); err != nil {
-		return fail(err)
+	return false, nil
+}
+
+// forwardRecord decodes one line that is not a canonical match line: a
+// blank is skipped, the stats trailer ends the leg (terminal), a match in
+// another spelling is re-encoded, and an error record or anything else fails
+// the leg.
+func forwardRecord(f *fanout, res *legQueryResult, line []byte) (terminal bool, err error) {
+	if len(bytes.TrimSpace(line)) == 0 {
+		return false, nil
 	}
-	return fail(io.ErrUnexpectedEOF) // stream ended without a terminal record
+	var rec Record
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return false, fmt.Errorf("bad stream record: %w", err)
+	}
+	switch rec.Type {
+	case RecordMatch:
+		return false, f.forward(res, appendMatchLine(nil, rec.Assignment))
+	case RecordStats:
+		res.stats = rec.Stats
+		return true, nil
+	case RecordError:
+		return false, fmt.Errorf("%s (%s)", rec.Error, rec.Code)
+	default:
+		return false, fmt.Errorf("unknown stream record type %q", rec.Type)
+	}
 }
 
 // ---- broadcast updates and proxied admin ----

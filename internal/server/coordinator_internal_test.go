@@ -1,13 +1,21 @@
 // Unit tests for coordinator internals that the in-process cluster harness
-// cannot reach deterministically: the node-count cache's zero discipline and
-// the server-side deadline on leg calls.
+// cannot reach deterministically: the node-count cache's zero discipline,
+// the server-side deadline on leg calls, and — against fake shards that
+// misbehave on cue — the leg reader, the leg handshake, the legs' connection
+// pool and the query path's allocation count.
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -90,5 +98,322 @@ func TestCoordinatorLegDeadline(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("leg call took %v despite the 50ms deadline", elapsed)
+	}
+}
+
+// fakeLeg serves one fake shard's /query leg.
+type fakeLeg func(w http.ResponseWriter, flush func())
+
+// newFakeCluster boots a real coordinator, behind a real listener, over fake
+// shards: each answers /stats with a fixed vertex count and hands its /query
+// leg to legs[i]. connState, when set, observes the shards' connections.
+func newFakeCluster(t *testing.T, connState func(net.Conn, http.ConnState), legs ...fakeLeg) (coordURL string) {
+	t.Helper()
+	urls := make([]string, len(legs))
+	for i, leg := range legs {
+		ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/stats") {
+				_ = json.NewEncoder(w).Encode(StatsResponse{Namespace: DefaultNamespace, Graph: GraphInfo{Nodes: 1000}})
+				return
+			}
+			_, _ = io.Copy(io.Discard, r.Body)
+			leg(w, w.(http.Flusher).Flush)
+		}))
+		ts.Config.ConnState = connState
+		ts.Start()
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	coord, err := NewMulti(Config{ShardMap: strings.Join(urls, ","), ShardID: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	cts := httptest.NewServer(coord)
+	t.Cleanup(cts.Close)
+	return cts.URL
+}
+
+// postQuery sends one query to a coordinator and returns the reply whole.
+func postQuery(t testing.TB, coordURL string) (status int, body []byte) {
+	t.Helper()
+	resp, err := http.Post(coordURL+"/v1/query", "application/json", strings.NewReader(`{"pattern":"(a:L0)-(b:L1)"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err = io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading the coordinator's reply: %v", err)
+	}
+	return resp.StatusCode, body
+}
+
+const legTrailer = `{"type":"stats","stats":{"matches":0,"plan_cache_hit":true,"plan_us":1,"explore_us":1,"join_us":1,"elapsed_us":3,"net_messages":0,"net_bytes":0}}` + "\n"
+
+// emptyLeg is a healthy shard that owns none of the matches.
+func emptyLeg(w http.ResponseWriter, flush func()) { _, _ = io.WriteString(w, legTrailer) }
+
+// chunkReader hands out its chunks one Read at a time, so a test decides
+// exactly where the leg reader's reads split the stream.
+type chunkReader struct{ chunks []string }
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.chunks[0])
+	if r.chunks[0] = r.chunks[0][n:]; r.chunks[0] == "" {
+		r.chunks = r.chunks[1:]
+	}
+	return n, nil
+}
+
+// splitEvery cuts s into pieces of n bytes.
+func splitEvery(s string, n int) []string {
+	var out []string
+	for ; len(s) > n; s = s[n:] {
+		out = append(out, s[:n])
+	}
+	return append(out, s)
+}
+
+// TestLegReaderAdversarialChunking feeds the leg reader streams cut in the
+// worst places and spelled in the oddest legal ways. Whatever the chunking,
+// the client must get exactly the canonical lines, in order, counted right —
+// or a loud shard_unavailable. Every case runs twice: against forwardLeg
+// directly, where the chunk boundaries are exactly the ones written down, and
+// end to end through a coordinator whose shard 0 writes and flushes the same
+// chunks.
+func TestLegReaderAdversarialChunking(t *testing.T) {
+	line := func(ids ...int) string {
+		parts := make([]string, len(ids))
+		for i, id := range ids {
+			parts[i] = fmt.Sprint(id)
+		}
+		return `{"type":"match","assignment":[` + strings.Join(parts, ",") + "]}\n"
+	}
+	three := line(1, 2) + line(30, 4) + line(5, 600)
+	longIDs := make([]int, 9000) // one canonical line of ~50 KB: longer than the read buffer
+	for i := range longIDs {
+		longIDs[i] = 10000 + i
+	}
+	long := line(longIDs...)
+	if len(long) <= blockBufSize {
+		t.Fatalf("the long line is %d bytes, not longer than the %d-byte read buffer", len(long), blockBufSize)
+	}
+	cases := []struct {
+		name    string
+		chunks  []string
+		want    string // the match lines the client must receive
+		wantErr string // or: the failure's message must contain this
+	}{
+		{"one-byte writes", splitEvery(three+legTrailer, 1), three, ""},
+		{"split mid-line", []string{three[:len(line(1, 2))+9], three[len(line(1, 2))+9:] + legTrailer}, three, ""},
+		{"split between the newline and the next line", []string{line(1, 2), line(30, 4), line(5, 600), legTrailer}, three, ""},
+		{"terminal record in the same chunk as matches", []string{three + legTrailer}, three, ""},
+		{"bytes after the terminal record", []string{three + legTrailer + "trailing junk\n"}, three, ""},
+		{"blank lines", []string{"\n" + line(1, 2) + "\n  \n" + line(30, 4), "\n", line(5, 600) + legTrailer}, three, ""},
+		{"a match line spelled with spaces", []string{line(1, 2) + `{ "type": "match", "assignment": [30, 4] }` + "\n" + line(5, 600) + legTrailer}, three, ""},
+		{"a match line with reordered keys, split", []string{line(1, 2) + `{"assignment":[30,`, `4],"type":"match"}` + "\n" + line(5, 600) + legTrailer}, three, ""},
+		{"a trailer without its newline", []string{three + strings.TrimSuffix(legTrailer, "\n")}, three, ""},
+		{"a line longer than the read buffer", append(splitEvery(line(1, 2)+long+line(30, 4), 7000), legTrailer), line(1, 2) + long + line(30, 4), ""},
+		{"no matches at all", []string{legTrailer}, "", ""},
+		{"a garbage line first", []string{"garbage\n" + three + legTrailer}, "", "bad stream record"},
+		{"a garbage line after matches", []string{three, "{\"type\":\"match\",\"assignment\":[1,\n" + legTrailer}, "", "bad stream record"},
+		{"an unknown record type", []string{three + `{"type":"progress"}` + "\n" + legTrailer}, "", `unknown stream record type "progress"`},
+		{"an error record", []string{three + `{"type":"error","error":"engine on fire","code":"internal"}` + "\n"}, "", "engine on fire (internal)"},
+		{"EOF without a terminal record", []string{three}, "", "unexpected EOF"},
+		{"EOF mid-line", []string{three + legTrailer[:20]}, "", "bad stream record"},
+	}
+	for _, c := range cases {
+		t.Run(c.name+"/reader", func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			f := &fanout{sink: newStreamWriter(&statusWriter{ResponseWriter: rec}, 0, 0), cancel: func() {}}
+			res := &legQueryResult{}
+			err := forwardLeg(f, res, &chunkReader{chunks: append([]string(nil), c.chunks...)})
+			if c.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+					t.Fatalf("err = %v, want one containing %q", err, c.wantErr)
+				}
+				return
+			}
+			if err != nil || res.stats == nil {
+				t.Fatalf("err = %v, leg trailer %v; want a clean leg", err, res.stats)
+			}
+			if got := rec.Body.String(); got != c.want {
+				t.Fatalf("forwarded %d bytes, want %d:\n got %.200q\nwant %.200q", len(got), len(c.want), got, c.want)
+			}
+			if want := strings.Count(c.want, "\n"); res.matches != want || f.sink.matches != want {
+				t.Fatalf("leg counts %d matches, sink %d, want %d", res.matches, f.sink.matches, want)
+			}
+		})
+		t.Run(c.name+"/cluster", func(t *testing.T) {
+			coordURL := newFakeCluster(t, nil, func(w http.ResponseWriter, flush func()) {
+				for _, chunk := range c.chunks {
+					_, _ = io.WriteString(w, chunk)
+					flush()
+				}
+			}, emptyLeg)
+			status, body := postQuery(t, coordURL)
+			lines := bytes.SplitAfter(body, []byte("\n"))
+			last := lines[max(len(lines)-2, 0)] // SplitAfter leaves an empty tail
+			if c.wantErr != "" {
+				// Status-coded if the leg failed before anything was
+				// forwarded, an error record after: loud either way.
+				var msg, code string
+				if status == http.StatusOK {
+					var rec Record
+					if err := json.Unmarshal(last, &rec); err != nil || rec.Type != RecordError {
+						t.Fatalf("a failed leg ended the stream with %q", last)
+					}
+					msg, code = rec.Error, rec.Code
+				} else {
+					var env ErrorResponse
+					if err := json.Unmarshal(body, &env); err != nil || status != http.StatusBadGateway {
+						t.Fatalf("a failed leg drew status %d, body %q", status, body)
+					}
+					msg, code = env.Error, env.Code
+				}
+				if code != CodeShardUnavailable || !strings.Contains(msg, "shard 0") || !strings.Contains(msg, c.wantErr) {
+					t.Fatalf("failure is %q (%s), want %s naming shard 0 and %q", msg, code, CodeShardUnavailable, c.wantErr)
+				}
+				return
+			}
+			var rec Record
+			if err := json.Unmarshal(last, &rec); err != nil || status != http.StatusOK || rec.Type != RecordStats {
+				t.Fatalf("status %d, terminal record %q (%v); want a stats trailer", status, last, err)
+			}
+			if got := string(body[:len(body)-len(last)]); got != c.want {
+				t.Fatalf("client received %d bytes of matches, want %d:\n got %.200q\nwant %.200q", len(got), len(c.want), got, c.want)
+			}
+			if want := strings.Count(c.want, "\n"); rec.Stats.Matches != want || rec.Stats.Shards[0].Matches != want || rec.Stats.Shards[1].Matches != 0 {
+				t.Fatalf("trailer counts %d matches (legs %+v), want %d, all from shard 0", rec.Stats.Matches, rec.Stats.Shards, want)
+			}
+		})
+	}
+}
+
+// TestCoordinatorDegradesByStatusWhateverTheOtherLegSends pins the leg
+// handshake: one shard answers at once with 10,000 matches, the other takes
+// 50 ms to answer 503. Nothing is forwarded until every leg has answered, so
+// the client gets the 502 envelope — never a 200 that then has to end in an
+// error record. (The parent had flushed the first 64 matches by then.)
+func TestCoordinatorDegradesByStatusWhateverTheOtherLegSends(t *testing.T) {
+	var flood bytes.Buffer
+	for i := 0; i < 10000; i++ {
+		fmt.Fprintf(&flood, `{"type":"match","assignment":[%d,%d]}`+"\n", i, i+1)
+	}
+	flood.WriteString(legTrailer)
+	coordURL := newFakeCluster(t, nil,
+		func(w http.ResponseWriter, flush func()) { _, _ = w.Write(flood.Bytes()) },
+		func(w http.ResponseWriter, flush func()) {
+			time.Sleep(50 * time.Millisecond)
+			writeEnvelope(w, errStatus(http.StatusServiceUnavailable, "namespace is shutting down"))
+		})
+	for i := 0; i < 3; i++ {
+		status, body := postQuery(t, coordURL)
+		var env ErrorResponse
+		if err := json.Unmarshal(body, &env); err != nil || status != http.StatusBadGateway || env.Code != CodeShardUnavailable {
+			t.Fatalf("query %d: status %d, body %.300q; want the 502 %s envelope", i, status, body, CodeShardUnavailable)
+		}
+		if !strings.Contains(env.Error, "shard 1") || !strings.Contains(env.Error, "503") {
+			t.Fatalf("query %d: envelope %q does not name shard 1 and its 503", i, env.Error)
+		}
+	}
+}
+
+// TestCoordinatorLegsReuseConnections pins the legs' own connection pool:
+// after one wave of 8 concurrent queries, a second wave opens no connection
+// to any shard. Each shard holds a wave's legs until all 8 have arrived, so
+// the wave really needs 8 connections at once. (http.DefaultTransport keeps
+// two idle per host and re-dialled the other six; and a leg that stopped
+// reading at its trailer closed its connection instead of returning it.)
+func TestCoordinatorLegsReuseConnections(t *testing.T) {
+	const wave = 8
+	var opened atomic.Int64
+	connState := func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	var mu sync.Mutex
+	arrived := map[int]int{} // shard → legs of the current wave that have arrived
+	release := map[int]chan struct{}{0: make(chan struct{}), 1: make(chan struct{})}
+	barrier := func(shard int) fakeLeg {
+		return func(w http.ResponseWriter, flush func()) {
+			mu.Lock()
+			ch := release[shard]
+			if arrived[shard]++; arrived[shard] == wave {
+				arrived[shard], release[shard] = 0, make(chan struct{})
+				close(ch)
+			}
+			mu.Unlock()
+			<-ch
+			_, _ = io.WriteString(w, `{"type":"match","assignment":[1,2]}`+"\n"+legTrailer)
+		}
+	}
+	coordURL := newFakeCluster(t, connState, barrier(0), barrier(1))
+	runWave := func() {
+		var wg sync.WaitGroup
+		for i := 0; i < wave; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if status, body := postQuery(t, coordURL); status != http.StatusOK {
+					t.Errorf("status %d: %s", status, body)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	runWave()
+	before := opened.Load()
+	if before < 2*wave {
+		t.Fatalf("the first wave opened %d shard connections, want at least %d (8 legs at once on each of 2 shards)", before, 2*wave)
+	}
+	runWave()
+	if after := opened.Load(); after != before {
+		t.Fatalf("the second wave opened %d new shard connections, want 0", after-before)
+	}
+}
+
+// TestCoordinatorQueryAllocationsDoNotGrowWithMatches is the allocation gate
+// on the coordinator's query path, counted over the whole process — client,
+// coordinator and both fake shards: a query costs a fixed number of
+// allocations (HTTP plumbing, two leg requests, three trailers) however many
+// matches flow through it. The parent paid 13 per match here: 65,000 for the
+// larger query.
+func TestCoordinatorQueryAllocationsDoNotGrowWithMatches(t *testing.T) {
+	perQuery := func(matches int) float64 {
+		var half bytes.Buffer
+		for i := 0; i < matches/2; i++ {
+			fmt.Fprintf(&half, `{"type":"match","assignment":[%d,%d,%d,%d]}`+"\n", i, 1000+i, 50000+i, 7)
+		}
+		half.WriteString(legTrailer)
+		leg := func(w http.ResponseWriter, flush func()) { _, _ = w.Write(half.Bytes()) }
+		coordURL := newFakeCluster(t, nil, leg, leg)
+		query := func() {
+			resp, err := http.Post(coordURL+"/v1/query", "application/json", strings.NewReader(`{"pattern":"(a:L0)-(b:L1)"}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, _ := io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || n < int64(2*(half.Len()-len(legTrailer))) {
+				t.Fatalf("status %d, %d body bytes; want all %d matches", resp.StatusCode, n, matches)
+			}
+		}
+		query() // connections dialled, node count cached, pools warm
+		return testing.AllocsPerRun(20, query)
+	}
+	small, large := perQuery(500), perQuery(5000)
+	t.Logf("allocations per query: %.0f with 500 matches, %.0f with 5000", small, large)
+	const fixed = 800
+	if large > fixed {
+		t.Errorf("a 5000-match query through the coordinator costs %.0f allocations, want at most %d", large, fixed)
+	}
+	if large > small+100 {
+		t.Errorf("allocations grow with the match count: %.0f at 500 matches, %.0f at 5000", small, large)
 	}
 }

@@ -42,49 +42,48 @@ func (ns *namespace) enter(ctx context.Context, rq *request) (leave func(), e *a
 	return func() { ns.gate.runlock(); ns.adm.release() }, nil
 }
 
-// streamMatches is the local match source: the tenant's engine, optionally
-// filtered down to the shard slice the request's selector names.
-func (ns *namespace) streamMatches(ctx context.Context, rq *request, req QueryRequest, q *core.Query, emit blockEmit, trailer *StreamStats) *apiError {
+// streamMatches is the local match source: the tenant's engine, its blocks
+// encoded by the sink, optionally cut down to the shard slice the request's
+// selector names.
+func (ns *namespace) streamMatches(ctx context.Context, rq *request, req QueryRequest, q *core.Query, sink *streamWriter, trailer *StreamStats) *apiError {
 	leave, e := ns.enter(ctx, rq)
 	if e != nil {
 		return e
 	}
 	defer leave()
+	var owned func(core.Match) bool // nil: every match is this process's to emit
 	if req.Shard != nil {
 		// Cluster mode's disjointness contract: the full graph is
 		// replicated on every shard, but this shard only emits matches
 		// whose root vertex (assignment[0]) it owns under the range
-		// partition of the id space — so the coordinator's merged union
-		// over all shards is exactly the single-machine answer, with no
-		// duplicates. The partition divides the selector's pinned N when
-		// set (the coordinator's one snapshot for the whole fan-out, so
-		// every leg draws the same range boundaries even mid-broadcast),
-		// falling back to the local count for selector-bearing requests
-		// sent directly. The filter runs before the stream limiter:
-		// dropped matches must not count against the request's match cap.
+		// partition of the id space — so the coordinator's union over all
+		// shards is exactly the single-machine answer, with no duplicates.
+		// The partition divides the selector's pinned N when set (the
+		// coordinator's one snapshot for the whole fan-out, so every leg
+		// draws the same range boundaries even mid-broadcast), falling back
+		// to the local count for selector-bearing requests sent directly.
+		// The sink applies the test before it counts a match: dropped
+		// matches must not count against the request's match cap.
 		partN := req.Shard.N
 		if partN <= 0 {
 			partN = ns.eng.Snapshot().Nodes
 		}
 		part := memcloud.RangePartitioner{K: req.Shard.Count, N: partN}
-		want, all := req.Shard.Index, emit
-		emit = func(ms []core.Match) (int, bool) {
-			kept := make([]core.Match, 0, len(ms))
-			for _, m := range ms {
-				var root graph.NodeID
-				if len(m.Assignment) > 0 {
-					root = m.Assignment[0]
-				}
-				if part.Owner(root) == want {
-					kept = append(kept, m)
-				}
+		want := req.Shard.Index
+		owned = func(m core.Match) bool {
+			var root graph.NodeID
+			if len(m.Assignment) > 0 {
+				root = m.Assignment[0]
 			}
-			if len(kept) == 0 {
-				return 0, true
-			}
-			return all(kept)
+			return part.Owner(root) == want
 		}
+		// The shard's half of the leg handshake: admitted means the 200
+		// goes out now, so a coordinator learns that this leg is live
+		// before it forwards a byte of any other's. From here on a failure
+		// is an error record, not a status.
+		sink.announce()
 	}
+	emit := func(ms []core.Match) (int, bool) { return sink.writeMatches(ms, owned) }
 	start := time.Now()
 	stats, err := ns.eng.MatchStreamBlocks(ctx, q, emit)
 	rq.exec = time.Since(start)

@@ -76,6 +76,17 @@ func send(t *testing.T, method, url, body string) outcome {
 			if rec.Stats.Matches != out.matches {
 				t.Fatalf("%s %s: trailer counts %d matches, stream carried %d", method, url, rec.Stats.Matches, out.matches)
 			}
+			// A coordinator's legs account for exactly what reached the
+			// wire, capped or not.
+			if legs := rec.Stats.Shards; len(legs) > 0 {
+				sum := 0
+				for _, leg := range legs {
+					sum += leg.Matches
+				}
+				if sum != out.matches {
+					t.Fatalf("%s %s: shards[].matches sum to %d, stream carried %d (%+v)", method, url, sum, out.matches, legs)
+				}
+			}
 		}
 	}
 	return out
@@ -106,6 +117,10 @@ func TestLocalCoordinatorParity(t *testing.T) {
 	})
 
 	const pattern = `"pattern":"(a:L0)-(b:L1)"`
+	// Three ids of one or two digits each make a match line 38 to 41 bytes,
+	// so the 256-byte cap is crossed by the 7th record of this pattern in
+	// whatever order the matches arrive: the two fronts must count alike.
+	const wedge = `"pattern":"(a:L0)-(b:L1), (b)-(c:L2)"`
 	tooMany := `{"updates":[` + strings.TrimSuffix(strings.Repeat(`{"op":"add_node","label":"x"},`, server.MaxBulkUpdates+1), ",") + `]}`
 	cases := []struct {
 		name, method, path, body string
@@ -130,6 +145,12 @@ func TestLocalCoordinatorParity(t *testing.T) {
 			outcome{status: 200, terminal: server.RecordStats, matches: 3, truncated: true, limitHit: true}},
 		{"byte cap hit", "POST", "/v1/query", `{` + pattern + `}`,
 			outcome{status: 200, terminal: server.RecordStats, truncated: true, byteCapHit: true}},
+		{"byte cap cuts at the same record", "POST", "/v1/query", `{` + wedge + `}`,
+			outcome{status: 200, terminal: server.RecordStats, matches: 7, truncated: true, byteCapHit: true}},
+		{"max_matches below the byte cap", "POST", "/v1/query", `{` + wedge + `,"max_matches":6}`,
+			outcome{status: 200, terminal: server.RecordStats, matches: 6, truncated: true, limitHit: true}},
+		{"one record crosses both caps", "POST", "/v1/query", `{` + wedge + `,"max_matches":7}`,
+			outcome{status: 200, terminal: server.RecordStats, matches: 7, truncated: true, byteCapHit: true}},
 	}
 	check := func(name, method, path, body string, want outcome) {
 		t.Helper()

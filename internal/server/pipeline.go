@@ -184,19 +184,16 @@ type backend interface {
 	// limits is the config whose request caps apply: the tenant's own, or
 	// the process-wide one on a coordinator.
 	limits() *Config
-	// streamMatches is the match source: it hands q's matches to emit in
-	// blocks until they run out, emit declines more, or ctx ends, and fills
-	// the trailer's execution fields (the caller owns the count and caps).
-	streamMatches(ctx context.Context, rq *request, req QueryRequest, q *core.Query, emit blockEmit, trailer *StreamStats) *apiError
+	// streamMatches is the match source: it hands q's matches to sink in
+	// blocks until they run out, the sink declines more, or ctx ends, and
+	// fills the trailer's execution fields (the sink owns the count and the
+	// caps).
+	streamMatches(ctx context.Context, rq *request, req QueryRequest, q *core.Query, sink *streamWriter, trailer *StreamStats) *apiError
 	// applyUpdates is the update sink: it applies the validated mutations
 	// in order as one batch and writes the acknowledgement — /update's
 	// single-result shape unless bulk.
 	applyUpdates(rq *request, reqs []UpdateRequest, muts []memcloud.Mutation, bulk bool) *apiError
 }
-
-// blockEmit receives one block of matches; it reports how many it took and
-// whether the stream can accept more.
-type blockEmit = func([]core.Match) (int, bool)
 
 // apiError is the one value every refusal and failure becomes on its way to
 // the client, whichever side of the backend seam produced it. It is an
@@ -373,8 +370,8 @@ func (s *Server) validateShard(sel *ShardSelector) *apiError {
 
 // handleQuery streams a query's matches as NDJSON, closed by a stats
 // trailer or an error record. Everything but the production of matches is
-// here: decode, validation, the request's caps and deadline, the deferred
-// 200, the byte and match caps, and the trailer.
+// here: decode, validation, the request's caps and deadline, and the sink
+// that owns the deferred 200, the byte and match caps, and the trailer.
 func (s *Server) handleQuery(rq *request) *apiError {
 	cfg := rq.be.limits()
 	req, q, e := decodeQuery(rq, cfg.MaxRequestBytes)
@@ -385,41 +382,18 @@ func (s *Server) handleQuery(rq *request) *apiError {
 		return e
 	}
 	timeout, maxMatches := cfg.effectiveLimits(req)
-	lim := core.Limits{Timeout: timeout, MaxMatches: maxMatches}
-	ctx, cancel := s.requestContext(rq.r, lim)
+	ctx, cancel := s.requestContext(rq.r, core.Limits{Timeout: timeout})
 	defer cancel()
 
-	// The 200 header is deferred to the first record: a failure that
-	// precedes any output can still use a proper error status.
-	sw := newStreamWriter(rq.w, cfg.MaxBytes)
-	writeHeader := func() {
-		if rq.w.status == 0 {
-			rq.w.Header().Set("Content-Type", ndjsonContentType)
-			rq.w.Header().Set("X-Accel-Buffering", "no")
-			rq.w.WriteHeader(http.StatusOK)
-		}
-	}
-	sl := lim.NewStreamLimiter()
+	sink := newStreamWriter(rq.w, cfg.MaxBytes, maxMatches)
+	defer sink.release()
 	trailer := &StreamStats{TraceID: rq.trace}
-	emit := sl.WrapBlock(func(ms []core.Match) (int, bool) {
-		writeHeader()
-		// Whole blocks go to the wire with one flush; records that reached
-		// the wire count toward the stats trailer even when the block's
-		// last record hit the byte cap.
-		sent, ok := sw.writeMatchBlock(ms)
-		trailer.Matches += sent
-		return sent, ok
-	})
-	e = rq.be.streamMatches(ctx, rq, req, q, emit, trailer)
-	rq.matches = trailer.Matches
+	e = rq.be.streamMatches(ctx, rq, req, q, sink, trailer)
+	rq.matches = sink.matches
 	if e != nil {
 		return e
 	}
-	writeHeader()
-	trailer.Truncated = trailer.Truncated || sw.capHit
-	trailer.LimitHit = sl.LimitHit()
-	trailer.ByteCapHit = sw.capHit
-	sw.writeTrailer(trailer)
+	sink.writeTrailer(trailer)
 	return nil
 }
 

@@ -148,6 +148,9 @@ func (s *Server) Close() {
 	for _, ns := range s.reg.seal() {
 		ns.close()
 	}
+	if s.coord != nil {
+		s.coord.hc.CloseIdleConnections()
+	}
 	if s.store != nil {
 		// Release the data-dir flock last, after every journal is closed,
 		// so a successor process sees a quiescent directory.

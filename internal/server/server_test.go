@@ -503,9 +503,18 @@ func TestConcurrentStreamingAdmissionCancelAndStats(t *testing.T) {
 	// handler releases its admission slot after the client has read the
 	// last response byte, so drain before asserting on in-flight counts.
 	waitNoInFlight(t, c)
-	st, err := c.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	// And the wrapper books a request's counters after its handler has
+	// flushed the trailer, so the last query's bump is awaited the same way.
+	const queryRequests = admitted + rejected + 1 + 2
+	var st *server.StatsResponse
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		var err error
+		if st, err = c.Stats(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if st.Endpoints["/query"].Requests >= queryRequests || time.Now().After(deadline) {
+			break
+		}
 	}
 	if st.PlanCache.Hits == 0 {
 		t.Fatal("stats: plan cache hits = 0 after repeated identical queries")
@@ -520,8 +529,8 @@ func TestConcurrentStreamingAdmissionCancelAndStats(t *testing.T) {
 		t.Fatalf("stats: rejected = %d, want %d", st.Admission.Rejected, rejected+1)
 	}
 	q := st.Endpoints["/query"]
-	if q.Requests != admitted+rejected+1+2 {
-		t.Fatalf("stats: /query requests = %d, want %d", q.Requests, admitted+rejected+1+2)
+	if q.Requests != queryRequests {
+		t.Fatalf("stats: /query requests = %d, want %d", q.Requests, queryRequests)
 	}
 	if q.Errors < rejected+1 {
 		t.Fatalf("stats: /query errors = %d, want ≥ %d (rejections)", q.Errors, rejected+1)

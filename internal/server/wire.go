@@ -47,6 +47,14 @@ type ShardSelector struct {
 // Record is one NDJSON line of a streamed /query response. A stream is any
 // number of "match" records followed by exactly one terminal record: a
 // "stats" record on success or an "error" record on failure.
+//
+// stwigd spells a match record exactly as encoding/json marshals this
+// struct — {"type":"match","assignment":[1,2,3]} — and that canonical
+// spelling (matchline.go) is part of the leg protocol: a coordinator
+// forwards such a line to its client unparsed, and the Go client decodes it
+// without a JSON decoder. A match record in any other valid JSON spelling
+// (spaces, reordered keys) is still accepted by both; it only takes the
+// slower encoding/json path, and a coordinator re-spells it canonically.
 type Record struct {
 	Type string `json:"type"` // "match", "stats", or "error"
 	// Assignment is set on "match" records: Assignment[v] is the data
@@ -115,7 +123,9 @@ type ShardLegStats struct {
 	Shard int    `json:"shard"`
 	URL   string `json:"url,omitempty"`
 	// Matches is how many match records the leg contributed to the merged
-	// stream; Bytes is the NDJSON bytes read off the leg's response.
+	// stream — what reached the client, so under a global cap the legs still
+	// sum to the trailer's count; Bytes is the NDJSON bytes read off the
+	// leg's response.
 	Matches int   `json:"matches"`
 	Bytes   int64 `json:"bytes"`
 	// ElapsedMicros is the leg's wall time, first byte to leg EOF (or to
