@@ -1,0 +1,105 @@
+package core
+
+import (
+	"context"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"stwig/internal/graph"
+	"stwig/internal/rmat"
+)
+
+// Allocation shape of a query, pinned as plain assertions: what one run
+// allocates must depend on the work it does — candidates inspected, matches
+// produced — and not on machines × numNodes. Before the proxy built one
+// pooled binding set per covered query vertex, every machine materialized
+// its own numNodes-bit set per vertex per step, so bytes per query grew with
+// the machine count and with the size of a graph the query never touched.
+
+// paddedGraph returns base with `pad` extra isolated vertices under a label
+// no query uses: the same query does the same work on it, over a vertex-ID
+// space that many IDs wider.
+func paddedGraph(base *graph.Graph, pad int64) *graph.Graph {
+	b := graph.NewBuilder(graph.Undirected())
+	for v := int64(0); v < base.NumNodes(); v++ {
+		b.AddNode(base.LabelString(graph.NodeID(v)))
+	}
+	for v := int64(0); v < base.NumNodes(); v++ {
+		for _, u := range base.Neighbors(graph.NodeID(v)) {
+			if graph.NodeID(v) < u {
+				b.MustAddEdge(graph.NodeID(v), u)
+			}
+		}
+	}
+	for i := int64(0); i < pad; i++ {
+		b.AddNode("pad")
+	}
+	return b.Build()
+}
+
+// bytesPerQuery measures the steady-state heap bytes one run of q
+// allocates: the scratch pool is warm, and the collector is held off so it
+// cannot empty the pool between runs.
+func bytesPerQuery(t *testing.T, eng *Engine, q *Query) uint64 {
+	t.Helper()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	discard := func(ms []Match) (int, bool) { return len(ms), true }
+	run := func() {
+		if _, err := eng.MatchStreamBlocks(context.Background(), q, discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+func TestAllocationShape(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop entries at random, so no pool stays warm")
+	}
+	base := rmat.MustGenerate(rmat.Params{Scale: 12, AvgDegree: 8, NumLabels: 24, Seed: 3})
+	const pad = 1 << 18
+	padded := paddedGraph(base, pad)
+	setBytes := uint64(8 * bitsetWords(padded.NumNodes())) // 32.5 KiB; 0.5 KiB over base
+	l := rmat.LabelName
+	queries := []struct {
+		name string
+		q    *Query
+	}{
+		// One STwig: nothing is exchanged, so the algorithm itself
+		// replicates nothing per machine.
+		{"star", MustNewQuery([]string{l(0), l(1), l(2), l(3)}, [][2]int{{0, 1}, {0, 2}, {0, 3}})},
+		// Several STwigs covering vertices twice: binding sets are replaced
+		// by later steps, and the exchange ships matches between machines.
+		{"cyclic", MustNewQuery([]string{l(0), l(1), l(2), l(3)}, [][2]int{{0, 1}, {1, 2}, {1, 3}, {2, 3}})},
+	}
+	for _, tc := range queries {
+		perMachines := map[int]uint64{}
+		for _, machines := range []int{2, 8} {
+			small := bytesPerQuery(t, NewEngine(clusterFor(t, base, machines), Options{Parallelism: 1}), tc.q)
+			big := bytesPerQuery(t, NewEngine(clusterFor(t, padded, machines), Options{Parallelism: 1}), tc.q)
+			t.Logf("%s, %d machines: %d B/query, %d B/query with %d more vertices", tc.name, machines, small, big, pad)
+			// The same work over a wider ID space: one numNodes-sized
+			// object per query would show as setBytes.
+			if big > small+setBytes/4 {
+				t.Errorf("%s, %d machines: %d B/query over %d vertices, %d B/query over %d: allocation grows with numNodes",
+					tc.name, machines, small, base.NumNodes(), big, padded.NumNodes())
+			}
+			perMachines[machines] = big
+		}
+		if tc.name == "star" && perMachines[8]*2 > perMachines[2]*3 {
+			t.Errorf("%s: %d B/query on 8 machines, %d on 2: more than 1.5×", tc.name, perMachines[8], perMachines[2])
+		}
+	}
+}

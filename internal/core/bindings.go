@@ -13,9 +13,14 @@ import (
 // source of answers ("They cannot produce answers on their own").
 //
 // Sets are bitsets over the dense data-vertex ID space: membership tests
-// sit on the exploration hot path, and the proxy's per-step merge of every
-// machine's contribution becomes a word-parallel OR instead of hash-set
-// unions (which profiling showed dominating multi-machine queries).
+// sit on the exploration hot path. There is one set per bound query vertex
+// and one way to build it during a run: after every machine has matched an
+// STwig, the proxy (rebind) sets the bits of all machines' matches into one
+// set per covered vertex. Those sets come cleared from the run's
+// exploreScratch and go back to it — cleared again — when they are replaced
+// by a later step or when exploration ends (release), so a steady-state
+// query allocates no numNodes-sized object. SetIDs, the standalone entry
+// point, allocates its own set.
 type Bindings struct {
 	numNodes int64
 	sets     []bitset
@@ -60,8 +65,48 @@ func (b *Bindings) SetIDs(v int, ids []graph.NodeID) {
 	b.sets[v] = s
 }
 
-// setBits installs a prebuilt bitset as H_v.
-func (b *Bindings) setBits(v int, s bitset) { b.sets[v] = s }
+// rebind is the proxy's binding synchronization after one STwig step:
+// H_v of the root and of every leaf of t becomes the set of data vertices
+// that played that role in some machine's matches. The matches were
+// filtered through the previous H_v, so a replaced set only shrinks.
+func (b *Bindings) rebind(t STwig, perMachine [][]STwigMatch, sc *exploreScratch) {
+	root := sc.takeSet()
+	for _, matches := range perMachine {
+		for i := range matches {
+			root.set(matches[i].Root)
+		}
+	}
+	b.install(t.Root, root, sc)
+	for li, leaf := range t.Leaves {
+		set := sc.takeSet()
+		for _, matches := range perMachine {
+			for i := range matches {
+				for _, id := range matches[i].LeafSets[li] {
+					set.set(id)
+				}
+			}
+		}
+		b.install(leaf, set, sc)
+	}
+}
+
+// install makes s the new H_v, handing the set it replaces back to sc.
+func (b *Bindings) install(v int, s bitset, sc *exploreScratch) {
+	if old := b.sets[v]; old != nil {
+		sc.putSet(old)
+	}
+	b.sets[v] = s
+}
+
+// release hands every bound set back to sc, leaving b all-unbound.
+func (b *Bindings) release(sc *exploreScratch) {
+	for v, s := range b.sets {
+		if s != nil {
+			sc.putSet(s)
+			b.sets[v] = nil
+		}
+	}
+}
 
 // Values returns H_v's members in ascending order, nil when unbound.
 func (b *Bindings) Values(v int) []graph.NodeID {
@@ -86,37 +131,74 @@ func (b *Bindings) TotalWords() int {
 	return total
 }
 
-// bindingDelta is one machine's newly observed eligible vertices for the
-// query vertices covered by the STwig just matched.
-type bindingDelta struct {
-	vertex int
-	bits   bitset
+// exploreScratch is the reusable memory of one run's exploration phase:
+// the binding sets (the only numNodes-sized objects a query touches) and,
+// per machine, the buffers pass 1 of matchSTwig fills. The Executor pools
+// these between runs; one run owns a scratch from the start of exploration
+// to its end, and within a run the machine goroutines touch disjoint
+// machineScratch entries while the proxy alone takes and returns sets.
+type exploreScratch struct {
+	words    int      // ⌈numNodes/64⌉: the width of every set in free
+	free     []bitset // cleared sets ready for reuse
+	machines []machineScratch
 }
 
-// collectDeltas extracts the binding contribution of a machine's STwig
-// matches: for the root and every leaf of t, the set of data vertices that
-// appeared in that role.
-func collectDeltas(t STwig, matches []STwigMatch, numNodes int64) []bindingDelta {
-	deltas := make([]bindingDelta, 1+len(t.Leaves))
-	deltas[0] = bindingDelta{vertex: t.Root, bits: newBitset(numNodes)}
-	for i, leaf := range t.Leaves {
-		deltas[i+1] = bindingDelta{vertex: leaf, bits: newBitset(numNodes)}
+// machineScratch holds one machine's pass-1 output for the current step.
+type machineScratch struct {
+	cells  []rootCell
+	labels []graph.LabelID
+}
+
+// newExploreScratch sizes a scratch for a cluster of k machines.
+func newExploreScratch(k int) *exploreScratch {
+	return &exploreScratch{machines: make([]machineScratch, k)}
+}
+
+// fit prepares the scratch for a data graph of numNodes vertices: sets kept
+// from a run over a graph of another width are dropped.
+func (sc *exploreScratch) fit(numNodes int64) {
+	if words := bitsetWords(numNodes); sc.words != words {
+		sc.words, sc.free = words, nil
 	}
-	for _, m := range matches {
-		deltas[0].bits.set(m.Root)
-		for i := range t.Leaves {
-			for _, id := range m.LeafSets[i] {
-				deltas[i+1].bits.set(id)
-			}
-		}
+}
+
+// takeSet returns an all-zero set of the fitted width.
+func (sc *exploreScratch) takeSet() bitset {
+	if n := len(sc.free); n > 0 {
+		s := sc.free[n-1]
+		sc.free = sc.free[:n-1]
+		return s
 	}
-	return deltas
+	return make(bitset, sc.words)
+}
+
+// putSet clears s and keeps it for the next takeSet. A set of another
+// width (SetIDs on a differently sized Bindings) is left to the collector.
+func (sc *exploreScratch) putSet(s bitset) {
+	if len(s) != sc.words {
+		return
+	}
+	clear(s)
+	sc.free = append(sc.free, s)
+}
+
+// forgetCells drops the arena references pass 1 left in the cell buffers:
+// a pooled scratch must not keep alive an arena that an update has since
+// replaced.
+func (sc *exploreScratch) forgetCells() {
+	for i := range sc.machines {
+		cells := sc.machines[i].cells
+		clear(cells[:cap(cells)])
+	}
 }
 
 // bitset is a fixed-capacity bit vector over dense vertex IDs.
 type bitset []uint64
 
-func newBitset(n int64) bitset { return make(bitset, (n+63)/64) }
+// bitsetWords is the number of 64-bit words a set over n vertex IDs takes.
+func bitsetWords(n int64) int { return int((n + 63) / 64) }
+
+func newBitset(n int64) bitset { return make(bitset, bitsetWords(n)) }
 
 func (s bitset) set(id graph.NodeID) { s[id>>6] |= 1 << (uint(id) & 63) }
 
@@ -126,15 +208,6 @@ func (s bitset) test(id graph.NodeID) bool {
 		return false
 	}
 	return s[w]&(1<<(uint(id)&63)) != 0
-}
-
-// or folds other into s (s |= other).
-func (s bitset) or(other bitset) {
-	for i := range other {
-		if i < len(s) {
-			s[i] |= other[i]
-		}
-	}
 }
 
 func (s bitset) popcount() int {

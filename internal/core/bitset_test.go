@@ -9,7 +9,7 @@ import (
 )
 
 // TestPropertyBitsetMatchesMapSet cross-checks the bitset against a map-set
-// reference under random set/test/or/popcount workloads.
+// reference under random set/test/union/popcount workloads.
 func TestPropertyBitsetMatchesMapSet(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -36,8 +36,9 @@ func TestPropertyBitsetMatchesMapSet(t *testing.T) {
 		if a.popcount() != len(ref) || b.popcount() != len(refB) {
 			return false
 		}
-		// OR and recheck.
-		a.or(b)
+		// Union — bit by bit, the way the proxy builds a binding set from
+		// several machines' matches — and recheck.
+		b.forEach(a.set)
 		for id := range refB {
 			ref[id] = true
 		}
@@ -56,20 +57,6 @@ func TestPropertyBitsetMatchesMapSet(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBitsetOrDifferentLengths(t *testing.T) {
-	a := newBitset(64)
-	b := newBitset(256)
-	b.set(200)
-	b.set(10)
-	a.or(b) // longer operand must not panic; overflow bits dropped
-	if !a.test(10) {
-		t.Fatal("in-range bit lost")
-	}
-	if a.test(200) {
-		t.Fatal("out-of-range bit appeared")
 	}
 }
 

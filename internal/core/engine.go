@@ -26,10 +26,10 @@ type Options struct {
 	// disables plan caching entirely, so every query is planned afresh.
 	PlanCacheSize int
 	// Parallelism caps the intra-machine worker goroutines each query run
-	// uses for STwig matching, the proxy bitset merge, and the block join.
-	// 0 selects runtime.GOMAXPROCS(0); 1 runs each machine's work on a
-	// single goroutine (the pre-parallel behavior). SimulateParallel
-	// forces 1 regardless, since modeled times need sequential phases.
+	// uses for STwig matching and the block join. 0 selects
+	// runtime.GOMAXPROCS(0); 1 runs each machine's work on a single
+	// goroutine (the pre-parallel behavior). SimulateParallel forces 1
+	// regardless, since modeled times need sequential phases.
 	Parallelism int
 	// SemijoinWordCap is the total relation volume (in 8-byte words) up to
 	// which the pre-join semi-join reduction runs; larger joins skip it as

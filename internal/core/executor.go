@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,11 +21,16 @@ import (
 type Executor struct {
 	cluster *memcloud.Cluster
 	opts    Options
+	// scratch pools *exploreScratch values between runs; it is the only
+	// state concurrent runs of one Executor share.
+	scratch sync.Pool
 }
 
 // NewExecutor creates an executor over a loaded cluster.
 func NewExecutor(c *memcloud.Cluster, opts Options) *Executor {
-	return &Executor{cluster: c, opts: normalizeOptions(opts)}
+	ex := &Executor{cluster: c, opts: normalizeOptions(opts)}
+	ex.scratch.New = func() any { return newExploreScratch(c.NumMachines()) }
+	return ex
 }
 
 // Run executes plan, delivering matches in blocks: emit is called with
@@ -217,8 +221,9 @@ func (r *execution) buildSpans(stats *ExecStats, exploreTime, joinTime time.Dura
 
 // explore runs the ordered STwig matching (§4.2 step 2): every machine
 // matches STwig t in parallel against the current bindings; the proxy then
-// merges each machine's binding contribution and broadcasts the updated
-// sets before step t+1. Returns perTwig[t][machine] factored matches.
+// rebuilds the binding sets of the vertices t covers from all machines'
+// matches and broadcasts them before step t+1. Returns perTwig[t][machine]
+// factored matches.
 func (r *execution) explore(ctx context.Context) ([][][]STwigMatch, error) {
 	ex := r.ex
 	dec := r.plan.Decomposition
@@ -226,10 +231,20 @@ func (r *execution) explore(ctx context.Context) ([][][]STwigMatch, error) {
 	k := ex.cluster.NumMachines()
 	numNodes := ex.cluster.NumNodes()
 	perTwig := make([][][]STwigMatch, len(dec.Twigs))
+
+	sc := ex.scratch.Get().(*exploreScratch)
+	sc.fit(numNodes)
 	var bindings *Bindings
 	if !ex.opts.NoBindings {
 		bindings = NewBindings(r.plan.Query.NumVertices(), numNodes)
 	}
+	defer func() {
+		if bindings != nil {
+			bindings.release(sc)
+		}
+		sc.forgetCells()
+		ex.scratch.Put(sc)
+	}()
 
 	for t, twig := range dec.Twigs {
 		if err := ctx.Err(); err != nil {
@@ -242,52 +257,21 @@ func (r *execution) explore(ctx context.Context) ([][][]STwigMatch, error) {
 			netBefore = ex.cluster.NetStats()
 		}
 		perTwig[t] = make([][]STwigMatch, k)
-		perMachineDeltas := make([][]bindingDelta, k)
+		// The modelled binding synchronization ships H_v as a bitset: one
+		// bit per data vertex per query vertex the STwig covers. Each
+		// machine sends its contribution up, and receives the updated sets
+		// — only those this step touched — back down.
+		syncWords := (1 + len(twig.Leaves)) * sc.words
 		r.forEachMachine(func(m *memcloud.Machine) {
-			ms := r.matchSTwigParallel(m, twig, labels, bindings)
-			perTwig[t][m.ID()] = ms
+			perTwig[t][m.ID()] = r.matchSTwigParallel(m, twig, labels, bindings, &sc.machines[m.ID()])
 			if bindings != nil {
-				deltas := collectDeltas(twig, ms, numNodes)
-				perMachineDeltas[m.ID()] = deltas
-				// Each machine ships its binding contribution to the proxy
-				// as a bitset: one bit per data vertex per covered query
-				// vertex (how the implementation actually represents H_v).
-				words := 0
-				for _, d := range deltas {
-					words += len(d.bits)
-				}
-				m.Cluster().AccountProxyTransfer(words)
+				m.Cluster().AccountProxyTransfer(syncWords)
 			}
 		})
 		if bindings != nil {
-			// Proxy merge: union the per-machine contributions per query
-			// vertex (a word-parallel OR over bitsets) and replace the
-			// binding sets. Every machine's collectDeltas returns the same
-			// vertices in the same order (root, then each leaf), so the
-			// merge shards per query vertex across the worker pool: machine
-			// 0's bitset accumulates the rest, and the shards touch
-			// disjoint bitsets.
-			deltas := perMachineDeltas[0]
-			merge := make([]func(), len(deltas))
-			for di := range deltas {
-				di := di
-				merge[di] = func() {
-					acc := deltas[di].bits
-					for j := 1; j < k; j++ {
-						acc.or(perMachineDeltas[j][di].bits)
-					}
-				}
-			}
-			r.dispatch(merge)
-			// Broadcast the updated bindings to every machine, again as
-			// bitsets: only the sets updated this step need to go out.
-			words := 0
-			for _, d := range deltas {
-				bindings.setBits(d.vertex, d.bits)
-				words += len(d.bits)
-			}
+			bindings.rebind(twig, perTwig[t], sc)
 			for i := 0; i < k; i++ {
-				ex.cluster.AccountProxyTransfer(words)
+				ex.cluster.AccountProxyTransfer(syncWords)
 			}
 		}
 		if r.traced {
@@ -373,7 +357,7 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 	}
 	r.forEachMachine(func(mach *memcloud.Machine) {
 		machine := mach.ID()
-		rng := rand.New(rand.NewSource(ex.opts.Seed + int64(machine)))
+		rng := &lazyRand{seed: ex.opts.Seed + int64(machine)}
 
 		// Per-machine tracing: the phases below stamp exchangeD/semijoinD
 		// as they finish; the deferred record derives blockjoin time as the

@@ -122,7 +122,7 @@ func (p *Plan) String() string {
 	// Execution reports per-run parallel counters in ExecStats:
 	// ParallelTasks (pool dispatches) and EmitFlushes (batched emits).
 	if p.Parallelism > 1 {
-		fmt.Fprintf(&b, "parallelism: %d workers per run (matching, proxy merge, block join)\n", p.Parallelism)
+		fmt.Fprintf(&b, "parallelism: %d workers per run (matching, block join)\n", p.Parallelism)
 	} else {
 		b.WriteString("parallelism: sequential (1 worker per run)\n")
 	}

@@ -30,7 +30,7 @@ type relation struct {
 	est     float64                    // estimated expanded cardinality
 }
 
-func newRelation(twig STwig, matches []STwigMatch, rng *rand.Rand) *relation {
+func newRelation(twig STwig, matches []STwigMatch, rng sampler) *relation {
 	r := &relation{twig: twig, matches: matches}
 	r.buildIndexes()
 	r.est = estimateCardinality(matches, rng)
@@ -102,10 +102,29 @@ func (r *relation) totalWords() int {
 	return w
 }
 
+// sampler is the part of *rand.Rand cardinality estimation draws from.
+type sampler interface{ Intn(n int) int }
+
+// lazyRand is rand.New(rand.NewSource(seed)) created on the first draw.
+// Seeding costs a 607-word loop and ~5 KB, every machine of every run owns
+// a generator, and only a relation of more than 256 matches ever draws; the
+// sequence drawn is that of the eagerly seeded generator.
+type lazyRand struct {
+	seed int64
+	rng  *rand.Rand
+}
+
+func (l *lazyRand) Intn(n int) int {
+	if l.rng == nil {
+		l.rng = rand.New(rand.NewSource(l.seed))
+	}
+	return l.rng.Intn(n)
+}
+
 // estimateCardinality implements the sample-based size estimate used for
 // join ordering: the summed expanded counts of a uniform sample of factored
 // matches, scaled to the full relation.
-func estimateCardinality(matches []STwigMatch, rng *rand.Rand) float64 {
+func estimateCardinality(matches []STwigMatch, rng sampler) float64 {
 	const sampleCap = 256
 	n := len(matches)
 	if n == 0 {
@@ -447,7 +466,7 @@ func sortRelationsDeterministic(rels []*relation) {
 // Runs passes until a fixpoint (bounded for safety); each pass is linear in
 // the total relation size. Returns how many passes (rounds) ran, for the
 // traced span tree.
-func semijoinReduce(q *Query, rels []*relation, rng *rand.Rand) int {
+func semijoinReduce(q *Query, rels []*relation, rng sampler) int {
 	const maxPasses = 4
 	n := q.NumVertices()
 	for pass := 0; pass < maxPasses; pass++ {
@@ -555,7 +574,7 @@ matchLoop:
 
 // rebuildRelation refreshes the hash indexes and cardinality estimate after
 // filtering.
-func rebuildRelation(r *relation, rng *rand.Rand) {
+func rebuildRelation(r *relation, rng sampler) {
 	r.buildIndexes()
 	r.est = estimateCardinality(r.matches, rng)
 }

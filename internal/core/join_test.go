@@ -32,6 +32,37 @@ func TestEstimateCardinality(t *testing.T) {
 	}
 }
 
+// TestLazyRandDrawsTheEagerSequence pins the per-machine generator of the
+// join phase: created on its first draw, it must hand a sampled relation
+// (more than 256 matches) exactly the estimate the eagerly seeded
+// rand.New(rand.NewSource(seed)) gave it — estimates order the join, so any
+// drift would change join orders — and a relation that is not sampled must
+// not seed it at all.
+func TestLazyRandDrawsTheEagerSequence(t *testing.T) {
+	// Expanded counts vary with the index, so the estimate depends on
+	// exactly which matches are drawn.
+	matches := make([]STwigMatch, 1000)
+	for i := range matches {
+		matches[i] = STwigMatch{Root: graph.NodeID(i), LeafSets: [][]graph.NodeID{
+			make([]graph.NodeID, 1+i%17), make([]graph.NodeID, 1+i%3)}}
+	}
+	twig := STwig{Root: 0, Leaves: []int{1, 2}}
+	for _, seed := range []int64{0, 1, 7, 1 << 40} {
+		eager := rand.New(rand.NewSource(seed))
+		lazy := &lazyRand{seed: seed}
+		if estimateCardinality(matches[:256], lazy); lazy.rng != nil {
+			t.Fatalf("seed %d: a 256-match relation seeded the generator", seed)
+		}
+		// Two relations in a row: the second continues the sequence.
+		for _, n := range []int{257, 1000} {
+			want := newRelation(twig, matches[:n], eager).est
+			if got := newRelation(twig, matches[:n], lazy).est; got != want {
+				t.Fatalf("seed %d, %d matches: est = %v, eager generator gives %v", seed, n, got, want)
+			}
+		}
+	}
+}
+
 func TestOrderRelationsSmallestFirstConnected(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	mk := func(root int, leaves []int, card int) *relation {

@@ -56,28 +56,28 @@ func (m STwigMatch) words() int {
 // transmission" (§2.2), which turns tens of thousands of per-root round
 // trips into at most machines-1 messages per STwig step.
 func matchSTwigOnMachine(m *memcloud.Machine, t STwig, labels []graph.LabelID, b *Bindings) []STwigMatch {
-	cells, nbrLabels := gatherRootCells(m, t, labels, b)
+	cells, nbrLabels := gatherRootCells(m, t, labels, b, &machineScratch{})
 	return matchCells(cells, nbrLabels, t, labels, b)
 }
 
-// rootCell is one surviving root's neighborhood, positioned in the
-// machine-wide flat label batch.
+// rootCell is one surviving root's neighborhood, positioned in the step's
+// label buffer.
 type rootCell struct {
 	id    graph.NodeID
-	nbrs  []graph.NodeID
-	start int // offset of nbrs' labels in the flat batch
+	nbrs  []graph.NodeID // aliases the arena
+	start int            // offset of nbrs' labels in the label buffer
 }
 
-// gatherRootCells is pass 1: collect the surviving roots' neighbor lists,
-// flatten every neighbor ID into one batch, and resolve its labels with a
-// single batched call. This is where the step's network traffic happens,
-// so it always runs on one goroutine — message and byte accounting must
-// not depend on the parallelism setting.
-func gatherRootCells(m *memcloud.Machine, t STwig, labels []graph.LabelID, b *Bindings) ([]rootCell, []graph.LabelID) {
-	roots := m.LocalIDs(labels[t.Root])
-	cells := make([]rootCell, 0, len(roots))
-	var flat []graph.NodeID
-	for _, n := range roots {
+// gatherRootCells is pass 1: for every surviving root, resolve its
+// neighbors' labels — cell by cell, straight off the arena — through one
+// label batch that is accounted once when the pass ends. This is where the
+// step's network traffic happens, so it always runs on one goroutine —
+// message and byte accounting must not depend on the parallelism setting.
+// The returned slices live in ms until the machine's next step.
+func gatherRootCells(m *memcloud.Machine, t STwig, labels []graph.LabelID, b *Bindings, ms *machineScratch) ([]rootCell, []graph.LabelID) {
+	cells, nbrLabels := ms.cells[:0], ms.labels[:0]
+	batch := m.LabelBatch()
+	for _, n := range m.LocalIDs(labels[t.Root]) {
 		if b != nil && !b.Allows(t.Root, n) {
 			continue
 		}
@@ -85,24 +85,44 @@ func gatherRootCells(m *memcloud.Machine, t STwig, labels []graph.LabelID, b *Bi
 		if !ok {
 			continue // cannot happen: the index only lists local vertices
 		}
-		cells = append(cells, rootCell{id: n, nbrs: cell.Neighbors, start: len(flat)})
-		flat = append(flat, cell.Neighbors...)
+		cells = append(cells, rootCell{id: n, nbrs: cell.Neighbors, start: len(nbrLabels)})
+		nbrLabels = batch.Resolve(cell.Neighbors, nbrLabels)
 	}
-	return cells, m.LabelsOfBatch(flat, nil)
+	batch.Flush()
+	ms.cells, ms.labels = cells, nbrLabels
+	return cells, nbrLabels
 }
+
+// Smallest blocks matchCells carves leaf sets and their headers from.
+const (
+	minLeafIDBlock  = 64
+	minLeafSetBlock = 16
+)
 
 // matchCells is pass 2: per root cell, build factored leaf sets from the
 // resolved labels. Cells carry absolute offsets into nbrLabels, so any
 // contiguous subslice of cells can be processed independently — the
 // parallel path chunks here.
+//
+// Leaf sets and their per-match headers are carved from blocks that double
+// in size, so a chunk costs O(log matches) allocations and a root that
+// fails costs none: a root's candidates are appended behind the sets
+// already handed out, and cut off again if the root fails.
 func matchCells(cells []rootCell, nbrLabels []graph.LabelID, t STwig, labels []graph.LabelID, b *Bindings) []STwigMatch {
 	var out []STwigMatch
+	var ids []graph.NodeID    // current ID block; len marks what is in use
+	var sets [][]graph.NodeID // current header block, likewise
+	nLeaves := len(t.Leaves)
+	var endsBuf [8]int
 rootLoop:
 	for _, rc := range cells {
-		leafSets := make([][]graph.NodeID, len(t.Leaves))
-		for i, leaf := range t.Leaves {
+		// The root's candidates are ids[mark:], leaf i's ending ends[i]
+		// candidates in.
+		mark := len(ids)
+		ends := endsBuf[:0]
+		for _, leaf := range t.Leaves {
 			want := labels[leaf]
-			var set []graph.NodeID
+			before := len(ids) - mark
 			for j, nb := range rc.nbrs {
 				if nbrLabels[rc.start+j] != want {
 					continue
@@ -113,16 +133,35 @@ rootLoop:
 				if b != nil && !b.Allows(leaf, nb) {
 					continue
 				}
-				set = append(set, nb)
+				if len(ids) == cap(ids) {
+					// Block full: this root's candidates move to a new one;
+					// earlier matches keep the old block alive.
+					grown := make([]graph.NodeID, len(ids)-mark, max(2*cap(ids), minLeafIDBlock))
+					copy(grown, ids[mark:])
+					ids, mark = grown, 0
+				}
+				ids = append(ids, nb)
 			}
-			if len(set) == 0 {
+			if len(ids)-mark == before {
+				ids = ids[:mark]
 				continue rootLoop
 			}
-			leafSets[i] = set
+			ends = append(ends, len(ids)-mark)
 		}
-		if len(t.Leaves) > 1 && !injectivelySatisfiable(leafSets) {
+		if cap(sets)-len(sets) < nLeaves {
+			sets = make([][]graph.NodeID, 0, max(nLeaves, 2*cap(sets), minLeafSetBlock))
+		}
+		leafSets := sets[len(sets) : len(sets)+nLeaves : len(sets)+nLeaves]
+		lo := mark
+		for i, end := range ends {
+			leafSets[i] = ids[lo : mark+end : mark+end]
+			lo = mark + end
+		}
+		if nLeaves > 1 && !injectivelySatisfiable(leafSets) {
+			ids = ids[:mark]
 			continue
 		}
+		sets = sets[:len(sets)+nLeaves]
 		out = append(out, STwigMatch{Root: rc.id, LeafSets: leafSets})
 	}
 	return out
@@ -132,13 +171,14 @@ rootLoop:
 // dispatch; below 2 chunks of it, the sequential path wins.
 const matchChunkMinCells = 64
 
-// matchSTwigParallel is matchSTwigOnMachine with pass 2 chunked across the
-// run's worker pool. Chunk outputs are concatenated in chunk order, so the
-// returned match slice is identical to the sequential result regardless of
-// worker scheduling, and pass 1 (the network-accounting pass) stays
-// sequential — parallelism changes neither results nor traffic stats.
-func (r *execution) matchSTwigParallel(m *memcloud.Machine, t STwig, labels []graph.LabelID, b *Bindings) []STwigMatch {
-	cells, nbrLabels := gatherRootCells(m, t, labels, b)
+// matchSTwigParallel is matchSTwigOnMachine with pass 1 writing into the
+// run's scratch and pass 2 chunked across the run's worker pool. Chunk
+// outputs are concatenated in chunk order, so the returned match slice is
+// identical to the sequential result regardless of worker scheduling, and
+// pass 1 (the network-accounting pass) stays sequential — parallelism
+// changes neither results nor traffic stats.
+func (r *execution) matchSTwigParallel(m *memcloud.Machine, t STwig, labels []graph.LabelID, b *Bindings, ms *machineScratch) []STwigMatch {
+	cells, nbrLabels := gatherRootCells(m, t, labels, b, ms)
 	if r.pool == nil || len(cells) < 2*matchChunkMinCells {
 		return matchCells(cells, nbrLabels, t, labels, b)
 	}
@@ -170,15 +210,23 @@ func (r *execution) matchSTwigParallel(m *memcloud.Machine, t STwig, labels []gr
 // leaves can take distinct values: a Hall-condition approximation that
 // rejects matches whose union of leaf candidates is smaller than the leaf
 // count. (The join enforces exact injectivity; this only prunes obviously
-// dead factored matches early.)
+// dead factored matches early.) It stops at the first len(leafSets)
+// distinct IDs, so it inspects O(leaves²) candidates however long the sets.
 func injectivelySatisfiable(leafSets [][]graph.NodeID) bool {
-	distinct := make(map[graph.NodeID]struct{})
+	var buf [8]graph.NodeID
+	distinct := buf[:0]
 	for _, s := range leafSets {
+	nextID:
 		for _, id := range s {
-			distinct[id] = struct{}{}
-		}
-		if len(distinct) >= len(leafSets) {
-			return true
+			for _, seen := range distinct {
+				if seen == id {
+					continue nextID
+				}
+			}
+			distinct = append(distinct, id)
+			if len(distinct) >= len(leafSets) {
+				return true
+			}
 		}
 	}
 	return len(distinct) >= len(leafSets)

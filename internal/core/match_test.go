@@ -205,24 +205,48 @@ func TestBindingsAcrossWordBoundaries(t *testing.T) {
 
 func TestCollectDeltas(t *testing.T) {
 	twig := STwig{Root: 1, Leaves: []int{0, 2}}
-	matches := []STwigMatch{
-		{Root: 10, LeafSets: [][]graph.NodeID{{20, 21}, {30}}},
-		{Root: 11, LeafSets: [][]graph.NodeID{{20}, {31}}},
+	// Two machines' matches: the proxy builds one set per covered vertex
+	// from both.
+	perMachine := [][]STwigMatch{
+		{{Root: 10, LeafSets: [][]graph.NodeID{{20, 21}, {30}}}},
+		{{Root: 11, LeafSets: [][]graph.NodeID{{20}, {31}}}},
 	}
-	deltas := collectDeltas(twig, matches, 64)
-	if len(deltas) != 3 {
-		t.Fatalf("deltas = %d", len(deltas))
+	sc := newExploreScratch(len(perMachine))
+	sc.fit(64)
+	b := NewBindings(3, 64)
+	b.rebind(twig, perMachine, sc)
+	if b.Size(1) != 2 {
+		t.Fatalf("root set = %v", b.Values(1))
 	}
-	if deltas[0].vertex != 1 || deltas[0].bits.popcount() != 2 {
-		t.Fatalf("root delta = %+v", deltas[0])
+	if b.Size(0) != 2 { // {20,21} ∪ {20}
+		t.Fatalf("leaf-0 set = %v", b.Values(0))
 	}
-	if deltas[1].vertex != 0 || deltas[1].bits.popcount() != 2 { // {20,21} ∪ {20}
-		t.Fatalf("leaf-0 delta = %+v", deltas[1])
+	if b.Size(2) != 2 { // {30,31}
+		t.Fatalf("leaf-2 set = %v", b.Values(2))
 	}
-	if deltas[2].vertex != 2 || deltas[2].bits.popcount() != 2 { // {30,31}
-		t.Fatalf("leaf-2 delta = %+v", deltas[2])
+	if !b.Allows(2, 30) || !b.Allows(2, 31) || b.Allows(2, 29) {
+		t.Fatal("set bits wrong")
 	}
-	if !deltas[2].bits.test(30) || !deltas[2].bits.test(31) || deltas[2].bits.test(29) {
-		t.Fatal("delta bits wrong")
+
+	// A later step that covers vertex 2 again replaces its set, and the
+	// replaced set goes back to the scratch cleared; so does every set when
+	// exploration ends.
+	b.rebind(STwig{Root: 2, Leaves: []int{0}},
+		[][]STwigMatch{{{Root: 31, LeafSets: [][]graph.NodeID{{21}}}}}, sc)
+	if b.Size(2) != 1 || !b.Allows(2, 31) || b.Size(0) != 1 || !b.Allows(0, 21) || b.Size(1) != 2 {
+		t.Fatalf("rebind: H_2=%v H_0=%v H_1=%v", b.Values(2), b.Values(0), b.Values(1))
+	}
+	b.release(sc)
+	if b.Bound(0) || b.Bound(1) || b.Bound(2) {
+		t.Fatal("release left a vertex bound")
+	}
+	// Five sets were taken; the fifth was the replaced H_2, reused.
+	if len(sc.free) != 4 {
+		t.Fatalf("%d sets back in the scratch, want the 4 ever allocated", len(sc.free))
+	}
+	for _, s := range sc.free {
+		if s.popcount() != 0 {
+			t.Fatal("a set went back to the scratch uncleared")
+		}
 	}
 }

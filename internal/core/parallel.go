@@ -8,9 +8,11 @@ import (
 // Intra-machine parallelism. The cluster already fans one goroutine out per
 // simulated machine (memcloud.ParallelEach); the worker pool below adds a
 // second level inside each machine so a multi-core host is saturated even
-// with few machines: STwig matching chunks its surviving-roots list, the
-// proxy merge shards its bitset unions per query vertex, and the pipelined
-// join fans the driver relation's blocks out to independent joiners.
+// with few machines. Two phases use it: STwig matching chunks its
+// surviving-roots list, and the pipelined join fans the driver relation's
+// blocks out to independent joiners. The proxy's binding synchronization
+// between two matching steps is sequential — it sets bits into one set per
+// covered query vertex (Bindings.rebind) and has nothing to merge.
 //
 // The pool is run-scoped: one per query execution, sized by
 // Options.Parallelism, shared by every machine goroutine of that run. Only

@@ -12,24 +12,28 @@ import (
 )
 
 // Tests for intra-machine parallel execution: the run-scoped worker pool
-// that chunks STwig matching, shards the proxy merge, and fans the block
-// join out. Parallelism is set explicitly (the pool spawns its workers
-// regardless of GOMAXPROCS), so these tests exercise the concurrent code
-// paths even on a single-core host; run them with GOMAXPROCS>1 and -race
-// for the full effect (CI does both).
+// that chunks STwig matching and fans the block join out. Parallelism is
+// set explicitly (the pool spawns its workers regardless of GOMAXPROCS), so
+// these tests exercise the concurrent code paths even on a single-core
+// host; run them with GOMAXPROCS>1 and -race for the full effect (CI does
+// both).
 
-// parallelFixture is a graph big enough that every parallel path engages:
-// hundreds of candidate roots (chunked matching) and a driver relation far
-// past 2×BlockSize (parallel block join).
+// parallelFixture is a graph big enough that both parallel paths engage on
+// each of its two machines: ~5,400 candidate roots (chunked matching needs
+// 2×matchChunkMinCells = 128) of which ~600 match, and the query is a single
+// STwig, so those ~600 factored matches are the join's driver relation
+// (the block-join fan-out needs 2×BlockSize = 512). R-MAT's skew leaves most
+// low-degree roots without both leaf labels, hence the 32k vertices;
+// TestParallelTasksDispatched pins that both thresholds are crossed.
 func parallelFixture(t testing.TB) (*Query, func(opts Options) *Engine) {
 	t.Helper()
-	g := rmat.MustGenerate(rmat.Params{Scale: 10, AvgDegree: 12, NumLabels: 3, Seed: 7})
+	g := rmat.MustGenerate(rmat.Params{Scale: 15, AvgDegree: 2, NumLabels: 3, Seed: 7})
 	q := MustNewQuery(
 		[]string{rmat.LabelName(0), rmat.LabelName(1), rmat.LabelName(2)},
 		[][2]int{{0, 1}, {1, 2}},
 	)
 	return q, func(opts Options) *Engine {
-		return NewEngine(clusterFor(t, g, 3), opts)
+		return NewEngine(clusterFor(t, g, 2), opts)
 	}
 }
 
@@ -119,17 +123,28 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 // TestParallelTasksDispatched pins that the fixture actually exercises the
 // pool — a regression here would silently turn every other test in this
-// file into a sequential no-op.
+// file into a sequential no-op. The two parallel paths are checked
+// separately, on a traced run's explore and join spans.
 func TestParallelTasksDispatched(t *testing.T) {
 	q, engineFor := parallelFixture(t)
 	var n int
-	stats, err := engineFor(Options{Parallelism: 4}).MatchStream(
+	stats, err := engineFor(Options{Parallelism: 4, TraceID: "parallel-fixture"}).MatchStream(
 		context.Background(), q, func(Match) bool { n++; return true })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.ParallelTasks == 0 {
-		t.Fatalf("no pool tasks dispatched (%d matches); fixture too small for the parallel paths", n)
+	tasks := map[string]uint64{}
+	for _, s := range stats.Spans {
+		tasks[s.Name] = s.Tasks
+	}
+	if tasks["explore"] == 0 {
+		t.Errorf("chunked STwig matching dispatched no pool tasks (%d STwig matches); fixture too small", stats.STwigMatchCounts)
+	}
+	if tasks["join"] == 0 {
+		t.Errorf("the block join dispatched no pool tasks (%d matches); fixture too small", n)
+	}
+	if stats.ParallelTasks != tasks["explore"]+tasks["join"] {
+		t.Errorf("ParallelTasks = %d, spans account for %d + %d", stats.ParallelTasks, tasks["explore"], tasks["join"])
 	}
 	if stats.EmitFlushes == 0 {
 		t.Fatal("no emit flushes counted")

@@ -62,7 +62,7 @@ type ExecStats struct {
 	// SimulateParallel).
 	Parallelism int
 	// ParallelTasks counts chunk tasks dispatched to the run's worker
-	// pool across matching, proxy merge, and join; 0 in sequential runs.
+	// pool across matching and join; 0 in sequential runs.
 	ParallelTasks uint64
 	// EmitFlushes counts batched deliveries through the serialized emit
 	// path; each flush carries a block of matches.

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"stwig/internal/graph"
 )
@@ -45,12 +46,36 @@ type Cluster struct {
 	cfg      Config
 	part     Partitioner
 	machines []*Machine
-	labels   *graph.LabelTable
-	net      netCounters
-	cross    *crossPairs
-	loaded   bool
-	upd      updateState
-	epoch    atomic.Uint64
+	// addr is the address table of the unified ID space: addr[v] names the
+	// machine that owns vertex v and v's slot in that machine's directory,
+	// for every v in [0, NumNodes()). The Partitioner decides placement once
+	// per vertex — in LoadGraph, and in AddNode for vertices that arrive
+	// later — and every lookup afterwards is an array read here. The table
+	// obeys the arena's discipline (update.go): queries read it without
+	// locks, AddNode appends to it under upd.mu while no query runs.
+	addr   []cellAddr
+	labels *graph.LabelTable
+	net    netCounters
+	cross  *crossPairs
+	loaded bool
+	upd    updateState
+	epoch  atomic.Uint64
+}
+
+// cellAddr is one address-table entry. MaxMachines fits a uint8; the slot
+// width is the store's (maxSlots vertices per machine).
+type cellAddr struct {
+	slot  uint32
+	owner uint8
+}
+
+// locate resolves v through the address table; ok is false for any ID
+// outside [0, NumNodes()), negative ones included.
+func (c *Cluster) locate(v graph.NodeID) (a cellAddr, ok bool) {
+	if uint64(v) >= uint64(len(c.addr)) {
+		return cellAddr{}, false
+	}
+	return c.addr[v], true
 }
 
 // NewCluster creates an empty cluster.
@@ -88,46 +113,57 @@ func (c *Cluster) LoadGraph(g *graph.Graph) error {
 	}
 	n := g.NumNodes()
 	k := c.cfg.Machines
-	perMachine := n/int64(k) + 1
 
+	// Placement: ask the partitioner once per vertex and hand out slots in
+	// ascending ID order, which also sizes every store exactly.
+	addr := make([]cellAddr, n)
+	nodes := make([]int64, k)
+	arenaWords := make([]int64, k)
+	for v := int64(0); v < n; v++ {
+		id := graph.NodeID(v)
+		owner := c.part.Owner(id)
+		if nodes[owner] == maxSlots {
+			return fmt.Errorf("memcloud: machine %d would hold more than %d vertices", owner, int64(maxSlots))
+		}
+		addr[v] = cellAddr{slot: uint32(nodes[owner]), owner: uint8(owner)}
+		nodes[owner]++
+		arenaWords[owner] += int64(len(g.Neighbors(id)))
+	}
+
+	// Each machine copies its own cells and records, for each of its edges
+	// (u,w), the label pair (T(u),T(w)) against the machine pair
+	// (owner(u),owner(w)) — the cross-label-pair preprocessing. The table
+	// is keyed by source machine, so the machines write disjoint parts.
+	cross := newCrossPairs(k)
 	var wg sync.WaitGroup
 	for i := 0; i < k; i++ {
 		m := c.machines[i]
-		m.store = newStore(perMachine)
+		m.store = newStore(nodes[i], arenaWords[i])
 		m.index = newStringIndex()
 		wg.Add(1)
 		go func(m *Machine) {
 			defer wg.Done()
 			for v := int64(0); v < n; v++ {
-				id := graph.NodeID(v)
-				if c.part.Owner(id) != m.id {
+				if int(addr[v].owner) != m.id {
 					continue
 				}
+				id := graph.NodeID(v)
 				label := g.Label(id)
-				m.store.put(id, label, g.Neighbors(id))
+				m.store.put(label, g.Neighbors(id))
 				m.index.add(id, label)
+				for _, w := range g.Neighbors(id) {
+					cross.add(m.id, int(addr[w].owner), label, g.Label(w))
+				}
 			}
 			m.index.finalize()
 		}(m)
 	}
 	wg.Wait()
 
-	// Cross-label-pair preprocessing: for each edge (u,v), associate the
-	// label pair (T(u),T(v)) with the machine pair (owner(u),owner(v)).
-	cross := newCrossPairs(k)
-	for v := int64(0); v < n; v++ {
-		u := graph.NodeID(v)
-		i := c.part.Owner(u)
-		lu := g.Label(u)
-		for _, w := range g.Neighbors(u) {
-			j := c.part.Owner(w)
-			cross.add(i, j, lu, g.Label(w))
-		}
-	}
+	c.addr = addr
 	c.cross = cross
 	c.labels = g.Labels()
 	c.loaded = true
-	c.upd.nextID = graph.NodeID(n)
 	return nil
 }
 
@@ -146,14 +182,21 @@ func (c *Cluster) Epoch() uint64 { return c.epoch.Load() }
 func (c *Cluster) NumNodes() int64 {
 	c.upd.mu.Lock()
 	defer c.upd.mu.Unlock()
-	return int64(c.upd.nextID)
+	return int64(len(c.addr))
 }
 
 // Machine returns machine i.
 func (c *Cluster) Machine(i int) *Machine { return c.machines[i] }
 
-// Owner returns the machine index owning vertex v.
-func (c *Cluster) Owner(v graph.NodeID) int { return c.part.Owner(v) }
+// Owner returns the machine index owning vertex v, or -1 when v does not
+// exist.
+func (c *Cluster) Owner(v graph.NodeID) int {
+	a, ok := c.locate(v)
+	if !ok {
+		return -1
+	}
+	return int(a.owner)
+}
 
 // Labels returns the label table of the loaded graph, or nil before load.
 func (c *Cluster) Labels() *graph.LabelTable { return c.labels }
@@ -173,15 +216,16 @@ func (c *Cluster) CrossMask(i int, la, lb graph.LabelID) uint64 {
 	return c.cross.mask(i, la, lb)
 }
 
-// TotalMemoryBytes estimates resident bytes across machines (stores plus
-// string indexes). Reported in the Table 1 reproduction. It takes the
-// update lock: the walk iterates directory and posting-list maps that
-// dynamic updates mutate, and observability callers (Engine.Snapshot, the
-// daemon's GET /stats) run concurrently with updates.
+// TotalMemoryBytes reports resident bytes across the cluster: the address
+// table once, plus every machine's store and string index. Reported in the
+// Table 1 reproduction. It takes the update lock: the walk reads slice
+// headers and posting-list maps that dynamic updates mutate, and
+// observability callers (Engine.Snapshot, the daemon's GET /stats) run
+// concurrently with updates.
 func (c *Cluster) TotalMemoryBytes() int64 {
 	c.upd.mu.Lock()
 	defer c.upd.mu.Unlock()
-	var total int64
+	total := int64(cap(c.addr)) * int64(unsafe.Sizeof(cellAddr{}))
 	for _, m := range c.machines {
 		total += m.store.memoryBytes() + m.index.memoryBytes()
 	}
@@ -229,59 +273,87 @@ func (c *Cluster) accountRemote(words int) {
 // locates the vertex wherever it lives and returns its cell. Remote loads
 // ship the neighbor list and are accounted.
 func (c *Cluster) Load(from int, id graph.NodeID) (Cell, bool) {
-	owner := c.part.Owner(id)
-	cell, ok := c.machines[owner].store.load(id)
+	a, ok := c.locate(id)
 	if !ok {
 		return Cell{}, false
 	}
-	if owner != from {
+	cell := c.machines[a.owner].store.cell(id, a.slot)
+	if int(a.owner) != from {
 		// Ship a copy: remote cells must not alias another machine's arena.
-		shipped := Cell{ID: cell.ID, Label: cell.Label, Neighbors: append([]graph.NodeID(nil), cell.Neighbors...)}
+		cell.Neighbors = append([]graph.NodeID(nil), cell.Neighbors...)
 		c.accountRemote(2 + len(cell.Neighbors))
-		return shipped, true
 	}
 	return cell, true
 }
 
 // HasLabel is the paper's Index.hasLabel(id, label) as issued from machine
 // `from`. Checking a remote vertex costs one round trip ("when checking the
-// label of a child node ... we may incur network communication", §4.3).
+// label of a child node ... we may incur network communication", §4.3); a
+// vertex that does not exist has no owner to ask and costs nothing.
 func (c *Cluster) HasLabel(from int, id graph.NodeID, label graph.LabelID) bool {
-	owner := c.part.Owner(id)
-	l, ok := c.machines[owner].store.labelOf(id)
-	if owner != from {
+	a, ok := c.locate(id)
+	if !ok {
+		return false
+	}
+	if int(a.owner) != from {
 		c.accountRemote(2)
 	}
-	return ok && l == label
+	return c.machines[a.owner].store.label(a.slot) == label
 }
 
-// LabelsOfBatch resolves the labels of a batch of vertex IDs as issued from
-// machine `from`, grouping remote lookups into one message per owner
-// machine. This models Trinity's message merging / batch transmission
-// (§2.2) and is what the matcher uses on hot paths.
-func (c *Cluster) LabelsOfBatch(from int, ids []graph.NodeID, out []graph.LabelID) []graph.LabelID {
-	out = out[:0]
-	// One pass: count per-owner traffic, resolve labels directly (the
-	// simulation can read any machine's store; accounting preserves the
-	// cost structure of doing it with real messages).
-	// One word per remote ID: the request direction carries the 8-byte
-	// vertex ID and the (smaller) label response rides the full-duplex
-	// return path.
-	remoteWords := make(map[int]int)
+// LabelBatch resolves vertex labels on behalf of one machine over any
+// number of Resolve calls and charges them as ONE batch when Flush is
+// called: one message per remote owner touched, carrying one word per ID
+// asked of it. This models Trinity's message merging / batch transmission
+// (§2.2); the matcher keeps one LabelBatch per STwig step, so a step costs
+// at most machines-1 messages however many cells it inspects. The zero
+// value is not usable; obtain one from Machine.LabelBatch.
+type LabelBatch struct {
+	c    *Cluster
+	from int
+	// remoteWords[j] counts the IDs owned by machine j resolved so far. One
+	// word per remote ID: the request direction carries the 8-byte vertex
+	// ID and the (smaller) label response rides the full-duplex return
+	// path.
+	remoteWords [MaxMachines]int
+}
+
+// Resolve appends the label of every vertex in ids to out and returns the
+// extended slice. The simulation reads any machine's directory directly —
+// two array reads per ID — while the batch keeps the cost structure of
+// doing it with real messages. An ID outside [0, NumNodes()) resolves to
+// graph.NoLabel and, having no owner, adds no traffic.
+func (b *LabelBatch) Resolve(ids []graph.NodeID, out []graph.LabelID) []graph.LabelID {
+	c := b.c
 	for _, id := range ids {
-		owner := c.part.Owner(id)
-		l, ok := c.machines[owner].store.labelOf(id)
+		a, ok := c.locate(id)
 		if !ok {
-			l = graph.NoLabel
+			out = append(out, graph.NoLabel)
+			continue
 		}
-		out = append(out, l)
-		if owner != from {
-			remoteWords[owner]++
+		out = append(out, c.machines[a.owner].store.label(a.slot))
+		b.remoteWords[a.owner]++
+	}
+	return out
+}
+
+// Flush accounts the batch — remote owners in ascending order — and resets
+// it for reuse.
+func (b *LabelBatch) Flush() {
+	for owner := range b.c.machines {
+		if words := b.remoteWords[owner]; words > 0 && owner != b.from {
+			b.c.accountRemote(words)
 		}
 	}
-	for _, words := range remoteWords {
-		c.accountRemote(words)
-	}
+	b.remoteWords = [MaxMachines]int{}
+}
+
+// LabelsOfBatch resolves the labels of ids into out[:0] as issued from
+// machine `from`, as one LabelBatch of its own.
+func (c *Cluster) LabelsOfBatch(from int, ids []graph.NodeID, out []graph.LabelID) []graph.LabelID {
+	b := LabelBatch{c: c, from: from}
+	out = b.Resolve(ids, out[:0])
+	b.Flush()
 	return out
 }
 

@@ -41,7 +41,11 @@ func (m *Machine) Load(id graph.NodeID) (Cell, bool) {
 
 // LoadLocal loads a cell only if this machine owns it.
 func (m *Machine) LoadLocal(id graph.NodeID) (Cell, bool) {
-	return m.store.load(id)
+	a, ok := m.cluster.locate(id)
+	if !ok || int(a.owner) != m.id {
+		return Cell{}, false
+	}
+	return m.store.cell(id, a.slot), true
 }
 
 // HasLabel is Index.hasLabel(id, label) issued from this machine.
@@ -49,10 +53,15 @@ func (m *Machine) HasLabel(id graph.NodeID, label graph.LabelID) bool {
 	return m.cluster.HasLabel(m.id, id, label)
 }
 
-// LabelsOfBatch resolves labels for ids with per-owner message batching,
-// appending into out (which is returned re-sliced).
+// LabelsOfBatch resolves labels for ids into out[:0] with per-owner message
+// batching, returning the filled slice.
 func (m *Machine) LabelsOfBatch(ids []graph.NodeID, out []graph.LabelID) []graph.LabelID {
 	return m.cluster.LabelsOfBatch(m.id, ids, out)
+}
+
+// LabelBatch starts a label batch issued from this machine.
+func (m *Machine) LabelBatch() LabelBatch {
+	return LabelBatch{c: m.cluster, from: m.id}
 }
 
 // Owns reports whether this machine owns vertex id.

@@ -1,10 +1,20 @@
 // Package memcloud simulates the Trinity memory cloud the paper deploys
 // graphs on (§2.2): a cluster of machines whose RAM jointly holds one large
 // graph, addressed through a unified ID space. Each simulated machine owns a
-// hash partition of the vertices, stores its adjacency in a flat slab (the
-// "memory trunk" design: one arena, no per-object heap overhead), keeps a
-// local string index mapping labels to local vertex IDs, and reaches remote
-// vertices through a message fabric that accounts every message and byte.
+// partition of the vertices, stores its adjacency in a flat slab (the
+// "memory trunk" design: one arena and one slot-addressed cell directory, no
+// per-object heap overhead), keeps a local string index mapping labels to
+// local vertex IDs, and reaches remote vertices through a message fabric
+// that accounts every message and byte.
+//
+// The unified ID space is one flat address table on the Cluster: vertex IDs
+// are dense, and entry v holds v's owner machine and its slot in that
+// machine's directory, so locating any cell is two array reads. A
+// Partitioner is only the placement policy that fills the table — asked once
+// per vertex, at LoadGraph or AddNode, never per lookup. The table, the
+// directories and the arenas share one concurrency discipline (update.go):
+// queries read them without locks; updates mutate them under the cluster's
+// writer lock while no query runs.
 //
 // The package provides exactly the atomic operators the paper's Algorithm 1
 // needs — Cloud.Load, Index.getID, Index.hasLabel — plus the batch variants
@@ -14,9 +24,12 @@ package memcloud
 
 import "stwig/internal/graph"
 
-// Partitioner assigns every vertex to a machine. The paper emphasizes that
-// results hold under random partitioning ("each node ... is assigned to a
-// machine by a hashing function", §4.3), which HashPartitioner implements.
+// Partitioner decides which machine a vertex is placed on. The cluster asks
+// once per vertex and records the answer in its address table, so Owner
+// need not be fast and is never called on a lookup path. The paper
+// emphasizes that results hold under random partitioning ("each node ... is
+// assigned to a machine by a hashing function", §4.3), which
+// HashPartitioner implements.
 type Partitioner interface {
 	// Owner returns the machine index owning v, in [0, Machines()).
 	Owner(v graph.NodeID) int

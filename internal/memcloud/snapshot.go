@@ -25,20 +25,13 @@ func (c *Cluster) SnapshotGraph() (*graph.Graph, error) {
 	}
 	c.upd.mu.Lock()
 	defer c.upd.mu.Unlock()
-	n := int64(c.upd.nextID)
 	b := graph.NewBuilder(graph.Undirected())
-	for v := int64(0); v < n; v++ {
-		id := graph.NodeID(v)
-		cell, ok := c.machines[c.part.Owner(id)].store.load(id)
-		if !ok {
-			return nil, fmt.Errorf("memcloud: snapshot: vertex %d missing from its owner's store", v)
-		}
-		b.AddNode(c.labels.Name(cell.Label))
+	for _, a := range c.addr {
+		b.AddNode(c.labels.Name(c.machines[a.owner].store.label(a.slot)))
 	}
-	for v := int64(0); v < n; v++ {
+	for v, a := range c.addr {
 		id := graph.NodeID(v)
-		cell, _ := c.machines[c.part.Owner(id)].store.load(id)
-		for _, u := range cell.Neighbors {
+		for _, u := range c.machines[a.owner].store.neighbors(a.slot) {
 			if id < u {
 				if err := b.AddEdge(id, u); err != nil {
 					return nil, fmt.Errorf("memcloud: snapshot: edge (%d,%d): %w", id, u, err)

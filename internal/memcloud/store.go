@@ -1,14 +1,31 @@
 package memcloud
 
-import "stwig/internal/graph"
+import (
+	"unsafe"
+
+	"stwig/internal/graph"
+)
 
 // Store is one machine's share of the graph, laid out Trinity-style: a
 // single adjacency arena plus a fixed-width cell directory, instead of one
 // heap object per vertex. §2.2 reports 50M 35-byte objects costing 3.9 GB on
 // a managed heap versus 1.6 GB in a memory trunk; the flat layout here is
 // the same idea and is what lets the load benchmark (Table 2) scale.
+//
+// The directory is addressed by slot, not by vertex ID: a machine's i-th
+// vertex (in ascending ID order at load, in arrival order afterwards) lives
+// in dir[i], and the cluster's address table (cluster.go) maps a vertex ID
+// to its owner and slot. A lookup is therefore two array reads — no hash, no
+// per-entry overhead — and the directory costs exactly
+// cap(dir)·sizeof(cellRef) bytes. Slots are uint32, which bounds a machine
+// at 4.29 G vertices.
+//
+// Like the arena, the directory follows the single-writer / quiesced-reader
+// discipline described in update.go: queries read it without locks, updates
+// append to or rewrite it under the cluster's writer lock while no query
+// runs.
 type Store struct {
-	dir   map[graph.NodeID]cellRef
+	dir   []cellRef      // dir[slot]
 	arena []graph.NodeID // concatenated adjacency of all local vertices
 }
 
@@ -17,6 +34,9 @@ type cellRef struct {
 	deg   int32
 	label graph.LabelID
 }
+
+// maxSlots is the number of vertices one machine can address.
+const maxSlots = 1 << 32
 
 // Cell is the unit returned by Cloud.Load: a vertex's label and the IDs of
 // all its neighbors (local or not). For local loads, Neighbors aliases the
@@ -27,45 +47,45 @@ type Cell struct {
 	Neighbors []graph.NodeID
 }
 
-// newStore sizes the directory for the expected number of local vertices.
-func newStore(expectedNodes int64) *Store {
-	return &Store{dir: make(map[graph.NodeID]cellRef, expectedNodes)}
+// newStore sizes the directory and the arena for a known partition.
+func newStore(nodes, arenaWords int64) *Store {
+	return &Store{
+		dir:   make([]cellRef, 0, nodes),
+		arena: make([]graph.NodeID, 0, arenaWords),
+	}
 }
 
-// put inserts a vertex cell. Neighbors are appended to the arena.
-func (s *Store) put(id graph.NodeID, label graph.LabelID, neighbors []graph.NodeID) {
+// put appends a vertex cell, copying its neighbors onto the arena tail, and
+// returns the slot it now occupies.
+func (s *Store) put(label graph.LabelID, neighbors []graph.NodeID) uint32 {
+	slot := uint32(len(s.dir))
 	off := int64(len(s.arena))
 	s.arena = append(s.arena, neighbors...)
-	s.dir[id] = cellRef{off: off, deg: int32(len(neighbors)), label: label}
+	s.dir = append(s.dir, cellRef{off: off, deg: int32(len(neighbors)), label: label})
+	return slot
 }
 
-// load returns the cell for id, if locally stored.
-func (s *Store) load(id graph.NodeID) (Cell, bool) {
-	ref, ok := s.dir[id]
-	if !ok {
-		return Cell{}, false
-	}
-	return Cell{
-		ID:        id,
-		Label:     ref.label,
-		Neighbors: s.arena[ref.off : ref.off+int64(ref.deg)],
-	}, true
+// label returns the label of the vertex in slot.
+func (s *Store) label(slot uint32) graph.LabelID { return s.dir[slot].label }
+
+// neighbors returns the adjacency of the vertex in slot, aliasing the arena.
+func (s *Store) neighbors(slot uint32) []graph.NodeID {
+	ref := s.dir[slot]
+	return s.arena[ref.off : ref.off+int64(ref.deg)]
 }
 
-// label returns the label of a locally stored vertex.
-func (s *Store) labelOf(id graph.NodeID) (graph.LabelID, bool) {
-	ref, ok := s.dir[id]
-	if !ok {
-		return graph.NoLabel, false
-	}
-	return ref.label, true
+// cell assembles the Cell of vertex id, which the address table placed in
+// slot.
+func (s *Store) cell(id graph.NodeID, slot uint32) Cell {
+	return Cell{ID: id, Label: s.label(slot), Neighbors: s.neighbors(slot)}
 }
 
 // numNodes returns the number of locally stored vertices.
 func (s *Store) numNodes() int64 { return int64(len(s.dir)) }
 
-// memoryBytes estimates resident bytes: arena entries are 8 bytes, and each
-// directory entry costs roughly 8 (key) + 16 (ref) + map overhead ≈ 48.
+// memoryBytes reports the bytes the store holds resident: the directory's
+// and the arena's full capacity, including append headroom.
 func (s *Store) memoryBytes() int64 {
-	return int64(len(s.arena))*8 + int64(len(s.dir))*48
+	return int64(cap(s.dir))*int64(unsafe.Sizeof(cellRef{})) +
+		int64(cap(s.arena))*int64(unsafe.Sizeof(graph.NodeID(0)))
 }

@@ -37,21 +37,20 @@ type UpdateStats struct {
 
 var errNotLoaded = fmt.Errorf("memcloud: cluster not loaded")
 
-// checkVertexLocked rejects vertex IDs outside [0, nextID) BEFORE they
-// reach a Partitioner: table-backed partitioners (BFS, range) index owner
-// arrays by ID, so an unchecked out-of-range ID from the network would
-// panic instead of erroring. Caller holds upd.mu.
-func (c *Cluster) checkVertexLocked(v graph.NodeID) error {
-	if v < 0 || v >= c.upd.nextID {
-		return fmt.Errorf("memcloud: vertex %d does not exist", v)
+// locateLocked resolves an update's vertex ID to its owner machine and
+// slot, rejecting IDs outside [0, NumNodes()) — they arrive from the
+// network — as errors. Caller holds upd.mu.
+func (c *Cluster) locateLocked(v graph.NodeID) (*Machine, uint32, error) {
+	a, ok := c.locate(v)
+	if !ok {
+		return nil, 0, fmt.Errorf("memcloud: vertex %d does not exist", v)
 	}
-	return nil
+	return c.machines[a.owner], a.slot, nil
 }
 
 type updateState struct {
-	mu     sync.Mutex
-	nextID graph.NodeID
-	stats  UpdateStats
+	mu    sync.Mutex
+	stats UpdateStats
 }
 
 // AddNode inserts a new vertex with the given label and returns its ID.
@@ -66,11 +65,14 @@ func (c *Cluster) AddNode(label string) (graph.NodeID, error) {
 }
 
 func (c *Cluster) addNodeLocked(label string) (graph.NodeID, error) {
-	id := c.upd.nextID
-	c.upd.nextID++
-	l := c.labels.Intern(label)
+	id := graph.NodeID(len(c.addr))
+	// The one time the placement policy is asked about this vertex.
 	m := c.machines[c.part.Owner(id)]
-	m.store.put(id, l, nil)
+	if m.store.numNodes() == maxSlots {
+		return graph.InvalidNode, fmt.Errorf("memcloud: machine %d is full (%d vertices)", m.id, int64(maxSlots))
+	}
+	l := c.labels.Intern(label)
+	c.addr = append(c.addr, cellAddr{slot: m.store.put(l, nil), owner: uint8(m.id)})
 	m.index.insertSorted(id, l)
 	c.upd.stats.NodesAdded++
 	c.epoch.Add(1)
@@ -93,30 +95,23 @@ func (c *Cluster) addEdgeLocked(u, v graph.NodeID) error {
 	if u == v {
 		return fmt.Errorf("memcloud: self-loop (%d,%d)", u, v)
 	}
-	if err := c.checkVertexLocked(u); err != nil {
+	mu, su, err := c.locateLocked(u)
+	if err != nil {
 		return err
 	}
-	if err := c.checkVertexLocked(v); err != nil {
+	mv, sv, err := c.locateLocked(v)
+	if err != nil {
 		return err
 	}
-	mu := c.machines[c.part.Owner(u)]
-	mv := c.machines[c.part.Owner(v)]
-	lu, ok := mu.store.labelOf(u)
-	if !ok {
-		return fmt.Errorf("memcloud: vertex %d does not exist", u)
-	}
-	lv, ok := mv.store.labelOf(v)
-	if !ok {
-		return fmt.Errorf("memcloud: vertex %d does not exist", v)
-	}
-	if has, _ := mu.store.hasNeighbor(u, v); has {
+	if mu.store.hasNeighbor(su, v) {
 		return fmt.Errorf("memcloud: edge (%d,%d) already exists", u, v)
 	}
-	c.upd.stats.GarbageWords += mu.store.insertNeighbor(u, v)
-	c.upd.stats.GarbageWords += mv.store.insertNeighbor(v, u)
+	c.upd.stats.GarbageWords += mu.store.insertNeighbor(su, v)
+	c.upd.stats.GarbageWords += mv.store.insertNeighbor(sv, u)
 	// Cross-pair maintenance is additive-only: removing the last edge of a
 	// label pair leaves a stale bit, which only ever makes load sets larger
 	// (correctness preserved, communication slightly pessimistic).
+	lu, lv := mu.store.label(su), mv.store.label(sv)
 	c.cross.add(mu.id, mv.id, lu, lv)
 	c.cross.add(mv.id, mu.id, lv, lu)
 	c.upd.stats.EdgesAdded++
@@ -135,23 +130,19 @@ func (c *Cluster) RemoveEdge(u, v graph.NodeID) error {
 }
 
 func (c *Cluster) removeEdgeLocked(u, v graph.NodeID) error {
-	if err := c.checkVertexLocked(u); err != nil {
+	mu, su, err := c.locateLocked(u)
+	if err != nil {
 		return err
 	}
-	if err := c.checkVertexLocked(v); err != nil {
+	mv, sv, err := c.locateLocked(v)
+	if err != nil {
 		return err
 	}
-	mu := c.machines[c.part.Owner(u)]
-	mv := c.machines[c.part.Owner(v)]
-	has, ok := mu.store.hasNeighbor(u, v)
-	if !ok {
-		return fmt.Errorf("memcloud: vertex %d does not exist", u)
-	}
-	if !has {
+	if !mu.store.hasNeighbor(su, v) {
 		return fmt.Errorf("memcloud: edge (%d,%d) does not exist", u, v)
 	}
-	mu.store.removeNeighbor(u, v)
-	mv.store.removeNeighbor(v, u)
+	mu.store.removeNeighbor(su, v)
+	mv.store.removeNeighbor(sv, u)
 	c.upd.stats.EdgesRemoved++
 	c.epoch.Add(1)
 	return nil
@@ -253,26 +244,23 @@ func (c *Cluster) CompactAll() int64 {
 
 // --- store-level mutation primitives ---
 
-// hasNeighbor reports whether id's adjacency contains nb; ok is false when
-// id is not stored here.
-func (s *Store) hasNeighbor(id, nb graph.NodeID) (has, ok bool) {
-	cell, found := s.load(id)
-	if !found {
-		return false, false
-	}
-	for _, x := range cell.Neighbors {
+// hasNeighbor reports whether the adjacency of the vertex in slot contains
+// nb.
+func (s *Store) hasNeighbor(slot uint32, nb graph.NodeID) bool {
+	for _, x := range s.neighbors(slot) {
 		if x == nb {
-			return true, true
+			return true
 		}
 	}
-	return false, true
+	return false
 }
 
-// insertNeighbor adds nb to id's sorted adjacency, relocating the cell to
-// the arena tail. Returns the number of words turned into garbage.
-func (s *Store) insertNeighbor(id, nb graph.NodeID) int64 {
-	ref := s.dir[id]
-	old := s.arena[ref.off : ref.off+int64(ref.deg)]
+// insertNeighbor adds nb to the sorted adjacency of the vertex in slot,
+// relocating the cell to the arena tail. Returns the number of words turned
+// into garbage.
+func (s *Store) insertNeighbor(slot uint32, nb graph.NodeID) int64 {
+	ref := &s.dir[slot]
+	old := s.neighbors(slot)
 	newOff := int64(len(s.arena))
 	// Copy with sorted insertion.
 	inserted := false
@@ -286,15 +274,15 @@ func (s *Store) insertNeighbor(id, nb graph.NodeID) int64 {
 	if !inserted {
 		s.arena = append(s.arena, nb)
 	}
-	s.dir[id] = cellRef{off: newOff, deg: ref.deg + 1, label: ref.label}
-	return int64(ref.deg)
+	garbage := int64(ref.deg)
+	ref.off, ref.deg = newOff, ref.deg+1
+	return garbage
 }
 
-// removeNeighbor deletes nb from id's adjacency in place (shrinking the
-// cell without relocation).
-func (s *Store) removeNeighbor(id, nb graph.NodeID) {
-	ref := s.dir[id]
-	adj := s.arena[ref.off : ref.off+int64(ref.deg)]
+// removeNeighbor deletes nb from the adjacency of the vertex in slot in
+// place (shrinking the cell without relocation).
+func (s *Store) removeNeighbor(slot uint32, nb graph.NodeID) {
+	adj := s.neighbors(slot)
 	w := 0
 	for _, x := range adj {
 		if x != nb {
@@ -302,21 +290,27 @@ func (s *Store) removeNeighbor(id, nb graph.NodeID) {
 			w++
 		}
 	}
-	s.dir[id] = cellRef{off: ref.off, deg: int32(w), label: ref.label}
+	s.dir[slot].deg = int32(w)
 }
 
-// compact rewrites the arena with only live cells, in directory order,
-// returning reclaimed words.
+// compact rewrites the arena with only live cells, in slot order, returning
+// reclaimed words. Slot order is a function of the update history alone, so
+// two clusters driven identically compact to identical arenas.
 func (s *Store) compact() int64 {
 	before := int64(len(s.arena))
-	newArena := make([]graph.NodeID, 0, len(s.arena))
-	for id, ref := range s.dir {
+	var live int64
+	for i := range s.dir {
+		live += int64(s.dir[i].deg)
+	}
+	newArena := make([]graph.NodeID, 0, live)
+	for i := range s.dir {
+		ref := &s.dir[i]
 		off := int64(len(newArena))
 		newArena = append(newArena, s.arena[ref.off:ref.off+int64(ref.deg)]...)
-		s.dir[id] = cellRef{off: off, deg: ref.deg, label: ref.label}
+		ref.off = off
 	}
 	s.arena = newArena
-	return before - int64(len(newArena))
+	return before - live
 }
 
 // insertSorted adds id into the label's posting list keeping it sorted.
