@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"sync"
 
 	"stwig/internal/graph"
 )
@@ -17,7 +18,7 @@ import (
 // and one way to build it during a run: after every machine has matched an
 // STwig, the proxy (rebind) sets the bits of all machines' matches into one
 // set per covered vertex. Those sets come cleared from the run's
-// exploreScratch and go back to it — cleared again — when they are replaced
+// runScratch and go back to it — cleared again — when they are replaced
 // by a later step or when exploration ends (release), so a steady-state
 // query allocates no numNodes-sized object. SetIDs, the standalone entry
 // point, allocates its own set.
@@ -69,7 +70,7 @@ func (b *Bindings) SetIDs(v int, ids []graph.NodeID) {
 // H_v of the root and of every leaf of t becomes the set of data vertices
 // that played that role in some machine's matches. The matches were
 // filtered through the previous H_v, so a replaced set only shrinks.
-func (b *Bindings) rebind(t STwig, perMachine [][]STwigMatch, sc *exploreScratch) {
+func (b *Bindings) rebind(t STwig, perMachine [][]STwigMatch, sc *runScratch) {
 	root := sc.takeSet()
 	for _, matches := range perMachine {
 		for i := range matches {
@@ -91,7 +92,7 @@ func (b *Bindings) rebind(t STwig, perMachine [][]STwigMatch, sc *exploreScratch
 }
 
 // install makes s the new H_v, handing the set it replaces back to sc.
-func (b *Bindings) install(v int, s bitset, sc *exploreScratch) {
+func (b *Bindings) install(v int, s bitset, sc *runScratch) {
 	if old := b.sets[v]; old != nil {
 		sc.putSet(old)
 	}
@@ -99,7 +100,7 @@ func (b *Bindings) install(v int, s bitset, sc *exploreScratch) {
 }
 
 // release hands every bound set back to sc, leaving b all-unbound.
-func (b *Bindings) release(sc *exploreScratch) {
+func (b *Bindings) release(sc *runScratch) {
 	for v, s := range b.sets {
 		if s != nil {
 			sc.putSet(s)
@@ -131,39 +132,49 @@ func (b *Bindings) TotalWords() int {
 	return total
 }
 
-// exploreScratch is the reusable memory of one run's exploration phase:
-// the binding sets (the only numNodes-sized objects a query touches) and,
-// per machine, the buffers pass 1 of matchSTwig fills. The Executor pools
-// these between runs; one run owns a scratch from the start of exploration
-// to its end, and within a run the machine goroutines touch disjoint
-// machineScratch entries while the proxy alone takes and returns sets.
-type exploreScratch struct {
+// runScratch is the reusable memory of one run: for exploration, the
+// binding sets (the only numNodes-sized objects a query touches) and, per
+// machine, the buffers pass 1 of matchSTwig fills; for the join, per
+// machine, its relations (joinScratch), the idle joiners with their match
+// blocks, and the one header array flushed blocks are handed out through.
+// The Executor pools these between runs; one run owns a scratch from its
+// start to its end. Within a run the machine goroutines touch disjoint
+// machineScratch entries, the proxy alone takes and returns sets, joiners
+// are taken and returned under mu, and matches is written under the join's
+// emit mutex.
+type runScratch struct {
 	words    int      // ⌈numNodes/64⌉: the width of every set in free
 	free     []bitset // cleared sets ready for reuse
 	machines []machineScratch
+
+	mu      sync.Mutex
+	joiners []*joiner // idle joiners
+	matches []Match   // headers over the block being emitted
 }
 
-// machineScratch holds one machine's pass-1 output for the current step.
+// machineScratch holds one machine's pass-1 output for the current step
+// and its join state.
 type machineScratch struct {
 	cells  []rootCell
 	labels []graph.LabelID
+	join   joinScratch
 }
 
-// newExploreScratch sizes a scratch for a cluster of k machines.
-func newExploreScratch(k int) *exploreScratch {
-	return &exploreScratch{machines: make([]machineScratch, k)}
+// newRunScratch sizes a scratch for a cluster of k machines.
+func newRunScratch(k int) *runScratch {
+	return &runScratch{machines: make([]machineScratch, k)}
 }
 
 // fit prepares the scratch for a data graph of numNodes vertices: sets kept
 // from a run over a graph of another width are dropped.
-func (sc *exploreScratch) fit(numNodes int64) {
+func (sc *runScratch) fit(numNodes int64) {
 	if words := bitsetWords(numNodes); sc.words != words {
 		sc.words, sc.free = words, nil
 	}
 }
 
 // takeSet returns an all-zero set of the fitted width.
-func (sc *exploreScratch) takeSet() bitset {
+func (sc *runScratch) takeSet() bitset {
 	if n := len(sc.free); n > 0 {
 		s := sc.free[n-1]
 		sc.free = sc.free[:n-1]
@@ -174,7 +185,7 @@ func (sc *exploreScratch) takeSet() bitset {
 
 // putSet clears s and keeps it for the next takeSet. A set of another
 // width (SetIDs on a differently sized Bindings) is left to the collector.
-func (sc *exploreScratch) putSet(s bitset) {
+func (sc *runScratch) putSet(s bitset) {
 	if len(s) != sc.words {
 		return
 	}
@@ -182,14 +193,74 @@ func (sc *exploreScratch) putSet(s bitset) {
 	sc.free = append(sc.free, s)
 }
 
-// forgetCells drops the arena references pass 1 left in the cell buffers:
-// a pooled scratch must not keep alive an arena that an update has since
-// replaced.
-func (sc *exploreScratch) forgetCells() {
-	for i := range sc.machines {
-		cells := sc.machines[i].cells
-		clear(cells[:cap(cells)])
+// maxIdleJoinBytes bounds the join memory — match blocks, relation buffers —
+// a pooled scratch keeps. A streaming query leaves every machine's joiner
+// with a full block (BlockSize assignments) and every machine's relations
+// with their copies and indexes; a process holds a few scratches (sync.Pool
+// keeps one per P, and what the last collection saw), so keeping all of it
+// would add machines × that to the live heap several times over. What lies
+// beyond the bound is dropped and grows again in a run that needs it; a
+// selective query's join memory fits whole.
+const maxIdleJoinBytes = 32 << 10
+
+// forget drops what the finished run left referenced from the scratch —
+// the arena references pass 1 put in the cell buffers, the exploration
+// results the relations alias, the blocks the match headers point into: a
+// pooled scratch must keep alive neither an arena that an update has since
+// replaced nor a finished query's matches. It also trims the join memory to
+// maxIdleJoinBytes: joiners first (a block is the largest single piece),
+// then the machines' relations.
+func (sc *runScratch) forget() {
+	clear(sc.matches[:cap(sc.matches)])
+	keep, held := 0, 0
+	for _, j := range sc.joiners {
+		if held += 8 * cap(j.block); held > maxIdleJoinBytes {
+			break
+		}
+		keep++
 	}
+	clear(sc.joiners[keep:])
+	sc.joiners = sc.joiners[:keep]
+	for i := range sc.machines {
+		ms := &sc.machines[i]
+		clear(ms.cells[:cap(ms.cells)])
+		ms.join.release()
+		if held += ms.join.idleBytes(); held > maxIdleJoinBytes {
+			ms.join = joinScratch{}
+		}
+	}
+}
+
+// takeJoiner returns an idle joiner, or a new one.
+func (sc *runScratch) takeJoiner() *joiner {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if n := len(sc.joiners); n > 0 {
+		j := sc.joiners[n-1]
+		sc.joiners = sc.joiners[:n-1]
+		return j
+	}
+	return &joiner{}
+}
+
+// putJoiner takes a joiner back, detached from its run.
+func (sc *runScratch) putJoiner(j *joiner) {
+	j.release()
+	sc.mu.Lock()
+	sc.joiners = append(sc.joiners, j)
+	sc.mu.Unlock()
+}
+
+// carve slices block — assignments of n ids each, back to back — into
+// matches over the run's one header array. One block is out at a time: the
+// join calls this under its emit mutex.
+func (sc *runScratch) carve(block []graph.NodeID, n int) []Match {
+	ms := sc.matches[:0]
+	for at := 0; at < len(block); at += n {
+		ms = append(ms, Match{Assignment: block[at : at+n : at+n]})
+	}
+	sc.matches = ms
+	return ms
 }
 
 // bitset is a fixed-capacity bit vector over dense vertex IDs.

@@ -141,7 +141,7 @@ func TestPropertyJoinerEqualsNaiveJoin(t *testing.T) {
 			q:         q,
 			rels:      []*relation{r1, r2},
 			blockSize: 3,
-			emit:      func(m Match) bool { got = append(got, m); return true },
+			emitBlock: collectInto(&got),
 		}
 		j.run()
 		gotSet := MatchSet(got)

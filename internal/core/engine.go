@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"stwig/internal/graph"
 	"stwig/internal/memcloud"
 )
 
@@ -17,7 +18,11 @@ type Options struct {
 	// MatchBudget bounds the total number of matches enumerated across the
 	// cluster; 0 means unlimited.
 	MatchBudget int
-	// BlockSize is the pipelined-join block length (default 256).
+	// BlockSize is the pipelined-join block length (default 256): how many
+	// driver matches a joiner expands between flushes, the smallest driver
+	// chunk of the parallel join and, capped at 1024, how many matches a
+	// joiner buffers before it flushes early — so also the most matches one
+	// MatchStreamBlocks callback receives.
 	BlockSize int
 	// Seed drives the sampling in join-order estimation.
 	Seed int64
@@ -269,7 +274,9 @@ func (e *Engine) MatchContext(ctx context.Context, q *Query) (*Result, error) {
 // multiple goroutines but never concurrently; returning false stops the
 // query (Stats.Truncated is set). The pipelined join makes the first
 // matches arrive before the full result set is computed — the property the
-// paper's block-based join exists for.
+// paper's block-based join exists for. A match handed to emit is the
+// caller's to keep: it is a copy (one array per flushed block) of what the
+// join buffered.
 //
 // MatchStream delegates to the Planner/PlanCache for the proxy phase and
 // to the Executor for everything that touches the cluster; the returned
@@ -281,14 +288,19 @@ func (e *Engine) MatchStream(ctx context.Context, q *Query, emit func(Match) boo
 }
 
 // MatchStreamBlocks is MatchStream at block granularity: emitBlock receives
-// each flushed block of matches (never concurrently; never empty) and
-// reports how many of them it consumed plus whether to continue; returning
-// false stops the query with Stats.Truncated set. The consumed count lets a
-// partially-delivered final block (a downstream cap cutting mid-block) be
-// accounted exactly. Batch-oriented consumers — the daemon's NDJSON writer,
-// bulk loaders — use it to pay their per-delivery overhead (flushes,
-// syscalls) once per block instead of once per match. The slice is reused
-// between calls; copy it to retain.
+// each flushed block of matches (never concurrently; never empty; at most
+// min(BlockSize, 1024) of them) and reports how many of them it consumed
+// plus whether to continue; returning false stops the query with
+// Stats.Truncated set. The consumed count lets a partially-delivered final
+// block (a downstream cap cutting mid-block) be accounted exactly.
+// Batch-oriented consumers — the daemon's NDJSON writer, bulk loaders — use
+// it to pay their per-delivery overhead (flushes, syscalls) once per block
+// instead of once per match.
+//
+// The block is lent, not given: the slice and every Assignment in it are
+// the join's own buffers, overwritten by the next matches as soon as
+// emitBlock returns. Encode, count or hash in place; copy (the ids, not the
+// Match values) whatever must outlive the callback.
 func (e *Engine) MatchStreamBlocks(ctx context.Context, q *Query, emitBlock func([]Match) (int, bool)) (*ExecStats, error) {
 	return e.matchStream(ctx, q, nil, emitBlock)
 }
@@ -327,10 +339,20 @@ func (e *Engine) matchStream(ctx context.Context, q *Query, emit func(Match) boo
 			return n, ok
 		}
 	} else {
+		// The block dies when this callback returns, but a per-match caller
+		// may keep what it is handed: give it copies, all of one block's in
+		// one array.
 		counted = func(ms []Match) (int, bool) {
+			words := 0
+			for _, m := range ms {
+				words += len(m.Assignment)
+			}
+			kept := make([]graph.NodeID, 0, words)
 			for i, m := range ms {
+				at := len(kept)
+				kept = append(kept, m.Assignment...)
 				emitted++
-				if !emit(m) {
+				if !emit(Match{Assignment: kept[at:len(kept):len(kept)]}) {
 					return i, false
 				}
 			}

@@ -21,24 +21,26 @@ import (
 type Executor struct {
 	cluster *memcloud.Cluster
 	opts    Options
-	// scratch pools *exploreScratch values between runs; it is the only
-	// state concurrent runs of one Executor share.
+	// scratch pools *runScratch values between runs; it is the only state
+	// concurrent runs of one Executor share.
 	scratch sync.Pool
 }
 
 // NewExecutor creates an executor over a loaded cluster.
 func NewExecutor(c *memcloud.Cluster, opts Options) *Executor {
 	ex := &Executor{cluster: c, opts: normalizeOptions(opts)}
-	ex.scratch.New = func() any { return newExploreScratch(c.NumMachines()) }
+	ex.scratch.New = func() any { return newRunScratch(c.NumMachines()) }
 	return ex
 }
 
 // Run executes plan, delivering matches in blocks: emit is called with
 // each flushed block (from multiple goroutines but never concurrently) and
 // returns how many of the block's matches it accepted plus whether to
-// continue; a false return stops the run and sets Stats.Truncated. Engine
-// stamps the returned stats with plan-cache provenance; Run itself fills
-// everything execution-derived.
+// continue; a false return stops the run and sets Stats.Truncated. A block
+// — the slice and the assignments in it — is the join's buffer and dead
+// once emit returns (see Engine.MatchStreamBlocks). Engine stamps the
+// returned stats with plan-cache provenance; Run itself fills everything
+// execution-derived.
 func (ex *Executor) Run(ctx context.Context, plan *Plan, emit func([]Match) (int, bool)) (*ExecStats, error) {
 	if !plan.Resolvable {
 		return &ExecStats{}, nil
@@ -56,9 +58,14 @@ type execution struct {
 	emit func([]Match) (int, bool)
 	pt   phaseTimer
 
+	// sc is the run's pooled scratch: taken when the run starts, handed
+	// back — holding nothing of this run — when it ends.
+	sc *runScratch
+
 	// Intra-machine parallelism state: pool is the run's worker pool (nil
-	// when effective parallelism is 1), par its size, tasks/flushes the
-	// counters surfaced in ExecStats.
+	// when effective parallelism is 1; its goroutines start with the first
+	// dispatch that fans out), par its size, tasks/flushes the counters
+	// surfaced in ExecStats.
 	pool    *workerPool
 	par     int
 	tasks   atomic.Uint64
@@ -127,6 +134,12 @@ func (r *execution) run(ctx context.Context) (*ExecStats, error) {
 	r.par = ex.opts.effectiveParallelism()
 	r.pool = newWorkerPool(r.par)
 	defer r.pool.close()
+
+	r.sc = ex.scratch.Get().(*runScratch)
+	defer func() {
+		r.sc.forget()
+		ex.scratch.Put(r.sc)
+	}()
 
 	wallStart := time.Now()
 
@@ -232,19 +245,13 @@ func (r *execution) explore(ctx context.Context) ([][][]STwigMatch, error) {
 	numNodes := ex.cluster.NumNodes()
 	perTwig := make([][][]STwigMatch, len(dec.Twigs))
 
-	sc := ex.scratch.Get().(*exploreScratch)
+	sc := r.sc
 	sc.fit(numNodes)
 	var bindings *Bindings
 	if !ex.opts.NoBindings {
 		bindings = NewBindings(r.plan.Query.NumVertices(), numNodes)
+		defer bindings.release(sc)
 	}
-	defer func() {
-		if bindings != nil {
-			bindings.release(sc)
-		}
-		sc.forgetCells()
-		ex.scratch.Put(sc)
-	}()
 
 	for t, twig := range dec.Twigs {
 		if err := ctx.Err(); err != nil {
@@ -316,8 +323,8 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 	var stopAll atomic.Bool
 	var truncatedFlag atomic.Bool
 	perMachineCounts := make([]int, k)
-	emitBlockFor := func(machine int) func([]Match) bool {
-		return func(ms []Match) bool {
+	emitBlockFor := func(machine int) func([]graph.NodeID, int) bool {
+		return func(block []graph.NodeID, width int) bool {
 			emitMu.Lock()
 			defer emitMu.Unlock()
 			if stopAll.Load() {
@@ -328,7 +335,7 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 			if r.traced {
 				emitStart = time.Now()
 			}
-			n, ok := r.emit(ms)
+			n, ok := r.emit(r.sc.carve(block, width))
 			if r.traced {
 				r.emitTime += time.Since(emitStart)
 			}
@@ -394,17 +401,17 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 		}
 
 		// Assemble R_k(q_t) = G_k(q_t) ∪ ⋃_{j ∈ F_{k,t}} G_j(q_t).
-		// Matches are aliased, not copied: the join only mutates them
-		// during semi-join reduction, which deep-copies first.
-		rels := make([]*relation, 0, len(dec.Twigs))
+		// Matches are aliased, not copied: the exploration results are
+		// shared with every other machine's join, so a relation moves to a
+		// private match array before its first remote extension, and the
+		// semi-join deep-copies before it filters.
+		js := &r.sc.machines[machine].join
+		rels := js.relations(len(dec.Twigs))
 		totalWords := 0
 		for t, twig := range dec.Twigs {
-			matches := perTwig[t][machine]
+			rel := rels[t]
+			rel.reset(twig, perTwig[t][machine])
 			if t != dec.Head {
-				// Appending into the shared per-twig slice would race
-				// with other machines; reallocate before the first
-				// remote extension.
-				extended := false
 				for _, j := range loadSets[machine][t] {
 					remote := perTwig[t][j]
 					if len(remote) == 0 {
@@ -415,16 +422,11 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 						words += m.words()
 					}
 					ex.cluster.ShipWords(j, machine, words)
-					if !extended {
-						matches = append([]STwigMatch(nil), matches...)
-						extended = true
-					}
-					matches = append(matches, remote...)
+					rel.extend(remote)
 				}
 			}
-			rel := newRelation(twig, matches, rng)
+			rel.est = estimateCardinality(rel.matches, rng)
 			totalWords += rel.totalWords()
-			rels = append(rels, rel)
 		}
 		sortRelationsDeterministic(rels)
 		if r.traced {
@@ -432,15 +434,9 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 		}
 		// Semi-join reduction pays on selective (often cyclic) queries
 		// but is pure overhead when relations are huge and
-		// unselective; gate it by volume (Options.SemijoinWordCap). It
-		// mutates leaf sets, and the match arrays are shared with other
-		// machines' concurrent joins, so it operates on a deep copy.
+		// unselective; gate it by volume (Options.SemijoinWordCap).
 		if !ex.opts.NoSemijoin && totalWords <= ex.opts.SemijoinWordCap {
-			for _, rel := range rels {
-				rel.matches = copyMatches(nil, rel.matches)
-				rel.buildIndexes()
-			}
-			semijoinRounds = semijoinReduce(q, rels, rng)
+			semijoinRounds = semijoinReduce(q, rels, rng, js)
 			if r.traced {
 				semijoinD = time.Since(machStart) - exchangeD
 			}
@@ -448,15 +444,9 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 		rels = orderRelations(rels, !ex.opts.NoJoinOrderOpt)
 
 		emitBlock := emitBlockFor(machine)
-		newJoiner := func() *joiner {
-			return &joiner{
-				q:         q,
-				rels:      rels,
-				budget:    budget,
-				blockSize: ex.opts.BlockSize,
-				abort:     aborted,
-				emitBlock: emitBlock,
-			}
+		prepare := func(jn *joiner) {
+			jn.q, jn.rels, jn.budget, jn.blockSize = q, rels, budget, ex.opts.BlockSize
+			jn.abort, jn.emitBlock = aborted, emitBlock
 		}
 		driverLen := 0
 		if len(rels) > 0 {
@@ -464,48 +454,37 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 		}
 		// Fan the driver relation's blocks out to the worker pool when a
 		// chunk per worker exists; each chunk gets its own joiner (private
-		// assignment/used scratch and emit buffer) while budget and stop
-		// flags stay shared. Lazy leaf-index builds would race across
-		// chunk joiners, so the statically probe-able indexes are built
-		// up front.
+		// assignment and match block) while budget and stop flags stay
+		// shared. Lazy index builds would race across chunk joiners, so the
+		// statically probe-able indexes are built up front.
 		if r.pool == nil || driverLen < 2*ex.opts.BlockSize {
-			jn := newJoiner()
+			jn := r.sc.takeJoiner()
+			prepare(jn)
 			jn.run()
 			if jn.budgetHit {
 				truncatedFlag.Store(true)
 			}
+			r.sc.putJoiner(jn)
 			return
 		}
-		prebuildLeafIndexes(rels)
+		prebuildIndexes(rels)
 		ranges := chunkRanges(driverLen, 4*r.par, ex.opts.BlockSize)
 		joinTaskCount = len(ranges)
 		joinTasks := make([]func(), len(ranges))
 		for i, rg := range ranges {
 			rg := rg
 			joinTasks[i] = func() {
-				jn := newJoiner()
+				jn := r.sc.takeJoiner()
+				prepare(jn)
 				jn.init()
 				jn.runRange(rg[0], rg[1])
 				if jn.budgetHit {
 					truncatedFlag.Store(true)
 				}
+				r.sc.putJoiner(jn)
 			}
 		}
 		r.dispatch(joinTasks)
 	})
 	return perMachineCounts, truncatedFlag.Load()
-}
-
-// copyMatches appends deep copies of src to dst: the join phase mutates
-// leaf sets, so relations must not alias exploration results shared across
-// machines.
-func copyMatches(dst, src []STwigMatch) []STwigMatch {
-	for _, m := range src {
-		nm := STwigMatch{Root: m.Root, LeafSets: make([][]graph.NodeID, len(m.LeafSets))}
-		for i, s := range m.LeafSets {
-			nm.LeafSets[i] = append([]graph.NodeID(nil), s...)
-		}
-		dst = append(dst, nm)
-	}
-	return dst
 }

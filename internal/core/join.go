@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -19,75 +21,218 @@ import (
 //     so partial results surface before the full multi-way join completes,
 //     and the whole pipeline stops as soon as the match budget is reached.
 //
-// Injectivity (Definition 2's bijection) is enforced during expansion.
+// Injectivity (Definition 2's bijection) is enforced during expansion, by
+// scanning the current assignment: it has one entry per query vertex.
+//
+// Everything here is a flat, index-addressed array; no Go map is built per
+// query (the paper's §2.2 memory-trunk argument, applied to the join):
+//
+//   - A relation index is a posting array — (data vertex, match index)
+//     pairs sorted by vertex, then by match index — probed by binary search.
+//     Slot 0 indexes the matches' roots, slot 1+i the candidates of leaf i.
+//     An index is built at most once per relation and run, on its first
+//     probe, after the semi-join has finished filtering.
+//   - The semi-join's value sets are sorted arrays of distinct ids,
+//     intersected by merge, and it filters one flat deep copy per relation
+//     (one id array, one header array) in place.
+//   - A joiner appends every accepted assignment to one flat id block that
+//     it owns and starts over after each flush. The flush hands the block to
+//     the run's serialized emit path, which slices it into Match values over
+//     the run's one header array (runScratch.carve). A flushed block — the
+//     []Match and every Assignment in it — is therefore valid only until the
+//     emit callback returns; whoever keeps a match copies it
+//     (Engine.MatchStream does, once per block).
+//
+// All of it is scratch of one run: the relations with their index and copy
+// buffers, the joiners and the header array live in the runScratch the
+// execution takes from Executor.scratch when it starts and puts back —
+// referencing nothing of the run, and holding at most maxIdleJoinBytes of
+// join memory — when it ends. A warm query whose join memory fits that
+// bound allocates nothing here; a larger one grows again what was dropped,
+// O(machines · log BlockSize) allocations whatever the size of its result.
 
-// relation is one STwig's result set prepared for joining.
+// posting is one entry of a relation index: data vertex id occurs in match
+// number match (an index into relation.matches).
+type posting struct {
+	id    graph.NodeID
+	match int32
+}
+
+// relIndex is one slot's posting array, sorted by (id, match). The array
+// keeps its capacity between runs; built says whether it describes the
+// relation's current matches.
+type relIndex struct {
+	postings []posting
+	built    bool
+}
+
+// relation is one STwig's result set prepared for joining. It is its own
+// scratch: idx, own, sets and ids keep their capacity from run to run (a
+// machine reuses relation t for STwig t of its next query), so preparing a
+// relation allocates only while it outgrows every earlier one in its place.
 type relation struct {
 	twig    STwig
 	matches []STwigMatch
-	byRoot  map[graph.NodeID][]int32   // match indexes grouped by root
-	byLeaf  []map[graph.NodeID][]int32 // per leaf, built lazily on first probe
-	est     float64                    // estimated expanded cardinality
+	est     float64    // estimated expanded cardinality
+	idx     []relIndex // slot 0: roots; slot 1+i: candidates of leaf i
+
+	// private reports that matches is own rather than an exploration
+	// result, which every machine's join aliases and nobody may write.
+	private bool
+	own     []STwigMatch     // the private match array
+	sets    [][]graph.NodeID // deepCopy's leaf-set headers, one run per match
+	ids     []graph.NodeID   // deepCopy's candidates, one run per leaf set
 }
 
-func newRelation(twig STwig, matches []STwigMatch, rng sampler) *relation {
-	r := &relation{twig: twig, matches: matches}
-	r.buildIndexes()
-	r.est = estimateCardinality(matches, rng)
-	return r
-}
-
-// buildIndexes (re)creates the root hash index and resets the lazy leaf
-// indexes. The root index is O(|matches|); leaf posting lists are
-// O(Σ|leaf sets|) and only materialized by leafIndex when the join order
-// actually probes that leaf — profiling shows eager leaf indexes dominate
-// query time on unselective (label-poor) workloads where they are never
-// probed.
-func (r *relation) buildIndexes() {
-	r.byRoot = make(map[graph.NodeID][]int32, len(r.matches))
-	r.byLeaf = make([]map[graph.NodeID][]int32, len(r.twig.Leaves))
-	for i, m := range r.matches {
-		r.byRoot[m.Root] = append(r.byRoot[m.Root], int32(i))
+// reset points r at one STwig's matches and drops the previous indexes.
+func (r *relation) reset(twig STwig, matches []STwigMatch) {
+	r.twig, r.matches, r.private = twig, matches, false
+	slots := 1 + len(twig.Leaves)
+	r.idx = reuse(r.idx, slots)[:slots]
+	for i := range r.idx {
+		r.idx[i].built = false
 	}
 }
 
-// leafIndex returns the posting map for leaf li, building it on first use.
-// Lazy building is only safe single-goroutine: sequential joins qualify,
-// and the parallel join calls prebuildLeafIndexes before fanning chunks
-// out, so concurrent probes only ever see already-built maps.
-func (r *relation) leafIndex(li int) map[graph.NodeID][]int32 {
-	if r.byLeaf[li] == nil {
-		// Pre-size from the match count: each match contributes at least
-		// one posting per leaf, so this bounds rehashing without
-		// materializing exact cardinalities first.
-		idx := make(map[graph.NodeID][]int32, len(r.matches))
-		for i, m := range r.matches {
-			for _, id := range m.LeafSets[li] {
-				idx[id] = append(idx[id], int32(i))
-			}
-		}
-		r.byLeaf[li] = idx
-	}
-	return r.byLeaf[li]
+// release drops everything r references outside its own buffers, so a pooled
+// relation pins neither exploration results nor a plan.
+func (r *relation) release() {
+	clear(r.own)
+	r.own = r.own[:0]
+	r.twig, r.matches, r.private = STwig{}, nil, false
 }
 
-// prebuildLeafIndexes materializes every leaf posting map the join order
-// can probe, so chunked joiners running concurrently never hit the lazy
-// build path. Which probes are possible is static: when nextRelation
-// reaches depth d, exactly the vertices of rels[0..d-1] are bound, and a
-// leaf index is consulted only when the relation's root is not among them.
-func prebuildLeafIndexes(rels []*relation) {
-	bound := make(map[int]bool)
-	for d, rel := range rels {
-		if d > 0 && !bound[rel.twig.Root] {
-			for li, leafVar := range rel.twig.Leaves {
-				if bound[leafVar] {
-					rel.leafIndex(li)
-				}
+// privatize moves the match array into own (once), leaf sets still aliased.
+func (r *relation) privatize() {
+	if !r.private {
+		r.own = append(r.own[:0], r.matches...)
+		r.matches, r.private = r.own, true
+	}
+}
+
+// extend appends matches fetched from another machine.
+func (r *relation) extend(remote []STwigMatch) {
+	r.privatize()
+	r.own = append(r.own, remote...)
+	r.matches = r.own
+}
+
+// deepCopy makes every leaf set private as well, so the semi-join can filter
+// them in place: all candidates move into one id array and all headers into
+// one header array, sized first so that no append moves what an earlier
+// header points at.
+func (r *relation) deepCopy() {
+	r.privatize()
+	total := 0
+	for i := range r.matches {
+		for _, s := range r.matches[i].LeafSets {
+			total += len(s)
+		}
+	}
+	ids := reuse(r.ids, total)
+	sets := reuse(r.sets, len(r.matches)*len(r.twig.Leaves))
+	for i := range r.matches {
+		m := &r.matches[i]
+		first := len(sets)
+		for _, s := range m.LeafSets {
+			lo := len(ids)
+			ids = append(ids, s...)
+			sets = append(sets, ids[lo:len(ids):len(ids)])
+		}
+		m.LeafSets = sets[first:len(sets):len(sets)]
+	}
+	r.ids, r.sets = ids, sets
+}
+
+// reuse returns s emptied, with room for n elements: a kept buffer grows to
+// exactly what the largest run so far needed.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// index returns slot's posting array, building it on first use: every
+// (id, match) pair of the slot, sorted by id and then by match index, so the
+// matches holding one id form a run in ascending match order — the order
+// the relation lists them in. The root index is O(|matches|), a leaf index
+// O(Σ|leaf sets|), and on unselective workloads most are never probed, hence
+// the lazy build. That is only safe single-goroutine: sequential joins
+// qualify, and the parallel join calls prebuildIndexes before fanning chunks
+// out, so concurrent probes only ever read.
+func (r *relation) index(slot int) []posting {
+	ix := &r.idx[slot]
+	if ix.built {
+		return ix.postings
+	}
+	ps := ix.postings[:0]
+	if slot == 0 {
+		for i := range r.matches {
+			ps = append(ps, posting{r.matches[i].Root, int32(i)})
+		}
+	} else {
+		for i := range r.matches {
+			for _, id := range r.matches[i].LeafSets[slot-1] {
+				ps = append(ps, posting{id, int32(i)})
 			}
 		}
-		for _, v := range rel.twig.Vertices() {
-			bound[v] = true
+	}
+	slices.SortFunc(ps, func(a, b posting) int {
+		if c := cmp.Compare(a.id, b.id); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.match, b.match)
+	})
+	ix.postings, ix.built = ps, true
+	return ps
+}
+
+// probe returns the run of postings for id.
+func probe(ps []posting, id graph.NodeID) []posting {
+	lo, hi := 0, len(ps)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ps[mid].id < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for hi < len(ps) && ps[hi].id == id {
+		hi++
+	}
+	return ps[lo:hi]
+}
+
+// covered reports whether some relation of rels covers query vertex v. Join
+// orders are a handful of relations over a handful of vertices, so scanning
+// them beats keeping a set.
+func covered(rels []*relation, v int) bool {
+	for _, r := range rels {
+		if r.twig.slot(v) >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// prebuildIndexes materializes every index the join order can probe, so
+// chunked joiners running concurrently never hit the lazy build path. Which
+// probes are possible is static: when nextRelation reaches depth d, exactly
+// the vertices of rels[0..d-1] are bound; the root index is consulted when
+// the relation's root is among them, otherwise the index of each bound leaf.
+func prebuildIndexes(rels []*relation) {
+	for d := 1; d < len(rels); d++ {
+		rel := rels[d]
+		if covered(rels[:d], rel.twig.Root) {
+			rel.index(0)
+			continue
+		}
+		for li, leafVar := range rel.twig.Leaves {
+			if covered(rels[:d], leafVar) {
+				rel.index(1 + li)
+			}
 		}
 	}
 }
@@ -145,28 +290,27 @@ func estimateCardinality(matches []STwigMatch, rng sampler) float64 {
 	return total * float64(n) / float64(sampleCap)
 }
 
-// orderRelations picks a left-deep join order: the smallest relation first,
-// then repeatedly the not-yet-joined relation sharing the most query
-// vertices with the prefix (so cycle-closing relations degenerate into
-// cheap filters), breaking ties toward the smallest estimated cardinality.
-// With optimize=false the input order is kept (the ablation baseline).
+// orderRelations picks a left-deep join order, in place: the smallest
+// relation first, then repeatedly the not-yet-joined relation sharing the
+// most query vertices with the prefix (so cycle-closing relations degenerate
+// into cheap filters), breaking ties toward the smallest estimated
+// cardinality and then toward the earliest in the input. With
+// optimize=false the input order is kept (the ablation baseline).
 func orderRelations(rels []*relation, optimize bool) []*relation {
 	if !optimize || len(rels) <= 1 {
 		return rels
 	}
-	ordered := make([]*relation, 0, len(rels))
-	used := make([]bool, len(rels))
-	joinedVars := map[int]bool{}
-
-	pick := func(requireConnected bool) int {
+	// pick chooses among rels[pos:] against the prefix rels[:pos].
+	pick := func(pos int, requireConnected bool) int {
 		best, bestShared := -1, -1
-		for i, r := range rels {
-			if used[i] {
-				continue
-			}
+		for i := pos; i < len(rels); i++ {
+			r := rels[i]
 			shared := 0
-			for _, v := range r.twig.Vertices() {
-				if joinedVars[v] {
+			if covered(rels[:pos], r.twig.Root) {
+				shared++
+			}
+			for _, leaf := range r.twig.Leaves {
+				if covered(rels[:pos], leaf) {
 					shared++
 				}
 			}
@@ -180,42 +324,40 @@ func orderRelations(rels []*relation, optimize bool) []*relation {
 		}
 		return best
 	}
-
-	for len(ordered) < len(rels) {
-		i := pick(len(ordered) > 0)
+	for pos := range rels {
+		i := pick(pos, pos > 0)
 		if i == -1 {
-			i = pick(false) // disconnected remainder: fall back
+			i = pick(pos, false) // disconnected remainder: fall back
 		}
-		used[i] = true
-		ordered = append(ordered, rels[i])
-		for _, v := range rels[i].twig.Vertices() {
-			joinedVars[v] = true
-		}
+		// Move the pick up to pos; the rest keep their order, so later ties
+		// still go to the earliest.
+		r := rels[i]
+		copy(rels[pos+1:i+1], rels[pos:i])
+		rels[pos] = r
 	}
-	return ordered
+	return rels
 }
 
 // joiner runs the pipelined multiway join over one driver range. Several
 // joiners may work one machine's relations concurrently (one per driver
-// chunk); each owns its scratch state, while budget and abort are shared.
+// chunk); each owns its assignment and its match block, while budget and
+// abort are shared. Joiners are reused across runs (runScratch): init keeps
+// the capacity of assignment and block.
 type joiner struct {
 	q      *Query
 	rels   []*relation
 	budget *atomic.Int64 // shared across machines and chunks; nil means unlimited
-	// emitBlock receives each flushed block of matches; returning false
-	// stops this joiner. The slice is reused between flushes.
-	emitBlock func([]Match) bool
-	// emit is the per-match variant (tests, ad-hoc callers); used when
-	// emitBlock is nil.
-	emit func(Match) bool
+	// emitBlock receives each flushed block: the accepted assignments back
+	// to back, n ids each. Returning false stops this joiner. The joiner
+	// overwrites the block with its next matches once emitBlock returns.
+	emitBlock func(block []graph.NodeID, n int) bool
 	// abort, when non-nil, is polled between relation advances so context
 	// cancellation and cross-machine stops propagate into deep expansions.
 	abort func() bool
 
-	assignment []graph.NodeID
-	used       map[graph.NodeID]int // data vertex -> count of uses (always 1)
-	buf        []Match              // matches accepted but not yet flushed
-	bufCap     int                  // flush threshold, set by init
+	assignment []graph.NodeID // current partial assignment; InvalidNode = unbound
+	block      []graph.NodeID // assignments accepted but not yet flushed
+	bufCap     int            // flush threshold in matches, set by init
 	stopped    bool
 	budgetHit  bool
 	blockSize  int
@@ -227,6 +369,10 @@ type joiner struct {
 // expansion factor or an oversized block size.
 const maxEmitBuffer = 1024
 
+// minMatchBlock is the first match block's size in matches; a joiner that
+// buffers more doubles it, up to bufCap.
+const minMatchBlock = 16
+
 // run consumes the whole driver relation; the parallel path uses init +
 // runRange per chunk instead.
 func (j *joiner) run() {
@@ -237,14 +383,15 @@ func (j *joiner) run() {
 	j.runRange(0, len(j.rels[0].matches))
 }
 
-// init prepares the joiner's private scratch state.
+// init prepares the joiner's private state for a run.
 func (j *joiner) init() {
 	n := j.q.NumVertices()
-	j.assignment = make([]graph.NodeID, n)
+	j.assignment = reuse(j.assignment, n)[:n]
 	for i := range j.assignment {
 		j.assignment[i] = graph.InvalidNode
 	}
-	j.used = make(map[graph.NodeID]int, n)
+	j.block = j.block[:0]
+	j.stopped, j.budgetHit = false, false
 	j.bufCap = j.blockSize
 	if j.bufCap <= 0 {
 		j.bufCap = 256
@@ -283,25 +430,16 @@ func (j *joiner) runRange(lo, hi int) {
 	j.flushBuf()
 }
 
-// flushBuf delivers the buffered matches through the emit callback.
+// flushBuf delivers the buffered matches through the emit callback and
+// starts the block over.
 func (j *joiner) flushBuf() {
-	if len(j.buf) == 0 {
+	if len(j.block) == 0 {
 		return
 	}
-	ms := j.buf
-	j.buf = j.buf[:0]
-	if j.emitBlock != nil {
-		if !j.emitBlock(ms) {
-			j.stopped = true
-		}
-		return
+	if !j.emitBlock(j.block, len(j.assignment)) {
+		j.stopped = true
 	}
-	for _, m := range ms {
-		if !j.emit(m) {
-			j.stopped = true
-			return
-		}
-	}
+	j.block = j.block[:0]
 }
 
 // expandMatch binds the factored match m of relation depth into the current
@@ -321,7 +459,7 @@ func (j *joiner) expandMatch(depth int, m STwigMatch) {
 		return
 	}
 	j.expandLeaves(depth, twig, m, 0)
-	j.unbind(twig.Root, m.Root)
+	j.unbind(twig.Root)
 }
 
 func (j *joiner) expandLeaves(depth int, twig STwig, m STwigMatch, li int) {
@@ -337,9 +475,7 @@ func (j *joiner) expandLeaves(depth int, twig STwig, m STwigMatch, li int) {
 		// The leaf variable is already assigned (shared with an earlier
 		// relation): this match must agree. Leaf sets are sorted (built
 		// from sorted adjacency and filtered order-preservingly).
-		set := m.LeafSets[li]
-		k := sort.Search(len(set), func(i int) bool { return set[i] >= bound })
-		if k < len(set) && set[k] == bound {
+		if _, ok := slices.BinarySearch(m.LeafSets[li], bound); ok {
 			j.expandLeaves(depth, twig, m, li+1)
 		}
 		return
@@ -349,7 +485,7 @@ func (j *joiner) expandLeaves(depth int, twig STwig, m STwigMatch, li int) {
 			continue
 		}
 		j.expandLeaves(depth, twig, m, li+1)
-		j.unbind(leafVar, cand)
+		j.unbind(leafVar)
 		if j.stopped {
 			return
 		}
@@ -357,10 +493,10 @@ func (j *joiner) expandLeaves(depth int, twig STwig, m STwigMatch, li int) {
 }
 
 // nextRelation advances the left-deep pipeline after relation depth-1 is
-// fully bound. It probes the tightest available hash index: the root index
-// when the root variable is bound, otherwise the smallest posting list of a
-// bound leaf variable, falling back to a full scan only when the relation
-// shares no bound variable (which the join order avoids).
+// fully bound. It probes the tightest available index: the root index when
+// the root variable is bound, otherwise the shortest posting run of a bound
+// leaf variable, falling back to a full scan only when the relation shares
+// no bound variable (which the join order avoids).
 func (j *joiner) nextRelation(depth int) {
 	if depth == len(j.rels) {
 		j.emitCurrent()
@@ -371,28 +507,23 @@ func (j *joiner) nextRelation(depth int) {
 		return
 	}
 	rel := j.rels[depth]
+	var run []posting
+	haveRun := false
 	if bound := j.assignment[rel.twig.Root]; bound != graph.InvalidNode {
-		for _, mi := range rel.byRoot[bound] {
-			j.expandMatch(depth, rel.matches[mi])
-			if j.stopped {
-				return
-			}
-		}
-		return
-	}
-	var probe []int32
-	havePosting := false
-	for li, leafVar := range rel.twig.Leaves {
-		if bound := j.assignment[leafVar]; bound != graph.InvalidNode {
-			posting := rel.leafIndex(li)[bound]
-			if !havePosting || len(posting) < len(probe) {
-				probe, havePosting = posting, true
+		run, haveRun = probe(rel.index(0), bound), true
+	} else {
+		for li, leafVar := range rel.twig.Leaves {
+			if bound := j.assignment[leafVar]; bound != graph.InvalidNode {
+				r := probe(rel.index(1+li), bound)
+				if !haveRun || len(r) < len(run) {
+					run, haveRun = r, true
+				}
 			}
 		}
 	}
-	if havePosting {
-		for _, mi := range probe {
-			j.expandMatch(depth, rel.matches[mi])
+	if haveRun {
+		for _, p := range run {
+			j.expandMatch(depth, rel.matches[p.match])
 			if j.stopped {
 				return
 			}
@@ -408,8 +539,9 @@ func (j *joiner) nextRelation(depth int) {
 }
 
 // emitCurrent books the current assignment against the shared budget and
-// buffers it for the next flush. The budget check stays per-match (and
-// atomic) so truncation points are identical to unbatched emission.
+// appends it to the block for the next flush. The budget check
+// stays per-match (and atomic) so truncation points are identical to
+// unbatched emission.
 func (j *joiner) emitCurrent() {
 	if j.abort != nil && j.abort() {
 		j.stopped = true
@@ -422,30 +554,31 @@ func (j *joiner) emitCurrent() {
 			return
 		}
 	}
-	out := make([]graph.NodeID, len(j.assignment))
-	copy(out, j.assignment)
-	j.buf = append(j.buf, Match{Assignment: out})
-	if len(j.buf) >= j.bufCap {
+	n := len(j.assignment)
+	if cap(j.block)-len(j.block) < n {
+		j.block = slices.Grow(j.block, max(len(j.block), minMatchBlock*n))
+	}
+	j.block = append(j.block, j.assignment...)
+	if len(j.block) >= j.bufCap*n {
 		j.flushBuf()
 	}
 }
 
 // bind assigns data vertex id to the currently unbound query vertex v,
 // enforcing injectivity; it returns false (without binding) when id is
-// already in use by another query vertex.
+// already in use by another query vertex. The assignment has one entry per
+// query vertex, so scanning it is the whole check.
 func (j *joiner) bind(v int, id graph.NodeID) bool {
-	if j.used[id] > 0 {
-		return false
+	for _, a := range j.assignment {
+		if a == id {
+			return false
+		}
 	}
 	j.assignment[v] = id
-	j.used[id]++
 	return true
 }
 
-func (j *joiner) unbind(v int, id graph.NodeID) {
-	j.assignment[v] = graph.InvalidNode
-	j.used[id]--
-}
+func (j *joiner) unbind(v int) { j.assignment[v] = graph.InvalidNode }
 
 // sortRelationsDeterministic gives relations a stable pre-order before
 // estimation so runs are reproducible regardless of map iteration.
@@ -453,6 +586,55 @@ func sortRelationsDeterministic(rels []*relation) {
 	sort.SliceStable(rels, func(a, b int) bool {
 		return rels[a].twig.Root < rels[b].twig.Root
 	})
+}
+
+// joinScratch is one machine's reusable join state: its relations (indexed
+// by STwig) with their buffers, the join order over them, and the
+// semi-join's value sets.
+type joinScratch struct {
+	rels  []relation
+	order []*relation
+
+	allowed    [][]graph.NodeID // per query vertex; nil = unconstrained
+	allowedIDs []graph.NodeID   // backing array of allowed
+	vals       []graph.NodeID   // one relation's values of one vertex
+}
+
+// relations returns n reset-able relations and the order slice over them.
+func (js *joinScratch) relations(n int) []*relation {
+	js.rels = reuse(js.rels, n)[:n]
+	js.order = js.order[:0]
+	for i := range js.rels {
+		js.order = append(js.order, &js.rels[i])
+	}
+	return js.order
+}
+
+// release drops what the finished run left referenced from the scratch.
+func (js *joinScratch) release() {
+	for i := range js.rels {
+		js.rels[i].release()
+	}
+	clear(js.order)
+}
+
+// idleBytes is the memory a released joinScratch keeps for the next run
+// (capacities times element sizes).
+func (js *joinScratch) idleBytes() int {
+	n := 8 * (cap(js.allowedIDs) + cap(js.vals))
+	for i := range js.rels[:cap(js.rels)] {
+		r := &js.rels[:cap(js.rels)][i]
+		n += 32*cap(r.own) + 24*cap(r.sets) + 8*cap(r.ids)
+		for _, ix := range r.idx[:cap(r.idx)] {
+			n += 16 * cap(ix.postings)
+		}
+	}
+	return n
+}
+
+// release drops the run a pooled joiner worked for; its buffers stay.
+func (j *joiner) release() {
+	*j = joiner{assignment: j.assignment, block: j.block}
 }
 
 // semijoinReduce shrinks relations before the join: for every query vertex
@@ -463,32 +645,18 @@ func sortRelationsDeterministic(rels []*relation) {
 // counterpart of exploration-time binding propagation: bindings prune
 // forward along the STwig order, the semi-join pass prunes backward.
 //
-// Runs passes until a fixpoint (bounded for safety); each pass is linear in
-// the total relation size. Returns how many passes (rounds) ran, for the
-// traced span tree.
-func semijoinReduce(q *Query, rels []*relation, rng sampler) int {
+// The relations' matches are shared with other machines' concurrent joins,
+// so each is deep-copied first and filtered in place on the copy. Runs
+// passes until a fixpoint (bounded for safety); each pass is linear in the
+// total relation size up to the sort of the value sets. Returns how many
+// passes (rounds) ran, for the traced span tree.
+func semijoinReduce(q *Query, rels []*relation, rng sampler, js *joinScratch) int {
 	const maxPasses = 4
-	n := q.NumVertices()
+	for _, r := range rels {
+		r.deepCopy()
+	}
 	for pass := 0; pass < maxPasses; pass++ {
-		// allowed[v] = ∩ over relations containing v of v's value set.
-		allowed := make([]map[graph.NodeID]struct{}, n)
-		for _, r := range rels {
-			vals := relationValueSets(r, n)
-			for v, set := range vals {
-				if set == nil {
-					continue
-				}
-				if allowed[v] == nil {
-					allowed[v] = set
-					continue
-				}
-				for id := range allowed[v] {
-					if _, ok := set[id]; !ok {
-						delete(allowed[v], id)
-					}
-				}
-			}
-		}
+		allowed := js.allowedSets(rels, q.NumVertices())
 		changed := false
 		for _, r := range rels {
 			if filterRelation(r, allowed) {
@@ -499,45 +667,99 @@ func semijoinReduce(q *Query, rels []*relation, rng sampler) int {
 			return pass + 1
 		}
 		for _, r := range rels {
-			rebuildRelation(r, rng)
+			r.est = estimateCardinality(r.matches, rng)
 		}
 	}
 	return maxPasses
 }
 
-// relationValueSets collects, per query vertex of r's STwig, the set of
-// data vertices that can play it in r. Entries for vertices outside the
-// STwig are nil.
-func relationValueSets(r *relation, n int) []map[graph.NodeID]struct{} {
-	vals := make([]map[graph.NodeID]struct{}, n)
-	twig := r.twig
-	vals[twig.Root] = make(map[graph.NodeID]struct{}, len(r.matches))
-	for _, leaf := range twig.Leaves {
-		if vals[leaf] == nil {
-			vals[leaf] = make(map[graph.NodeID]struct{})
-		}
-	}
-	for _, m := range r.matches {
-		vals[twig.Root][m.Root] = struct{}{}
-		for i, leaf := range twig.Leaves {
-			for _, id := range m.LeafSets[i] {
-				vals[leaf][id] = struct{}{}
+// allowedSets computes allowed[v] = ∩ over the relations covering v of the
+// ids that can play v there, as a sorted array of distinct ids, for every
+// query vertex at least two relations cover. A vertex only one relation
+// covers stays nil — unconstrained: intersecting a relation with its own
+// values filters nothing.
+func (js *joinScratch) allowedSets(rels []*relation, n int) [][]graph.NodeID {
+	allowed := reuse(js.allowed, n)[:n]
+	clear(allowed)
+	// Never nil, so that an empty set cut from it is not "unconstrained".
+	ids := reuse(js.allowedIDs, 1)
+	vals := js.vals
+	for v := range allowed {
+		covering := 0
+		for _, r := range rels {
+			if r.twig.slot(v) >= 0 {
+				covering++
 			}
 		}
+		if covering < 2 {
+			continue
+		}
+		for _, r := range rels {
+			slot := r.twig.slot(v)
+			if slot < 0 {
+				continue
+			}
+			if allowed[v] == nil {
+				// The first set is built where it will stay. A reallocating
+				// append leaves earlier sets valid in the old array.
+				at := len(ids)
+				ids = r.appendValues(ids, slot)
+				k := len(sortedDistinct(ids[at:]))
+				ids = ids[:at+k]
+				allowed[v] = ids[at : at+k : at+k]
+				continue
+			}
+			vals = r.appendValues(vals[:0], slot)
+			allowed[v] = intersectSorted(allowed[v], sortedDistinct(vals))
+		}
 	}
-	return vals
+	js.allowed, js.allowedIDs, js.vals = allowed, ids, vals
+	return allowed
+}
+
+// appendValues appends every id playing slot in r's matches (with repeats).
+func (r *relation) appendValues(dst []graph.NodeID, slot int) []graph.NodeID {
+	for i := range r.matches {
+		if slot == 0 {
+			dst = append(dst, r.matches[i].Root)
+		} else {
+			dst = append(dst, r.matches[i].LeafSets[slot-1]...)
+		}
+	}
+	return dst
+}
+
+// sortedDistinct sorts ids and drops repeats, in place.
+func sortedDistinct(ids []graph.NodeID) []graph.NodeID {
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
+// intersectSorted keeps in a, in place, the ids also in b; both are sorted
+// and distinct.
+func intersectSorted(a, b []graph.NodeID) []graph.NodeID {
+	out := a[:0]
+	for _, id := range a {
+		for len(b) > 0 && b[0] < id {
+			b = b[1:]
+		}
+		if len(b) > 0 && b[0] == id {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 // filterRelation drops match roots and leaf candidates not in allowed,
 // returning whether anything changed.
-func filterRelation(r *relation, allowed []map[graph.NodeID]struct{}) bool {
+func filterRelation(r *relation, allowed [][]graph.NodeID) bool {
 	changed := false
 	twig := r.twig
 	kept := r.matches[:0]
 matchLoop:
 	for _, m := range r.matches {
 		if a := allowed[twig.Root]; a != nil {
-			if _, ok := a[m.Root]; !ok {
+			if _, ok := slices.BinarySearch(a, m.Root); !ok {
 				changed = true
 				continue
 			}
@@ -550,7 +772,7 @@ matchLoop:
 			set := m.LeafSets[i]
 			filtered := set[:0]
 			for _, id := range set {
-				if _, ok := a[id]; ok {
+				if _, ok := slices.BinarySearch(a, id); ok {
 					filtered = append(filtered, id)
 				}
 			}
@@ -570,11 +792,4 @@ matchLoop:
 	}
 	r.matches = kept
 	return changed
-}
-
-// rebuildRelation refreshes the hash indexes and cardinality estimate after
-// filtering.
-func rebuildRelation(r *relation, rng sampler) {
-	r.buildIndexes()
-	r.est = estimateCardinality(r.matches, rng)
 }

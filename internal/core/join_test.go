@@ -2,11 +2,32 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"stwig/internal/graph"
 )
+
+// newRelation prepares a standalone relation the way exchangeAndJoin
+// prepares a machine's.
+func newRelation(twig STwig, matches []STwigMatch, rng sampler) *relation {
+	r := &relation{}
+	r.reset(twig, matches)
+	r.est = estimateCardinality(matches, rng)
+	return r
+}
+
+// collectInto returns an emitBlock that appends copies of every match to
+// dst: a block is only valid during the callback.
+func collectInto(dst *[]Match) func([]graph.NodeID, int) bool {
+	return func(block []graph.NodeID, n int) bool {
+		for at := 0; at < len(block); at += n {
+			*dst = append(*dst, Match{Assignment: slices.Clone(block[at : at+n])})
+		}
+		return true
+	}
+}
 
 func TestEstimateCardinality(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -116,7 +137,7 @@ func TestJoinerEnforcesInjectivity(t *testing.T) {
 		rng,
 	)
 	var got []Match
-	j := &joiner{q: q, rels: []*relation{rel}, blockSize: 4, emit: func(m Match) bool { got = append(got, m); return true }}
+	j := &joiner{q: q, rels: []*relation{rel}, blockSize: 4, emitBlock: collectInto(&got)}
 	j.run()
 	if len(got) != 2 { // (5,9,6) and (6,9,5)
 		t.Fatalf("got %d matches, want 2: %v", len(got), got)
@@ -137,7 +158,7 @@ func TestJoinerSharedLeafVariableMustAgree(t *testing.T) {
 	r2 := newRelation(STwig{Root: 1, Leaves: []int{2}},
 		[]STwigMatch{{Root: 20, LeafSets: [][]graph.NodeID{{31, 32}}}}, rng)
 	var got []Match
-	j := &joiner{q: q, rels: []*relation{r1, r2}, blockSize: 4, emit: func(m Match) bool { got = append(got, m); return true }}
+	j := &joiner{q: q, rels: []*relation{r1, r2}, blockSize: 4, emitBlock: collectInto(&got)}
 	j.run()
 	if len(got) != 1 {
 		t.Fatalf("got %d matches, want 1: %v", len(got), got)
@@ -159,7 +180,7 @@ func TestJoinerSharedRootProbesIndex(t *testing.T) {
 			{Root: 22, LeafSets: [][]graph.NodeID{{31}}}, // unreachable root
 		}, rng)
 	var got []Match
-	j := &joiner{q: q, rels: []*relation{r1, r2}, blockSize: 4, emit: func(m Match) bool { got = append(got, m); return true }}
+	j := &joiner{q: q, rels: []*relation{r1, r2}, blockSize: 4, emitBlock: collectInto(&got)}
 	j.run()
 	if len(got) != 1 || got[0].Assignment[2] != 30 {
 		t.Fatalf("probe join wrong: %v", got)
@@ -177,7 +198,7 @@ func TestJoinerBudgetStops(t *testing.T) {
 	var budget atomic.Int64
 	budget.Store(7)
 	var got []Match
-	j := &joiner{q: q, rels: []*relation{rel}, budget: &budget, blockSize: 3, emit: func(m Match) bool { got = append(got, m); return true }}
+	j := &joiner{q: q, rels: []*relation{rel}, budget: &budget, blockSize: 3, emitBlock: collectInto(&got)}
 	j.run()
 	if len(got) != 7 {
 		t.Fatalf("emitted %d, want 7", len(got))
@@ -192,7 +213,7 @@ func TestJoinerEmptyRelationProducesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	rel := newRelation(STwig{Root: 0, Leaves: []int{1}}, nil, rng)
 	called := false
-	j := &joiner{q: q, rels: []*relation{rel}, blockSize: 4, emit: func(Match) bool { called = true; return true }}
+	j := &joiner{q: q, rels: []*relation{rel}, blockSize: 4, emitBlock: func([]graph.NodeID, int) bool { called = true; return true }}
 	j.run()
 	if called {
 		t.Fatal("empty relation emitted matches")

@@ -211,7 +211,7 @@ func TestCollectDeltas(t *testing.T) {
 		{{Root: 10, LeafSets: [][]graph.NodeID{{20, 21}, {30}}}},
 		{{Root: 11, LeafSets: [][]graph.NodeID{{20}, {31}}}},
 	}
-	sc := newExploreScratch(len(perMachine))
+	sc := newRunScratch(len(perMachine))
 	sc.fit(64)
 	b := NewBindings(3, 64)
 	b.rebind(twig, perMachine, sc)

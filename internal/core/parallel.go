@@ -15,7 +15,8 @@ import (
 // covered query vertex (Bindings.rebind) and has nothing to merge.
 //
 // The pool is run-scoped: one per query execution, sized by
-// Options.Parallelism, shared by every machine goroutine of that run. Only
+// Options.Parallelism, shared by every machine goroutine of that run; its
+// goroutines are started by the first batch of more than one task. Only
 // leaf tasks are ever submitted — machine goroutines submit and wait, and
 // tasks never submit tasks — so the pool cannot deadlock on itself.
 
@@ -32,32 +33,26 @@ func (o Options) effectiveParallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// workerPool runs tasks on a fixed set of goroutines. A nil pool is valid
-// and runs everything inline on the caller's goroutine — the sequential
-// mode when effective parallelism is 1.
+// workerPool runs tasks on a fixed set of goroutines, started by the first
+// batch that needs them: most runs (every selective query) never fan out,
+// and pay for no goroutine. A nil pool is valid and runs everything inline
+// on the caller's goroutine — the sequential mode when effective
+// parallelism is 1.
 type workerPool struct {
 	size  int
-	tasks chan func()
+	start sync.Once
+	tasks chan func() // nil until started
 	wg    sync.WaitGroup
 }
 
-// newWorkerPool starts size workers; it returns nil (the inline pool) when
-// size would leave nothing to parallelize.
+// newWorkerPool returns a pool of size workers, none of them running yet;
+// it returns nil (the inline pool) when size would leave nothing to
+// parallelize.
 func newWorkerPool(size int) *workerPool {
 	if size <= 1 {
 		return nil
 	}
-	p := &workerPool{size: size, tasks: make(chan func())}
-	p.wg.Add(size)
-	for i := 0; i < size; i++ {
-		go func() {
-			defer p.wg.Done()
-			for task := range p.tasks {
-				task()
-			}
-		}()
-	}
-	return p
+	return &workerPool{size: size}
 }
 
 // runAll dispatches tasks and waits until every one has finished. It is
@@ -66,12 +61,24 @@ func newWorkerPool(size int) *workerPool {
 // unbuffered, so submission applies backpressure instead of queueing
 // unboundedly. Tasks must not call runAll themselves (leaf tasks only).
 func (p *workerPool) runAll(tasks []func()) {
-	if p == nil || len(tasks) == 1 {
+	if p == nil || len(tasks) <= 1 {
 		for _, task := range tasks {
 			task()
 		}
 		return
 	}
+	p.start.Do(func() {
+		p.tasks = make(chan func())
+		p.wg.Add(p.size)
+		for i := 0; i < p.size; i++ {
+			go func() {
+				defer p.wg.Done()
+				for task := range p.tasks {
+					task()
+				}
+			}()
+		}
+	})
 	var wg sync.WaitGroup
 	wg.Add(len(tasks))
 	for _, task := range tasks {
@@ -84,9 +91,11 @@ func (p *workerPool) runAll(tasks []func()) {
 	wg.Wait()
 }
 
-// close stops the workers after all submitted tasks drain. Safe on nil.
+// close stops the workers after all submitted tasks drain; a pool that
+// never started has none. Call it once every runAll has returned. Safe on
+// nil.
 func (p *workerPool) close() {
-	if p == nil {
+	if p == nil || p.tasks == nil {
 		return
 	}
 	close(p.tasks)

@@ -13,8 +13,8 @@ import (
 
 // Tests for intra-machine parallel execution: the run-scoped worker pool
 // that chunks STwig matching and fans the block join out. Parallelism is
-// set explicitly (the pool spawns its workers regardless of GOMAXPROCS), so
-// these tests exercise the concurrent code paths even on a single-core
+// set explicitly (the pool spawns its workers on the first fan-out,
+// regardless of GOMAXPROCS), so these tests exercise the concurrent code paths even on a single-core
 // host; run them with GOMAXPROCS>1 and -race for the full effect (CI does
 // both).
 
@@ -335,5 +335,46 @@ func TestWorkerPoolConcurrentBatches(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		<-done
+	}
+}
+
+// TestWorkerPoolStartsOnFirstFanOut: a pool costs no goroutine until a
+// batch of more than one task arrives, and a run that dispatches nothing —
+// every selective query — starts and stops none.
+func TestWorkerPoolStartsOnFirstFanOut(t *testing.T) {
+	p := newWorkerPool(4)
+	ran := 0
+	p.runAll(nil)
+	p.runAll([]func(){func() { ran++ }})
+	if ran != 1 {
+		t.Fatalf("single task ran %d times", ran)
+	}
+	if p.tasks != nil {
+		t.Fatal("the pool started workers for batches that never fan out")
+	}
+	p.close() // a no-op: nothing to stop
+
+	// The same through a whole run: figure 1's query is far below both
+	// fan-out thresholds.
+	c := clusterFor(t, figure1Graph(), 2)
+	opts := Options{Parallelism: 4}
+	plan, err := NewPlanner(c, opts).Plan(figure1Query())
+	if err != nil {
+		t.Fatal(err)
+	}
+	matches := 0
+	r := &execution{ex: NewExecutor(c, opts), plan: plan, emit: func(ms []Match) (int, bool) {
+		matches += len(ms)
+		return len(ms), true
+	}}
+	stats, err := r.run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if matches != 2 || stats.Parallelism != 4 || stats.ParallelTasks != 0 {
+		t.Fatalf("%d matches at parallelism %d with %d tasks; want 2, 4, 0", matches, stats.Parallelism, stats.ParallelTasks)
+	}
+	if r.pool == nil || r.pool.tasks != nil {
+		t.Fatalf("a run that dispatched no task started its workers (pool %+v)", r.pool)
 	}
 }

@@ -28,6 +28,20 @@ func (t STwig) Vertices() []int {
 	return append(out, t.Leaves...)
 }
 
+// slot returns where query vertex v sits in t — 0 for the root, 1+i for
+// leaf i — or -1 when t does not cover v.
+func (t STwig) slot(v int) int {
+	if t.Root == v {
+		return 0
+	}
+	for i, leaf := range t.Leaves {
+		if leaf == v {
+			return 1 + i
+		}
+	}
+	return -1
+}
+
 // String renders e.g. "(2; 0 5)" — root 2 with leaves 0 and 5.
 func (t STwig) String() string {
 	var b strings.Builder
@@ -97,11 +111,12 @@ func (d Decomposition) CoversAllEdges(q *Query) error {
 // of the processed STwigs", §5.2).
 func (d Decomposition) boundRoots() []bool {
 	out := make([]bool, len(d.Twigs))
-	seen := map[int]bool{}
 	for i, t := range d.Twigs {
-		out[i] = seen[t.Root]
-		for _, v := range t.Vertices() {
-			seen[v] = true
+		for _, earlier := range d.Twigs[:i] {
+			if earlier.slot(t.Root) >= 0 {
+				out[i] = true
+				break
+			}
 		}
 	}
 	return out

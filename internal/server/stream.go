@@ -121,7 +121,8 @@ func (sw *streamWriter) send(block []byte, records int) (int, bool) {
 
 // writeMatches encodes one engine block — only the matches keep accepts,
 // when it is non-nil; the rest count against no cap — and sends it. sent is
-// how many records reached the wire.
+// how many records reached the wire. The block is the engine's buffer and
+// dies with this call: every record is encoded before it returns.
 func (sw *streamWriter) writeMatches(ms []core.Match, keep func(core.Match) bool) (sent int, ok bool) {
 	if sw.closed() {
 		return 0, false
