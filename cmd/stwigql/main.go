@@ -39,9 +39,8 @@ func main() {
 		textGraph  = flag.Bool("text", false, "graph file is in text format")
 		queryPath  = flag.String("query", "", "query file (v/e line format)")
 		patternStr = flag.String("pattern", "", "inline pattern, e.g. '(a:x)-(b:y), (b)-(c:z)'")
-		machines   = flag.Int("machines", 8, "simulated cluster size")
+		machines   = flag.Int("machines", 8, "simulated cluster size: a query runs one goroutine per machine")
 		budget     = flag.Int("budget", 1024, "match budget (0 = enumerate all)")
-		parallel   = flag.Int("parallelism", 0, "per-query intra-machine workers (0 = GOMAXPROCS, 1 = sequential)")
 		verify     = flag.Bool("verify", false, "re-verify every returned match against the graph")
 		show       = flag.Int("show", 10, "matches to print (0 = none)")
 		showStats  = flag.Bool("stats", true, "print execution statistics")
@@ -58,7 +57,7 @@ func main() {
 	}
 	lim := core.Limits{Timeout: *timeout, MaxMatches: *maxMatches}
 	opts := cliOptions{
-		machines: *machines, budget: *budget, parallel: *parallel,
+		machines: *machines, budget: *budget,
 		verify: *verify, show: *show, showStats: *showStats,
 		explain: *explain, analyze: *analyze, traceID: *traceID,
 	}
@@ -70,12 +69,12 @@ func main() {
 
 // cliOptions bundles the execution-shaping flags run threads through.
 type cliOptions struct {
-	machines, budget, parallel int
-	verify                     bool
-	show                       int
-	showStats                  bool
-	explain, analyze           bool
-	traceID                    string
+	machines, budget int
+	verify           bool
+	show             int
+	showStats        bool
+	explain, analyze bool
+	traceID          string
 }
 
 func run(graphPath string, textGraph bool, queryPath, patternStr string, cli cliOptions, lim core.Limits) error {
@@ -129,7 +128,6 @@ func run(graphPath string, textGraph bool, queryPath, patternStr string, cli cli
 	// the caller did not pick one, since its whole point is the span tree.
 	eng := core.NewEngine(cluster, core.Options{
 		MatchBudget: cli.budget,
-		Parallelism: cli.parallel,
 		TraceID:     cli.traceID,
 	})
 	if cli.explain {

@@ -96,8 +96,8 @@ func TestAllocationShape(t *testing.T) {
 	for _, tc := range queries {
 		perMachines := map[int]uint64{}
 		for _, machines := range []int{2, 8} {
-			small := bytesPerQuery(t, NewEngine(clusterFor(t, base, machines), Options{Parallelism: 1}), tc.q)
-			big := bytesPerQuery(t, NewEngine(clusterFor(t, padded, machines), Options{Parallelism: 1}), tc.q)
+			small := bytesPerQuery(t, NewEngine(clusterFor(t, base, machines), Options{}), tc.q)
+			big := bytesPerQuery(t, NewEngine(clusterFor(t, padded, machines), Options{}), tc.q)
 			t.Logf("%s, %d machines: %d B/query, %d B/query with %d more vertices", tc.name, machines, small, big, pad)
 			// The same work over a wider ID space: one numNodes-sized
 			// object per query would show as setBytes.
@@ -113,18 +113,25 @@ func TestAllocationShape(t *testing.T) {
 	}
 }
 
+// pathFixture is two path queries of one shape over one graph, with 460 and
+// 4,924 matches.
+func pathFixture() (g *graph.Graph, small, big *Query) {
+	g = rmat.MustGenerate(rmat.Params{Scale: 12, AvgDegree: 8, NumLabels: 16, Seed: 3})
+	l := rmat.LabelName
+	path := [][2]int{{0, 1}, {1, 2}, {2, 3}}
+	return g, MustNewQuery([]string{l(1), l(4), l(5), l(6)}, path), MustNewQuery([]string{l(2), l(0), l(1), l(7)}, path)
+}
+
 // TestJoinAllocsDoNotGrowWithMatches: what a warm run allocates does not
-// follow its result size. Two path queries of one shape over one graph, 460
-// and 4,924 matches: when every emitted assignment was its own allocation
-// they differed by some 4,500 allocations per run.
+// follow its result size: when every emitted assignment was its own
+// allocation the two fixture queries differed by some 4,500 allocations per
+// run.
 func TestJoinAllocsDoNotGrowWithMatches(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop entries at random, so no pool stays warm")
 	}
-	g := rmat.MustGenerate(rmat.Params{Scale: 12, AvgDegree: 8, NumLabels: 16, Seed: 3})
-	eng := NewEngine(clusterFor(t, g, 2), Options{Parallelism: 1})
-	l := rmat.LabelName
-	path := [][2]int{{0, 1}, {1, 2}, {2, 3}}
+	g, small, big := pathFixture()
+	eng := NewEngine(clusterFor(t, g, 2), Options{})
 	count := func(q *Query) (n int) {
 		if _, err := eng.MatchStreamBlocks(context.Background(), q, func(ms []Match) (int, bool) {
 			n += len(ms)
@@ -134,8 +141,6 @@ func TestJoinAllocsDoNotGrowWithMatches(t *testing.T) {
 		}
 		return n
 	}
-	small := MustNewQuery([]string{l(1), l(4), l(5), l(6)}, path)
-	big := MustNewQuery([]string{l(2), l(0), l(1), l(7)}, path)
 	nSmall, nBig := count(small), count(big)
 	if nSmall < 300 || nSmall > 700 || nBig < 4000 {
 		t.Fatalf("fixture queries have %d and %d matches, want ~500 and ~5,000", nSmall, nBig)
@@ -148,8 +153,35 @@ func TestJoinAllocsDoNotGrowWithMatches(t *testing.T) {
 	}
 }
 
+// untracedRunAllocs is what one warm run of pathFixture's small query
+// allocates on two machines with no trace ID. It changes only with the code
+// on the query path (or, rarely, with the Go release): a change that moves
+// it says why and updates it.
+const untracedRunAllocs = 90
+
+// TestUntracedRunAllocsPinned: span recording costs a run without a trace ID
+// nothing. The untraced count is pinned exactly, so one allocation added to
+// the hot path — by the recording branches or anything else — fails here;
+// the traced run of the same query must allocate more, or the pin would not
+// be watching those branches.
+func TestUntracedRunAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop entries at random, so no pool stays warm")
+	}
+	g, small, _ := pathFixture()
+	c := clusterFor(t, g, 2)
+	_, untraced := costPerQuery(t, NewEngine(c, Options{}), small)
+	_, traced := costPerQuery(t, NewEngine(c, Options{TraceID: "pin"}), small)
+	if untraced != untracedRunAllocs {
+		t.Errorf("a warm untraced run allocates %d times, pinned at %d", untraced, untracedRunAllocs)
+	}
+	if traced <= untraced {
+		t.Errorf("a traced run allocates %d times, an untraced one %d: the pin does not see span recording", traced, untraced)
+	}
+}
+
 // TestJoinerEmitDoesNotAllocate: a joiner in its steady state — block
-// grown, indexes built — runs its whole driver range, probes, binds,
+// grown, indexes built — runs its whole driver relation, probes, binds,
 // buffers and flushes without a single allocation.
 func TestJoinerEmitDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
@@ -181,7 +213,7 @@ func TestJoinerEmitDoesNotAllocate(t *testing.T) {
 	if emitted != 1800 {
 		t.Fatalf("fixture join emitted %d matches, want 1800", emitted)
 	}
-	if allocs := testing.AllocsPerRun(20, func() { j.runRange(0, len(first)) }); allocs != 0 {
-		t.Errorf("a steady-state runRange allocates %v times", allocs)
+	if allocs := testing.AllocsPerRun(20, j.run); allocs != 0 {
+		t.Errorf("a steady-state run allocates %v times", allocs)
 	}
 }

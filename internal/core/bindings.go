@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sync"
 
 	"stwig/internal/graph"
 )
@@ -135,21 +134,17 @@ func (b *Bindings) TotalWords() int {
 // runScratch is the reusable memory of one run: for exploration, the
 // binding sets (the only numNodes-sized objects a query touches) and, per
 // machine, the buffers pass 1 of matchSTwig fills; for the join, per
-// machine, its relations (joinScratch), the idle joiners with their match
-// blocks, and the one header array flushed blocks are handed out through.
-// The Executor pools these between runs; one run owns a scratch from its
-// start to its end. Within a run the machine goroutines touch disjoint
-// machineScratch entries, the proxy alone takes and returns sets, joiners
-// are taken and returned under mu, and matches is written under the join's
-// emit mutex.
+// machine, its relations (joinScratch) and its joiner with the match block,
+// and the one header array flushed blocks are handed out through. The
+// Executor pools these between runs; one run owns a scratch from its start
+// to its end. Within a run the machine goroutines touch disjoint
+// machineScratch entries, the proxy alone takes and returns sets, and
+// matches is written under the join's emit mutex.
 type runScratch struct {
 	words    int      // ⌈numNodes/64⌉: the width of every set in free
 	free     []bitset // cleared sets ready for reuse
 	machines []machineScratch
-
-	mu      sync.Mutex
-	joiners []*joiner // idle joiners
-	matches []Match   // headers over the block being emitted
+	matches  []Match // headers over the block being emitted
 }
 
 // machineScratch holds one machine's pass-1 output for the current step
@@ -158,6 +153,7 @@ type machineScratch struct {
 	cells  []rootCell
 	labels []graph.LabelID
 	join   joinScratch
+	joiner joiner
 }
 
 // newRunScratch sizes a scratch for a cluster of k machines.
@@ -200,27 +196,27 @@ func (sc *runScratch) putSet(s bitset) {
 // keeps one per P, and what the last collection saw), so keeping all of it
 // would add machines × that to the live heap several times over. What lies
 // beyond the bound is dropped and grows again in a run that needs it; a
-// selective query's join memory fits whole.
-const maxIdleJoinBytes = 32 << 10
+// selective query's join memory fits whole, and so do the blocks a streaming
+// 4-vertex query leaves on the default 8 machines (8 × 256 × 4 ids).
+const maxIdleJoinBytes = 64 << 10
 
 // forget drops what the finished run left referenced from the scratch —
 // the arena references pass 1 put in the cell buffers, the exploration
 // results the relations alias, the blocks the match headers point into: a
 // pooled scratch must keep alive neither an arena that an update has since
 // replaced nor a finished query's matches. It also trims the join memory to
-// maxIdleJoinBytes: joiners first (a block is the largest single piece),
-// then the machines' relations.
+// maxIdleJoinBytes: the joiners' blocks first (a block is the largest single
+// piece), then the machines' relations.
 func (sc *runScratch) forget() {
 	clear(sc.matches[:cap(sc.matches)])
-	keep, held := 0, 0
-	for _, j := range sc.joiners {
+	held := 0
+	for i := range sc.machines {
+		j := &sc.machines[i].joiner
+		j.release()
 		if held += 8 * cap(j.block); held > maxIdleJoinBytes {
-			break
+			j.block = nil
 		}
-		keep++
 	}
-	clear(sc.joiners[keep:])
-	sc.joiners = sc.joiners[:keep]
 	for i := range sc.machines {
 		ms := &sc.machines[i]
 		clear(ms.cells[:cap(ms.cells)])
@@ -229,26 +225,6 @@ func (sc *runScratch) forget() {
 			ms.join = joinScratch{}
 		}
 	}
-}
-
-// takeJoiner returns an idle joiner, or a new one.
-func (sc *runScratch) takeJoiner() *joiner {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if n := len(sc.joiners); n > 0 {
-		j := sc.joiners[n-1]
-		sc.joiners = sc.joiners[:n-1]
-		return j
-	}
-	return &joiner{}
-}
-
-// putJoiner takes a joiner back, detached from its run.
-func (sc *runScratch) putJoiner(j *joiner) {
-	j.release()
-	sc.mu.Lock()
-	sc.joiners = append(sc.joiners, j)
-	sc.mu.Unlock()
 }
 
 // carve slices block — assignments of n ids each, back to back — into

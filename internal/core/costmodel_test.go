@@ -17,10 +17,11 @@ import (
 // The modelled traffic is part of the reproduction: Stats.Net feeds the
 // modelled times of Figures 9 and 10, and STwigMatchCounts is the volume the
 // exchange ships. testdata/costmodel.golden holds both for a fixed seeded
-// set of (R-MAT graph, pattern) pairs at 1, 3 and 8 machines and
-// Parallelism 1 and 4, recorded from the build that preceded the flat
-// directory and the proxy-built binding sets; an engine change that moves a
-// message or a byte fails here.
+// set of (R-MAT graph, pattern) pairs at 1, 3 and 8 machines, recorded from
+// the build that preceded the flat directory and the proxy-built binding
+// sets; an engine change that moves a message or a byte fails here. The rows
+// carry a constant "parallelism=1" column from when the engine had a
+// per-machine worker pool: the rows are the recorded ones, byte for byte.
 //
 // Regenerate (only when the cost model is meant to change) with
 //
@@ -30,7 +31,7 @@ var updateCostModel = flag.Bool("update-costmodel", false, "rewrite testdata/cos
 const costModelGolden = "costmodel.golden"
 
 // costModelRows runs the fixed corpus and renders one line per
-// (graph, pattern, machines, parallelism).
+// (graph, pattern, machines).
 func costModelRows(t *testing.T) []byte {
 	t.Helper()
 	var out bytes.Buffer
@@ -56,18 +57,16 @@ func costModelRows(t *testing.T) []byte {
 			if err := cluster.LoadGraph(g); err != nil {
 				t.Fatal(err)
 			}
-			for _, par := range []int{1, 4} {
-				// The budget only shortens the join's enumeration; every
-				// message is charged before the first match is emitted.
-				eng := core.NewEngine(cluster, core.Options{Seed: gi, Parallelism: par, MatchBudget: 1024})
-				for qi, q := range queries {
-					res, err := eng.Match(q)
-					if err != nil {
-						t.Fatalf("graph %d query %d machines %d parallelism %d: %v", gi, qi, machines, par, err)
-					}
-					fmt.Fprintf(&out, "graph=%d query=%d machines=%d parallelism=%d messages=%d bytes=%d stwig_matches=%v\n",
-						gi, qi, machines, par, res.Stats.Net.Messages, res.Stats.Net.Bytes, res.Stats.STwigMatchCounts)
+			// The budget only shortens the join's enumeration; every
+			// message is charged before the first match is emitted.
+			eng := core.NewEngine(cluster, core.Options{Seed: gi, MatchBudget: 1024})
+			for qi, q := range queries {
+				res, err := eng.Match(q)
+				if err != nil {
+					t.Fatalf("graph %d query %d machines %d: %v", gi, qi, machines, err)
 				}
+				fmt.Fprintf(&out, "graph=%d query=%d machines=%d parallelism=1 messages=%d bytes=%d stwig_matches=%v\n",
+					gi, qi, machines, res.Stats.Net.Messages, res.Stats.Net.Bytes, res.Stats.STwigMatchCounts)
 			}
 		}
 	}

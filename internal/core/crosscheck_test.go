@@ -231,12 +231,10 @@ func TestCrossCheckEngineVsBaselinesUnderUpdates(t *testing.T) {
 			if err := cluster.LoadGraph(g); err != nil {
 				t.Fatal(err)
 			}
-			// BlockSize 8 pushes even these 32–64-vertex graphs over the
-			// parallel-join engagement threshold (driver ≥ 2×BlockSize), so
-			// when GOMAXPROCS > 1 the oracle equality checks run against the
-			// concurrent join path; at GOMAXPROCS=1 the engine resolves to
-			// one worker and the same suite covers the sequential path. CI
-			// runs this suite under -race at both settings.
+			// BlockSize 8 makes even these 32–64-vertex graphs flush several
+			// blocks per machine, so the machine goroutines meet on the
+			// serialized emit path. CI runs this suite under -race at
+			// GOMAXPROCS 1 and 4.
 			eng := core.NewEngine(cluster, core.Options{Seed: seed, BlockSize: 8})
 			model := modelFromGraph(g)
 			labels := []string{rmat.LabelName(0), rmat.LabelName(1), rmat.LabelName(2)}

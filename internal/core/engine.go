@@ -19,10 +19,9 @@ type Options struct {
 	// cluster; 0 means unlimited.
 	MatchBudget int
 	// BlockSize is the pipelined-join block length (default 256): how many
-	// driver matches a joiner expands between flushes, the smallest driver
-	// chunk of the parallel join and, capped at 1024, how many matches a
-	// joiner buffers before it flushes early — so also the most matches one
-	// MatchStreamBlocks callback receives.
+	// driver matches a joiner expands between flushes and, capped at 1024,
+	// how many matches it buffers before it flushes early — so also the
+	// most matches one MatchStreamBlocks callback receives.
 	BlockSize int
 	// Seed drives the sampling in join-order estimation.
 	Seed int64
@@ -30,12 +29,6 @@ type Options struct {
 	// query signatures (LRU). 0 selects the default (128); negative
 	// disables plan caching entirely, so every query is planned afresh.
 	PlanCacheSize int
-	// Parallelism caps the intra-machine worker goroutines each query run
-	// uses for STwig matching and the block join. 0 selects
-	// runtime.GOMAXPROCS(0); 1 runs each machine's work on a single
-	// goroutine (the pre-parallel behavior). SimulateParallel forces 1
-	// regardless, since modeled times need sequential phases.
-	Parallelism int
 	// SemijoinWordCap is the total relation volume (in 8-byte words) up to
 	// which the pre-join semi-join reduction runs; larger joins skip it as
 	// pure overhead. 0 selects the default (30000); negative disables the
@@ -131,11 +124,9 @@ type Engine struct {
 	// matches emitted, cumulative since construction.
 	queries atomic.Uint64
 	matches atomic.Uint64
-	// Intra-machine parallelism counters, accumulated from each run's
-	// ExecStats: chunk tasks dispatched to worker pools and batched emit
+	// emitFlushes accumulates each run's ExecStats.EmitFlushes: batched
 	// flushes through the serialized emit path.
-	parallelTasks atomic.Uint64
-	emitFlushes   atomic.Uint64
+	emitFlushes atomic.Uint64
 }
 
 // NewEngine creates an engine over a loaded cluster.
@@ -190,13 +181,8 @@ type EngineSnapshot struct {
 	// or not); MatchesEmitted counts matches delivered to callers.
 	Queries        uint64
 	MatchesEmitted uint64
-	// Parallelism is the effective intra-machine worker count query runs
-	// use (Options.Parallelism resolved against GOMAXPROCS).
-	Parallelism int
-	// ParallelTasks counts chunk tasks dispatched to run worker pools;
-	// EmitFlushes counts batched emit flushes. Both cumulative.
-	ParallelTasks uint64
-	EmitFlushes   uint64
+	// EmitFlushes counts batched emit flushes, cumulative.
+	EmitFlushes uint64
 }
 
 // Snapshot captures the engine's observable state. It is safe to call
@@ -213,8 +199,6 @@ func (e *Engine) Snapshot() EngineSnapshot {
 		MemoryBytes:    e.cluster.TotalMemoryBytes(),
 		Queries:        e.queries.Load(),
 		MatchesEmitted: e.matches.Load(),
-		Parallelism:    e.opts.effectiveParallelism(),
-		ParallelTasks:  e.parallelTasks.Load(),
 		EmitFlushes:    e.emitFlushes.Load(),
 	}
 }
@@ -364,7 +348,6 @@ func (e *Engine) matchStream(ctx context.Context, q *Query, emit func(Match) boo
 	if err != nil {
 		return nil, err
 	}
-	e.parallelTasks.Add(stats.ParallelTasks)
 	e.emitFlushes.Add(stats.EmitFlushes)
 	stats.PlanCacheHit = hit
 	stats.PlanTime = planTime

@@ -62,13 +62,8 @@ type execution struct {
 	// back — holding nothing of this run — when it ends.
 	sc *runScratch
 
-	// Intra-machine parallelism state: pool is the run's worker pool (nil
-	// when effective parallelism is 1; its goroutines start with the first
-	// dispatch that fans out), par its size, tasks/flushes the counters
-	// surfaced in ExecStats.
-	pool    *workerPool
-	par     int
-	tasks   atomic.Uint64
+	// flushes counts blocks delivered through the serialized emit path
+	// (ExecStats.EmitFlushes).
 	flushes atomic.Uint64
 
 	// Tracing state, populated only when traced (a trace ID in the context
@@ -80,15 +75,6 @@ type execution struct {
 	twigSpans []Span
 	machSpans []Span
 	emitTime  time.Duration
-}
-
-// dispatch runs tasks on the run's worker pool (inline when sequential),
-// counting pool dispatches for ExecStats.ParallelTasks.
-func (r *execution) dispatch(tasks []func()) {
-	if r.pool != nil && len(tasks) > 1 {
-		r.tasks.Add(uint64(len(tasks)))
-	}
-	r.pool.runAll(tasks)
 }
 
 // phaseTimer accumulates modeled times across a query's parallel sections.
@@ -131,10 +117,6 @@ func (r *execution) run(ctx context.Context) (*ExecStats, error) {
 		ex.cluster.AccountProxyTransfer(plan.planWords)
 	}
 
-	r.par = ex.opts.effectiveParallelism()
-	r.pool = newWorkerPool(r.par)
-	defer r.pool.close()
-
 	r.sc = ex.scratch.Get().(*runScratch)
 	defer func() {
 		r.sc.forget()
@@ -150,10 +132,8 @@ func (r *execution) run(ctx context.Context) (*ExecStats, error) {
 		return nil, err
 	}
 	exploreTime := time.Since(exploreStart)
-	var exploreTasks uint64
 	var netAfterExplore memcloud.NetStats
 	if r.traced {
-		exploreTasks = r.tasks.Load()
 		netAfterExplore = ex.cluster.NetStats()
 	}
 
@@ -176,8 +156,6 @@ func (r *execution) run(ctx context.Context) (*ExecStats, error) {
 		JoinTime:          joinTime,
 		Truncated:         truncated,
 		PerMachineMatches: perMachine,
-		Parallelism:       r.par,
-		ParallelTasks:     r.tasks.Load(),
 		EmitFlushes:       r.flushes.Load(),
 	}
 	for t := range plan.Decomposition.Twigs {
@@ -186,7 +164,7 @@ func (r *execution) run(ctx context.Context) (*ExecStats, error) {
 		}
 	}
 	if r.traced {
-		stats.Spans = r.buildSpans(stats, exploreTime, joinTime, exploreTasks, netAfterExplore)
+		stats.Spans = r.buildSpans(stats, exploreTime, joinTime, netAfterExplore)
 	}
 	if ex.opts.SimulateParallel {
 		// Modeled cluster wall time: serial proxy sections (wall minus the
@@ -202,11 +180,10 @@ func (r *execution) run(ctx context.Context) (*ExecStats, error) {
 // buildSpans assembles a traced run's span tree from the phase timers and
 // the per-step/per-machine records the phases left behind. Top-level spans
 // (explore, join) are sequential; join's machine children overlap in time.
-func (r *execution) buildSpans(stats *ExecStats, exploreTime, joinTime time.Duration, exploreTasks uint64, netAfterExplore memcloud.NetStats) []Span {
+func (r *execution) buildSpans(stats *ExecStats, exploreTime, joinTime time.Duration, netAfterExplore memcloud.NetStats) []Span {
 	exploreSpan := Span{
 		Name:     "explore",
 		Duration: exploreTime,
-		Tasks:    exploreTasks,
 		Children: r.twigSpans,
 	}
 	for i := range r.twigSpans {
@@ -222,7 +199,6 @@ func (r *execution) buildSpans(stats *ExecStats, exploreTime, joinTime time.Dura
 		Duration: joinTime,
 		Matches:  joinMatches,
 		Words:    int64(r.ex.cluster.NetStats().Sub(netAfterExplore).Bytes / 8),
-		Tasks:    r.tasks.Load() - exploreTasks,
 		Children: append(r.machSpans, Span{
 			Name:     "emit",
 			Duration: r.emitTime,
@@ -270,7 +246,7 @@ func (r *execution) explore(ctx context.Context) ([][][]STwigMatch, error) {
 		// — only those this step touched — back down.
 		syncWords := (1 + len(twig.Leaves)) * sc.words
 		r.forEachMachine(func(m *memcloud.Machine) {
-			perTwig[t][m.ID()] = r.matchSTwigParallel(m, twig, labels, bindings, &sc.machines[m.ID()])
+			perTwig[t][m.ID()] = matchSTwigOnMachine(m, twig, labels, bindings, &sc.machines[m.ID()])
 			if bindings != nil {
 				m.Cluster().AccountProxyTransfer(syncWords)
 			}
@@ -314,8 +290,8 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 		budget.Store(int64(ex.opts.MatchBudget))
 	}
 
-	// Serialize the user callback across machine goroutines and join
-	// workers; a false return (or a done context) stops every joiner.
+	// Serialize the user callback across machine goroutines; a false
+	// return (or a done context) stops every joiner.
 	// Joiners deliver whole blocks, so the mutex is taken once per block
 	// rather than once per match. perMachineCounts writes also happen
 	// under it; the forEachMachine barrier publishes them to the reader.
@@ -369,11 +345,11 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 		// Per-machine tracing: the phases below stamp exchangeD/semijoinD
 		// as they finish; the deferred record derives blockjoin time as the
 		// remainder and writes this machine's (disjoint) machSpans slot.
-		// perMachineCounts[machine] is complete here because both join
-		// paths deliver every block before the closure returns.
+		// perMachineCounts[machine] is complete here because the joiner
+		// delivers every block before the closure returns.
 		var machStart time.Time
 		var exchangeD, semijoinD time.Duration
-		var semijoinRounds, joinTaskCount int
+		var semijoinRounds int
 		if r.traced {
 			machStart = time.Now()
 			defer func() {
@@ -388,13 +364,11 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 				children = append(children, Span{
 					Name:     "blockjoin",
 					Duration: total - exchangeD - semijoinD,
-					Tasks:    uint64(joinTaskCount),
 				})
 				r.machSpans[machine] = Span{
 					Name:     fmt.Sprintf("machine %d", machine),
 					Duration: total,
 					Matches:  int64(perMachineCounts[machine]),
-					Tasks:    uint64(joinTaskCount),
 					Children: children,
 				}
 			}()
@@ -443,48 +417,13 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 		}
 		rels = orderRelations(rels, !ex.opts.NoJoinOrderOpt)
 
-		emitBlock := emitBlockFor(machine)
-		prepare := func(jn *joiner) {
-			jn.q, jn.rels, jn.budget, jn.blockSize = q, rels, budget, ex.opts.BlockSize
-			jn.abort, jn.emitBlock = aborted, emitBlock
+		jn := &r.sc.machines[machine].joiner
+		jn.q, jn.rels, jn.budget, jn.blockSize = q, rels, budget, ex.opts.BlockSize
+		jn.abort, jn.emitBlock = aborted, emitBlockFor(machine)
+		jn.run()
+		if jn.budgetHit {
+			truncatedFlag.Store(true)
 		}
-		driverLen := 0
-		if len(rels) > 0 {
-			driverLen = len(rels[0].matches)
-		}
-		// Fan the driver relation's blocks out to the worker pool when a
-		// chunk per worker exists; each chunk gets its own joiner (private
-		// assignment and match block) while budget and stop flags stay
-		// shared. Lazy index builds would race across chunk joiners, so the
-		// statically probe-able indexes are built up front.
-		if r.pool == nil || driverLen < 2*ex.opts.BlockSize {
-			jn := r.sc.takeJoiner()
-			prepare(jn)
-			jn.run()
-			if jn.budgetHit {
-				truncatedFlag.Store(true)
-			}
-			r.sc.putJoiner(jn)
-			return
-		}
-		prebuildIndexes(rels)
-		ranges := chunkRanges(driverLen, 4*r.par, ex.opts.BlockSize)
-		joinTaskCount = len(ranges)
-		joinTasks := make([]func(), len(ranges))
-		for i, rg := range ranges {
-			rg := rg
-			joinTasks[i] = func() {
-				jn := r.sc.takeJoiner()
-				prepare(jn)
-				jn.init()
-				jn.runRange(rg[0], rg[1])
-				if jn.budgetHit {
-					truncatedFlag.Store(true)
-				}
-				r.sc.putJoiner(jn)
-			}
-		}
-		r.dispatch(joinTasks)
 	})
 	return perMachineCounts, truncatedFlag.Load()
 }

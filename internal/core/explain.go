@@ -119,13 +119,6 @@ func (p *Plan) String() string {
 	}
 	fmt.Fprintf(&b, "exchange: %d fetches across %d machines (all-to-all would be %d)\n",
 		fetches, k, worst)
-	// Execution reports per-run parallel counters in ExecStats:
-	// ParallelTasks (pool dispatches) and EmitFlushes (batched emits).
-	if p.Parallelism > 1 {
-		fmt.Fprintf(&b, "parallelism: %d workers per run (matching, block join)\n", p.Parallelism)
-	} else {
-		b.WriteString("parallelism: sequential (1 worker per run)\n")
-	}
 	return b.String()
 }
 

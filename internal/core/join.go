@@ -31,25 +31,27 @@ import (
 //     pairs sorted by vertex, then by match index — probed by binary search.
 //     Slot 0 indexes the matches' roots, slot 1+i the candidates of leaf i.
 //     An index is built at most once per relation and run, on its first
-//     probe, after the semi-join has finished filtering.
+//     probe, after the semi-join has finished filtering; exactly one joiner
+//     works a machine's relations, so the lazy build needs no lock.
 //   - The semi-join's value sets are sorted arrays of distinct ids,
 //     intersected by merge, and it filters one flat deep copy per relation
 //     (one id array, one header array) in place.
-//   - A joiner appends every accepted assignment to one flat id block that
-//     it owns and starts over after each flush. The flush hands the block to
-//     the run's serialized emit path, which slices it into Match values over
-//     the run's one header array (runScratch.carve). A flushed block — the
-//     []Match and every Assignment in it — is therefore valid only until the
-//     emit callback returns; whoever keeps a match copies it
-//     (Engine.MatchStream does, once per block).
+//   - The machine's joiner appends every accepted assignment to one flat id
+//     block that it owns and starts over after each flush. The flush hands
+//     the block to the run's serialized emit path, which slices it into
+//     Match values over the run's one header array (runScratch.carve). A
+//     flushed block — the []Match and every Assignment in it — is therefore
+//     valid only until the emit callback returns; whoever keeps a match
+//     copies it (Engine.MatchStream does, once per block).
 //
-// All of it is scratch of one run: the relations with their index and copy
-// buffers, the joiners and the header array live in the runScratch the
-// execution takes from Executor.scratch when it starts and puts back —
-// referencing nothing of the run, and holding at most maxIdleJoinBytes of
-// join memory — when it ends. A warm query whose join memory fits that
-// bound allocates nothing here; a larger one grows again what was dropped,
-// O(machines · log BlockSize) allocations whatever the size of its result.
+// All of it is scratch of one run: per machine the relations with their index
+// and copy buffers and the joiner, and the one header array, live in the
+// runScratch the execution takes from Executor.scratch when it starts and
+// puts back — referencing nothing of the run, and holding at most
+// maxIdleJoinBytes of join memory — when it ends. A warm query whose join
+// memory fits that bound allocates nothing here; a larger one grows again
+// what was dropped, O(machines · log BlockSize) allocations whatever the
+// size of its result.
 
 // posting is one entry of a relation index: data vertex id occurs in match
 // number match (an index into relation.matches).
@@ -158,9 +160,7 @@ func reuse[T any](s []T, n int) []T {
 // matches holding one id form a run in ascending match order — the order
 // the relation lists them in. The root index is O(|matches|), a leaf index
 // O(Σ|leaf sets|), and on unselective workloads most are never probed, hence
-// the lazy build. That is only safe single-goroutine: sequential joins
-// qualify, and the parallel join calls prebuildIndexes before fanning chunks
-// out, so concurrent probes only ever read.
+// the lazy build. Only the owning machine's joiner calls this.
 func (r *relation) index(slot int) []posting {
 	ix := &r.idx[slot]
 	if ix.built {
@@ -215,26 +215,6 @@ func covered(rels []*relation, v int) bool {
 		}
 	}
 	return false
-}
-
-// prebuildIndexes materializes every index the join order can probe, so
-// chunked joiners running concurrently never hit the lazy build path. Which
-// probes are possible is static: when nextRelation reaches depth d, exactly
-// the vertices of rels[0..d-1] are bound; the root index is consulted when
-// the relation's root is among them, otherwise the index of each bound leaf.
-func prebuildIndexes(rels []*relation) {
-	for d := 1; d < len(rels); d++ {
-		rel := rels[d]
-		if covered(rels[:d], rel.twig.Root) {
-			rel.index(0)
-			continue
-		}
-		for li, leafVar := range rel.twig.Leaves {
-			if covered(rels[:d], leafVar) {
-				rel.index(1 + li)
-			}
-		}
-	}
 }
 
 // totalWords estimates the wire/memory size of the relation in 8-byte
@@ -338,15 +318,14 @@ func orderRelations(rels []*relation, optimize bool) []*relation {
 	return rels
 }
 
-// joiner runs the pipelined multiway join over one driver range. Several
-// joiners may work one machine's relations concurrently (one per driver
-// chunk); each owns its assignment and its match block, while budget and
-// abort are shared. Joiners are reused across runs (runScratch): init keeps
-// the capacity of assignment and block.
+// joiner runs one machine's pipelined multiway join. It owns its assignment
+// and its match block; budget and abort are shared with the other machines'
+// joiners. A joiner is reused across runs (machineScratch): run keeps the
+// capacity of assignment and block.
 type joiner struct {
 	q      *Query
 	rels   []*relation
-	budget *atomic.Int64 // shared across machines and chunks; nil means unlimited
+	budget *atomic.Int64 // shared across machines; nil means unlimited
 	// emitBlock receives each flushed block: the accepted assignments back
 	// to back, n ids each. Returning false stops this joiner. The joiner
 	// overwrites the block with its next matches once emitBlock returns.
@@ -357,7 +336,7 @@ type joiner struct {
 
 	assignment []graph.NodeID // current partial assignment; InvalidNode = unbound
 	block      []graph.NodeID // assignments accepted but not yet flushed
-	bufCap     int            // flush threshold in matches, set by init
+	bufCap     int            // flush threshold in matches, set by run
 	stopped    bool
 	budgetHit  bool
 	blockSize  int
@@ -373,18 +352,10 @@ const maxEmitBuffer = 1024
 // buffers more doubles it, up to bufCap.
 const minMatchBlock = 16
 
-// run consumes the whole driver relation; the parallel path uses init +
-// runRange per chunk instead.
+// run consumes the driver relation in blocks, expanding each block through
+// the remaining relations and flushing accepted matches at block boundaries —
+// the serialized emit path is taken once per block, not once per match.
 func (j *joiner) run() {
-	j.init()
-	if len(j.rels) == 0 {
-		return
-	}
-	j.runRange(0, len(j.rels[0].matches))
-}
-
-// init prepares the joiner's private state for a run.
-func (j *joiner) init() {
 	n := j.q.NumVertices()
 	j.assignment = reuse(j.assignment, n)[:n]
 	for i := range j.assignment {
@@ -392,42 +363,27 @@ func (j *joiner) init() {
 	}
 	j.block = j.block[:0]
 	j.stopped, j.budgetHit = false, false
-	j.bufCap = j.blockSize
-	if j.bufCap <= 0 {
-		j.bufCap = 256
-	}
-	if j.bufCap > maxEmitBuffer {
-		j.bufCap = maxEmitBuffer
-	}
-}
-
-// runRange consumes driver matches [lo,hi) in blocks, expanding each block
-// through the remaining relations and flushing accepted matches at block
-// boundaries — the serialized emit path is taken once per block, not once
-// per match.
-func (j *joiner) runRange(lo, hi int) {
-	driver := j.rels[0]
 	bs := j.blockSize
 	if bs <= 0 {
 		bs = 256
 	}
-	for ; lo < hi && !j.stopped; lo += bs {
-		end := lo + bs
-		if end > hi {
-			end = hi
-		}
-		for _, m := range driver.matches[lo:end] {
+	j.bufCap = min(bs, maxEmitBuffer)
+	if len(j.rels) == 0 {
+		return
+	}
+	driver := j.rels[0].matches
+	for lo := 0; lo < len(driver) && !j.stopped; lo += bs {
+		for _, m := range driver[lo:min(lo+bs, len(driver))] {
 			j.expandMatch(0, m)
 			if j.stopped {
 				break
 			}
 		}
+		// After a stop too: what is still buffered already passed the
+		// budget, so it is flushed rather than dropped (a refused emit
+		// empties the buffer itself).
 		j.flushBuf()
 	}
-	// Matches still buffered after a stop already passed the budget, so
-	// they are flushed rather than dropped (a refused emit empties the
-	// buffer itself).
-	j.flushBuf()
 }
 
 // flushBuf delivers the buffered matches through the emit callback and

@@ -397,7 +397,7 @@ func TestJoinLeavesExplorationResultsUntouched(t *testing.T) {
 	q := MustNewQuery([]string{l(0), l(1), l(2), l(3)}, [][2]int{{0, 1}, {1, 2}, {1, 3}, {2, 3}})
 	for _, machines := range []int{1, 3, 8} {
 		c := clusterFor(t, g, machines)
-		opts := Options{Parallelism: 4, BlockSize: 8}
+		opts := Options{BlockSize: 8}
 		plan, err := NewPlanner(c, opts).Plan(q)
 		if err != nil {
 			t.Fatal(err)
@@ -407,8 +407,6 @@ func TestJoinLeavesExplorationResultsUntouched(t *testing.T) {
 			matches += len(ms)
 			return len(ms), true
 		}}
-		r.par = opts.Parallelism
-		r.pool = newWorkerPool(r.par)
 		r.sc = newRunScratch(machines)
 		perTwig, err := r.explore(context.Background())
 		if err != nil {
@@ -425,7 +423,6 @@ func TestJoinLeavesExplorationResultsUntouched(t *testing.T) {
 		}
 		before := digest()
 		r.exchangeAndJoin(context.Background(), perTwig)
-		r.pool.close()
 		if matches == 0 {
 			t.Fatalf("%d machines: the fixture query has no matches", machines)
 		}

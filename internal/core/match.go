@@ -55,8 +55,11 @@ func (m STwigMatch) words() int {
 // batch per remote owner — Trinity's "message merging and batch
 // transmission" (§2.2), which turns tens of thousands of per-root round
 // trips into at most machines-1 messages per STwig step.
-func matchSTwigOnMachine(m *memcloud.Machine, t STwig, labels []graph.LabelID, b *Bindings) []STwigMatch {
-	cells, nbrLabels := gatherRootCells(m, t, labels, b, &machineScratch{})
+//
+// Pass 1 writes into ms, the machine's scratch of the run; the returned
+// matches reference none of it.
+func matchSTwigOnMachine(m *memcloud.Machine, t STwig, labels []graph.LabelID, b *Bindings, ms *machineScratch) []STwigMatch {
+	cells, nbrLabels := gatherRootCells(m, t, labels, b, ms)
 	return matchCells(cells, nbrLabels, t, labels, b)
 }
 
@@ -71,9 +74,8 @@ type rootCell struct {
 // gatherRootCells is pass 1: for every surviving root, resolve its
 // neighbors' labels — cell by cell, straight off the arena — through one
 // label batch that is accounted once when the pass ends. This is where the
-// step's network traffic happens, so it always runs on one goroutine —
-// message and byte accounting must not depend on the parallelism setting.
-// The returned slices live in ms until the machine's next step.
+// step's network traffic happens. The returned slices live in ms until the
+// machine's next step.
 func gatherRootCells(m *memcloud.Machine, t STwig, labels []graph.LabelID, b *Bindings, ms *machineScratch) ([]rootCell, []graph.LabelID) {
 	cells, nbrLabels := ms.cells[:0], ms.labels[:0]
 	batch := m.LabelBatch()
@@ -100,12 +102,10 @@ const (
 )
 
 // matchCells is pass 2: per root cell, build factored leaf sets from the
-// resolved labels. Cells carry absolute offsets into nbrLabels, so any
-// contiguous subslice of cells can be processed independently — the
-// parallel path chunks here.
+// resolved labels.
 //
 // Leaf sets and their per-match headers are carved from blocks that double
-// in size, so a chunk costs O(log matches) allocations and a root that
+// in size, so a step costs O(log matches) allocations and a root that
 // fails costs none: a root's candidates are appended behind the sets
 // already handed out, and cut off again if the root fails.
 func matchCells(cells []rootCell, nbrLabels []graph.LabelID, t STwig, labels []graph.LabelID, b *Bindings) []STwigMatch {
@@ -163,45 +163,6 @@ rootLoop:
 		}
 		sets = sets[:len(sets)+nLeaves]
 		out = append(out, STwigMatch{Root: rc.id, LeafSets: leafSets})
-	}
-	return out
-}
-
-// matchChunkMinCells is the smallest per-chunk root count worth a pool
-// dispatch; below 2 chunks of it, the sequential path wins.
-const matchChunkMinCells = 64
-
-// matchSTwigParallel is matchSTwigOnMachine with pass 1 writing into the
-// run's scratch and pass 2 chunked across the run's worker pool. Chunk
-// outputs are concatenated in chunk order, so the returned match slice is
-// identical to the sequential result regardless of worker scheduling, and
-// pass 1 (the network-accounting pass) stays sequential — parallelism
-// changes neither results nor traffic stats.
-func (r *execution) matchSTwigParallel(m *memcloud.Machine, t STwig, labels []graph.LabelID, b *Bindings, ms *machineScratch) []STwigMatch {
-	cells, nbrLabels := gatherRootCells(m, t, labels, b, ms)
-	if r.pool == nil || len(cells) < 2*matchChunkMinCells {
-		return matchCells(cells, nbrLabels, t, labels, b)
-	}
-	ranges := chunkRanges(len(cells), 4*r.par, matchChunkMinCells)
-	outs := make([][]STwigMatch, len(ranges))
-	tasks := make([]func(), len(ranges))
-	for i, rg := range ranges {
-		i, rg := i, rg
-		tasks[i] = func() {
-			outs[i] = matchCells(cells[rg[0]:rg[1]], nbrLabels, t, labels, b)
-		}
-	}
-	r.dispatch(tasks)
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]STwigMatch, 0, total)
-	for _, o := range outs {
-		out = append(out, o...)
 	}
 	return out
 }

@@ -41,35 +41,33 @@ func TestMatchStreamMatchesAreRetainable(t *testing.T) {
 	if len(want) < 4000 {
 		t.Fatalf("fixture has %d matches, want thousands", len(want))
 	}
-	for _, par := range []int{1, 4} {
-		eng := core.NewEngine(c, core.Options{Parallelism: par, BlockSize: 64})
-		var kept []core.Match
-		stats, err := eng.MatchStream(context.Background(), q, func(m core.Match) bool {
-			kept = append(kept, m)
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
+	eng := core.NewEngine(c, core.Options{BlockSize: 64})
+	var kept []core.Match
+	stats, err := eng.MatchStream(context.Background(), q, func(m core.Match) bool {
+		kept = append(kept, m)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.EmitFlushes < 10 {
+		t.Fatalf("%d flushes; the fixture must span many", stats.EmitFlushes)
+	}
+	got := core.MatchSet(kept)
+	if len(kept) != len(want) || len(got) != len(want) {
+		t.Fatalf("kept %d matches, %d distinct; VF2 finds %d", len(kept), len(got), len(want))
+	}
+	for k := range want {
+		if !got[k] {
+			t.Fatalf("VF2 match %s is not among the kept matches", k)
 		}
-		if stats.EmitFlushes < 10 {
-			t.Fatalf("parallelism %d: %d flushes; the fixture must span many", par, stats.EmitFlushes)
-		}
-		got := core.MatchSet(kept)
-		if len(kept) != len(want) || len(got) != len(want) {
-			t.Fatalf("parallelism %d: kept %d matches, %d distinct; VF2 finds %d", par, len(kept), len(got), len(want))
-		}
-		for k := range want {
-			if !got[k] {
-				t.Fatalf("parallelism %d: VF2 match %s is not among the kept matches", par, k)
-			}
-		}
-		res, err := eng.Match(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again := core.MatchSet(res.Matches); len(res.Matches) != len(want) || len(again) != len(want) {
-			t.Fatalf("parallelism %d: Match returned %d matches, %d distinct; VF2 finds %d", par, len(res.Matches), len(again), len(want))
-		}
+	}
+	res, err := eng.Match(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := core.MatchSet(res.Matches); len(res.Matches) != len(want) || len(again) != len(want) {
+		t.Fatalf("Match returned %d matches, %d distinct; VF2 finds %d", len(res.Matches), len(again), len(want))
 	}
 }
 
@@ -79,7 +77,7 @@ func TestMatchStreamMatchesAreRetainable(t *testing.T) {
 // the same from flush to flush.
 func TestBlockAssignmentsAreReusedAfterTheCallback(t *testing.T) {
 	_, c, q := streamFixture(t, 1)
-	eng := core.NewEngine(c, core.Options{Parallelism: 1})
+	eng := core.NewEngine(c, core.Options{})
 	n := q.NumVertices()
 	at := func(m core.Match) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(m.Assignment))) }
 	blocks := map[uintptr]int{}

@@ -2,7 +2,8 @@ package core
 
 import (
 	"context"
-	"fmt"
+	"encoding/binary"
+	"hash/fnv"
 	"runtime"
 	"testing"
 	"time"
@@ -11,21 +12,17 @@ import (
 	"stwig/internal/rmat"
 )
 
-// Tests for intra-machine parallel execution: the run-scoped worker pool
-// that chunks STwig matching and fans the block join out. Parallelism is
-// set explicitly (the pool spawns its workers on the first fan-out,
-// regardless of GOMAXPROCS), so these tests exercise the concurrent code paths even on a single-core
-// host; run them with GOMAXPROCS>1 and -race for the full effect (CI does
-// both).
+// The simulated machines are the engine's one level of parallelism: a run
+// starts one goroutine per machine for each of its two phases and nothing
+// else. These tests pin that, and that budget, consumer stop and
+// cancellation reach every machine's joiner; run them with GOMAXPROCS>1 and
+// -race so the machine goroutines really interleave (CI does both).
 
-// parallelFixture is a graph big enough that both parallel paths engage on
-// each of its two machines: ~5,400 candidate roots (chunked matching needs
-// 2×matchChunkMinCells = 128) of which ~600 match, and the query is a single
-// STwig, so those ~600 factored matches are the join's driver relation
-// (the block-join fan-out needs 2×BlockSize = 512). R-MAT's skew leaves most
-// low-degree roots without both leaf labels, hence the 32k vertices;
-// TestParallelTasksDispatched pins that both thresholds are crossed.
-func parallelFixture(t testing.TB) (*Query, func(opts Options) *Engine) {
+// scale15Fixture is a graph on which every machine has real work in both
+// phases: ~10,800 candidate roots, of which ~1,200 match, and the query is a
+// single STwig, so those factored matches are the driver relations — several
+// blocks per machine at the default BlockSize — of a 125,228-match join.
+func scale15Fixture(t testing.TB, machines int) (*Query, func(opts Options) *Engine) {
 	t.Helper()
 	g := rmat.MustGenerate(rmat.Params{Scale: 15, AvgDegree: 2, NumLabels: 3, Seed: 7})
 	q := MustNewQuery(
@@ -33,7 +30,7 @@ func parallelFixture(t testing.TB) (*Query, func(opts Options) *Engine) {
 		[][2]int{{0, 1}, {1, 2}},
 	)
 	return q, func(opts Options) *Engine {
-		return NewEngine(clusterFor(t, g, 2), opts)
+		return NewEngine(clusterFor(t, g, machines), opts)
 	}
 }
 
@@ -54,8 +51,8 @@ func denseClique(t testing.TB) (*graph.Graph, *Query) {
 }
 
 // waitNoExtraGoroutines fails the test if the goroutine count does not
-// return to (roughly) the pre-test baseline: a worker pool that outlives
-// its run.
+// return to (roughly) the pre-test baseline: a goroutine that outlives its
+// run.
 func waitNoExtraGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -68,98 +65,87 @@ func waitNoExtraGoroutines(t *testing.T, base int) {
 	t.Fatalf("goroutine leak: %d live, baseline %d", runtime.NumGoroutine(), base)
 }
 
-// TestParallelMatchesSequential is the determinism acceptance: the same
-// query at Parallelism 1 and 4 must produce identical match sets AND
-// identical deterministic statistics (STwig match counts, network traffic —
-// both computed in the strictly-sequential accounting passes).
-func TestParallelMatchesSequential(t *testing.T) {
-	q, engineFor := parallelFixture(t)
-
-	type outcome struct {
-		set   map[string]bool
-		stats *ExecStats
-	}
-	runAt := func(par int) outcome {
-		var ms []Match
-		stats, err := engineFor(Options{Parallelism: par}).MatchStream(
-			context.Background(), q, func(m Match) bool {
-				ms = append(ms, m)
-				return true
-			})
-		if err != nil {
-			t.Fatalf("parallelism=%d: %v", par, err)
-		}
-		return outcome{set: MatchSet(ms), stats: stats}
-	}
-
-	seq := runAt(1)
-	for _, par := range []int{2, 4} {
-		got := runAt(par)
-		if len(got.set) != len(seq.set) {
-			t.Fatalf("parallelism=%d: %d distinct matches, sequential found %d",
-				par, len(got.set), len(seq.set))
-		}
-		for k := range seq.set {
-			if !got.set[k] {
-				t.Fatalf("parallelism=%d: missing match %s", par, k)
-			}
-		}
-		if fmt.Sprint(got.stats.STwigMatchCounts) != fmt.Sprint(seq.stats.STwigMatchCounts) {
-			t.Errorf("parallelism=%d: STwig match counts %v, sequential %v",
-				par, got.stats.STwigMatchCounts, seq.stats.STwigMatchCounts)
-		}
-		if got.stats.Net != seq.stats.Net {
-			t.Errorf("parallelism=%d: network accounting %+v, sequential %+v",
-				par, got.stats.Net, seq.stats.Net)
-		}
-		if got.stats.Parallelism != par {
-			t.Errorf("stats.Parallelism = %d, want %d", got.stats.Parallelism, par)
-		}
-	}
-	if seq.stats.ParallelTasks != 0 {
-		t.Errorf("sequential run dispatched %d pool tasks", seq.stats.ParallelTasks)
-	}
-}
-
-// TestParallelTasksDispatched pins that the fixture actually exercises the
-// pool — a regression here would silently turn every other test in this
-// file into a sequential no-op. The two parallel paths are checked
-// separately, on a traced run's explore and join spans.
-func TestParallelTasksDispatched(t *testing.T) {
-	q, engineFor := parallelFixture(t)
-	var n int
-	stats, err := engineFor(Options{Parallelism: 4, TraceID: "parallel-fixture"}).MatchStream(
-		context.Background(), q, func(Match) bool { n++; return true })
+// peakGoroutines runs q and returns the largest goroutine count seen from
+// inside the block callback — while the machines are joining — and the
+// number of blocks that sampled it.
+func peakGoroutines(t *testing.T, eng *Engine, q *Query) (peak, blocks int) {
+	t.Helper()
+	_, err := eng.MatchStreamBlocks(context.Background(), q, func(ms []Match) (int, bool) {
+		blocks++
+		peak = max(peak, runtime.NumGoroutine())
+		return len(ms), true
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks := map[string]uint64{}
-	for _, s := range stats.Spans {
-		tasks[s.Name] = s.Tasks
+	return peak, blocks
+}
+
+// TestRunUsesOneGoroutinePerMachine: whatever GOMAXPROCS offers, a run adds
+// one goroutine per machine and no more (the +1 is slack for a machine
+// goroutine of the finished exploration step that has not exited yet).
+func TestRunUsesOneGoroutinePerMachine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	q, engineFor := scale15Fixture(t, 2)
+	eng := engineFor(Options{})
+	base := runtime.NumGoroutine()
+	peak, blocks := peakGoroutines(t, eng, q)
+	if blocks < 4 {
+		t.Fatalf("%d blocks; the fixture must flush several per machine", blocks)
 	}
-	if tasks["explore"] == 0 {
-		t.Errorf("chunked STwig matching dispatched no pool tasks (%d STwig matches); fixture too small", stats.STwigMatchCounts)
+	if limit := base + eng.Cluster().NumMachines() + 1; peak > limit {
+		t.Fatalf("%d goroutines during the join, %d before the run: more than one per machine (%d machines)",
+			peak, base, eng.Cluster().NumMachines())
 	}
-	if tasks["join"] == 0 {
-		t.Errorf("the block join dispatched no pool tasks (%d matches); fixture too small", n)
-	}
-	if stats.ParallelTasks != tasks["explore"]+tasks["join"] {
-		t.Errorf("ParallelTasks = %d, spans account for %d + %d", stats.ParallelTasks, tasks["explore"], tasks["join"])
-	}
-	if stats.EmitFlushes == 0 {
-		t.Fatal("no emit flushes counted")
+	waitNoExtraGoroutines(t, base)
+}
+
+// TestSingleMachineEmissionIsDeterministic: one machine is one goroutine,
+// so its matches reach the sink in driver order — the same sequence of ids,
+// block for block, on every run.
+func TestSingleMachineEmissionIsDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	q, engineFor := scale15Fixture(t, 1)
+	eng := engineFor(Options{})
+	var first uint64
+	for run := 0; run < 5; run++ {
+		// Blocks are lent: hash them in place.
+		h := fnv.New64a()
+		matches := 0
+		var buf [8]byte
+		_, err := eng.MatchStreamBlocks(context.Background(), q, func(ms []Match) (int, bool) {
+			matches += len(ms)
+			for _, m := range ms {
+				for _, id := range m.Assignment {
+					binary.LittleEndian.PutUint64(buf[:], uint64(id))
+					h.Write(buf[:])
+				}
+			}
+			return len(ms), true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if matches < 10_000 {
+			t.Fatalf("fixture query has %d matches, want at least 10,000", matches)
+		}
+		if run == 0 {
+			first = h.Sum64()
+		} else if h.Sum64() != first {
+			t.Fatalf("run %d emitted its %d matches in another order than run 0", run, matches)
+		}
 	}
 }
 
 // TestParallelBudgetStopsWorkers: the shared match budget must stop every
-// join worker, deliver at most MatchBudget matches, set Truncated, and
+// machine's joiner, deliver at most MatchBudget matches, set Truncated, and
 // leave no goroutines behind.
 func TestParallelBudgetStopsWorkers(t *testing.T) {
 	g, q := denseClique(t)
 	c := clusterFor(t, g, 2)
 	base := runtime.NumGoroutine()
 
-	res, err := NewEngine(c, Options{Parallelism: 4, MatchBudget: 64}).Match(q)
+	res, err := NewEngine(c, Options{MatchBudget: 64}).Match(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,16 +164,16 @@ func TestParallelBudgetStopsWorkers(t *testing.T) {
 }
 
 // TestParallelEmitStopStopsWorkers: a consumer returning false must stop
-// the parallel join at exactly that match, set Truncated, and leave no
-// goroutines behind. Emission is serialized under the flush lock, so the
-// count is exact even with four join workers.
+// the join on every machine at exactly that match, set Truncated, and leave
+// no goroutines behind. Emission is serialized under the flush lock, so the
+// count is exact however the machine goroutines interleave.
 func TestParallelEmitStopStopsWorkers(t *testing.T) {
 	g, q := denseClique(t)
 	c := clusterFor(t, g, 2)
 	base := runtime.NumGoroutine()
 
 	count := 0
-	stats, err := NewEngine(c, Options{Parallelism: 4}).MatchStream(
+	stats, err := NewEngine(c, Options{}).MatchStream(
 		context.Background(), q, func(Match) bool {
 			count++
 			return count < 5
@@ -218,8 +204,8 @@ func TestParallelContextCancelStopsWorkers(t *testing.T) {
 	count := 0
 	// Small blocks so the per-block context check fires close to the
 	// cancellation point instead of after a full default-size block per
-	// worker.
-	_, err := NewEngine(c, Options{Parallelism: 4, BlockSize: 16}).MatchStream(ctx, q, func(Match) bool {
+	// machine.
+	_, err := NewEngine(c, Options{BlockSize: 16}).MatchStream(ctx, q, func(Match) bool {
 		count++
 		if count == 10 {
 			cancel()
@@ -230,8 +216,7 @@ func TestParallelContextCancelStopsWorkers(t *testing.T) {
 		t.Fatal("cancelled stream returned no error")
 	}
 	// 24·23 = 552 total; the abort must cut well before full enumeration
-	// (a handful of 16-match blocks may already be in flight across the
-	// four workers).
+	// (a 16-match block per machine may already be in flight).
 	if count > 300 {
 		t.Fatalf("cancel at 10 still delivered %d of 552 matches", count)
 	}
@@ -239,142 +224,35 @@ func TestParallelContextCancelStopsWorkers(t *testing.T) {
 }
 
 // TestSimulateParallelStaysSequential: modeled per-machine timing requires
-// strictly sequential phases, so SimulateParallel must force one worker no
-// matter what Parallelism asks for — and its results must not change.
+// strictly sequential phases, so under SimulateParallel the machines take
+// turns on the caller's goroutine — a run starts none of its own — and the
+// results do not change.
 func TestSimulateParallelStaysSequential(t *testing.T) {
-	q, engineFor := parallelFixture(t)
-	var plain, forced []Match
-	ref, err := engineFor(Options{SimulateParallel: true}).MatchStream(
-		context.Background(), q, func(m Match) bool { plain = append(plain, m); return true })
-	if err != nil {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	q, engineFor := scale15Fixture(t, 2)
+	sim := engineFor(Options{SimulateParallel: true})
+	base := runtime.NumGoroutine()
+	if peak, _ := peakGoroutines(t, sim, q); peak > base {
+		t.Fatalf("%d goroutines during a SimulateParallel join, %d before the run", peak, base)
+	}
+
+	var plain, simulated []Match
+	if _, err := engineFor(Options{}).MatchStream(
+		context.Background(), q, func(m Match) bool { plain = append(plain, m); return true }); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := engineFor(Options{SimulateParallel: true, Parallelism: 4}).MatchStream(
-		context.Background(), q, func(m Match) bool { forced = append(forced, m); return true })
+	stats, err := sim.MatchStream(
+		context.Background(), q, func(m Match) bool { simulated = append(simulated, m); return true })
 	if err != nil {
 		t.Fatal(err)
-	}
-	if stats.Parallelism != 1 || stats.ParallelTasks != 0 {
-		t.Fatalf("SimulateParallel ran with parallelism=%d, tasks=%d; want sequential",
-			stats.Parallelism, stats.ParallelTasks)
 	}
 	// Modeled times are wall-clock measurements, so only their presence is
 	// deterministic.
-	if ref.ModeledParallelTime <= 0 || stats.ModeledParallelTime <= 0 {
-		t.Errorf("modeled time not populated: %v vs %v",
-			stats.ModeledParallelTime, ref.ModeledParallelTime)
+	if stats.ModeledParallelTime <= 0 {
+		t.Errorf("modeled time not populated: %v", stats.ModeledParallelTime)
 	}
-	got, want := MatchSet(forced), MatchSet(plain)
+	got, want := MatchSet(simulated), MatchSet(plain)
 	if len(got) != len(want) {
 		t.Fatalf("%d distinct matches, want %d", len(got), len(want))
-	}
-}
-
-// TestChunkRanges pins the chunking helper's contract: full coverage, in
-// order, bounded count, minimum size.
-func TestChunkRanges(t *testing.T) {
-	for _, tc := range []struct {
-		n, maxChunks, minPer int
-		wantChunks           int
-	}{
-		{0, 4, 10, 0},
-		{5, 4, 10, 1},   // below minPer: one chunk
-		{40, 4, 10, 4},  // exact fit
-		{100, 4, 10, 4}, // clamped by maxChunks
-		{25, 8, 10, 2},  // limited by minPer, not maxChunks
-	} {
-		got := chunkRanges(tc.n, tc.maxChunks, tc.minPer)
-		// Coverage and order are the hard invariants; chunk count is
-		// implementation-defined within [1, maxChunks].
-		lo := 0
-		total := 0
-		for _, rg := range got {
-			if rg[0] != lo {
-				t.Fatalf("chunkRanges(%d,%d,%d) = %v: gap at %d", tc.n, tc.maxChunks, tc.minPer, got, lo)
-			}
-			if rg[1] <= rg[0] {
-				t.Fatalf("chunkRanges(%d,%d,%d) = %v: empty chunk", tc.n, tc.maxChunks, tc.minPer, got)
-			}
-			total += rg[1] - rg[0]
-			lo = rg[1]
-		}
-		if total != tc.n {
-			t.Fatalf("chunkRanges(%d,%d,%d) covers %d items", tc.n, tc.maxChunks, tc.minPer, total)
-		}
-		if len(got) > tc.maxChunks {
-			t.Fatalf("chunkRanges(%d,%d,%d) = %d chunks, max %d", tc.n, tc.maxChunks, tc.minPer, len(got), tc.maxChunks)
-		}
-	}
-}
-
-// TestWorkerPoolConcurrentBatches: machine goroutines share one pool, each
-// waiting only on its own batch.
-func TestWorkerPoolConcurrentBatches(t *testing.T) {
-	p := newWorkerPool(4)
-	defer p.close()
-	done := make(chan int, 8)
-	for b := 0; b < 8; b++ {
-		b := b
-		go func() {
-			tasks := make([]func(), 16)
-			sum := make(chan int, 16)
-			for i := range tasks {
-				i := i
-				tasks[i] = func() { sum <- i }
-			}
-			p.runAll(tasks)
-			total := 0
-			for range tasks {
-				total += <-sum
-			}
-			if total != 120 {
-				t.Errorf("batch %d: task sum %d, want 120", b, total)
-			}
-			done <- b
-		}()
-	}
-	for i := 0; i < 8; i++ {
-		<-done
-	}
-}
-
-// TestWorkerPoolStartsOnFirstFanOut: a pool costs no goroutine until a
-// batch of more than one task arrives, and a run that dispatches nothing —
-// every selective query — starts and stops none.
-func TestWorkerPoolStartsOnFirstFanOut(t *testing.T) {
-	p := newWorkerPool(4)
-	ran := 0
-	p.runAll(nil)
-	p.runAll([]func(){func() { ran++ }})
-	if ran != 1 {
-		t.Fatalf("single task ran %d times", ran)
-	}
-	if p.tasks != nil {
-		t.Fatal("the pool started workers for batches that never fan out")
-	}
-	p.close() // a no-op: nothing to stop
-
-	// The same through a whole run: figure 1's query is far below both
-	// fan-out thresholds.
-	c := clusterFor(t, figure1Graph(), 2)
-	opts := Options{Parallelism: 4}
-	plan, err := NewPlanner(c, opts).Plan(figure1Query())
-	if err != nil {
-		t.Fatal(err)
-	}
-	matches := 0
-	r := &execution{ex: NewExecutor(c, opts), plan: plan, emit: func(ms []Match) (int, bool) {
-		matches += len(ms)
-		return len(ms), true
-	}}
-	stats, err := r.run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if matches != 2 || stats.Parallelism != 4 || stats.ParallelTasks != 0 {
-		t.Fatalf("%d matches at parallelism %d with %d tasks; want 2, 4, 0", matches, stats.Parallelism, stats.ParallelTasks)
-	}
-	if r.pool == nil || r.pool.tasks != nil {
-		t.Fatalf("a run that dispatched no task started its workers (pool %+v)", r.pool)
 	}
 }

@@ -64,12 +64,6 @@ type Plan struct {
 	// ClusterDiameter is the largest finite pairwise distance in the
 	// query-specific cluster graph (0 for a single machine).
 	ClusterDiameter int
-	// Parallelism is the effective intra-machine worker count executions
-	// of this plan will use (Options.Parallelism resolved against
-	// GOMAXPROCS; 1 under SimulateParallel). Informational — execution
-	// re-resolves it — but EXPLAIN output should show what will run.
-	Parallelism int
-
 	// labels[v] is the resolved data-graph LabelID of query vertex v.
 	labels []graph.LabelID
 	// planWords is the wire size of the plan broadcast: the executor
@@ -114,10 +108,9 @@ func (p *Planner) Plan(q *Query) (*Plan, error) {
 func (p *Planner) buildPlan(q *Query, signature string) *Plan {
 	start := time.Now()
 	plan := &Plan{
-		Query:       q,
-		Signature:   signature,
-		Epoch:       p.cluster.Epoch(),
-		Parallelism: p.opts.effectiveParallelism(),
+		Query:     q,
+		Signature: signature,
+		Epoch:     p.cluster.Epoch(),
 	}
 
 	// Label resolution; a label absent from the data graph means zero

@@ -57,12 +57,9 @@ type ExecStats struct {
 	// PerMachineMatches[k] is how many final matches machine k produced
 	// (their disjoint union is the answer).
 	PerMachineMatches []int
-	// Parallelism is the effective intra-machine worker count this run
-	// used (Options.Parallelism resolved against GOMAXPROCS; 1 under
-	// SimulateParallel).
-	Parallelism int
-	// ParallelTasks counts chunk tasks dispatched to the run's worker
-	// pool across matching and join; 0 in sequential runs.
+	// Always 0: the intra-machine worker pool whose dispatches this counted
+	// is gone (each simulated machine is one goroutine). The field stays
+	// only until stwigbench/trace.go stops reading it.
 	ParallelTasks uint64
 	// EmitFlushes counts batched deliveries through the serialized emit
 	// path; each flush carries a block of matches.

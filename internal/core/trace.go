@@ -59,8 +59,6 @@ type Span struct {
 	Matches int64 `json:"matches,omitempty"`
 	// Words is the network traffic (8-byte words) the span moved.
 	Words int64 `json:"words,omitempty"`
-	// Tasks counts worker-pool tasks dispatched during the span.
-	Tasks uint64 `json:"tasks,omitempty"`
 	// Children are nested spans (per-STwig under explore, per-machine and
 	// emit under join).
 	Children []Span `json:"children,omitempty"`
@@ -109,9 +107,6 @@ func writeSpan(b *strings.Builder, s *Span, prefix, childPrefix string) {
 	}
 	if s.Words > 0 {
 		fmt.Fprintf(b, "  net=%dw", s.Words)
-	}
-	if s.Tasks > 0 {
-		fmt.Fprintf(b, "  tasks=%d", s.Tasks)
 	}
 	b.WriteByte('\n')
 	for i := range s.Children {

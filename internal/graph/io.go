@@ -112,18 +112,43 @@ const (
 	flagDirected  = 1 << 0
 )
 
+// BinarySource is what WriteBinaryFrom serializes: a vertex-labeled adjacency
+// structure read vertex by vertex, so a source that is not a *Graph (the
+// memory cloud's live cells) is written without first being built into one.
+type BinarySource interface {
+	NumNodes() int64
+	Directed() bool
+	// LabelNames is the label table, indexed by the LabelIDs Label returns.
+	LabelNames() []string
+	Label(v NodeID) LabelID
+	// Neighbors is v's sorted adjacency, read only until the next call.
+	Neighbors(v NodeID) []NodeID
+}
+
+// LabelNames returns the label strings indexed by LabelID.
+func (g *Graph) LabelNames() []string { return g.table.Names() }
+
 // WriteBinary serializes g in the binary format.
-func WriteBinary(w io.Writer, g *Graph) error {
+func WriteBinary(w io.Writer, g *Graph) error { return WriteBinaryFrom(w, g) }
+
+// WriteBinaryFrom serializes src in the binary format. It walks the vertices
+// four times (edge count, labels, offsets, adjacency) and holds nothing but
+// its write buffer.
+func WriteBinaryFrom(w io.Writer, src BinarySource) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.WriteString(binaryMagic); err != nil {
 		return err
 	}
 	var flags uint32
-	if g.directed {
+	if src.Directed() {
 		flags |= flagDirected
 	}
-	names := g.table.Names()
-	hdr := []uint64{uint64(binaryVersion), uint64(flags), uint64(g.NumNodes()), uint64(g.NumEdges()), uint64(len(names))}
+	n := src.NumNodes()
+	var m uint64
+	for v := int64(0); v < n; v++ {
+		m += uint64(len(src.Neighbors(NodeID(v))))
+	}
+	names := src.LabelNames()
 	var buf [8]byte
 	writeU32 := func(x uint32) error {
 		binary.LittleEndian.PutUint32(buf[:4], x)
@@ -135,19 +160,19 @@ func WriteBinary(w io.Writer, g *Graph) error {
 		_, err := bw.Write(buf[:8])
 		return err
 	}
-	if err := writeU32(uint32(hdr[0])); err != nil {
+	if err := writeU32(binaryVersion); err != nil {
 		return err
 	}
-	if err := writeU32(uint32(hdr[1])); err != nil {
+	if err := writeU32(flags); err != nil {
 		return err
 	}
-	if err := writeU64(hdr[2]); err != nil {
+	if err := writeU64(uint64(n)); err != nil {
 		return err
 	}
-	if err := writeU64(hdr[3]); err != nil {
+	if err := writeU64(m); err != nil {
 		return err
 	}
-	if err := writeU32(uint32(hdr[4])); err != nil {
+	if err := writeU32(uint32(len(names))); err != nil {
 		return err
 	}
 	for _, name := range names {
@@ -158,19 +183,26 @@ func WriteBinary(w io.Writer, g *Graph) error {
 			return err
 		}
 	}
-	for _, l := range g.labels {
-		if err := writeU32(uint32(l)); err != nil {
+	for v := int64(0); v < n; v++ {
+		if err := writeU32(uint32(src.Label(NodeID(v)))); err != nil {
 			return err
 		}
 	}
-	for _, o := range g.offsets {
-		if err := writeU64(uint64(o)); err != nil {
+	var off uint64
+	if err := writeU64(off); err != nil {
+		return err
+	}
+	for v := int64(0); v < n; v++ {
+		off += uint64(len(src.Neighbors(NodeID(v))))
+		if err := writeU64(off); err != nil {
 			return err
 		}
 	}
-	for _, a := range g.adj {
-		if err := writeU64(uint64(a)); err != nil {
-			return err
+	for v := int64(0); v < n; v++ {
+		for _, a := range src.Neighbors(NodeID(v)) {
+			if err := writeU64(uint64(a)); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()

@@ -1,45 +1,75 @@
 package memcloud
 
 import (
-	"fmt"
+	"io"
 
 	"stwig/internal/graph"
 )
 
 // Checkpoint support: a consistent snapshot of the cluster's live graph —
-// everything dynamic updates have produced since load — rendered back into
-// an immutable graph.Graph so it can be serialized with graph.WriteBinary
-// and reloaded onto a fresh cluster at recovery. Together with the update
-// journal (internal/journal) this is the LogBase-style durability story:
-// checkpoint bounds replay, journal carries everything since.
+// everything dynamic updates have produced since load — serialized in
+// graph.WriteBinary's format so graph.ReadBinary can reload it onto a fresh
+// cluster at recovery. Together with the update journal (internal/journal)
+// this is the LogBase-style durability story: checkpoint bounds replay,
+// journal carries everything since.
 
-// SnapshotGraph materializes the cluster's current graph: every vertex in
-// [0, NumNodes()) with its live label and adjacency, as an undirected
-// graph. It takes the update lock, so the snapshot is consistent with
-// respect to concurrent mutations; readers are unaffected. Vertex IDs are
-// preserved exactly (they are dense by construction), so a cluster loaded
-// from the snapshot serves identical match sets.
-func (c *Cluster) SnapshotGraph() (*graph.Graph, error) {
+// WriteSnapshot streams the cluster's current graph to w in graph.WriteBinary's
+// format: every vertex in [0, NumNodes()) with its live label and adjacency,
+// vertex IDs preserved exactly (they are dense by construction), so a cluster
+// loaded from the stream serves identical match sets. Nothing is
+// materialized — the cells are written where they lie, so a checkpoint costs
+// its write buffer, not a second copy of the graph. It holds the update lock
+// for the whole write, which makes the stream consistent with respect to
+// concurrent mutations (readers are unaffected); hand it a file or a buffer,
+// never a peer that can stall.
+//
+// The stream is marked undirected and carries each cell's adjacency as
+// stored — for the symmetric, loop-free adjacency that undirected loads and
+// AddEdge maintain, byte for byte what building the edges {u,v | u<v} into an
+// undirected graph.Graph and writing that produced.
+func (c *Cluster) WriteSnapshot(w io.Writer) error {
 	if !c.loaded {
-		return nil, errNotLoaded
+		return errNotLoaded
 	}
 	c.upd.mu.Lock()
 	defer c.upd.mu.Unlock()
-	b := graph.NewBuilder(graph.Undirected())
-	for _, a := range c.addr {
-		b.AddNode(c.labels.Name(c.machines[a.owner].store.label(a.slot)))
+	// Labels are renumbered in order of first appearance by vertex ID: the
+	// numbering a graph built vertex by vertex gets, and the one recovery
+	// has always seen.
+	src := snapshotSource{c: c, remap: make([]graph.LabelID, c.labels.Len())}
+	for i := range src.remap {
+		src.remap[i] = graph.NoLabel
 	}
-	for v, a := range c.addr {
-		id := graph.NodeID(v)
-		for _, u := range c.machines[a.owner].store.neighbors(a.slot) {
-			if id < u {
-				if err := b.AddEdge(id, u); err != nil {
-					return nil, fmt.Errorf("memcloud: snapshot: edge (%d,%d): %w", id, u, err)
-				}
-			}
+	for _, a := range c.addr {
+		l := c.machines[a.owner].store.label(a.slot)
+		if src.remap[l] == graph.NoLabel {
+			src.remap[l] = graph.LabelID(len(src.names))
+			src.names = append(src.names, c.labels.Name(l))
 		}
 	}
-	return b.Build(), nil
+	return graph.WriteBinaryFrom(w, src)
+}
+
+// snapshotSource reads the cluster's cells as a graph.BinarySource. The
+// caller holds the update lock.
+type snapshotSource struct {
+	c     *Cluster
+	names []string
+	remap []graph.LabelID // cluster label -> index into names
+}
+
+func (s snapshotSource) NumNodes() int64      { return int64(len(s.c.addr)) }
+func (s snapshotSource) Directed() bool       { return false }
+func (s snapshotSource) LabelNames() []string { return s.names }
+
+func (s snapshotSource) Label(v graph.NodeID) graph.LabelID {
+	a := s.c.addr[v]
+	return s.remap[s.c.machines[a.owner].store.label(a.slot)]
+}
+
+func (s snapshotSource) Neighbors(v graph.NodeID) []graph.NodeID {
+	a := s.c.addr[v]
+	return s.c.machines[a.owner].store.neighbors(a.slot)
 }
 
 // RestoreEpoch seeds the cluster's mutation epoch, so that a recovered

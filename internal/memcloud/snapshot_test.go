@@ -1,11 +1,55 @@
 package memcloud
 
 import (
+	"bytes"
+	"io"
+	"runtime"
 	"testing"
 
 	"stwig/internal/graph"
 	"stwig/internal/rmat"
 )
+
+// snapshotGraph reads c's snapshot stream back into a graph.
+func snapshotGraph(c *Cluster) (*graph.Graph, error) {
+	var buf bytes.Buffer
+	if err := c.WriteSnapshot(&buf); err != nil {
+		return nil, err
+	}
+	return graph.ReadBinary(&buf)
+}
+
+// checkSnapshotBytes compares c's snapshot stream with the way a snapshot
+// was taken before WriteSnapshot existed: the edges {u,v | u<v} built, vertex
+// by vertex, into an undirected graph.Graph that WriteBinary serializes.
+// Checkpoint files and the replication bootstrap frame must not move a byte.
+func checkSnapshotBytes(t *testing.T, c *Cluster) {
+	t.Helper()
+	b := graph.NewBuilder(graph.Undirected())
+	n := c.NumNodes()
+	for v := int64(0); v < n; v++ {
+		cell, _ := c.Load(c.Owner(graph.NodeID(v)), graph.NodeID(v))
+		b.AddNode(c.Labels().Name(cell.Label))
+	}
+	for v := int64(0); v < n; v++ {
+		cell, _ := c.Load(c.Owner(graph.NodeID(v)), graph.NodeID(v))
+		for _, u := range cell.Neighbors {
+			if cell.ID < u {
+				b.MustAddEdge(cell.ID, u)
+			}
+		}
+	}
+	var want, got bytes.Buffer
+	if err := graph.WriteBinary(&want, b.Build()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteSnapshot(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("snapshot stream (%d bytes) differs from the built graph's serialization (%d bytes)", got.Len(), want.Len())
+	}
+}
 
 // TestSnapshotGraphRoundTrip: load → mutate → snapshot → reload must
 // reproduce every vertex's label and adjacency, including vertices and
@@ -42,7 +86,8 @@ func TestSnapshotGraphRoundTrip(t *testing.T) {
 		}
 	}
 
-	snap, err := c.SnapshotGraph()
+	checkSnapshotBytes(t, c)
+	snap, err := snapshotGraph(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +152,30 @@ func TestRestoreEpoch(t *testing.T) {
 
 func TestSnapshotGraphUnloaded(t *testing.T) {
 	c := MustNewCluster(Config{Machines: 1})
-	if _, err := c.SnapshotGraph(); err == nil {
+	if _, err := snapshotGraph(c); err == nil {
 		t.Fatal("snapshot of an unloaded cluster succeeded")
+	}
+}
+
+// TestWriteSnapshotHoldsNoGraphCopy: a snapshot costs its write buffer and the
+// label renumbering, whatever the graph's size — a checkpoint in flight must
+// not show up as a second copy of the graph on the heap.
+func TestWriteSnapshotHoldsNoGraphCopy(t *testing.T) {
+	for _, scale := range []int{8, 14} {
+		g := rmat.MustGenerate(rmat.Params{Scale: scale, AvgDegree: 8, NumLabels: 16, Seed: 3})
+		c := MustNewCluster(Config{Machines: 4})
+		if err := c.LoadGraph(g); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := c.WriteSnapshot(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		const budget = 1<<20 + 64<<10 // graph.WriteBinaryFrom's buffer, then small change
+		if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+			t.Errorf("scale %d (%d bytes of cells): WriteSnapshot allocated %d bytes, budget %d", scale, c.TotalMemoryBytes(), got, budget)
+		}
 	}
 }

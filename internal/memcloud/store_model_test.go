@@ -408,9 +408,10 @@ func checkCompacted(t *testing.T, step int, c *Cluster, model storeModel) {
 // onto a fresh cluster of the same shape, and reads the model out of that.
 func checkSnapshotRoundTrip(t *testing.T, step int, kind string, c *Cluster, model storeModel) {
 	t.Helper()
-	snap, err := c.SnapshotGraph()
+	checkSnapshotBytes(t, c)
+	snap, err := snapshotGraph(c)
 	if err != nil {
-		t.Fatalf("step %d: SnapshotGraph: %v", step, err)
+		t.Fatalf("step %d: WriteSnapshot: %v", step, err)
 	}
 	fresh := modelCluster(t, kind, snap, c.NumMachines())
 	if fresh.NumNodes() != int64(len(model)) {

@@ -91,6 +91,52 @@ func TestHistogramSummary(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantilesUseNearestRank: the q-quantile is the bucket bound of
+// the ⌈q·count⌉-th smallest observation. Each case is `count` observations,
+// the `slow` largest of them 20 s (beyond the last bucket, so reported as
+// max) and the rest 1 ms.
+func TestHistogramQuantilesUseNearestRank(t *testing.T) {
+	const fast, slow = 1.0, 20000.0
+	for _, tc := range []struct {
+		count, slow   int
+		p50, p90, p99 float64
+	}{
+		{1, 1, slow, slow, slow},
+		{1, 0, fast, fast, fast},
+		{2, 1, fast, slow, slow},  // ranks 1, 2, 2
+		{10, 1, fast, fast, slow}, // ranks 5, 9, 10
+		{10, 2, fast, slow, slow},
+		{10, 6, slow, slow, slow},
+		{100, 1, fast, fast, fast}, // ranks 50, 90, 99
+		{100, 2, fast, fast, slow},
+		{100, 11, fast, slow, slow},
+		{101, 1, fast, fast, fast}, // ranks 51, 91, 100
+		{101, 2, fast, fast, slow},
+		{101, 11, fast, slow, slow},
+		{101, 51, slow, slow, slow},
+	} {
+		var h histogram
+		for i := 0; i < tc.count-tc.slow; i++ {
+			h.observe(time.Millisecond)
+		}
+		for i := 0; i < tc.slow; i++ {
+			h.observe(20 * time.Second)
+		}
+		s := h.snapshot()
+		if s.P50MS != tc.p50 || s.P90MS != tc.p90 || s.P99MS != tc.p99 {
+			t.Errorf("%d observations, %d slow: p50/p90/p99 = %v/%v/%v ms, want %v/%v/%v",
+				tc.count, tc.slow, s.P50MS, s.P90MS, s.P99MS, tc.p50, tc.p90, tc.p99)
+		}
+	}
+	// Inside the bucket range the estimate is the bucket's upper bound.
+	var h histogram
+	h.observe(time.Millisecond)
+	h.observe(3 * time.Second)
+	if s := h.snapshot(); s.P50MS != 1 || s.P99MS != 5000 {
+		t.Errorf("{1 ms, 3 s}: p50/p99 = %v/%v ms, want 1/5000", s.P50MS, s.P99MS)
+	}
+}
+
 func TestHistogramEmpty(t *testing.T) {
 	var h histogram
 	s := h.snapshot()

@@ -34,6 +34,7 @@ import (
 	"log/slog"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -62,11 +63,6 @@ type Config struct {
 	MaxBytes int64 `flag:"max-bytes" min:"0" help:"per-response byte cap (0 = unlimited)"`
 	// MaxRequestBytes bounds request bodies (default 1 MiB).
 	MaxRequestBytes int64 `flag:"max-request-bytes" def:"1048576" min:"1" help:"request body bound in bytes"`
-	// Parallelism is the per-query intra-machine worker count engines use
-	// (core.Options.Parallelism): 0 (the default) resolves to GOMAXPROCS,
-	// 1 disables intra-machine parallelism. Namespace specs may override
-	// it per tenant with parallelism=N.
-	Parallelism int `flag:"parallelism" min:"0" help:"per-query intra-machine workers for every namespace (0 = GOMAXPROCS, 1 = sequential; specs override it per tenant)"`
 	// RetryAfter is the Retry-After hint attached to 429 responses
 	// (default 1s).
 	RetryAfter time.Duration `flag:"retry-after" def:"1s" min:"0" help:"Retry-After hint attached to 429 and 503 responses"`
@@ -321,10 +317,14 @@ func ValidateNamespaceName(name string) error {
 // where OPT is key=value for any field's spec key below that applies to the
 // source kind (README "Settings reference" lists them with their defaults).
 // inflight/maxmatches/maxbytes override the server's defaults for this
-// tenant only; parallelism/semijoincap tune the tenant engine's intra-
-// machine workers and semi-join volume gate; the rest shape the cluster
-// the graph is loaded onto. Fields that also carry a flag shape stwigd's
-// default namespace.
+// tenant only; semijoincap tunes the tenant engine's semi-join volume gate;
+// the rest shape the cluster the graph is loaded onto — machines is the
+// tenant's parallelism: a query runs one goroutine per simulated machine.
+// Fields that also carry a flag shape stwigd's default namespace.
+//
+// Retired: parallelism=N (a per-machine worker pool that is gone). Stored
+// specs may still carry it, so the parser checks and discards it;
+// SpecString never writes it.
 type NamespaceSpec struct {
 	Name string
 
@@ -341,7 +341,7 @@ type NamespaceSpec struct {
 	// Relabel is "" or "degree" (celebrity/regular/bot by degree band).
 	Relabel string `spec:"relabel" flag:"relabel" in:"degree" help:"relabel the graph after load: 'degree' assigns celebrity/regular/bot by degree band"`
 	// Machines is the simulated cluster size (default 8).
-	Machines int `spec:"machines" flag:"machines" def:"8" min:"1" help:"simulated cluster size"`
+	Machines int `spec:"machines" flag:"machines" def:"8" min:"1" help:"simulated cluster size, and the parallelism of a query: one goroutine per machine"`
 	// PlanCache is the plan-cache capacity (0 = engine default, negative =
 	// disabled).
 	PlanCache int `spec:"plancache" flag:"plan-cache" help:"plan cache capacity (0 = engine default 128, negative = disabled)"`
@@ -351,9 +351,6 @@ type NamespaceSpec struct {
 	MaxMatches  int   `spec:"maxmatches" min:"0" help:"this tenant's per-request match cap (0 inherits the server's)"`
 	MaxBytes    int64 `spec:"maxbytes" min:"0" help:"this tenant's per-response byte cap (0 inherits the server's)"`
 
-	// Parallelism overrides the server's per-query intra-machine worker
-	// count for this tenant's engine; 0 inherits Config.Parallelism.
-	Parallelism int `spec:"parallelism" min:"0" help:"this tenant's per-query intra-machine workers (0 inherits the server's)"`
 	// SemijoinCap overrides the engine's semi-join volume gate in words
 	// (core.Options.SemijoinWordCap); 0 keeps the engine default, negative
 	// disables the reduction.
@@ -414,6 +411,12 @@ func ParseNamespaceSpec(name, spec string) (NamespaceSpec, error) {
 		if !ok {
 			return NamespaceSpec{}, fmt.Errorf("server: namespace %q: option %q: want key=value", name, p)
 		}
+		if k == "parallelism" { // retired, see NamespaceSpec
+			if _, err := strconv.ParseUint(v, 10, 63); err != nil {
+				return NamespaceSpec{}, fmt.Errorf("server: namespace %q: option %s=%q: want a non-negative integer", name, k, v)
+			}
+			continue
+		}
 		i := slices.IndexFunc(opts, func(b bound) bool { return b.spec == k })
 		if i < 0 {
 			return NamespaceSpec{}, fmt.Errorf("server: namespace %q: unknown option %q", name, k)
@@ -470,9 +473,6 @@ func (spec NamespaceSpec) configFor(base Config) Config {
 	}
 	if spec.MaxBytes > 0 {
 		base.MaxBytes = spec.MaxBytes
-	}
-	if spec.Parallelism > 0 {
-		base.Parallelism = spec.Parallelism
 	}
 	return base
 }

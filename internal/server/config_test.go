@@ -207,16 +207,22 @@ var badSpecs = []struct{ name, spec string }{
 	{"t", "rmat:scale=10,relabel="},          // ... nor an empty one
 	{"t", "rmat:scale=10,=5"},                // option without a key
 	{"t", "rmat:scale=99999999999999999999"}, // out of range
+	{"t", "rmat:scale=10,parallelism=-1"},    // the retired key is still checked...
+	{"t", "rmat:scale=10,parallelism=x"},     // ...before it is discarded
 }
 
 // goldenSpecs maps accepted specs to their canonical SpecString bytes, which
-// manifests written by earlier builds already hold.
+// manifests written by earlier builds already hold. The last two are what
+// builds that had a per-tenant parallelism key wrote: they still parse, and
+// render without it.
 var goldenSpecs = map[string]string{
 	"rmat:scale=10":                       "rmat:scale=10,degree=8,labels=16,seed=1,machines=8",
-	"rmat:scale=5,,parallelism=2,scale=6": "rmat:scale=6,degree=8,labels=16,seed=1,machines=8,parallelism=2",
+	"rmat:scale=5,,parallelism=2,scale=6": "rmat:scale=6,degree=8,labels=16,seed=1,machines=8",
 	"file:/data/g.bin":                    "file:/data/g.bin,machines=8",
 	"text:rel/graph.txt,plancache=-1":     "text:rel/graph.txt,machines=8,plancache=-1",
-	"rmat:scale=12,degree=6,labels=4,seed=9,machines=2,plancache=64,inflight=3,maxmatches=100,maxbytes=4096,relabel=degree,parallelism=2,semijoincap=-1": "rmat:scale=12,degree=6,labels=4,seed=9,relabel=degree,machines=2,plancache=64,inflight=3,maxmatches=100,maxbytes=4096,parallelism=2,semijoincap=-1",
+	"rmat:scale=12,degree=6,labels=4,seed=9,machines=2,plancache=64,inflight=3,maxmatches=100,maxbytes=4096,relabel=degree,semijoincap=-1":               "rmat:scale=12,degree=6,labels=4,seed=9,relabel=degree,machines=2,plancache=64,inflight=3,maxmatches=100,maxbytes=4096,semijoincap=-1",
+	"rmat:scale=6,degree=8,labels=16,seed=1,machines=8,parallelism=2":                                                                                    "rmat:scale=6,degree=8,labels=16,seed=1,machines=8",
+	"rmat:scale=12,degree=6,labels=4,seed=9,relabel=degree,machines=2,plancache=64,inflight=3,maxmatches=100,maxbytes=4096,parallelism=2,semijoincap=-1": "rmat:scale=12,degree=6,labels=4,seed=9,relabel=degree,machines=2,plancache=64,inflight=3,maxmatches=100,maxbytes=4096,semijoincap=-1",
 }
 
 // TestSpecStringGolden pins SpecString's bytes: the manifest stores them, so

@@ -293,7 +293,6 @@ func (c *coordinator) streamMatches(ctx context.Context, rq *request, req QueryR
 		trailer.JoinMicros += legStats.JoinMicros
 		trailer.NetMessages += legStats.NetMessages
 		trailer.NetBytes += legStats.NetBytes
-		trailer.ParallelTasks += legStats.ParallelTasks
 		trailer.EmitFlushes += legStats.EmitFlushes
 		planCacheHit = planCacheHit && legStats.PlanCacheHit
 	}

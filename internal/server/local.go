@@ -104,8 +104,6 @@ func (ns *namespace) streamMatches(ctx context.Context, rq *request, req QueryRe
 	trailer.ElapsedMicros = rq.exec.Microseconds()
 	trailer.NetMessages = stats.Net.Messages
 	trailer.NetBytes = stats.Net.Bytes
-	trailer.Parallelism = stats.Parallelism
-	trailer.ParallelTasks = stats.ParallelTasks
 	trailer.EmitFlushes = stats.EmitFlushes
 	return nil
 }
@@ -245,8 +243,6 @@ func (s *Server) handleStats(rq *request) *apiError {
 		Engine: EngineInfo{
 			Queries:        snap.Queries,
 			MatchesEmitted: snap.MatchesEmitted,
-			Parallelism:    snap.Parallelism,
-			ParallelTasks:  snap.ParallelTasks,
 			EmitFlushes:    snap.EmitFlushes,
 		},
 		PlanCache: PlanCacheInfo{

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -37,15 +38,13 @@ func (h *histogram) observe(d time.Duration) {
 }
 
 // quantileLocked returns a conservative (bucket upper bound) estimate of
-// the q-quantile; the caller holds h.mu.
+// the q-quantile, by nearest rank: the bound of the bucket holding the
+// ⌈q·count⌉-th smallest observation. The caller holds h.mu.
 func (h *histogram) quantileLocked(q float64) float64 {
 	if h.count == 0 {
 		return 0
 	}
-	target := uint64(q * float64(h.count))
-	if target == 0 {
-		target = 1
-	}
+	target := min(max(uint64(math.Ceil(q*float64(h.count))), 1), h.count)
 	var cum uint64
 	for i, n := range h.buckets {
 		cum += n

@@ -191,9 +191,8 @@ func (r *registry) list() []*namespace {
 // Build materializes the spec: load or generate its graph, optionally
 // relabel, load it onto a fresh simulated cluster, and wrap an engine
 // around it. This is the expensive part of namespace creation and runs
-// without any registry lock held. base supplies server-wide engine
-// defaults (currently Parallelism) for tunables the spec leaves zero.
-func (spec NamespaceSpec) Build(base Config) (*core.Engine, error) {
+// without any registry lock held.
+func (spec NamespaceSpec) Build() (*core.Engine, error) {
 	var g *graph.Graph
 	var err error
 	switch spec.Source {
@@ -232,22 +231,15 @@ func (spec NamespaceSpec) Build(base Config) (*core.Engine, error) {
 	if err := cluster.LoadGraph(g); err != nil {
 		return nil, fmt.Errorf("server: namespace %q: %w", spec.Name, err)
 	}
-	return core.NewEngine(cluster, spec.engineOptions(base)), nil
+	return core.NewEngine(cluster, spec.engineOptions()), nil
 }
 
 // engineOptions is the one place a spec becomes core.Options, shared by
 // Build and checkpoint recovery so both construction paths agree on every
-// tunable the spec carries. A spec that leaves Parallelism zero inherits
-// the server-wide Config.Parallelism (which may itself be zero, meaning
-// GOMAXPROCS — resolved inside the engine).
-func (spec NamespaceSpec) engineOptions(base Config) core.Options {
-	par := spec.Parallelism
-	if par == 0 {
-		par = base.Parallelism
-	}
+// tunable the spec carries.
+func (spec NamespaceSpec) engineOptions() core.Options {
 	return core.Options{
 		PlanCacheSize:   spec.PlanCache,
-		Parallelism:     par,
 		SemijoinWordCap: spec.SemijoinCap,
 	}
 }
@@ -273,10 +265,6 @@ const (
 	maxRuntimeInFlight = 64
 	// maxRuntimePlanCache bounds a runtime tenant's plan-cache capacity.
 	maxRuntimePlanCache = 1024
-	// maxRuntimeParallelism bounds a runtime tenant's per-query worker
-	// count: every admitted query spawns that many goroutines, so an
-	// unauthenticated create with parallelism=10^9 would be a fork bomb.
-	maxRuntimeParallelism = 64
 	// maxRuntimeNamespaces bounds the registry for runtime creates: each
 	// tenant holds a whole graph, so per-create caps alone still let a
 	// loop of creates exhaust memory. Only POST /ns is refused at the
@@ -312,9 +300,6 @@ func (s *Server) checkRuntimeSpec(spec NamespaceSpec) (NamespaceSpec, error) {
 	}
 	if spec.PlanCache > maxRuntimePlanCache {
 		return spec, fmt.Errorf("server: namespace %q: plancache=%d exceeds the runtime-create cap %d", spec.Name, spec.PlanCache, maxRuntimePlanCache)
-	}
-	if spec.Parallelism > maxRuntimeParallelism {
-		return spec, fmt.Errorf("server: namespace %q: parallelism=%d exceeds the runtime-create cap %d", spec.Name, spec.Parallelism, maxRuntimeParallelism)
 	}
 	// Override caps may only tighten the operator's server-wide limits,
 	// never loosen them (a zero server cap means unlimited and stays open).
@@ -473,7 +458,7 @@ func (s *Server) addNamespaceSpec(spec NamespaceSpec, maxTotal int) error {
 	if _, exists := s.reg.get(spec.Name); exists {
 		return fmt.Errorf("server: namespace %q: %w", spec.Name, ErrNamespaceExists)
 	}
-	eng, err := spec.Build(s.cfg)
+	eng, err := spec.Build()
 	if err != nil {
 		return err
 	}

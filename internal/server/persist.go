@@ -501,13 +501,9 @@ func (st *nsStorage) maybeCheckpoint() {
 // checkpoint's. Like appendBatch, the Writer and the file I/O run outside
 // st.mu (the dispatcher is the sole caller).
 func (st *nsStorage) checkpoint() error {
-	g, err := st.cluster.SnapshotGraph()
-	if err != nil {
-		return err
-	}
 	seq := st.w.NextSeq() - 1
 	epoch := st.cluster.Epoch()
-	if err := writeCheckpoint(filepath.Join(st.dir, checkpointName), g, seq, epoch); err != nil {
+	if err := writeCheckpoint(filepath.Join(st.dir, checkpointName), st.cluster, seq, epoch); err != nil {
 		return err
 	}
 	st.mu.Lock()
@@ -557,10 +553,12 @@ func (st *nsStorage) close() {
 
 // --- checkpoint file -------------------------------------------------------
 
-// writeCheckpointTo streams the checkpoint format to w. The same frame is
-// the snapshot-bootstrap wire format of GET /v1/ns/{name}/snapshot, so a
-// follower can save the response body as its checkpoint file verbatim.
-func writeCheckpointTo(w io.Writer, g *graph.Graph, seq, epoch uint64) error {
+// writeCheckpointTo streams the checkpoint format to w straight from c's
+// cells (memcloud.WriteSnapshot: no second copy of the graph, the update lock
+// held until the last byte is handed to w). The same frame is the
+// snapshot-bootstrap wire format of GET /v1/ns/{name}/snapshot, so a follower
+// can save the response body as its checkpoint file verbatim.
+func writeCheckpointTo(w io.Writer, c *memcloud.Cluster, seq, epoch uint64) error {
 	var hdr [24]byte
 	copy(hdr[:4], ckptMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], ckptVersion)
@@ -569,20 +567,20 @@ func writeCheckpointTo(w io.Writer, g *graph.Graph, seq, epoch uint64) error {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	return graph.WriteBinary(w, g)
+	return c.WriteSnapshot(w)
 }
 
 // writeCheckpoint publishes the snapshot atomically:
 //
 //	"STWC" | u32 version | u64 seq | u64 epoch | graph binary (STWG...)
-func writeCheckpoint(path string, g *graph.Graph, seq, epoch uint64) error {
+func writeCheckpoint(path string, c *memcloud.Cluster, seq, epoch uint64) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".ckpt-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := writeCheckpointTo(tmp, g, seq, epoch); err != nil {
+	if err := writeCheckpointTo(tmp, c, seq, epoch); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -713,9 +711,9 @@ func recoverEngineRetry(spec NamespaceSpec, dir string, cfg Config, depth int) (
 			return fail(err)
 		}
 		cluster.RestoreEpoch(epoch)
-		eng = core.NewEngine(cluster, spec.engineOptions(cfg))
+		eng = core.NewEngine(cluster, spec.engineOptions())
 	} else {
-		eng, err = spec.Build(cfg)
+		eng, err = spec.Build()
 		if err != nil {
 			return fail(err)
 		}

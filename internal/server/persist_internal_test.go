@@ -168,7 +168,7 @@ func TestReplayEqualsDirectApply(t *testing.T) {
 				Machines: 1 + int(seed%4),
 			}
 			// Direct side: the spec's graph, batches applied straight in.
-			direct, err := spec.Build(cfg)
+			direct, err := spec.Build()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -534,6 +534,37 @@ func TestBootSpecResumesPersistedNamespace(t *testing.T) {
 	}
 }
 
+// TestBootFromManifestWithRetiredSpecKey: a data dir whose manifest an
+// earlier build wrote with parallelism=2 in the spec boots, serves, accepts
+// the same spec re-stated on the boot command line, and is upgraded to the
+// canonical text.
+func TestBootFromManifestWithRetiredSpecKey(t *testing.T) {
+	dir := t.TempDir()
+	const old = "rmat:scale=6,degree=8,labels=2,seed=1,machines=8,parallelism=2"
+	manifest := filepath.Join(dir, "manifest.json")
+	if err := os.WriteFile(manifest, []byte(`{"version":1,"namespaces":{"`+durName+`":"`+old+`"}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc, _, c := bootPersisted(t, server.Config{DataDir: dir})
+	defer svc.Close()
+	if got := svc.Namespaces(); len(got) != 1 || got[0] != durName {
+		t.Fatalf("recovered namespaces %v, want [%s]", got, durName)
+	}
+	if set := serverSet(t, c, "(a:L0)-(b:L1)"); len(set) == 0 {
+		t.Fatal("the recovered namespace answered (a:L0)-(b:L1) with no match")
+	}
+	if err := svc.AddNamespaceSpec(mustSpec(t, durName, old)); err != nil {
+		t.Fatalf("re-stating the persisted spec: %v", err)
+	}
+	raw, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), "parallelism") || !strings.Contains(string(raw), "rmat:scale=6,degree=8,labels=2,seed=1,machines=8") {
+		t.Fatalf("manifest after the boot: %s", raw)
+	}
+}
+
 // TestServerCloseDrainThenClose is the satellite ordering test:
 // Server.Close racing live updates, namespace drops, and namespace creates
 // must drain every dispatcher, answer every in-flight update terminally,

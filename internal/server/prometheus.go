@@ -2,7 +2,10 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"net/http"
+	"runtime"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"strings"
 	"time"
@@ -72,6 +75,49 @@ func (p *promWriter) latencyHistogram(name string, h *histogram, baseKV ...strin
 	p.sample(name+"_count", base, float64(count))
 }
 
+// goRuntime emits the process-wide Go runtime gauges. They are read here, at
+// scrape time, from runtime/metrics — which does not stop the world — and
+// nothing on the query path feeds them. A query adds one goroutine per
+// simulated machine while it runs, so stwig_go_goroutines over the in-flight
+// gauge shows the machines dial at work.
+func (p *promWriter) goRuntime() {
+	samples := []rtmetrics.Sample{
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/memory/classes/heap/unused:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+		{Name: "/sched/pauses/total/gc:seconds"},
+	}
+	rtmetrics.Read(samples)
+	uint64Of := func(s rtmetrics.Sample) float64 {
+		if s.Value.Kind() != rtmetrics.KindUint64 {
+			return 0 // a runtime that does not export the metric
+		}
+		return float64(s.Value.Uint64())
+	}
+	p.family("stwig_go_goroutines", "gauge", "Goroutines that currently exist.")
+	p.sample("stwig_go_goroutines", "", float64(runtime.NumGoroutine()))
+	p.family("stwig_go_heap_inuse_bytes", "gauge", "Bytes in in-use heap spans (live and dead objects plus unused space in those spans).")
+	p.sample("stwig_go_heap_inuse_bytes", "", uint64Of(samples[0])+uint64Of(samples[1]))
+	p.family("stwig_go_gc_cycles_total", "counter", "Completed garbage collection cycles.")
+	p.sample("stwig_go_gc_cycles_total", "", uint64Of(samples[2]))
+	p.family("stwig_go_gc_pause_seconds_total", "counter", "Seconds the collector kept the process stopped, estimated from the runtime's pause histogram (bucket midpoints).")
+	pause := 0.0
+	if samples[3].Value.Kind() == rtmetrics.KindFloat64Histogram {
+		h := samples[3].Value.Float64Histogram()
+		for i, n := range h.Counts {
+			lo, hi := h.Buckets[i], h.Buckets[i+1]
+			if math.IsInf(lo, -1) {
+				lo = 0
+			}
+			if math.IsInf(hi, 1) {
+				hi = lo
+			}
+			pause += float64(n) * (lo + hi) / 2
+		}
+	}
+	p.sample("stwig_go_gc_pause_seconds_total", "", pause)
+}
+
 // nsMetric is one per-namespace sample of a family: extracted up front so
 // each family's samples stay contiguous without re-snapshotting engines
 // once per family.
@@ -110,6 +156,7 @@ func (s *Server) handleMetrics(rq *request) *apiError {
 	p.sample("stwig_draining", "", draining)
 	p.family("stwig_namespaces", "gauge", "Live namespaces in the registry.")
 	p.sample("stwig_namespaces", "", float64(len(list)))
+	p.goRuntime()
 
 	// perNS emits one family with one sample per namespace.
 	perNS := func(name, typ, help string, get func(st *nsState) float64) {
@@ -132,15 +179,11 @@ func (s *Server) handleMetrics(rq *request) *apiError {
 	perNS("stwig_graph_memory_bytes", "gauge", "Estimated resident bytes across the namespace's machines.",
 		func(st *nsState) float64 { return float64(st.snap.MemoryBytes) })
 
-	// Engine, including the intra-machine parallelism counters.
+	// Engine.
 	perNS("stwig_engine_queries_total", "counter", "Query executions reaching the engine.",
 		func(st *nsState) float64 { return float64(st.snap.Queries) })
 	perNS("stwig_engine_matches_emitted_total", "counter", "Matches delivered across all queries.",
 		func(st *nsState) float64 { return float64(st.snap.MatchesEmitted) })
-	perNS("stwig_engine_parallelism", "gauge", "Per-query intra-machine worker count new runs use.",
-		func(st *nsState) float64 { return float64(st.snap.Parallelism) })
-	perNS("stwig_engine_parallel_tasks_total", "counter", "Tasks dispatched to per-run worker pools.",
-		func(st *nsState) float64 { return float64(st.snap.ParallelTasks) })
 	perNS("stwig_engine_emit_flushes_total", "counter", "Batched match-block emit flushes.",
 		func(st *nsState) float64 { return float64(st.snap.EmitFlushes) })
 

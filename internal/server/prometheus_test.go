@@ -56,9 +56,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	// query and one update.
 	for _, want := range []string{
 		"# TYPE stwig_uptime_seconds gauge",
+		"# TYPE stwig_go_goroutines gauge",
+		"# TYPE stwig_go_heap_inuse_bytes gauge",
+		"# TYPE stwig_go_gc_cycles_total counter",
+		"# TYPE stwig_go_gc_pause_seconds_total counter",
 		"# TYPE stwig_engine_queries_total counter",
 		`stwig_engine_queries_total{ns="m"} 1`,
-		`stwig_engine_parallelism{ns="m"}`,
 		`stwig_engine_emit_flushes_total{ns="m"}`,
 		`stwig_admission_admitted_total{ns="m"} 1`,
 		`stwig_update_applied_total{ns="m"} 1`,

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"path/filepath"
@@ -145,9 +146,15 @@ func (s *Server) handleSnapshot(rq *request) *apiError {
 	if err := ns.gate.rlock(r.Context()); err != nil {
 		return errContext(err, gateWait)
 	}
-	g, err := ns.eng.Cluster().SnapshotGraph()
+	// The frame is rendered into memory under the gate and sent after it is
+	// released: a slow follower must not hold the leader's update lock.
+	var frame bytes.Buffer
 	last, ckpt := ns.store.tailState()
 	epoch := ns.eng.Cluster().Epoch()
+	// The snapshot covers everything up to and including last, so the frame
+	// is stamped with last (not the on-disk checkpoint's seq): the follower
+	// resumes tailing from exactly here.
+	err := writeCheckpointTo(&frame, ns.eng.Cluster(), last, epoch)
 	ns.gate.runlock()
 	if err != nil {
 		return errStatus(http.StatusInternalServerError, fmt.Sprintf("snapshotting graph: %v", err))
@@ -155,10 +162,7 @@ func (s *Server) handleSnapshot(rq *request) *apiError {
 	walHeader(w, last, ckpt)
 	w.Header().Set(EpochHeader, strconv.FormatUint(epoch, 10))
 	w.WriteHeader(http.StatusOK)
-	// The snapshot stream covers everything up to and including last, so the
-	// header is stamped with last (not the on-disk checkpoint's seq): the
-	// follower resumes tailing from exactly here.
-	_ = writeCheckpointTo(w, g, last, epoch) // client gone mid-stream: its problem
+	_, _ = w.Write(frame.Bytes()) // client gone mid-stream: its problem
 	return nil
 }
 

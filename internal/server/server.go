@@ -170,6 +170,14 @@ func (s *Server) recoverPersisted() error {
 		if err != nil {
 			return fmt.Errorf("server: manifest namespace %q: %w", name, err)
 		}
+		// A spec an earlier build recorded with a since-retired key is
+		// stored again in today's canonical text, which is what a boot flag
+		// restating it is compared with.
+		if canon := spec.SpecString(); canon != specText {
+			if err := s.store.record(name, canon); err != nil {
+				return fmt.Errorf("server: manifest namespace %q: %w", name, err)
+			}
+		}
 		eng, store, err := recoverEngine(spec, s.store.nsDir(name), s.cfg)
 		if err != nil {
 			return err

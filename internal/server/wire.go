@@ -104,12 +104,8 @@ type StreamStats struct {
 	// Simulated-fabric traffic attributed to this query.
 	NetMessages uint64 `json:"net_messages"`
 	NetBytes    uint64 `json:"net_bytes"`
-	// Parallelism is the per-machine worker count the query ran with;
-	// ParallelTasks and EmitFlushes count tasks dispatched to the run's
-	// worker pool and batched emit flushes (0 for sequential runs).
-	Parallelism   int    `json:"parallelism,omitempty"`
-	ParallelTasks uint64 `json:"parallel_tasks,omitempty"`
-	EmitFlushes   uint64 `json:"emit_flushes,omitempty"`
+	// EmitFlushes counts the engine's batched emit flushes.
+	EmitFlushes uint64 `json:"emit_flushes,omitempty"`
 	// Shards is set on coordinator-merged streams: one entry per fan-out
 	// leg, in shard order, with the leg's contribution to the merged
 	// stream and its wire cost.
@@ -450,13 +446,8 @@ type EngineInfo struct {
 	// MatchesEmitted counts matches the engine delivered across all of
 	// those queries.
 	MatchesEmitted uint64 `json:"matches_emitted"`
-	// Parallelism is the per-query worker count the engine resolves for
-	// new runs (after applying defaults; 1 means sequential).
-	Parallelism int `json:"parallelism"`
-	// ParallelTasks counts tasks dispatched to per-run worker pools;
 	// EmitFlushes counts batched match-block flushes.
-	ParallelTasks uint64 `json:"parallel_tasks"`
-	EmitFlushes   uint64 `json:"emit_flushes"`
+	EmitFlushes uint64 `json:"emit_flushes"`
 }
 
 // PlanCacheInfo mirrors core.PlanCacheStats.
