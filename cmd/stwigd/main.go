@@ -196,7 +196,7 @@ func run(cfg daemonConfig) error {
 	}
 
 	if cfg.srv.ShardMap != "" && cfg.srv.ShardID >= 0 {
-		fmt.Printf("stwigd: cluster shard %d of %d (emitting matches rooted in its vertex range)\n",
+		fmt.Printf("stwigd: cluster shard %d of %d (matching what binds the pattern's centre vertex in its vertex range)\n",
 			cfg.srv.ShardID, len(strings.Split(cfg.srv.ShardMap, ",")))
 	}
 

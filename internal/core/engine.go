@@ -343,7 +343,7 @@ func (e *Engine) matchStream(ctx context.Context, q *Query, emit func(Match) boo
 			return len(ms), true
 		}
 	}
-	stats, err := e.executor.Run(ctx, plan, counted)
+	stats, err := e.executor.Run(ctx, plan, q.slice, counted)
 	e.matches.Add(emitted)
 	if err != nil {
 		return nil, err

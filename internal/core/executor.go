@@ -38,14 +38,16 @@ func NewExecutor(c *memcloud.Cluster, opts Options) *Executor {
 // returns how many of the block's matches it accepted plus whether to
 // continue; a false return stops the run and sets Stats.Truncated. A block
 // — the slice and the assignments in it — is the join's buffer and dead
-// once emit returns (see Engine.MatchStreamBlocks). Engine stamps the
-// returned stats with plan-cache provenance; Run itself fills everything
-// execution-derived.
-func (ex *Executor) Run(ctx context.Context, plan *Plan, emit func([]Match) (int, bool)) (*ExecStats, error) {
+// once emit returns (see Engine.MatchStreamBlocks). slice is the run's part
+// of the answer (Query.Sliced; the plan, shared by every slice, carries
+// none). Engine stamps the returned stats with plan-cache provenance; Run
+// itself fills everything execution-derived.
+func (ex *Executor) Run(ctx context.Context, plan *Plan, slice idRange, emit func([]Match) (int, bool)) (*ExecStats, error) {
 	if !plan.Resolvable {
 		return &ExecStats{}, nil
 	}
 	r := &execution{ex: ex, plan: plan, emit: emit,
+		cut:    restriction{vertex: plan.Center, ids: slice},
 		traced: TraceIDFromContext(ctx) != "" || ex.opts.TraceID != ""}
 	return r.run(ctx)
 }
@@ -56,6 +58,7 @@ type execution struct {
 	ex   *Executor
 	plan *Plan
 	emit func([]Match) (int, bool)
+	cut  restriction
 	pt   phaseTimer
 
 	// sc is the run's pooled scratch: taken when the run starts, handed
@@ -246,7 +249,7 @@ func (r *execution) explore(ctx context.Context) ([][][]STwigMatch, error) {
 		// — only those this step touched — back down.
 		syncWords := (1 + len(twig.Leaves)) * sc.words
 		r.forEachMachine(func(m *memcloud.Machine) {
-			perTwig[t][m.ID()] = matchSTwigOnMachine(m, twig, labels, bindings, &sc.machines[m.ID()])
+			perTwig[t][m.ID()] = matchSTwigOnMachine(m, twig, labels, bindings, r.cut, &sc.machines[m.ID()])
 			if bindings != nil {
 				m.Cluster().AccountProxyTransfer(syncWords)
 			}

@@ -16,7 +16,8 @@ import (
 // Explain computes the execution plan for q without running the query,
 // consulting (and warming) the plan cache exactly as Match would. The
 // returned Plan is a defensive deep copy: mutating it cannot corrupt the
-// cached artifact that later executions run.
+// cached artifact that later executions run. Its Query is q itself, so the
+// rendering of a sliced query's plan names the slice.
 func (e *Engine) Explain(q *Query) (*Plan, error) {
 	plan, _, err := e.ExplainCached(q)
 	return plan, err
@@ -30,7 +31,9 @@ func (e *Engine) ExplainCached(q *Query) (*Plan, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	return plan.clone(), hit, nil
+	cp := plan.clone()
+	cp.Query = q
+	return cp, hit, nil
 }
 
 // AnalyzeResult is EXPLAIN ANALYZE's payload: the plan a run of the query
@@ -103,6 +106,9 @@ func (p *Plan) String() string {
 		fmt.Fprintf(&b, "  %s step %d: root %d (%s, f=%.4g) leaves %v — %d root candidates\n",
 			head, t+1, twig.Root, p.Query.Label(twig.Root), p.FValues[twig.Root],
 			twig.Leaves, p.RootCandidates[t])
+	}
+	if p.Query.slice != wholeIDSpace {
+		fmt.Fprintf(&b, "slice: v%d (%s) in %s\n", p.Center, p.Query.Label(p.Center), p.Query.slice)
 	}
 	fmt.Fprintf(&b, "cluster graph diameter: %d\n", p.ClusterDiameter)
 	// Summarize load sets: total fetches vs the all-to-all worst case.

@@ -403,7 +403,7 @@ func TestJoinLeavesExplorationResultsUntouched(t *testing.T) {
 			t.Fatal(err)
 		}
 		matches := 0
-		r := &execution{ex: NewExecutor(c, opts), plan: plan, emit: func(ms []Match) (int, bool) {
+		r := &execution{ex: NewExecutor(c, opts), plan: plan, cut: restriction{ids: wholeIDSpace}, emit: func(ms []Match) (int, bool) {
 			matches += len(ms)
 			return len(ms), true
 		}}

@@ -56,11 +56,32 @@ func (m STwigMatch) words() int {
 // transmission" (§2.2), which turns tens of thousands of per-root round
 // trips into at most machines-1 messages per STwig step.
 //
+// The run's restriction applies wherever its query vertex is matched — as
+// the root in pass 1, as a leaf in pass 2: only data vertices of the run's
+// slice are candidates, bindings or no bindings. rebind then carries the cut
+// to every later STwig, and the relations carry it to the join.
+//
 // Pass 1 writes into ms, the machine's scratch of the run; the returned
 // matches reference none of it.
-func matchSTwigOnMachine(m *memcloud.Machine, t STwig, labels []graph.LabelID, b *Bindings, ms *machineScratch) []STwigMatch {
-	cells, nbrLabels := gatherRootCells(m, t, labels, b, ms)
-	return matchCells(cells, nbrLabels, t, labels, b)
+func matchSTwigOnMachine(m *memcloud.Machine, t STwig, labels []graph.LabelID, b *Bindings, cut restriction, ms *machineScratch) []STwigMatch {
+	cells, nbrLabels := gatherRootCells(m, t, labels, b, cut, ms)
+	return matchCells(cells, nbrLabels, t, labels, b, cut)
+}
+
+// restriction is what makes a run produce one slice of the answer: only
+// data vertices in ids may play query vertex vertex. An unsliced run is the
+// same restriction with the whole id space.
+type restriction struct {
+	vertex int
+	ids    idRange
+}
+
+// rangeOf returns the ids that may play query vertex v.
+func (c restriction) rangeOf(v int) idRange {
+	if v == c.vertex {
+		return c.ids
+	}
+	return wholeIDSpace
 }
 
 // rootCell is one surviving root's neighborhood, positioned in the step's
@@ -76,10 +97,12 @@ type rootCell struct {
 // label batch that is accounted once when the pass ends. This is where the
 // step's network traffic happens. The returned slices live in ms until the
 // machine's next step.
-func gatherRootCells(m *memcloud.Machine, t STwig, labels []graph.LabelID, b *Bindings, ms *machineScratch) ([]rootCell, []graph.LabelID) {
+func gatherRootCells(m *memcloud.Machine, t STwig, labels []graph.LabelID, b *Bindings, cut restriction, ms *machineScratch) ([]rootCell, []graph.LabelID) {
 	cells, nbrLabels := ms.cells[:0], ms.labels[:0]
 	batch := m.LabelBatch()
-	for _, n := range m.LocalIDs(labels[t.Root]) {
+	// The index lists its ids in ascending order, so the slice of a
+	// restricted root is found, not filtered: no cell outside it is loaded.
+	for _, n := range cut.rangeOf(t.Root).cut(m.LocalIDs(labels[t.Root])) {
 		if b != nil && !b.Allows(t.Root, n) {
 			continue
 		}
@@ -108,7 +131,7 @@ const (
 // in size, so a step costs O(log matches) allocations and a root that
 // fails costs none: a root's candidates are appended behind the sets
 // already handed out, and cut off again if the root fails.
-func matchCells(cells []rootCell, nbrLabels []graph.LabelID, t STwig, labels []graph.LabelID, b *Bindings) []STwigMatch {
+func matchCells(cells []rootCell, nbrLabels []graph.LabelID, t STwig, labels []graph.LabelID, b *Bindings, cut restriction) []STwigMatch {
 	var out []STwigMatch
 	var ids []graph.NodeID    // current ID block; len marks what is in use
 	var sets [][]graph.NodeID // current header block, likewise
@@ -122,6 +145,7 @@ rootLoop:
 		ends := endsBuf[:0]
 		for _, leaf := range t.Leaves {
 			want := labels[leaf]
+			within := cut.rangeOf(leaf)
 			before := len(ids) - mark
 			for j, nb := range rc.nbrs {
 				if nbrLabels[rc.start+j] != want {
@@ -129,6 +153,9 @@ rootLoop:
 				}
 				if nb == rc.id {
 					continue // a vertex cannot match both root and leaf
+				}
+				if !within.contains(nb) {
+					continue
 				}
 				if b != nil && !b.Allows(leaf, nb) {
 					continue

@@ -41,7 +41,7 @@ func TestMatchSTwigAgainstPaperExample(t *testing.T) {
 
 	var all []STwigMatch
 	for i := 0; i < c.NumMachines(); i++ {
-		all = append(all, matchSTwigOnMachine(c.Machine(i), twig, labels, nil, &machineScratch{})...)
+		all = append(all, matchSTwigOnMachine(c.Machine(i), twig, labels, nil, restriction{ids: wholeIDSpace}, &machineScratch{})...)
 	}
 	if len(all) != 2 {
 		t.Fatalf("got %d factored matches, want 2: %v", len(all), all)
@@ -65,7 +65,7 @@ func TestMatchSTwigRootsAreLocal(t *testing.T) {
 	labels := resolve(t, c, q)
 	twig := STwig{Root: 0, Leaves: []int{1}}
 	for i := 0; i < c.NumMachines(); i++ {
-		for _, m := range matchSTwigOnMachine(c.Machine(i), twig, labels, nil, &machineScratch{}) {
+		for _, m := range matchSTwigOnMachine(c.Machine(i), twig, labels, nil, restriction{ids: wholeIDSpace}, &machineScratch{}) {
 			if c.Owner(m.Root) != i {
 				t.Fatalf("machine %d emitted non-local root %d", i, m.Root)
 			}
@@ -84,7 +84,7 @@ func TestMatchSTwigRespectsBindings(t *testing.T) {
 
 	var all []STwigMatch
 	for i := 0; i < c.NumMachines(); i++ {
-		all = append(all, matchSTwigOnMachine(c.Machine(i), twig, labels, b, &machineScratch{})...)
+		all = append(all, matchSTwigOnMachine(c.Machine(i), twig, labels, b, restriction{ids: wholeIDSpace}, &machineScratch{})...)
 	}
 	if len(all) != 1 || all[0].Root != 1 {
 		t.Fatalf("binding filter on root ignored: %v", all)
@@ -95,7 +95,7 @@ func TestMatchSTwigRespectsBindings(t *testing.T) {
 	b2.SetIDs(1, nil)
 	all = nil
 	for i := 0; i < c.NumMachines(); i++ {
-		all = append(all, matchSTwigOnMachine(c.Machine(i), twig, labels, b2, &machineScratch{})...)
+		all = append(all, matchSTwigOnMachine(c.Machine(i), twig, labels, b2, restriction{ids: wholeIDSpace}, &machineScratch{})...)
 	}
 	if len(all) != 0 {
 		t.Fatalf("empty leaf binding produced matches: %v", all)
@@ -113,7 +113,7 @@ func TestMatchSTwigExcludesRootFromLeaves(t *testing.T) {
 	q := MustNewQuery([]string{"x", "x"}, [][2]int{{0, 1}})
 	labels := resolve(t, c, q)
 	twig := STwig{Root: 0, Leaves: []int{1}}
-	ms := matchSTwigOnMachine(c.Machine(0), twig, labels, nil, &machineScratch{})
+	ms := matchSTwigOnMachine(c.Machine(0), twig, labels, nil, restriction{ids: wholeIDSpace}, &machineScratch{})
 	if len(ms) != 2 {
 		t.Fatalf("want 2 matches (each vertex as root), got %v", ms)
 	}

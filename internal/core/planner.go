@@ -35,8 +35,15 @@ func NewPlanner(c *memcloud.Cluster, opts Options) *Planner {
 // owned by the Executor — so one Plan is safe for any number of concurrent
 // executions, which is what makes caching it worthwhile.
 type Plan struct {
-	// Query echoes the analyzed pattern.
+	// Query echoes the analyzed pattern. A plan serves every slice of its
+	// pattern (Query.Sliced), so a cached plan's Query carries none; the
+	// copy Explain hands out carries its caller's.
 	Query *Query
+	// Center is Query.Center(), the vertex a sliced run cuts the answer
+	// along. Unlike the rest of the plan it depends on the pattern alone,
+	// not on the cluster's label statistics; it is kept here so that runs
+	// of a cached plan do not recompute it.
+	Center int
 	// Signature is the canonical query signature the plan cache keys on
 	// (see Query.Signature).
 	Signature string
@@ -108,7 +115,8 @@ func (p *Planner) Plan(q *Query) (*Plan, error) {
 func (p *Planner) buildPlan(q *Query, signature string) *Plan {
 	start := time.Now()
 	plan := &Plan{
-		Query:     q,
+		Query:     q.unsliced(),
+		Center:    q.Center(),
 		Signature: signature,
 		Epoch:     p.cluster.Epoch(),
 	}

@@ -16,6 +16,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,6 +32,33 @@ type Query struct {
 	labels []string
 	adj    [][]int
 	m      int
+	// slice is the part of the answer a run of this query produces (see
+	// Sliced); the whole id space unless Sliced set it.
+	slice idRange
+}
+
+// idRange is the half-open range [lo, hi) of data-vertex ids.
+type idRange struct{ lo, hi graph.NodeID }
+
+// wholeIDSpace is the slice of an unsliced query: hi is the largest NodeID,
+// which a dense id space never reaches.
+var wholeIDSpace = idRange{0, math.MaxInt64}
+
+func (r idRange) contains(id graph.NodeID) bool { return r.lo <= id && id < r.hi }
+
+// String renders [lo, hi), spelling the open end of the id space as +inf.
+func (r idRange) String() string {
+	if r.hi == wholeIDSpace.hi {
+		return fmt.Sprintf("[%d, +inf)", r.lo)
+	}
+	return fmt.Sprintf("[%d, %d)", r.lo, r.hi)
+}
+
+// cut returns the part of ids, sorted ascending, that lies in the range.
+func (r idRange) cut(ids []graph.NodeID) []graph.NodeID {
+	from, _ := slices.BinarySearch(ids, r.lo)
+	to, _ := slices.BinarySearch(ids[from:], r.hi)
+	return ids[from : from+to]
 }
 
 // NewQuery builds a query from per-vertex labels and undirected edges.
@@ -40,7 +69,7 @@ func NewQuery(labels []string, edges [][2]int) (*Query, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("core: empty query")
 	}
-	q := &Query{labels: append([]string(nil), labels...), adj: make([][]int, n)}
+	q := &Query{labels: append([]string(nil), labels...), adj: make([][]int, n), slice: wholeIDSpace}
 	seen := make(map[[2]int]bool, len(edges))
 	for _, e := range edges {
 		u, v := e[0], e[1]
@@ -143,8 +172,9 @@ func (q *Query) Connected() bool {
 func (q *Query) ShortestPaths() [][]int {
 	n := len(q.labels)
 	d := make([][]int, n)
+	cells := make([]int, n*n) // one array for all rows: planning asks three times
 	for i := range d {
-		d[i] = make([]int, n)
+		d[i] = cells[i*n : (i+1)*n : (i+1)*n]
 		for j := range d[i] {
 			if i == j {
 				d[i][j] = 0
@@ -178,6 +208,50 @@ func (q *Query) ShortestPaths() [][]int {
 
 // Unreachable marks a pair with no connecting path in distance matrices.
 const Unreachable = 1 << 30
+
+// Center returns the pattern's centre vertex: the one of least eccentricity
+// (largest hop distance to any other vertex), ties going to the higher
+// degree and then to the lower index. It is the vertex a sliced run cuts the
+// answer along (see Sliced) — the plan-free twin of §5.3's head-STwig rule,
+// which also looks for the vertex every other is close to: a restriction on
+// it reaches every STwig within the fewest binding steps. It is a function
+// of the pattern alone — no label statistics, no plan — so every replica of
+// a graph names the same vertex whatever its planner decided.
+func (q *Query) Center() int {
+	d := q.ShortestPaths()
+	best, bestEcc := 0, Unreachable+1
+	for v := range d {
+		ecc := 0
+		for _, hops := range d[v] {
+			ecc = max(ecc, hops)
+		}
+		if ecc < bestEcc || (ecc == bestEcc && q.Degree(v) > q.Degree(best)) {
+			best, bestEcc = v, ecc
+		}
+	}
+	return best
+}
+
+// Sliced returns a copy of q whose runs produce exactly the matches that
+// assign the centre vertex (Center) a data vertex in [lo, hi): one part of
+// the answer, cut out during exploration rather than filtered from the whole.
+// Runs of copies whose ranges partition the id space produce disjoint parts
+// whose union is q's answer. The slice is a property of the run, not of the
+// pattern: it is no part of Signature, so every copy shares one cached plan.
+func (q *Query) Sliced(lo, hi graph.NodeID) *Query {
+	cp := *q
+	cp.slice = idRange{lo, hi}
+	return &cp
+}
+
+// unsliced returns q without its slice: what a plan, which serves every
+// slice of its pattern, keeps.
+func (q *Query) unsliced() *Query {
+	if q.slice == wholeIDSpace {
+		return q
+	}
+	return q.Sliced(wholeIDSpace.lo, wholeIDSpace.hi)
+}
 
 // resolveLabels maps each pattern vertex's label string to the data graph's
 // LabelID. ok is false when some label does not occur in the data graph at

@@ -22,7 +22,11 @@
 // the label-pair preprocessing that §5.3 uses to build cluster graphs.
 package memcloud
 
-import "stwig/internal/graph"
+import (
+	"math"
+
+	"stwig/internal/graph"
+)
 
 // Partitioner decides which machine a vertex is placed on. The cluster asks
 // once per vertex and records the answer in its address table, so Owner
@@ -119,23 +123,44 @@ func (p *BFSPartitioner) Machines() int { return p.k }
 
 // RangePartitioner assigns contiguous ID ranges to machines. Useful in tests
 // where partition placement must be predictable, and as a worst-case
-// contrast to hash partitioning in ablation benches.
+// contrast to hash partitioning in ablation benches. Cluster mode lifts it
+// one level up: it divides the id space among shard processes, each of which
+// asks Range for the ids it answers for.
 type RangePartitioner struct {
 	K int
 	N int64 // total vertex count
 }
 
+// per is the width of every range but the last: ⌈N/K⌉.
+func (p RangePartitioner) per() int64 { return (p.N + int64(p.K) - 1) / int64(p.K) }
+
 // Owner implements Partitioner.
 func (p RangePartitioner) Owner(v graph.NodeID) int {
-	per := (p.N + int64(p.K) - 1) / int64(p.K)
+	per := p.per()
 	if per == 0 {
 		return 0
 	}
-	m := int(int64(v) / per)
-	if m >= p.K {
-		m = p.K - 1
+	return min(int(int64(v)/per), p.K-1)
+}
+
+// Range returns the ids machine i owns, [lo, hi): Owner(v) == i exactly when
+// lo <= v < hi. The last range is open-ended (hi is the largest NodeID), so
+// ids at or past N — vertices added after N was read — land on the last
+// machine; with N = 0 there is nothing to divide, and that machine is the
+// first as well: machine 0 owns every id and the others none.
+func (p RangePartitioner) Range(i int) (lo, hi graph.NodeID) {
+	per := p.per()
+	if per == 0 {
+		if i == 0 {
+			return 0, math.MaxInt64
+		}
+		return 0, 0
 	}
-	return m
+	lo, hi = graph.NodeID(int64(i)*per), graph.NodeID(int64(i+1)*per)
+	if i == p.K-1 {
+		hi = math.MaxInt64
+	}
+	return lo, hi
 }
 
 // Machines implements Partitioner.

@@ -1,6 +1,7 @@
 package memcloud
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -128,4 +129,81 @@ func TestClusterWithBFSPartitioner(t *testing.T) {
 	if total != g.NumNodes() {
 		t.Fatalf("partition total %d != %d", total, g.NumNodes())
 	}
+}
+
+// checkRangeInvertsOwner: over ids [0, upTo) of a K-way partition of n, every
+// id lies in the range of its owner and of no other machine, and the ranges,
+// taken in machine order, tile the id space — each starts where the last one
+// ended, the first at 0, and the last has no end.
+func checkRangeInvertsOwner(t *testing.T, k int, n, upTo int64) {
+	t.Helper()
+	p := RangePartitioner{K: k, N: n}
+	for v := graph.NodeID(0); int64(v) < upTo; v++ {
+		owner := p.Owner(v)
+		for i := 0; i < k; i++ {
+			lo, hi := p.Range(i)
+			if in := lo <= v && v < hi; in != (i == owner) {
+				t.Fatalf("K=%d N=%d: Owner(%d) = %d, but Range(%d) = [%d, %d) contains it: %v", k, n, v, owner, i, lo, hi, in)
+			}
+		}
+	}
+	var end graph.NodeID
+	for i := 0; i < k; i++ {
+		lo, hi := p.Range(i)
+		if lo > hi || (lo < hi && lo != end) {
+			t.Fatalf("K=%d N=%d: Range(%d) = [%d, %d) does not continue from %d", k, n, i, lo, hi, end)
+		}
+		if lo < hi {
+			end = hi
+		}
+	}
+	if end != math.MaxInt64 {
+		t.Fatalf("K=%d N=%d: the ranges end at %d, leaving later ids to nobody", k, n, end)
+	}
+}
+
+// TestRangeInvertsOwner walks the small cases whole: a count of zero (machine
+// 0 owns everything), fewer vertices than machines, an exact multiple, one
+// that is not, and ids past the count (the last machine's).
+func TestRangeInvertsOwner(t *testing.T) {
+	for k := 1; k <= 7; k++ {
+		for _, n := range []int64{0, 1, int64(k) - 1, int64(k), 1000} {
+			checkRangeInvertsOwner(t, k, n, n+64)
+		}
+	}
+	if lo, hi := (RangePartitioner{K: 3, N: 0}).Range(0); lo != 0 || hi != math.MaxInt64 {
+		t.Fatalf("N = 0: machine 0 owns [%d, %d), want everything", lo, hi)
+	}
+	if lo, hi := (RangePartitioner{K: 2, N: 1000}).Range(1); lo != 500 || hi != math.MaxInt64 {
+		t.Fatalf("K=2 N=1000: the last range is [%d, %d), want [500, +inf)", lo, hi)
+	}
+}
+
+// FuzzRange looks for a (K, N) whose ranges disagree with Owner, around the
+// range boundaries and at the far end of the id space.
+func FuzzRange(f *testing.F) {
+	f.Add(1, int64(0))
+	f.Add(2, int64(1))
+	f.Add(3, int64(2))
+	f.Add(7, int64(7))
+	f.Add(5, int64(32773))
+	f.Add(2, int64(math.MaxInt64/2))
+	f.Fuzz(func(t *testing.T, k int, n int64) {
+		if k < 1 || k > 64 || n < 0 || n > math.MaxInt64/2 {
+			t.Skip()
+		}
+		checkRangeInvertsOwner(t, k, n, min(n+64, 512))
+		p := RangePartitioner{K: k, N: n}
+		for i := 0; i < k; i++ {
+			lo, hi := p.Range(i)
+			for _, v := range []graph.NodeID{lo - 1, lo, hi - 1, hi} {
+				if v < 0 || v == math.MaxInt64 {
+					continue
+				}
+				if in := lo <= v && v < hi; in != (p.Owner(v) == i) {
+					t.Fatalf("K=%d N=%d: Owner(%d) = %d, Range(%d) = [%d, %d)", k, n, v, p.Owner(v), i, lo, hi)
+				}
+			}
+		}
+	})
 }

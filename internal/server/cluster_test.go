@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -718,6 +720,82 @@ func TestClusterAdminLifecycle(t *testing.T) {
 	for i := range tc.shards {
 		if _, ok := tc.shards[i].NamespaceInfo("tenant2"); ok {
 			t.Fatalf("shard %d still has tenant2 after the drop", i)
+		}
+	}
+}
+
+// TestClusterExplainHonoursShardSelector: /explain validates a selector the
+// way /query does, names the slice in the plan — one extra line, in a plan
+// that is otherwise the unsliced text — and ANALYZE runs the slice, so the
+// shards' counts add up to the whole query's. (The parent decoded the
+// selector and ignored it: every shard "analyzed" the whole answer.)
+func TestClusterExplainHonoursShardSelector(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	ctx := context.Background()
+	const pattern = "(a:L0)-(b:L1), (b)-(c:L2)" // the centre is b: v1
+	matchCount := regexp.MustCompile(`EXPLAIN ANALYZE trace=\S+: (\d+) matches in`)
+	analyzed := func(out *server.ExplainResponse) int {
+		m := matchCount.FindStringSubmatch(out.Analyze)
+		if m == nil {
+			t.Fatalf("no match count in the analyze report:\n%s", out.Analyze)
+		}
+		n, _ := strconv.Atoi(m[1])
+		return n
+	}
+
+	whole, err := client.New(tc.shardURLs[0]).Explain(ctx, server.QueryRequest{Pattern: pattern, Analyze: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(whole.Plan, "slice:") || strings.Contains(whole.Analyze, "slice:") {
+		t.Fatalf("an unsliced explain names a slice:\n%s", whole.Analyze)
+	}
+	total := analyzed(whole)
+	if want := len(serverSet(t, client.New(tc.shardURLs[0]), pattern)); total != want || total == 0 {
+		t.Fatalf("unsliced analyze counts %d matches, /query returns %d", total, want)
+	}
+
+	n := rmat.MustGenerate(clusterParams).NumNodes()
+	sum := 0
+	for i, line := range []string{
+		fmt.Sprintf("slice: v1 (L1) in [0, %d)\n", n/2),
+		fmt.Sprintf("slice: v1 (L1) in [%d, +inf)\n", n/2),
+	} {
+		sc := client.New(tc.shardURLs[i])
+		req := server.QueryRequest{Pattern: pattern, Shard: &server.ShardSelector{Index: i, Count: 2}}
+		plain, err := sc.Explain(ctx, req)
+		if err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		unsliced, err := sc.Explain(ctx, server.QueryRequest{Pattern: pattern})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plain.Plan, line) || strings.Replace(plain.Plan, line, "", 1) != unsliced.Plan {
+			t.Fatalf("shard %d: the sliced plan is not the unsliced plan plus %q:\n%s\nunsliced:\n%s", i, line, plain.Plan, unsliced.Plan)
+		}
+		req.Analyze = true
+		out, err := sc.Explain(ctx, req)
+		if err != nil {
+			t.Fatalf("shard %d analyze: %v", i, err)
+		}
+		if !strings.Contains(out.Analyze, line) {
+			t.Fatalf("shard %d: the analyze report does not name the slice:\n%s", i, out.Analyze)
+		}
+		part := analyzed(out)
+		if part == 0 || part == total {
+			t.Fatalf("shard %d analyzed %d of %d matches; the fixture's matches straddle both ranges", i, part, total)
+		}
+		sum += part
+	}
+	if sum != total {
+		t.Fatalf("the shards analyzed %d matches between them, the whole query has %d", sum, total)
+	}
+
+	for _, sel := range []server.ShardSelector{{Index: 0, Count: 2}, {Index: 2, Count: 2}, {Index: 1, Count: 2, N: -1}} {
+		_, err := client.New(tc.shardURLs[1]).Explain(ctx, server.QueryRequest{Pattern: pattern, Shard: &sel})
+		if se, ok := err.(*client.StatusError); !ok || se.StatusCode != http.StatusBadRequest {
+			t.Fatalf("explain with selector %+v on shard 1: %v, want a 400", sel, err)
 		}
 	}
 }

@@ -147,8 +147,9 @@ type Config struct {
 	// queries out scatter-gather to every shard, merges the NDJSON match
 	// streams under the global caps, and broadcasts updates (the owning
 	// shard's response is returned). 0..len(ShardMap)-1 selects shard
-	// mode: the process hosts the full graph but only emits matches whose
-	// root vertex it owns under the range partition of the id space.
+	// mode: the process hosts the full graph but only computes the matches
+	// that bind the pattern's centre vertex to a data vertex it owns under
+	// the range partition of the id space.
 	ShardID int `flag:"shard-id" unset:"-1" help:"this process's position in the shard map; omit (or pass a negative value) to run as the coordinator that fans queries out over the map"`
 	// AdminToken, when non-empty, is the bearer token POST /ns,
 	// DELETE /ns/{name}, and the /debug/pprof endpoints require

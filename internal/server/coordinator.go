@@ -22,13 +22,17 @@ import (
 // Coordinator side of cluster mode (Config.ShardMap with a negative
 // ShardID). The cluster is N stwigd shard processes plus this stateless
 // front: every shard hosts the full replicated graph, and a shard answers a
-// query only with the matches whose root vertex (assignment[0]) it owns
-// under the range partition of the vertex id space — the same
-// memcloud.RangePartitioner that assigns vertices to simulated machines,
-// lifted one level up to assign them to real processes. The shards' match
-// sets are therefore disjoint and their union complete, so the coordinator
-// can merge the N NDJSON streams into one without deduplication and the
-// VF2/Ullmann cross-check holds over the wire.
+// query only with the matches that bind the pattern's centre vertex
+// (core.Query.Center) to a data vertex it owns under the range partition of
+// the vertex id space — the same memcloud.RangePartitioner that assigns
+// vertices to simulated machines, lifted one level up to assign them to real
+// processes. A shard makes that cut inside exploration (core.Query.Sliced),
+// so it does its share of the query's work, not all of it. The centre is a
+// function of the pattern alone, so shards whose plans differ — label
+// statistics move with every update — still cut along the same vertex. The
+// shards' match sets are therefore disjoint and their union complete, so the
+// coordinator can merge the N NDJSON streams into one without deduplication
+// and the VF2/Ullmann cross-check holds over the wire.
 //
 // Queries fan out scatter-gather: one HTTP leg per shard, each carrying the
 // request's trace ID in X-Stwig-Trace. A shard encodes a match once; from
@@ -232,11 +236,15 @@ func (c *coordinator) streamMatches(ctx context.Context, rq *request, req QueryR
 	// Snapshot the namespace's vertex count once and pin it into every
 	// leg's selector: while an add_node broadcast is in flight the shards'
 	// local counts differ, and legs partitioning over different N put a
-	// boundary root vertex on two shards (duplicates) or on none (drops).
-	// One shared N keeps the legs' slices disjoint and complete. A zero
-	// snapshot (empty namespace, or the stats fetch failed) falls back to
-	// each shard's local count — the pre-existing best-effort behavior.
-	partN := c.nodeCount(ctx, rq.r, rq.namespace)
+	// boundary vertex on two shards (duplicates) or on none (drops). One
+	// shared N keeps the legs' slices disjoint and complete, so a count
+	// that cannot be read fails the query rather than leaving each leg to
+	// its local one. (Zero is an empty namespace, or one shard 0 refuses
+	// with a 4xx that the legs are about to relay.)
+	partN, e := c.nodeCount(ctx, rq.r, rq.namespace)
+	if e != nil {
+		return e
+	}
 
 	legCtx, legCancel := context.WithCancel(ctx)
 	defer legCancel()
@@ -562,29 +570,38 @@ func (c *coordinator) forward(all bool) handler {
 }
 
 // nodeCount returns the namespace's cached vertex count, fetching it from
-// shard 0's stats on a cache miss. Ownership routing tolerates a stale
-// count — every shard applies every update regardless; the count only
-// chooses whose acknowledgement the client sees.
-func (c *coordinator) nodeCount(ctx context.Context, r *http.Request, ns string) int64 {
+// shard 0's stats on a cache miss. A count that cannot be read — shard 0 is
+// unreachable, answers 5xx or answers garbage — is an error naming the
+// shard, never a silent zero; a 4xx (unknown namespace, ...) reads as zero,
+// since every shard refuses those alike and the caller's own legs or
+// broadcast relay the real refusal.
+func (c *coordinator) nodeCount(ctx context.Context, r *http.Request, ns string) (int64, *apiError) {
 	// A cached zero is treated as a miss and re-fetched: zero means the
-	// namespace looked empty or the stats fetch failed, and pinning it
-	// would route every ownership decision to shard 0 forever.
+	// namespace looked empty, and pinning it would route every ownership
+	// decision to shard 0 forever.
 	if v, ok := c.nsNodes.Load(ns); ok {
 		if n := v.(*atomic.Int64).Load(); n > 0 {
-			return n
+			return n, nil
 		}
 	}
 	leg := c.legs[0]
 	res := c.callLeg(ctx, leg, r, http.MethodGet, leg.url+tenantPath(ns, "/stats"), nil)
-	if res.err != nil || res.status != http.StatusOK {
-		return 0
+	if err := ctx.Err(); err != nil {
+		return 0, errContext(err, "") // the request ended, not the shard
+	}
+	if e := firstFailure(res); e != nil {
+		return 0, e
+	}
+	if res.status != http.StatusOK {
+		return 0, nil
 	}
 	var st StatsResponse
-	if json.Unmarshal(res.body, &st) != nil {
-		return 0
+	if err := json.Unmarshal(res.body, &st); err != nil {
+		res.err = fmt.Errorf("bad stats body: %w", err)
+		return 0, firstFailure(res)
 	}
 	c.bumpNodeCount(ns, st.Graph.Nodes)
-	return st.Graph.Nodes
+	return st.Graph.Nodes, nil
 }
 
 // bumpNodeCount raises the cached vertex count (never lowers it; remove_edge
@@ -609,7 +626,9 @@ func (c *coordinator) bumpNodeCount(ns string, n int64) {
 // newly assigned id for add_node.
 func (c *coordinator) ownerShard(ctx context.Context, r *http.Request, ns string, req UpdateRequest, newNode int64) int {
 	anchor := req.U
-	n := c.nodeCount(ctx, r, ns)
+	// Every shard has applied the update by now; an unreadable count only
+	// sends the client shard 0's acknowledgement instead of the owner's.
+	n, _ := c.nodeCount(ctx, r, ns)
 	if req.Op == OpAddNode {
 		anchor = newNode
 		if newNode >= n {

@@ -46,16 +46,17 @@ func TestCoordinatorNodeCountRecovers(t *testing.T) {
 	defer ts.Close()
 	c := testCoordinator(ts.URL, time.Second)
 	req := httptest.NewRequest(http.MethodGet, "/", nil)
-	if n := c.nodeCount(context.Background(), req, "ns"); n != 0 {
-		t.Fatalf("count while shard 0 is failing = %d, want 0", n)
+	n, e := c.nodeCount(context.Background(), req, "ns")
+	if n != 0 || e == nil || e.status != http.StatusBadGateway || e.code != CodeShardUnavailable || !strings.Contains(e.msg, "shard 0") {
+		t.Fatalf("count while shard 0 is failing = %d, %+v; want 0 and a 502 shard_unavailable naming shard 0", n, e)
 	}
 	healthy.Store(true)
-	if n := c.nodeCount(context.Background(), req, "ns"); n != 7 {
-		t.Fatalf("count after shard 0 recovered = %d, want 7 (a zero was cached)", n)
+	if n, e := c.nodeCount(context.Background(), req, "ns"); n != 7 || e != nil {
+		t.Fatalf("count after shard 0 recovered = %d, %+v; want 7 (a zero was cached)", n, e)
 	}
 	healthy.Store(false)
-	if n := c.nodeCount(context.Background(), req, "ns"); n != 7 {
-		t.Fatalf("count from warm cache = %d, want 7", n)
+	if n, e := c.nodeCount(context.Background(), req, "ns"); n != 7 || e != nil {
+		t.Fatalf("count from warm cache = %d, %+v; want 7", n, e)
 	}
 }
 
@@ -124,6 +125,13 @@ func newFakeCluster(t *testing.T, connState func(net.Conn, http.ConnState), legs
 		t.Cleanup(ts.Close)
 		urls[i] = ts.URL
 	}
+	return newCoordinatorOver(t, urls)
+}
+
+// newCoordinatorOver boots a real coordinator, behind a real listener, over
+// the shards at urls.
+func newCoordinatorOver(t *testing.T, urls []string) (coordURL string) {
+	t.Helper()
 	coord, err := NewMulti(Config{ShardMap: strings.Join(urls, ","), ShardID: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -415,5 +423,87 @@ func TestCoordinatorQueryAllocationsDoNotGrowWithMatches(t *testing.T) {
 	}
 	if large > small+100 {
 		t.Errorf("allocations grow with the match count: %.0f at 500 matches, %.0f at 5000", small, large)
+	}
+}
+
+// TestCoordinatorFailsAQueryWhoseNItCannotPin: the vertex count every leg's
+// selector carries is read from shard 0's /stats, and a count that cannot be
+// read must fail the query as a 502 naming shard 0 — not go out as n = 0, on
+// which each leg divides its own local count and, mid add_node broadcast,
+// the two draw different boundaries. The stub shards' /query legs would have
+// answered: the parent served these requests with a 200. A 4xx from /stats
+// is not a dead shard (the legs relay the refusal itself), and an empty
+// namespace still reads — and pins nothing — as zero.
+func TestCoordinatorFailsAQueryWhoseNItCannotPin(t *testing.T) {
+	var stats atomic.Value // the http.HandlerFunc shard 0's /stats runs
+	var legs atomic.Int32  // /query legs the shards have served
+	var lastN atomic.Int64 // the n of the last selector a leg received
+	urls := make([]string, 2)
+	for i := range urls {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/stats") {
+				stats.Load().(http.HandlerFunc)(w, r)
+				return
+			}
+			var req QueryRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Shard == nil {
+				t.Errorf("leg request without a selector: %v", err)
+				return
+			}
+			legs.Add(1)
+			lastN.Store(req.Shard.N)
+			emptyLeg(w, nil)
+		}))
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	coordURL := newCoordinatorOver(t, urls)
+
+	for _, c := range []struct {
+		name  string
+		stats http.HandlerFunc
+	}{
+		{"a 500", func(w http.ResponseWriter, r *http.Request) {
+			writeEnvelope(w, errStatus(http.StatusInternalServerError, "stats on fire"))
+		}},
+		{"a severed connection", func(w http.ResponseWriter, r *http.Request) {
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err == nil {
+				conn.Close()
+			}
+		}},
+		{"a body that is not stats", func(w http.ResponseWriter, r *http.Request) { _, _ = io.WriteString(w, "<html>") }},
+	} {
+		stats.Store(c.stats)
+		status, body := postQuery(t, coordURL)
+		var env ErrorResponse
+		if err := json.Unmarshal(body, &env); err != nil || status != http.StatusBadGateway || env.Code != CodeShardUnavailable || !strings.Contains(env.Error, "shard 0") {
+			t.Fatalf("/stats answering %s: status %d, body %.300q; want the 502 %s envelope naming shard 0", c.name, status, body, CodeShardUnavailable)
+		}
+		if n := legs.Load(); n != 0 {
+			t.Fatalf("/stats answering %s: %d legs went out with an unpinned n", c.name, n)
+		}
+	}
+
+	// A refusal is not a failure: the legs go out and relay their own.
+	stats.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeEnvelope(w, errStatus(http.StatusNotFound, `unknown namespace "default"`))
+	}))
+	if status, body := postQuery(t, coordURL); status != http.StatusOK || legs.Load() != 2 {
+		t.Fatalf("/stats answering 404: status %d, body %.300q, %d legs; want the query left to the legs", status, body, legs.Load())
+	}
+	// An empty namespace has no count to pin.
+	stats.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(w).Encode(StatsResponse{Namespace: DefaultNamespace})
+	}))
+	if status, body := postQuery(t, coordURL); status != http.StatusOK || legs.Load() != 4 || lastN.Load() != 0 {
+		t.Fatalf("empty namespace: status %d, body %.300q, %d legs, n = %d; want a served query with n = 0", status, body, legs.Load(), lastN.Load())
+	}
+	// And a count that can be read is the one every leg gets.
+	stats.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(w).Encode(StatsResponse{Namespace: DefaultNamespace, Graph: GraphInfo{Nodes: 1000}})
+	}))
+	if status, _ := postQuery(t, coordURL); status != http.StatusOK || legs.Load() != 6 || lastN.Load() != 1000 {
+		t.Fatalf("healthy /stats: status %d, %d legs, n = %d; want n = 1000 pinned", status, legs.Load(), lastN.Load())
 	}
 }

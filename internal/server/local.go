@@ -42,50 +42,50 @@ func (ns *namespace) enter(ctx context.Context, rq *request) (leave func(), e *a
 	return func() { ns.gate.runlock(); ns.adm.release() }, nil
 }
 
-// streamMatches is the local match source: the tenant's engine, its blocks
-// encoded by the sink, optionally cut down to the shard slice the request's
-// selector names.
+// sliced returns q cut down to the slice of the answer the selector names,
+// q itself without one. Cluster mode's disjointness contract: the full graph
+// is replicated on every shard, and shard i answers with the matches whose
+// centre vertex (core.Query.Center: a function of the pattern alone, so every
+// replica cuts along the same vertex whatever its planner decided) is bound
+// to a data vertex in range i of the Count-way range partition of the id
+// space — so the union over all shards is exactly the single-machine answer,
+// with no duplicates. The cut is made inside exploration, not on the answer:
+// a shard neither explores nor joins what another shard will emit. The
+// partition divides the selector's pinned N when set (the coordinator's one
+// snapshot for the whole fan-out, so every leg draws the same boundaries even
+// mid-broadcast), and the local count for a selector sent here directly; call
+// it inside the reader gate.
+func (ns *namespace) sliced(q *core.Query, sel *ShardSelector) *core.Query {
+	if sel == nil {
+		return q
+	}
+	n := sel.N
+	if n <= 0 {
+		n = ns.eng.Cluster().NumNodes()
+	}
+	lo, hi := memcloud.RangePartitioner{K: sel.Count, N: n}.Range(sel.Index)
+	return q.Sliced(lo, hi)
+}
+
+// streamMatches is the local match source: the tenant's engine — running the
+// slice of the query the request's selector names, if it has one — its
+// blocks encoded by the sink.
 func (ns *namespace) streamMatches(ctx context.Context, rq *request, req QueryRequest, q *core.Query, sink *streamWriter, trailer *StreamStats) *apiError {
 	leave, e := ns.enter(ctx, rq)
 	if e != nil {
 		return e
 	}
 	defer leave()
-	var owned func(core.Match) bool // nil: every match is this process's to emit
 	if req.Shard != nil {
-		// Cluster mode's disjointness contract: the full graph is
-		// replicated on every shard, but this shard only emits matches
-		// whose root vertex (assignment[0]) it owns under the range
-		// partition of the id space — so the coordinator's union over all
-		// shards is exactly the single-machine answer, with no duplicates.
-		// The partition divides the selector's pinned N when set (the
-		// coordinator's one snapshot for the whole fan-out, so every leg
-		// draws the same range boundaries even mid-broadcast), falling back
-		// to the local count for selector-bearing requests sent directly.
-		// The sink applies the test before it counts a match: dropped
-		// matches must not count against the request's match cap.
-		partN := req.Shard.N
-		if partN <= 0 {
-			partN = ns.eng.Snapshot().Nodes
-		}
-		part := memcloud.RangePartitioner{K: req.Shard.Count, N: partN}
-		want := req.Shard.Index
-		owned = func(m core.Match) bool {
-			var root graph.NodeID
-			if len(m.Assignment) > 0 {
-				root = m.Assignment[0]
-			}
-			return part.Owner(root) == want
-		}
+		q = ns.sliced(q, req.Shard)
 		// The shard's half of the leg handshake: admitted means the 200
 		// goes out now, so a coordinator learns that this leg is live
 		// before it forwards a byte of any other's. From here on a failure
 		// is an error record, not a status.
 		sink.announce()
 	}
-	emit := func(ms []core.Match) (int, bool) { return sink.writeMatches(ms, owned) }
 	start := time.Now()
-	stats, err := ns.eng.MatchStreamBlocks(ctx, q, emit)
+	stats, err := ns.eng.MatchStreamBlocks(ctx, q, sink.writeMatches)
 	rq.exec = time.Since(start)
 	if stats != nil {
 		rq.spans = stats.Spans
@@ -178,11 +178,16 @@ func (ns *namespace) applyUpdates(rq *request, _ []UpdateRequest, muts []memclou
 // full planning and holds the read lock, and EXPLAIN ANALYZE runs the whole
 // query, so it goes through the same admission and reader gate as /query —
 // otherwise an explain loop evades the in-flight limit and starves updates
-// unobserved. It is bounded by the server's default deadline.
+// unobserved. It is bounded by the server's default deadline. A shard
+// selector is honoured as /query honours it: the plan names the slice, and
+// ANALYZE runs it — what this shard does of the pattern's work.
 func (s *Server) handleExplain(rq *request) *apiError {
 	ns := rq.ns
 	req, q, e := decodeQuery(rq, ns.cfg.MaxRequestBytes)
 	if e != nil {
+		return e
+	}
+	if e := s.validateShard(req.Shard); e != nil {
 		return e
 	}
 	ctx, cancel := s.requestContext(rq.r, core.Limits{Timeout: ns.cfg.DefaultTimeout})
@@ -192,6 +197,7 @@ func (s *Server) handleExplain(rq *request) *apiError {
 		return e
 	}
 	defer leave()
+	q = ns.sliced(q, req.Shard)
 	if req.Analyze {
 		execStart := time.Now()
 		ar, err := ns.eng.ExplainAnalyze(ctx, q)

@@ -119,11 +119,10 @@ func (sw *streamWriter) send(block []byte, records int) (int, bool) {
 	return records, !sw.closed()
 }
 
-// writeMatches encodes one engine block — only the matches keep accepts,
-// when it is non-nil; the rest count against no cap — and sends it. sent is
-// how many records reached the wire. The block is the engine's buffer and
-// dies with this call: every record is encoded before it returns.
-func (sw *streamWriter) writeMatches(ms []core.Match, keep func(core.Match) bool) (sent int, ok bool) {
+// writeMatches encodes one engine block and sends it. sent is how many
+// records reached the wire. The block is the engine's buffer and dies with
+// this call: every record is encoded before it returns.
+func (sw *streamWriter) writeMatches(ms []core.Match) (sent int, ok bool) {
 	if sw.closed() {
 		return 0, false
 	}
@@ -132,9 +131,6 @@ func (sw *streamWriter) writeMatches(ms []core.Match, keep func(core.Match) bool
 	}
 	buf := (*sw.buf)[:0]
 	for _, m := range ms {
-		if keep != nil && !keep(m) {
-			continue
-		}
 		buf = appendMatchLine(buf, m.Assignment)
 		sent++
 		if sw.capped(sent, len(buf)) {

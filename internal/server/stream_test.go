@@ -70,7 +70,7 @@ func TestStreamWriterCapsCutWhereTheyAlwaysDid(t *testing.T) {
 							block[i].Assignment[j] = graph.NodeID(v)
 						}
 					}
-					n, ok = sw.writeMatches(block, nil)
+					n, ok = sw.writeMatches(block)
 				} else {
 					var block []byte
 					for _, a := range assignments[lo:hi] {
@@ -101,31 +101,6 @@ func TestStreamWriterCapsCutWhereTheyAlwaysDid(t *testing.T) {
 	}
 }
 
-// TestStreamWriterKeepFilter pins that a match the keep test drops reaches
-// neither the wire nor a cap.
-func TestStreamWriterKeepFilter(t *testing.T) {
-	rec := httptest.NewRecorder()
-	sw := newStreamWriter(&statusWriter{ResponseWriter: rec}, 0, 2)
-	defer sw.release()
-	block := make([]core.Match, 10)
-	for i := range block {
-		block[i].Assignment = []graph.NodeID{graph.NodeID(i), 7}
-	}
-	odd := func(m core.Match) bool { return m.Assignment[0]%2 == 1 }
-	n, ok := sw.writeMatches(block, odd)
-	want := `{"type":"match","assignment":[1,7]}` + "\n" + `{"type":"match","assignment":[3,7]}` + "\n"
-	if n != 2 || ok || !sw.limitHit || rec.Body.String() != want {
-		t.Fatalf("filtered block: sent %d, ok=%v, limit_hit=%v, wire %q; want 2 odd-rooted records and the cap hit", n, ok, sw.limitHit, rec.Body.String())
-	}
-	// Nothing kept: nothing sent, not even the header.
-	rec = httptest.NewRecorder()
-	sw2 := newStreamWriter(&statusWriter{ResponseWriter: rec}, 0, 0)
-	defer sw2.release()
-	if n, ok := sw2.writeMatches(block, func(core.Match) bool { return false }); n != 0 || !ok || sw2.w.status != 0 {
-		t.Fatalf("all-dropped block: sent %d, ok=%v, status %d; want nothing on the wire and the 200 still deferred", n, ok, sw2.w.status)
-	}
-}
-
 // nullWriter is a ResponseWriter that costs nothing, so an allocation count
 // is the sink's own.
 type nullWriter struct{ h http.Header }
@@ -147,11 +122,9 @@ func TestStreamWriterBlocksDoNotAllocate(t *testing.T) {
 	}
 	sw := newStreamWriter(&statusWriter{ResponseWriter: &nullWriter{h: http.Header{}}}, 1<<40, 1<<40)
 	defer sw.release()
-	owned := func(m core.Match) bool { return m.Assignment[0]%3 != 0 }
 	for name, write := range map[string]func(){
-		"engine block":           func() { sw.writeMatches(block, nil) },
-		"engine block, filtered": func() { sw.writeMatches(block, owned) },
-		"forwarded lines":        func() { sw.writeLines(lines) },
+		"engine block":    func() { sw.writeMatches(block) },
+		"forwarded lines": func() { sw.writeLines(lines) },
 	} {
 		write() // takes the buffer, sends the header
 		if allocs := testing.AllocsPerRun(50, write); allocs != 0 {

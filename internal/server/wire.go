@@ -23,11 +23,15 @@ type QueryRequest struct {
 	// executed for real — matches discarded — and the response carries the
 	// rendered span tree and its trace ID alongside the plan.
 	Analyze bool `json:"analyze,omitempty"`
-	// Shard, when set, restricts the stream to matches whose root vertex
-	// (assignment[0]) this shard owns under the range partition of the id
-	// space into Count shards. The coordinator sets it on every fan-out
-	// leg so the legs' match sets are disjoint and their union is the full
-	// answer; clients normally leave it unset.
+	// Shard, when set, restricts the stream to the matches that bind the
+	// pattern's centre vertex (least eccentricity, then highest degree, then
+	// lowest index: a function of the pattern alone) to a data vertex this
+	// shard owns under the range partition of the id space into Count
+	// shards — and the query's work to what those matches take. The
+	// coordinator sets it on every fan-out leg so the legs' match sets are
+	// disjoint and their union is the full answer; clients normally leave
+	// it unset. POST /explain honours it too: the plan names the slice and
+	// ANALYZE runs it.
 	Shard *ShardSelector `json:"shard,omitempty"`
 }
 
@@ -39,8 +43,9 @@ type ShardSelector struct {
 	// The coordinator snapshots it once per query so every fan-out leg
 	// partitions the same id space even while an add_node broadcast is in
 	// flight — shards whose local counts momentarily differ would otherwise
-	// disagree about who owns a root vertex near a range boundary. Unset
-	// (0), the shard falls back to its local count.
+	// disagree about who owns a vertex near a range boundary. Ids at or
+	// past N belong to the last shard. Unset (0), the shard falls back to
+	// its local count.
 	N int64 `json:"n,omitempty"`
 }
 
