@@ -623,75 +623,6 @@ func BenchmarkJournaledUpdate(b *testing.B) {
 	b.Run("fsync/batch=64", func(b *testing.B) { run(b, true, 64) })
 }
 
-// BenchmarkGroupCommit prices the shared durability window: one iteration
-// is one writer window — `group` single-mutation records appended, ONE
-// Sync covering them all, then each record applied — the write shape the
-// dispatcher produces when concurrent updates ride one fsync. group=1 is
-// the degenerate per-update fsync; group=8 and group=64 amortize it, so
-// fsyncs per acked update (reported as fsyncs/update) drops below 1;
-// ns/op is the fsync amortization curve (hardware-bound). The guarantee
-// itself — fewer fsyncs than acked updates — is asserted by
-// internal/server's groupcommit_test.go.
-func BenchmarkGroupCommit(b *testing.B) {
-	g := rmat.MustGenerate(rmat.Params{Scale: 13, AvgDegree: 8, NumLabels: 8, Seed: benchSeed})
-	n := g.NumNodes()
-	rng := rand.New(rand.NewSource(benchSeed))
-	var pairs [][2]graph.NodeID
-	for len(pairs) < 64 {
-		u := graph.NodeID(rng.Int63n(n))
-		v := graph.NodeID(rng.Int63n(n))
-		if u == v || g.HasEdge(u, v) {
-			continue
-		}
-		pairs = append(pairs, [2]graph.NodeID{u, v})
-	}
-	run := func(b *testing.B, group int) {
-		c := benchCluster(b, g, 8)
-		w, err := journal.OpenWriter(filepath.Join(b.TempDir(), "bench.wal"), 0, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer w.Close()
-		mut := make([]memcloud.Mutation, 1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			op := memcloud.MutAddEdge
-			if i%2 == 1 {
-				op = memcloud.MutRemoveEdge
-			}
-			// Phase 1: append every record of the window (buffered, no I/O).
-			for j := 0; j < group; j++ {
-				p := pairs[j]
-				mut[0] = memcloud.Mutation{Op: op, U: p[0], V: p[1]}
-				body, err := journal.EncodeBatch(mut)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := w.Append(body); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// Phase 2: the one fsync every ack in the window sits behind.
-			if err := w.Sync(); err != nil {
-				b.Fatal(err)
-			}
-			// Phase 3: apply in append order.
-			for j := 0; j < group; j++ {
-				p := pairs[j]
-				mut[0] = memcloud.Mutation{Op: op, U: p[0], V: p[1]}
-				if r := c.ApplyBatch(mut); r[0].Err != nil {
-					b.Fatalf("record %d: %v", j, r[0].Err)
-				}
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(1/float64(group), "fsyncs/update")
-	}
-	b.Run("group=1", func(b *testing.B) { run(b, 1) })
-	b.Run("group=8", func(b *testing.B) { run(b, 8) })
-	b.Run("group=64", func(b *testing.B) { run(b, 64) })
-}
-
 // BenchmarkPatternParse measures the query DSL front end.
 func BenchmarkPatternParse(b *testing.B) {
 	const src = "MATCH (a:author)-(p:paper), (p)-(v:venue), (a)-(v), (p)-(r:reviewer)"

@@ -22,8 +22,8 @@
 // Every server setting is a flag and a STWIGD_* environment variable (the
 // flag name upper-snake-cased; explicit flags win), both derived from the
 // tags on server.Config; `stwigd -help` and README "Settings reference" list
-// them. A setting whose default derives from another (-max-timeout,
-// -update-fairness-window) defaults to 0, and passing 0 re-derives it.
+// them. A setting whose default derives from another (-max-timeout)
+// defaults to 0, and passing 0 re-derives it.
 //
 // SIGINT/SIGTERM begins a graceful drain: health flips to 503, new queries
 // are refused, in-flight streams run to completion (bounded by -drain),

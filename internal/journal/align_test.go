@@ -264,3 +264,35 @@ func TestGroupedSyncSharesOneWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestSyncDoesNotAllocate: the padding comes from a shared zero block (it
+// was a fresh slice of up to a block per fsync), so a warm append+fsync
+// cycle — one per acked writer window — leaves no garbage, including when
+// the alignment is wider than the block.
+func TestSyncDoesNotAllocate(t *testing.T) {
+	for _, align := range []int64{DefaultAlign, 3 * DefaultAlign} {
+		path := filepath.Join(t.TempDir(), "journal.wal")
+		w, err := OpenWriter(path, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.SetAlign(align)
+		body := make([]byte, DefaultAlign) // every cycle crosses a block boundary and pads
+		cycle := func() {
+			if _, err := w.Append(body); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cycle() // grow the pending buffer once
+		if n := testing.AllocsPerRun(50, cycle); n != 0 {
+			t.Errorf("align %d: append+sync allocates %v times per cycle", align, n)
+		}
+		if got := fileSize(t, path); got%align != 0 || got == 0 {
+			t.Errorf("align %d: live file is %d bytes, want a padded multiple", align, got)
+		}
+		w.Close()
+	}
+}

@@ -9,8 +9,8 @@ import (
 )
 
 // Mutation-batch body codec. One journal record carries the exact batch the
-// dispatcher hands to memcloud.Cluster.ApplyBatch (post-coalescing), so
-// replay applies precisely what the live path applied.
+// dispatcher hands to memcloud.Cluster.ApplyBatch, so replay applies
+// precisely what the live path applied.
 //
 // Body layout (little-endian):
 //

@@ -176,6 +176,7 @@ type Writer struct {
 	phys    int64 // current file length (flushed frames + padding)
 	align   int64 // Sync pads the file length to a multiple of this
 	pending bytes.Buffer
+	frame   [FrameOverhead]byte // Append's header scratch (a local escapes through crc32)
 }
 
 // OpenWriter opens (creating if needed) the journal at path for appending.
@@ -238,7 +239,7 @@ func (w *Writer) Append(body []byte) (uint64, error) {
 		return 0, fmt.Errorf("journal: record body %d bytes exceeds MaxPayload", len(body))
 	}
 	seq := w.nextSeq
-	var scratch [FrameOverhead]byte
+	scratch := &w.frame
 	payloadLen := uint32(seqSize + len(body))
 	binary.LittleEndian.PutUint64(scratch[frameHeaderSize:], seq)
 	crc := crc32.ChecksumIEEE(scratch[frameHeaderSize:])
@@ -273,23 +274,28 @@ func (w *Writer) Flush() error {
 	return nil
 }
 
+// zeroBlock is the padding Sync writes: shared and never modified, so an
+// fsync allocates nothing.
+var zeroBlock [DefaultAlign]byte
+
 // Sync makes every appended frame durable: flush the pending buffer, pad
 // the file with zeros to the configured alignment (so the device sees
 // block-sized sequential writes; zero padding scans as a torn tail and is
 // truncated at recovery), then fsync. One Sync covers every record
-// appended since the last one — the group-commit durability point.
+// appended since the last one.
 func (w *Writer) Sync() error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
 	if w.align > 1 {
-		if target := (w.flushed + w.align - 1) / w.align * w.align; target > w.phys {
-			// Padding is a device-write optimization: if it fails the fsync
-			// below still commits every frame, so the error is not fatal.
-			if pn, err := w.f.WriteAt(make([]byte, target-w.phys), w.phys); err == nil {
-				w.phys = target
-			} else {
-				w.phys += int64(pn)
+		target := (w.flushed + w.align - 1) / w.align * w.align
+		// Padding is a device-write optimization: if it fails the fsync
+		// below still commits every frame, so the error is not fatal.
+		for w.phys < target {
+			n, err := w.f.WriteAt(zeroBlock[:min(target-w.phys, int64(len(zeroBlock)))], w.phys)
+			w.phys += int64(n)
+			if err != nil {
+				break
 			}
 		}
 	}

@@ -209,17 +209,17 @@ func TestNamespaceClientInheritsRetryPolicy(t *testing.T) {
 	}
 }
 
-// TestStatsDecodesJournalAndCoalesced guards the durability additions to
-// the stats wire format: a client built against these structs must see the
-// journal block and the coalesced counter a durable server reports —
-// omitting or renaming a JSON tag on either side breaks this test before
-// it breaks an operator's dashboard.
-func TestStatsDecodesJournalAndCoalesced(t *testing.T) {
+// TestStatsDecodesJournal guards the durability additions to the stats wire
+// format: a client built against these structs must see the journal block
+// and the update-queue counters a durable server reports — omitting or
+// renaming a JSON tag on either side breaks this test before it breaks an
+// operator's dashboard.
+func TestStatsDecodesJournal(t *testing.T) {
 	payload := `{
 		"namespace": "dur",
 		"uptime_seconds": 1.5,
 		"graph": {"nodes": 34, "machines": 2, "epoch": 7, "memory_bytes": 4096},
-		"update_queue": {"depth": 64, "applied": 5, "coalesced": 2},
+		"update_queue": {"depth": 64, "applied": 5, "batches": 2},
 		"journal": {
 			"enabled": true,
 			"records_appended": 5,
@@ -247,8 +247,8 @@ func TestStatsDecodesJournalAndCoalesced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.UpdateQueue.Coalesced != 2 {
-		t.Fatalf("coalesced = %d, want 2", st.UpdateQueue.Coalesced)
+	if st.UpdateQueue.Applied != 5 || st.UpdateQueue.Batches != 2 {
+		t.Fatalf("update_queue decoded as %+v, want applied 5 in 2 batches", st.UpdateQueue)
 	}
 	j := st.Journal
 	if j == nil || !j.Enabled {

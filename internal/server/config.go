@@ -67,25 +67,20 @@ type Config struct {
 	// (default 1s).
 	RetryAfter time.Duration `flag:"retry-after" def:"1s" min:"0" help:"Retry-After hint attached to 429 and 503 responses"`
 	// UpdateLockWait bounds how long the update dispatcher parks for the
-	// writer window before failing the batch with 503 (default 1s). When
-	// the dispatcher gives up, the reader cutoff is lifted, so queries
-	// never stall behind a writer that is no longer trying.
+	// writer window before failing the batch with 503 (default 1s). New
+	// readers are still admitted for the first min(100ms, half of it) of
+	// the park and blocked after that (the epoch cutoff), so a steady
+	// reader stream cannot starve the tenant's own updates. When the
+	// dispatcher gives up, the cutoff is lifted, so queries never stall
+	// behind a writer that is no longer trying.
 	UpdateLockWait time.Duration `flag:"update-lock-wait" def:"1s" min:"0" help:"how long a queued update batch waits for the writer window before 503"`
 	// UpdateQueueDepth is the per-tenant bounded update FIFO's capacity
 	// (default 64). Updates beyond it receive 503 with a Retry-After.
 	UpdateQueueDepth int `flag:"update-queue-depth" def:"64" min:"1" help:"per-namespace update queue capacity (queue full → 503 with Retry-After)"`
-	// UpdateBatchMax caps how many queued mutations the dispatcher applies
-	// under one writer window (default 32) — the lock-traffic amortization
-	// the batching pipeline exists for.
-	UpdateBatchMax int `flag:"update-batch-max" def:"32" min:"1" help:"max queued mutations applied per writer window"`
-	// UpdateFairnessWindow is the reader grace period after the dispatcher
-	// parks for the writer window (default min(100ms, UpdateLockWait/2)):
-	// new readers are still admitted during it, and blocked after it (the
-	// epoch cutoff), so a steady reader stream cannot starve the tenant's
-	// own updates while a parked writer still bounds read unavailability.
-	// Validate rejects a window the writer's patience would always outlast
-	// — the cutoff could never fire and starvation would return silently.
-	UpdateFairnessWindow time.Duration `flag:"update-fairness-window" min:"0" help:"reader grace period before a parked update blocks new queries; 0 selects min(100ms, half the lock wait), and it must stay shorter than the lock wait"`
+	// UpdateBatchMax is the single bound on a writer window (default 256):
+	// the dispatcher takes queued updates up to this many mutations, and
+	// they are one journal record, one fsync and one reader hold-out.
+	UpdateBatchMax int `flag:"update-batch-max" def:"256" min:"1" help:"max queued mutations per writer window (one journal record, one fsync)"`
 	// NamespaceRoot, when non-empty, permits POST /ns to create tenants
 	// from file:/text: sources confined under this directory. Empty
 	// (the default) disables file sources over the admin API entirely —
@@ -108,19 +103,6 @@ type Config struct {
 	// crash may then lose acknowledged updates, voiding the recovery
 	// contract the crash tests pin.
 	JournalNoSync bool `flag:"!journal-fsync" help:"fsync the journal before applying each batch (false voids crash durability)"`
-	// GroupCommitWindow is how long the update dispatcher lingers after the
-	// first queued batch arrives, gathering more batches so they all share
-	// one journal fsync (default 0: no deliberate wait — the dispatcher
-	// still opportunistically drains everything already queued into the
-	// shared fsync window, which is where group commit's win comes from
-	// under load). A positive window trades that much ack latency for
-	// fewer fsyncs on slow devices.
-	GroupCommitWindow time.Duration `flag:"group-commit-window" min:"0" help:"how long the dispatcher lingers collecting concurrent updates to share one journal fsync (0 = coalesce only what is already queued)"`
-	// GroupCommitBatches caps how many coalesced batches (journal records)
-	// one shared fsync may cover (default 8). Bounds both the work a
-	// single writer window holds readers out for and the loss radius of
-	// one failed fsync, which fails every batch in its window.
-	GroupCommitBatches int `flag:"group-commit-batches" def:"8" min:"1" help:"max journal records sharing one fsync window"`
 	// JournalAlign is the block alignment journal fsyncs pad the file to
 	// (default 4096, one flash block; 1 disables padding). Padding is
 	// zeros past the last frame — recovery truncates it as a torn tail
@@ -191,12 +173,6 @@ func (cfg Config) normalize() Config {
 		shards[i] = baseURL(u)
 	}
 	cfg.ShardMap = strings.Join(shards, ",")
-	if cfg.UpdateFairnessWindow == 0 {
-		// The cutoff only matters if it fires before the writer gives up;
-		// adapt the default to short writer patience instead of silently
-		// configuring a cutoff that can never mature.
-		cfg.UpdateFairnessWindow = min(100*time.Millisecond, cfg.UpdateLockWait/2)
-	}
 	return cfg
 }
 
@@ -223,13 +199,6 @@ func (cfg Config) Validate() error {
 		if cfg.ShardID < 0 && cfg.FollowURL != "" {
 			return fmt.Errorf("server: a coordinator cannot also be a follower (replication runs per shard, not at the coordinator)")
 		}
-	}
-	// A fairness window at or beyond the writer's patience means the
-	// reader cutoff can never fire before the writer gives up — silently
-	// reintroducing the writer starvation the pipeline exists to prevent.
-	if cfg.UpdateFairnessWindow >= cfg.UpdateLockWait {
-		return fmt.Errorf("server: UpdateFairnessWindow %v must be shorter than UpdateLockWait %v (the cutoff would never fire)",
-			cfg.UpdateFairnessWindow, cfg.UpdateLockWait)
 	}
 	return nil
 }

@@ -38,22 +38,21 @@ func TestConfigFromEnv(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Config{
-		MaxInFlight:          32,
-		DefaultTimeout:       45 * time.Second,
-		MaxTimeout:           3 * time.Minute,
-		MaxMatches:           1000,
-		MaxBytes:             1 << 20,
-		MaxRequestBytes:      2 << 20,
-		RetryAfter:           2 * time.Second,
-		UpdateLockWait:       250 * time.Millisecond,
-		UpdateQueueDepth:     7,
-		UpdateBatchMax:       9,
-		UpdateFairnessWindow: 40 * time.Millisecond,
-		NamespaceRoot:        "/srv/graphs",
-		AdminToken:           "hunter2",
-		DataDir:              "/srv/stwig-data",
-		CheckpointEvery:      17,
-		JournalNoSync:        true,
+		MaxInFlight:      32,
+		DefaultTimeout:   45 * time.Second,
+		MaxTimeout:       3 * time.Minute,
+		MaxMatches:       1000,
+		MaxBytes:         1 << 20,
+		MaxRequestBytes:  2 << 20,
+		RetryAfter:       2 * time.Second,
+		UpdateLockWait:   250 * time.Millisecond,
+		UpdateQueueDepth: 7,
+		UpdateBatchMax:   9,
+		NamespaceRoot:    "/srv/graphs",
+		AdminToken:       "hunter2",
+		DataDir:          "/srv/stwig-data",
+		CheckpointEvery:  17,
+		JournalNoSync:    true,
 	}
 	if cfg != want {
 		t.Fatalf("FromEnv = %+v, want %+v", cfg, want)
@@ -77,7 +76,6 @@ func TestConfigFromEnv(t *testing.T) {
 		{"STWIGD_UPDATE_LOCK_WAIT": "x"},
 		{"STWIGD_UPDATE_QUEUE_DEPTH": "deep"},
 		{"STWIGD_UPDATE_BATCH_MAX": "4.5"},
-		{"STWIGD_UPDATE_FAIRNESS_WINDOW": "fast"},
 		{"STWIGD_CHECKPOINT_EVERY": "often"},
 		{"STWIGD_JOURNAL_FSYNC": "yes please"},
 	} {
@@ -87,25 +85,24 @@ func TestConfigFromEnv(t *testing.T) {
 	}
 }
 
-// TestConfigValidateUpdatePipeline pins the new knobs' validation: the
-// zero value normalizes to sane defaults, negatives are refused, and a
-// fairness window the writer's patience would always outlast — which would
-// silently disable the cutoff and reintroduce writer starvation — is
-// rejected up front.
+// TestConfigValidateUpdatePipeline pins the update knobs' validation: the
+// zero value normalizes to sane defaults, negatives are refused, and the
+// reader grace period derived from the writer's patience always matures
+// before that patience runs out — a cutoff that could never fire would
+// silently reintroduce writer starvation.
 func TestConfigValidateUpdatePipeline(t *testing.T) {
 	norm := Config{}.normalize()
-	if norm.UpdateQueueDepth != 64 || norm.UpdateBatchMax != 32 || norm.UpdateFairnessWindow != 100*time.Millisecond {
-		t.Fatalf("normalized update defaults = depth %d, batch %d, window %v",
-			norm.UpdateQueueDepth, norm.UpdateBatchMax, norm.UpdateFairnessWindow)
+	if norm.UpdateQueueDepth != 64 || norm.UpdateBatchMax != 256 || readerGrace(norm.UpdateLockWait) != 100*time.Millisecond {
+		t.Fatalf("normalized update defaults = depth %d, batch %d, grace %v",
+			norm.UpdateQueueDepth, norm.UpdateBatchMax, readerGrace(norm.UpdateLockWait))
 	}
 	if norm.CheckpointEvery != 256 {
 		t.Fatalf("normalized CheckpointEvery = %d, want 256", norm.CheckpointEvery)
 	}
-	// Short writer patience adapts the defaulted window below it instead of
-	// configuring a cutoff that can never mature.
-	short := Config{UpdateLockWait: 50 * time.Millisecond}.normalize()
-	if short.UpdateFairnessWindow != 25*time.Millisecond {
-		t.Fatalf("defaulted window under 50ms patience = %v, want 25ms", short.UpdateFairnessWindow)
+	// Short writer patience pulls the grace period below it instead of
+	// leaving a cutoff that can never mature.
+	if got := readerGrace(50 * time.Millisecond); got != 25*time.Millisecond {
+		t.Fatalf("grace period under 50ms patience = %v, want 25ms", got)
 	}
 	if err := (Config{UpdateLockWait: 50 * time.Millisecond}).Validate(); err != nil {
 		t.Fatalf("short-patience config invalid: %v", err)
@@ -116,9 +113,7 @@ func TestConfigValidateUpdatePipeline(t *testing.T) {
 	for _, bad := range []Config{
 		{UpdateQueueDepth: -1},
 		{UpdateBatchMax: -2},
-		{UpdateFairnessWindow: -time.Second},
-		{UpdateFairnessWindow: 2 * time.Second, UpdateLockWait: time.Second}, // cutoff could never fire
-		{UpdateFairnessWindow: time.Second, UpdateLockWait: time.Second},     // ... nor at equality
+		{UpdateLockWait: -time.Second},
 		{CheckpointEvery: -3},      // a negative cadence would never checkpoint
 		{MaxRequestBytes: -1},      // http.MaxBytesReader clamps it to 0: every body would 400
 		{RetryAfter: -time.Second}, // would strip Retry-After from every 429/503

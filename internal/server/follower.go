@@ -531,9 +531,9 @@ func (r *replicator) pollOnce(ns *namespace, st *replState) error {
 	return scanErr
 }
 
-// applyRecord replays one leader record through the follower's own
-// writer-window + journal-before-apply path, preserving every recovery
-// invariant the local dispatcher provides.
+// applyRecord replays one leader record through the same writer-window +
+// journal-then-apply step (updatePipeline.commit) the local dispatcher uses,
+// preserving every recovery invariant it provides.
 func (r *replicator) applyRecord(ns *namespace, st *replState, rec journal.Record) error {
 	muts, err := journal.DecodeBatch(rec.Body)
 	if err != nil {
@@ -541,7 +541,7 @@ func (r *replicator) applyRecord(ns *namespace, st *replState, rec journal.Recor
 		// snapshot is the only way forward.
 		return fmt.Errorf("%w: decoding record seq %d: %v", errReplResync, rec.Seq, err)
 	}
-	for !ns.gate.lock(ns.cfg.UpdateLockWait, ns.cfg.UpdateFairnessWindow, r.ctx.Done()) {
+	for !ns.gate.lock(ns.cfg.UpdateLockWait, r.ctx.Done()) {
 		// Readers held the gate for the whole patience window; retry until
 		// shutdown. gate.lock itself blocks, so this cannot spin hot.
 		if r.ctx.Err() != nil {
@@ -553,15 +553,16 @@ func (r *replicator) applyRecord(ns *namespace, st *replState, rec journal.Recor
 			ns.gate.unlock()
 			return fmt.Errorf("%w: local journal expects seq %d, leader sent %d", errReplResync, got, rec.Seq)
 		}
-		if _, err := ns.store.appendBatch(muts); err != nil {
-			ns.gate.unlock()
-			return err
-		}
 	}
-	if err := applyReplicated(ns, muts); err != nil {
+	_, err = ns.pipe.commit(muts)
+	ns.gate.unlock()
+	if errors.Is(err, errUpdateInternal) {
 		// The apply panicked: the graph may be half-mutated relative to the
 		// journal. Only a snapshot re-bases both consistently.
 		return fmt.Errorf("%w: %v", errReplResync, err)
+	}
+	if err != nil {
+		return err
 	}
 	if ns.store != nil {
 		// The replication loop is the namespace's only mutator (writes are
@@ -570,19 +571,6 @@ func (r *replicator) applyRecord(ns *namespace, st *replState, rec journal.Recor
 		ns.store.maybeCheckpoint()
 	}
 	st.advance(rec.Seq)
-	return nil
-}
-
-// applyReplicated applies one batch under the already-acquired writer
-// window, releasing the gate and containing panics.
-func applyReplicated(ns *namespace, muts []memcloud.Mutation) (err error) {
-	defer ns.gate.unlock()
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("apply panicked: %v", p)
-		}
-	}()
-	ns.eng.Cluster().ApplyBatch(muts)
 	return nil
 }
 

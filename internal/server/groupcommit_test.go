@@ -1,7 +1,7 @@
-// Group-commit durability tests: the crash suite over a group-committed,
-// block-aligned journal cut at EVERY byte offset, and the shared-fsync
-// contract — concurrent writers must ack behind fewer fsyncs than acked
-// mutations, with every ack sitting behind its covering fsync.
+// Shared-fsync durability tests: the crash suite over a block-aligned
+// journal of multi-mutation records cut at EVERY byte offset, and the
+// shared-fsync contract — concurrent writers must ack behind fewer fsyncs
+// than acked mutations, with every ack sitting behind its covering fsync.
 package server_test
 
 import (
@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"stwig/internal/journal"
 	"stwig/internal/memcloud"
@@ -35,8 +34,8 @@ func applyDecodedMut(m *oracleModel, mut memcloud.Mutation) {
 	}
 }
 
-// TestGroupCommitCrashRecoveryEveryByte is the group-commit acceptance
-// crash suite. A server running with a commit window, bulk updates, and
+// TestGroupCommitCrashRecoveryEveryByte is the shared-window acceptance
+// crash suite. A server taking bulk updates and concurrent singles under
 // block alignment journals multi-mutation records and leaves zero padding
 // past the committed prefix — the exact file a SIGKILL mid-window leaves
 // behind. The live (padded, un-trimmed) journal is snapshotted and cut at
@@ -47,11 +46,9 @@ func applyDecodedMut(m *oracleModel, mut memcloud.Mutation) {
 func TestGroupCommitCrashRecoveryEveryByte(t *testing.T) {
 	liveDir := t.TempDir()
 	cfg := server.Config{
-		DataDir:            liveDir,
-		GroupCommitWindow:  2 * time.Millisecond,
-		GroupCommitBatches: 8,
-		JournalAlign:       512, // keep the padded file (and the cut count) small
-		CheckpointEvery:    1 << 20,
+		DataDir:         liveDir,
+		JournalAlign:    512, // keep the padded file (and the cut count) small
+		CheckpointEvery: 1 << 20,
 	}
 	svc, err := server.NewMulti(cfg)
 	if err != nil {
@@ -205,8 +202,8 @@ func TestGroupCommitCrashRecoveryEveryByte(t *testing.T) {
 	}
 }
 
-// TestGroupCommitSharedFsync pins the perf contract group commit exists
-// for: concurrent writers must complete behind FEWER fsyncs than acked
+// TestGroupCommitSharedFsync pins the perf contract the writer window
+// exists for: concurrent writers must complete behind FEWER fsyncs than acked
 // mutations, and every acked mutation must already be in the journal's
 // committed (scannable) prefix at ack time — observed here by scanning the
 // live journal after the acks and before any shutdown flush could repair
@@ -214,10 +211,8 @@ func TestGroupCommitCrashRecoveryEveryByte(t *testing.T) {
 func TestGroupCommitSharedFsync(t *testing.T) {
 	dir := t.TempDir()
 	cfg := server.Config{
-		DataDir:            dir,
-		GroupCommitWindow:  2 * time.Millisecond,
-		GroupCommitBatches: 16,
-		CheckpointEvery:    1 << 20,
+		DataDir:         dir,
+		CheckpointEvery: 1 << 20,
 	}
 	svc, err := server.NewMulti(cfg)
 	if err != nil {
@@ -233,8 +228,8 @@ func TestGroupCommitSharedFsync(t *testing.T) {
 
 	// 8 writers × 4 singles, plus one 16-mutation bulk: 48 acked mutations.
 	// Even if every single lands in its own window, the bulk alone
-	// guarantees fsyncs < acked mutations; the commit window makes the
-	// singles share windows too.
+	// guarantees fsyncs < acked mutations; singles that queue behind a
+	// window in flight share the next one too.
 	const writers, perWriter, bulkN = 8, 4, 16
 	labels := make(map[string]bool)
 	var mu sync.Mutex

@@ -23,7 +23,7 @@ const gateWait = " while waiting for a graph update"
 
 // enter admits one unit of query work: an admission slot (refused with 429
 // when the tenant is saturated), then the tenant's reader gate. A parked
-// update dispatcher past its fairness window holds the gate against new
+// update dispatcher past its reader grace period holds the gate against new
 // readers; the park is bounded by the writer's patience (UpdateLockWait)
 // and the request's own deadline. The caller must call leave exactly once —
 // deferred, so a panicking engine call (swallowed by net/http's recover)

@@ -8,8 +8,10 @@ import (
 )
 
 // latencyBucketsMS are the histogram bucket upper bounds, in milliseconds.
-// The final implicit bucket is +Inf.
-var latencyBucketsMS = [...]float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
+// The final implicit bucket is +Inf. The sub-millisecond bounds are where
+// the hot paths live: an update's queue wait is tens of microseconds and a
+// selective query a few hundred.
+var latencyBucketsMS = [...]float64{0.05, 0.1, 0.25, 0.5, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
 
 // histogram is a fixed-bucket latency histogram. One mutex per endpoint is
 // plenty: observation cost is dwarfed by the request it measures.

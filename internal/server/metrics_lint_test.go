@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -177,6 +178,12 @@ func labelKey(labels map[string]string) string {
 	return strings.Join(parts, ",")
 }
 
+// latencyLes is the le set every latency (_seconds) histogram exposes, in
+// seconds: sub-millisecond bounds first — the update wait and a selective
+// query both finish below 1 ms — then the 1 ms … 10 s ladder.
+var latencyLes = []float64{0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.025,
+	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, math.Inf(1)}
+
 // lintHistogramContract enforces the cumulative-histogram contract on every
 // _bucket family: within one label set, bucket counts must be monotone
 // non-decreasing in le order, an le="+Inf" bucket must exist, and it must
@@ -261,6 +268,15 @@ func lintHistogramContract(t *testing.T, text string, declaredType map[string]st
 			if !math.IsInf(last, 1) {
 				t.Errorf("%s{%s}: no le=\"+Inf\" bucket", family, key)
 				continue
+			}
+			if strings.HasSuffix(family, "_seconds") {
+				got := make([]float64, len(order))
+				for n, i := range order {
+					got[n] = s.les[i]
+				}
+				if !slices.Equal(got, latencyLes) {
+					t.Errorf("%s{%s}: le set %v, want %v", family, key, got, latencyLes)
+				}
 			}
 			cnt, okCnt := counts[family][key]
 			if !okCnt {

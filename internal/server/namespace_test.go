@@ -424,9 +424,8 @@ func saturationEngine(t testing.TB) *core.Engine {
 // number of reader windows, and the readers must all keep succeeding.
 func TestWriterFairnessUnderReaderSaturation(t *testing.T) {
 	svc, _, c := newTestServer(t, saturationEngine(t), server.Config{
-		MaxInFlight:          16,
-		UpdateLockWait:       10 * time.Second,
-		UpdateFairnessWindow: 20 * time.Millisecond,
+		MaxInFlight:    16,
+		UpdateLockWait: 10 * time.Second,
 	})
 	ctx := context.Background()
 
@@ -502,11 +501,10 @@ func TestWriterFairnessUnderReaderSaturation(t *testing.T) {
 // both held updates land, and stopping the pipeline leaks no goroutines.
 func TestUpdateQueueBackpressureAndDrain(t *testing.T) {
 	svc, ts, _ := newTestServer(t, saturationEngine(t), server.Config{
-		MaxInFlight:          4,
-		UpdateQueueDepth:     1,
-		UpdateBatchMax:       1,
-		UpdateLockWait:       30 * time.Second,
-		UpdateFairnessWindow: 50 * time.Millisecond,
+		MaxInFlight:      4,
+		UpdateQueueDepth: 1,
+		UpdateBatchMax:   1,
+		UpdateLockWait:   30 * time.Second,
 	})
 	c := client.New(ts.URL, client.WithRetry(0, 0)) // the 503 is the assertion, not a transient
 	ctx := context.Background()

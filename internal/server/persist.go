@@ -24,18 +24,17 @@ import (
 //	<data-dir>/ns/<name>/checkpoint.bin   latest cluster snapshot (optional)
 //	<data-dir>/ns/<name>/journal.wal      batches applied since the checkpoint
 //
-// The write path is LogBase-shaped: the dispatcher appends each coalesced
-// batch to the namespace's journal and the batch's covering fsync lands
-// BEFORE ApplyBatch touches the in-memory cluster, so a crash at any
+// The write path is LogBase-shaped: the dispatcher appends each writer
+// window's batch to the namespace's journal as one record and its fsync
+// lands BEFORE ApplyBatch touches the in-memory cluster, so a crash at any
 // instant loses at most un-acked work — never an acknowledged mutation.
-// Group commit shares that fsync: a writer window may append several
-// records (appendRecord) and make them all durable with one syncWindow
-// before any of them is applied or acked. Recovery re-creates each manifest
-// namespace (from its checkpoint when one exists, else by rebuilding its
-// spec), replays the journal records past the checkpoint's sequence number,
-// and truncates any torn tail a mid-append crash left behind. Periodic
-// checkpoints (Config.CheckpointEvery journaled batches) snapshot the
-// cluster and reset the journal so replay stays bounded.
+// Every update queued when the window opens shares that record and that
+// fsync (appendBatch). Recovery re-creates each manifest namespace (from its
+// checkpoint when one exists, else by rebuilding its spec), replays the
+// journal records past the checkpoint's sequence number, and truncates any
+// torn tail a mid-append crash left behind. Periodic checkpoints
+// (Config.CheckpointEvery journaled batches) snapshot the cluster and reset
+// the journal so replay stays bounded.
 
 const (
 	manifestName   = "manifest.json"
@@ -280,12 +279,6 @@ type nsStorage struct {
 	w       *journal.Writer
 	cluster *memcloud.Cluster
 
-	// Window accounting for records appended but not yet covered by a
-	// syncWindow. Dispatcher-only, like w — no lock needed.
-	winRecords int
-	winBytes   uint64
-	winLastSeq uint64
-
 	mu        sync.Mutex
 	info      JournalInfo
 	sinceCkpt int
@@ -304,99 +297,62 @@ type nsStorage struct {
 
 var errJournalFailed = errors.New("journal failed; namespace is read-only until restart")
 
-// appendBatch journals one coalesced batch and (unless JournalNoSync)
-// fsyncs it — a single-record writer window: appendRecord + syncWindow.
-// Used by callers outside the group-commit dispatcher (the replication
-// follower, tests); the dispatcher calls the two phases itself so several
-// records can share one syncWindow.
+// appendBatch journals one writer window's mutations as one record and
+// makes it durable with one flush (+ one fsync unless JournalNoSync) — the
+// durability point the window's acks sit behind. Nothing is visible to
+// /stats, wal tailers, or appendWait until then: publishing a sequence
+// number before its fsync would let a follower replicate a record the
+// leader may yet roll back. The caller holds the writer window and is the
+// journal's only writer, so the Writer needs no lock of its own; st.mu
+// guards only the counters, and crucially is NOT held across the fsync —
+// /stats must never stall behind disk latency.
+//
+// A failed append or sync rolls the journal back to the pre-append
+// position: the batch is never applied, so leaving its record in the WAL
+// would make a future replay apply a batch the live graph never saw —
+// shifting every later vertex ID. If even the rollback fails, the write
+// path is fail-stopped (errJournalFailed) rather than left to diverge. The
+// returned mark lets the caller roll the record back itself when the batch
+// fails AFTER journaling (an ApplyBatch panic).
 func (st *nsStorage) appendBatch(muts []memcloud.Mutation) (journal.Mark, error) {
-	mark, err := st.appendRecord(muts)
-	if err != nil {
-		return mark, err
-	}
-	if err := st.syncWindow(mark); err != nil {
-		return mark, err
-	}
-	return mark, nil
-}
-
-// appendRecord frames one coalesced batch into the journal's pending
-// buffer. Nothing is durable — or visible to /stats, wal tailers, or
-// appendWait — until a covering syncWindow: publishing a sequence number
-// before its fsync would let a follower replicate a record the leader may
-// yet roll back. A failed append rolls the journal back to the
-// pre-append position (a pure buffer truncation here, since the record
-// was never flushed): the record's batch is never applied, so leaving it
-// in the WAL would make a future replay apply a batch the live graph
-// never saw — shifting every later vertex ID. The returned mark lets the
-// caller roll the record back itself when the batch fails AFTER
-// journaling (an ApplyBatch panic).
-func (st *nsStorage) appendRecord(muts []memcloud.Mutation) (journal.Mark, error) {
 	mark := st.w.Mark()
 	body, err := journal.EncodeBatch(muts)
 	if err != nil {
 		return mark, err
 	}
 	st.mu.Lock()
-	if st.closed || st.failed {
-		bad := st.failed
-		st.mu.Unlock()
-		if bad {
-			return mark, errJournalFailed
-		}
+	closed, failed := st.closed, st.failed
+	st.mu.Unlock()
+	if failed {
+		return mark, errJournalFailed
+	}
+	if closed {
 		return mark, errors.New("journal closed")
 	}
-	st.mu.Unlock()
 	seq, err := st.w.Append(body)
+	var fsyncs uint64
+	if err == nil {
+		if st.fsync {
+			err = st.w.Sync()
+			fsyncs = 1
+		} else {
+			err = st.w.Flush()
+		}
+	}
 	if err != nil {
 		st.rollback(mark)
 		return mark, err
 	}
-	st.winRecords++
-	st.winBytes += uint64(len(body)) + journal.FrameOverhead
-	st.winLastSeq = seq
-	return mark, nil
-}
-
-// syncWindow makes every record appended since start durable with one
-// flush (+ one fsync unless JournalNoSync) — the shared durability point
-// all of the window's acks sit behind — then publishes the counters and
-// wakes wal long-poll waiters. The dispatcher is the only caller, so the
-// Writer needs no lock of its own; st.mu guards only the counters, and
-// crucially is NOT held across the fsync — /stats must never stall
-// behind disk latency. On failure the whole window is rolled back to
-// start: none of its records were applied or acked yet, and a prefix of
-// them surviving to replay would diverge the recovered graph from every
-// answer the server gave. If even the rollback fails, the write path is
-// fail-stopped (errJournalFailed) rather than left to diverge.
-func (st *nsStorage) syncWindow(start journal.Mark) error {
-	if st.winRecords == 0 {
-		return nil
-	}
-	var err error
-	var fsyncs uint64
-	if st.fsync {
-		err = st.w.Sync()
-		fsyncs = 1
-	} else {
-		err = st.w.Flush()
-	}
-	records, bytes, lastSeq := st.winRecords, st.winBytes, st.winLastSeq
-	st.winRecords, st.winBytes, st.winLastSeq = 0, 0, 0
-	if err != nil {
-		st.rollback(start)
-		return err
-	}
 	st.mu.Lock()
 	st.info.Fsyncs += fsyncs
-	st.info.Records += uint64(records)
-	st.info.Bytes += bytes
-	st.info.LastSeq = lastSeq
+	st.info.Records++
+	st.info.Bytes += uint64(len(body)) + journal.FrameOverhead
+	st.info.LastSeq = seq
 	st.info.SizeBytes = st.w.Size()
-	st.sinceCkpt += records
+	st.sinceCkpt++
 	st.notifyLocked()
 	st.mu.Unlock()
-	return nil
+	return mark, nil
 }
 
 // notifyLocked wakes every appendWait waiter. Caller holds st.mu.
@@ -678,18 +634,6 @@ func recoverEngine(spec NamespaceSpec, dir string, cfg Config) (*core.Engine, *n
 	return recoverEngineRetry(spec, dir, cfg, 0)
 }
 
-// replayRecord applies one journal record's batch, containing a panic the
-// same way the live dispatcher does.
-func replayRecord(eng *core.Engine, muts []memcloud.Mutation) (panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicked = true
-		}
-	}()
-	eng.Cluster().ApplyBatch(muts)
-	return false
-}
-
 func recoverEngineRetry(spec NamespaceSpec, dir string, cfg Config, depth int) (*core.Engine, *nsStorage, error) {
 	fail := func(err error) (*core.Engine, *nsStorage, error) {
 		return nil, nil, fmt.Errorf("server: recovering namespace %q: %w", spec.Name, err)
@@ -742,7 +686,7 @@ func recoverEngineRetry(spec NamespaceSpec, dir string, cfg Config, depth int) (
 		}
 		// Per-mutation conflicts replay exactly as they did live (ApplyBatch
 		// is deterministic given identical state), so they are not errors.
-		if replayRecord(eng, muts) {
+		if _, err := applyContained(eng, muts); err != nil {
 			if i != len(recs)-1 {
 				return fail(fmt.Errorf("journal record seq %d panicked on replay with committed history after it", r.Seq))
 			}

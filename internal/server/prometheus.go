@@ -226,8 +226,6 @@ func (s *Server) handleMetrics(rq *request) *apiError {
 		func(st *nsState) float64 { return float64(st.upd.Applied) })
 	perNS("stwig_update_conflicts_total", "counter", "Mutations that failed validation at apply time.",
 		func(st *nsState) float64 { return float64(st.upd.Conflicts) })
-	perNS("stwig_update_coalesced_total", "counter", "Mutations annihilated by in-batch coalescing.",
-		func(st *nsState) float64 { return float64(st.upd.Coalesced) })
 	perNS("stwig_update_busy_timeouts_total", "counter", "Batches abandoned waiting for the writer window.",
 		func(st *nsState) float64 { return float64(st.upd.BusyTimeouts) })
 	perNS("stwig_update_journal_failures_total", "counter", "Batches failed because their journal record could not be made durable.",

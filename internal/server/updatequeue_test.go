@@ -6,9 +6,13 @@ import (
 	"testing"
 	"time"
 
-	"stwig/internal/journal"
 	"stwig/internal/memcloud"
 )
+
+// jobOf wraps a single mutation as a queued job with a buffered rendezvous.
+func jobOf(mut memcloud.Mutation) *updateJob {
+	return &updateJob{muts: []memcloud.Mutation{mut}, enq: time.Now(), done: make(chan updateJobResult, 1)}
+}
 
 // TestApplyContainsPanic pins the dispatcher's last-resort defense: the
 // goroutine has no net/http recover above it, so a panic escaping a batch
@@ -20,12 +24,12 @@ func TestApplyContainsPanic(t *testing.T) {
 	p := newUpdatePipeline(nil /* engine: Cluster() will nil-deref */, gate, Config{}.normalize(), nil)
 
 	job := jobOf(memcloud.Mutation{Op: memcloud.MutAddNode, Label: "x"})
-	p.apply([]*updateJob{job})
+	p.window(job)
 
 	select {
 	case out := <-job.done:
 		if !errors.Is(out.err, errUpdateInternal) {
-			t.Fatalf("apply err = %v, want errUpdateInternal", out.err)
+			t.Fatalf("window err = %v, want errUpdateInternal", out.err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("job never acked after recovered panic")
@@ -33,16 +37,16 @@ func TestApplyContainsPanic(t *testing.T) {
 
 	// applyContained is the recover boundary itself: called directly it
 	// must convert the panic, not propagate it.
-	if !gate.lock(time.Second, time.Millisecond, p.stop) {
+	if !gate.lock(time.Second, p.stop) {
 		t.Fatal("writer window not acquired on an idle gate")
 	}
-	_, err := p.applyContained([]memcloud.Mutation{{Op: memcloud.MutAddNode, Label: "x"}}, journal.Mark{})
+	_, err := applyContained(p.eng, []memcloud.Mutation{{Op: memcloud.MutAddNode, Label: "x"}})
 	if !errors.Is(err, errUpdateInternal) {
 		t.Fatalf("applyContained err = %v, want errUpdateInternal", err)
 	}
 	p.gate.unlock()
 
-	// applyWindow's unlock ran despite the panic: a reader gets in at once.
+	// window's unlock ran despite the panic: a reader gets in at once.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := gate.rlock(ctx); err != nil {

@@ -209,7 +209,7 @@ const MaxBulkUpdates = 65536
 // BulkUpdateRequest is the body of POST /v1/update/bulk and
 // POST /v1/ns/{name}/update/bulk: a mutation array that rides one queue
 // slot, one writer window, and one journal record — so the whole array
-// shares a single durability fsync (group commit's wholesale form).
+// shares a single durability fsync.
 // Mutations apply in array order; per-mutation conflicts do not abort the
 // rest of the array.
 type BulkUpdateRequest struct {
@@ -354,8 +354,8 @@ type JournalInfo struct {
 	// bytes — encoded batch body plus the 16-byte record overhead (sequence
 	// number and frame header), i.e. what each record actually adds to the
 	// file — since boot; Fsyncs counts the durability syncs issued for
-	// them. With group commit one fsync may cover several records, so
-	// Fsyncs ≤ Records under concurrent writers.
+	// them: one per record (a record is one writer window, however many
+	// updates it carries), none with JournalNoSync.
 	Records uint64 `json:"records_appended"`
 	Bytes   uint64 `json:"bytes_appended"`
 	Fsyncs  uint64 `json:"fsyncs"`
@@ -495,10 +495,6 @@ type UpdateQueueInfo struct {
 	// per-mutation failures (missing vertex, duplicate edge, ...).
 	Applied   uint64 `json:"applied"`
 	Conflicts uint64 `json:"conflicts"`
-	// Coalesced counts mutations cancelled out before apply: an add_edge
-	// and a later remove_edge of the same edge within one batch annihilate
-	// (both report success; neither touches the graph or the journal).
-	Coalesced uint64 `json:"coalesced"`
 	// BusyTimeouts counts batches abandoned because the writer window
 	// never opened within the configured patience (every job in such a
 	// batch was answered 503).
@@ -507,8 +503,8 @@ type UpdateQueueInfo struct {
 	// could not be made durable (append or fsync error) — every job in
 	// such a batch was answered 500 unapplied.
 	JournalFailures uint64 `json:"journal_failures"`
-	// Batches counts coalesced batches applied (journal records); MaxBatch
-	// is the largest batch applied, in mutations.
+	// Batches counts writer windows applied (journal records); MaxBatch
+	// is the largest one, in mutations.
 	Batches  uint64 `json:"batches"`
 	MaxBatch int    `json:"max_batch"`
 	// BatchSizeSum is the total number of mutations across all applied
