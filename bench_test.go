@@ -489,7 +489,7 @@ func BenchmarkUpdates(b *testing.B) {
 // amortizes to. The writeonly variants are the ones to read for the write
 // path's allocs/op and B/op: a query in the loop would contribute ~98% of
 // the allocations and hide a write-path regression. The mixed variant adds one
-// plan-cached query per iteration for the serving-shaped number.
+// query per iteration for the serving-shaped number.
 func BenchmarkUpdatePipeline(b *testing.B) {
 	g := rmat.MustGenerate(rmat.Params{Scale: 13, AvgDegree: 8, NumLabels: 8, Seed: benchSeed})
 	n := g.NumNodes()
@@ -541,7 +541,7 @@ func BenchmarkUpdatePipeline(b *testing.B) {
 		c := benchCluster(b, g, 8)
 		eng := core.NewEngine(c, core.Options{MatchBudget: 256, Seed: benchSeed})
 		q := core.MustNewQuery([]string{"L0", "L1", "L2"}, [][2]int{{0, 1}, {1, 2}})
-		if _, err := eng.Match(q); err != nil { // warm the plan cache
+		if _, err := eng.Match(q); err != nil { // warm the scratch pool
 			b.Fatal(err)
 		}
 		muts := make([]memcloud.Mutation, len(pairs))
@@ -654,13 +654,10 @@ func BenchmarkConcurrentThroughput(b *testing.B) {
 	})
 }
 
-// BenchmarkRepeatedQueryPlanCache measures what the plan cache amortizes:
-// the same representative workload query issued repeatedly against one
-// engine, hot (cached plan) vs cold (caching disabled, every run re-pays
-// decomposition, join-order estimation, and load-set planning). The gap
-// between the two is the per-query planning cost the serving workload
-// saves.
-func BenchmarkRepeatedQueryPlanCache(b *testing.B) {
+// BenchmarkPlanner measures the proxy phase alone: decomposition, head
+// selection and load sets for a representative workload query, which every
+// query pays.
+func BenchmarkPlanner(b *testing.B) {
 	g := patentsBench(b)
 	c := benchCluster(b, g, 8)
 	rng := rand.New(rand.NewSource(benchSeed))
@@ -668,41 +665,14 @@ func BenchmarkRepeatedQueryPlanCache(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("cold", func(b *testing.B) {
-		eng := core.NewEngine(c, core.Options{MatchBudget: 1024, Seed: benchSeed, PlanCacheSize: -1})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Match(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("hot", func(b *testing.B) {
-		eng := core.NewEngine(c, core.Options{MatchBudget: 1024, Seed: benchSeed})
-		if _, err := eng.Match(q); err != nil { // warm the cache
+	p := core.NewPlanner(c, core.Options{Seed: benchSeed})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Plan(q); err != nil {
 			b.Fatal(err)
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Match(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if st := eng.PlanCacheStats(); st.Hits == 0 {
-			b.Fatal("hot path never hit the plan cache")
-		}
-	})
-	b.Run("plan-only", func(b *testing.B) {
-		// The isolated planner cost, for reference against hot/cold delta.
-		p := core.NewPlanner(c, core.Options{Seed: benchSeed})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := p.Plan(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkBindingsBitset isolates the binding-set data structure.

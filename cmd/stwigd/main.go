@@ -244,7 +244,7 @@ func run(cfg daemonConfig) error {
 }
 
 // bootSpecs maps the boot flag surface onto NamespaceSpecs: the legacy
-// -graph/-rmat-scale/-relabel/-machines/-plan-cache flags become the
+// -graph/-rmat-scale/-relabel/-machines flags become the
 // default namespace's spec, followed by each -ns flag's spec verbatim.
 // recovered is how many namespaces persistence already restored; a boot
 // with neither flags nor recovered tenants has nothing to serve.

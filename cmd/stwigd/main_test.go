@@ -127,8 +127,8 @@ func TestBootSpecs(t *testing.T) {
 		},
 		{
 			name: "binary graph file",
-			args: []string{"-graph", "/data/g.bin", "-plan-cache", "-1"},
-			want: []server.NamespaceSpec{{Name: server.DefaultNamespace, Source: "file", Path: "/data/g.bin", Machines: 8, PlanCache: -1}},
+			args: []string{"-graph", "/data/g.bin"},
+			want: []server.NamespaceSpec{{Name: server.DefaultNamespace, Source: "file", Path: "/data/g.bin", Machines: 8}},
 		},
 		{
 			name: "text graph file",

@@ -185,8 +185,8 @@ func run(graphPath string, textGraph bool, queryPath, patternStr string, cli cli
 		s := res.Stats
 		fmt.Printf("decomposition: %v\n", s.Decomposition)
 		fmt.Printf("stwig matches: %v\n", s.STwigMatchCounts)
-		fmt.Printf("phases: plan=%v (cache hit: %v) explore=%v join=%v\n",
-			s.PlanTime.Round(time.Microsecond), s.PlanCacheHit,
+		fmt.Printf("phases: plan=%v explore=%v join=%v\n",
+			s.PlanTime.Round(time.Microsecond),
 			s.ExploreTime.Round(time.Microsecond), s.JoinTime.Round(time.Microsecond))
 		fmt.Printf("network: %v\n", s.Net)
 		fmt.Printf("per-machine matches: %v\n", s.PerMachineMatches)

@@ -73,10 +73,10 @@ func run() error {
 		if err != nil {
 			return 0, err
 		}
-		// Updates bump the cluster epoch, so each post-ingest sweep replans;
-		// quiet periods reuse the cached plan.
-		fmt.Printf("sweep %d: %d fraud-motif embeddings (%v, plan cached: %v)\n",
-			round, count, time.Since(start).Round(time.Microsecond), stats.PlanCacheHit)
+		// Every sweep plans afresh from the label counts of the moment, so
+		// the mule label the updates bring in is seen at once.
+		fmt.Printf("sweep %d: %d fraud-motif embeddings (%v, planned in %v)\n",
+			round, count, time.Since(start).Round(time.Microsecond), stats.PlanTime.Round(time.Microsecond))
 		return count, nil
 	}
 

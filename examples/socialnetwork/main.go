@@ -128,8 +128,8 @@ func runRemote(addr string) error {
 			suffix = " (cap reached — more exist)"
 		}
 		fmt.Printf("%s:\n  %d matches streamed in %v%s\n", m.name, count, elapsed.Round(time.Microsecond), suffix)
-		fmt.Printf("  plan cache hit: %v, server elapsed %v, network messages=%d bytes=%d\n\n",
-			stats.PlanCacheHit, time.Duration(stats.ElapsedMicros)*time.Microsecond,
+		fmt.Printf("  server elapsed %v, network messages=%d bytes=%d\n\n",
+			time.Duration(stats.ElapsedMicros)*time.Microsecond,
 			stats.NetMessages, stats.NetBytes)
 		if stats.Matches != count {
 			return fmt.Errorf("%s: server reported %d matches, client streamed %d", m.name, stats.Matches, count)
@@ -140,8 +140,7 @@ func runRemote(addr string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("server: %d nodes on %d machines, %d/%d queries admitted/rejected, plan cache %d/%d hit/miss\n",
-		st.Graph.Nodes, st.Graph.Machines, st.Admission.Admitted, st.Admission.Rejected,
-		st.PlanCache.Hits, st.PlanCache.Misses)
+	fmt.Printf("server: %d nodes on %d machines, %d/%d queries admitted/rejected\n",
+		st.Graph.Nodes, st.Graph.Machines, st.Admission.Admitted, st.Admission.Rejected)
 	return nil
 }

@@ -156,8 +156,38 @@ func TestJoinAllocsDoNotGrowWithMatches(t *testing.T) {
 // untracedRunAllocs is what one warm run of pathFixture's small query
 // allocates on two machines with no trace ID. It changes only with the code
 // on the query path (or, rarely, with the Go release): a change that moves
-// it says why and updates it.
-const untracedRunAllocs = 90
+// it says why and updates it. 92, up from 90, since every run plans: a
+// plan's 15 allocations (planAllocs) replace the plan-cache key and lookup
+// that a cached plan's runs paid for instead.
+const untracedRunAllocs = 92
+
+// planAllocs is what Planner.Plan allocates for pathFixture's small query
+// on eight machines: the plan and four of its slices (labels, label counts,
+// f-values, root candidates) 5, the connectivity check 1, the pattern's hop
+// distances 2, the cluster graph's adjacency and distances 2, the load-set
+// masks 1, and the decomposition 4 (two of scratch, its STwigs, one array
+// of all their leaves). It was 126 when the cluster graph ran a BFS per
+// machine into fresh slices, load sets were [][][]int and the decomposition
+// kept a map per query vertex.
+const planAllocs = 15
+
+// TestPlannerAllocsPinned pins the planner's cost exactly: it runs once per
+// query, so an allocation added to it is one added to every query.
+func TestPlannerAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	g, small, _ := pathFixture()
+	p := NewPlanner(clusterFor(t, g, 8), Options{})
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := p.Plan(small); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != planAllocs {
+		t.Errorf("Planner.Plan allocates %v times, pinned at %d", allocs, planAllocs)
+	}
+}
 
 // TestUntracedRunAllocsPinned: span recording costs a run without a trace ID
 // nothing. The untraced count is pinned exactly, so one allocation added to

@@ -101,12 +101,15 @@ func TestLoadSetsHeadEmptyAndBounded(t *testing.T) {
 	labels, _ := q.resolveLabels(c.Labels())
 	dec := DecomposeOrdered(q, uniformF(q))
 	cg := BuildClusterGraph(c, q, labels)
-	dec.Head = SelectHead(cg, q, dec.Twigs)
-	F := LoadSets(cg, q, dec)
 	qd := q.ShortestPaths()
+	dec.Head = cg.SelectHead(qd, dec.Twigs)
+	F := cg.LoadSets(qd, dec)
+	if F.Machines() != k {
+		t.Fatalf("load sets cover %d machines, want %d", F.Machines(), k)
+	}
 	headRoot := dec.Twigs[dec.Head].Root
 	for machine := 0; machine < k; machine++ {
-		if len(F[machine][dec.Head]) != 0 {
+		if F.Mask(machine, dec.Head) != 0 {
 			t.Fatalf("head load set not empty on machine %d", machine)
 		}
 		for ti, tw := range dec.Twigs {
@@ -114,28 +117,21 @@ func TestLoadSetsHeadEmptyAndBounded(t *testing.T) {
 				continue
 			}
 			bound := qd[headRoot][tw.Root]
-			for _, j := range F[machine][ti] {
-				if j == machine {
+			if F.Mask(machine, ti)>>k != 0 {
+				t.Fatalf("machine %d fetches twig %d from a machine past %d: %b", machine, ti, k, F.Mask(machine, ti))
+			}
+			for j := 0; j < k; j++ {
+				fetched := F.Mask(machine, ti)&(1<<j) != 0
+				if fetched && j == machine {
 					t.Fatalf("machine %d fetches from itself", machine)
 				}
-				if cg.Distance(machine, j) > bound {
+				if fetched && cg.Distance(machine, j) > bound {
 					t.Fatalf("machine %d fetches twig %d from machine %d at distance %d > %d",
 						machine, ti, j, cg.Distance(machine, j), bound)
 				}
-			}
-			// Completeness: every machine within the bound is included.
-			for j := 0; j < k; j++ {
-				if j != machine && cg.Distance(machine, j) <= bound {
-					found := false
-					for _, x := range F[machine][ti] {
-						if x == j {
-							found = true
-							break
-						}
-					}
-					if !found {
-						t.Fatalf("machine %d missing in-range machine %d for twig %d", machine, j, ti)
-					}
+				// Completeness: every machine within the bound is included.
+				if !fetched && j != machine && cg.Distance(machine, j) <= bound {
+					t.Fatalf("machine %d missing in-range machine %d for twig %d", machine, j, ti)
 				}
 			}
 		}
@@ -152,8 +148,8 @@ func TestSelectHeadMinimizesEccentricity(t *testing.T) {
 	labels, _ := q.resolveLabels(c.Labels())
 	dec := DecomposeOrdered(q, uniformF(q))
 	cg := BuildClusterGraph(c, q, labels)
-	head := SelectHead(cg, q, dec.Twigs)
 	qd := q.ShortestPaths()
+	head := cg.SelectHead(qd, dec.Twigs)
 	// Compute d(s) for the chosen head and verify it is minimal.
 	ds := func(s int) int {
 		d := 0

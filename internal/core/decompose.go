@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
 )
 
 // Decomposition and ordering (§5.1, §5.2, Algorithm 2).
@@ -29,64 +30,91 @@ func FValues(q *Query, labelFreq []int64) []float64 {
 	return f
 }
 
+// decomposer is the edge set a decomposition consumes, on slices: alive[off[v]+i]
+// reports whether the edge to q.Neighbors(v)[i] is still uncovered, deg[v]
+// counts v's uncovered edges. Taken STwigs accumulate in twigs, their leaves
+// in one array.
+type decomposer struct {
+	q      *Query
+	off    []int
+	deg    []int
+	alive  []bool
+	inS    []bool // the set S of Algorithm 2 (DecomposeOrdered's)
+	left   int
+	twigs  []STwig
+	leaves []int
+}
+
+func newDecomposer(q *Query) decomposer {
+	n, m := q.NumVertices(), q.NumEdges()
+	ints, bools := make([]int, 2*n+1), make([]bool, 2*m+n)
+	d := decomposer{q: q, off: ints[:n+1], deg: ints[n+1:], alive: bools[:2*m], inS: bools[2*m:], left: m,
+		twigs: make([]STwig, 0, min(n, m)), leaves: make([]int, 0, m)}
+	for v := 0; v < n; v++ {
+		d.deg[v] = q.Degree(v)
+		d.off[v+1] = d.off[v] + d.deg[v]
+	}
+	for i := range d.alive {
+		d.alive[i] = true
+	}
+	return d
+}
+
+// has reports whether the edge from a to its i-th neighbour is uncovered.
+func (d *decomposer) has(a, i int) bool { return d.alive[d.off[a]+i] }
+
+// take emits the STwig rooted at v over all of v's uncovered edges, in
+// neighbour order, removes those edges and returns the leaves.
+func (d *decomposer) take(v int) []int {
+	start := len(d.leaves)
+	for i, u := range d.q.Neighbors(v) {
+		if !d.has(v, i) {
+			continue
+		}
+		d.leaves = append(d.leaves, u)
+		d.alive[d.off[v]+i] = false
+		d.alive[d.off[u]+sort.SearchInts(d.q.Neighbors(u), v)] = false
+		d.deg[v]--
+		d.deg[u]--
+		d.left--
+	}
+	leaves := d.leaves[start:len(d.leaves):len(d.leaves)]
+	d.twigs = append(d.twigs, STwig{Root: v, Leaves: leaves})
+	return leaves
+}
+
+func (d *decomposer) decomposition() Decomposition {
+	return Decomposition{Twigs: d.twigs[:len(d.twigs):len(d.twigs)]}
+}
+
 // DecomposeOrdered runs Algorithm 2: it returns an ordered STwig cover of q
 // guided by f-values. The head STwig is chosen separately (SelectHead); the
 // returned Decomposition.Head is 0 until then.
 func DecomposeOrdered(q *Query, f []float64) Decomposition {
-	n := q.NumVertices()
-	// Mutable remaining-edge structure.
-	adj := make([]map[int]bool, n)
-	for v := 0; v < n; v++ {
-		adj[v] = make(map[int]bool, q.Degree(v))
-		for _, u := range q.Neighbors(v) {
-			adj[v][u] = true
-		}
-	}
-	deg := make([]int, n)
-	for v := range adj {
-		deg[v] = len(adj[v])
-	}
-	remaining := q.NumEdges()
-
-	inS := make([]bool, n) // the set S of Algorithm 2
-	var twigs []STwig
-
-	// takeTwig emits the STwig rooted at v over all remaining incident
-	// edges, updates S with v's neighbors, and removes the edges.
+	d := newDecomposer(q)
+	inS := d.inS
+	// takeTwig emits the STwig rooted at v and adds its leaves to S.
 	takeTwig := func(v int) {
-		leaves := make([]int, 0, deg[v])
-		for _, u := range q.Neighbors(v) { // deterministic order
-			if adj[v][u] {
-				leaves = append(leaves, u)
-			}
-		}
-		twigs = append(twigs, STwig{Root: v, Leaves: leaves})
-		for _, u := range leaves {
+		for _, u := range d.take(v) {
 			inS[u] = true
-			delete(adj[v], u)
-			delete(adj[u], v)
-			deg[v]--
-			deg[u]--
-			remaining--
 		}
 	}
-
-	for remaining > 0 {
-		v, u := pickEdge(q, f, adj, deg, inS)
+	for d.left > 0 {
+		v, u := pickEdge(&d, f)
 		takeTwig(v)
-		if deg[u] > 0 {
+		if d.deg[u] > 0 {
 			takeTwig(u)
 		}
 		// "remove u, v and all nodes with degree 0 from S"
 		inS[v] = false
 		inS[u] = false
-		for w := 0; w < n; w++ {
-			if inS[w] && deg[w] == 0 {
+		for w := range inS {
+			if inS[w] && d.deg[w] == 0 {
 				inS[w] = false
 			}
 		}
 	}
-	return Decomposition{Twigs: twigs}
+	return d.decomposition()
 }
 
 // pickEdge selects the next edge per Algorithm 2's two rules: prefer edges
@@ -94,7 +122,8 @@ func DecomposeOrdered(q *Query, f []float64) Decomposition {
 // f(u)+f(v). The returned v is the root of the first STwig to emit: the
 // S-member when only one endpoint is in S, otherwise the endpoint with the
 // larger f-value. Ties break toward smaller vertex indices for determinism.
-func pickEdge(q *Query, f []float64, adj []map[int]bool, deg []int, inS []bool) (v, u int) {
+func pickEdge(d *decomposer, f []float64) (v, u int) {
+	inS := d.inS
 	bestV, bestU := -1, -1
 	bestScore := math.Inf(-1)
 	consider := func(a, b int) {
@@ -105,28 +134,27 @@ func pickEdge(q *Query, f []float64, adj []map[int]bool, deg []int, inS []bool) 
 	}
 	anyInS := false
 	for w := range inS {
-		if inS[w] && deg[w] > 0 {
+		if inS[w] && d.deg[w] > 0 {
 			anyInS = true
 			break
 		}
 	}
-	for a := 0; a < len(adj); a++ {
+	for a := range inS {
 		if anyInS && !inS[a] {
 			continue
 		}
-		for _, b := range q.Neighbors(a) {
-			if !adj[a][b] {
-				continue
+		for i, b := range d.q.Neighbors(a) {
+			if d.has(a, i) {
+				consider(a, b)
 			}
-			consider(a, b)
 		}
 	}
 	if bestV == -1 {
 		// S nonempty but no remaining edge touches it (possible after the
 		// cover disconnects the remainder): fall back to the global best.
-		for a := 0; a < len(adj); a++ {
-			for _, b := range q.Neighbors(a) {
-				if adj[a][b] {
+		for a := range inS {
+			for i, b := range d.q.Neighbors(a) {
+				if d.has(a, i) {
 					consider(a, b)
 				}
 			}
@@ -155,43 +183,14 @@ func fsum(a, b float64) float64 {
 // selection, no binding-aware ordering, no selectivity guidance. It exists
 // as the ablation baseline for Algorithm 2 (BenchmarkAblation_Ordering).
 func DecomposeRandom(q *Query, rng *rand.Rand) Decomposition {
-	n := q.NumVertices()
-	adj := make([]map[int]bool, n)
-	for v := 0; v < n; v++ {
-		adj[v] = make(map[int]bool, q.Degree(v))
-		for _, u := range q.Neighbors(v) {
-			adj[v][u] = true
-		}
-	}
-	deg := make([]int, n)
-	for v := range adj {
-		deg[v] = len(adj[v])
-	}
-	remaining := q.NumEdges()
-	var twigs []STwig
-	takeTwig := func(v int) {
-		leaves := make([]int, 0, deg[v])
-		for _, u := range q.Neighbors(v) {
-			if adj[v][u] {
-				leaves = append(leaves, u)
-			}
-		}
-		twigs = append(twigs, STwig{Root: v, Leaves: leaves})
-		for _, u := range leaves {
-			delete(adj[v], u)
-			delete(adj[u], v)
-			deg[v]--
-			deg[u]--
-			remaining--
-		}
-	}
-	for remaining > 0 {
+	d := newDecomposer(q)
+	for d.left > 0 {
 		// Reservoir-sample a remaining edge uniformly.
 		var ev, eu int
 		count := 0
-		for a := 0; a < n; a++ {
-			for _, b := range q.Neighbors(a) {
-				if a < b && adj[a][b] {
+		for a := 0; a < q.NumVertices(); a++ {
+			for i, b := range q.Neighbors(a) {
+				if a < b && d.has(a, i) {
 					count++
 					if rng.Intn(count) == 0 {
 						ev, eu = a, b
@@ -202,12 +201,12 @@ func DecomposeRandom(q *Query, rng *rand.Rand) Decomposition {
 		if rng.Intn(2) == 0 {
 			ev, eu = eu, ev
 		}
-		takeTwig(ev)
-		if deg[eu] > 0 {
-			takeTwig(eu)
+		d.take(ev)
+		if d.deg[eu] > 0 {
+			d.take(eu)
 		}
 	}
-	return Decomposition{Twigs: twigs}
+	return d.decomposition()
 }
 
 // MinimumVertexCoverSize computes the exact minimum vertex cover size of q

@@ -25,15 +25,6 @@ type Options struct {
 	BlockSize int
 	// Seed drives the sampling in join-order estimation.
 	Seed int64
-	// PlanCacheSize bounds the engine's plan cache, in distinct canonical
-	// query signatures (LRU). 0 selects the default (128); negative
-	// disables plan caching entirely, so every query is planned afresh.
-	PlanCacheSize int
-	// SemijoinWordCap is the total relation volume (in 8-byte words) up to
-	// which the pre-join semi-join reduction runs; larger joins skip it as
-	// pure overhead. 0 selects the default (30000); negative disables the
-	// reduction for any volume. Ignored when NoSemijoin is set.
-	SemijoinWordCap int
 	// TraceID, when non-empty, traces every run of this engine that does
 	// not already carry a trace ID in its context: ExecStats.TraceID is
 	// stamped and ExecStats.Spans records the phase tree. Per-request
@@ -56,7 +47,8 @@ type Options struct {
 	// NoJoinOrderOpt keeps relations in STwig processing order instead of
 	// cost-based reordering.
 	NoJoinOrderOpt bool
-	// NoSemijoin disables the pre-join semi-join reduction pass.
+	// NoSemijoin disables the pre-join semi-join reduction pass, which
+	// otherwise runs on joins of up to semijoinWordCap words.
 	NoSemijoin bool
 
 	// SimulateParallel runs the per-machine phases sequentially, timing
@@ -74,13 +66,10 @@ type Options struct {
 	NetModel memcloud.NetworkModel
 }
 
-// defaultPlanCacheSize is the plan-cache capacity when Options leaves
-// PlanCacheSize zero.
-const defaultPlanCacheSize = 128
-
-// defaultSemijoinWordCap is the semi-join volume gate when Options leaves
-// SemijoinWordCap zero.
-const defaultSemijoinWordCap = 30_000
+// semijoinWordCap is the total relation volume (in 8-byte words) up to
+// which the pre-join semi-join reduction runs; larger joins skip it as pure
+// overhead.
+const semijoinWordCap = 30_000
 
 // normalizeOptions fills defaulted fields; NewEngine, NewPlanner, and
 // NewExecutor all apply it so the layers agree regardless of how they were
@@ -88,9 +77,6 @@ const defaultSemijoinWordCap = 30_000
 func normalizeOptions(opts Options) Options {
 	if opts.BlockSize <= 0 {
 		opts.BlockSize = 256
-	}
-	if opts.SemijoinWordCap == 0 {
-		opts.SemijoinWordCap = defaultSemijoinWordCap
 	}
 	if opts.SimulateParallel && opts.NetModel == (memcloud.NetworkModel{}) {
 		opts.NetModel = memcloud.DefaultNetworkModel()
@@ -102,21 +88,19 @@ func normalizeOptions(opts Options) Options {
 // is a thin facade over the three-layer pipeline:
 //
 //	Query ──Planner──▶ Plan ──Executor──▶ matches
-//	          ▲           │
-//	          └─PlanCache─┘
 //
 // The Planner turns a query into an immutable Plan (decomposition, STwig
 // order, load sets — everything derivable from the query plus cluster
-// label statistics). The PlanCache memoizes Plans by canonical query
-// signature so a repeated pattern pays planning once. The Executor runs a
-// Plan with per-run scratch state. An Engine is stateless between queries
-// apart from the cache and safe for concurrent use.
+// label statistics); the Executor runs it with per-run scratch state. Every
+// query is planned afresh from the statistics of its moment: planning is
+// cheap, and an update that moves them leaves nothing to invalidate. An
+// Engine keeps nothing between queries but its workload counters and is
+// safe for concurrent use.
 type Engine struct {
 	cluster  *memcloud.Cluster
 	opts     Options
 	planner  *Planner
 	executor *Executor
-	cache    *PlanCache // nil when PlanCacheSize < 0
 
 	// Per-engine workload counters. Each tenant of a multi-engine process
 	// (e.g. stwigd's namespaces) owns one Engine, so these are the natural
@@ -132,40 +116,21 @@ type Engine struct {
 // NewEngine creates an engine over a loaded cluster.
 func NewEngine(c *memcloud.Cluster, opts Options) *Engine {
 	opts = normalizeOptions(opts)
-	e := &Engine{
+	return &Engine{
 		cluster:  c,
 		opts:     opts,
 		planner:  NewPlanner(c, opts),
 		executor: NewExecutor(c, opts),
 	}
-	if opts.PlanCacheSize >= 0 {
-		size := opts.PlanCacheSize
-		if size == 0 {
-			size = defaultPlanCacheSize
-		}
-		e.cache = NewPlanCache(size)
-	}
-	return e
 }
 
 // Cluster returns the engine's cluster.
 func (e *Engine) Cluster() *memcloud.Cluster { return e.cluster }
 
-// PlanCacheStats snapshots the plan cache's counters; the zero value is
-// returned when caching is disabled.
-func (e *Engine) PlanCacheStats() PlanCacheStats {
-	if e.cache == nil {
-		return PlanCacheStats{}
-	}
-	return e.cache.Stats()
-}
-
 // EngineSnapshot is a point-in-time view of an engine and its cluster for
 // observability surfaces (the daemon's GET /stats, dashboards, tests). All
 // counters are cumulative since engine/cluster construction.
 type EngineSnapshot struct {
-	// PlanCache reports cache effectiveness; zero when caching is disabled.
-	PlanCache PlanCacheStats
 	// Epoch is the cluster's current mutation epoch.
 	Epoch uint64
 	// Machines and Nodes describe the cluster's current shape.
@@ -190,7 +155,6 @@ type EngineSnapshot struct {
 // consistent snapshots, not one atomic cut.
 func (e *Engine) Snapshot() EngineSnapshot {
 	return EngineSnapshot{
-		PlanCache:      e.PlanCacheStats(),
 		Epoch:          e.cluster.Epoch(),
 		Machines:       e.cluster.NumMachines(),
 		Nodes:          e.cluster.NumNodes(),
@@ -203,34 +167,10 @@ func (e *Engine) Snapshot() EngineSnapshot {
 	}
 }
 
-// planFor resolves q to a Plan, consulting the cache when enabled. The
-// returned flag reports whether the plan was served from the cache.
-func (e *Engine) planFor(q *Query) (*Plan, bool, error) {
-	if e.cache == nil {
-		plan, err := e.planner.Plan(q)
-		return plan, false, err
-	}
-	if err := validateQuery(q); err != nil {
-		return nil, false, err
-	}
-	sig := q.Signature()
-	if plan := e.cache.Get(sig, e.cluster.Epoch()); plan != nil {
-		return plan, true, nil
-	}
-	plan := e.planner.buildPlan(q, sig)
-	// Unresolvable plans are nearly free to rebuild (label resolution fails
-	// before any planning work); caching them would let typo queries evict
-	// the expensive plans the cache exists to keep.
-	if plan.Resolvable {
-		e.cache.Put(plan)
-	}
-	return plan, false, nil
-}
-
 // Match answers q per Definition 2, returning all (or MatchBudget)
 // embeddings plus execution statistics. The three phases follow §4.2/§4.3:
-// decompose and order on the proxy (or reuse the cached plan), explore in
-// parallel, exchange and join in parallel, union without deduplication.
+// decompose and order on the proxy, explore in parallel, exchange and join
+// in parallel, union without deduplication.
 func (e *Engine) Match(q *Query) (*Result, error) {
 	return e.MatchContext(context.Background(), q)
 }
@@ -262,13 +202,12 @@ func (e *Engine) MatchContext(ctx context.Context, q *Query) (*Result, error) {
 // caller's to keep: it is a copy (one array per flushed block) of what the
 // join buffered.
 //
-// MatchStream delegates to the Planner/PlanCache for the proxy phase and
-// to the Executor for everything that touches the cluster; the returned
-// stats report whether the plan was cached (PlanCacheHit) and how long
-// resolving it took (PlanTime — a cache lookup on hits, a planner run on
-// misses).
+// MatchStream delegates to the Planner for the proxy phase and to the
+// Executor for everything that touches the cluster; the returned stats
+// report how long planning took (PlanTime).
 func (e *Engine) MatchStream(ctx context.Context, q *Query, emit func(Match) bool) (*ExecStats, error) {
-	return e.matchStream(ctx, q, emit, nil)
+	_, stats, err := e.matchStream(ctx, q, emit, nil)
+	return stats, err
 }
 
 // MatchStreamBlocks is MatchStream at block granularity: emitBlock receives
@@ -286,11 +225,13 @@ func (e *Engine) MatchStream(ctx context.Context, q *Query, emit func(Match) boo
 // emitBlock returns. Encode, count or hash in place; copy (the ids, not the
 // Match values) whatever must outlive the callback.
 func (e *Engine) MatchStreamBlocks(ctx context.Context, q *Query, emitBlock func([]Match) (int, bool)) (*ExecStats, error) {
-	return e.matchStream(ctx, q, nil, emitBlock)
+	_, stats, err := e.matchStream(ctx, q, nil, emitBlock)
+	return stats, err
 }
 
-// matchStream runs q through whichever emit variant is non-nil.
-func (e *Engine) matchStream(ctx context.Context, q *Query, emit func(Match) bool, emitBlock func([]Match) (int, bool)) (*ExecStats, error) {
+// matchStream plans q and runs the plan through whichever emit variant is
+// non-nil, returning the plan with the run's statistics.
+func (e *Engine) matchStream(ctx context.Context, q *Query, emit func(Match) bool, emitBlock func([]Match) (int, bool)) (*Plan, *ExecStats, error) {
 	traceID := TraceIDFromContext(ctx)
 	if traceID == "" && e.opts.TraceID != "" {
 		// Options.TraceID traces engine-wide; publish it on the context so
@@ -299,9 +240,9 @@ func (e *Engine) matchStream(ctx context.Context, q *Query, emit func(Match) boo
 		ctx = WithTraceID(ctx, traceID)
 	}
 	planStart := time.Now()
-	plan, hit, err := e.planFor(q)
+	plan, err := e.planner.Plan(q)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	planTime := time.Since(planStart)
 
@@ -343,19 +284,18 @@ func (e *Engine) matchStream(ctx context.Context, q *Query, emit func(Match) boo
 			return len(ms), true
 		}
 	}
-	stats, err := e.executor.Run(ctx, plan, q.slice, counted)
+	stats, err := e.executor.Run(ctx, plan, counted)
 	e.matches.Add(emitted)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	e.emitFlushes.Add(stats.EmitFlushes)
-	stats.PlanCacheHit = hit
 	stats.PlanTime = planTime
 	if traceID != "" {
 		stats.TraceID = traceID
-		// The plan span belongs to the Engine (the Executor never sees plan
-		// resolution); prepend it so top-level spans cover the whole run.
+		// The plan span belongs to the Engine (the Executor never sees
+		// planning); prepend it so top-level spans cover the whole run.
 		stats.Spans = append([]Span{{Name: "plan", Duration: planTime}}, stats.Spans...)
 	}
-	return stats, nil
+	return plan, stats, nil
 }

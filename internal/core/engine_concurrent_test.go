@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -20,86 +21,6 @@ func matchKeysJoined(ms []Match) string {
 	return strings.Join(keys, "\n")
 }
 
-func TestPlanCacheHitReportedWithIdenticalResults(t *testing.T) {
-	g := figure1Graph()
-	c := clusterFor(t, g, 3)
-	e := NewEngine(c, Options{Seed: 11})
-	q := figure1Query()
-
-	cold, err := e.Match(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Stats.PlanCacheHit {
-		t.Fatal("first execution reported a plan-cache hit")
-	}
-	hot, err := e.Match(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hot.Stats.PlanCacheHit {
-		t.Fatal("second execution of the same query missed the plan cache")
-	}
-	if matchKeysJoined(cold.Matches) != matchKeysJoined(hot.Matches) {
-		t.Fatalf("cached plan changed results:\ncold=%s\nhot=%s",
-			matchKeysJoined(cold.Matches), matchKeysJoined(hot.Matches))
-	}
-	if hot.Stats.PlanTime <= 0 {
-		t.Fatal("PlanTime not populated on hit")
-	}
-	st := e.PlanCacheStats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("cache stats %+v, want 1 hit / 1 miss", st)
-	}
-}
-
-func TestPlanCacheHitAcrossReorderedEdgeLiterals(t *testing.T) {
-	// Isomorphic query literals with reordered edges must share a plan.
-	g := figure1Graph()
-	c := clusterFor(t, g, 3)
-	e := NewEngine(c, Options{})
-	a := MustNewQuery([]string{"a", "b", "c", "d"},
-		[][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
-	b := MustNewQuery([]string{"a", "b", "c", "d"},
-		[][2]int{{2, 3}, {1, 3}, {0, 2}, {0, 1}})
-
-	ra, err := e.Match(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := e.Match(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rb.Stats.PlanCacheHit {
-		t.Fatal("reordered edge literals did not share the cached plan")
-	}
-	if matchKeysJoined(ra.Matches) != matchKeysJoined(rb.Matches) {
-		t.Fatal("shared plan produced different results for isomorphic literals")
-	}
-}
-
-func TestExplainWarmsAndDescribesCachedPlan(t *testing.T) {
-	g := figure1Graph()
-	c := clusterFor(t, g, 3)
-	e := NewEngine(c, Options{})
-	q := figure1Query()
-	plan, err := e.Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Match(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stats.PlanCacheHit {
-		t.Fatal("Match after Explain did not hit the plan the EXPLAIN described")
-	}
-	if plan.Decomposition.String() != res.Stats.Decomposition.String() {
-		t.Fatalf("explained plan %v != executed %v", plan.Decomposition, res.Stats.Decomposition)
-	}
-}
-
 func TestExplainReturnsDefensiveCopy(t *testing.T) {
 	g := figure1Graph()
 	c := clusterFor(t, g, 3)
@@ -114,27 +35,21 @@ func TestExplainReturnsDefensiveCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Vandalize everything the caller can reach; the cached plan that the
-	// next Match executes must be unaffected.
-	for k := range plan.LoadSets {
-		for t2 := range plan.LoadSets[k] {
-			plan.LoadSets[k][t2] = nil
-		}
-	}
+	// Vandalize everything the caller can reach; the next Match must be
+	// unaffected.
+	plan.LoadSets = LoadSets{}
 	for i := range plan.Decomposition.Twigs {
 		plan.Decomposition.Twigs[i].Leaves = nil
 	}
 	plan.Decomposition.Twigs = plan.Decomposition.Twigs[:1]
+	plan.FValues[0] = -1
 
 	res, err := e.Match(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Stats.PlanCacheHit {
-		t.Fatal("expected cached plan after Explain")
-	}
 	if matchKeysJoined(res.Matches) != matchKeysJoined(want.Matches) {
-		t.Fatal("mutating an explained plan corrupted the cached artifact")
+		t.Fatal("mutating an explained plan changed a later run")
 	}
 }
 
@@ -147,7 +62,19 @@ func TestExecStatsDecompositionIsACopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Vandalize the stats' decomposition; the cached plan must not notice.
+	// Vandalize the stats' decomposition: neither the plan the run executed
+	// nor a later run may notice.
+	ar, err := e.ExplainAnalyze(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rendered := ar.Plan.String()
+	for i := range ar.Stats.Decomposition.Twigs {
+		ar.Stats.Decomposition.Twigs[i].Leaves = nil
+	}
+	if ar.Plan.String() != rendered {
+		t.Fatalf("mutating ExecStats.Decomposition changed the plan:\n%s\nwas\n%s", ar.Plan, rendered)
+	}
 	for i := range want.Stats.Decomposition.Twigs {
 		want.Stats.Decomposition.Twigs[i].Leaves = nil
 	}
@@ -155,128 +82,15 @@ func TestExecStatsDecompositionIsACopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Stats.PlanCacheHit {
-		t.Fatal("expected cached plan")
-	}
 	if matchKeysJoined(res.Matches) != matchKeysJoined(want.Matches) {
-		t.Fatal("mutating ExecStats.Decomposition corrupted the cached plan")
-	}
-}
-
-func TestUnresolvableQueriesNotCached(t *testing.T) {
-	g := figure1Graph()
-	c := clusterFor(t, g, 2)
-	e := NewEngine(c, Options{PlanCacheSize: 2})
-	for i := 0; i < 4; i++ {
-		q := MustNewQuery([]string{"a", fmt.Sprintf("nope%d", i)}, [][2]int{{0, 1}})
-		res, err := e.Match(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Matches) != 0 || res.Stats.PlanCacheHit {
-			t.Fatalf("unresolvable query %d: matches=%d hit=%v", i, len(res.Matches), res.Stats.PlanCacheHit)
-		}
-	}
-	if st := e.PlanCacheStats(); st.Size != 0 {
-		t.Fatalf("unresolvable plans occupy %d cache slots", st.Size)
-	}
-}
-
-func TestPlanCacheDisabled(t *testing.T) {
-	g := figure1Graph()
-	c := clusterFor(t, g, 2)
-	e := NewEngine(c, Options{PlanCacheSize: -1})
-	q := figure1Query()
-	for i := 0; i < 2; i++ {
-		res, err := e.Match(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.PlanCacheHit {
-			t.Fatal("disabled cache reported a hit")
-		}
-	}
-	if st := e.PlanCacheStats(); st != (PlanCacheStats{}) {
-		t.Fatalf("disabled cache has stats %+v", st)
-	}
-}
-
-func TestPlanCacheEngineEviction(t *testing.T) {
-	g := figure1Graph()
-	c := clusterFor(t, g, 2)
-	e := NewEngine(c, Options{PlanCacheSize: 2})
-	qs := []*Query{
-		MustNewQuery([]string{"a", "b"}, [][2]int{{0, 1}}),
-		MustNewQuery([]string{"b", "c"}, [][2]int{{0, 1}}),
-		MustNewQuery([]string{"c", "d"}, [][2]int{{0, 1}}),
-	}
-	for _, q := range qs {
-		if _, err := e.Match(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// qs[0] is LRU and must have been evicted; re-running it is a miss.
-	res, err := e.Match(qs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.PlanCacheHit {
-		t.Fatal("evicted plan reported as cache hit")
-	}
-	st := e.PlanCacheStats()
-	if st.Size > 2 {
-		t.Fatalf("cache size %d exceeds capacity 2", st.Size)
-	}
-	if st.Evictions == 0 {
-		t.Fatal("no evictions recorded despite capacity overflow")
-	}
-}
-
-func TestPlanCacheInvalidatedByClusterUpdates(t *testing.T) {
-	// The fraudwatch scenario: a label that does not exist yet is queried
-	// (caching an unresolvable plan), then appears via dynamic updates.
-	// The cache must not keep serving the stale empty plan.
-	g := figure1Graph()
-	c := clusterFor(t, g, 2)
-	e := NewEngine(c, Options{})
-	q := MustNewQuery([]string{"planted", "planted"}, [][2]int{{0, 1}})
-
-	res, err := e.Match(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Matches) != 0 {
-		t.Fatal("matches before the label exists")
-	}
-
-	u, err := c.AddNode("planted")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := c.AddNode("planted")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddEdge(u, v); err != nil {
-		t.Fatal(err)
-	}
-
-	res, err = e.Match(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.PlanCacheHit {
-		t.Fatal("stale pre-update plan served after cluster mutation")
-	}
-	if len(res.Matches) != 2 { // the edge matches in both directions
-		t.Fatalf("got %d matches after update, want 2", len(res.Matches))
+		t.Fatal("mutating ExecStats.Decomposition changed a later run")
 	}
 }
 
 // TestConcurrentEngineSharedAndDistinctQueries is the -race workhorse: many
-// goroutines fire a mix of one shared (cache-hitting) query and distinct
-// queries through a single Engine, and every result set must equal the
-// reference computed on a cache-disabled engine.
+// goroutines fire a mix of one shared query and distinct queries through a
+// single Engine, and every result set must equal the reference computed on
+// an engine no other goroutine touches.
 func TestConcurrentEngineSharedAndDistinctQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := randomDataGraph(rng, 60, 160, []string{"a", "b", "c"})
@@ -289,8 +103,7 @@ func TestConcurrentEngineSharedAndDistinctQueries(t *testing.T) {
 		MustNewQuery([]string{"c", "b", "a", "b"}, [][2]int{{0, 1}, {1, 2}, {2, 3}}),
 	}
 
-	// Reference results from an engine that always plans from scratch.
-	ref := NewEngine(c, Options{Seed: 7, PlanCacheSize: -1})
+	ref := NewEngine(c, Options{Seed: 7})
 	want := make([]string, len(queries))
 	for i, q := range queries {
 		res, err := ref.Match(q)
@@ -322,8 +135,7 @@ func TestConcurrentEngineSharedAndDistinctQueries(t *testing.T) {
 					return
 				}
 				if got := matchKeysJoined(res.Matches); got != want[qi] {
-					errs <- fmt.Errorf("goroutine %d iter %d query %d: results diverged (hit=%v)",
-						gi, it, qi, res.Stats.PlanCacheHit)
+					errs <- fmt.Errorf("goroutine %d iter %d query %d: results diverged", gi, it, qi)
 					return
 				}
 			}
@@ -333,12 +145,5 @@ func TestConcurrentEngineSharedAndDistinctQueries(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-	st := eng.PlanCacheStats()
-	if st.Hits == 0 {
-		t.Fatal("concurrent run never hit the plan cache")
-	}
-	if st.Size > len(queries) {
-		t.Fatalf("cache holds %d plans for %d distinct queries", st.Size, len(queries))
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,16 +39,16 @@ func NewExecutor(c *memcloud.Cluster, opts Options) *Executor {
 // returns how many of the block's matches it accepted plus whether to
 // continue; a false return stops the run and sets Stats.Truncated. A block
 // — the slice and the assignments in it — is the join's buffer and dead
-// once emit returns (see Engine.MatchStreamBlocks). slice is the run's part
-// of the answer (Query.Sliced; the plan, shared by every slice, carries
-// none). Engine stamps the returned stats with plan-cache provenance; Run
-// itself fills everything execution-derived.
-func (ex *Executor) Run(ctx context.Context, plan *Plan, slice idRange, emit func([]Match) (int, bool)) (*ExecStats, error) {
+// once emit returns (see Engine.MatchStreamBlocks). The run produces the
+// plan's query's slice of the answer (Query.Sliced). Engine stamps the
+// returned stats with the planning time; Run itself fills everything
+// execution-derived.
+func (ex *Executor) Run(ctx context.Context, plan *Plan, emit func([]Match) (int, bool)) (*ExecStats, error) {
 	if !plan.Resolvable {
 		return &ExecStats{}, nil
 	}
 	r := &execution{ex: ex, plan: plan, emit: emit,
-		cut:    restriction{vertex: plan.Center, ids: slice},
+		cut:    restriction{vertex: plan.Center, ids: plan.Query.slice},
 		traced: TraceIDFromContext(ctx) != "" || ex.opts.TraceID != ""}
 	return r.run(ctx)
 }
@@ -110,8 +111,8 @@ func (r *execution) forEachMachine(fn func(m *memcloud.Machine)) {
 
 // run drives the two parallel phases and assembles the statistics. The
 // proxy phase already happened at plan time; its broadcast (one small
-// message per machine) is accounted here because every run re-pays the
-// wire cost even when the plan itself is cached.
+// message per machine) is accounted here, with the rest of the run's
+// traffic.
 func (r *execution) run(ctx context.Context) (*ExecStats, error) {
 	ex := r.ex
 	plan := r.plan
@@ -150,8 +151,8 @@ func (r *execution) run(ctx context.Context) (*ExecStats, error) {
 	wall := time.Since(wallStart)
 
 	stats := &ExecStats{
-		// Deep-copied: ExecStats escapes to callers, and the plan (with its
-		// Twigs/Leaves slices) may be cached and shared.
+		// Deep-copied: ExecStats escapes to callers, who may edit it while
+		// still holding the plan (EXPLAIN ANALYZE hands out both).
 		Decomposition:     plan.Decomposition.clone(),
 		STwigMatchCounts:  make([]int, len(plan.Decomposition.Twigs)),
 		Net:               ex.cluster.NetStats().Sub(netBefore),
@@ -389,7 +390,8 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 			rel := rels[t]
 			rel.reset(twig, perTwig[t][machine])
 			if t != dec.Head {
-				for _, j := range loadSets[machine][t] {
+				for from := loadSets.Mask(machine, t); from != 0; from &= from - 1 {
+					j := bits.TrailingZeros64(from)
 					remote := perTwig[t][j]
 					if len(remote) == 0 {
 						continue
@@ -411,8 +413,8 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 		}
 		// Semi-join reduction pays on selective (often cyclic) queries
 		// but is pure overhead when relations are huge and
-		// unselective; gate it by volume (Options.SemijoinWordCap).
-		if !ex.opts.NoSemijoin && totalWords <= ex.opts.SemijoinWordCap {
+		// unselective; gate it by volume (semijoinWordCap).
+		if !ex.opts.NoSemijoin && totalWords <= semijoinWordCap {
 			semijoinRounds = semijoinReduce(q, rels, rng, js)
 			if r.traced {
 				semijoinD = time.Since(machStart) - exchangeD

@@ -3,38 +3,21 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"strings"
 	"time"
 )
 
 // EXPLAIN support: rendering a Plan (the Planner's immutable artifact,
-// declared in planner.go) for humans. Because Engine.Explain goes through
-// the same planner and plan cache as Match, the printed plan is the exact
-// cached artifact a subsequent execution of the same query will run — not a
-// parallel reconstruction that could drift.
+// declared in planner.go) for humans. Engine.Explain runs the same planner
+// Match does, so the printed plan is the one an execution of the query at
+// the same cluster epoch runs — not a parallel reconstruction that could
+// drift.
 
-// Explain computes the execution plan for q without running the query,
-// consulting (and warming) the plan cache exactly as Match would. The
-// returned Plan is a defensive deep copy: mutating it cannot corrupt the
-// cached artifact that later executions run. Its Query is q itself, so the
-// rendering of a sliced query's plan names the slice.
-func (e *Engine) Explain(q *Query) (*Plan, error) {
-	plan, _, err := e.ExplainCached(q)
-	return plan, err
-}
-
-// ExplainCached is Explain, additionally reporting whether the plan was
-// served from the plan cache — i.e. whether a prior query already paid for
-// planning it. The query service's /explain endpoint surfaces this.
-func (e *Engine) ExplainCached(q *Query) (*Plan, bool, error) {
-	plan, hit, err := e.planFor(q)
-	if err != nil {
-		return nil, false, err
-	}
-	cp := plan.clone()
-	cp.Query = q
-	return cp, hit, nil
-}
+// Explain computes the execution plan for q without running the query. The
+// plan is the caller's own; its Query is q, so the rendering of a sliced
+// query's plan names the slice.
+func (e *Engine) Explain(q *Query) (*Plan, error) { return e.planner.Plan(q) }
 
 // AnalyzeResult is EXPLAIN ANALYZE's payload: the plan a run of the query
 // uses, plus the statistics and span tree of an actual traced execution.
@@ -48,10 +31,10 @@ type AnalyzeResult struct {
 }
 
 // ExplainAnalyze is EXPLAIN ANALYZE: it runs q for real — discarding the
-// matches — under a trace, and returns the plan alongside the recorded
-// span tree. The trace ID is taken from ctx, then Options.TraceID, then
-// minted. The run pays full execution cost and counts in the engine's
-// workload counters like any query.
+// matches — under a trace, and returns the plan that run executed alongside
+// the recorded span tree. The trace ID is taken from ctx, then
+// Options.TraceID, then minted. The run pays full execution cost and counts
+// in the engine's workload counters like any query.
 func (e *Engine) ExplainAnalyze(ctx context.Context, q *Query) (*AnalyzeResult, error) {
 	if TraceIDFromContext(ctx) == "" {
 		id := e.opts.TraceID
@@ -62,19 +45,14 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, q *Query) (*AnalyzeResult, 
 	}
 	start := time.Now()
 	matches := 0
-	stats, err := e.MatchStreamBlocks(ctx, q, func(ms []Match) (int, bool) {
+	plan, stats, err := e.matchStream(ctx, q, nil, func(ms []Match) (int, bool) {
 		matches += len(ms)
 		return len(ms), true
 	})
 	if err != nil {
 		return nil, err
 	}
-	wall := time.Since(start)
-	plan, _, err := e.ExplainCached(q)
-	if err != nil {
-		return nil, err
-	}
-	return &AnalyzeResult{Plan: plan, Stats: *stats, Matches: matches, Wall: wall}, nil
+	return &AnalyzeResult{Plan: plan, Stats: *stats, Matches: matches, Wall: time.Since(start)}, nil
 }
 
 // String renders the plan followed by the executed span tree.
@@ -112,14 +90,14 @@ func (p *Plan) String() string {
 	}
 	fmt.Fprintf(&b, "cluster graph diameter: %d\n", p.ClusterDiameter)
 	// Summarize load sets: total fetches vs the all-to-all worst case.
-	k := len(p.LoadSets)
+	k := p.LoadSets.Machines()
 	fetches, worst := 0, 0
-	for machine := range p.LoadSets {
-		for t := range p.LoadSets[machine] {
+	for machine := 0; machine < k; machine++ {
+		for t := range p.Decomposition.Twigs {
 			if t == p.Decomposition.Head {
 				continue
 			}
-			fetches += len(p.LoadSets[machine][t])
+			fetches += bits.OnesCount64(p.LoadSets.Mask(machine, t))
 			worst += k - 1
 		}
 	}

@@ -14,8 +14,8 @@ import (
 // alone — STwig decomposition and ordering (Algorithm 2), head-STwig
 // selection and load sets (§5.3), and the selectivity estimates that guide
 // the join. Planning never touches vertex data, so it costs no simulated
-// network traffic; executing the same Plan twice is therefore free to skip
-// it entirely, which is what Engine's plan cache does.
+// network traffic, and it is cheap enough (a few allocations, O(|q|·k²)
+// work) to run for every query.
 //
 // A Planner is stateless between calls and safe for concurrent use.
 type Planner struct {
@@ -32,23 +32,15 @@ func NewPlanner(c *memcloud.Cluster, opts Options) *Planner {
 // Plan is the immutable planning artifact for one query: the proxy phase's
 // complete output plus the estimates that explain it. A Plan holds no
 // execution state — bindings, relations, and buffers are per-run scratch
-// owned by the Executor — so one Plan is safe for any number of concurrent
-// executions, which is what makes caching it worthwhile.
+// owned by the Executor.
 type Plan struct {
-	// Query echoes the analyzed pattern. A plan serves every slice of its
-	// pattern (Query.Sliced), so a cached plan's Query carries none; the
-	// copy Explain hands out carries its caller's.
+	// Query is the planned query, slice included (Query.Sliced).
 	Query *Query
 	// Center is Query.Center(), the vertex a sliced run cuts the answer
 	// along. Unlike the rest of the plan it depends on the pattern alone,
-	// not on the cluster's label statistics; it is kept here so that runs
-	// of a cached plan do not recompute it.
+	// not on the cluster's label statistics.
 	Center int
-	// Signature is the canonical query signature the plan cache keys on
-	// (see Query.Signature).
-	Signature string
-	// Epoch is the cluster mutation epoch the plan was built at; the cache
-	// discards the plan once the cluster's epoch moves past it.
+	// Epoch is the cluster mutation epoch the plan was built at.
 	Epoch uint64
 	// BuildTime is how long the planner took to construct this plan.
 	BuildTime time.Duration
@@ -65,9 +57,9 @@ type Plan struct {
 	// FValues[v] is the selectivity score f(v) = deg(v)/freq(label(v))
 	// that guided Algorithm 2.
 	FValues []float64
-	// LoadSets[k][t] lists the machines machine k fetches STwig t's
+	// LoadSets holds, per machine k and STwig t, the machines k fetches t's
 	// matches from (Theorem 4); empty for the head STwig.
-	LoadSets [][][]int
+	LoadSets LoadSets
 	// ClusterDiameter is the largest finite pairwise distance in the
 	// query-specific cluster graph (0 for a single machine).
 	ClusterDiameter int
@@ -100,25 +92,18 @@ func validateQuery(q *Query) error {
 }
 
 // Plan builds the execution plan for q. The same code path serves Match and
-// EXPLAIN, so an explained plan is exactly the artifact a later execution
-// (or a plan-cache hit) will run.
+// EXPLAIN, so an explained plan is exactly the artifact an execution of the
+// same query at the same cluster epoch runs.
 func (p *Planner) Plan(q *Query) (*Plan, error) {
 	if err := validateQuery(q); err != nil {
 		return nil, err
 	}
-	return p.buildPlan(q, q.Signature()), nil
-}
-
-// buildPlan is Plan after validation, with the signature already computed —
-// Engine.planFor needs both for the cache lookup and must not pay for them
-// twice on a miss.
-func (p *Planner) buildPlan(q *Query, signature string) *Plan {
 	start := time.Now()
+	qd := q.ShortestPaths() // shared by the centre, the head and the load sets
 	plan := &Plan{
-		Query:     q.unsliced(),
-		Center:    q.Center(),
-		Signature: signature,
-		Epoch:     p.cluster.Epoch(),
+		Query:  q,
+		Center: q.center(qd),
+		Epoch:  p.cluster.Epoch(),
 	}
 
 	// Label resolution; a label absent from the data graph means zero
@@ -126,7 +111,7 @@ func (p *Planner) buildPlan(q *Query, signature string) *Plan {
 	labels, ok := q.resolveLabels(p.cluster.Labels())
 	if !ok {
 		plan.BuildTime = time.Since(start)
-		return plan
+		return plan, nil
 	}
 	plan.Resolvable = true
 	plan.labels = labels
@@ -146,68 +131,24 @@ func (p *Planner) buildPlan(q *Query, signature string) *Plan {
 		dec = DecomposeOrdered(q, plan.FValues)
 	}
 	cg := BuildClusterGraph(p.cluster, q, labels)
-	dec.Head = SelectHead(cg, q, dec.Twigs)
+	dec.Head = cg.SelectHead(qd, dec.Twigs)
 	plan.Decomposition = dec
 	if p.opts.NoLoadSets {
-		plan.LoadSets = allToAllLoadSets(p.cluster.NumMachines(), dec)
+		plan.LoadSets = allToAllLoadSets(cg.k, dec)
 	} else {
-		plan.LoadSets = LoadSets(cg, q, dec)
+		plan.LoadSets = cg.LoadSets(qd, dec)
 	}
 
 	plan.RootCandidates = make([]int64, len(dec.Twigs))
 	for t, twig := range dec.Twigs {
 		plan.RootCandidates[t] = freq[twig.Root]
+		plan.planWords += 1 + len(twig.Leaves)
 	}
-	for i := 0; i < p.cluster.NumMachines(); i++ {
-		for j := 0; j < p.cluster.NumMachines(); j++ {
-			if d := cg.Distance(i, j); d != Unreachable && d > plan.ClusterDiameter {
-				plan.ClusterDiameter = d
-			}
+	for _, d := range cg.dist {
+		if d != Unreachable && d > plan.ClusterDiameter {
+			plan.ClusterDiameter = d
 		}
-	}
-	for _, t := range dec.Twigs {
-		plan.planWords += 1 + len(t.Leaves)
 	}
 	plan.BuildTime = time.Since(start)
-	return plan
-}
-
-// clone returns a deep copy of the plan: same Query pointer (queries are
-// immutable once built), fresh slices everywhere else.
-func (p *Plan) clone() *Plan {
-	cp := *p
-	cp.Decomposition = p.Decomposition.clone()
-	cp.RootCandidates = append([]int64(nil), p.RootCandidates...)
-	cp.FValues = append([]float64(nil), p.FValues...)
-	if p.LoadSets != nil {
-		cp.LoadSets = make([][][]int, len(p.LoadSets))
-		for k, perTwig := range p.LoadSets {
-			cp.LoadSets[k] = make([][]int, len(perTwig))
-			for t, set := range perTwig {
-				cp.LoadSets[k][t] = append([]int(nil), set...)
-			}
-		}
-	}
-	cp.labels = append([]graph.LabelID(nil), p.labels...)
-	return &cp
-}
-
-// allToAllLoadSets is the NoLoadSets ablation: every machine fetches every
-// non-head STwig's matches from every other machine.
-func allToAllLoadSets(k int, dec Decomposition) [][][]int {
-	F := make([][][]int, k)
-	for machine := 0; machine < k; machine++ {
-		F[machine] = make([][]int, len(dec.Twigs))
-		for t := range dec.Twigs {
-			if t == dec.Head {
-				continue
-			}
-			for j := 0; j < k; j++ {
-				if j != machine {
-					F[machine][t] = append(F[machine][t], j)
-				}
-			}
-		}
-	}
-	return F
+	return plan, nil
 }

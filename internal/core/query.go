@@ -6,10 +6,9 @@
 //
 // The package is layered as a Planner → Plan → Executor pipeline: the
 // Planner compiles a Query into an immutable Plan (decomposition, STwig
-// order, load sets — the paper's proxy phase), the Executor runs a Plan
-// against the cluster with per-run scratch state, and Engine glues them
-// together behind a concurrent LRU PlanCache so repeated queries skip
-// planning entirely.
+// order, load sets — the paper's proxy phase, over label statistics only),
+// the Executor runs a Plan against the cluster with per-run scratch state,
+// and Engine glues them together, planning every query afresh.
 package core
 
 import (
@@ -148,22 +147,25 @@ func (q *Query) Connected() bool {
 	if len(q.labels) == 0 {
 		return false
 	}
-	seen := make([]bool, len(q.labels))
-	stack := []int{0}
-	seen[0] = true
+	// One array: a seen flag per vertex, then the stack, where a vertex is
+	// pushed once, when first seen.
+	n := len(q.labels)
+	buf := make([]int, 2*n)
+	seen, stack := buf[:n], append(buf[n:n], 0)
+	seen[0] = 1
 	count := 1
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, u := range q.adj[v] {
-			if !seen[u] {
-				seen[u] = true
+			if seen[u] == 0 {
+				seen[u] = 1
 				count++
 				stack = append(stack, u)
 			}
 		}
 	}
-	return count == len(q.labels)
+	return count == n
 }
 
 // ShortestPaths returns the all-pairs hop distances of the pattern via the
@@ -172,7 +174,7 @@ func (q *Query) Connected() bool {
 func (q *Query) ShortestPaths() [][]int {
 	n := len(q.labels)
 	d := make([][]int, n)
-	cells := make([]int, n*n) // one array for all rows: planning asks three times
+	cells := make([]int, n*n) // one array for all rows
 	for i := range d {
 		d[i] = cells[i*n : (i+1)*n : (i+1)*n]
 		for j := range d[i] {
@@ -217,8 +219,11 @@ const Unreachable = 1 << 30
 // it reaches every STwig within the fewest binding steps. It is a function
 // of the pattern alone — no label statistics, no plan — so every replica of
 // a graph names the same vertex whatever its planner decided.
-func (q *Query) Center() int {
-	d := q.ShortestPaths()
+func (q *Query) Center() int { return q.center(q.ShortestPaths()) }
+
+// center is Center over the pattern's ShortestPaths d, which the planner
+// computes once and shares.
+func (q *Query) center(d [][]int) int {
 	best, bestEcc := 0, Unreachable+1
 	for v := range d {
 		ecc := 0
@@ -237,20 +242,12 @@ func (q *Query) Center() int {
 // the answer, cut out during exploration rather than filtered from the whole.
 // Runs of copies whose ranges partition the id space produce disjoint parts
 // whose union is q's answer. The slice is a property of the run, not of the
-// pattern: it is no part of Signature, so every copy shares one cached plan.
+// pattern: every copy is planned alike, and only EXPLAIN's slice line tells
+// their plans apart.
 func (q *Query) Sliced(lo, hi graph.NodeID) *Query {
 	cp := *q
 	cp.slice = idRange{lo, hi}
 	return &cp
-}
-
-// unsliced returns q without its slice: what a plan, which serves every
-// slice of its pattern, keeps.
-func (q *Query) unsliced() *Query {
-	if q.slice == wholeIDSpace {
-		return q
-	}
-	return q.Sliced(wholeIDSpace.lo, wholeIDSpace.hi)
 }
 
 // resolveLabels maps each pattern vertex's label string to the data graph's
@@ -314,26 +311,9 @@ func ParseQuery(r io.Reader) (*Query, error) {
 	return NewQuery(labels, edges)
 }
 
-// Signature returns a canonical signature identifying the query up to the
-// order its edge literals were given in: vertex labels in index order
-// (length-prefixed, so label strings cannot collide across vertex
-// boundaries) followed by the edge set in sorted (u<v, ascending) order.
-// Two Query values built from the same labeled vertices with the same edge
-// set — regardless of edge listing order or endpoint orientation — share a
-// signature, and therefore share a cached plan.
-func (q *Query) Signature() string {
-	var b strings.Builder
-	for _, l := range q.labels {
-		fmt.Fprintf(&b, "%d:%s,", len(l), l)
-	}
-	b.WriteByte('|')
-	for _, e := range q.Edges() {
-		fmt.Fprintf(&b, "%d-%d;", e[0], e[1])
-	}
-	return b.String()
-}
-
-// String renders the query in the parseable text format.
+// String renders the query in the parseable text format. It is canonical:
+// edges come out sorted (see Edges), so two spellings of one pattern — edge
+// literals reordered or reoriented — render the same text.
 func (q *Query) String() string {
 	var b strings.Builder
 	for v, l := range q.labels {

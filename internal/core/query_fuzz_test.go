@@ -9,7 +9,7 @@ import (
 // FuzzParseQuery hardens the v/e text parser against arbitrary network
 // input — stwigd feeds request bodies straight into it, so it must never
 // panic — and checks the parse → render → parse round trip preserves the
-// canonical signature the plan cache keys on.
+// canonical rendering.
 func FuzzParseQuery(f *testing.F) {
 	seeds := []string{
 		"v 0 a\nv 1 b\ne 0 1\n",
@@ -34,17 +34,17 @@ func FuzzParseQuery(f *testing.F) {
 			return
 		}
 		// Anything accepted must be internally consistent and render back
-		// to an equivalent query with an identical plan-cache signature.
-		sig := q.Signature()
-		if sig == "" {
-			t.Fatal("accepted query has empty signature")
+		// to an equivalent query with an identical rendering.
+		text := q.String()
+		if text == "" {
+			t.Fatal("accepted query renders empty")
 		}
-		q2, err := ParseQuery(strings.NewReader(q.String()))
+		q2, err := ParseQuery(strings.NewReader(text))
 		if err != nil {
-			t.Fatalf("rendered query does not re-parse: %v\n%s", err, q.String())
+			t.Fatalf("rendered query does not re-parse: %v\n%s", err, text)
 		}
-		if q2.Signature() != sig {
-			t.Fatalf("round trip changed signature:\n  %q\n  %q", sig, q2.Signature())
+		if q2.String() != text {
+			t.Fatalf("round trip changed the rendering:\n  %q\n  %q", text, q2.String())
 		}
 		if q2.NumVertices() != q.NumVertices() || q2.NumEdges() != q.NumEdges() {
 			t.Fatalf("round trip changed shape: %d/%d -> %d/%d",
@@ -53,10 +53,10 @@ func FuzzParseQuery(f *testing.F) {
 	})
 }
 
-// FuzzSignatureCanonicalization checks the plan-cache key is invariant
-// under edge listing order and endpoint orientation — the property that
-// lets different clients share cached plans — and that distinct labelings
-// cannot collide.
+// FuzzSignatureCanonicalization checks the query's rendering (String) is
+// invariant under edge listing order and endpoint orientation — two
+// spellings of one pattern are one query, and plan alike — and that
+// distinct labelings cannot collide.
 func FuzzSignatureCanonicalization(f *testing.F) {
 	f.Add(uint8(4), uint16(0b111), int64(1))
 	f.Add(uint8(5), uint16(0b1010101010), int64(2))
@@ -87,7 +87,7 @@ func FuzzSignatureCanonicalization(f *testing.F) {
 			t.Fatalf("constructed edges rejected: %v", err)
 		}
 		// Shuffle edge order and flip orientations: same graph, so the
-		// canonical signature must not move.
+		// canonical rendering must not move.
 		rng := rand.New(rand.NewSource(seed))
 		shuffled := make([][2]int, len(edges))
 		copy(shuffled, edges)
@@ -101,11 +101,11 @@ func FuzzSignatureCanonicalization(f *testing.F) {
 		if err != nil {
 			t.Fatalf("shuffled edges rejected: %v", err)
 		}
-		if q1.Signature() != q2.Signature() {
-			t.Fatalf("signature not canonical under edge reordering:\n  %q\n  %q",
-				q1.Signature(), q2.Signature())
+		if q1.String() != q2.String() {
+			t.Fatalf("rendering not canonical under edge reordering:\n  %q\n  %q",
+				q1.String(), q2.String())
 		}
-		// A changed label must change the signature (no collisions across
+		// A changed label must change the rendering (no collisions across
 		// the label/edge boundary).
 		labels2 := append([]string(nil), labels...)
 		labels2[0] += "x"
@@ -113,8 +113,8 @@ func FuzzSignatureCanonicalization(f *testing.F) {
 		if err != nil {
 			t.Fatalf("relabeled query rejected: %v", err)
 		}
-		if q3.Signature() == q1.Signature() {
-			t.Fatalf("distinct labelings share signature %q", q1.Signature())
+		if q3.String() == q1.String() {
+			t.Fatalf("distinct labelings share rendering %q", q1.String())
 		}
 	})
 }

@@ -35,13 +35,7 @@ func (m Match) String() string { return "[" + m.Key() + "]" }
 
 // ExecStats describes one query execution for experiment reports.
 type ExecStats struct {
-	// PlanCacheHit reports that the query's Plan was served from the
-	// engine's plan cache instead of being built by the Planner.
-	PlanCacheHit bool
-	// PlanTime is how long resolving the Plan took: a cache lookup on
-	// hits, a full planner run on misses. Comparing it against
-	// ExploreTime+JoinTime shows how much of a repeated query's latency
-	// the cache amortizes away.
+	// PlanTime is how long the Planner took to build the query's Plan.
 	PlanTime time.Duration
 	// Decomposition is the ordered STwig cover used.
 	Decomposition Decomposition

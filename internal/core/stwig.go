@@ -64,8 +64,7 @@ type Decomposition struct {
 }
 
 // clone returns a deep copy with fresh Twigs and Leaves slices; handed out
-// through ExecStats and EXPLAIN so callers cannot mutate a cached plan's
-// decomposition through shared slices.
+// through ExecStats so a caller's edits cannot reach the plan it ran.
 func (d Decomposition) clone() Decomposition {
 	out := Decomposition{Twigs: make([]STwig, len(d.Twigs)), Head: d.Head}
 	for i, t := range d.Twigs {

@@ -33,9 +33,8 @@ func RunThroughput(cfg Config) (*stats.Table, error) {
 	}
 
 	const window = 400 * time.Millisecond
-	tab := stats.NewTable("clients", "queries_per_sec", "mean_latency", "plan_hit_rate")
+	tab := stats.NewTable("clients", "queries_per_sec", "mean_latency")
 	for _, clients := range []int{1, 2, 4, 8} {
-		cacheBefore := eng.PlanCacheStats()
 		var completed atomic.Int64
 		var totalLatency atomic.Int64
 		deadline := time.Now().Add(window)
@@ -68,16 +67,7 @@ func RunThroughput(cfg Config) (*stats.Table, error) {
 			n = 1
 		}
 		qps := float64(n) / window.Seconds()
-		// Plan-cache effectiveness over this concurrency level's window:
-		// after warmup every repeated query should reuse its cached plan.
-		cacheAfter := eng.PlanCacheStats()
-		hits := cacheAfter.Hits - cacheBefore.Hits
-		misses := cacheAfter.Misses - cacheBefore.Misses
-		hitRate := 0.0
-		if hits+misses > 0 {
-			hitRate = float64(hits) / float64(hits+misses)
-		}
-		tab.AddRow(clients, qps, time.Duration(totalLatency.Load()/n), hitRate)
+		tab.AddRow(clients, qps, time.Duration(totalLatency.Load()/n))
 	}
 	return tab, nil
 }

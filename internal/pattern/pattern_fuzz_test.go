@@ -9,8 +9,7 @@ import (
 // FuzzParse hardens the inline pattern DSL against arbitrary network input:
 // stwigd's /query endpoint hands request strings straight to Parse, so no
 // input may panic, and anything accepted must satisfy the engine's query
-// invariants and round-trip through Format with a stable plan-cache
-// signature.
+// invariants and round-trip through Format to the same query.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"(a:author)-(p:paper), (p)-(v:venue), (a)-(v)",
@@ -40,14 +39,14 @@ func FuzzParse(f *testing.F) {
 		if err := core.ValidateQuery(q); err != nil {
 			t.Fatalf("accepted pattern violates engine invariants: %v (input %q)", err, input)
 		}
-		// Format output re-parses to the same canonical signature, so a
-		// formatted pattern hits the same plan-cache entry.
+		// Format output re-parses to the same query (its canonical String),
+		// so a formatted pattern is planned alike.
 		q2, err := Parse(Format(q))
 		if err != nil {
 			t.Fatalf("Format output does not re-parse: %v\n%s", err, Format(q))
 		}
-		if q.Signature() != q2.Signature() {
-			t.Fatalf("Format round trip changed signature:\n  %q\n  %q", q.Signature(), q2.Signature())
+		if q.String() != q2.String() {
+			t.Fatalf("Format round trip changed the query:\n  %q\n  %q", q.String(), q2.String())
 		}
 	})
 }

@@ -395,7 +395,7 @@ func TestQueryDecodesEverySpellingOfAMatch(t *testing.T) {
 		`{"assignment":[8,9,10],"type":"match"}` + "\r\n" +
 		`{"type":"match","assignment":[11,12,13]}` + "\r\n" +
 		`{"type":"match"}` + "\n" +
-		`{"type":"stats","stats":{"matches":6,"plan_cache_hit":true}}` + "\n"
+		`{"type":"stats","stats":{"matches":6,"plan_us":3}}` + "\n"
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(stream))
 	}))

@@ -771,7 +771,8 @@ func TestClusterExplainHonoursShardSelector(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(plain.Plan, line) || strings.Replace(plain.Plan, line, "", 1) != unsliced.Plan {
+		sliced, whole := buildTime.ReplaceAllString(plain.Plan, ""), buildTime.ReplaceAllString(unsliced.Plan, "")
+		if !strings.Contains(sliced, line) || strings.Replace(sliced, line, "", 1) != whole {
 			t.Fatalf("shard %d: the sliced plan is not the unsliced plan plus %q:\n%s\nunsliced:\n%s", i, line, plain.Plan, unsliced.Plan)
 		}
 		req.Analyze = true

@@ -287,14 +287,10 @@ func ValidateNamespaceName(name string) error {
 // where OPT is key=value for any field's spec key below that applies to the
 // source kind (README "Settings reference" lists them with their defaults).
 // inflight/maxmatches/maxbytes override the server's defaults for this
-// tenant only; semijoincap tunes the tenant engine's semi-join volume gate;
-// the rest shape the cluster the graph is loaded onto — machines is the
-// tenant's parallelism: a query runs one goroutine per simulated machine.
-// Fields that also carry a flag shape stwigd's default namespace.
-//
-// Retired: parallelism=N (a per-machine worker pool that is gone). Stored
-// specs may still carry it, so the parser checks and discards it;
-// SpecString never writes it.
+// tenant only; the rest shape the cluster the graph is loaded onto —
+// machines is the tenant's parallelism: a query runs one goroutine per
+// simulated machine. Fields that also carry a flag shape stwigd's default
+// namespace. The keys in retiredSpecKeys are accepted and discarded.
 type NamespaceSpec struct {
 	Name string
 
@@ -312,23 +308,23 @@ type NamespaceSpec struct {
 	Relabel string `spec:"relabel" flag:"relabel" in:"degree" help:"relabel the graph after load: 'degree' assigns celebrity/regular/bot by degree band"`
 	// Machines is the simulated cluster size (default 8).
 	Machines int `spec:"machines" flag:"machines" def:"8" min:"1" help:"simulated cluster size, and the parallelism of a query: one goroutine per machine"`
-	// PlanCache is the plan-cache capacity (0 = engine default, negative =
-	// disabled).
-	PlanCache int `spec:"plancache" flag:"plan-cache" help:"plan cache capacity (0 = engine default 128, negative = disabled)"`
 
 	// Per-tenant limit overrides; 0 inherits the server's Config.
 	MaxInFlight int   `spec:"inflight" min:"0" help:"this tenant's admission limit (0 inherits the server's)"`
 	MaxMatches  int   `spec:"maxmatches" min:"0" help:"this tenant's per-request match cap (0 inherits the server's)"`
 	MaxBytes    int64 `spec:"maxbytes" min:"0" help:"this tenant's per-response byte cap (0 inherits the server's)"`
-
-	// SemijoinCap overrides the engine's semi-join volume gate in words
-	// (core.Options.SemijoinWordCap); 0 keeps the engine default, negative
-	// disables the reduction.
-	SemijoinCap int `spec:"semijoincap" help:"semi-join volume gate in words (0 = engine default, negative disables the reduction)"`
 }
 
 // specTable is NamespaceSpec's settings table (see setting).
 var specTable = tableOf(NamespaceSpec{})
+
+// retiredSpecKeys name settings that are gone: parallelism (a per-machine
+// worker pool), plancache (the engine's plan cache) and semijoincap (the
+// semi-join volume gate, now a constant). A manifest an earlier build wrote
+// may still carry them, so the parser checks each value as an integer and
+// discards it, and SpecString never writes one; boot then rewrites the
+// manifest without them.
+var retiredSpecKeys = []string{"parallelism", "plancache", "semijoincap"}
 
 // BindFlags registers the flags that shape stwigd's default namespace —
 // every spec field that carries one — on fs, bound to spec's fields with
@@ -381,9 +377,9 @@ func ParseNamespaceSpec(name, spec string) (NamespaceSpec, error) {
 		if !ok {
 			return NamespaceSpec{}, fmt.Errorf("server: namespace %q: option %q: want key=value", name, p)
 		}
-		if k == "parallelism" { // retired, see NamespaceSpec
-			if _, err := strconv.ParseUint(v, 10, 63); err != nil {
-				return NamespaceSpec{}, fmt.Errorf("server: namespace %q: option %s=%q: want a non-negative integer", name, k, v)
+		if slices.Contains(retiredSpecKeys, k) {
+			if _, err := strconv.Atoi(v); err != nil {
+				return NamespaceSpec{}, fmt.Errorf("server: namespace %q: option %s=%q: want an integer", name, k, v)
 			}
 			continue
 		}

@@ -138,14 +138,14 @@ func TestValidateNamespaceName(t *testing.T) {
 }
 
 func TestParseNamespaceSpec(t *testing.T) {
-	spec, err := ParseNamespaceSpec("t1", "rmat:scale=12,degree=6,labels=4,seed=9,machines=2,plancache=64,inflight=3,maxmatches=100,maxbytes=4096,relabel=degree")
+	spec, err := ParseNamespaceSpec("t1", "rmat:scale=12,degree=6,labels=4,seed=9,machines=2,inflight=3,maxmatches=100,maxbytes=4096,relabel=degree")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := NamespaceSpec{
 		Name: "t1", Source: "rmat",
 		Scale: 12, Degree: 6, Labels: 4, Seed: 9,
-		Relabel: "degree", Machines: 2, PlanCache: 64,
+		Relabel: "degree", Machines: 2,
 		MaxInFlight: 3, MaxMatches: 100, MaxBytes: 4096,
 	}
 	if spec != want {
@@ -202,22 +202,24 @@ var badSpecs = []struct{ name, spec string }{
 	{"t", "rmat:scale=10,relabel="},          // ... nor an empty one
 	{"t", "rmat:scale=10,=5"},                // option without a key
 	{"t", "rmat:scale=99999999999999999999"}, // out of range
-	{"t", "rmat:scale=10,parallelism=-1"},    // the retired key is still checked...
-	{"t", "rmat:scale=10,parallelism=x"},     // ...before it is discarded
+	{"t", "rmat:scale=10,parallelism=x"},     // a retired key is still checked...
+	{"t", "rmat:scale=10,plancache=abc"},     // ...as an integer...
+	{"t", "rmat:scale=10,semijoincap=1.5"},   // ...before it is discarded
 }
 
 // goldenSpecs maps accepted specs to their canonical SpecString bytes, which
-// manifests written by earlier builds already hold. The last two are what
-// builds that had a per-tenant parallelism key wrote: they still parse, and
-// render without it.
+// manifests written by earlier builds already hold. The specs carrying
+// retired keys (parallelism, plancache, semijoincap) are what earlier
+// builds wrote: they still parse, and render without them.
 var goldenSpecs = map[string]string{
 	"rmat:scale=10":                       "rmat:scale=10,degree=8,labels=16,seed=1,machines=8",
 	"rmat:scale=5,,parallelism=2,scale=6": "rmat:scale=6,degree=8,labels=16,seed=1,machines=8",
 	"file:/data/g.bin":                    "file:/data/g.bin,machines=8",
-	"text:rel/graph.txt,plancache=-1":     "text:rel/graph.txt,machines=8,plancache=-1",
-	"rmat:scale=12,degree=6,labels=4,seed=9,machines=2,plancache=64,inflight=3,maxmatches=100,maxbytes=4096,relabel=degree,semijoincap=-1":               "rmat:scale=12,degree=6,labels=4,seed=9,relabel=degree,machines=2,plancache=64,inflight=3,maxmatches=100,maxbytes=4096,semijoincap=-1",
-	"rmat:scale=6,degree=8,labels=16,seed=1,machines=8,parallelism=2":                                                                                    "rmat:scale=6,degree=8,labels=16,seed=1,machines=8",
-	"rmat:scale=12,degree=6,labels=4,seed=9,relabel=degree,machines=2,plancache=64,inflight=3,maxmatches=100,maxbytes=4096,parallelism=2,semijoincap=-1": "rmat:scale=12,degree=6,labels=4,seed=9,relabel=degree,machines=2,plancache=64,inflight=3,maxmatches=100,maxbytes=4096,semijoincap=-1",
+	"text:rel/graph.txt,plancache=-1":     "text:rel/graph.txt,machines=8",
+	"rmat:scale=12,degree=6,labels=4,seed=9,machines=2,inflight=3,maxmatches=100,maxbytes=4096,relabel=degree":                                            "rmat:scale=12,degree=6,labels=4,seed=9,relabel=degree,machines=2,inflight=3,maxmatches=100,maxbytes=4096",
+	"rmat:scale=12,degree=6,labels=4,seed=9,machines=2,plancache=64,inflight=3,maxmatches=100,maxbytes=4096,relabel=degree,semijoincap=-1":                "rmat:scale=12,degree=6,labels=4,seed=9,relabel=degree,machines=2,inflight=3,maxmatches=100,maxbytes=4096",
+	"rmat:scale=6,degree=8,labels=16,seed=1,machines=8,parallelism=2":                                                                                     "rmat:scale=6,degree=8,labels=16,seed=1,machines=8",
+	"rmat:scale=12,degree=6,labels=4,seed=9,relabel=degree,machines=2,plancache=64,inflight=3,maxmatches=100,maxbytes=4096,parallelism=-1,semijoincap=-1": "rmat:scale=12,degree=6,labels=4,seed=9,relabel=degree,machines=2,inflight=3,maxmatches=100,maxbytes=4096",
 }
 
 // TestSpecStringGolden pins SpecString's bytes: the manifest stores them, so
@@ -233,8 +235,8 @@ func TestSpecStringGolden(t *testing.T) {
 		}
 	}
 	// The -graph boot path builds its spec literally, rmat fields zero.
-	boot := NamespaceSpec{Name: DefaultNamespace, Source: "file", Path: "/data/g.bin", Machines: 8, PlanCache: -1}
-	if got, want := boot.SpecString(), "file:/data/g.bin,machines=8,plancache=-1"; got != want {
+	boot := NamespaceSpec{Name: DefaultNamespace, Source: "file", Path: "/data/g.bin", Machines: 8}
+	if got, want := boot.SpecString(), "file:/data/g.bin,machines=8"; got != want {
 		t.Errorf("literal file spec renders as %q, want %q", got, want)
 	}
 }

@@ -280,7 +280,6 @@ func (c *coordinator) streamMatches(ctx context.Context, rq *request, req QueryR
 
 	trailer.Shards = make([]ShardLegStats, len(results))
 	var elapsedMax time.Duration
-	planCacheHit := true
 	for i, res := range results {
 		st := ShardLegStats{Shard: i, URL: res.leg.url, Matches: res.matches, Bytes: res.bytes, ElapsedMicros: res.elapsed.Microseconds()}
 		if res.err != nil {
@@ -292,7 +291,6 @@ func (c *coordinator) streamMatches(ctx context.Context, rq *request, req QueryR
 		elapsedMax = max(elapsedMax, res.elapsed)
 		legStats := res.stats
 		if legStats == nil {
-			planCacheHit = false
 			continue
 		}
 		trailer.Truncated = trailer.Truncated || legStats.Truncated
@@ -302,9 +300,7 @@ func (c *coordinator) streamMatches(ctx context.Context, rq *request, req QueryR
 		trailer.NetMessages += legStats.NetMessages
 		trailer.NetBytes += legStats.NetBytes
 		trailer.EmitFlushes += legStats.EmitFlushes
-		planCacheHit = planCacheHit && legStats.PlanCacheHit
 	}
-	trailer.PlanCacheHit = planCacheHit
 	trailer.ElapsedMicros = elapsedMax.Microseconds()
 	return nil
 }

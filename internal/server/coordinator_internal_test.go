@@ -157,7 +157,7 @@ func postQuery(t testing.TB, coordURL string) (status int, body []byte) {
 	return resp.StatusCode, body
 }
 
-const legTrailer = `{"type":"stats","stats":{"matches":0,"plan_cache_hit":true,"plan_us":1,"explore_us":1,"join_us":1,"elapsed_us":3,"net_messages":0,"net_bytes":0}}` + "\n"
+const legTrailer = `{"type":"stats","stats":{"matches":0,"plan_us":1,"explore_us":1,"join_us":1,"elapsed_us":3,"net_messages":0,"net_bytes":0}}` + "\n"
 
 // emptyLeg is a healthy shard that owns none of the matches.
 func emptyLeg(w http.ResponseWriter, flush func()) { _, _ = io.WriteString(w, legTrailer) }

@@ -414,7 +414,7 @@ func (r *replicator) bootstrap(spec NamespaceSpec) (uint64, error) {
 		return 0, err
 	}
 	cluster.RestoreEpoch(epoch)
-	eng := core.NewEngine(cluster, spec.engineOptions())
+	eng := core.NewEngine(cluster, core.Options{})
 	ns := newNamespace(spec.Name, eng, spec.configFor(r.s.cfg), nil)
 	if err := r.s.reg.add(ns, 0); err != nil {
 		ns.close()

@@ -97,7 +97,6 @@ func (ns *namespace) streamMatches(ctx context.Context, rq *request, req QueryRe
 		return errFrom(err, http.StatusInternalServerError, CodeInternal)
 	}
 	trailer.Truncated = stats.Truncated
-	trailer.PlanCacheHit = stats.PlanCacheHit
 	trailer.PlanMicros = stats.PlanTime.Microseconds()
 	trailer.ExploreMicros = stats.ExploreTime.Microseconds()
 	trailer.JoinMicros = stats.JoinTime.Microseconds()
@@ -174,9 +173,9 @@ func (ns *namespace) applyUpdates(rq *request, _ []UpdateRequest, muts []memclou
 
 // handleExplain renders the query's plan without running it, or — with
 // analyze set — runs it under the request's trace, discarding matches, and
-// returns the span tree alongside. Explain is query work: a cache miss pays
-// full planning and holds the read lock, and EXPLAIN ANALYZE runs the whole
-// query, so it goes through the same admission and reader gate as /query —
+// returns the span tree alongside. Explain is query work: it pays full
+// planning under the read lock, and EXPLAIN ANALYZE runs the whole query, so
+// it goes through the same admission and reader gate as /query —
 // otherwise an explain loop evades the in-flight limit and starves updates
 // unobserved. It is bounded by the server's default deadline. A shard
 // selector is honoured as /query honours it: the plan names the slice, and
@@ -208,18 +207,17 @@ func (s *Server) handleExplain(rq *request) *apiError {
 		rq.matches = ar.Matches
 		rq.spans = ar.Stats.Spans
 		writeJSON(rq.w, http.StatusOK, ExplainResponse{
-			Plan:         ar.Plan.String(),
-			PlanCacheHit: ar.Stats.PlanCacheHit,
-			Analyze:      ar.String(),
-			TraceID:      ar.Stats.TraceID,
+			Plan:    ar.Plan.String(),
+			Analyze: ar.String(),
+			TraceID: ar.Stats.TraceID,
 		})
 		return nil
 	}
-	plan, hit, err := ns.eng.ExplainCached(q)
+	plan, err := ns.eng.Explain(q)
 	if err != nil {
 		return errStatus(http.StatusInternalServerError, err.Error())
 	}
-	writeJSON(rq.w, http.StatusOK, ExplainResponse{Plan: plan.String(), PlanCacheHit: hit})
+	writeJSON(rq.w, http.StatusOK, ExplainResponse{Plan: plan.String()})
 	return nil
 }
 
@@ -250,13 +248,6 @@ func (s *Server) handleStats(rq *request) *apiError {
 			Queries:        snap.Queries,
 			MatchesEmitted: snap.MatchesEmitted,
 			EmitFlushes:    snap.EmitFlushes,
-		},
-		PlanCache: PlanCacheInfo{
-			Hits:      snap.PlanCache.Hits,
-			Misses:    snap.PlanCache.Misses,
-			Evictions: snap.PlanCache.Evictions,
-			Size:      snap.PlanCache.Size,
-			Capacity:  snap.PlanCache.Capacity,
 		},
 		Net: NetInfo{Messages: snap.Net.Messages, Bytes: snap.Net.Bytes},
 		Updates: UpdateInfo{

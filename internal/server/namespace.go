@@ -231,17 +231,7 @@ func (spec NamespaceSpec) Build() (*core.Engine, error) {
 	if err := cluster.LoadGraph(g); err != nil {
 		return nil, fmt.Errorf("server: namespace %q: %w", spec.Name, err)
 	}
-	return core.NewEngine(cluster, spec.engineOptions()), nil
-}
-
-// engineOptions is the one place a spec becomes core.Options, shared by
-// Build and checkpoint recovery so both construction paths agree on every
-// tunable the spec carries.
-func (spec NamespaceSpec) engineOptions() core.Options {
-	return core.Options{
-		PlanCacheSize:   spec.PlanCache,
-		SemijoinWordCap: spec.SemijoinCap,
-	}
+	return core.NewEngine(cluster, core.Options{}), nil
 }
 
 // Guardrails for namespaces created over the network (POST /ns). Boot-time
@@ -263,8 +253,6 @@ const (
 	// unauthenticated create must not be able to grant itself effectively
 	// unlimited concurrency and defeat admission control process-wide.
 	maxRuntimeInFlight = 64
-	// maxRuntimePlanCache bounds a runtime tenant's plan-cache capacity.
-	maxRuntimePlanCache = 1024
 	// maxRuntimeNamespaces bounds the registry for runtime creates: each
 	// tenant holds a whole graph, so per-create caps alone still let a
 	// loop of creates exhaust memory. Only POST /ns is refused at the
@@ -297,9 +285,6 @@ func (s *Server) checkRuntimeSpec(spec NamespaceSpec) (NamespaceSpec, error) {
 	}
 	if spec.MaxInFlight > maxRuntimeInFlight {
 		return spec, fmt.Errorf("server: namespace %q: inflight=%d exceeds the runtime-create cap %d", spec.Name, spec.MaxInFlight, maxRuntimeInFlight)
-	}
-	if spec.PlanCache > maxRuntimePlanCache {
-		return spec, fmt.Errorf("server: namespace %q: plancache=%d exceeds the runtime-create cap %d", spec.Name, spec.PlanCache, maxRuntimePlanCache)
 	}
 	// Override caps may only tighten the operator's server-wide limits,
 	// never loosen them (a zero server cap means unlimited and stays open).

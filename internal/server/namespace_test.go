@@ -77,14 +77,21 @@ func TestTwoTenantIsolation(t *testing.T) {
 
 	// Counters are per-tenant: A saw 2 admissions and 1 rejection, B saw 1
 	// admission and none; B's node add never shows up under A.
-	sa, err := ca.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	// The wrapper books a request's counters after its handler has written
+	// the response, so each tenant's one finished query is awaited before
+	// its ledger is read.
+	booked := func(c *client.Client) *server.StatsResponse {
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			st, err := c.Stats(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Endpoints["/query"].Requests >= 1 || time.Now().After(deadline) {
+				return st
+			}
+		}
 	}
-	sb, err := cb.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sa, sb := booked(ca), booked(cb)
 	if sa.Namespace != "a" || sb.Namespace != "b" {
 		t.Fatalf("stats namespaces = %q, %q", sa.Namespace, sb.Namespace)
 	}
@@ -158,15 +165,14 @@ func TestNamespaceAdminLifecycle(t *testing.T) {
 	for _, req := range []server.CreateNamespaceRequest{
 		{Name: "bad/name", Spec: "rmat:scale=6"},
 		{Name: "", Spec: "rmat:scale=6"},
-		{Name: "ok", Spec: "rmat:degree=8"},                   // missing scale
-		{Name: "ok", Spec: "carrier-pigeon:coo"},              // unknown kind
-		{Name: "ok", Spec: "rmat:scale=24"},                   // beyond the runtime scale cap
-		{Name: "ok", Spec: "rmat:scale=10,degree=64"},         // beyond the runtime degree cap
-		{Name: "ok", Spec: "rmat:scale=10,labels=100000"},     // beyond the runtime labels cap
-		{Name: "ok", Spec: "rmat:scale=10,machines=128"},      // beyond the runtime machines cap
-		{Name: "ok", Spec: "rmat:scale=10,inflight=1000000"},  // beyond the runtime admission cap
-		{Name: "ok", Spec: "rmat:scale=10,plancache=1000000"}, // beyond the runtime plan-cache cap
-		{Name: "ok", Spec: "file:/no/such/file.bin"},          // file sources disabled without a -ns-root
+		{Name: "ok", Spec: "rmat:degree=8"},                  // missing scale
+		{Name: "ok", Spec: "carrier-pigeon:coo"},             // unknown kind
+		{Name: "ok", Spec: "rmat:scale=24"},                  // beyond the runtime scale cap
+		{Name: "ok", Spec: "rmat:scale=10,degree=64"},        // beyond the runtime degree cap
+		{Name: "ok", Spec: "rmat:scale=10,labels=100000"},    // beyond the runtime labels cap
+		{Name: "ok", Spec: "rmat:scale=10,machines=128"},     // beyond the runtime machines cap
+		{Name: "ok", Spec: "rmat:scale=10,inflight=1000000"}, // beyond the runtime admission cap
+		{Name: "ok", Spec: "file:/no/such/file.bin"},         // file sources disabled without a -ns-root
 	} {
 		_, err := c.Admin().CreateNamespace(ctx, req)
 		if se, ok := err.(*client.StatusError); !ok || se.StatusCode != http.StatusBadRequest {
@@ -647,7 +653,7 @@ func TestDropWhileUpdateParkedReportsClosed(t *testing.T) {
 
 // TestLegacyRoutesAliasDefault pins the compatibility contract: the
 // unprefixed routes and /ns/default/... are one namespace — same counters,
-// same plan cache.
+// same engine.
 func TestLegacyRoutesAliasDefault(t *testing.T) {
 	eng := newEngine(t, 8, 8, 4, 2)
 	_, _, c := newTestServer(t, eng, server.Config{})
@@ -657,12 +663,11 @@ func TestLegacyRoutesAliasDefault(t *testing.T) {
 	if _, err := c.Query(ctx, req, nil); err != nil { // legacy route
 		t.Fatal(err)
 	}
-	stats, err := c.Namespace("default").Query(ctx, req, nil) // routed form
-	if err != nil {
+	if _, err := c.Namespace("default").Query(ctx, req, nil); err != nil { // routed form
 		t.Fatal(err)
 	}
-	if !stats.PlanCacheHit {
-		t.Fatal("routed query did not hit the plan cache warmed via the legacy route")
+	if n := eng.Snapshot().Queries; n != 2 {
+		t.Fatalf("the engine behind both routes ran %d queries, want 2", n)
 	}
 	legacy, err := c.Stats(ctx)
 	if err != nil {
@@ -677,6 +682,9 @@ func TestLegacyRoutesAliasDefault(t *testing.T) {
 	}
 	if legacy.Admission.Admitted != 2 || routed.Admission.Admitted != 2 {
 		t.Fatalf("admitted = %d (legacy), %d (routed), want 2 on both", legacy.Admission.Admitted, routed.Admission.Admitted)
+	}
+	if legacy.Engine.Queries != 2 || routed.Engine.Queries != 2 {
+		t.Fatalf("engine queries = %d (legacy), %d (routed), want 2 on both", legacy.Engine.Queries, routed.Engine.Queries)
 	}
 }
 

@@ -655,7 +655,7 @@ func recoverEngineRetry(spec NamespaceSpec, dir string, cfg Config, depth int) (
 			return fail(err)
 		}
 		cluster.RestoreEpoch(epoch)
-		eng = core.NewEngine(cluster, spec.engineOptions())
+		eng = core.NewEngine(cluster, core.Options{})
 	} else {
 		eng, err = spec.Build()
 		if err != nil {

@@ -362,7 +362,7 @@ func TestDiscardAppendedExcludesRecordFromReplay(t *testing.T) {
 func TestSpecStringRoundTrip(t *testing.T) {
 	cases := []string{
 		"rmat:scale=12",
-		"rmat:scale=10,degree=6,labels=4,seed=77,machines=3,plancache=64,inflight=4,maxmatches=100,maxbytes=4096",
+		"rmat:scale=10,degree=6,labels=4,seed=77,machines=3,inflight=4,maxmatches=100,maxbytes=4096",
 		"rmat:scale=8,relabel=degree",
 		"file:/data/g.bin",
 		"text:/data/g.txt,machines=2,inflight=8",

@@ -535,12 +535,12 @@ func TestBootSpecResumesPersistedNamespace(t *testing.T) {
 }
 
 // TestBootFromManifestWithRetiredSpecKey: a data dir whose manifest an
-// earlier build wrote with parallelism=2 in the spec boots, serves, accepts
-// the same spec re-stated on the boot command line, and is upgraded to the
-// canonical text.
+// earlier build wrote with every retired key in the spec (parallelism=2,
+// plancache=-1, semijoincap=-1) boots, serves, accepts the same spec
+// re-stated on the boot command line, and is upgraded to the canonical text.
 func TestBootFromManifestWithRetiredSpecKey(t *testing.T) {
 	dir := t.TempDir()
-	const old = "rmat:scale=6,degree=8,labels=2,seed=1,machines=8,parallelism=2"
+	const old = "rmat:scale=6,degree=8,labels=2,seed=1,machines=8,plancache=-1,parallelism=2,semijoincap=-1"
 	manifest := filepath.Join(dir, "manifest.json")
 	if err := os.WriteFile(manifest, []byte(`{"version":1,"namespaces":{"`+durName+`":"`+old+`"}}`), 0o644); err != nil {
 		t.Fatal(err)
@@ -560,7 +560,7 @@ func TestBootFromManifestWithRetiredSpecKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(raw), "parallelism") || !strings.Contains(string(raw), "rmat:scale=6,degree=8,labels=2,seed=1,machines=8") {
+	if !strings.Contains(string(raw), `"rmat:scale=6,degree=8,labels=2,seed=1,machines=8"`) {
 		t.Fatalf("manifest after the boot: %s", raw)
 	}
 }

@@ -187,16 +187,6 @@ func (s *Server) handleMetrics(rq *request) *apiError {
 	perNS("stwig_engine_emit_flushes_total", "counter", "Batched match-block emit flushes.",
 		func(st *nsState) float64 { return float64(st.snap.EmitFlushes) })
 
-	// Plan cache.
-	perNS("stwig_plan_cache_hits_total", "counter", "Plan cache hits.",
-		func(st *nsState) float64 { return float64(st.snap.PlanCache.Hits) })
-	perNS("stwig_plan_cache_misses_total", "counter", "Plan cache misses.",
-		func(st *nsState) float64 { return float64(st.snap.PlanCache.Misses) })
-	perNS("stwig_plan_cache_evictions_total", "counter", "Plan cache evictions.",
-		func(st *nsState) float64 { return float64(st.snap.PlanCache.Evictions) })
-	perNS("stwig_plan_cache_size", "gauge", "Plans currently cached.",
-		func(st *nsState) float64 { return float64(st.snap.PlanCache.Size) })
-
 	// Simulated fabric traffic.
 	perNS("stwig_net_messages_total", "counter", "Simulated-fabric messages sent by queries.",
 		func(st *nsState) float64 { return float64(st.snap.Net.Messages) })

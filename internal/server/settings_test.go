@@ -43,8 +43,8 @@ func samples(b bound) (a, other, garbage string) {
 // thing derived from it: the flag, the environment variable, their
 // precedence, the refusal of garbage, and the -help default and env note.
 func TestSettingsTable(t *testing.T) {
-	if len(configTable) != 20 || len(specTable) != 11 {
-		t.Fatalf("%d settings and %d spec keys, want 20 and 11", len(configTable), len(specTable))
+	if len(configTable) != 20 || len(specTable) != 9 {
+		t.Fatalf("%d settings and %d spec keys, want 20 and 9", len(configTable), len(specTable))
 	}
 	// The variables operators already have in their unit files.
 	wantEnv := strings.Fields(`STWIGD_MAX_INFLIGHT STWIGD_TIMEOUT STWIGD_MAX_TIMEOUT STWIGD_MAX_MATCHES
@@ -131,7 +131,7 @@ func TestSettingsTable(t *testing.T) {
 	var spec NamespaceSpec
 	fs := flag.NewFlagSet("stwigd", flag.ContinueOnError)
 	names := spec.BindFlags(fs)
-	if want := strings.Fields("rmat-scale rmat-degree rmat-labels rmat-seed relabel machines plan-cache"); !slices.Equal(names, want) {
+	if want := strings.Fields("rmat-scale rmat-degree rmat-labels rmat-seed relabel machines"); !slices.Equal(names, want) {
 		t.Fatalf("default-namespace flags %v, want %v", names, want)
 	}
 	for i, s := range specTable {

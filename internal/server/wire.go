@@ -3,7 +3,7 @@ package server
 // Wire types for the stwigd HTTP/JSON protocol. The same structs are used
 // by the handlers (internal/server) and the Go client
 // (internal/server/client), so the two cannot drift. Internal stats
-// structs (core.PlanCacheStats, memcloud.NetStats, ...) are mirrored into
+// structs (memcloud.NetStats, memcloud.UpdateStats, ...) are mirrored into
 // tagged wire structs here rather than embedded, so renaming a Go field
 // can never silently change the public JSON.
 
@@ -99,8 +99,10 @@ type StreamStats struct {
 	LimitHit bool `json:"limit_hit,omitempty"`
 	// ByteCapHit reports the response byte cap stopped the stream.
 	ByteCapHit bool `json:"byte_cap_hit,omitempty"`
-	// PlanCacheHit reports the plan came from the engine's plan cache.
-	PlanCacheHit bool `json:"plan_cache_hit"`
+	// PlanCacheHit is never set: the engine plans every query. The field
+	// stays only until the benchmark harness stops reading it (ROADMAP item
+	// 1(b)); omitempty keeps it off the wire.
+	PlanCacheHit bool `json:"plan_cache_hit,omitempty"`
 	// Phase timings, in microseconds.
 	PlanMicros    int64 `json:"plan_us"`
 	ExploreMicros int64 `json:"explore_us"`
@@ -142,9 +144,6 @@ type ExplainResponse struct {
 	// Plan is the rendered execution plan, exactly what cmd/stwigql
 	// -explain prints.
 	Plan string `json:"plan"`
-	// PlanCacheHit reports the plan was served from the cache, meaning a
-	// prior query already paid for planning it.
-	PlanCacheHit bool `json:"plan_cache_hit"`
 	// Analyze is the rendered EXPLAIN ANALYZE report (plan + executed span
 	// tree); set only when the request asked for it.
 	Analyze string `json:"analyze,omitempty"`
@@ -287,7 +286,7 @@ const (
 )
 
 // StatsResponse is the body of GET /v1/stats and /v1/ns/{name}/stats. All
-// graph, engine, plan-cache, net, update, admission, and endpoint counters
+// graph, engine, net, update, admission, and endpoint counters
 // are scoped to the one namespace named by Namespace; only UptimeSeconds
 // and Draining are process-wide.
 type StatsResponse struct {
@@ -300,7 +299,6 @@ type StatsResponse struct {
 
 	Graph       GraphInfo       `json:"graph"`
 	Engine      EngineInfo      `json:"engine"`
-	PlanCache   PlanCacheInfo   `json:"plan_cache"`
 	Net         NetInfo         `json:"net"`
 	Updates     UpdateInfo      `json:"updates"`
 	Admission   AdmissionStats  `json:"admission"`
@@ -453,15 +451,6 @@ type EngineInfo struct {
 	MatchesEmitted uint64 `json:"matches_emitted"`
 	// EmitFlushes counts batched match-block flushes.
 	EmitFlushes uint64 `json:"emit_flushes"`
-}
-
-// PlanCacheInfo mirrors core.PlanCacheStats.
-type PlanCacheInfo struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Size      int    `json:"size"`
-	Capacity  int    `json:"capacity"`
 }
 
 // NetInfo mirrors memcloud.NetStats.
