@@ -39,7 +39,7 @@ func main() {
 		textGraph  = flag.Bool("text", false, "graph file is in text format")
 		queryPath  = flag.String("query", "", "query file (v/e line format)")
 		patternStr = flag.String("pattern", "", "inline pattern, e.g. '(a:x)-(b:y), (b)-(c:z)'")
-		machines   = flag.Int("machines", 8, "simulated cluster size: a query runs one goroutine per machine")
+		machines   = flag.Int("machines", 8, "simulated cluster size: a query runs its machines on min(GOMAXPROCS, machines) goroutines")
 		budget     = flag.Int("budget", 1024, "match budget (0 = enumerate all)")
 		verify     = flag.Bool("verify", false, "re-verify every returned match against the graph")
 		show       = flag.Int("show", 10, "matches to print (0 = none)")

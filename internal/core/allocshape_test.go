@@ -156,10 +156,19 @@ func TestJoinAllocsDoNotGrowWithMatches(t *testing.T) {
 // untracedRunAllocs is what one warm run of pathFixture's small query
 // allocates on two machines with no trace ID. It changes only with the code
 // on the query path (or, rarely, with the Go release): a change that moves
-// it says why and updates it. 92, up from 90, since every run plans: a
-// plan's 15 allocations (planAllocs) replace the plan-cache key and lookup
-// that a cached plan's runs paid for instead.
-const untracedRunAllocs = 92
+// it says why and updates it. 82, down from 92: each of the run's three
+// phases (two STwig steps and the join) starts its workers from one closure
+// instead of a closure and a go wrapper per machine, and the per-machine
+// sort of the relations no longer builds a reflect swapper and a closure
+// (sort.SliceStable → slices.SortStableFunc).
+const untracedRunAllocs = 82
+
+// tracedRunAllocs is the same run with a trace ID: what stwigd executes,
+// since it stamps every request with one. The 19 allocations over
+// untracedRunAllocs are the span tree: the step names, the per-machine span
+// slots and child lists, and the tree itself. 101, down from 113 with the
+// untraced run's 10 and the two machine span names, which come from a table.
+const tracedRunAllocs = 101
 
 // planAllocs is what Planner.Plan allocates for pathFixture's small query
 // on eight machines: the plan and four of its slices (labels, label counts,
@@ -190,10 +199,8 @@ func TestPlannerAllocsPinned(t *testing.T) {
 }
 
 // TestUntracedRunAllocsPinned: span recording costs a run without a trace ID
-// nothing. The untraced count is pinned exactly, so one allocation added to
-// the hot path — by the recording branches or anything else — fails here;
-// the traced run of the same query must allocate more, or the pin would not
-// be watching those branches.
+// nothing. Both counts are pinned exactly, so one allocation added to the
+// hot path — by the recording branches or anything else — fails here.
 func TestUntracedRunAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop entries at random, so no pool stays warm")
@@ -205,8 +212,8 @@ func TestUntracedRunAllocsPinned(t *testing.T) {
 	if untraced != untracedRunAllocs {
 		t.Errorf("a warm untraced run allocates %d times, pinned at %d", untraced, untracedRunAllocs)
 	}
-	if traced <= untraced {
-		t.Errorf("a traced run allocates %d times, an untraced one %d: the pin does not see span recording", traced, untraced)
+	if traced != tracedRunAllocs {
+		t.Errorf("a warm traced run allocates %d times, pinned at %d", traced, tracedRunAllocs)
 	}
 }
 

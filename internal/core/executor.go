@@ -81,14 +81,25 @@ type execution struct {
 	emitTime  time.Duration
 }
 
+// machineSpanNames names the join's per-machine spans. stwigd traces every
+// query, so formatting the names would cost an allocation per machine per
+// query.
+var machineSpanNames = func() (names [memcloud.MaxMachines]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("machine %d", i)
+	}
+	return names
+}()
+
 // phaseTimer accumulates modeled times across a query's parallel sections.
 type phaseTimer struct {
 	parallel time.Duration // Σ over phases of max over machines
 	serial   time.Duration // Σ over phases of Σ over machines
 }
 
-// forEachMachine runs fn once per machine: concurrently in normal mode, or
-// sequentially with per-machine timing when SimulateParallel is set.
+// forEachMachine runs fn once per machine: concurrently on at most
+// GOMAXPROCS workers in normal mode (Cluster.ParallelEach), or sequentially
+// with per-machine timing when SimulateParallel is set.
 func (r *execution) forEachMachine(fn func(m *memcloud.Machine)) {
 	cluster := r.ex.cluster
 	if !r.ex.opts.SimulateParallel {
@@ -294,7 +305,7 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 		budget.Store(int64(ex.opts.MatchBudget))
 	}
 
-	// Serialize the user callback across machine goroutines; a false
+	// Serialize the user callback across the machines' workers; a false
 	// return (or a done context) stops every joiner.
 	// Joiners deliver whole blocks, so the mutex is taken once per block
 	// rather than once per match. perMachineCounts writes also happen
@@ -370,7 +381,7 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 					Duration: total - exchangeD - semijoinD,
 				})
 				r.machSpans[machine] = Span{
-					Name:     fmt.Sprintf("machine %d", machine),
+					Name:     machineSpanNames[machine],
 					Duration: total,
 					Matches:  int64(perMachineCounts[machine]),
 					Children: children,

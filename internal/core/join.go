@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"stwig/internal/graph"
@@ -539,8 +538,8 @@ func (j *joiner) unbind(v int) { j.assignment[v] = graph.InvalidNode }
 // sortRelationsDeterministic gives relations a stable pre-order before
 // estimation so runs are reproducible regardless of map iteration.
 func sortRelationsDeterministic(rels []*relation) {
-	sort.SliceStable(rels, func(a, b int) bool {
-		return rels[a].twig.Root < rels[b].twig.Root
+	slices.SortStableFunc(rels, func(a, b *relation) int {
+		return cmp.Compare(a.twig.Root, b.twig.Root)
 	})
 }
 

@@ -3,20 +3,23 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"stwig/internal/graph"
+	"stwig/internal/memcloud"
 	"stwig/internal/rmat"
 )
 
-// The simulated machines are the engine's one level of parallelism: a run
-// starts one goroutine per machine for each of its two phases and nothing
-// else. These tests pin that, and that budget, consumer stop and
-// cancellation reach every machine's joiner; run them with GOMAXPROCS>1 and
-// -race so the machine goroutines really interleave (CI does both).
+// The simulated machines are the engine's one level of parallelism: each of
+// a run's phases runs every machine once, on min(GOMAXPROCS, machines)
+// workers, and starts nothing else. These tests pin that, and that budget,
+// consumer stop and cancellation reach every machine's joiner; run them with
+// GOMAXPROCS>1 and -race so the workers really interleave (CI does both).
 
 // scale15Fixture is a graph on which every machine has real work in both
 // phases: ~10,800 candidate roots, of which ~1,200 match, and the query is a
@@ -24,14 +27,21 @@ import (
 // blocks per machine at the default BlockSize — of a 125,228-match join.
 func scale15Fixture(t testing.TB, machines int) (*Query, func(opts Options) *Engine) {
 	t.Helper()
-	g := rmat.MustGenerate(rmat.Params{Scale: 15, AvgDegree: 2, NumLabels: 3, Seed: 7})
-	q := MustNewQuery(
-		[]string{rmat.LabelName(0), rmat.LabelName(1), rmat.LabelName(2)},
-		[][2]int{{0, 1}, {1, 2}},
-	)
+	q, g := scale15Query(), scale15Graph()
 	return q, func(opts Options) *Engine {
 		return NewEngine(clusterFor(t, g, machines), opts)
 	}
+}
+
+func scale15Graph() *graph.Graph {
+	return rmat.MustGenerate(rmat.Params{Scale: 15, AvgDegree: 2, NumLabels: 3, Seed: 7})
+}
+
+func scale15Query() *Query {
+	return MustNewQuery(
+		[]string{rmat.LabelName(0), rmat.LabelName(1), rmat.LabelName(2)},
+		[][2]int{{0, 1}, {1, 2}},
+	)
 }
 
 // denseClique returns a 24-clique of one label and a 2-vertex query with
@@ -65,6 +75,22 @@ func waitNoExtraGoroutines(t *testing.T, base int) {
 	t.Fatalf("goroutine leak: %d live, baseline %d", runtime.NumGoroutine(), base)
 }
 
+// settledGoroutines returns the goroutine count once it has held still for
+// a few milliseconds: the workers of a phase that just returned (the load's,
+// a previous run's) may not have exited yet.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still := 0; still < 3; {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
+}
+
 // peakGoroutines runs q and returns the largest goroutine count seen from
 // inside the block callback — while the machines are joining — and the
 // number of blocks that sampled it.
@@ -81,26 +107,85 @@ func peakGoroutines(t *testing.T, eng *Engine, q *Query) (peak, blocks int) {
 	return peak, blocks
 }
 
-// TestRunUsesOneGoroutinePerMachine: whatever GOMAXPROCS offers, a run adds
-// one goroutine per machine and no more (the +1 is slack for a machine
-// goroutine of the finished exploration step that has not exited yet).
-func TestRunUsesOneGoroutinePerMachine(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	q, engineFor := scale15Fixture(t, 2)
-	eng := engineFor(Options{})
-	base := runtime.NumGoroutine()
-	peak, blocks := peakGoroutines(t, eng, q)
-	if blocks < 4 {
-		t.Fatalf("%d blocks; the fixture must flush several per machine", blocks)
+// TestRunUsesAtMostOneGoroutinePerCore: a phase runs its machines on
+// min(GOMAXPROCS, machines) workers while the caller waits, so neither the
+// exploration nor the join ever has more goroutines of its own than that —
+// fewer machines than cores, or fewer cores than machines. A fabric latency
+// holds each worker inside its phase, where a sampler polling the goroutine
+// count sees it; the join is also sampled from the block callback, which a
+// worker calls.
+func TestRunUsesAtMostOneGoroutinePerCore(t *testing.T) {
+	g, q := scale15Graph(), scale15Query()
+	for _, tc := range []struct{ procs, machines int }{{2, 8}, {8, 2}} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d,machines=%d", tc.procs, tc.machines), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			c := memcloud.MustNewCluster(memcloud.Config{Machines: tc.machines, RemoteLatency: 200 * time.Microsecond})
+			if err := c.LoadGraph(g); err != nil {
+				t.Fatal(err)
+			}
+			eng := NewEngine(c, Options{})
+
+			// explorePeak covers the run up to its first block: exploration,
+			// and the start of the join. joinPeak covers the rest.
+			var explorePeak, joinPeak atomic.Int64
+			var joining atomic.Bool
+			sample := func() {
+				peak := &explorePeak
+				if joining.Load() {
+					peak = &joinPeak
+				}
+				n := int64(runtime.NumGoroutine())
+				for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
+				}
+			}
+			stop, stopped := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(stopped)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						sample()
+						time.Sleep(20 * time.Microsecond)
+					}
+				}
+			}()
+			base := settledGoroutines()
+			blocks := 0
+			_, err := eng.MatchStreamBlocks(context.Background(), q, func(ms []Match) (int, bool) {
+				joining.Store(true)
+				blocks++
+				sample()
+				return len(ms), true
+			})
+			close(stop)
+			<-stopped
+			if err != nil {
+				t.Fatal(err)
+			}
+			if blocks < 4 {
+				t.Fatalf("%d blocks; the fixture must flush several per machine", blocks)
+			}
+			if explorePeak.Load() <= int64(base) {
+				t.Fatalf("the sampler saw no worker during exploration (peak %d, %d before the run)", explorePeak.Load(), base)
+			}
+			limit := int64(base + min(tc.procs, tc.machines))
+			for _, p := range []struct {
+				phase string
+				peak  int64
+			}{{"exploration", explorePeak.Load()}, {"join", joinPeak.Load()}} {
+				if p.peak > limit {
+					t.Errorf("%d goroutines during the %s, %d before the run: more than min(GOMAXPROCS, machines) = %d workers",
+						p.peak, p.phase, base, min(tc.procs, tc.machines))
+				}
+			}
+			waitNoExtraGoroutines(t, base-1)
+		})
 	}
-	if limit := base + eng.Cluster().NumMachines() + 1; peak > limit {
-		t.Fatalf("%d goroutines during the join, %d before the run: more than one per machine (%d machines)",
-			peak, base, eng.Cluster().NumMachines())
-	}
-	waitNoExtraGoroutines(t, base)
 }
 
-// TestSingleMachineEmissionIsDeterministic: one machine is one goroutine,
+// TestSingleMachineEmissionIsDeterministic: one machine runs on one worker,
 // so its matches reach the sink in driver order — the same sequence of ids,
 // block for block, on every run.
 func TestSingleMachineEmissionIsDeterministic(t *testing.T) {

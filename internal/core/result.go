@@ -52,7 +52,7 @@ type ExecStats struct {
 	// (their disjoint union is the answer).
 	PerMachineMatches []int
 	// Always 0: the intra-machine worker pool whose dispatches this counted
-	// is gone (each simulated machine is one goroutine). The field stays
+	// is gone (a simulated machine runs on one worker). The field stays
 	// only until stwigbench/trace.go stops reading it.
 	ParallelTasks uint64
 	// EmitFlushes counts batched deliveries through the serialized emit

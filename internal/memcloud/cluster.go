@@ -2,6 +2,7 @@ package memcloud
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,9 +12,22 @@ import (
 )
 
 // MaxMachines bounds the simulated cluster size; cross-label-pair machine
-// sets are stored as single-word bitmasks. The paper's clusters have 8 and
-// 12 machines.
-const MaxMachines = 64
+// sets are stored as single-word bitmasks, and an address entry spends
+// ownerBits on the owner. The paper's clusters have 8 and 12 machines.
+const MaxMachines = 1 << ownerBits
+
+// MaxLabels bounds the distinct labels a cluster holds: an address entry has
+// 2^labelBits label codes, and one of them is graph.NoLabel's.
+const MaxLabels = 1<<labelBits - 1
+
+const (
+	ownerBits = 6
+	labelBits = 32 - ownerBits
+)
+
+// labelCap is the bound LoadGraph and AddNode enforce: MaxLabels, lowered
+// only by tests, which cannot intern 2^26 strings to reach it.
+var labelCap = MaxLabels
 
 // Config describes a simulated cluster.
 type Config struct {
@@ -47,12 +61,12 @@ type Cluster struct {
 	part     Partitioner
 	machines []*Machine
 	// addr is the address table of the unified ID space: addr[v] names the
-	// machine that owns vertex v and v's slot in that machine's directory,
-	// for every v in [0, NumNodes()). The Partitioner decides placement once
-	// per vertex — in LoadGraph, and in AddNode for vertices that arrive
-	// later — and every lookup afterwards is an array read here. The table
-	// obeys the arena's discipline (update.go): queries read it without
-	// locks, AddNode appends to it under upd.mu while no query runs.
+	// machine that owns vertex v, v's slot in that machine's directory and
+	// v's label, for every v in [0, NumNodes()). The Partitioner decides
+	// placement once per vertex — in LoadGraph, and in AddNode for vertices
+	// that arrive later — and every lookup afterwards is an array read here.
+	// The table obeys the arena's discipline (update.go): queries read it
+	// without locks, AddNode appends to it under upd.mu while no query runs.
 	addr   []cellAddr
 	labels *graph.LabelTable
 	net    netCounters
@@ -62,12 +76,25 @@ type Cluster struct {
 	epoch  atomic.Uint64
 }
 
-// cellAddr is one address-table entry. MaxMachines fits a uint8; the slot
-// width is the store's (maxSlots vertices per machine).
+// cellAddr is one address-table entry, 8 bytes: the slot (the store's
+// width, maxSlots vertices per machine) and a tag packing the owner into its
+// low ownerBits and the label into the rest. Label checks are exploration's
+// inner loop, and with the label here a neighbour's label costs one read of
+// the table instead of a second, dependent one of the owner's directory.
+// The label bits hold label+1: NoLabel, whose successor wraps to 0, owns
+// the code 0, and decoding subtracts the 1 back without a branch.
 type cellAddr struct {
-	slot  uint32
-	owner uint8
+	slot uint32
+	tag  uint32
 }
+
+func newCellAddr(slot uint32, owner int, label graph.LabelID) cellAddr {
+	return cellAddr{slot: slot, tag: uint32(label+1)<<ownerBits | uint32(owner)}
+}
+
+func (a cellAddr) owner() int { return int(a.tag & (MaxMachines - 1)) }
+
+func (a cellAddr) label() graph.LabelID { return graph.LabelID(a.tag>>ownerBits) - 1 }
 
 // locate resolves v through the address table; ok is false for any ID
 // outside [0, NumNodes()), negative ones included.
@@ -111,6 +138,9 @@ func (c *Cluster) LoadGraph(g *graph.Graph) error {
 	if c.loaded {
 		return fmt.Errorf("memcloud: cluster already loaded")
 	}
+	if l := g.Labels().Len(); l > labelCap {
+		return fmt.Errorf("memcloud: graph has %d labels, more than the %d a cluster holds", l, labelCap)
+	}
 	n := g.NumNodes()
 	k := c.cfg.Machines
 
@@ -125,7 +155,7 @@ func (c *Cluster) LoadGraph(g *graph.Graph) error {
 		if nodes[owner] == maxSlots {
 			return fmt.Errorf("memcloud: machine %d would hold more than %d vertices", owner, int64(maxSlots))
 		}
-		addr[v] = cellAddr{slot: uint32(nodes[owner]), owner: uint8(owner)}
+		addr[v] = newCellAddr(uint32(nodes[owner]), owner, g.Label(id))
 		nodes[owner]++
 		arenaWords[owner] += int64(len(g.Neighbors(id)))
 	}
@@ -134,6 +164,9 @@ func (c *Cluster) LoadGraph(g *graph.Graph) error {
 	// (u,w), the label pair (T(u),T(w)) against the machine pair
 	// (owner(u),owner(w)) — the cross-label-pair preprocessing. The table
 	// is keyed by source machine, so the machines write disjoint parts.
+	// One goroutine per machine, not ParallelEach's GOMAXPROCS workers: on
+	// a 2-core box this load ran ~20 % slower on two workers (scale-18
+	// R-MAT, 8 machines), and load time is the daemon's boot time.
 	cross := newCrossPairs(k)
 	var wg sync.WaitGroup
 	for i := 0; i < k; i++ {
@@ -144,15 +177,15 @@ func (c *Cluster) LoadGraph(g *graph.Graph) error {
 		go func(m *Machine) {
 			defer wg.Done()
 			for v := int64(0); v < n; v++ {
-				if int(addr[v].owner) != m.id {
+				a := addr[v]
+				if a.owner() != m.id {
 					continue
 				}
 				id := graph.NodeID(v)
-				label := g.Label(id)
-				m.store.put(label, g.Neighbors(id))
-				m.index.add(id, label)
+				m.store.put(g.Neighbors(id))
+				m.index.add(id, a.label())
 				for _, w := range g.Neighbors(id) {
-					cross.add(m.id, int(addr[w].owner), label, g.Label(w))
+					cross.add(m.id, addr[w].owner(), a.label(), addr[w].label())
 				}
 			}
 			m.index.finalize()
@@ -170,11 +203,11 @@ func (c *Cluster) LoadGraph(g *graph.Graph) error {
 // NumMachines returns the cluster size.
 func (c *Cluster) NumMachines() int { return c.cfg.Machines }
 
-// Epoch returns the cluster's mutation epoch: it increases whenever a
-// dynamic update (AddNode, AddEdge, RemoveEdge) changes the statistics a
-// query plan is derived from — label frequencies, the label table, or the
-// cross-label-pair tables. Cached plans record the epoch they were built at
-// and are invalidated when it moves.
+// Epoch returns the cluster's mutation epoch: it increases with every
+// dynamic update (AddNode, AddEdge, RemoveEdge), each of which may change
+// the statistics a query plan is derived from — label frequencies, the label
+// table, or the cross-label-pair tables. A plan records the epoch it was
+// built at, and recovery restores it (RestoreEpoch).
 func (c *Cluster) Epoch() uint64 { return c.epoch.Load() }
 
 // NumNodes returns the total vertex count across machines, including
@@ -195,7 +228,7 @@ func (c *Cluster) Owner(v graph.NodeID) int {
 	if !ok {
 		return -1
 	}
-	return int(a.owner)
+	return a.owner()
 }
 
 // Labels returns the label table of the loaded graph, or nil before load.
@@ -245,17 +278,26 @@ func (c *Cluster) StringIndexBytes() int64 {
 	return total
 }
 
-// ParallelEach runs fn concurrently for every machine and waits for all to
-// finish. It is the execution primitive for the paper's "each machine
-// performs Algorithm 1 ... in parallel".
+// ParallelEach runs fn once for every machine and waits for all of them. It
+// is the execution primitive for the paper's "each machine performs
+// Algorithm 1 ... in parallel": min(GOMAXPROCS, machines) workers claim
+// machines from a shared counter until none is left, and the caller only
+// waits. A query phase is short: a goroutine per machine would charge it
+// their start-up, stack growth and scheduling, and no more than GOMAXPROCS
+// of them can run at once anyway. Calls for different machines may run
+// concurrently and in any order, and one must never wait for another.
 func (c *Cluster) ParallelEach(fn func(m *Machine)) {
+	workers := min(runtime.GOMAXPROCS(0), len(c.machines))
+	var next atomic.Int32
 	var wg sync.WaitGroup
-	for _, m := range c.machines {
-		wg.Add(1)
-		go func(m *Machine) {
+	wg.Add(workers)
+	for range workers {
+		go func() {
 			defer wg.Done()
-			fn(m)
-		}(m)
+			for i := int(next.Add(1)) - 1; i < len(c.machines); i = int(next.Add(1)) - 1 {
+				fn(c.machines[i])
+			}
+		}()
 	}
 	wg.Wait()
 }
@@ -277,8 +319,8 @@ func (c *Cluster) Load(from int, id graph.NodeID) (Cell, bool) {
 	if !ok {
 		return Cell{}, false
 	}
-	cell := c.machines[a.owner].store.cell(id, a.slot)
-	if int(a.owner) != from {
+	cell := c.cell(id, a)
+	if a.owner() != from {
 		// Ship a copy: remote cells must not alias another machine's arena.
 		cell.Neighbors = append([]graph.NodeID(nil), cell.Neighbors...)
 		c.accountRemote(2 + len(cell.Neighbors))
@@ -295,10 +337,16 @@ func (c *Cluster) HasLabel(from int, id graph.NodeID, label graph.LabelID) bool 
 	if !ok {
 		return false
 	}
-	if int(a.owner) != from {
+	if a.owner() != from {
 		c.accountRemote(2)
 	}
-	return c.machines[a.owner].store.label(a.slot) == label
+	return a.label() == label
+}
+
+// cell assembles the Cell of vertex id from its address entry. Neighbors
+// aliases the owner's arena.
+func (c *Cluster) cell(id graph.NodeID, a cellAddr) Cell {
+	return Cell{ID: id, Label: a.label(), Neighbors: c.machines[a.owner()].store.neighbors(a.slot)}
 }
 
 // LabelBatch resolves vertex labels on behalf of one machine over any
@@ -319,10 +367,11 @@ type LabelBatch struct {
 }
 
 // Resolve appends the label of every vertex in ids to out and returns the
-// extended slice. The simulation reads any machine's directory directly —
-// two array reads per ID — while the batch keeps the cost structure of
-// doing it with real messages. An ID outside [0, NumNodes()) resolves to
-// graph.NoLabel and, having no owner, adds no traffic.
+// extended slice. The simulation reads the label straight from the address
+// table — one array read per ID, the entry that also names the owner to
+// charge — while the batch keeps the cost structure of doing it with real
+// messages. An ID outside [0, NumNodes()) resolves to graph.NoLabel and,
+// having no owner, adds no traffic.
 func (b *LabelBatch) Resolve(ids []graph.NodeID, out []graph.LabelID) []graph.LabelID {
 	c := b.c
 	for _, id := range ids {
@@ -331,8 +380,8 @@ func (b *LabelBatch) Resolve(ids []graph.NodeID, out []graph.LabelID) []graph.La
 			out = append(out, graph.NoLabel)
 			continue
 		}
-		out = append(out, c.machines[a.owner].store.label(a.slot))
-		b.remoteWords[a.owner]++
+		out = append(out, a.label())
+		b.remoteWords[a.owner()]++
 	}
 	return out
 }

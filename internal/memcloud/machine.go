@@ -3,9 +3,9 @@ package memcloud
 import "stwig/internal/graph"
 
 // Machine is one simulated cluster member: a partition's slab store plus its
-// local string index. Query execution runs one goroutine per machine (see
-// Cluster.ParallelEach); a Machine's read API is safe for concurrent use
-// after LoadGraph.
+// local string index. A query phase runs each machine once, on one of at
+// most GOMAXPROCS workers (see Cluster.ParallelEach); a Machine's read API is
+// safe for concurrent use after LoadGraph.
 type Machine struct {
 	id      int
 	cluster *Cluster
@@ -42,10 +42,10 @@ func (m *Machine) Load(id graph.NodeID) (Cell, bool) {
 // LoadLocal loads a cell only if this machine owns it.
 func (m *Machine) LoadLocal(id graph.NodeID) (Cell, bool) {
 	a, ok := m.cluster.locate(id)
-	if !ok || int(a.owner) != m.id {
+	if !ok || a.owner() != m.id {
 		return Cell{}, false
 	}
-	return m.store.cell(id, a.slot), true
+	return m.cluster.cell(id, a), true
 }
 
 // HasLabel is Index.hasLabel(id, label) issued from this machine.

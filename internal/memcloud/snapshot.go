@@ -41,7 +41,7 @@ func (c *Cluster) WriteSnapshot(w io.Writer) error {
 		src.remap[i] = graph.NoLabel
 	}
 	for _, a := range c.addr {
-		l := c.machines[a.owner].store.label(a.slot)
+		l := a.label()
 		if src.remap[l] == graph.NoLabel {
 			src.remap[l] = graph.LabelID(len(src.names))
 			src.names = append(src.names, c.labels.Name(l))
@@ -63,19 +63,18 @@ func (s snapshotSource) Directed() bool       { return false }
 func (s snapshotSource) LabelNames() []string { return s.names }
 
 func (s snapshotSource) Label(v graph.NodeID) graph.LabelID {
-	a := s.c.addr[v]
-	return s.remap[s.c.machines[a.owner].store.label(a.slot)]
+	return s.remap[s.c.addr[v].label()]
 }
 
 func (s snapshotSource) Neighbors(v graph.NodeID) []graph.NodeID {
 	a := s.c.addr[v]
-	return s.c.machines[a.owner].store.neighbors(a.slot)
+	return s.c.machines[a.owner()].store.neighbors(a.slot)
 }
 
 // RestoreEpoch seeds the cluster's mutation epoch, so that a recovered
 // cluster (checkpoint load + journal replay) reports the same epoch the
 // pre-crash cluster did — replaying k mutations over a checkpoint taken at
 // epoch e lands on exactly e+k. It must be called before the cluster starts
-// serving; once queries run, moving the epoch backwards would resurrect
-// stale cached plans.
+// serving; once queries run, moving the epoch backwards would let two
+// different graphs report the same epoch.
 func (c *Cluster) RestoreEpoch(e uint64) { c.epoch.Store(e) }

@@ -15,10 +15,10 @@ import (
 // The directory is addressed by slot, not by vertex ID: a machine's i-th
 // vertex (in ascending ID order at load, in arrival order afterwards) lives
 // in dir[i], and the cluster's address table (cluster.go) maps a vertex ID
-// to its owner and slot. A lookup is therefore two array reads — no hash, no
-// per-entry overhead — and the directory costs exactly
-// cap(dir)·sizeof(cellRef) bytes. Slots are uint32, which bounds a machine
-// at 4.29 G vertices.
+// to its owner, slot and label. A label lookup is therefore one array read
+// and an adjacency lookup two — no hash, no per-entry overhead — and the
+// directory costs exactly cap(dir)·sizeof(cellRef) bytes. Slots are uint32,
+// which bounds a machine at 4.29 G vertices.
 //
 // Like the arena, the directory follows the single-writer / quiesced-reader
 // discipline described in update.go: queries read it without locks, updates
@@ -30,9 +30,8 @@ type Store struct {
 }
 
 type cellRef struct {
-	off   int64
-	deg   int32
-	label graph.LabelID
+	off int64
+	deg int32
 }
 
 // maxSlots is the number of vertices one machine can address.
@@ -57,27 +56,18 @@ func newStore(nodes, arenaWords int64) *Store {
 
 // put appends a vertex cell, copying its neighbors onto the arena tail, and
 // returns the slot it now occupies.
-func (s *Store) put(label graph.LabelID, neighbors []graph.NodeID) uint32 {
+func (s *Store) put(neighbors []graph.NodeID) uint32 {
 	slot := uint32(len(s.dir))
 	off := int64(len(s.arena))
 	s.arena = append(s.arena, neighbors...)
-	s.dir = append(s.dir, cellRef{off: off, deg: int32(len(neighbors)), label: label})
+	s.dir = append(s.dir, cellRef{off: off, deg: int32(len(neighbors))})
 	return slot
 }
-
-// label returns the label of the vertex in slot.
-func (s *Store) label(slot uint32) graph.LabelID { return s.dir[slot].label }
 
 // neighbors returns the adjacency of the vertex in slot, aliasing the arena.
 func (s *Store) neighbors(slot uint32) []graph.NodeID {
 	ref := s.dir[slot]
 	return s.arena[ref.off : ref.off+int64(ref.deg)]
-}
-
-// cell assembles the Cell of vertex id, which the address table placed in
-// slot.
-func (s *Store) cell(id graph.NodeID, slot uint32) Cell {
-	return Cell{ID: id, Label: s.label(slot), Neighbors: s.neighbors(slot)}
 }
 
 // numNodes returns the number of locally stored vertices.

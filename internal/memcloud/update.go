@@ -38,14 +38,14 @@ type UpdateStats struct {
 var errNotLoaded = fmt.Errorf("memcloud: cluster not loaded")
 
 // locateLocked resolves an update's vertex ID to its owner machine and
-// slot, rejecting IDs outside [0, NumNodes()) — they arrive from the
-// network — as errors. Caller holds upd.mu.
-func (c *Cluster) locateLocked(v graph.NodeID) (*Machine, uint32, error) {
+// address entry, rejecting IDs outside [0, NumNodes()) — they arrive from
+// the network — as errors. Caller holds upd.mu.
+func (c *Cluster) locateLocked(v graph.NodeID) (*Machine, cellAddr, error) {
 	a, ok := c.locate(v)
 	if !ok {
-		return nil, 0, fmt.Errorf("memcloud: vertex %d does not exist", v)
+		return nil, cellAddr{}, fmt.Errorf("memcloud: vertex %d does not exist", v)
 	}
-	return c.machines[a.owner], a.slot, nil
+	return c.machines[a.owner()], a, nil
 }
 
 type updateState struct {
@@ -54,7 +54,8 @@ type updateState struct {
 }
 
 // AddNode inserts a new vertex with the given label and returns its ID.
-// The label may be new; it is interned into the cluster's label table.
+// The label may be new; it is interned into the cluster's label table,
+// unless the table already holds MaxLabels labels.
 func (c *Cluster) AddNode(label string) (graph.NodeID, error) {
 	if !c.loaded {
 		return graph.InvalidNode, errNotLoaded
@@ -71,8 +72,14 @@ func (c *Cluster) addNodeLocked(label string) (graph.NodeID, error) {
 	if m.store.numNodes() == maxSlots {
 		return graph.InvalidNode, fmt.Errorf("memcloud: machine %d is full (%d vertices)", m.id, int64(maxSlots))
 	}
-	l := c.labels.Intern(label)
-	c.addr = append(c.addr, cellAddr{slot: m.store.put(l, nil), owner: uint8(m.id)})
+	l, ok := c.labels.Lookup(label)
+	if !ok {
+		if n := c.labels.Len(); n >= labelCap {
+			return graph.InvalidNode, fmt.Errorf("memcloud: label %q would be label %d, more than the %d a cluster holds", label, n+1, labelCap)
+		}
+		l = c.labels.Intern(label)
+	}
+	c.addr = append(c.addr, newCellAddr(m.store.put(nil), m.id, l))
 	m.index.insertSorted(id, l)
 	c.upd.stats.NodesAdded++
 	c.epoch.Add(1)
@@ -95,25 +102,24 @@ func (c *Cluster) addEdgeLocked(u, v graph.NodeID) error {
 	if u == v {
 		return fmt.Errorf("memcloud: self-loop (%d,%d)", u, v)
 	}
-	mu, su, err := c.locateLocked(u)
+	mu, au, err := c.locateLocked(u)
 	if err != nil {
 		return err
 	}
-	mv, sv, err := c.locateLocked(v)
+	mv, av, err := c.locateLocked(v)
 	if err != nil {
 		return err
 	}
-	if mu.store.hasNeighbor(su, v) {
+	if mu.store.hasNeighbor(au.slot, v) {
 		return fmt.Errorf("memcloud: edge (%d,%d) already exists", u, v)
 	}
-	c.upd.stats.GarbageWords += mu.store.insertNeighbor(su, v)
-	c.upd.stats.GarbageWords += mv.store.insertNeighbor(sv, u)
+	c.upd.stats.GarbageWords += mu.store.insertNeighbor(au.slot, v)
+	c.upd.stats.GarbageWords += mv.store.insertNeighbor(av.slot, u)
 	// Cross-pair maintenance is additive-only: removing the last edge of a
 	// label pair leaves a stale bit, which only ever makes load sets larger
 	// (correctness preserved, communication slightly pessimistic).
-	lu, lv := mu.store.label(su), mv.store.label(sv)
-	c.cross.add(mu.id, mv.id, lu, lv)
-	c.cross.add(mv.id, mu.id, lv, lu)
+	c.cross.add(mu.id, mv.id, au.label(), av.label())
+	c.cross.add(mv.id, mu.id, av.label(), au.label())
 	c.upd.stats.EdgesAdded++
 	c.epoch.Add(1)
 	return nil
@@ -130,19 +136,19 @@ func (c *Cluster) RemoveEdge(u, v graph.NodeID) error {
 }
 
 func (c *Cluster) removeEdgeLocked(u, v graph.NodeID) error {
-	mu, su, err := c.locateLocked(u)
+	mu, au, err := c.locateLocked(u)
 	if err != nil {
 		return err
 	}
-	mv, sv, err := c.locateLocked(v)
+	mv, av, err := c.locateLocked(v)
 	if err != nil {
 		return err
 	}
-	if !mu.store.hasNeighbor(su, v) {
+	if !mu.store.hasNeighbor(au.slot, v) {
 		return fmt.Errorf("memcloud: edge (%d,%d) does not exist", u, v)
 	}
-	mu.store.removeNeighbor(su, v)
-	mv.store.removeNeighbor(sv, u)
+	mu.store.removeNeighbor(au.slot, v)
+	mv.store.removeNeighbor(av.slot, u)
 	c.upd.stats.EdgesRemoved++
 	c.epoch.Add(1)
 	return nil

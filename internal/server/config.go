@@ -288,8 +288,8 @@ func ValidateNamespaceName(name string) error {
 // source kind (README "Settings reference" lists them with their defaults).
 // inflight/maxmatches/maxbytes override the server's defaults for this
 // tenant only; the rest shape the cluster the graph is loaded onto —
-// machines is the tenant's parallelism: a query runs one goroutine per
-// simulated machine. Fields that also carry a flag shape stwigd's default
+// machines is the tenant's parallelism: a query runs its simulated machines
+// on min(GOMAXPROCS, machines) goroutines. Fields that also carry a flag shape stwigd's default
 // namespace. The keys in retiredSpecKeys are accepted and discarded.
 type NamespaceSpec struct {
 	Name string
@@ -307,7 +307,7 @@ type NamespaceSpec struct {
 	// Relabel is "" or "degree" (celebrity/regular/bot by degree band).
 	Relabel string `spec:"relabel" flag:"relabel" in:"degree" help:"relabel the graph after load: 'degree' assigns celebrity/regular/bot by degree band"`
 	// Machines is the simulated cluster size (default 8).
-	Machines int `spec:"machines" flag:"machines" def:"8" min:"1" help:"simulated cluster size, and the parallelism of a query: one goroutine per machine"`
+	Machines int `spec:"machines" flag:"machines" def:"8" min:"1" help:"simulated cluster size, and the parallelism of a query: its machines run on min(GOMAXPROCS, machines) goroutines"`
 
 	// Per-tenant limit overrides; 0 inherits the server's Config.
 	MaxInFlight int   `spec:"inflight" min:"0" help:"this tenant's admission limit (0 inherits the server's)"`

@@ -77,9 +77,9 @@ func (p *promWriter) latencyHistogram(name string, h *histogram, baseKV ...strin
 
 // goRuntime emits the process-wide Go runtime gauges. They are read here, at
 // scrape time, from runtime/metrics — which does not stop the world — and
-// nothing on the query path feeds them. A query adds one goroutine per
-// simulated machine while it runs, so stwig_go_goroutines over the in-flight
-// gauge shows the machines dial at work.
+// nothing on the query path feeds them. A running query adds
+// min(GOMAXPROCS, machines) goroutines, one per worker its phases run the
+// simulated machines on.
 func (p *promWriter) goRuntime() {
 	samples := []rtmetrics.Sample{
 		{Name: "/memory/classes/heap/objects:bytes"},
