@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -156,19 +155,22 @@ func TestJoinAllocsDoNotGrowWithMatches(t *testing.T) {
 // untracedRunAllocs is what one warm run of pathFixture's small query
 // allocates on two machines with no trace ID. It changes only with the code
 // on the query path (or, rarely, with the Go release): a change that moves
-// it says why and updates it. 82, down from 92: each of the run's three
-// phases (two STwig steps and the join) starts its workers from one closure
-// instead of a closure and a go wrapper per machine, and the per-machine
-// sort of the relations no longer builds a reflect swapper and a closure
-// (sort.SliceStable → slices.SortStableFunc).
-const untracedRunAllocs = 82
+// it says why and updates it. 80, down from 82: the join no longer builds a
+// random generator per machine to sample relation sizes with (it escaped to
+// the heap), since relations are sized exactly. 82 was down from 92: each of
+// the run's three phases (two STwig steps and the join) starts its workers
+// from one closure instead of a closure and a go wrapper per machine, and the
+// per-machine sort of the relations no longer builds a reflect swapper and a
+// closure (sort.SliceStable → slices.SortStableFunc).
+const untracedRunAllocs = 80
 
 // tracedRunAllocs is the same run with a trace ID: what stwigd executes,
 // since it stamps every request with one. The 19 allocations over
 // untracedRunAllocs are the span tree: the step names, the per-machine span
-// slots and child lists, and the tree itself. 101, down from 113 with the
+// slots and child lists, and the tree itself. 99, down from 101 with the
+// untraced run's per-machine generator; 101 was down from 113 with the
 // untraced run's 10 and the two machine span names, which come from a table.
-const tracedRunAllocs = 101
+const tracedRunAllocs = 99
 
 // planAllocs is what Planner.Plan allocates for pathFixture's small query
 // on eight machines: the plan and four of its slices (labels, label counts,
@@ -225,7 +227,6 @@ func TestJoinerEmitDoesNotAllocate(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	q := MustNewQuery([]string{"x", "y", "z"}, [][2]int{{0, 1}, {1, 2}})
-	rng := rand.New(rand.NewSource(1))
 	// 300 roots with three leaf candidates each, every candidate the root
 	// of a second-relation match with two leaves: 1,800 matches per run,
 	// through a root probe of the second relation.
@@ -238,8 +239,8 @@ func TestJoinerEmitDoesNotAllocate(t *testing.T) {
 		}
 	}
 	rels := []*relation{
-		newRelation(STwig{Root: 0, Leaves: []int{1}}, first, rng),
-		newRelation(STwig{Root: 1, Leaves: []int{2}}, second, rng),
+		newRelation(STwig{Root: 0, Leaves: []int{1}}, first),
+		newRelation(STwig{Root: 1, Leaves: []int{2}}, second),
 	}
 	emitted := 0
 	j := &joiner{q: q, rels: rels, blockSize: 64, emitBlock: func(block []graph.NodeID, n int) bool {

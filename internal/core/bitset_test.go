@@ -108,7 +108,7 @@ func TestPropertyJoinerEqualsNaiveJoin(t *testing.T) {
 				}
 				matches = append(matches, STwigMatch{Root: root, LeafSets: leafSets})
 			}
-			return newRelation(twig, matches, rng)
+			return newRelation(twig, matches)
 		}
 		const domain = 12
 		r1 := mkRel(STwig{Root: 0, Leaves: []int{1}}, 1+rng.Intn(6), domain)

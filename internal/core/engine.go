@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"stwig/internal/graph"
 	"stwig/internal/memcloud"
@@ -23,7 +22,8 @@ type Options struct {
 	// how many matches it buffers before it flushes early — so also the
 	// most matches one MatchStreamBlocks callback receives.
 	BlockSize int
-	// Seed drives the sampling in join-order estimation.
+	// Seed seeds RandomDecomposition's random cover; nothing else draws
+	// from it.
 	Seed int64
 	// TraceID, when non-empty, traces every run of this engine that does
 	// not already carry a trace ID in its context: ExecStats.TraceID is
@@ -44,8 +44,8 @@ type Options struct {
 	// RandomDecomposition uses the unrevised random 2-approximation instead
 	// of Algorithm 2.
 	RandomDecomposition bool
-	// NoJoinOrderOpt keeps relations in STwig processing order instead of
-	// cost-based reordering.
+	// NoJoinOrderOpt joins each machine's relations in root-id order
+	// instead of reordering them smallest first.
 	NoJoinOrderOpt bool
 	// NoSemijoin disables the pre-join semi-join reduction pass, which
 	// otherwise runs on joins of up to semijoinWordCap words.
@@ -239,12 +239,10 @@ func (e *Engine) matchStream(ctx context.Context, q *Query, emit func(Match) boo
 		traceID = e.opts.TraceID
 		ctx = WithTraceID(ctx, traceID)
 	}
-	planStart := time.Now()
 	plan, err := e.planner.Plan(q)
 	if err != nil {
 		return nil, nil, err
 	}
-	planTime := time.Since(planStart)
 
 	e.queries.Add(1)
 	// The callbacks are never invoked concurrently (the Executor serializes
@@ -290,12 +288,12 @@ func (e *Engine) matchStream(ctx context.Context, q *Query, emit func(Match) boo
 		return nil, nil, err
 	}
 	e.emitFlushes.Add(stats.EmitFlushes)
-	stats.PlanTime = planTime
+	stats.PlanTime = plan.BuildTime
 	if traceID != "" {
 		stats.TraceID = traceID
 		// The plan span belongs to the Engine (the Executor never sees
 		// planning); prepend it so top-level spans cover the whole run.
-		stats.Spans = append([]Span{{Name: "plan", Duration: planTime}}, stats.Spans...)
+		stats.Spans = append([]Span{{Name: "plan", Duration: plan.BuildTime}}, stats.Spans...)
 	}
 	return plan, stats, nil
 }

@@ -368,7 +368,8 @@ func TestPropertyAblationsPreserveResults(t *testing.T) {
 		{NoLoadSets: true},
 		{RandomDecomposition: true},
 		{NoJoinOrderOpt: true},
-		{NoBindings: true, NoLoadSets: true, RandomDecomposition: true, NoJoinOrderOpt: true},
+		{NoSemijoin: true},
+		{NoBindings: true, NoLoadSets: true, RandomDecomposition: true, NoJoinOrderOpt: true, NoSemijoin: true},
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -355,7 +355,6 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 	}
 	r.forEachMachine(func(mach *memcloud.Machine) {
 		machine := mach.ID()
-		rng := &lazyRand{seed: ex.opts.Seed + int64(machine)}
 
 		// Per-machine tracing: the phases below stamp exchangeD/semijoinD
 		// as they finish; the deferred record derives blockjoin time as the
@@ -415,8 +414,9 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 					rel.extend(remote)
 				}
 			}
-			rel.est = estimateCardinality(rel.matches, rng)
-			totalWords += rel.totalWords()
+			var words int
+			rel.card, words = rel.size()
+			totalWords += words
 		}
 		sortRelationsDeterministic(rels)
 		if r.traced {
@@ -426,7 +426,7 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 		// but is pure overhead when relations are huge and
 		// unselective; gate it by volume (semijoinWordCap).
 		if !ex.opts.NoSemijoin && totalWords <= semijoinWordCap {
-			semijoinRounds = semijoinReduce(q, rels, rng, js)
+			semijoinRounds = semijoinReduce(q, rels, js)
 			if r.traced {
 				semijoinD = time.Since(machStart) - exchangeD
 			}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"math/rand"
 	"slices"
 	"sync/atomic"
 
@@ -13,7 +12,7 @@ import (
 // relations it assembled (its own matches plus matches fetched per the load
 // sets) into full query matches. Two optimizations from the paper:
 //
-//   - Join order selection: relations are reordered by sample-estimated
+//   - Join order selection: relations are reordered by exact expanded
 //     cardinality so the join starts from small candidate sets, growing
 //     left-deep through relations connected by shared query vertices.
 //   - Block-based pipelined join: the driver relation is consumed in blocks
@@ -74,7 +73,7 @@ type relIndex struct {
 type relation struct {
 	twig    STwig
 	matches []STwigMatch
-	est     float64    // estimated expanded cardinality
+	card    float64    // expanded cardinality, as size returns it
 	idx     []relIndex // slot 0: roots; slot 1+i: candidates of leaf i
 
 	// private reports that matches is own rather than an exploration
@@ -216,65 +215,24 @@ func covered(rels []*relation, v int) bool {
 	return false
 }
 
-// totalWords estimates the wire/memory size of the relation in 8-byte
-// words; the engine uses it to decide whether the semi-join pass pays.
-func (r *relation) totalWords() int {
-	w := 0
+// size walks r's matches once for both of its sizes: card, the summed
+// ExpandedCount — the exact number of tuples the relation denotes (ignoring
+// injectivity), which orders the join — and words, its wire/memory size in
+// 8-byte words, which decides whether the semi-join pass pays.
+func (r *relation) size() (card float64, words int) {
 	for _, m := range r.matches {
-		w += m.words()
+		card += float64(m.ExpandedCount())
+		words += m.words()
 	}
-	return w
-}
-
-// sampler is the part of *rand.Rand cardinality estimation draws from.
-type sampler interface{ Intn(n int) int }
-
-// lazyRand is rand.New(rand.NewSource(seed)) created on the first draw.
-// Seeding costs a 607-word loop and ~5 KB, every machine of every run owns
-// a generator, and only a relation of more than 256 matches ever draws; the
-// sequence drawn is that of the eagerly seeded generator.
-type lazyRand struct {
-	seed int64
-	rng  *rand.Rand
-}
-
-func (l *lazyRand) Intn(n int) int {
-	if l.rng == nil {
-		l.rng = rand.New(rand.NewSource(l.seed))
-	}
-	return l.rng.Intn(n)
-}
-
-// estimateCardinality implements the sample-based size estimate used for
-// join ordering: the summed expanded counts of a uniform sample of factored
-// matches, scaled to the full relation.
-func estimateCardinality(matches []STwigMatch, rng sampler) float64 {
-	const sampleCap = 256
-	n := len(matches)
-	if n == 0 {
-		return 0
-	}
-	if n <= sampleCap {
-		var total float64
-		for _, m := range matches {
-			total += float64(m.ExpandedCount())
-		}
-		return total
-	}
-	var total float64
-	for i := 0; i < sampleCap; i++ {
-		m := matches[rng.Intn(n)]
-		total += float64(m.ExpandedCount())
-	}
-	return total * float64(n) / float64(sampleCap)
+	return card, words
 }
 
 // orderRelations picks a left-deep join order, in place: the smallest
 // relation first, then repeatedly the not-yet-joined relation sharing the
 // most query vertices with the prefix (so cycle-closing relations degenerate
-// into cheap filters), breaking ties toward the smallest estimated
-// cardinality and then toward the earliest in the input. With
-// optimize=false the input order is kept (the ablation baseline).
+// into cheap filters), breaking ties toward the smallest cardinality and
+// then toward the earliest in the input. With optimize=false the input
+// order is kept (the ablation baseline).
 func orderRelations(rels []*relation, optimize bool) []*relation {
 	if !optimize || len(rels) <= 1 {
 		return rels
@@ -297,7 +255,7 @@ func orderRelations(rels []*relation, optimize bool) []*relation {
 				continue
 			}
 			if best == -1 || shared > bestShared ||
-				(shared == bestShared && r.est < rels[best].est) {
+				(shared == bestShared && r.card < rels[best].card) {
 				best, bestShared = i, shared
 			}
 		}
@@ -535,8 +493,9 @@ func (j *joiner) bind(v int, id graph.NodeID) bool {
 
 func (j *joiner) unbind(v int) { j.assignment[v] = graph.InvalidNode }
 
-// sortRelationsDeterministic gives relations a stable pre-order before
-// estimation so runs are reproducible regardless of map iteration.
+// sortRelationsDeterministic puts relations in root-id order before the
+// semi-join and the join order: that order is the one orderRelations breaks
+// its last ties by, and what NoJoinOrderOpt keeps.
 func sortRelationsDeterministic(rels []*relation) {
 	slices.SortStableFunc(rels, func(a, b *relation) int {
 		return cmp.Compare(a.twig.Root, b.twig.Root)
@@ -605,7 +564,7 @@ func (j *joiner) release() {
 // passes until a fixpoint (bounded for safety); each pass is linear in the
 // total relation size up to the sort of the value sets. Returns how many
 // passes (rounds) ran, for the traced span tree.
-func semijoinReduce(q *Query, rels []*relation, rng sampler, js *joinScratch) int {
+func semijoinReduce(q *Query, rels []*relation, js *joinScratch) int {
 	const maxPasses = 4
 	for _, r := range rels {
 		r.deepCopy()
@@ -622,7 +581,7 @@ func semijoinReduce(q *Query, rels []*relation, rng sampler, js *joinScratch) in
 			return pass + 1
 		}
 		for _, r := range rels {
-			r.est = estimateCardinality(r.matches, rng)
+			r.card, _ = r.size()
 		}
 	}
 	return maxPasses

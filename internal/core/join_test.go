@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -11,10 +10,10 @@ import (
 
 // newRelation prepares a standalone relation the way exchangeAndJoin
 // prepares a machine's.
-func newRelation(twig STwig, matches []STwigMatch, rng sampler) *relation {
+func newRelation(twig STwig, matches []STwigMatch) *relation {
 	r := &relation{}
 	r.reset(twig, matches)
-	r.est = estimateCardinality(matches, rng)
+	r.card, _ = r.size()
 	return r
 }
 
@@ -30,68 +29,68 @@ func collectInto(dst *[]Match) func([]graph.NodeID, int) bool {
 }
 
 func TestEstimateCardinality(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if got := estimateCardinality(nil, rng); got != 0 {
-		t.Fatalf("empty relation estimate = %v", got)
+	size := func(matches []STwigMatch) (float64, int) {
+		return newRelation(STwig{Root: 0, Leaves: []int{1, 2}}, matches).size()
+	}
+	if card, words := size(nil); card != 0 || words != 0 {
+		t.Fatalf("empty relation: cardinality %v, %d words", card, words)
 	}
 	small := []STwigMatch{
 		{Root: 1, LeafSets: [][]graph.NodeID{{1, 2}}},
 		{Root: 2, LeafSets: [][]graph.NodeID{{1, 2, 3}}},
 	}
-	if got := estimateCardinality(small, rng); got != 5 {
-		t.Fatalf("exact estimate = %v, want 5", got)
+	if card, words := size(small); card != 5 || words != 9 {
+		t.Fatalf("cardinality %v, %d words; want 5 and 9", card, words)
 	}
-	// Sampled path: build 1000 matches each denoting 4 tuples; the scaled
-	// estimate must be near 4000.
+	// 1000 matches each denoting 4 tuples in 7 words: every match counts,
+	// however many there are.
 	big := make([]STwigMatch, 1000)
 	for i := range big {
 		big[i] = STwigMatch{Root: graph.NodeID(i), LeafSets: [][]graph.NodeID{{1, 2}, {3, 4}}}
 	}
-	got := estimateCardinality(big, rng)
-	if got < 3500 || got > 4500 {
-		t.Fatalf("sampled estimate = %v, want ≈4000", got)
+	if card, words := size(big); card != 4000 || words != 7000 {
+		t.Fatalf("cardinality %v, %d words; want 4000 and 7000", card, words)
 	}
 }
 
-// TestLazyRandDrawsTheEagerSequence pins the per-machine generator of the
-// join phase: created on its first draw, it must hand a sampled relation
-// (more than 256 matches) exactly the estimate the eagerly seeded
-// rand.New(rand.NewSource(seed)) gave it — estimates order the join, so any
-// drift would change join orders — and a relation that is not sampled must
-// not seed it at all.
-func TestLazyRandDrawsTheEagerSequence(t *testing.T) {
-	// Expanded counts vary with the index, so the estimate depends on
-	// exactly which matches are drawn.
-	matches := make([]STwigMatch, 1000)
-	for i := range matches {
-		matches[i] = STwigMatch{Root: graph.NodeID(i), LeafSets: [][]graph.NodeID{
-			make([]graph.NodeID, 1+i%17), make([]graph.NodeID, 1+i%3)}}
+// TestJoinOrderDrivesFromExactSmallest: the join starts from the relation
+// that denotes the fewest tuples, counted over every match. The heavy-tailed
+// relation has 999 single-tuple matches and one of 10^6 tuples; a uniform
+// sample of a few hundred of its matches misses the heavy one more often
+// than not and sizes the relation at about 1,000, below the 30,000 of the
+// evenly spread one.
+func TestJoinOrderDrivesFromExactSmallest(t *testing.T) {
+	wide := make([]graph.NodeID, 1000)
+	for i := range wide {
+		wide[i] = graph.NodeID(10_000 + i)
 	}
-	twig := STwig{Root: 0, Leaves: []int{1, 2}}
-	for _, seed := range []int64{0, 1, 7, 1 << 40} {
-		eager := rand.New(rand.NewSource(seed))
-		lazy := &lazyRand{seed: seed}
-		if estimateCardinality(matches[:256], lazy); lazy.rng != nil {
-			t.Fatalf("seed %d: a 256-match relation seeded the generator", seed)
-		}
-		// Two relations in a row: the second continues the sequence.
-		for _, n := range []int{257, 1000} {
-			want := newRelation(twig, matches[:n], eager).est
-			if got := newRelation(twig, matches[:n], lazy).est; got != want {
-				t.Fatalf("seed %d, %d matches: est = %v, eager generator gives %v", seed, n, got, want)
-			}
-		}
+	tail := make([]STwigMatch, 1000)
+	for i := range tail {
+		tail[i] = STwigMatch{Root: graph.NodeID(i), LeafSets: [][]graph.NodeID{{graph.NodeID(2000 + i)}, {graph.NodeID(3000 + i)}}}
+	}
+	tail[500].LeafSets = [][]graph.NodeID{wide, wide}
+	hundred := wide[:100]
+	even := make([]STwigMatch, 300)
+	for i := range even {
+		even[i] = STwigMatch{Root: graph.NodeID(2000 + i), LeafSets: [][]graph.NodeID{hundred}}
+	}
+	heavy := newRelation(STwig{Root: 0, Leaves: []int{1, 2}}, tail)
+	light := newRelation(STwig{Root: 1, Leaves: []int{3}}, even)
+	if heavy.card != 1_000_999 || light.card != 30_000 {
+		t.Fatalf("cardinalities %v and %v, want 1000999 and 30000", heavy.card, light.card)
+	}
+	if order := orderRelations([]*relation{heavy, light}, true); order[0] != light {
+		t.Fatalf("the join drives from the %v-tuple relation, not the 30000-tuple one", order[0].card)
 	}
 }
 
 func TestOrderRelationsSmallestFirstConnected(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
 	mk := func(root int, leaves []int, card int) *relation {
 		matches := make([]STwigMatch, card)
 		for i := range matches {
 			matches[i] = STwigMatch{Root: graph.NodeID(i), LeafSets: [][]graph.NodeID{{graph.NodeID(100 + i)}}}
 		}
-		return newRelation(STwig{Root: root, Leaves: leaves}, matches, rng)
+		return newRelation(STwig{Root: root, Leaves: leaves}, matches)
 	}
 	// Relations over a path query 0-1-2-3: (0;1) big, (1;2) small, (2;3) medium.
 	rels := []*relation{mk(0, []int{1}, 50), mk(1, []int{2}, 2), mk(2, []int{3}, 10)}
@@ -130,11 +129,9 @@ func TestJoinerEnforcesInjectivity(t *testing.T) {
 	// Query 0-1-2 with labels x,y,x; relation matches would allow vertex 5
 	// to play both 0 and 2 — the joiner must reject that tuple.
 	q := MustNewQuery([]string{"x", "y", "x"}, [][2]int{{0, 1}, {1, 2}})
-	rng := rand.New(rand.NewSource(1))
 	rel := newRelation(
 		STwig{Root: 1, Leaves: []int{0, 2}},
 		[]STwigMatch{{Root: 9, LeafSets: [][]graph.NodeID{{5, 6}, {5, 6}}}},
-		rng,
 	)
 	var got []Match
 	j := &joiner{q: q, rels: []*relation{rel}, blockSize: 4, emitBlock: collectInto(&got)}
@@ -152,11 +149,10 @@ func TestJoinerEnforcesInjectivity(t *testing.T) {
 func TestJoinerSharedLeafVariableMustAgree(t *testing.T) {
 	// Two relations sharing leaf variable 2: tuples must agree on it.
 	q := MustNewQuery([]string{"x", "y", "z"}, [][2]int{{0, 2}, {1, 2}})
-	rng := rand.New(rand.NewSource(1))
 	r1 := newRelation(STwig{Root: 0, Leaves: []int{2}},
-		[]STwigMatch{{Root: 10, LeafSets: [][]graph.NodeID{{30, 31}}}}, rng)
+		[]STwigMatch{{Root: 10, LeafSets: [][]graph.NodeID{{30, 31}}}})
 	r2 := newRelation(STwig{Root: 1, Leaves: []int{2}},
-		[]STwigMatch{{Root: 20, LeafSets: [][]graph.NodeID{{31, 32}}}}, rng)
+		[]STwigMatch{{Root: 20, LeafSets: [][]graph.NodeID{{31, 32}}}})
 	var got []Match
 	j := &joiner{q: q, rels: []*relation{r1, r2}, blockSize: 4, emitBlock: collectInto(&got)}
 	j.run()
@@ -171,14 +167,13 @@ func TestJoinerSharedLeafVariableMustAgree(t *testing.T) {
 func TestJoinerSharedRootProbesIndex(t *testing.T) {
 	// Second relation's root is the first's leaf: the byRoot probe path.
 	q := MustNewQuery([]string{"x", "y", "z"}, [][2]int{{0, 1}, {1, 2}})
-	rng := rand.New(rand.NewSource(1))
 	r1 := newRelation(STwig{Root: 0, Leaves: []int{1}},
-		[]STwigMatch{{Root: 10, LeafSets: [][]graph.NodeID{{20, 21}}}}, rng)
+		[]STwigMatch{{Root: 10, LeafSets: [][]graph.NodeID{{20, 21}}}})
 	r2 := newRelation(STwig{Root: 1, Leaves: []int{2}},
 		[]STwigMatch{
 			{Root: 20, LeafSets: [][]graph.NodeID{{30}}},
 			{Root: 22, LeafSets: [][]graph.NodeID{{31}}}, // unreachable root
-		}, rng)
+		})
 	var got []Match
 	j := &joiner{q: q, rels: []*relation{r1, r2}, blockSize: 4, emitBlock: collectInto(&got)}
 	j.run()
@@ -189,12 +184,11 @@ func TestJoinerSharedRootProbesIndex(t *testing.T) {
 
 func TestJoinerBudgetStops(t *testing.T) {
 	q := MustNewQuery([]string{"x", "y"}, [][2]int{{0, 1}})
-	rng := rand.New(rand.NewSource(1))
 	matches := make([]STwigMatch, 100)
 	for i := range matches {
 		matches[i] = STwigMatch{Root: graph.NodeID(i), LeafSets: [][]graph.NodeID{{graph.NodeID(1000 + i)}}}
 	}
-	rel := newRelation(STwig{Root: 0, Leaves: []int{1}}, matches, rng)
+	rel := newRelation(STwig{Root: 0, Leaves: []int{1}}, matches)
 	var budget atomic.Int64
 	budget.Store(7)
 	var got []Match
@@ -210,8 +204,7 @@ func TestJoinerBudgetStops(t *testing.T) {
 
 func TestJoinerEmptyRelationProducesNothing(t *testing.T) {
 	q := MustNewQuery([]string{"x", "y"}, [][2]int{{0, 1}})
-	rng := rand.New(rand.NewSource(1))
-	rel := newRelation(STwig{Root: 0, Leaves: []int{1}}, nil, rng)
+	rel := newRelation(STwig{Root: 0, Leaves: []int{1}}, nil)
 	called := false
 	j := &joiner{q: q, rels: []*relation{rel}, blockSize: 4, emitBlock: func([]graph.NodeID, int) bool { called = true; return true }}
 	j.run()

@@ -24,7 +24,8 @@ type Planner struct {
 }
 
 // NewPlanner creates a planner over a loaded cluster. Only the planning
-// options (Seed, RandomDecomposition, NoLoadSets) influence its output.
+// options influence its output: RandomDecomposition, with the Seed it draws
+// from, and NoLoadSets.
 func NewPlanner(c *memcloud.Cluster, opts Options) *Planner {
 	return &Planner{cluster: c, opts: normalizeOptions(opts)}
 }

@@ -14,7 +14,7 @@
 //	POST /v1/ns/{name}/explain      render the execution plan; analyze=true also runs it
 //	POST /v1/ns/{name}/update       add_node / add_edge / remove_edge against the live graph
 //	POST /v1/ns/{name}/update/bulk  an array of mutations as one journaled batch
-//	GET  /v1/ns/{name}/stats        per-tenant plan cache, admission, net, update, latency
+//	GET  /v1/ns/{name}/stats        per-tenant graph, engine, admission, net, update, latency
 //	GET  /v1/ns/{name}/wal|snapshot WAL-shipping replication (with /v1/replication/manifest, /v1/admin/promote)
 //	GET  /v1/ns                     list namespaces
 //	POST /v1/ns                     create a namespace from a spec (file or R-MAT); needs AdminToken

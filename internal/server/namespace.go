@@ -18,7 +18,7 @@ import (
 )
 
 // namespace is one tenant's complete serving state: its own engine (and
-// therefore cluster, plan cache, and counters), its own admission gate and
+// therefore cluster and counters), its own admission gate and
 // limits, its own endpoint metrics, and its own single-writer update lock.
 // Nothing here is shared across tenants, which is the isolation property
 // the multi-tenant tests pin: a tenant saturating its admission budget or

@@ -118,9 +118,9 @@ func (p *promWriter) goRuntime() {
 	p.sample("stwig_go_gc_pause_seconds_total", "", pause)
 }
 
-// nsMetric is one per-namespace sample of a family: extracted up front so
-// each family's samples stay contiguous without re-snapshotting engines
-// once per family.
+// nsState is what one namespace contributes to every per-namespace family:
+// extracted up front so each family's samples stay contiguous without
+// re-snapshotting engines once per family.
 type nsState struct {
 	ns    *namespace
 	label string // preformatted {ns="..."}
