@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"stwig/internal/graph"
+	"stwig/internal/memcloud"
 )
 
 // Bindings is the exploration state of §4.2: for each query vertex v, the
@@ -147,13 +148,16 @@ type runScratch struct {
 	matches  []Match // headers over the block being emitted
 }
 
-// machineScratch holds one machine's pass-1 output for the current step
-// and its join state.
+// machineScratch holds one machine's pass-1 output for the current step,
+// its join state and the traffic it has charged in this run. Only the
+// worker that claimed the machine writes net, so the charges are plain adds;
+// the forEachMachine barrier publishes them to the proxy.
 type machineScratch struct {
 	cells  []rootCell
 	labels []graph.LabelID
 	join   joinScratch
 	joiner joiner
+	net    memcloud.NetStats
 }
 
 // newRunScratch sizes a scratch for a cluster of k machines.
@@ -200,11 +204,12 @@ func (sc *runScratch) putSet(s bitset) {
 // 4-vertex query leaves on the default 8 machines (8 × 256 × 4 ids).
 const maxIdleJoinBytes = 64 << 10
 
-// forget drops what the finished run left referenced from the scratch —
-// the arena references pass 1 put in the cell buffers, the exploration
-// results the relations alias, the blocks the match headers point into: a
-// pooled scratch must keep alive neither an arena that an update has since
-// replaced nor a finished query's matches. It also trims the join memory to
+// forget drops what the finished run left in the scratch — its machines'
+// traffic counts, the arena references pass 1 put in the cell buffers, the
+// exploration results the relations alias, the blocks the match headers
+// point into: a pooled scratch must keep alive neither an arena that an
+// update has since replaced nor a finished query's matches, and the next run
+// must start its count at zero. It also trims the join memory to
 // maxIdleJoinBytes: the joiners' blocks first (a block is the largest single
 // piece), then the machines' relations.
 func (sc *runScratch) forget() {
@@ -220,6 +225,7 @@ func (sc *runScratch) forget() {
 	for i := range sc.machines {
 		ms := &sc.machines[i]
 		clear(ms.cells[:cap(ms.cells)])
+		ms.net = memcloud.NetStats{}
 		ms.join.release()
 		if held += ms.join.idleBytes(); held > maxIdleJoinBytes {
 			ms.join = joinScratch{}

@@ -111,6 +111,9 @@ type Engine struct {
 	// emitFlushes accumulates each run's ExecStats.EmitFlushes: batched
 	// flushes through the serialized emit path.
 	emitFlushes atomic.Uint64
+	// netMessages and netBytes accumulate each run's ExecStats.Net.
+	netMessages atomic.Uint64
+	netBytes    atomic.Uint64
 }
 
 // NewEngine creates an engine over a loaded cluster.
@@ -128,15 +131,18 @@ func NewEngine(c *memcloud.Cluster, opts Options) *Engine {
 func (e *Engine) Cluster() *memcloud.Cluster { return e.cluster }
 
 // EngineSnapshot is a point-in-time view of an engine and its cluster for
-// observability surfaces (the daemon's GET /stats, dashboards, tests). All
-// counters are cumulative since engine/cluster construction.
+// observability surfaces (the daemon's GET /stats, dashboards, tests). The
+// workload counters (Net, Queries, MatchesEmitted, EmitFlushes) are this
+// engine's own, cumulative since its construction; Updates is the
+// cluster's.
 type EngineSnapshot struct {
 	// Epoch is the cluster's current mutation epoch.
 	Epoch uint64
 	// Machines and Nodes describe the cluster's current shape.
 	Machines int
 	Nodes    int64
-	// Net is the cumulative communication incurred by all queries so far.
+	// Net sums ExecStats.Net over the engine's runs that completed; a run
+	// that returns an error books nothing, as with EmitFlushes.
 	Net memcloud.NetStats
 	// Updates counts dynamic mutations applied to the cluster.
 	Updates memcloud.UpdateStats
@@ -158,7 +164,7 @@ func (e *Engine) Snapshot() EngineSnapshot {
 		Epoch:          e.cluster.Epoch(),
 		Machines:       e.cluster.NumMachines(),
 		Nodes:          e.cluster.NumNodes(),
-		Net:            e.cluster.NetStats(),
+		Net:            memcloud.NetStats{Messages: e.netMessages.Load(), Bytes: e.netBytes.Load()},
 		Updates:        e.cluster.UpdateStats(),
 		MemoryBytes:    e.cluster.TotalMemoryBytes(),
 		Queries:        e.queries.Load(),
@@ -288,6 +294,8 @@ func (e *Engine) matchStream(ctx context.Context, q *Query, emit func(Match) boo
 		return nil, nil, err
 	}
 	e.emitFlushes.Add(stats.EmitFlushes)
+	e.netMessages.Add(stats.Net.Messages)
+	e.netBytes.Add(stats.Net.Bytes)
 	stats.PlanTime = plan.BuildTime
 	if traceID != "" {
 		stats.TraceID = traceID

@@ -4,10 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+
+	"stwig/internal/memcloud"
 )
 
 // matchKeysJoined renders a result set in canonical byte form so "byte
@@ -145,5 +148,85 @@ func TestConcurrentEngineSharedAndDistinctQueries(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentRunsCountTheirOwnTraffic runs one pattern alone, then many
+// copies of it at once through one engine. A run charges its traffic to
+// counters it owns, so every concurrent run reports exactly the solo run's
+// messages and bytes, and the same words per explore step and for the join.
+// The solo run also pins how its bytes split: one plan broadcast message per
+// machine, then what the explore steps and the join moved.
+func TestConcurrentRunsCountTheirOwnTraffic(t *testing.T) {
+	g, q, _ := pathFixture()
+	const machines = 8
+	e := NewEngine(clusterFor(t, g, machines), Options{TraceID: "traffic"})
+	plan, err := e.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() (*ExecStats, error) {
+		return e.MatchStreamBlocks(context.Background(), q, func(ms []Match) (int, bool) { return len(ms), true })
+	}
+	// words lists the explore steps' words, then the join's.
+	words := func(st *ExecStats) []int64 {
+		var w []int64
+		for _, step := range SpanByName(st.Spans, "explore").Children {
+			w = append(w, step.Words)
+		}
+		return append(w, SpanByName(st.Spans, "join").Words)
+	}
+
+	solo, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	soloWords := words(solo)
+	t.Logf("solo run: %v; words per explore step, then the join: %v", solo.Net, soloWords)
+	if len(soloWords) < 3 || soloWords[len(soloWords)-1] == 0 {
+		t.Fatalf("words per step and join %v: the fixture must take two STwig steps and exchange results", soloWords)
+	}
+	var moved int64
+	for _, w := range soloWords {
+		moved += w
+	}
+	if got := uint64(8*moved) + machines*(16+8*uint64(plan.planWords)); got != solo.Net.Bytes {
+		t.Fatalf("8 × %d span words + %d machines × (16 + 8 × %d plan words) = %d bytes, Net says %v",
+			moved, machines, plan.planWords, got, solo.Net)
+	}
+
+	const concurrent, rounds = 16, 5
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		errs := make(chan error, concurrent)
+		for i := 0; i < concurrent; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				st, err := run()
+				switch {
+				case err != nil:
+					errs <- err
+				case st.Net != solo.Net:
+					errs <- fmt.Errorf("round %d run %d: Net %v, the solo run's %v", round, i, st.Net, solo.Net)
+				case !slices.Equal(words(st), soloWords):
+					errs <- fmt.Errorf("round %d run %d: words per step and join %v, the solo run's %v", round, i, words(st), soloWords)
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+
+	runs := uint64(1 + concurrent*rounds)
+	want := memcloud.NetStats{Messages: runs * solo.Net.Messages, Bytes: runs * solo.Net.Bytes}
+	if got := e.Snapshot().Net; got != want {
+		t.Fatalf("engine snapshot Net %v after %d runs, want %v", got, runs, want)
 	}
 }

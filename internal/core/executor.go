@@ -70,6 +70,11 @@ type execution struct {
 	// (ExecStats.EmitFlushes).
 	flushes atomic.Uint64
 
+	// net is the traffic the proxy itself charges: the plan broadcast and
+	// the binding sets it sends down. Each machine charges its own
+	// (machineScratch.net); traffic sums the two.
+	net memcloud.NetStats
+
 	// Tracing state, populated only when traced (a trace ID in the context
 	// or in Options.TraceID): twigSpans collects one span per exploration
 	// step; machSpans one per machine during the join, indexed by machine
@@ -120,23 +125,32 @@ func (r *execution) forEachMachine(fn func(m *memcloud.Machine)) {
 	r.pt.serial += sumD
 }
 
+// traffic sums what the run has charged so far: the proxy's own messages
+// and every machine's. Call it between phases only, where the
+// forEachMachine barrier has published the machines' counts.
+func (r *execution) traffic() memcloud.NetStats {
+	total := r.net
+	for i := range r.sc.machines {
+		total.Add(r.sc.machines[i].net)
+	}
+	return total
+}
+
 // run drives the two parallel phases and assembles the statistics. The
 // proxy phase already happened at plan time; its broadcast (one small
-// message per machine) is accounted here, with the rest of the run's
+// message per machine) is charged here, with the rest of the run's
 // traffic.
 func (r *execution) run(ctx context.Context) (*ExecStats, error) {
 	ex := r.ex
 	plan := r.plan
-	netBefore := ex.cluster.NetStats()
-	for k := 0; k < ex.cluster.NumMachines(); k++ {
-		ex.cluster.AccountProxyTransfer(plan.planWords)
-	}
-
 	r.sc = ex.scratch.Get().(*runScratch)
 	defer func() {
 		r.sc.forget()
 		ex.scratch.Put(r.sc)
 	}()
+	for k := 0; k < ex.cluster.NumMachines(); k++ {
+		ex.cluster.AccountProxyTransfer(&r.net, plan.planWords)
+	}
 
 	wallStart := time.Now()
 
@@ -147,10 +161,7 @@ func (r *execution) run(ctx context.Context) (*ExecStats, error) {
 		return nil, err
 	}
 	exploreTime := time.Since(exploreStart)
-	var netAfterExplore memcloud.NetStats
-	if r.traced {
-		netAfterExplore = ex.cluster.NetStats()
-	}
+	netAfterExplore := r.traffic()
 
 	// Exchange + join phase.
 	joinStart := time.Now()
@@ -166,7 +177,7 @@ func (r *execution) run(ctx context.Context) (*ExecStats, error) {
 		// still holding the plan (EXPLAIN ANALYZE hands out both).
 		Decomposition:     plan.Decomposition.clone(),
 		STwigMatchCounts:  make([]int, len(plan.Decomposition.Twigs)),
-		Net:               ex.cluster.NetStats().Sub(netBefore),
+		Net:               r.traffic(),
 		ExploreTime:       exploreTime,
 		JoinTime:          joinTime,
 		Truncated:         truncated,
@@ -213,7 +224,7 @@ func (r *execution) buildSpans(stats *ExecStats, exploreTime, joinTime time.Dura
 		Name:     "join",
 		Duration: joinTime,
 		Matches:  joinMatches,
-		Words:    int64(r.ex.cluster.NetStats().Sub(netAfterExplore).Bytes / 8),
+		Words:    int64((stats.Net.Bytes - netAfterExplore.Bytes) / 8),
 		Children: append(r.machSpans, Span{
 			Name:     "emit",
 			Duration: r.emitTime,
@@ -252,7 +263,7 @@ func (r *execution) explore(ctx context.Context) ([][][]STwigMatch, error) {
 		var netBefore memcloud.NetStats
 		if r.traced {
 			stepStart = time.Now()
-			netBefore = ex.cluster.NetStats()
+			netBefore = r.traffic()
 		}
 		perTwig[t] = make([][]STwigMatch, k)
 		// The modelled binding synchronization ships H_v as a bitset: one
@@ -261,15 +272,16 @@ func (r *execution) explore(ctx context.Context) ([][][]STwigMatch, error) {
 		// — only those this step touched — back down.
 		syncWords := (1 + len(twig.Leaves)) * sc.words
 		r.forEachMachine(func(m *memcloud.Machine) {
-			perTwig[t][m.ID()] = matchSTwigOnMachine(m, twig, labels, bindings, r.cut, &sc.machines[m.ID()])
+			ms := &sc.machines[m.ID()]
+			perTwig[t][m.ID()] = matchSTwigOnMachine(m, twig, labels, bindings, r.cut, ms)
 			if bindings != nil {
-				m.Cluster().AccountProxyTransfer(syncWords)
+				ex.cluster.AccountProxyTransfer(&ms.net, syncWords)
 			}
 		})
 		if bindings != nil {
 			bindings.rebind(twig, perTwig[t], sc)
 			for i := 0; i < k; i++ {
-				ex.cluster.AccountProxyTransfer(syncWords)
+				ex.cluster.AccountProxyTransfer(&r.net, syncWords)
 			}
 		}
 		if r.traced {
@@ -281,7 +293,7 @@ func (r *execution) explore(ctx context.Context) ([][][]STwigMatch, error) {
 				Name:     fmt.Sprintf("stwig %d (root %d)", t+1, twig.Root),
 				Duration: time.Since(stepStart),
 				Matches:  int64(matches),
-				Words:    int64(ex.cluster.NetStats().Sub(netBefore).Bytes / 8),
+				Words:    int64((r.traffic().Bytes - netBefore.Bytes) / 8),
 			})
 		}
 	}
@@ -393,7 +405,8 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 		// shared with every other machine's join, so a relation moves to a
 		// private match array before its first remote extension, and the
 		// semi-join deep-copies before it filters.
-		js := &r.sc.machines[machine].join
+		ms := &r.sc.machines[machine]
+		js := &ms.join
 		rels := js.relations(len(dec.Twigs))
 		totalWords := 0
 		for t, twig := range dec.Twigs {
@@ -410,7 +423,7 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 					for _, m := range remote {
 						words += m.words()
 					}
-					ex.cluster.ShipWords(j, machine, words)
+					ex.cluster.ShipWords(&ms.net, j, machine, words)
 					rel.extend(remote)
 				}
 			}
@@ -433,7 +446,7 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 		}
 		rels = orderRelations(rels, !ex.opts.NoJoinOrderOpt)
 
-		jn := &r.sc.machines[machine].joiner
+		jn := &ms.joiner
 		jn.q, jn.rels, jn.budget, jn.blockSize = q, rels, budget, ex.opts.BlockSize
 		jn.abort, jn.emitBlock = aborted, emitBlockFor(machine)
 		jn.run()

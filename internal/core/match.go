@@ -94,12 +94,12 @@ type rootCell struct {
 
 // gatherRootCells is pass 1: for every surviving root, resolve its
 // neighbors' labels — cell by cell, straight off the arena — through one
-// label batch that is accounted once when the pass ends. This is where the
-// step's network traffic happens. The returned slices live in ms until the
-// machine's next step.
+// label batch that is charged to the machine's ms.net once when the pass
+// ends. This is where the step's label traffic happens. The returned slices
+// live in ms until the machine's next step.
 func gatherRootCells(m *memcloud.Machine, t STwig, labels []graph.LabelID, b *Bindings, cut restriction, ms *machineScratch) ([]rootCell, []graph.LabelID) {
 	cells, nbrLabels := ms.cells[:0], ms.labels[:0]
-	batch := m.LabelBatch()
+	batch := m.LabelBatch(&ms.net)
 	// The index lists its ids in ascending order, so the slice of a
 	// restricted root is found, not filtered: no cell outside it is loaded.
 	for _, n := range cut.rangeOf(t.Root).cut(m.LocalIDs(labels[t.Root])) {

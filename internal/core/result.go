@@ -42,7 +42,8 @@ type ExecStats struct {
 	// STwigMatchCounts[t] is the total (cluster-wide) number of factored
 	// matches of STwig t after exploration.
 	STwigMatchCounts []int
-	// Net is the communication incurred by this query.
+	// Net is this run's own simulated traffic: every message its machines
+	// and its proxy charged, and nothing of any run beside it.
 	Net memcloud.NetStats
 	// ExploreTime and JoinTime split the execution wall clock.
 	ExploreTime, JoinTime time.Duration
@@ -112,7 +113,8 @@ func MatchSet(ms []Match) map[string]bool {
 // VerifyMatch checks that m is a genuine embedding of q in the graph
 // behind the cluster: labels agree, assigned vertices are pairwise
 // distinct, and every query edge maps to a data edge. Used by tests and the
-// CLI's --verify flag.
+// CLI's --verify flag. It reads cells through Cluster.Cell, so a
+// verification charges no simulated traffic.
 func VerifyMatch(c *memcloud.Cluster, q *Query, m Match) error {
 	if len(m.Assignment) != q.NumVertices() {
 		return fmt.Errorf("core: assignment has %d vertices, query has %d", len(m.Assignment), q.NumVertices())
@@ -127,7 +129,7 @@ func VerifyMatch(c *memcloud.Cluster, q *Query, m Match) error {
 			return fmt.Errorf("core: query vertices %d and %d both map to data vertex %d", prev, v, id)
 		}
 		seen[id] = v
-		cell, found := c.Load(0, id)
+		cell, found := c.Cell(id)
 		if !found {
 			return fmt.Errorf("core: assigned vertex %d does not exist", id)
 		}
@@ -137,7 +139,7 @@ func VerifyMatch(c *memcloud.Cluster, q *Query, m Match) error {
 	}
 	for _, e := range q.Edges() {
 		a, b := m.Assignment[e[0]], m.Assignment[e[1]]
-		cell, _ := c.Load(0, a)
+		cell, _ := c.Cell(a)
 		found := false
 		for _, nb := range cell.Neighbors {
 			if nb == b {

@@ -12,13 +12,14 @@ import (
 	"stwig/internal/workload"
 )
 
-// RunAblations measures the design choices DESIGN.md §6 calls out, each
-// against the full configuration on the same graph and query set:
+// RunAblations measures the paper's design choices, each against the full
+// configuration on the same graph and query set:
 //
-//	bindings off      — §3's "join everything" strategy
-//	load sets off     — all-to-all result exchange
-//	random cover      — unrevised decomposition instead of Algorithm 2
-//	join order off    — fixed relation order
+//	bindings off      — §4.2's exploration without binding propagation,
+//	                    §3's "join everything" strategy
+//	load sets off     — all-to-all result exchange instead of §5.3's load sets
+//	random cover      — unrevised decomposition instead of §5.2's Algorithm 2
+//	join order off    — fixed relation order in §4.3's join
 //
 // Reported per variant: average query time and network bytes. Result sets
 // are identical across variants (asserted by the core test suite), so the
@@ -63,16 +64,17 @@ func RunAblations(cfg Config) (*stats.Table, error) {
 		opts.MatchBudget = cfg.Budget
 		opts.Seed = cfg.Seed
 		eng := core.NewEngine(cluster, opts)
-		cluster.ResetNetStats()
 		var total time.Duration
+		var net memcloud.NetStats
 		for _, q := range queries {
 			start := time.Now()
-			if _, err := eng.Match(q); err != nil {
+			res, err := eng.Match(q)
+			if err != nil {
 				return nil, err
 			}
 			total += time.Since(start)
+			net.Add(res.Stats.Net)
 		}
-		net := cluster.NetStats()
 		tab.AddRow(v.name, total/time.Duration(len(queries)), net.Bytes, net.Messages)
 	}
 
@@ -135,16 +137,17 @@ func runLocalityLoadSets(cfg Config) ([][]interface{}, error) {
 		opts.MatchBudget = cfg.Budget
 		opts.Seed = cfg.Seed
 		eng := core.NewEngine(cluster, opts)
-		cluster.ResetNetStats()
 		var total time.Duration
+		var net memcloud.NetStats
 		for _, q := range queries {
 			start := time.Now()
-			if _, err := eng.Match(q); err != nil {
+			res, err := eng.Match(q)
+			if err != nil {
 				return nil, err
 			}
 			total += time.Since(start)
+			net.Add(res.Stats.Net)
 		}
-		net := cluster.NetStats()
 		rows = append(rows, []interface{}{v.name, total / time.Duration(len(queries)), net.Bytes, net.Messages})
 	}
 	return rows, nil

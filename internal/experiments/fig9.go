@@ -49,8 +49,8 @@ func runSpeedup(cfg Config, g *graph.Graph, mkQueries func() ([]*core.Query, err
 			Seed:             cfg.Seed,
 			SimulateParallel: true,
 		})
-		cluster.ResetNetStats()
 		var modeled, busy, netTime time.Duration
+		var net memcloud.NetStats
 		for _, q := range queries {
 			res, err := eng.Match(q)
 			if err != nil {
@@ -59,13 +59,14 @@ func runSpeedup(cfg Config, g *graph.Graph, mkQueries func() ([]*core.Query, err
 			modeled += res.Stats.ModeledParallelTime
 			busy += res.Stats.ModeledMachineTime
 			netTime += res.Stats.ModeledNetTime
+			net.Add(res.Stats.Net)
 		}
 		n := time.Duration(len(queries))
 		modeled, busy, netTime = modeled/n, busy/n, netTime/n
 		if k == 1 {
 			base = modeled
 		}
-		tab.AddRow(k, modeled, float64(base)/float64(modeled), busy, netTime, cluster.NetStats().Bytes)
+		tab.AddRow(k, modeled, float64(base)/float64(modeled), busy, netTime, net.Bytes)
 	}
 	return tab, nil
 }

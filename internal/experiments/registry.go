@@ -33,7 +33,7 @@ func All() []Experiment {
 		{"fig10b", "Figure 10(b)", "grows with node count at fixed density", RunFig10b},
 		{"fig10c", "Figure 10(c)", "sub-linear growth with degree; random hit harder", RunFig10c},
 		{"fig10d", "Figure 10(d)", "decreasing with label density", RunFig10d},
-		{"ablations", "(DESIGN.md §6)", "each optimization strictly reduces time and/or bytes", RunAblations},
+		{"ablations", "(§4.2, §4.3, §5.2, §5.3)", "each optimization strictly reduces time and/or bytes", RunAblations},
 		{"throughput", "(§8 future work)", "throughput scales with available cores, then saturates (flat on a 1-core host)", RunThroughput},
 	}
 }

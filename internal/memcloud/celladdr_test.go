@@ -40,19 +40,16 @@ func TestUnlabelledVertexResolvesToNoLabel(t *testing.T) {
 	c := loadedCluster(t, b.Build(), 2)
 	la := c.Labels().MustLookup("a")
 
-	c.ResetNetStats()
-	got := c.LabelsOfBatch(0, []graph.NodeID{0, 1}, nil)
+	got, net := resolveFrom(c, 0, []graph.NodeID{0, 1})
 	if got[0] != la || got[1] != graph.NoLabel {
-		t.Fatalf("LabelsOfBatch = %v, want [%d %d]", got, la, graph.NoLabel)
+		t.Fatalf("LabelBatch resolved %v, want [%d %d]", got, la, graph.NoLabel)
 	}
-	if s := c.NetStats(); s.Messages != 1 {
-		t.Fatalf("resolving machine 1's unlabelled vertex from machine 0 sent %d messages, want 1", s.Messages)
+	if net.Messages != 1 {
+		t.Fatalf("resolving machine 1's unlabelled vertex from machine 0 sent %d messages, want 1", net.Messages)
 	}
-	for from := 0; from < 2; from++ {
-		cell, ok := c.Load(from, 1)
-		if !ok || cell.Label != graph.NoLabel || len(cell.Neighbors) != 1 || cell.Neighbors[0] != 0 {
-			t.Fatalf("Load(%d, 1) = %+v, %v; want the unlabelled cell adjacent to 0", from, cell, ok)
-		}
+	cell, ok := c.Cell(1)
+	if !ok || cell.Label != graph.NoLabel || len(cell.Neighbors) != 1 || cell.Neighbors[0] != 0 {
+		t.Fatalf("Cell(1) = %+v, %v; want the unlabelled cell adjacent to 0", cell, ok)
 	}
 	if cell, ok := c.Machine(1).LoadLocal(1); !ok || cell.Label != graph.NoLabel {
 		t.Fatalf("LoadLocal(1) = %+v, %v", cell, ok)

@@ -35,10 +35,11 @@ type Config struct {
 	Machines int
 	// Partitioner overrides the default HashPartitioner.
 	Partitioner Partitioner
-	// RemoteLatency, if nonzero, is slept once per remote batch message to
-	// emulate a network round trip. Off by default so unit tests stay fast;
-	// the speed-up experiments can enable it to make communication cost
-	// visible in wall-clock time.
+	// RemoteLatency, if nonzero, is slept once per charged message to
+	// emulate a network round trip. Off by default; no experiment sets it
+	// (the speed-up experiments model network time with NetworkModel
+	// instead), and its one user is a test that needs machines to stay
+	// busy long enough to be counted.
 	RemoteLatency time.Duration
 }
 
@@ -69,7 +70,6 @@ type Cluster struct {
 	// without locks, AddNode appends to it under upd.mu while no query runs.
 	addr   []cellAddr
 	labels *graph.LabelTable
-	net    netCounters
 	cross  *crossPairs
 	loaded bool
 	upd    updateState
@@ -234,13 +234,6 @@ func (c *Cluster) Owner(v graph.NodeID) int {
 // Labels returns the label table of the loaded graph, or nil before load.
 func (c *Cluster) Labels() *graph.LabelTable { return c.labels }
 
-// NetStats snapshots the communication counters.
-func (c *Cluster) NetStats() NetStats { return c.net.snapshot() }
-
-// ResetNetStats zeroes the communication counters; experiments call this
-// between phases.
-func (c *Cluster) ResetNetStats() { c.net.reset() }
-
 // CrossMask returns the bitmask of machines j such that the data graph
 // contains an edge from a vertex labeled la on machine i to a vertex labeled
 // lb on machine j. This is the stored label-pair information §5.3 uses to
@@ -302,45 +295,26 @@ func (c *Cluster) ParallelEach(fn func(m *Machine)) {
 	wg.Wait()
 }
 
-// accountRemote charges one message of the given payload words and applies
+// charge books one message of the given payload words to net and applies
 // the configured latency.
-func (c *Cluster) accountRemote(words int) {
-	c.net.account(1, payloadSize(words))
+func (c *Cluster) charge(net *NetStats, words int) {
+	net.Add(NetStats{Messages: 1, Bytes: payloadSize(words)})
 	if c.cfg.RemoteLatency > 0 {
 		time.Sleep(c.cfg.RemoteLatency)
 	}
 }
 
-// Load is the paper's Cloud.Load(id) as issued from machine `from`: it
-// locates the vertex wherever it lives and returns its cell. Remote loads
-// ship the neighbor list and are accounted.
-func (c *Cluster) Load(from int, id graph.NodeID) (Cell, bool) {
+// Cell returns the cell of vertex id wherever it lives, and false when id
+// does not exist. It is a read of the simulation, not of the modelled
+// fabric: nothing is charged, which is what verification (VerifyMatch) and
+// tests want. Neighbors aliases the owner's arena; callers must not modify
+// it.
+func (c *Cluster) Cell(id graph.NodeID) (Cell, bool) {
 	a, ok := c.locate(id)
 	if !ok {
 		return Cell{}, false
 	}
-	cell := c.cell(id, a)
-	if a.owner() != from {
-		// Ship a copy: remote cells must not alias another machine's arena.
-		cell.Neighbors = append([]graph.NodeID(nil), cell.Neighbors...)
-		c.accountRemote(2 + len(cell.Neighbors))
-	}
-	return cell, true
-}
-
-// HasLabel is the paper's Index.hasLabel(id, label) as issued from machine
-// `from`. Checking a remote vertex costs one round trip ("when checking the
-// label of a child node ... we may incur network communication", §4.3); a
-// vertex that does not exist has no owner to ask and costs nothing.
-func (c *Cluster) HasLabel(from int, id graph.NodeID, label graph.LabelID) bool {
-	a, ok := c.locate(id)
-	if !ok {
-		return false
-	}
-	if a.owner() != from {
-		c.accountRemote(2)
-	}
-	return a.label() == label
+	return c.cell(id, a), true
 }
 
 // cell assembles the Cell of vertex id from its address entry. Neighbors
@@ -359,6 +333,8 @@ func (c *Cluster) cell(id graph.NodeID, a cellAddr) Cell {
 type LabelBatch struct {
 	c    *Cluster
 	from int
+	// net is the caller's accumulator Flush charges.
+	net *NetStats
 	// remoteWords[j] counts the IDs owned by machine j resolved so far. One
 	// word per remote ID: the request direction carries the 8-byte vertex
 	// ID and the (smaller) label response rides the full-duplex return
@@ -386,41 +362,33 @@ func (b *LabelBatch) Resolve(ids []graph.NodeID, out []graph.LabelID) []graph.La
 	return out
 }
 
-// Flush accounts the batch — remote owners in ascending order — and resets
-// it for reuse.
+// Flush charges the batch to the NetStats it was started with — one message
+// per remote owner, in ascending owner order — and resets it for reuse.
 func (b *LabelBatch) Flush() {
 	for owner := range b.c.machines {
 		if words := b.remoteWords[owner]; words > 0 && owner != b.from {
-			b.c.accountRemote(words)
+			b.c.charge(b.net, words)
 		}
 	}
 	b.remoteWords = [MaxMachines]int{}
 }
 
-// LabelsOfBatch resolves the labels of ids into out[:0] as issued from
-// machine `from`, as one LabelBatch of its own.
-func (c *Cluster) LabelsOfBatch(from int, ids []graph.NodeID, out []graph.LabelID) []graph.LabelID {
-	b := LabelBatch{c: c, from: from}
-	out = b.Resolve(ids, out[:0])
-	b.Flush()
-	return out
-}
-
-// ShipWords accounts an application-level transfer of the given number of
-// 8-byte words from machine `from` to machine `to` (used by the join phase
-// when machines exchange STwig results). No-op when from == to.
-func (c *Cluster) ShipWords(from, to, words int) {
+// ShipWords charges net an application-level transfer of the given number
+// of 8-byte words from machine `from` to machine `to` (used by the join
+// phase when machines exchange STwig results). No-op when from == to.
+func (c *Cluster) ShipWords(net *NetStats, from, to, words int) {
 	if from == to {
 		return
 	}
-	c.accountRemote(words)
+	c.charge(net, words)
 }
 
-// AccountProxyTransfer accounts one message of the given payload words
+// AccountProxyTransfer charges net one message of the given payload words
 // between a machine and the query proxy (which is not itself a cluster
-// machine). The exploration phase uses it for binding synchronization.
-func (c *Cluster) AccountProxyTransfer(words int) {
-	c.accountRemote(words)
+// machine). The executor uses it for the plan broadcast and the binding
+// synchronization.
+func (c *Cluster) AccountProxyTransfer(net *NetStats, words int) {
+	c.charge(net, words)
 }
 
 // GlobalLabelCount sums Index.Count over machines: the number of vertices

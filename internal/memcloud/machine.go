@@ -33,13 +33,8 @@ func (m *Machine) LocalLabelCount(label graph.LabelID) int {
 // NumLocalNodes returns the partition's vertex count.
 func (m *Machine) NumLocalNodes() int64 { return m.store.numNodes() }
 
-// Load is Cloud.Load(id) issued from this machine; remote vertices are
-// fetched through the fabric and accounted.
-func (m *Machine) Load(id graph.NodeID) (Cell, bool) {
-	return m.cluster.Load(m.id, id)
-}
-
-// LoadLocal loads a cell only if this machine owns it.
+// LoadLocal is the paper's Cloud.Load(id) for a vertex this machine owns;
+// it finds nothing for any other.
 func (m *Machine) LoadLocal(id graph.NodeID) (Cell, bool) {
 	a, ok := m.cluster.locate(id)
 	if !ok || a.owner() != m.id {
@@ -48,20 +43,10 @@ func (m *Machine) LoadLocal(id graph.NodeID) (Cell, bool) {
 	return m.cluster.cell(id, a), true
 }
 
-// HasLabel is Index.hasLabel(id, label) issued from this machine.
-func (m *Machine) HasLabel(id graph.NodeID, label graph.LabelID) bool {
-	return m.cluster.HasLabel(m.id, id, label)
-}
-
-// LabelsOfBatch resolves labels for ids into out[:0] with per-owner message
-// batching, returning the filled slice.
-func (m *Machine) LabelsOfBatch(ids []graph.NodeID, out []graph.LabelID) []graph.LabelID {
-	return m.cluster.LabelsOfBatch(m.id, ids, out)
-}
-
-// LabelBatch starts a label batch issued from this machine.
-func (m *Machine) LabelBatch() LabelBatch {
-	return LabelBatch{c: m.cluster, from: m.id}
+// LabelBatch starts a label batch issued from this machine whose Flush
+// charges net.
+func (m *Machine) LabelBatch(net *NetStats) LabelBatch {
+	return LabelBatch{c: m.cluster, from: m.id, net: net}
 }
 
 // Owns reports whether this machine owns vertex id.

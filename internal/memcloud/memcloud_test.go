@@ -108,20 +108,20 @@ func TestLoadReturnsCorrectCell(t *testing.T) {
 	c := loadedCluster(t, g, 4)
 	for v := int64(0); v < g.NumNodes(); v++ {
 		id := graph.NodeID(v)
-		cell, ok := c.Load(c.Owner(id), id)
+		cell, ok := c.Cell(id)
 		if !ok {
-			t.Fatalf("Load(%d) not found", id)
+			t.Fatalf("Cell(%d) not found", id)
 		}
 		if cell.Label != g.Label(id) {
-			t.Fatalf("Load(%d) label = %d, want %d", id, cell.Label, g.Label(id))
+			t.Fatalf("Cell(%d) label = %d, want %d", id, cell.Label, g.Label(id))
 		}
 		want := g.Neighbors(id)
 		if len(cell.Neighbors) != len(want) {
-			t.Fatalf("Load(%d) has %d neighbors, want %d", id, len(cell.Neighbors), len(want))
+			t.Fatalf("Cell(%d) has %d neighbors, want %d", id, len(cell.Neighbors), len(want))
 		}
 		for i := range want {
 			if cell.Neighbors[i] != want[i] {
-				t.Fatalf("Load(%d) neighbors = %v, want %v", id, cell.Neighbors, want)
+				t.Fatalf("Cell(%d) neighbors = %v, want %v", id, cell.Neighbors, want)
 			}
 		}
 	}
@@ -130,125 +130,69 @@ func TestLoadReturnsCorrectCell(t *testing.T) {
 func TestLoadMissingVertex(t *testing.T) {
 	g := testGraph(t)
 	c := loadedCluster(t, g, 2)
-	if _, ok := c.Load(0, graph.NodeID(10_000)); ok {
-		t.Fatal("Load of nonexistent vertex succeeded")
+	if _, ok := c.Cell(graph.NodeID(10_000)); ok {
+		t.Fatal("Cell of nonexistent vertex succeeded")
 	}
 }
 
-func TestRemoteLoadAccounted(t *testing.T) {
-	g := testGraph(t)
-	c := loadedCluster(t, g, 4)
-	c.ResetNetStats()
-
-	// Local load: no traffic.
-	id := graph.NodeID(0)
-	owner := c.Owner(id)
-	if _, ok := c.Load(owner, id); !ok {
-		t.Fatal("local load failed")
-	}
-	if s := c.NetStats(); s.Messages != 0 {
-		t.Fatalf("local load accounted %v", s)
-	}
-
-	// Remote load: one message with neighbors shipped.
-	other := (owner + 1) % c.NumMachines()
-	cell, ok := c.Load(other, id)
-	if !ok {
-		t.Fatal("remote load failed")
-	}
-	s := c.NetStats()
-	if s.Messages != 1 {
-		t.Fatalf("remote load messages = %d, want 1", s.Messages)
-	}
-	wantBytes := payloadSize(2 + len(cell.Neighbors))
-	if s.Bytes != wantBytes {
-		t.Fatalf("remote load bytes = %d, want %d", s.Bytes, wantBytes)
-	}
+// resolveFrom resolves ids as one label batch issued from machine from and
+// returns the labels with what the batch charged.
+func resolveFrom(c *Cluster, from int, ids []graph.NodeID) ([]graph.LabelID, NetStats) {
+	var net NetStats
+	b := c.Machine(from).LabelBatch(&net)
+	labels := b.Resolve(ids, nil)
+	b.Flush()
+	return labels, net
 }
 
-func TestRemoteCellIsCopy(t *testing.T) {
+func TestLabelBatchCorrectAndBatched(t *testing.T) {
 	g := testGraph(t)
 	c := loadedCluster(t, g, 4)
-	id := graph.NodeID(0)
-	owner := c.Owner(id)
-	remote, _ := c.Load((owner+1)%4, id)
-	if len(remote.Neighbors) == 0 {
-		t.Skip("vertex has no neighbors")
-	}
-	remote.Neighbors[0] = graph.NodeID(999)
-	local, _ := c.Load(owner, id)
-	if local.Neighbors[0] == 999 {
-		t.Fatal("remote cell aliases owner's arena")
-	}
-}
-
-func TestHasLabel(t *testing.T) {
-	g := testGraph(t)
-	c := loadedCluster(t, g, 4)
-	la := g.Labels().MustLookup("a")
-	lb := g.Labels().MustLookup("b")
-	if !c.HasLabel(c.Owner(0), 0, la) {
-		t.Fatal("HasLabel(0, a) = false")
-	}
-	if c.HasLabel(c.Owner(0), 0, lb) {
-		t.Fatal("HasLabel(0, b) = true")
-	}
-	if c.HasLabel(0, graph.NodeID(10_000), la) {
-		t.Fatal("HasLabel on missing vertex = true")
-	}
-}
-
-func TestHasLabelRemoteAccounted(t *testing.T) {
-	g := testGraph(t)
-	c := loadedCluster(t, g, 4)
-	c.ResetNetStats()
-	id := graph.NodeID(0)
-	other := (c.Owner(id) + 1) % 4
-	c.HasLabel(other, id, g.Labels().MustLookup("a"))
-	if s := c.NetStats(); s.Messages != 1 {
-		t.Fatalf("remote HasLabel messages = %d, want 1", s.Messages)
-	}
-}
-
-func TestLabelsOfBatchCorrectAndBatched(t *testing.T) {
-	g := testGraph(t)
-	c := loadedCluster(t, g, 4)
-	c.ResetNetStats()
 	ids := []graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7}
-	labels := c.LabelsOfBatch(0, ids, nil)
+	labels, net := resolveFrom(c, 0, ids)
 	for i, id := range ids {
 		if labels[i] != g.Label(id) {
 			t.Fatalf("batch label of %d = %d, want %d", id, labels[i], g.Label(id))
 		}
 	}
 	// With a range partitioner over 8 nodes and 4 machines, machine 0 owns
-	// nodes 0-1; the other 6 lookups go to 3 remote machines => 3 messages.
-	if s := c.NetStats(); s.Messages != 3 {
-		t.Fatalf("batch messages = %d, want 3 (one per remote owner)", s.Messages)
+	// nodes 0-1; the other 6 lookups go to 3 remote machines => 3 messages
+	// of 2 words each.
+	if want := (NetStats{Messages: 3, Bytes: 3 * payloadSize(2)}); net != want {
+		t.Fatalf("batch charged %v, want %v (one message per remote owner)", net, want)
+	}
+	if _, net := resolveFrom(c, 0, ids[:2]); net != (NetStats{}) {
+		t.Fatalf("a batch of local vertices charged %v", net)
 	}
 }
 
-func TestLabelsOfBatchMissingVertex(t *testing.T) {
+func TestLabelBatchMissingVertex(t *testing.T) {
 	g := testGraph(t)
 	c := loadedCluster(t, g, 2)
-	labels := c.LabelsOfBatch(0, []graph.NodeID{0, 10_000}, nil)
+	labels, net := resolveFrom(c, 0, []graph.NodeID{0, 10_000})
 	if labels[1] != graph.NoLabel {
 		t.Fatalf("missing vertex label = %d, want NoLabel", labels[1])
+	}
+	if net != (NetStats{}) {
+		t.Fatalf("a local vertex and a missing one charged %v", net)
 	}
 }
 
 func TestShipWords(t *testing.T) {
 	g := testGraph(t)
 	c := loadedCluster(t, g, 2)
-	c.ResetNetStats()
-	c.ShipWords(0, 0, 100) // local: free
-	if s := c.NetStats(); s.Messages != 0 {
+	var net NetStats
+	c.ShipWords(&net, 0, 0, 100) // local: free
+	if net.Messages != 0 {
 		t.Fatal("local ship accounted")
 	}
-	c.ShipWords(0, 1, 100)
-	s := c.NetStats()
-	if s.Messages != 1 || s.Bytes != payloadSize(100) {
-		t.Fatalf("ship stats = %v", s)
+	c.ShipWords(&net, 0, 1, 100)
+	if net.Messages != 1 || net.Bytes != payloadSize(100) {
+		t.Fatalf("ship stats = %v", net)
+	}
+	c.AccountProxyTransfer(&net, 3)
+	if want := (NetStats{Messages: 2, Bytes: payloadSize(100) + payloadSize(3)}); net != want {
+		t.Fatalf("after a proxy transfer: %v, want %v", net, want)
 	}
 }
 
@@ -417,13 +361,13 @@ func TestLoadLargerGraphAcrossMachines(t *testing.T) {
 	if c.TotalMemoryBytes() <= 0 || c.StringIndexBytes() <= 0 {
 		t.Fatal("memory estimates not positive")
 	}
-	// Spot-check 100 random vertices load correctly from machine 0.
+	// Spot-check 100 random vertices.
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 100; i++ {
 		id := graph.NodeID(rng.Int63n(g.NumNodes()))
-		cell, ok := c.Load(0, id)
+		cell, ok := c.Cell(id)
 		if !ok || cell.Label != g.Label(id) || len(cell.Neighbors) != g.Degree(id) {
-			t.Fatalf("Load(%d) mismatch", id)
+			t.Fatalf("Cell(%d) mismatch", id)
 		}
 	}
 }
@@ -447,27 +391,15 @@ func TestMachineAccessors(t *testing.T) {
 	if m.LocalLabelCount(g.Labels().MustLookup("c")) != 1 {
 		t.Fatal("LocalLabelCount wrong")
 	}
-	cell, ok := m.Load(graph.NodeID(0)) // remote via machine API
-	if !ok || cell.Label != g.Label(0) {
-		t.Fatal("machine.Load remote failed")
-	}
-	if !m.HasLabel(graph.NodeID(0), g.Label(0)) {
-		t.Fatal("machine.HasLabel failed")
-	}
-	labels := m.LabelsOfBatch([]graph.NodeID{0, 2}, nil)
-	if labels[0] != g.Label(0) || labels[1] != g.Label(2) {
-		t.Fatal("machine.LabelsOfBatch wrong")
-	}
 }
 
-func TestNetStatsSub(t *testing.T) {
-	a := NetStats{Messages: 10, Bytes: 100}
-	b := NetStats{Messages: 4, Bytes: 40}
-	d := a.Sub(b)
-	if d.Messages != 6 || d.Bytes != 60 {
-		t.Fatalf("Sub = %v", d)
+func TestNetStatsAdd(t *testing.T) {
+	s := NetStats{Messages: 4, Bytes: 40}
+	s.Add(NetStats{Messages: 6, Bytes: 60})
+	if s != (NetStats{Messages: 10, Bytes: 100}) {
+		t.Fatalf("Add = %v", s)
 	}
-	if a.String() == "" {
-		t.Fatal("String empty")
+	if s.String() != "messages=10 bytes=100" {
+		t.Fatalf("String = %q", s.String())
 	}
 }

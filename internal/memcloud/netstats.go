@@ -2,14 +2,17 @@ package memcloud
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
-// NetStats is a snapshot of cluster communication counters. The experiments
-// in §6 attribute performance differences to network traffic ("more network
-// traffic and synchronization cost will be incurred with more machines"), so
-// the fabric counts every simulated message and payload byte.
+// NetStats counts simulated messages and their payload bytes. The
+// experiments in §6 attribute performance differences to network traffic
+// ("more network traffic and synchronization cost will be incurred with more
+// machines"), so every charging call — LabelBatch.Flush, ShipWords,
+// AccountProxyTransfer — books its message into a NetStats the caller owns.
+// The cluster keeps no counter of its own: a query's traffic is what its run
+// charged, whatever else runs at the same time. A NetStats is a plain value;
+// whoever shares one across goroutines synchronizes it.
 type NetStats struct {
 	Messages uint64
 	Bytes    uint64
@@ -19,29 +22,10 @@ func (s NetStats) String() string {
 	return fmt.Sprintf("messages=%d bytes=%d", s.Messages, s.Bytes)
 }
 
-// Sub returns the delta s - earlier, for measuring a window.
-func (s NetStats) Sub(earlier NetStats) NetStats {
-	return NetStats{Messages: s.Messages - earlier.Messages, Bytes: s.Bytes - earlier.Bytes}
-}
-
-// netCounters is the live, atomically updated form.
-type netCounters struct {
-	messages atomic.Uint64
-	bytes    atomic.Uint64
-}
-
-func (c *netCounters) account(msgs, payloadBytes uint64) {
-	c.messages.Add(msgs)
-	c.bytes.Add(payloadBytes)
-}
-
-func (c *netCounters) snapshot() NetStats {
-	return NetStats{Messages: c.messages.Load(), Bytes: c.bytes.Load()}
-}
-
-func (c *netCounters) reset() {
-	c.messages.Store(0)
-	c.bytes.Store(0)
+// Add adds o's messages and bytes to s.
+func (s *NetStats) Add(o NetStats) {
+	s.Messages += o.Messages
+	s.Bytes += o.Bytes
 }
 
 // Wire-size model: every message carries a fixed header plus 8 bytes per

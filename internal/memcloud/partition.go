@@ -5,7 +5,7 @@
 // "memory trunk" design: one arena and one slot-addressed cell directory, no
 // per-object heap overhead), keeps a local string index mapping labels to
 // local vertex IDs, and reaches remote vertices through a message fabric
-// that accounts every message and byte.
+// that charges every message and byte to a NetStats its caller owns.
 //
 // The unified ID space is one flat address table on the Cluster: vertex IDs
 // are dense, and entry v holds v's owner machine and its slot in that
@@ -16,10 +16,11 @@
 // queries read them without locks; updates mutate them under the cluster's
 // writer lock while no query runs.
 //
-// The package provides exactly the atomic operators the paper's Algorithm 1
-// needs — Cloud.Load, Index.getID, Index.hasLabel — plus the batch variants
-// that correspond to Trinity's message-merging network optimizations, and
-// the label-pair preprocessing that §5.3 uses to build cluster graphs.
+// The package provides the operators the paper's Algorithm 1 needs —
+// Cloud.Load of a local root (Machine.LoadLocal), Index.getID
+// (Machine.LocalIDs) and Index.hasLabel in its batched form (LabelBatch,
+// Trinity's message merging) — plus the label-pair preprocessing that §5.3
+// uses to build cluster graphs.
 package memcloud
 
 import (

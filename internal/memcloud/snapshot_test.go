@@ -28,11 +28,11 @@ func checkSnapshotBytes(t *testing.T, c *Cluster) {
 	b := graph.NewBuilder(graph.Undirected())
 	n := c.NumNodes()
 	for v := int64(0); v < n; v++ {
-		cell, _ := c.Load(c.Owner(graph.NodeID(v)), graph.NodeID(v))
+		cell, _ := c.Cell(graph.NodeID(v))
 		b.AddNode(c.Labels().Name(cell.Label))
 	}
 	for v := int64(0); v < n; v++ {
-		cell, _ := c.Load(c.Owner(graph.NodeID(v)), graph.NodeID(v))
+		cell, _ := c.Cell(graph.NodeID(v))
 		for _, u := range cell.Neighbors {
 			if cell.ID < u {
 				b.MustAddEdge(cell.ID, u)
@@ -106,8 +106,8 @@ func TestSnapshotGraphRoundTrip(t *testing.T) {
 	n := c.NumNodes()
 	for v := int64(0); v < n; v++ {
 		id := graph.NodeID(v)
-		a, okA := c.Load(0, id)
-		b, okB := c2.Load(0, id)
+		a, okA := c.Cell(id)
+		b, okB := c2.Cell(id)
 		if !okA || !okB {
 			t.Fatalf("vertex %d: load ok=%v/%v", v, okA, okB)
 		}

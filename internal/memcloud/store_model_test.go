@@ -256,7 +256,7 @@ func checkCell(t *testing.T, step int, what string, c *Cluster, cell Cell, v gra
 }
 
 // checkAgainstModel reads the whole graph back through every read path,
-// from every machine, and checks what each read cost on the fabric.
+// from every machine, and checks what each label batch charged.
 func checkAgainstModel(t *testing.T, step int, c *Cluster, model storeModel, owners map[graph.NodeID]int) {
 	t.Helper()
 	n := graph.NodeID(len(model))
@@ -304,19 +304,11 @@ func checkAgainstModel(t *testing.T, step int, c *Cluster, model storeModel, own
 			owners[v] = owner
 			perOwner[owner]++
 
-			before := c.NetStats()
-			cell, ok := c.Load(from, v)
+			cell, ok := c.Cell(v)
 			if !ok {
-				t.Fatalf("step %d: Load(%d, %d) not found", step, from, v)
+				t.Fatalf("step %d: Cell(%d) not found", step, v)
 			}
-			checkCell(t, step, fmt.Sprintf("Load from %d", from), c, cell, v, want)
-			cost := NetStats{}
-			if owner != from {
-				cost = NetStats{Messages: 1, Bytes: payloadSize(2 + len(want.nbrs))}
-			}
-			if got := c.NetStats().Sub(before); got != cost {
-				t.Fatalf("step %d: Load(%d, %d) cost %v, want %v", step, from, v, got, cost)
-			}
+			checkCell(t, step, "Cell", c, cell, v, want)
 
 			local, ok := m.LoadLocal(v)
 			if ok != (owner == from) || m.Owns(v) != ok {
@@ -325,23 +317,30 @@ func checkAgainstModel(t *testing.T, step int, c *Cluster, model storeModel, own
 			if ok {
 				checkCell(t, step, "LoadLocal", c, local, v, want)
 			}
-			if l, found := c.Labels().Lookup(want.label); !found || !m.HasLabel(v, l) {
-				t.Fatalf("step %d: HasLabel(%d, %q) = false from machine %d", step, v, want.label, from)
+			labels, cost := resolveFrom(c, from, []graph.NodeID{v})
+			if c.Labels().Name(labels[0]) != want.label {
+				t.Fatalf("step %d: LabelBatch from %d resolved %d to %q, model has %q", step, from, v, c.Labels().Name(labels[0]), want.label)
+			}
+			wantCost := NetStats{}
+			if owner != from {
+				wantCost = NetStats{Messages: 1, Bytes: payloadSize(1)}
+			}
+			if cost != wantCost {
+				t.Fatalf("step %d: LabelBatch from %d of vertex %d cost %v, want %v", step, from, v, cost, wantCost)
 			}
 		}
 
-		before := c.NetStats()
-		labels := m.LabelsOfBatch(ids, nil)
+		labels, got := resolveFrom(c, from, ids)
 		if len(labels) != len(ids) {
-			t.Fatalf("step %d: LabelsOfBatch returned %d labels for %d IDs", step, len(labels), len(ids))
+			t.Fatalf("step %d: LabelBatch returned %d labels for %d IDs", step, len(labels), len(ids))
 		}
 		for i, v := range ids {
 			if want := model[v]; want == nil {
 				if labels[i] != graph.NoLabel {
-					t.Fatalf("step %d: LabelsOfBatch gave label %d to missing vertex %d", step, labels[i], v)
+					t.Fatalf("step %d: LabelBatch gave label %d to missing vertex %d", step, labels[i], v)
 				}
 			} else if c.Labels().Name(labels[i]) != want.label {
-				t.Fatalf("step %d: LabelsOfBatch(%d) = %q, model has %q", step, v, c.Labels().Name(labels[i]), want.label)
+				t.Fatalf("step %d: LabelBatch resolved %d to %q, model has %q", step, v, c.Labels().Name(labels[i]), want.label)
 			}
 		}
 		var cost NetStats
@@ -351,22 +350,19 @@ func checkAgainstModel(t *testing.T, step int, c *Cluster, model storeModel, own
 				cost.Bytes += payloadSize(words)
 			}
 		}
-		if got := c.NetStats().Sub(before); got != cost {
-			t.Fatalf("step %d: LabelsOfBatch from %d cost %v, want %v", step, from, got, cost)
+		if got != cost {
+			t.Fatalf("step %d: LabelBatch from %d cost %v, want %v", step, from, got, cost)
 		}
 
-		// Reads of vertices that do not exist find nothing and cost nothing.
-		before = c.NetStats()
+		// Reads of vertices that do not exist find nothing; the batch above
+		// resolved them to NoLabel at no cost.
 		for _, v := range missing {
-			if _, ok := c.Load(from, v); ok {
-				t.Fatalf("step %d: Load(%d, %d) found a vertex", step, from, v)
+			if _, ok := c.Cell(v); ok {
+				t.Fatalf("step %d: Cell(%d) found a vertex", step, v)
 			}
-			if _, ok := m.LoadLocal(v); ok || m.Owns(v) || m.HasLabel(v, 0) {
+			if _, ok := m.LoadLocal(v); ok || m.Owns(v) {
 				t.Fatalf("step %d: machine %d claims missing vertex %d", step, from, v)
 			}
-		}
-		if got := c.NetStats().Sub(before); got != (NetStats{}) {
-			t.Fatalf("step %d: reads of missing vertices cost %v", step, got)
 		}
 	}
 }
@@ -418,7 +414,7 @@ func checkSnapshotRoundTrip(t *testing.T, step int, kind string, c *Cluster, mod
 		t.Fatalf("step %d: snapshot has %d vertices, model %d", step, fresh.NumNodes(), len(model))
 	}
 	for v, want := range model {
-		cell, ok := fresh.Load(fresh.Owner(v), v)
+		cell, ok := fresh.Cell(v)
 		if !ok {
 			t.Fatalf("step %d: vertex %d lost in the snapshot", step, v)
 		}

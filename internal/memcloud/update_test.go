@@ -73,8 +73,8 @@ func TestApplyBatchMatchesOneShotMethods(t *testing.T) {
 		t.Fatalf("final epoch = %d, want %d", c.Epoch(), epoch0+5)
 	}
 	// Net effect: the edge exists (re-added), both sides visible.
-	cellU, _ := c.Load(0, n)
-	cellV, _ := c.Load(0, n+1)
+	cellU, _ := c.Cell(n)
+	cellV, _ := c.Cell(n + 1)
 	if !containsNode(cellU.Neighbors, n+1) || !containsNode(cellV.Neighbors, n) {
 		t.Fatalf("batched edge not visible: %v / %v", cellU.Neighbors, cellV.Neighbors)
 	}
@@ -106,7 +106,7 @@ func TestAddNodeAssignsFreshIDs(t *testing.T) {
 		t.Fatalf("ids = %d, %d; want %d, %d", id1, id2, g.NumNodes(), g.NumNodes()+1)
 	}
 	// The new vertex is loadable and indexed on its owner machine.
-	cell, ok := c.Load(0, id2)
+	cell, ok := c.Cell(id2)
 	if !ok {
 		t.Fatal("new vertex not loadable")
 	}
@@ -134,8 +134,8 @@ func TestAddEdgeVisibleBothSides(t *testing.T) {
 	if err := c.AddEdge(0, 4); err != nil {
 		t.Fatal(err)
 	}
-	cell0, _ := c.Load(0, 0)
-	cell4, _ := c.Load(0, 4)
+	cell0, _ := c.Cell(0)
+	cell4, _ := c.Cell(4)
 	if !containsNode(cell0.Neighbors, 4) || !containsNode(cell4.Neighbors, 0) {
 		t.Fatalf("edge not visible: %v / %v", cell0.Neighbors, cell4.Neighbors)
 	}
@@ -218,8 +218,8 @@ func TestRemoveEdge(t *testing.T) {
 	if err := c.RemoveEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	cell0, _ := c.Load(0, 0)
-	cell1, _ := c.Load(0, 1)
+	cell0, _ := c.Cell(0)
+	cell1, _ := c.Cell(1)
 	if containsNode(cell0.Neighbors, 1) || containsNode(cell1.Neighbors, 0) {
 		t.Fatal("edge still visible after removal")
 	}
@@ -255,7 +255,7 @@ func TestCompactReclaimsGarbage(t *testing.T) {
 		t.Fatal("garbage counter not reset")
 	}
 	// All cells still intact after compaction.
-	cell0, ok := c.Load(0, 0)
+	cell0, ok := c.Cell(0)
 	if !ok || !containsNode(cell0.Neighbors, 4) || !containsNode(cell0.Neighbors, 6) {
 		t.Fatalf("cell damaged by compaction: %v", cell0.Neighbors)
 	}
@@ -353,7 +353,7 @@ func TestPropertyUpdatesMatchRebuiltGraph(t *testing.T) {
 		want := build(extraLabels, extraEdges, removed)
 		for v := int64(0); v < want.NumNodes(); v++ {
 			id := graph.NodeID(v)
-			cell, ok := c.Load(0, id)
+			cell, ok := c.Cell(id)
 			if !ok {
 				return false
 			}

@@ -187,10 +187,11 @@ func (s *Server) handleMetrics(rq *request) *apiError {
 	perNS("stwig_engine_emit_flushes_total", "counter", "Batched match-block emit flushes.",
 		func(st *nsState) float64 { return float64(st.snap.EmitFlushes) })
 
-	// Simulated fabric traffic.
-	perNS("stwig_net_messages_total", "counter", "Simulated-fabric messages sent by queries.",
+	// Simulated fabric traffic: the sum of the completed queries' own
+	// ExecStats.Net.
+	perNS("stwig_net_messages_total", "counter", "Simulated-fabric messages charged by completed queries, each counted by its own run.",
 		func(st *nsState) float64 { return float64(st.snap.Net.Messages) })
-	perNS("stwig_net_bytes_total", "counter", "Simulated-fabric bytes sent by queries.",
+	perNS("stwig_net_bytes_total", "counter", "Simulated-fabric bytes charged by completed queries, each counted by its own run.",
 		func(st *nsState) float64 { return float64(st.snap.Net.Bytes) })
 
 	// Admission control.

@@ -108,7 +108,8 @@ type StreamStats struct {
 	ExploreMicros int64 `json:"explore_us"`
 	JoinMicros    int64 `json:"join_us"`
 	ElapsedMicros int64 `json:"elapsed_us"`
-	// Simulated-fabric traffic attributed to this query.
+	// Simulated-fabric traffic this query's run charged, exact however
+	// many queries run beside it.
 	NetMessages uint64 `json:"net_messages"`
 	NetBytes    uint64 `json:"net_bytes"`
 	// EmitFlushes counts the engine's batched emit flushes.
@@ -453,7 +454,8 @@ type EngineInfo struct {
 	EmitFlushes uint64 `json:"emit_flushes"`
 }
 
-// NetInfo mirrors memcloud.NetStats.
+// NetInfo mirrors memcloud.NetStats: in /v1/stats, the sum over the
+// namespace engine's completed queries.
 type NetInfo struct {
 	Messages uint64 `json:"messages"`
 	Bytes    uint64 `json:"bytes"`
