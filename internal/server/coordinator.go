@@ -36,11 +36,13 @@ import (
 //
 // Queries fan out scatter-gather: one HTTP leg per shard, each carrying the
 // request's trace ID in X-Stwig-Trace. A shard encodes a match once; from
-// there it is bytes. Each leg checks the lines it reads against the canonical
-// match-line spelling without parsing them and forwards whole blocks of them
-// straight into the client's stream, under one mutex the legs share — only a
-// leg's terminal record (and a line in any other spelling) is ever decoded.
-// The match and byte caps are enforced globally on the forwarded bytes, at a
+// there it is bytes. A shard's stream is canonical match lines with one
+// terminal record last, so each leg forwards the whole lines of every read
+// straight into the client's stream, under one mutex the legs share, and
+// looks only at a read's last line: only a leg's terminal record is ever
+// decoded. What that trusts is checked once per leg: the trailer's match
+// count must equal the lines the leg forwarded, or the leg fails. The match
+// and byte caps are enforced globally on the forwarded bytes, at a
 // line boundary (a per-leg cap would let K×cap records through). Nothing
 // reaches the client until every leg has answered with response headers —
 // a shard sends them the moment the request is admitted — so a shard that is
@@ -157,7 +159,7 @@ func (l *shardLeg) unavailable(err error) error {
 
 type legQueryResult struct {
 	leg     *shardLeg
-	matches int   // this leg's records that reached the client's stream
+	matches int   // this leg's records the client's stream took
 	bytes   int64 // read off the leg's response body
 	elapsed time.Duration
 	stats   *StreamStats // the leg's own trailer, nil if it never arrived
@@ -207,7 +209,7 @@ func (f *fanout) fail(ctx context.Context, res *legQueryResult, err error) {
 	}
 }
 
-// forward hands the sink one block of a leg's canonical match lines. Once
+// forward hands the sink one block of a leg's match lines. Once
 // the fan-out is decided — by this block or before it — the leg is told to
 // stop the way its cancelled context would.
 func (f *fanout) forward(res *legQueryResult, block []byte) error {
@@ -362,11 +364,11 @@ func (c *coordinator) openLeg(ctx context.Context, leg *shardLeg, r *http.Reques
 
 // forwardLeg reads one leg's NDJSON body in chunks and moves it into the
 // client's stream line by whole line. It returns nil once the leg's stats
-// trailer has arrived.
+// trailer has arrived, counting the lines forwarded, with nothing after it.
 func forwardLeg(f *fanout, res *legQueryResult, body io.Reader) error {
 	bp := blockPool.Get().(*[]byte)
 	defer putBlock(bp)
-	buf := (*bp)[:cap(*bp)]
+	buf := (*bp)[:blockBufSize]
 	n := 0 // buf[:n] is the start of a line still arriving
 	for {
 		m, readErr := body.Read(buf[n:])
@@ -376,11 +378,15 @@ func forwardLeg(f *fanout, res *legQueryResult, body io.Reader) error {
 		n += m
 		if whole := n - m + nl + 1; nl >= 0 {
 			if terminal, err := forwardLines(f, res, buf[:whole]); terminal || err != nil {
-				if terminal && readErr == nil {
-					// The trailer is in. Reading on to the body's end — all
-					// that is left of it — lets the transport keep this
-					// connection for the next query instead of closing it.
-					_, _ = body.Read(buf)
+				rest := n - whole
+				if err == nil && rest == 0 && readErr == nil {
+					// Reading on to the body's end — all that should be left
+					// of it — lets the transport keep this connection for
+					// the next query instead of closing it.
+					rest, _ = body.Read(buf)
+				}
+				if err == nil && rest > 0 {
+					err = errors.New("bad stream record: bytes after the terminal record")
 				}
 				return err
 			}
@@ -389,8 +395,12 @@ func forwardLeg(f *fanout, res *legQueryResult, body io.Reader) error {
 		switch {
 		case readErr == io.EOF:
 			if n > 0 { // a last line that ends without a newline
-				if terminal, err := forwardRecord(f, res, buf[:n]); terminal || err != nil {
+				rec, err := decodeLegRecord(buf[:n])
+				if err != nil {
 					return err
+				}
+				if rec.Type != RecordMatch {
+					return endLeg(res, rec)
 				}
 			}
 			return io.ErrUnexpectedEOF // the stream ended without a terminal record
@@ -407,49 +417,50 @@ func forwardLeg(f *fanout, res *legQueryResult, body io.Reader) error {
 	}
 }
 
-// forwardLines moves whole lines into the client's stream: every run of
-// canonical match lines goes to the sink as one opaque block, and only a
-// line that is not one is decoded.
+// forwardLines moves one read's whole lines into the client's stream as one
+// block. Only the last line is looked at: a match line — canonical, or a
+// match in another spelling once decoded — goes with the rest, verbatim;
+// anything else is the leg's terminal record, which ends it (terminal).
 func forwardLines(f *fanout, res *legQueryResult, lines []byte) (terminal bool, err error) {
-	for len(lines) > 0 {
-		if run := matchLinesLen(lines); run > 0 {
-			if err := f.forward(res, lines[:run]); err != nil {
-				return false, err
-			}
-			lines = lines[run:]
-			continue
-		}
-		end := bytes.IndexByte(lines, '\n')
-		if terminal, err := forwardRecord(f, res, lines[:end]); terminal || err != nil {
-			return terminal, err
-		}
-		lines = lines[end+1:]
+	start := bytes.LastIndexByte(lines[:len(lines)-1], '\n') + 1
+	if hasPrefix(lines[start:], matchLinePrefix) {
+		return false, f.forward(res, lines)
 	}
-	return false, nil
+	rec, err := decodeLegRecord(lines[start:])
+	if err != nil {
+		return false, err
+	}
+	if rec.Type == RecordMatch {
+		return false, f.forward(res, lines)
+	}
+	if err := f.forward(res, lines[:start]); err != nil {
+		return false, err
+	}
+	return true, endLeg(res, rec)
 }
 
-// forwardRecord decodes one line that is not a canonical match line: a
-// blank is skipped, the stats trailer ends the leg (terminal), a match in
-// another spelling is re-encoded, and an error record or anything else fails
-// the leg.
-func forwardRecord(f *fanout, res *legQueryResult, line []byte) (terminal bool, err error) {
-	if len(bytes.TrimSpace(line)) == 0 {
-		return false, nil
-	}
-	var rec Record
+func decodeLegRecord(line []byte) (rec Record, err error) {
 	if err := json.Unmarshal(line, &rec); err != nil {
-		return false, fmt.Errorf("bad stream record: %w", err)
+		return rec, fmt.Errorf("bad stream record: %w", err)
 	}
+	return rec, nil
+}
+
+// endLeg takes a leg's terminal record: the stats trailer, whose match count
+// must be the lines the leg forwarded, or an error record. Anything else
+// fails the leg.
+func endLeg(res *legQueryResult, rec Record) error {
 	switch rec.Type {
-	case RecordMatch:
-		return false, f.forward(res, appendMatchLine(nil, rec.Assignment))
 	case RecordStats:
+		if rec.Stats == nil || rec.Stats.Matches != res.matches {
+			return fmt.Errorf("bad stream record: the leg's trailer does not count the %d lines it sent", res.matches)
+		}
 		res.stats = rec.Stats
-		return true, nil
+		return nil
 	case RecordError:
-		return false, fmt.Errorf("%s (%s)", rec.Error, rec.Code)
+		return fmt.Errorf("%s (%s)", rec.Error, rec.Code)
 	default:
-		return false, fmt.Errorf("unknown stream record type %q", rec.Type)
+		return fmt.Errorf("unknown stream record type %q", rec.Type)
 	}
 }
 

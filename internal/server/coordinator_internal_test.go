@@ -157,10 +157,13 @@ func postQuery(t testing.TB, coordURL string) (status int, body []byte) {
 	return resp.StatusCode, body
 }
 
-const legTrailer = `{"type":"stats","stats":{"matches":0,"plan_us":1,"explore_us":1,"join_us":1,"elapsed_us":3,"net_messages":0,"net_bytes":0}}` + "\n"
+// legTrailer is the stats trailer of a leg that sent matches match lines.
+func legTrailer(matches int) string {
+	return fmt.Sprintf(`{"type":"stats","stats":{"matches":%d,"plan_us":1,"explore_us":1,"join_us":1,"elapsed_us":3,"net_messages":0,"net_bytes":0}}`+"\n", matches)
+}
 
 // emptyLeg is a healthy shard that owns none of the matches.
-func emptyLeg(w http.ResponseWriter, flush func()) { _, _ = io.WriteString(w, legTrailer) }
+func emptyLeg(w http.ResponseWriter, flush func()) { _, _ = io.WriteString(w, legTrailer(0)) }
 
 // chunkReader hands out its chunks one Read at a time, so a test decides
 // exactly where the leg reader's reads split the stream.
@@ -187,12 +190,15 @@ func splitEvery(s string, n int) []string {
 }
 
 // TestLegReaderAdversarialChunking feeds the leg reader streams cut in the
-// worst places and spelled in the oddest legal ways. Whatever the chunking,
-// the client must get exactly the canonical lines, in order, counted right —
-// or a loud shard_unavailable. Every case runs twice: against forwardLeg
-// directly, where the chunk boundaries are exactly the ones written down, and
-// end to end through a coordinator whose shard 0 writes and flushes the same
-// chunks.
+// worst places, spelled in the oddest legal ways, or corrupt. Whatever the
+// chunking, the client must get exactly the lines the shard sent, in order,
+// counted right — or a loud shard_unavailable. The leg reader decodes only
+// the last line of each read, so what it forwards unread is checked by
+// count: a trailer that does not count the lines the leg sent, a stats
+// record mid-stream and bytes after the terminal record all fail the leg.
+// Every case runs twice: against forwardLeg directly, where the chunk
+// boundaries are exactly the ones written down, and end to end through a
+// coordinator whose shard 0 writes and flushes the same chunks.
 func TestLegReaderAdversarialChunking(t *testing.T) {
 	line := func(ids ...int) string {
 		parts := make([]string, len(ids))
@@ -210,29 +216,37 @@ func TestLegReaderAdversarialChunking(t *testing.T) {
 	if len(long) <= blockBufSize {
 		t.Fatalf("the long line is %d bytes, not longer than the %d-byte read buffer", len(long), blockBufSize)
 	}
+	trailer := legTrailer(3)
+	spaced := `{ "type": "match", "assignment": [30, 4] }` + "\n"
+	reordered := `{"assignment":[30,4],"type":"match"}` + "\n"
 	cases := []struct {
 		name    string
 		chunks  []string
 		want    string // the match lines the client must receive
 		wantErr string // or: the failure's message must contain this
 	}{
-		{"one-byte writes", splitEvery(three+legTrailer, 1), three, ""},
-		{"split mid-line", []string{three[:len(line(1, 2))+9], three[len(line(1, 2))+9:] + legTrailer}, three, ""},
-		{"split between the newline and the next line", []string{line(1, 2), line(30, 4), line(5, 600), legTrailer}, three, ""},
-		{"terminal record in the same chunk as matches", []string{three + legTrailer}, three, ""},
-		{"bytes after the terminal record", []string{three + legTrailer + "trailing junk\n"}, three, ""},
-		{"blank lines", []string{"\n" + line(1, 2) + "\n  \n" + line(30, 4), "\n", line(5, 600) + legTrailer}, three, ""},
-		{"a match line spelled with spaces", []string{line(1, 2) + `{ "type": "match", "assignment": [30, 4] }` + "\n" + line(5, 600) + legTrailer}, three, ""},
-		{"a match line with reordered keys, split", []string{line(1, 2) + `{"assignment":[30,`, `4],"type":"match"}` + "\n" + line(5, 600) + legTrailer}, three, ""},
-		{"a trailer without its newline", []string{three + strings.TrimSuffix(legTrailer, "\n")}, three, ""},
-		{"a line longer than the read buffer", append(splitEvery(line(1, 2)+long+line(30, 4), 7000), legTrailer), line(1, 2) + long + line(30, 4), ""},
-		{"no matches at all", []string{legTrailer}, "", ""},
-		{"a garbage line first", []string{"garbage\n" + three + legTrailer}, "", "bad stream record"},
-		{"a garbage line after matches", []string{three, "{\"type\":\"match\",\"assignment\":[1,\n" + legTrailer}, "", "bad stream record"},
-		{"an unknown record type", []string{three + `{"type":"progress"}` + "\n" + legTrailer}, "", `unknown stream record type "progress"`},
+		{"one-byte writes", splitEvery(three+trailer, 1), three, ""},
+		{"split mid-line", []string{three[:len(line(1, 2))+9], three[len(line(1, 2))+9:] + trailer}, three, ""},
+		{"split between the newline and the next line", []string{line(1, 2), line(30, 4), line(5, 600), trailer}, three, ""},
+		{"terminal record in the same chunk as matches", []string{three + trailer}, three, ""},
+		// A match in another spelling is forwarded as the shard wrote it:
+		// decoded where it ends a read, unread anywhere else.
+		{"a match line spelled with spaces", []string{line(1, 2) + spaced, line(5, 600) + trailer}, line(1, 2) + spaced + line(5, 600), ""},
+		{"a match line with reordered keys, split", []string{line(1, 2) + reordered[:18], reordered[18:] + line(5, 600) + trailer}, line(1, 2) + reordered + line(5, 600), ""},
+		{"a trailer without its newline", []string{three + strings.TrimSuffix(trailer, "\n")}, three, ""},
+		{"a line longer than the read buffer", append(splitEvery(line(1, 2)+long+line(30, 4), 7000), trailer), line(1, 2) + long + line(30, 4), ""},
+		{"no matches at all", []string{legTrailer(0)}, "", ""},
+		{"a trailer counting fewer matches than the leg sent", []string{three + legTrailer(2)}, "", "bad stream record"},
+		{"a trailer counting more matches than the leg sent", []string{three, legTrailer(4)}, "", "bad stream record"},
+		{"a stats record mid-stream", []string{line(1, 2) + legTrailer(1), line(30, 4) + line(5, 600) + trailer}, "", "bad stream record"},
+		{"bytes after the terminal record", []string{three + trailer + "trailing junk\n"}, "", "bad stream record"},
+		{"blank lines", []string{"\n" + line(1, 2) + "\n  \n" + line(30, 4), "\n", line(5, 600) + trailer}, "", "bad stream record"},
+		{"a garbage line first", []string{"garbage\n" + three + trailer}, "", "bad stream record"},
+		{"a garbage line after matches", []string{three, "{\"type\":\"match\",\"assignment\":[1,\n" + trailer}, "", "bad stream record"},
+		{"an unknown record type", []string{three + `{"type":"progress"}` + "\n"}, "", `unknown stream record type "progress"`},
 		{"an error record", []string{three + `{"type":"error","error":"engine on fire","code":"internal"}` + "\n"}, "", "engine on fire (internal)"},
 		{"EOF without a terminal record", []string{three}, "", "unexpected EOF"},
-		{"EOF mid-line", []string{three + legTrailer[:20]}, "", "bad stream record"},
+		{"EOF mid-line", []string{three + trailer[:20]}, "", "bad stream record"},
 	}
 	for _, c := range cases {
 		t.Run(c.name+"/reader", func(t *testing.T) {
@@ -249,6 +263,7 @@ func TestLegReaderAdversarialChunking(t *testing.T) {
 			if err != nil || res.stats == nil {
 				t.Fatalf("err = %v, leg trailer %v; want a clean leg", err, res.stats)
 			}
+			f.sink.flush() // what the client's terminal record would take along
 			if got := rec.Body.String(); got != c.want {
 				t.Fatalf("forwarded %d bytes, want %d:\n got %.200q\nwant %.200q", len(got), len(c.want), got, c.want)
 			}
@@ -312,7 +327,7 @@ func TestCoordinatorDegradesByStatusWhateverTheOtherLegSends(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		fmt.Fprintf(&flood, `{"type":"match","assignment":[%d,%d]}`+"\n", i, i+1)
 	}
-	flood.WriteString(legTrailer)
+	flood.WriteString(legTrailer(10000))
 	coordURL := newFakeCluster(t, nil,
 		func(w http.ResponseWriter, flush func()) { _, _ = w.Write(flood.Bytes()) },
 		func(w http.ResponseWriter, flush func()) {
@@ -358,7 +373,7 @@ func TestCoordinatorLegsReuseConnections(t *testing.T) {
 			}
 			mu.Unlock()
 			<-ch
-			_, _ = io.WriteString(w, `{"type":"match","assignment":[1,2]}`+"\n"+legTrailer)
+			_, _ = io.WriteString(w, `{"type":"match","assignment":[1,2]}`+"\n"+legTrailer(1))
 		}
 	}
 	coordURL := newFakeCluster(t, connState, barrier(0), barrier(1))
@@ -398,7 +413,8 @@ func TestCoordinatorQueryAllocationsDoNotGrowWithMatches(t *testing.T) {
 		for i := 0; i < matches/2; i++ {
 			fmt.Fprintf(&half, `{"type":"match","assignment":[%d,%d,%d,%d]}`+"\n", i, 1000+i, 50000+i, 7)
 		}
-		half.WriteString(legTrailer)
+		trailer := legTrailer(matches / 2)
+		half.WriteString(trailer)
 		leg := func(w http.ResponseWriter, flush func()) { _, _ = w.Write(half.Bytes()) }
 		coordURL := newFakeCluster(t, nil, leg, leg)
 		query := func() {
@@ -408,7 +424,7 @@ func TestCoordinatorQueryAllocationsDoNotGrowWithMatches(t *testing.T) {
 			}
 			n, _ := io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK || n < int64(2*(half.Len()-len(legTrailer))) {
+			if resp.StatusCode != http.StatusOK || n < int64(2*(half.Len()-len(trailer))) {
 				t.Fatalf("status %d, %d body bytes; want all %d matches", resp.StatusCode, n, matches)
 			}
 		}

@@ -11,14 +11,15 @@ import (
 // stwigd writes, `{"type":"match","assignment":[1,2,3]}` plus a newline
 // (`{"type":"match"}` for an empty assignment) — byte for byte what
 // encoding/json produces for Record{Type: RecordMatch, Assignment: ...}. A
-// shard's encoder, a coordinator's validator and the client's decoder share
+// shard's encoder, a coordinator's leg reader and the client's decoder share
 // this one definition, so a match is encoded once and from then on only
 // moved. Any other spelling of a match record is still a valid Record; it
 // just takes the encoding/json path.
 const (
-	matchLineOpen  = `{"type":"match","assignment":[`
-	matchLineClose = `]}`
-	matchLineEmpty = `{"type":"match"}`
+	matchLinePrefix = `{"type":"match"`
+	matchLineOpen   = matchLinePrefix + `,"assignment":[`
+	matchLineClose  = `]}`
+	matchLineEmpty  = matchLinePrefix + `}`
 )
 
 // appendMatchLine appends the canonical line for one assignment, newline
@@ -36,6 +37,10 @@ func appendMatchLine[ID int64 | graph.NodeID](dst []byte, assignment []ID) []byt
 	}
 	return append(dst, matchLineClose+"\n"...)
 }
+
+// maxMatchLineLen bounds the canonical line of a k-vertex assignment: an id
+// takes at most 20 characters and a comma.
+func maxMatchLineLen(k int) int { return len(matchLineOpen) + 21*k + len(matchLineClose) + 1 }
 
 // hasPrefix is bytes.HasPrefix against a string, without the conversion.
 func hasPrefix(b []byte, prefix string) bool {
@@ -92,19 +97,6 @@ func scanMatchRecord(b []byte, vals *[]int64) int {
 			return i + len(matchLineClose)
 		}
 		return 0
-	}
-}
-
-// matchLinesLen returns the length of the longest prefix of b made of
-// complete canonical match lines.
-func matchLinesLen(b []byte) int {
-	n := 0
-	for {
-		k := scanMatchRecord(b[n:], nil)
-		if k == 0 || n+k >= len(b) || b[n+k] != '\n' {
-			return n
-		}
-		n += k + 1
 	}
 }
 

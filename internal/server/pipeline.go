@@ -266,16 +266,14 @@ func defaultErrorCode(status int) string {
 	return CodeInternal
 }
 
-// writeError renders a request's failure. Before the response header is out
-// it is the uniform HTTP envelope; after it — only /query streams output
-// before it can fail — it is the stream's terminal NDJSON error record.
+// writeError renders a request's failure as the uniform HTTP envelope. Once
+// the response header is out — only /query streams output before it can
+// fail — the stream's sink has ended it with an NDJSON error record instead
+// (streamWriter.writeError).
 func (rq *request) writeError(e *apiError) {
 	if rq.w.status == 0 {
 		writeEnvelope(rq.w, e)
-		return
 	}
-	_ = json.NewEncoder(rq.w).Encode(Record{Type: RecordError, Error: e.msg, Code: e.code, TraceID: rq.trace})
-	rq.w.Flush()
 }
 
 // writeEnvelope sends the error envelope {error, code, trace_id,
@@ -388,13 +386,15 @@ func (s *Server) handleQuery(rq *request) *apiError {
 	sink := newStreamWriter(rq.w, cfg.MaxBytes, maxMatches)
 	defer sink.release()
 	trailer := &StreamStats{TraceID: rq.trace}
-	e = rq.be.streamMatches(ctx, rq, req, q, sink, trailer)
-	rq.matches = sink.matches
-	if e != nil {
-		return e
+	if e = rq.be.streamMatches(ctx, rq, req, q, sink, trailer); e == nil {
+		sink.writeTrailer(trailer)
+	} else {
+		sink.writeError(e, rq.trace)
 	}
-	sink.writeTrailer(trailer)
-	return nil
+	// Read after the terminal record: the records still pending ride in its
+	// write.
+	rq.matches = sink.matches
+	return e
 }
 
 // mutationFromRequest validates one wire-level update and converts it to a

@@ -9,17 +9,22 @@ import (
 	"stwig/internal/core"
 )
 
-// blockBufSize is the capacity block buffers start with: a default engine
-// block of four-vertex matches is ~13 KB, and a coordinator leg reads its
-// shard's response in chunks of at most this.
+// blockBufSize is a match stream's write unit. Past its first block a
+// response's records collect in a pooled buffer that goes to the wire once
+// it holds this much: two or three default engine blocks of four-vertex
+// matches (~13 KB each), which net/http's chunked writer puts on the socket
+// in at most three write syscalls. A coordinator leg reads its shard's
+// response in chunks of at most this.
 const blockBufSize = 32 << 10
 
 // blockPool recycles the buffers match blocks pass through on their way to
-// the wire: a streamWriter encodes into one, a coordinator leg reads its
-// shard's response into one. A buffer that had to grow past maxPooledBlock
-// (one enormous line) is left to the collector instead.
+// the wire: a streamWriter collects records in one, a coordinator leg reads
+// its shard's response into one. Each holds two write units — records one
+// short of a write plus the next engine block or leg chunk — so neither
+// grows in steady state. A buffer that had to grow past maxPooledBlock (one
+// enormous line) is left to the collector instead.
 var blockPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, blockBufSize)
+	b := make([]byte, 0, 2*blockBufSize)
 	return &b
 }}
 
@@ -32,23 +37,27 @@ func putBlock(b *[]byte) {
 }
 
 // streamWriter is a query response's one match sink, whichever side of the
-// backend seam produces the matches: it owns the deferred 200, the block
-// buffer, both caps and the trailer. Matches arrive as engine blocks, which
-// it encodes (writeMatches), or as blocks of lines a shard already encoded,
-// which it forwards untouched (writeLines); either way one block is one
-// Write and one Flush, so results reach the client as they are found. Both
-// caps cut at a record boundary, the cap-crossing record is delivered, and
-// matches counts what reached the wire. It is not safe for concurrent use:
-// the engine's emit path and the coordinator's fan-out each serialize their
-// writers.
+// backend seam produces the matches: it owns the deferred 200, the pending
+// buffer, both caps and the terminal record. Matches arrive as engine
+// blocks, which it encodes (writeMatches), or as blocks of lines a shard
+// already encoded, which it forwards untouched (writeLines). The first block
+// goes to the wire at once, so the first matches reach the client as soon as
+// they are found; after it records collect until a write unit is pending, a
+// cap closes the stream, or the terminal record — stats trailer or error —
+// joins them, and each of those is one Write and one Flush. Both caps cut at
+// a record boundary, counting what is pending as well as what was written,
+// the cap-crossing record is delivered, and matches counts what reached the
+// wire. It is not safe for concurrent use: the engine's emit path and the
+// coordinator's fan-out each serialize their writers.
 type streamWriter struct {
-	// w counts the bytes written, which until the trailer are all match
-	// payload — what the byte cap bounds.
+	// w counts the bytes written, which until the terminal record are all
+	// match payload — what the byte cap bounds.
 	w          *statusWriter
 	maxBytes   int64
 	maxMatches int
-	matches    int
-	buf        *[]byte // encode buffer, taken from blockPool on first use
+	matches    int     // records that reached the wire
+	queued     int     // records in buf, not yet written
+	buf        *[]byte // pending records, taken from blockPool on first use
 	limitHit   bool    // the match cap closed the stream
 	capHit     bool    // the byte cap closed the stream
 	failed     bool    // a write failed: the client is gone
@@ -58,13 +67,22 @@ func newStreamWriter(w *statusWriter, maxBytes int64, maxMatches int) *streamWri
 	return &streamWriter{w: w, maxBytes: maxBytes, maxMatches: maxMatches}
 }
 
-// release returns the encode buffer to the pool; the writer must not be
+// release returns the pending buffer to the pool; the writer must not be
 // used afterwards.
 func (sw *streamWriter) release() {
 	if sw.buf != nil {
 		putBlock(sw.buf)
 		sw.buf = nil
 	}
+}
+
+// pending returns the buffer of records not yet written.
+func (sw *streamWriter) pending() []byte {
+	if sw.buf == nil {
+		sw.buf = blockPool.Get().(*[]byte)
+		*sw.buf = (*sw.buf)[:0]
+	}
+	return *sw.buf
 }
 
 // begin sends the 200 header if nothing has been sent yet. It is deferred to
@@ -88,10 +106,10 @@ func (sw *streamWriter) announce() {
 // closed reports whether the stream takes no more matches.
 func (sw *streamWriter) closed() bool { return sw.failed || sw.limitHit || sw.capHit }
 
-// capped decides whether the record just added to a pending block — its
-// n-th, the block now size bytes long — is the stream's last, and notes
-// which cap said so. The byte cap is asked first: a record that crosses both
-// reports byte_cap_hit alone.
+// capped decides whether the record just added to the pending buffer — the
+// n-th not yet written, the buffer now size bytes long — is the stream's
+// last, and notes which cap said so. The byte cap is asked first: a record
+// that crosses both reports byte_cap_hit alone.
 func (sw *streamWriter) capped(n, size int) bool {
 	switch {
 	case sw.maxBytes > 0 && sw.w.bytes+int64(size) >= sw.maxBytes:
@@ -104,80 +122,117 @@ func (sw *streamWriter) capped(n, size int) bool {
 	return true
 }
 
-// send puts one block of records on the wire. It reports how many records
-// the stream took and whether it takes more.
-func (sw *streamWriter) send(block []byte, records int) (int, bool) {
-	if len(block) > 0 {
-		sw.begin()
-		if _, err := sw.w.Write(block); err != nil {
-			sw.failed = true
-			return 0, false
-		}
-		sw.w.Flush()
-		sw.matches += records
+// flush writes the pending buffer out, one Write and one Flush, and reports
+// whether it reached the wire.
+func (sw *streamWriter) flush() bool {
+	buf, records := *sw.buf, sw.queued
+	*sw.buf, sw.queued = buf[:0], 0
+	if len(buf) == 0 {
+		return true
+	}
+	sw.begin()
+	if _, err := sw.w.Write(buf); err != nil {
+		sw.failed = true
+		return false
+	}
+	sw.w.Flush()
+	sw.matches += records
+	return true
+}
+
+// queue books records just added to the pending buffer and writes the
+// buffer out if they are the stream's first, a write unit is pending or a
+// cap closed the stream. It reports how many records the stream took and
+// whether it takes more.
+func (sw *streamWriter) queue(records int) (int, bool) {
+	sw.queued += records
+	if (sw.matches == 0 || len(*sw.buf) >= blockBufSize || sw.limitHit || sw.capHit) && !sw.flush() {
+		return 0, false
 	}
 	return records, !sw.closed()
 }
 
-// writeMatches encodes one engine block and sends it. sent is how many
-// records reached the wire. The block is the engine's buffer and dies with
-// this call: every record is encoded before it returns.
+// writeMatches encodes one engine block. sent is how many records the
+// stream took. The block is the engine's buffer and dies with this call:
+// every record is encoded before it returns. A block too big for what the
+// buffer has left past a write unit is written out as far as it fits, so the
+// buffer does not grow.
 func (sw *streamWriter) writeMatches(ms []core.Match) (sent int, ok bool) {
-	if sw.closed() {
-		return 0, false
-	}
-	if sw.buf == nil {
-		sw.buf = blockPool.Get().(*[]byte)
-	}
-	buf := (*sw.buf)[:0]
-	for _, m := range ms {
-		buf = appendMatchLine(buf, m.Assignment)
-		sent++
-		if sw.capped(sent, len(buf)) {
-			break
+	for ok = !sw.closed(); ok && sent < len(ms); {
+		buf, n := sw.pending(), 0
+		for _, m := range ms[sent:] {
+			if len(buf) >= blockBufSize && len(buf)+maxMatchLineLen(len(m.Assignment)) > cap(buf) {
+				break
+			}
+			buf = appendMatchLine(buf, m.Assignment)
+			n++
+			if sw.capped(sw.queued+n, len(buf)) {
+				break
+			}
 		}
+		*sw.buf = buf
+		n, ok = sw.queue(n)
+		sent += n
 	}
-	*sw.buf = buf
-	return sw.send(buf, sent)
+	return sent, ok
 }
 
 // writeLines forwards a block of complete canonical match lines as is,
-// clipped at the line where a cap trips. taken is how many lines reached
-// the wire.
+// clipped at the line where a cap trips. taken is how many lines the stream
+// took.
 func (sw *streamWriter) writeLines(block []byte) (taken int, ok bool) {
 	if sw.closed() {
 		return 0, false
 	}
+	buf := sw.pending()
 	taken = bytes.Count(block, []byte{'\n'})
 	// Only a block a cap can trip inside is walked line by line.
-	if (sw.maxBytes > 0 && sw.w.bytes+int64(len(block)) >= sw.maxBytes) ||
-		(sw.maxMatches > 0 && sw.matches+taken >= sw.maxMatches) {
+	if (sw.maxBytes > 0 && sw.w.bytes+int64(len(buf)+len(block)) >= sw.maxBytes) ||
+		(sw.maxMatches > 0 && sw.matches+sw.queued+taken >= sw.maxMatches) {
 		end := 0
 		for taken = 0; end < len(block); {
 			end += bytes.IndexByte(block[end:], '\n') + 1
 			taken++
-			if sw.capped(taken, end) {
+			if sw.capped(sw.queued+taken, len(buf)+end) {
 				break
 			}
 		}
 		block = block[:end]
 	}
-	return sw.send(block, taken)
+	*sw.buf = append(buf, block...)
+	return sw.queue(taken)
+}
+
+// finish ends the stream with its terminal record, in one write with the
+// records still pending.
+func (sw *streamWriter) finish(rec Record) {
+	if sw.failed {
+		return
+	}
+	buf := sw.pending()
+	if line, err := json.Marshal(rec); err == nil {
+		buf = append(append(buf, line...), '\n')
+	}
+	*sw.buf = buf
+	sw.flush()
 }
 
 // writeTrailer closes a successful stream with the stats record, filling in
 // what the sink knows: the count and the caps. It is attempted even after a
 // byte-cap stop: the cap bounds match payload, not the ~100-byte trailer.
 func (sw *streamWriter) writeTrailer(stats *StreamStats) {
-	stats.Matches = sw.matches
+	stats.Matches = sw.matches + sw.queued
 	stats.Truncated = stats.Truncated || sw.limitHit || sw.capHit
 	stats.LimitHit = sw.limitHit
 	stats.ByteCapHit = sw.capHit
-	if sw.failed {
-		return
-	}
-	sw.begin()
-	if json.NewEncoder(sw.w).Encode(Record{Type: RecordStats, Stats: stats}) == nil {
-		sw.w.Flush()
+	sw.finish(Record{Type: RecordStats, Stats: stats})
+}
+
+// writeError closes a stream whose 200 is out with the error record. Before
+// the header it writes nothing: nothing is pending then, and the request's
+// envelope reports the failure with a status instead.
+func (sw *streamWriter) writeError(e *apiError, trace string) {
+	if sw.w.status != 0 {
+		sw.finish(Record{Type: RecordError, Error: e.msg, Code: e.code, TraceID: trace})
 	}
 }

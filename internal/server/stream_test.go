@@ -2,10 +2,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"stwig/internal/core"
@@ -29,15 +29,40 @@ func referenceStream(t *testing.T, assignments [][]int64, maxBytes int64, maxMat
 	return wire, matches, false, false
 }
 
+// writeRecorder is a ResponseWriter that keeps the body and the size of
+// every Write.
+type writeRecorder struct {
+	h      http.Header
+	body   []byte
+	writes []int
+}
+
+func (w *writeRecorder) Header() http.Header { return w.h }
+func (w *writeRecorder) WriteHeader(int)     {}
+func (w *writeRecorder) Write(p []byte) (int, error) {
+	w.body = append(w.body, p...)
+	w.writes = append(w.writes, len(p))
+	return len(p), nil
+}
+
 // TestStreamWriterCapsCutWhereTheyAlwaysDid drives the sink's two inputs —
 // engine blocks it encodes, and blocks of lines a shard already encoded —
-// with generated matches, block sizes and caps: both must put exactly the
-// reference's bytes on the wire, cut at the same record with the same flags
-// and the same count, and decline everything after the cut.
+// with generated matches, block sizes and caps, and ends each stream with
+// the stats trailer or, every other round, an error record. Both inputs
+// must put exactly the reference's bytes on the wire ahead of the terminal
+// record, cut at the same record with the same flags and the same count,
+// and decline everything after the cut. Records collect into write units:
+// every write but the first, the one a cap closes the stream with, and the
+// last is at least blockBufSize, and the last carries the records still
+// pending along with the terminal record.
 func TestStreamWriterCapsCutWhereTheyAlwaysDid(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 300; round++ {
-		assignments := make([][]int64, rng.Intn(60))
+		n, byteCap, blockLen := rng.Intn(60), int64(1500), 8
+		if round%10 == 9 { // several write units, in blocks up to two of them long
+			n, byteCap, blockLen = 2000+rng.Intn(2000), 200_000, 1500
+		}
+		assignments := make([][]int64, n)
 		for i := range assignments {
 			assignments[i] = make([]int64, 1+rng.Intn(4))
 			for j := range assignments[i] {
@@ -47,7 +72,7 @@ func TestStreamWriterCapsCutWhereTheyAlwaysDid(t *testing.T) {
 		var maxBytes int64
 		var maxMatches int
 		if rng.Intn(3) > 0 {
-			maxBytes = 1 + rng.Int63n(1500)
+			maxBytes = 1 + rng.Int63n(byteCap)
 		}
 		if rng.Intn(3) > 0 {
 			maxMatches = 1 + rng.Intn(len(assignments)+2)
@@ -55,11 +80,12 @@ func TestStreamWriterCapsCutWhereTheyAlwaysDid(t *testing.T) {
 		wantWire, wantMatches, wantLimit, wantCap := referenceStream(t, assignments, maxBytes, maxMatches)
 
 		for _, input := range []string{"matches", "lines"} {
-			rec := httptest.NewRecorder()
+			rec := &writeRecorder{h: http.Header{}}
 			sw := newStreamWriter(&statusWriter{ResponseWriter: rec}, maxBytes, maxMatches)
+			room := cap(sw.pending())
 			delivered, open := 0, true
 			for lo := 0; lo < len(assignments); {
-				hi := min(lo+1+rng.Intn(8), len(assignments))
+				hi := min(lo+1+rng.Intn(blockLen), len(assignments))
 				var n int
 				var ok bool
 				if input == "matches" {
@@ -85,17 +111,58 @@ func TestStreamWriterCapsCutWhereTheyAlwaysDid(t *testing.T) {
 				open = open && ok
 				lo = hi
 			}
-			sw.release()
 			desc := fmt.Sprintf("round %d, %s (max_bytes=%d max_matches=%d, %d matches)", round, input, maxBytes, maxMatches, len(assignments))
-			if got := rec.Body.Bytes(); !bytes.Equal(got, wantWire) {
-				t.Fatalf("%s: wire differs from the reference:\n got %q\nwant %q", desc, got, wantWire)
+			if input == "matches" && cap(*sw.buf) != room {
+				t.Fatalf("%s: encoding grew the buffer from %d to %d bytes", desc, room, cap(*sw.buf))
+			}
+			written, pending := len(rec.body), sw.queued
+			var stats StreamStats
+			if round%2 == 0 {
+				sw.writeTrailer(&stats)
+			} else {
+				sw.writeError(errStatus(http.StatusInternalServerError, "engine on fire"), "trace")
+			}
+			sw.release()
+
+			// A stream that never started has no header out, so the error
+			// envelope, not the sink, reports its failure.
+			terminal := round%2 == 0 || len(wantWire) > 0
+			body := rec.body
+			if terminal {
+				last := bytes.LastIndexByte(body[:len(body)-1], '\n') + 1
+				var end Record
+				if err := json.Unmarshal(body[last:], &end); err != nil || (round%2 == 0) != (end.Type == RecordStats) {
+					t.Fatalf("%s: terminal record %q (%v)", desc, body[last:], err)
+				}
+				body = body[:last]
+				if w := rec.writes[len(rec.writes)-1]; w != len(rec.body)-written || bytes.Count(rec.body[written:], []byte{'\n'}) != pending+1 {
+					t.Fatalf("%s: the terminal record's write is %d bytes after %d written; want the %d pending records in it", desc, w, written, pending)
+				}
+			}
+			if !bytes.Equal(body, wantWire) {
+				t.Fatalf("%s: wire differs from the reference:\n got %q\nwant %q", desc, body, wantWire)
 			}
 			if delivered != wantMatches || sw.matches != wantMatches || sw.limitHit != wantLimit || sw.capHit != wantCap {
 				t.Fatalf("%s: took %d, counts %d, limit_hit=%v byte_cap_hit=%v; want %d, limit_hit=%v byte_cap_hit=%v",
 					desc, delivered, sw.matches, sw.limitHit, sw.capHit, wantMatches, wantLimit, wantCap)
 			}
+			if round%2 == 0 && (stats.Matches != wantMatches || stats.LimitHit != wantLimit || stats.ByteCapHit != wantCap) {
+				t.Fatalf("%s: trailer %+v; want %d matches, limit_hit=%v byte_cap_hit=%v", desc, stats, wantMatches, wantLimit, wantCap)
+			}
 			if open == (wantLimit || wantCap) {
 				t.Fatalf("%s: sink open = %v after limit_hit=%v byte_cap_hit=%v", desc, open, wantLimit, wantCap)
+			}
+			var middle []int
+			if len(rec.writes) > 2 {
+				middle = rec.writes[1 : len(rec.writes)-1]
+			}
+			if (wantLimit || wantCap) && len(middle) > 0 {
+				middle = middle[:len(middle)-1]
+			}
+			for _, w := range middle {
+				if w < blockBufSize {
+					t.Fatalf("%s: writes %v: a %d-byte write is neither the first, the cap's nor the last", desc, rec.writes, w)
+				}
 			}
 		}
 	}

@@ -58,8 +58,8 @@ type ShardSelector struct {
 // spelling (matchline.go) is part of the leg protocol: a coordinator
 // forwards such a line to its client unparsed, and the Go client decodes it
 // without a JSON decoder. A match record in any other valid JSON spelling
-// (spaces, reordered keys) is still accepted by both; it only takes the
-// slower encoding/json path, and a coordinator re-spells it canonically.
+// (spaces, reordered keys) is still accepted by both: the client takes the
+// slower encoding/json path, and a coordinator forwards it as written.
 type Record struct {
 	Type string `json:"type"` // "match", "stats", or "error"
 	// Assignment is set on "match" records: Assignment[v] is the data
