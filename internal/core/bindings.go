@@ -120,27 +120,15 @@ func (b *Bindings) Values(v int) []graph.NodeID {
 	return out
 }
 
-// TotalWords counts the vertex IDs stored across all bound sets; the
-// exploration phase uses it to account binding-broadcast traffic.
-func (b *Bindings) TotalWords() int {
-	total := 0
-	for _, s := range b.sets {
-		if s != nil {
-			total += s.popcount()
-		}
-	}
-	return total
-}
-
 // runScratch is the reusable memory of one run: for exploration, the
 // binding sets (the only numNodes-sized objects a query touches) and, per
-// machine, the buffers pass 1 of matchSTwig fills; for the join, per
-// machine, its relations (joinScratch) and its joiner with the match block,
-// and the one header array flushed blocks are handed out through. The
-// Executor pools these between runs; one run owns a scratch from its start
-// to its end. Within a run the machine goroutines touch disjoint
-// machineScratch entries, the proxy alone takes and returns sets, and
-// matches is written under the join's emit mutex.
+// machine, the leaf filters and candidate buffers of matchSTwig; for the
+// join, per machine, its relations (joinScratch) and its joiner with the
+// match block, and the one header array flushed blocks are handed out
+// through. The Executor pools these between runs; one run owns a scratch
+// from its start to its end. Within a run the machine goroutines touch
+// disjoint machineScratch entries, the proxy alone takes and returns sets,
+// and matches is written under the join's emit mutex.
 type runScratch struct {
 	words    int      // ⌈numNodes/64⌉: the width of every set in free
 	free     []bitset // cleared sets ready for reuse
@@ -148,13 +136,13 @@ type runScratch struct {
 	matches  []Match // headers over the block being emitted
 }
 
-// machineScratch holds one machine's pass-1 output for the current step,
-// its join state and the traffic it has charged in this run. Only the
-// worker that claimed the machine writes net, so the charges are plain adds;
-// the forEachMachine barrier publishes them to the proxy.
+// machineScratch holds one machine's leaf filters and candidate buffers for
+// the current step, its join state and the traffic it has charged in this
+// run. Only the worker that claimed the machine writes net, so the charges
+// are plain adds; the forEachMachine barrier publishes them to the proxy.
 type machineScratch struct {
-	cells  []rootCell
-	labels []graph.LabelID
+	leaves []leafFilter
+	cands  [][]graph.NodeID
 	join   joinScratch
 	joiner joiner
 	net    memcloud.NetStats
@@ -205,13 +193,11 @@ func (sc *runScratch) putSet(s bitset) {
 const maxIdleJoinBytes = 64 << 10
 
 // forget drops what the finished run left in the scratch — its machines'
-// traffic counts, the arena references pass 1 put in the cell buffers, the
-// exploration results the relations alias, the blocks the match headers
-// point into: a pooled scratch must keep alive neither an arena that an
-// update has since replaced nor a finished query's matches, and the next run
-// must start its count at zero. It also trims the join memory to
-// maxIdleJoinBytes: the joiners' blocks first (a block is the largest single
-// piece), then the machines' relations.
+// traffic counts, the exploration results the relations alias, the blocks
+// the match headers point into: a pooled scratch must not keep a finished
+// query's matches alive, and the next run must start its count at zero. It
+// also trims the join memory to maxIdleJoinBytes: the joiners' blocks first
+// (a block is the largest single piece), then the machines' relations.
 func (sc *runScratch) forget() {
 	clear(sc.matches[:cap(sc.matches)])
 	held := 0
@@ -224,7 +210,6 @@ func (sc *runScratch) forget() {
 	}
 	for i := range sc.machines {
 		ms := &sc.machines[i]
-		clear(ms.cells[:cap(ms.cells)])
 		ms.net = memcloud.NetStats{}
 		ms.join.release()
 		if held += ms.join.idleBytes(); held > maxIdleJoinBytes {

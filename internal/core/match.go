@@ -51,21 +51,84 @@ func (m STwigMatch) words() int {
 //	        S_li ← {m ∈ c.children : Index.hasLabel(m, li)}  ∩ H_li
 //	    R ← R ∪ {n} × S_l1 × ... × S_lk     (kept factored)
 //
-// Neighbor label checks across all roots of the step are merged into one
-// batch per remote owner — Trinity's "message merging and batch
-// transmission" (§2.2), which turns tens of thousands of per-root round
-// trips into at most machines-1 messages per STwig step.
+// It is one pass per root: each neighbour's label is read once and compared
+// with every leaf's, so a neighbour whose label two leaves share is a
+// candidate of both. The label checks across all roots of the step are
+// merged into one batch per remote owner — Trinity's "message merging and
+// batch transmission" (§2.2), which turns tens of thousands of per-root
+// round trips into at most machines-1 messages per STwig step — charged to
+// ms.net once when the step ends.
 //
 // The run's restriction applies wherever its query vertex is matched — as
-// the root in pass 1, as a leaf in pass 2: only data vertices of the run's
-// slice are candidates, bindings or no bindings. rebind then carries the cut
-// to every later STwig, and the relations carry it to the join.
+// the root or as a leaf: only data vertices of the run's slice are
+// candidates, bindings or no bindings. rebind then carries the cut to every
+// later STwig, and the relations carry it to the join.
 //
-// Pass 1 writes into ms, the machine's scratch of the run; the returned
-// matches reference none of it.
+// A root's candidates collect in ms, the machine's scratch of the run, and
+// are copied out only if the root matches: the returned matches reference
+// none of ms. Leaf sets and their per-match headers are carved from blocks
+// that double in size, so a step costs O(log matches) allocations and a
+// root that fails costs none.
 func matchSTwigOnMachine(m *memcloud.Machine, t STwig, labels []graph.LabelID, b *Bindings, cut restriction, ms *machineScratch) []STwigMatch {
-	cells, nbrLabels := gatherRootCells(m, t, labels, b, cut, ms)
-	return matchCells(cells, nbrLabels, t, labels, b, cut)
+	leaves, cands := ms.fitLeaves(t, labels, cut)
+	batch := m.LabelBatch(&ms.net)
+	var out []STwigMatch
+	var ids []graph.NodeID    // current ID block; len marks what is in use
+	var sets [][]graph.NodeID // current header block, likewise
+	// The index lists its ids in ascending order, so the slice of a
+	// restricted root is found, not filtered: no cell outside it is loaded.
+rootLoop:
+	for _, n := range cut.rangeOf(t.Root).cut(m.LocalIDs(labels[t.Root])) {
+		if b != nil && !b.Allows(t.Root, n) {
+			continue
+		}
+		cell, ok := m.LoadLocal(n)
+		if !ok {
+			continue // cannot happen: the index only lists local vertices
+		}
+		for i := range cands {
+			cands[i] = cands[i][:0]
+		}
+		for _, nb := range cell.Neighbors {
+			l := batch.Label(nb)
+			if nb == n {
+				continue // a vertex cannot match both root and leaf
+			}
+			for i := range leaves {
+				lf := &leaves[i]
+				if l == lf.label && lf.within.contains(nb) && (b == nil || b.Allows(lf.vertex, nb)) {
+					cands[i] = append(cands[i], nb)
+				}
+			}
+		}
+		total := 0
+		for _, c := range cands {
+			if len(c) == 0 {
+				continue rootLoop
+			}
+			total += len(c)
+		}
+		if len(cands) > 1 && !injectivelySatisfiable(cands) {
+			continue
+		}
+		if cap(ids)-len(ids) < total {
+			// Earlier matches keep the old block alive.
+			ids = make([]graph.NodeID, 0, max(2*cap(ids), minLeafIDBlock, total))
+		}
+		if cap(sets)-len(sets) < len(leaves) {
+			sets = make([][]graph.NodeID, 0, max(len(leaves), 2*cap(sets), minLeafSetBlock))
+		}
+		leafSets := sets[len(sets) : len(sets)+len(leaves) : len(sets)+len(leaves)]
+		sets = sets[:len(sets)+len(leaves)]
+		for i, c := range cands {
+			lo := len(ids)
+			ids = append(ids, c...)
+			leafSets[i] = ids[lo:len(ids):len(ids)]
+		}
+		out = append(out, STwigMatch{Root: n, LeafSets: leafSets})
+	}
+	batch.Flush()
+	return out
 }
 
 // restriction is what makes a run produce one slice of the answer: only
@@ -84,114 +147,34 @@ func (c restriction) rangeOf(v int) idRange {
 	return wholeIDSpace
 }
 
-// rootCell is one surviving root's neighborhood, positioned in the step's
-// label buffer.
-type rootCell struct {
-	id    graph.NodeID
-	nbrs  []graph.NodeID // aliases the arena
-	start int            // offset of nbrs' labels in the label buffer
-}
-
-// gatherRootCells is pass 1: for every surviving root, resolve its
-// neighbors' labels — cell by cell, straight off the arena — through one
-// label batch that is charged to the machine's ms.net once when the pass
-// ends. This is where the step's label traffic happens. The returned slices
-// live in ms until the machine's next step.
-func gatherRootCells(m *memcloud.Machine, t STwig, labels []graph.LabelID, b *Bindings, cut restriction, ms *machineScratch) ([]rootCell, []graph.LabelID) {
-	cells, nbrLabels := ms.cells[:0], ms.labels[:0]
-	batch := m.LabelBatch(&ms.net)
-	// The index lists its ids in ascending order, so the slice of a
-	// restricted root is found, not filtered: no cell outside it is loaded.
-	for _, n := range cut.rangeOf(t.Root).cut(m.LocalIDs(labels[t.Root])) {
-		if b != nil && !b.Allows(t.Root, n) {
-			continue
-		}
-		cell, ok := m.LoadLocal(n)
-		if !ok {
-			continue // cannot happen: the index only lists local vertices
-		}
-		cells = append(cells, rootCell{id: n, nbrs: cell.Neighbors, start: len(nbrLabels)})
-		nbrLabels = batch.Resolve(cell.Neighbors, nbrLabels)
-	}
-	batch.Flush()
-	ms.cells, ms.labels = cells, nbrLabels
-	return cells, nbrLabels
-}
-
-// Smallest blocks matchCells carves leaf sets and their headers from.
+// Smallest blocks matchSTwigOnMachine carves leaf sets and their headers
+// from.
 const (
 	minLeafIDBlock  = 64
 	minLeafSetBlock = 16
 )
 
-// matchCells is pass 2: per root cell, build factored leaf sets from the
-// resolved labels.
-//
-// Leaf sets and their per-match headers are carved from blocks that double
-// in size, so a step costs O(log matches) allocations and a root that
-// fails costs none: a root's candidates are appended behind the sets
-// already handed out, and cut off again if the root fails.
-func matchCells(cells []rootCell, nbrLabels []graph.LabelID, t STwig, labels []graph.LabelID, b *Bindings, cut restriction) []STwigMatch {
-	var out []STwigMatch
-	var ids []graph.NodeID    // current ID block; len marks what is in use
-	var sets [][]graph.NodeID // current header block, likewise
-	nLeaves := len(t.Leaves)
-	var endsBuf [8]int
-rootLoop:
-	for _, rc := range cells {
-		// The root's candidates are ids[mark:], leaf i's ending ends[i]
-		// candidates in.
-		mark := len(ids)
-		ends := endsBuf[:0]
-		for _, leaf := range t.Leaves {
-			want := labels[leaf]
-			within := cut.rangeOf(leaf)
-			before := len(ids) - mark
-			for j, nb := range rc.nbrs {
-				if nbrLabels[rc.start+j] != want {
-					continue
-				}
-				if nb == rc.id {
-					continue // a vertex cannot match both root and leaf
-				}
-				if !within.contains(nb) {
-					continue
-				}
-				if b != nil && !b.Allows(leaf, nb) {
-					continue
-				}
-				if len(ids) == cap(ids) {
-					// Block full: this root's candidates move to a new one;
-					// earlier matches keep the old block alive.
-					grown := make([]graph.NodeID, len(ids)-mark, max(2*cap(ids), minLeafIDBlock))
-					copy(grown, ids[mark:])
-					ids, mark = grown, 0
-				}
-				ids = append(ids, nb)
-			}
-			if len(ids)-mark == before {
-				ids = ids[:mark]
-				continue rootLoop
-			}
-			ends = append(ends, len(ids)-mark)
-		}
-		if cap(sets)-len(sets) < nLeaves {
-			sets = make([][]graph.NodeID, 0, max(nLeaves, 2*cap(sets), minLeafSetBlock))
-		}
-		leafSets := sets[len(sets) : len(sets)+nLeaves : len(sets)+nLeaves]
-		lo := mark
-		for i, end := range ends {
-			leafSets[i] = ids[lo : mark+end : mark+end]
-			lo = mark + end
-		}
-		if nLeaves > 1 && !injectivelySatisfiable(leafSets) {
-			ids = ids[:mark]
-			continue
-		}
-		sets = sets[:len(sets)+nLeaves]
-		out = append(out, STwigMatch{Root: rc.id, LeafSets: leafSets})
+// leafFilter is what a neighbour must be to play one leaf of the STwig a
+// machine is matching.
+type leafFilter struct {
+	vertex int
+	label  graph.LabelID
+	within idRange
+}
+
+// fitLeaves sets ms up for STwig t: one filter per leaf, and per leaf a
+// candidate buffer, its memory kept from earlier steps.
+func (ms *machineScratch) fitLeaves(t STwig, labels []graph.LabelID, cut restriction) ([]leafFilter, [][]graph.NodeID) {
+	n := len(t.Leaves)
+	if len(ms.leaves) < n {
+		ms.leaves = make([]leafFilter, n)
+		ms.cands = append(ms.cands, make([][]graph.NodeID, n-len(ms.cands))...)
 	}
-	return out
+	leaves := ms.leaves[:n]
+	for i, v := range t.Leaves {
+		leaves[i] = leafFilter{vertex: v, label: labels[v], within: cut.rangeOf(v)}
+	}
+	return leaves, ms.cands[:n]
 }
 
 // injectivelySatisfiable performs a cheap necessary check that distinct

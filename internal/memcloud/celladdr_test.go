@@ -7,11 +7,28 @@ import (
 	"stwig/internal/graph"
 )
 
-// The address entry carries owner, slot and label in 8 bytes: every vertex
-// of the cluster has one, so a wider entry is paid once per vertex.
-func TestCellAddrIsEightBytes(t *testing.T) {
-	if n := unsafe.Sizeof(cellAddr{}); n != 8 {
-		t.Fatalf("cellAddr is %d bytes, want 8", n)
+// The address of a vertex is two 4-byte entries, one in each table, and
+// the tables are all the cluster spends per vertex outside the stores: a
+// label check reads only the tag table, half of the address.
+func TestCellAddrIsTwoFourByteTables(t *testing.T) {
+	c := loadedCluster(t, testGraph(t), 2)
+	if n := unsafe.Sizeof(c.tags[0]); n != 4 {
+		t.Fatalf("a tag-table entry is %d bytes, want 4", n)
+	}
+	if n := unsafe.Sizeof(c.slots[0]); n != 4 {
+		t.Fatalf("a slot-table entry is %d bytes, want 4", n)
+	}
+	n := c.NumNodes()
+	if int64(len(c.tags)) != n || int64(len(c.slots)) != n {
+		t.Fatalf("tables hold %d tags and %d slots for %d vertices", len(c.tags), len(c.slots), n)
+	}
+	var stores int64
+	for i := 0; i < c.NumMachines(); i++ {
+		m := c.Machine(i)
+		stores += m.store.memoryBytes() + m.index.memoryBytes()
+	}
+	if got, want := c.TotalMemoryBytes()-stores, 8*n; got != want {
+		t.Fatalf("the address tables take %d bytes for %d vertices, want 8 per vertex", got, n)
 	}
 }
 
@@ -19,10 +36,11 @@ func TestCellAddrRoundTrips(t *testing.T) {
 	labels := []graph.LabelID{0, 1, MaxLabels - 2, MaxLabels - 1, graph.NoLabel}
 	for owner := 0; owner < MaxMachines; owner++ {
 		for _, l := range labels {
+			tag := newCellTag(owner, l)
 			for _, slot := range []uint32{0, 1, maxSlots - 1} {
-				a := newCellAddr(slot, owner, l)
+				a := cellAddr{slot: slot, tag: tag}
 				if a.owner() != owner || a.label() != l || a.slot != slot {
-					t.Fatalf("newCellAddr(%d, %d, %d) reads back slot %d, owner %d, label %d",
+					t.Fatalf("cellAddr{%d, newCellTag(%d, %d)} reads back slot %d, owner %d, label %d",
 						slot, owner, l, a.slot, a.owner(), a.label())
 				}
 			}

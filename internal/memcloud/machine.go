@@ -46,7 +46,7 @@ func (m *Machine) LoadLocal(id graph.NodeID) (Cell, bool) {
 // LabelBatch starts a label batch issued from this machine whose Flush
 // charges net.
 func (m *Machine) LabelBatch(net *NetStats) LabelBatch {
-	return LabelBatch{c: m.cluster, from: m.id, net: net}
+	return LabelBatch{c: m.cluster, tags: m.cluster.tags, from: m.id, net: net}
 }
 
 // Owns reports whether this machine owns vertex id.

@@ -1,6 +1,7 @@
 package memcloud
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -135,12 +136,16 @@ func TestLoadMissingVertex(t *testing.T) {
 	}
 }
 
-// resolveFrom resolves ids as one label batch issued from machine from and
-// returns the labels with what the batch charged.
+// resolveFrom reads the label of each of ids through one label batch
+// issued from machine from and returns the labels with what the batch
+// charged.
 func resolveFrom(c *Cluster, from int, ids []graph.NodeID) ([]graph.LabelID, NetStats) {
 	var net NetStats
 	b := c.Machine(from).LabelBatch(&net)
-	labels := b.Resolve(ids, nil)
+	labels := make([]graph.LabelID, len(ids))
+	for i, id := range ids {
+		labels[i] = b.Label(id)
+	}
 	b.Flush()
 	return labels, net
 }
@@ -169,12 +174,14 @@ func TestLabelBatchCorrectAndBatched(t *testing.T) {
 func TestLabelBatchMissingVertex(t *testing.T) {
 	g := testGraph(t)
 	c := loadedCluster(t, g, 2)
-	labels, net := resolveFrom(c, 0, []graph.NodeID{0, 10_000})
-	if labels[1] != graph.NoLabel {
-		t.Fatalf("missing vertex label = %d, want NoLabel", labels[1])
+	labels, net := resolveFrom(c, 0, []graph.NodeID{0, 10_000, -1, math.MinInt64})
+	for i, l := range labels[1:] {
+		if l != graph.NoLabel {
+			t.Fatalf("missing vertex label %d = %d, want NoLabel", i+1, l)
+		}
 	}
 	if net != (NetStats{}) {
-		t.Fatalf("a local vertex and a missing one charged %v", net)
+		t.Fatalf("a local vertex and missing ones charged %v", net)
 	}
 }
 

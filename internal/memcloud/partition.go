@@ -7,11 +7,12 @@
 // local vertex IDs, and reaches remote vertices through a message fabric
 // that charges every message and byte to a NetStats its caller owns.
 //
-// The unified ID space is one flat address table on the Cluster: vertex IDs
-// are dense, and entry v holds v's owner machine and its slot in that
-// machine's directory, so locating any cell is two array reads. A
-// Partitioner is only the placement policy that fills the table — asked once
-// per vertex, at LoadGraph or AddNode, never per lookup. The table, the
+// The unified ID space is two flat, parallel address tables on the Cluster:
+// vertex IDs are dense, entry v of the tag table holds v's owner machine and
+// label, and entry v of the slot table its slot in that machine's
+// directory, so locating any cell is three array reads and a label one. A
+// Partitioner is only the placement policy that fills the tables — asked
+// once per vertex, at LoadGraph or AddNode, never per lookup. The tables, the
 // directories and the arenas share one concurrency discipline (update.go):
 // queries read them without locks; updates mutate them under the cluster's
 // writer lock while no query runs.
@@ -30,7 +31,7 @@ import (
 )
 
 // Partitioner decides which machine a vertex is placed on. The cluster asks
-// once per vertex and records the answer in its address table, so Owner
+// once per vertex and records the answer in its tag table, so Owner
 // need not be fast and is never called on a lookup path. The paper
 // emphasizes that results hold under random partitioning ("each node ... is
 // assigned to a machine by a hashing function", §4.3), which

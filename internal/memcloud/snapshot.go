@@ -40,8 +40,8 @@ func (c *Cluster) WriteSnapshot(w io.Writer) error {
 	for i := range src.remap {
 		src.remap[i] = graph.NoLabel
 	}
-	for _, a := range c.addr {
-		l := a.label()
+	for _, t := range c.tags {
+		l := t.label()
 		if src.remap[l] == graph.NoLabel {
 			src.remap[l] = graph.LabelID(len(src.names))
 			src.names = append(src.names, c.labels.Name(l))
@@ -58,17 +58,16 @@ type snapshotSource struct {
 	remap []graph.LabelID // cluster label -> index into names
 }
 
-func (s snapshotSource) NumNodes() int64      { return int64(len(s.c.addr)) }
+func (s snapshotSource) NumNodes() int64      { return int64(len(s.c.tags)) }
 func (s snapshotSource) Directed() bool       { return false }
 func (s snapshotSource) LabelNames() []string { return s.names }
 
 func (s snapshotSource) Label(v graph.NodeID) graph.LabelID {
-	return s.remap[s.c.addr[v].label()]
+	return s.remap[s.c.tags[v].label()]
 }
 
 func (s snapshotSource) Neighbors(v graph.NodeID) []graph.NodeID {
-	a := s.c.addr[v]
-	return s.c.machines[a.owner()].store.neighbors(a.slot)
+	return s.c.machines[s.c.tags[v].owner()].store.neighbors(s.c.slots[v])
 }
 
 // RestoreEpoch seeds the cluster's mutation epoch, so that a recovered

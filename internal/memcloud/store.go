@@ -14,9 +14,9 @@ import (
 //
 // The directory is addressed by slot, not by vertex ID: a machine's i-th
 // vertex (in ascending ID order at load, in arrival order afterwards) lives
-// in dir[i], and the cluster's address table (cluster.go) maps a vertex ID
-// to its owner, slot and label. A label lookup is therefore one array read
-// and an adjacency lookup two — no hash, no per-entry overhead — and the
+// in dir[i], and the cluster's address tables (cluster.go) map a vertex ID
+// to its owner and label (the tag table) and its slot (the slot table). A
+// label lookup is therefore one array read and an adjacency lookup three — no hash, no per-entry overhead — and the
 // directory costs exactly cap(dir)·sizeof(cellRef) bytes. Slots are uint32,
 // which bounds a machine at 4.29 G vertices.
 //

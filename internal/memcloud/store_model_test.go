@@ -273,6 +273,24 @@ func checkAgainstModel(t *testing.T, step int, c *Cluster, model storeModel, own
 	if total, index := c.TotalMemoryBytes(), c.StringIndexBytes(); index <= 0 || total < index {
 		t.Fatalf("step %d: TotalMemoryBytes = %d, StringIndexBytes = %d", step, total, index)
 	}
+	// The two address tables cover every vertex, and each entry agrees
+	// with the model: the tag names the machine the vertex's cell is on and
+	// its label, the slot finds that cell in the owner's directory.
+	if len(c.tags) != int(n) || len(c.slots) != int(n) {
+		t.Fatalf("step %d: address tables hold %d tags and %d slots for %d vertices", step, len(c.tags), len(c.slots), n)
+	}
+	for v := graph.NodeID(0); v < n; v++ {
+		want, tag := model[v], c.tags[v]
+		if first, seen := owners[v]; seen && first != tag.owner() {
+			t.Fatalf("step %d: tag of vertex %d names machine %d, it was placed on %d", step, v, tag.owner(), first)
+		}
+		if c.Labels().Name(tag.label()) != want.label {
+			t.Fatalf("step %d: tag of vertex %d holds label %q, model has %q", step, v, c.Labels().Name(tag.label()), want.label)
+		}
+		if nbrs := c.machines[tag.owner()].store.neighbors(c.slots[v]); !slices.Equal(nbrs, want.nbrs) {
+			t.Fatalf("step %d: slot of vertex %d finds %v on machine %d, model has %v", step, v, nbrs, tag.owner(), want.nbrs)
+		}
+	}
 	missing := []graph.NodeID{-1, n, math.MaxInt64}
 	for _, v := range missing {
 		if c.Owner(v) != -1 {
@@ -371,7 +389,7 @@ func checkAgainstModel(t *testing.T, step int, c *Cluster, model storeModel, own
 // address tables, directories and arenas.
 func checkTwins(t *testing.T, step int, a, b *Cluster) {
 	t.Helper()
-	if !slices.Equal(a.addr, b.addr) {
+	if !slices.Equal(a.tags, b.tags) || !slices.Equal(a.slots, b.slots) {
 		t.Fatalf("step %d: address tables differ", step)
 	}
 	for i := range a.machines {

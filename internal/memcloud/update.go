@@ -38,7 +38,7 @@ type UpdateStats struct {
 var errNotLoaded = fmt.Errorf("memcloud: cluster not loaded")
 
 // locateLocked resolves an update's vertex ID to its owner machine and
-// address entry, rejecting IDs outside [0, NumNodes()) — they arrive from
+// address, rejecting IDs outside [0, NumNodes()) — they arrive from
 // the network — as errors. Caller holds upd.mu.
 func (c *Cluster) locateLocked(v graph.NodeID) (*Machine, cellAddr, error) {
 	a, ok := c.locate(v)
@@ -66,7 +66,7 @@ func (c *Cluster) AddNode(label string) (graph.NodeID, error) {
 }
 
 func (c *Cluster) addNodeLocked(label string) (graph.NodeID, error) {
-	id := graph.NodeID(len(c.addr))
+	id := graph.NodeID(len(c.tags))
 	// The one time the placement policy is asked about this vertex.
 	m := c.machines[c.part.Owner(id)]
 	if m.store.numNodes() == maxSlots {
@@ -79,7 +79,8 @@ func (c *Cluster) addNodeLocked(label string) (graph.NodeID, error) {
 		}
 		l = c.labels.Intern(label)
 	}
-	c.addr = append(c.addr, newCellAddr(m.store.put(nil), m.id, l))
+	c.tags = append(c.tags, newCellTag(m.id, l))
+	c.slots = append(c.slots, m.store.put(nil))
 	m.index.insertSorted(id, l)
 	c.upd.stats.NodesAdded++
 	c.epoch.Add(1)
