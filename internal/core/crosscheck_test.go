@@ -290,6 +290,88 @@ func TestCrossCheckEngineVsBaselinesUnderUpdates(t *testing.T) {
 			}
 		})
 	}
+	// A hub of more than 1024 neighbours keeps its cell in (label, id)
+	// order, and the engine finds its leaves by binary search. Its pad
+	// neighbours carry labels that sort before and after the patterns'
+	// (interned first and last), so each pattern label's run sits inside
+	// the cell; edge batches take the cell under the bound and back over it.
+	t.Run("hub", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(99))
+		base := rmat.MustGenerate(rmat.Params{Scale: 5, AvgDegree: 4, NumLabels: 3, Seed: 1099})
+		labels := []string{rmat.LabelName(0), rmat.LabelName(1), rmat.LabelName(2)}
+		b := graph.NewBuilder(graph.Undirected())
+		b.Labels().Intern("pad-first")
+		for _, l := range labels {
+			b.Labels().Intern(l)
+		}
+		b.Labels().Intern("pad-last")
+		n := graph.NodeID(base.NumNodes())
+		for v := graph.NodeID(0); v < n; v++ {
+			b.AddNode(base.LabelString(v))
+		}
+		for v := graph.NodeID(0); v < n; v++ {
+			for _, w := range base.Neighbors(v) {
+				if v < w {
+					b.MustAddEdge(v, w)
+				}
+			}
+		}
+		hub := b.AddNode(labels[0])
+		for v := graph.NodeID(0); v < n; v += 3 {
+			b.MustAddEdge(hub, v)
+		}
+		const pads = 1020
+		for i := 0; i < pads; i++ {
+			pad := b.AddNode([]string{"pad-first", "pad-last"}[i%2])
+			b.MustAddEdge(hub, pad)
+		}
+		g := b.Build()
+		cluster := memcloud.MustNewCluster(memcloud.Config{Machines: 3})
+		if err := cluster.LoadGraph(g); err != nil {
+			t.Fatal(err)
+		}
+		if cell, _ := cluster.Cell(hub); !cell.LabelOrdered() {
+			t.Fatalf("hub of degree %d is not label-ordered", len(cell.Neighbors))
+		}
+		eng := core.NewEngine(cluster, core.Options{BlockSize: 8})
+		model := modelFromGraph(g)
+		queries := make([]*core.Query, 4)
+		for i := range queries {
+			queries[i] = randomPattern(rng, labels)
+		}
+		checkAll := func(phase string) {
+			gNow := model.build()
+			for qi, q := range queries {
+				canonical(t, eng, gNow, q, fmt.Sprintf("hub, query %d, %s", qi, phase))
+				combos++
+			}
+		}
+		checkAll("initial")
+		// Drop the hub to the bound and below — its cell goes back to ID
+		// order — then restore it, which takes the cell over the bound again.
+		deg := len(g.Neighbors(hub))
+		var drop []memcloud.Mutation
+		for _, w := range g.Neighbors(hub)[:deg-1023] {
+			drop = append(drop, memcloud.Mutation{Op: memcloud.MutRemoveEdge, U: hub, V: w})
+			model.apply(drop[len(drop)-1])
+		}
+		applyToCluster(t, cluster, drop)
+		if cell, _ := cluster.Cell(hub); cell.LabelOrdered() {
+			t.Fatalf("hub of degree %d is still label-ordered", len(cell.Neighbors))
+		}
+		checkAll("hub under the bound")
+		restore := inverseBatch(drop)
+		for _, mut := range restore {
+			model.apply(mut)
+		}
+		applyToCluster(t, cluster, restore)
+		if cell, _ := cluster.Cell(hub); !cell.LabelOrdered() {
+			t.Fatalf("hub of degree %d is not label-ordered again", len(cell.Neighbors))
+		}
+		checkAll("hub over the bound again")
+		applyToCluster(t, cluster, randomBatch(rng, model, 12, false))
+		checkAll("after mixed batch")
+	})
 	// The coverage floor only applies to a full run: a -run filter that
 	// selects a single seed (the debugging workflow seeded subtests exist
 	// for) must not fail spuriously on the subset's count.

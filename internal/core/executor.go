@@ -244,7 +244,7 @@ func (r *execution) explore(ctx context.Context) ([][][]STwigMatch, error) {
 	dec := r.plan.Decomposition
 	labels := r.plan.labels
 	k := ex.cluster.NumMachines()
-	numNodes := ex.cluster.NumNodes()
+	numNodes := ex.cluster.QueryNumNodes()
 	perTwig := make([][][]STwigMatch, len(dec.Twigs))
 
 	sc := r.sc

@@ -51,13 +51,21 @@ func (m STwigMatch) words() int {
 //	        S_li ← {m ∈ c.children : Index.hasLabel(m, li)}  ∩ H_li
 //	    R ← R ∪ {n} × S_l1 × ... × S_lk     (kept factored)
 //
-// It is one pass per root: each neighbour's label is read once and compared
-// with every leaf's, so a neighbour whose label two leaves share is a
-// candidate of both. The label checks across all roots of the step are
-// merged into one batch per remote owner — Trinity's "message merging and
-// batch transmission" (§2.2), which turns tens of thousands of per-root
-// round trips into at most machines-1 messages per STwig step — charged to
-// ms.net once when the step ends.
+// A root's cell is either in ID order or, for a hub of more than 1024
+// neighbours, in (label, id) order (memcloud.Cell.LabelOrdered). An ID-
+// ordered cell is one pass: each neighbour's label is read once and
+// compared with every leaf's, so a neighbour whose label two leaves share
+// is a candidate of both. In a label-ordered cell a leaf's candidates are
+// the run of its label, found by binary search over the neighbours' tags;
+// two leaves that share a label get the same run. Either way a leaf's
+// candidates ascend by ID. On power-law graphs the hubs hold most
+// neighbours of most roots, so the search skips most label reads. The
+// modelled cost is the same for both layouts: a root's label checks are
+// charged per neighbour (LabelBatch.Charge), whatever was read. The checks
+// across all roots of the step are merged into one batch per remote owner
+// — Trinity's "message merging and batch transmission" (§2.2), which turns
+// tens of thousands of per-root round trips into at most machines-1
+// messages per STwig step — charged to ms.net once when the step ends.
 //
 // The run's restriction applies wherever its query vertex is matched — as
 // the root or as a leaf: only data vertices of the run's slice are
@@ -86,18 +94,33 @@ rootLoop:
 		if !ok {
 			continue // cannot happen: the index only lists local vertices
 		}
+		batch.Charge(cell)
 		for i := range cands {
 			cands[i] = cands[i][:0]
 		}
-		for _, nb := range cell.Neighbors {
-			l := batch.Label(nb)
-			if nb == n {
-				continue // a vertex cannot match both root and leaf
-			}
+		if cell.LabelOrdered() {
 			for i := range leaves {
 				lf := &leaves[i]
-				if l == lf.label && lf.within.contains(nb) && (b == nil || b.Allows(lf.vertex, nb)) {
-					cands[i] = append(cands[i], nb)
+				for _, nb := range labelRun(&batch, cell.Neighbors, lf.label) {
+					if nb != n && lf.within.contains(nb) && (b == nil || b.Allows(lf.vertex, nb)) {
+						cands[i] = append(cands[i], nb)
+					}
+				}
+				if len(cands[i]) == 0 {
+					break // the root fails; the check below skips it
+				}
+			}
+		} else {
+			for _, nb := range cell.Neighbors {
+				l := batch.Label(nb)
+				if nb == n {
+					continue // a vertex cannot match both root and leaf
+				}
+				for i := range leaves {
+					lf := &leaves[i]
+					if l == lf.label && lf.within.contains(nb) && (b == nil || b.Allows(lf.vertex, nb)) {
+						cands[i] = append(cands[i], nb)
+					}
 				}
 			}
 		}
@@ -129,6 +152,32 @@ rootLoop:
 	}
 	batch.Flush()
 	return out
+}
+
+// labelRun returns the run of neighbours labelled l in nbrs, a cell in
+// (label, id) order: two binary searches over the neighbours' tags, for
+// the first label not below l and the first above it.
+func labelRun(batch *memcloud.LabelBatch, nbrs []graph.NodeID, l graph.LabelID) []graph.NodeID {
+	lo, hi := 0, len(nbrs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if batch.Label(nbrs[mid]) < l {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	start := lo
+	hi = len(nbrs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if batch.Label(nbrs[mid]) <= l {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return nbrs[start:lo]
 }
 
 // restriction is what makes a run produce one slice of the answer: only

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"stwig/internal/graph"
@@ -165,11 +166,23 @@ func TestMatchSTwigSharedLeafLabel(t *testing.T) {
 // it: it charges exactly one word per neighbour of every root that passed
 // the root filters (the slice and H_root), matched or not, in one message
 // per remote owner.
+//
+// A hub root's cell is label-ordered, and the step finds its leaves by
+// binary search, reading few of its neighbours' labels; it is charged for
+// every neighbour all the same.
 func TestMatchSTwigChargesOneLabelReadPerNeighbour(t *testing.T) {
-	g := rmat.MustGenerate(rmat.Params{Scale: 10, AvgDegree: 8, NumLabels: 4, Seed: 7})
+	g := rmat.MustGenerate(rmat.Params{Scale: 11, AvgDegree: 8, NumLabels: 4, Seed: 7})
+	hub := graph.NodeID(g.NumNodes() / 2) // inside the slice below, and even
+	for g.Label(hub) != 0 {
+		hub += 2
+	}
+	g = withHub(g, hub)
 	c := memcloud.MustNewCluster(memcloud.Config{Machines: 3})
 	if err := c.LoadGraph(g); err != nil {
 		t.Fatal(err)
+	}
+	if cell, _ := c.Cell(hub); !cell.LabelOrdered() {
+		t.Fatalf("hub %d of degree %d is not label-ordered", hub, len(cell.Neighbors))
 	}
 	l := rmat.LabelName
 	// Two leaves share a label, so a read per leaf would charge more.
@@ -214,6 +227,164 @@ func TestMatchSTwigChargesOneLabelReadPerNeighbour(t *testing.T) {
 	}
 	if matched == 0 {
 		t.Fatal("no root matched: the fixture does not exercise the leaves")
+	}
+}
+
+// withHub returns g with vertex hub joined to every other vertex, label IDs
+// kept: on a graph of more than 1025 vertices, the hub's cell is
+// label-ordered.
+func withHub(g *graph.Graph, hub graph.NodeID) *graph.Graph {
+	b := graph.NewBuilder(graph.Undirected(), graph.Dedupe())
+	for _, name := range g.Labels().Names() {
+		b.Labels().Intern(name)
+	}
+	n := graph.NodeID(g.NumNodes())
+	for v := graph.NodeID(0); v < n; v++ {
+		b.AddNodeLabelID(g.Label(v))
+	}
+	for v := graph.NodeID(0); v < n; v++ {
+		for _, w := range g.Neighbors(v) {
+			if v < w {
+				b.MustAddEdge(v, w)
+			}
+		}
+		if v != hub {
+			b.MustAddEdge(hub, v)
+		}
+	}
+	return b.Build()
+}
+
+// scanSTwig is Algorithm 1 by the letter, on one machine: every neighbour
+// of every root, in ID order, is checked against every leaf. It is what
+// matchSTwigOnMachine must return whatever order a root's cell is in.
+func scanSTwig(c *memcloud.Cluster, m *memcloud.Machine, t STwig, labels []graph.LabelID, b *Bindings, cut restriction) []STwigMatch {
+	var out []STwigMatch
+	for _, n := range m.LocalIDs(labels[t.Root]) {
+		if !cut.rangeOf(t.Root).contains(n) || (b != nil && !b.Allows(t.Root, n)) {
+			continue
+		}
+		cell, _ := c.Cell(n)
+		nbrs := slices.Sorted(slices.Values(cell.Neighbors))
+		sets := make([][]graph.NodeID, len(t.Leaves))
+		for i, v := range t.Leaves {
+			for _, nb := range nbrs {
+				if labelOf(c, nb) == labels[v] && nb != n &&
+					cut.rangeOf(v).contains(nb) && (b == nil || b.Allows(v, nb)) {
+					sets[i] = append(sets[i], nb)
+				}
+			}
+		}
+		if slices.ContainsFunc(sets, func(s []graph.NodeID) bool { return len(s) == 0 }) ||
+			(len(sets) > 1 && !injectivelySatisfiable(sets)) {
+			continue
+		}
+		out = append(out, STwigMatch{Root: n, LeafSets: sets})
+	}
+	return out
+}
+
+func labelOf(c *memcloud.Cluster, v graph.NodeID) graph.LabelID {
+	cell, _ := c.Cell(v)
+	return cell.Label
+}
+
+// A hub's leaf candidates come from binary searches over its label-ordered
+// cell: they must be exactly what a scan finds, for a leaf label first,
+// last and absent in the hub's order, for two leaves sharing a label, under
+// a slice restriction on a leaf or on the root, and under bindings.
+func TestMatchSTwigHubRunsEqualTheScan(t *testing.T) {
+	// Labels in ID order h a b c d e. Vertex 0 is the hub, labelled h and
+	// joined to 1..1199, whose labels cycle through h a b d e: the hub's
+	// cell is h-run first, e-run last, and no c. Vertices 1..1199 form a
+	// path, so the other roots have small ID-ordered cells; vertex 1200,
+	// the graph's one c, hangs off vertex 3.
+	names := []string{"h", "a", "b", "c", "d", "e"}
+	cycle := []string{"h", "a", "b", "d", "e"}
+	b := graph.NewBuilder(graph.Undirected())
+	for _, name := range names {
+		b.Labels().Intern(name)
+	}
+	b.AddNode("h")
+	for v := 1; v < 1200; v++ {
+		b.AddNode(cycle[v%len(cycle)])
+		b.MustAddEdge(0, graph.NodeID(v))
+		if v > 1 {
+			b.MustAddEdge(graph.NodeID(v-1), graph.NodeID(v))
+		}
+	}
+	b.AddNode("c")
+	b.MustAddEdge(3, 1200)
+	g := b.Build()
+	c := memcloud.MustNewCluster(memcloud.Config{Machines: 3})
+	if err := c.LoadGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	hub, _ := c.Cell(0)
+	if !hub.LabelOrdered() {
+		t.Fatalf("hub of degree %d is not label-ordered", len(hub.Neighbors))
+	}
+	lab := func(ls ...string) []graph.LabelID {
+		out := make([]graph.LabelID, len(ls))
+		for i, name := range ls {
+			out[i] = c.Labels().MustLookup(name)
+		}
+		return out
+	}
+	twigs := []struct {
+		name     string
+		labels   []graph.LabelID // the root's, then each leaf's
+		hubMatch bool            // whether the hub is a root of the unrestricted answer
+	}{
+		{"first label", lab("h", "h"), true},
+		{"last label", lab("h", "e"), true},
+		{"absent label", lab("h", "c"), false},
+		{"shared label", lab("h", "b", "b"), true},
+		{"three leaves", lab("h", "a", "d", "e"), true},
+		{"absent among present", lab("h", "a", "c", "e"), false},
+	}
+	n := g.NumNodes()
+	everyThird := func(v int) *Bindings {
+		bs := NewBindings(4, n)
+		var ids []graph.NodeID
+		for id := graph.NodeID(0); id < graph.NodeID(n); id += 3 {
+			ids = append(ids, id)
+		}
+		bs.SetIDs(v, ids)
+		return bs
+	}
+	cuts := []struct {
+		name string
+		cut  restriction
+	}{
+		{"unsliced", restriction{ids: wholeIDSpace}},
+		{"leaf sliced", restriction{vertex: 1, ids: idRange{lo: 300, hi: 700}}},
+		{"hub sliced away", restriction{vertex: 0, ids: idRange{lo: 1, hi: graph.NodeID(n)}}},
+	}
+	for _, tw := range twigs {
+		twig := STwig{Root: 0}
+		for v := 1; v < len(tw.labels); v++ {
+			twig.Leaves = append(twig.Leaves, v)
+		}
+		for _, cu := range cuts {
+			for bi, bs := range []*Bindings{nil, everyThird(1), everyThird(0)} {
+				hubSeen := false
+				for i := 0; i < c.NumMachines(); i++ {
+					m := c.Machine(i)
+					got := matchSTwigOnMachine(m, twig, tw.labels, bs, cu.cut, &machineScratch{})
+					want := scanSTwig(c, m, twig, tw.labels, bs, cu.cut)
+					if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+						t.Fatalf("%s, %s, bindings %d, machine %d:\n got %v\nwant %v", tw.name, cu.name, bi, i, got, want)
+					}
+					for _, match := range got {
+						hubSeen = hubSeen || match.Root == 0
+					}
+				}
+				if bi == 0 && cu.name == "unsliced" && hubSeen != tw.hubMatch {
+					t.Fatalf("%s: hub matched %v, want %v", tw.name, hubSeen, tw.hubMatch)
+				}
+			}
+		}
 	}
 }
 

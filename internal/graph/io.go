@@ -121,6 +121,8 @@ type BinarySource interface {
 	// LabelNames is the label table, indexed by the LabelIDs Label returns.
 	LabelNames() []string
 	Label(v NodeID) LabelID
+	// Degree is len(Neighbors(v)), without producing the adjacency.
+	Degree(v NodeID) int
 	// Neighbors is v's sorted adjacency, read only until the next call.
 	Neighbors(v NodeID) []NodeID
 }
@@ -133,7 +135,7 @@ func WriteBinary(w io.Writer, g *Graph) error { return WriteBinaryFrom(w, g) }
 
 // WriteBinaryFrom serializes src in the binary format. It walks the vertices
 // four times (edge count, labels, offsets, adjacency) and holds nothing but
-// its write buffer.
+// its write buffer; only the last walk asks for adjacency.
 func WriteBinaryFrom(w io.Writer, src BinarySource) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.WriteString(binaryMagic); err != nil {
@@ -146,7 +148,7 @@ func WriteBinaryFrom(w io.Writer, src BinarySource) error {
 	n := src.NumNodes()
 	var m uint64
 	for v := int64(0); v < n; v++ {
-		m += uint64(len(src.Neighbors(NodeID(v))))
+		m += uint64(src.Degree(NodeID(v)))
 	}
 	names := src.LabelNames()
 	var buf [8]byte
@@ -193,19 +195,39 @@ func WriteBinaryFrom(w io.Writer, src BinarySource) error {
 		return err
 	}
 	for v := int64(0); v < n; v++ {
-		off += uint64(len(src.Neighbors(NodeID(v))))
+		off += uint64(src.Degree(NodeID(v)))
 		if err := writeU64(off); err != nil {
 			return err
 		}
 	}
 	for v := int64(0); v < n; v++ {
-		for _, a := range src.Neighbors(NodeID(v)) {
-			if err := writeU64(uint64(a)); err != nil {
-				return err
-			}
+		if err := writeIDs(bw, src.Neighbors(NodeID(v))); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// writeIDs writes ids as little-endian u64s, encoded straight into bw's
+// buffer rather than passed through it eight bytes at a time.
+func writeIDs(bw *bufio.Writer, ids []NodeID) error {
+	for len(ids) > 0 {
+		if bw.Available() < 8 {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		b := bw.AvailableBuffer()
+		k := min(len(ids), cap(b)/8)
+		for _, a := range ids[:k] {
+			b = binary.LittleEndian.AppendUint64(b, uint64(a))
+		}
+		if _, err := bw.Write(b); err != nil {
+			return err
+		}
+		ids = ids[k:]
+	}
+	return nil
 }
 
 // ReadBinary deserializes a graph written by WriteBinary.

@@ -69,6 +69,38 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// The adjacency is encoded straight into the write buffer: a graph whose
+// adjacency fills the 1 MB buffer several times over, with cells that
+// straddle its flushes, must still read back as written.
+func TestBinaryRoundTripPastTheWriteBuffer(t *testing.T) {
+	const n = 100_001
+	b := NewBuilder(Undirected())
+	for v := 0; v < n; v++ {
+		b.AddNode([]string{"a", "b", "c"}[v%3])
+	}
+	for v := 1; v < n; v++ {
+		b.MustAddEdge(0, NodeID(v)) // a hub whose cell spans a flush
+		for _, d := range []int{7, 13} {
+			if v+d < n {
+				b.MustAddEdge(NodeID(v), NodeID(v+d))
+			}
+		}
+	}
+	g := b.Build()
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	if adj := 8 * g.NumEdges(); adj < 3<<20 {
+		t.Fatalf("the adjacency takes %d bytes, want several write buffers", adj)
+	}
+	g2, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGraphsEqual(t, g, g2)
+}
+
 func TestBinaryBadMagic(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader([]byte("NOPE----------"))); err == nil {
 		t.Fatal("ReadBinary accepted bad magic")

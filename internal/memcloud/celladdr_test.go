@@ -1,6 +1,7 @@
 package memcloud
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -17,6 +18,11 @@ func TestCellAddrIsTwoFourByteTables(t *testing.T) {
 	}
 	if n := unsafe.Sizeof(c.slots[0]); n != 4 {
 		t.Fatalf("a slot-table entry is %d bytes, want 4", n)
+	}
+	// The local-neighbour count sits in what was the directory entry's
+	// padding.
+	if n := unsafe.Sizeof(cellRef{}); n != 16 {
+		t.Fatalf("a directory entry is %d bytes, want 16", n)
 	}
 	n := c.NumNodes()
 	if int64(len(c.tags)) != n || int64(len(c.slots)) != n {
@@ -49,28 +55,40 @@ func TestCellAddrRoundTrips(t *testing.T) {
 }
 
 // An unlabelled vertex has an owner like any other: its label resolves to
-// NoLabel, and asking for it from another machine is charged.
+// NoLabel, checking it from another machine is charged, and a label-ordered
+// cell lists it after every labelled neighbour.
 func TestUnlabelledVertexResolvesToNoLabel(t *testing.T) {
+	lowerOrderBound(t, 2)
 	b := graph.NewBuilder(graph.Undirected())
 	b.AddNode("a")
+	b.AddNode("b")
 	b.AddNodeLabelID(graph.NoLabel)
-	b.MustAddEdge(0, 1)
-	c := loadedCluster(t, b.Build(), 2)
+	b.AddNode("a")
+	for _, e := range [][2]graph.NodeID{{0, 1}, {0, 2}, {0, 3}, {1, 2}} {
+		b.MustAddEdge(e[0], e[1])
+	}
+	c := loadedCluster(t, b.Build(), 2) // machine 0 holds 0 and 1, machine 1 holds 2 and 3
 	la := c.Labels().MustLookup("a")
 
-	got, net := resolveFrom(c, 0, []graph.NodeID{0, 1})
+	got, net := resolveFrom(c, 0, []graph.NodeID{0, 2})
 	if got[0] != la || got[1] != graph.NoLabel {
 		t.Fatalf("LabelBatch resolved %v, want [%d %d]", got, la, graph.NoLabel)
 	}
-	if net.Messages != 1 {
-		t.Fatalf("resolving machine 1's unlabelled vertex from machine 0 sent %d messages, want 1", net.Messages)
+	if net != (NetStats{}) {
+		t.Fatalf("reading labels charged %v", net)
 	}
-	cell, ok := c.Cell(1)
-	if !ok || cell.Label != graph.NoLabel || len(cell.Neighbors) != 1 || cell.Neighbors[0] != 0 {
-		t.Fatalf("Cell(1) = %+v, %v; want the unlabelled cell adjacent to 0", cell, ok)
+	if net := chargeFrom(c, 0, 1); net.Messages != 1 {
+		t.Fatalf("checking machine 1's unlabelled vertex from machine 0 sent %d messages, want 1", net.Messages)
 	}
-	if cell, ok := c.Machine(1).LoadLocal(1); !ok || cell.Label != graph.NoLabel {
-		t.Fatalf("LoadLocal(1) = %+v, %v", cell, ok)
+	cell, ok := c.Cell(2)
+	if !ok || cell.Label != graph.NoLabel || !slices.Equal(cell.Neighbors, []graph.NodeID{0, 1}) {
+		t.Fatalf("Cell(2) = %+v, %v; want the unlabelled cell adjacent to 0 and 1", cell, ok)
+	}
+	if cell, ok := c.Machine(1).LoadLocal(2); !ok || cell.Label != graph.NoLabel {
+		t.Fatalf("LoadLocal(2) = %+v, %v", cell, ok)
+	}
+	if cell, _ := c.Cell(0); !cell.LabelOrdered() || !slices.Equal(cell.Neighbors, []graph.NodeID{3, 1, 2}) {
+		t.Fatalf("Cell(0) lists %v (label-ordered %v), want [3 1 2]: a, b, then the unlabelled vertex", cell.Neighbors, cell.LabelOrdered())
 	}
 }
 

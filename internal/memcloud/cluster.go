@@ -2,6 +2,7 @@ package memcloud
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -176,10 +177,15 @@ func (c *Cluster) LoadGraph(g *graph.Graph) error {
 		arenaWords[owner] += int64(len(g.Neighbors(id)))
 	}
 
-	// Each machine copies its own cells and records, for each of its edges
-	// (u,w), the label pair (T(u),T(w)) against the machine pair
-	// (owner(u),owner(w)) — the cross-label-pair preprocessing. The table
-	// is keyed by source machine, so the machines write disjoint parts.
+	// Each machine copies its own cells, puts those above labelOrderBound
+	// in (label, id) order (no other cell builds keys), and records, for
+	// each of its edges (u,w), the label pair (T(u),T(w)) against the
+	// machine pair (owner(u),owner(w)) — the cross-label-pair
+	// preprocessing. The table is keyed by source machine, so the machines
+	// write disjoint parts. A run of neighbours with one label is recorded
+	// as one mask of their owners, so an ordered cell costs a table write
+	// per label, not per edge. The same read of w's tag counts the cell's
+	// local neighbours.
 	// One goroutine per machine, not ParallelEach's GOMAXPROCS workers: on
 	// a 2-core box this load ran ~20 % slower on two workers (scale-18
 	// R-MAT, 8 machines), and load time is the daemon's boot time.
@@ -192,17 +198,33 @@ func (c *Cluster) LoadGraph(g *graph.Graph) error {
 		wg.Add(1)
 		go func(m *Machine) {
 			defer wg.Done()
+			var scratch []uint64
 			for v := int64(0); v < n; v++ {
 				t := tags[v]
 				if t.owner() != m.id {
 					continue
 				}
 				id := graph.NodeID(v)
-				m.store.put(g.Neighbors(id))
+				slot := m.store.put(g.Neighbors(id))
 				m.index.add(id, t.label())
-				for _, w := range g.Neighbors(id) {
-					cross.add(m.id, tags[w].owner(), t.label(), tags[w].label())
+				cell := m.store.neighbors(slot)
+				if labelOrdered(len(cell)) {
+					scratch = orderByLabel(cell, tags, scratch)
 				}
+				var local int32
+				var owners uint64 // of the run of neighbours labelled like w
+				for i, w := range cell {
+					tw := tags[w]
+					if tw.owner() == m.id {
+						local++
+					}
+					owners |= 1 << tw.owner()
+					if i+1 == len(cell) || tags[cell[i+1]].label() != tw.label() {
+						cross.add(m.id, t.label(), tw.label(), owners)
+						owners = 0
+					}
+				}
+				m.store.dir[slot].local = local
 			}
 			m.index.finalize()
 		}(m)
@@ -227,12 +249,21 @@ func (c *Cluster) NumMachines() int { return c.cfg.Machines }
 func (c *Cluster) Epoch() uint64 { return c.epoch.Load() }
 
 // NumNodes returns the total vertex count across machines, including
-// vertices added after load. Vertex IDs are dense in [0, NumNodes()).
+// vertices added after load. Vertex IDs are dense in [0, NumNodes()). It
+// takes the update lock, so it is safe beside updates, and waits for a
+// writer that holds it — a checkpoint's whole WriteSnapshot included. The
+// query path reads QueryNumNodes instead.
 func (c *Cluster) NumNodes() int64 {
 	c.upd.mu.Lock()
 	defer c.upd.mu.Unlock()
 	return int64(len(c.tags))
 }
+
+// QueryNumNodes is NumNodes read the way a query reads the address tables:
+// without a lock, under the arena's discipline (update.go) — no update runs
+// while a query does. So a query never waits for a writer that holds the
+// update lock without mutating, such as a checkpoint.
+func (c *Cluster) QueryNumNodes() int64 { return int64(len(c.tags)) }
 
 // Machine returns machine i.
 func (c *Cluster) Machine(i int) *Machine { return c.machines[i] }
@@ -312,12 +343,12 @@ func (c *Cluster) ParallelEach(fn func(m *Machine)) {
 	wg.Wait()
 }
 
-// charge books one message of the given payload words to net and applies
-// the configured latency.
-func (c *Cluster) charge(net *NetStats, words int) {
-	net.Add(NetStats{Messages: 1, Bytes: payloadSize(words)})
+// charge books messages messages carrying words payload words in all to net
+// and applies the configured latency once per message.
+func (c *Cluster) charge(net *NetStats, messages, words int) {
+	net.Add(NetStats{Messages: uint64(messages), Bytes: payloadSize(messages, words)})
 	if c.cfg.RemoteLatency > 0 {
-		time.Sleep(c.cfg.RemoteLatency)
+		time.Sleep(time.Duration(messages) * c.cfg.RemoteLatency)
 	}
 }
 
@@ -337,52 +368,75 @@ func (c *Cluster) Cell(id graph.NodeID) (Cell, bool) {
 // cell assembles the Cell of vertex id from its address. Neighbors
 // aliases the owner's arena.
 func (c *Cluster) cell(id graph.NodeID, a cellAddr) Cell {
-	return Cell{ID: id, Label: a.label(), Neighbors: c.machines[a.owner()].store.neighbors(a.slot)}
+	s := c.machines[a.owner()].store
+	ref := s.dir[a.slot]
+	return Cell{ID: id, Label: a.label(), local: ref.local, Neighbors: s.arena[ref.off : ref.off+int64(ref.deg)]}
 }
 
-// LabelBatch reads vertex labels on behalf of one machine over any number
-// of Label calls and charges them as ONE batch when Flush is called: one
-// message per remote owner touched, carrying one word per ID asked of it.
-// This models Trinity's message merging / batch transmission (§2.2); the
-// matcher keeps one LabelBatch per STwig step, so a step costs at most
-// machines-1 messages however many cells it inspects. The zero value is not
-// usable; obtain one from Machine.LabelBatch.
+// LabelBatch charges the label checks one machine makes over any number of
+// cells as ONE batch when Flush is called: one message per remote owner
+// touched, carrying one word per neighbour asked of it. This models
+// Trinity's message merging / batch transmission (§2.2); the matcher keeps
+// one LabelBatch per STwig step, so a step costs at most machines-1
+// messages however many cells it inspects. The charge follows the cells
+// the step loaded (Charge), not the labels it happened to read: a label
+// found by binary search in an ordered hub cell costs what a scan of the
+// cell would. The zero value is not usable; obtain one from
+// Machine.LabelBatch.
 type LabelBatch struct {
 	c    *Cluster
 	tags []cellTag // c.tags, which no update moves while the batch is in use
 	from int
+	// others has a bit for every machine but from.
+	others uint64
 	// net is the caller's accumulator Flush charges.
 	net *NetStats
-	// remoteWords[j] counts the IDs owned by machine j read so far. One word
-	// per remote ID: the request direction carries the 8-byte vertex ID and
-	// the (smaller) label response rides the full-duplex return path.
-	remoteWords [MaxMachines]int
+	// touched marks the remote owners charged so far, and words counts
+	// their IDs: one word per remote ID, since the request direction
+	// carries the 8-byte vertex ID and the (smaller) label response rides
+	// the full-duplex return path. The wire model is affine, so the total
+	// prices every owner's message.
+	touched uint64
+	words   int
 }
 
-// Label returns the label of vertex id and counts one word against its
-// owner. The simulation reads the label straight from the tag table — one
-// 4-byte read, the entry that also names the owner to charge — while the
-// batch keeps the cost structure of doing it with real messages. An ID
-// outside [0, NumNodes()), negative ones included, reads graph.NoLabel and,
-// having no owner, adds no traffic.
+// Label returns the label of vertex id, read straight from the tag table
+// — one 4-byte read. It charges nothing: Charge books a loaded cell's
+// reads. An ID outside [0, NumNodes()), negative ones included, reads
+// graph.NoLabel.
 func (b *LabelBatch) Label(id graph.NodeID) graph.LabelID {
 	if uint64(id) >= uint64(len(b.tags)) {
 		return graph.NoLabel
 	}
-	t := b.tags[id]
-	b.remoteWords[t.owner()]++
-	return t.label()
+	return b.tags[id].label()
 }
 
-// Flush charges the batch to the NetStats it was started with — one message
-// per remote owner, in ascending owner order — and resets it for reuse.
-func (b *LabelBatch) Flush() {
-	for owner := range b.c.machines {
-		if words := b.remoteWords[owner]; words > 0 && owner != b.from {
-			b.c.charge(b.net, words)
+// Charge books the label check of every neighbour of cell, which must be
+// one of the batch machine's own cells (Machine.LoadLocal): a word against
+// the owner of each neighbour held elsewhere. That is len − local words; the
+// tags are read only until every remote owner the cell touches is marked,
+// and not at all once the batch has marked every other machine.
+func (b *LabelBatch) Charge(cell Cell) {
+	remote := len(cell.Neighbors) - int(cell.local)
+	b.words += remote
+	for _, nb := range cell.Neighbors {
+		if remote == 0 || b.touched == b.others {
+			return
+		}
+		if o := b.tags[nb].owner(); o != b.from {
+			b.touched |= 1 << o
+			remote--
 		}
 	}
-	b.remoteWords = [MaxMachines]int{}
+}
+
+// Flush charges the batch to the NetStats it was started with — one
+// message per remote owner touched — and resets it for reuse.
+func (b *LabelBatch) Flush() {
+	if b.touched != 0 {
+		b.c.charge(b.net, bits.OnesCount64(b.touched), b.words)
+	}
+	b.touched, b.words = 0, 0
 }
 
 // ShipWords charges net an application-level transfer of the given number
@@ -392,7 +446,7 @@ func (c *Cluster) ShipWords(net *NetStats, from, to, words int) {
 	if from == to {
 		return
 	}
-	c.charge(net, words)
+	c.charge(net, 1, words)
 }
 
 // AccountProxyTransfer charges net one message of the given payload words
@@ -400,7 +454,7 @@ func (c *Cluster) ShipWords(net *NetStats, from, to, words int) {
 // machine). The executor uses it for the plan broadcast and the binding
 // synchronization.
 func (c *Cluster) AccountProxyTransfer(net *NetStats, words int) {
-	c.charge(net, words)
+	c.charge(net, 1, words)
 }
 
 // GlobalLabelCount sums Index.Count over machines: the number of vertices

@@ -25,10 +25,10 @@ func labelPairKey(la, lb graph.LabelID) uint64 {
 	return uint64(la)<<32 | uint64(lb)
 }
 
-// add records that machine i holds a vertex labeled la adjacent to a vertex
-// labeled lb held by machine j.
-func (cp *crossPairs) add(i, j int, la, lb graph.LabelID) {
-	cp.masks[i][labelPairKey(la, lb)] |= 1 << uint(j)
+// add records that machine i holds a vertex labeled la adjacent to vertices
+// labeled lb held by every machine j in the bitmask js.
+func (cp *crossPairs) add(i int, la, lb graph.LabelID, js uint64) {
+	cp.masks[i][labelPairKey(la, lb)] |= js
 }
 
 // mask returns the bitmask of machines j such that (i, la) -> (j, lb) cross

@@ -46,7 +46,9 @@ func (m *Machine) LoadLocal(id graph.NodeID) (Cell, bool) {
 // LabelBatch starts a label batch issued from this machine whose Flush
 // charges net.
 func (m *Machine) LabelBatch(net *NetStats) LabelBatch {
-	return LabelBatch{c: m.cluster, tags: m.cluster.tags, from: m.id, net: net}
+	k := len(m.cluster.machines)
+	others := (uint64(1)<<k - 1) &^ (1 << m.id)
+	return LabelBatch{c: m.cluster, tags: m.cluster.tags, from: m.id, others: others, net: net}
 }
 
 // Owns reports whether this machine owns vertex id.

@@ -1,8 +1,11 @@
 package memcloud
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -104,25 +107,69 @@ func TestLocalIDsCoverEveryVertex(t *testing.T) {
 	}
 }
 
+// lowerOrderBound makes small cells label-ordered in a test.
+func lowerOrderBound(t *testing.T, n int) {
+	old := labelOrderBound
+	labelOrderBound = n
+	t.Cleanup(func() { labelOrderBound = old })
+}
+
+// inCellOrder returns nbrs laid out as a cell of that degree must be: in ID
+// order, or above labelOrderBound in (label, id) order, label giving each
+// neighbour's label ID in the cluster the cell belongs to.
+func inCellOrder(nbrs []graph.NodeID, label func(graph.NodeID) graph.LabelID) []graph.NodeID {
+	out := slices.Clone(nbrs)
+	if len(out) <= labelOrderBound {
+		slices.Sort(out)
+		return out
+	}
+	slices.SortFunc(out, func(a, b graph.NodeID) int {
+		return cmp.Or(cmp.Compare(label(a), label(b)), cmp.Compare(a, b))
+	})
+	return out
+}
+
+// localCount counts the neighbours of v that c places on v's machine.
+func localCount(c *Cluster, v graph.NodeID, nbrs []graph.NodeID) int32 {
+	var n int32
+	for _, w := range nbrs {
+		if c.Owner(w) == c.Owner(v) {
+			n++
+		}
+	}
+	return n
+}
+
+// At the real bound every cell of the test graph is in ID order; with the
+// bound lowered below their degree, in (label, id) order.
 func TestLoadReturnsCorrectCell(t *testing.T) {
-	g := testGraph(t)
-	c := loadedCluster(t, g, 4)
-	for v := int64(0); v < g.NumNodes(); v++ {
-		id := graph.NodeID(v)
-		cell, ok := c.Cell(id)
-		if !ok {
-			t.Fatalf("Cell(%d) not found", id)
-		}
-		if cell.Label != g.Label(id) {
-			t.Fatalf("Cell(%d) label = %d, want %d", id, cell.Label, g.Label(id))
-		}
-		want := g.Neighbors(id)
-		if len(cell.Neighbors) != len(want) {
-			t.Fatalf("Cell(%d) has %d neighbors, want %d", id, len(cell.Neighbors), len(want))
-		}
-		for i := range want {
-			if cell.Neighbors[i] != want[i] {
-				t.Fatalf("Cell(%d) neighbors = %v, want %v", id, cell.Neighbors, want)
+	for _, bound := range []int{labelOrderBound, 2} {
+		lowerOrderBound(t, bound)
+		g := testGraph(t)
+		c := loadedCluster(t, g, 4)
+		for v := int64(0); v < g.NumNodes(); v++ {
+			id := graph.NodeID(v)
+			cell, ok := c.Cell(id)
+			if !ok {
+				t.Fatalf("Cell(%d) not found", id)
+			}
+			if cell.Label != g.Label(id) {
+				t.Fatalf("Cell(%d) label = %d, want %d", id, cell.Label, g.Label(id))
+			}
+			want := inCellOrder(g.Neighbors(id), g.Label)
+			if len(cell.Neighbors) != len(want) {
+				t.Fatalf("Cell(%d) has %d neighbors, want %d", id, len(cell.Neighbors), len(want))
+			}
+			for i := range want {
+				if cell.Neighbors[i] != want[i] {
+					t.Fatalf("bound %d: Cell(%d) neighbors = %v, want %v", bound, id, cell.Neighbors, want)
+				}
+			}
+			if cell.LabelOrdered() != (len(want) > bound) {
+				t.Fatalf("bound %d: Cell(%d) of degree %d reports LabelOrdered %v", bound, id, len(want), cell.LabelOrdered())
+			}
+			if local := localCount(c, id, want); cell.local != local {
+				t.Fatalf("bound %d: Cell(%d) counts %d local neighbours, want %d", bound, id, cell.local, local)
 			}
 		}
 	}
@@ -138,7 +185,7 @@ func TestLoadMissingVertex(t *testing.T) {
 
 // resolveFrom reads the label of each of ids through one label batch
 // issued from machine from and returns the labels with what the batch
-// charged.
+// charged: nothing, since reading a label is not what a batch charges.
 func resolveFrom(c *Cluster, from int, ids []graph.NodeID) ([]graph.LabelID, NetStats) {
 	var net NetStats
 	b := c.Machine(from).LabelBatch(&net)
@@ -148,6 +195,23 @@ func resolveFrom(c *Cluster, from int, ids []graph.NodeID) ([]graph.LabelID, Net
 	}
 	b.Flush()
 	return labels, net
+}
+
+// chargeFrom charges the cells of ids, all machine from's own, to one label
+// batch and returns what it charged.
+func chargeFrom(c *Cluster, from int, ids ...graph.NodeID) NetStats {
+	var net NetStats
+	m := c.Machine(from)
+	b := m.LabelBatch(&net)
+	for _, id := range ids {
+		cell, ok := m.LoadLocal(id)
+		if !ok {
+			panic(fmt.Sprintf("vertex %d is not machine %d's", id, from))
+		}
+		b.Charge(cell)
+	}
+	b.Flush()
+	return net
 }
 
 func TestLabelBatchCorrectAndBatched(t *testing.T) {
@@ -160,14 +224,20 @@ func TestLabelBatchCorrectAndBatched(t *testing.T) {
 			t.Fatalf("batch label of %d = %d, want %d", id, labels[i], g.Label(id))
 		}
 	}
-	// With a range partitioner over 8 nodes and 4 machines, machine 0 owns
-	// nodes 0-1; the other 6 lookups go to 3 remote machines => 3 messages
-	// of 2 words each.
-	if want := (NetStats{Messages: 3, Bytes: 3 * payloadSize(2)}); net != want {
-		t.Fatalf("batch charged %v, want %v (one message per remote owner)", net, want)
+	if net != (NetStats{}) {
+		t.Fatalf("reading labels charged %v", net)
 	}
-	if _, net := resolveFrom(c, 0, ids[:2]); net != (NetStats{}) {
-		t.Fatalf("a batch of local vertices charged %v", net)
+	// With a range partitioner over 8 nodes and 4 machines, machine 0 owns
+	// nodes 0-1. Their cells {1,2,7} and {0,2,3} ask 3 words of machine 1
+	// (2 twice, and 3) and 1 of machine 3 (7) => 2 messages, one per
+	// remote owner.
+	if want := (NetStats{Messages: 2, Bytes: payloadSize(1, 3) + payloadSize(1, 1)}); chargeFrom(c, 0, 0, 1) != want {
+		t.Fatalf("batch charged %v, want %v (one message per remote owner)", chargeFrom(c, 0, 0, 1), want)
+	}
+	// On 2 machines, machine 0 owns 0-3, and the cell of 2 is {0,1,3}.
+	c = loadedCluster(t, g, 2)
+	if net := chargeFrom(c, 0, 2); net != (NetStats{}) {
+		t.Fatalf("a cell of local neighbours charged %v", net)
 	}
 }
 
@@ -194,11 +264,11 @@ func TestShipWords(t *testing.T) {
 		t.Fatal("local ship accounted")
 	}
 	c.ShipWords(&net, 0, 1, 100)
-	if net.Messages != 1 || net.Bytes != payloadSize(100) {
+	if net.Messages != 1 || net.Bytes != payloadSize(1, 100) {
 		t.Fatalf("ship stats = %v", net)
 	}
 	c.AccountProxyTransfer(&net, 3)
-	if want := (NetStats{Messages: 2, Bytes: payloadSize(100) + payloadSize(3)}); net != want {
+	if want := (NetStats{Messages: 2, Bytes: payloadSize(1, 100) + payloadSize(1, 3)}); net != want {
 		t.Fatalf("after a proxy transfer: %v, want %v", net, want)
 	}
 }

@@ -37,8 +37,11 @@ const (
 	wordBytes      = 8
 )
 
-func payloadSize(words int) uint64 {
-	return uint64(msgHeaderBytes + words*wordBytes)
+// payloadSize is the wire size of messages messages carrying words words in
+// all. The model is affine, so how the words split between the messages
+// does not matter.
+func payloadSize(messages, words int) uint64 {
+	return uint64(messages*msgHeaderBytes + words*wordBytes)
 }
 
 // NetworkModel converts message/byte counters into modeled transfer time,

@@ -2,6 +2,8 @@ package memcloud
 
 import (
 	"io"
+	"math/bits"
+	"slices"
 
 	"stwig/internal/graph"
 )
@@ -23,8 +25,9 @@ import (
 // concurrent mutations (readers are unaffected); hand it a file or a buffer,
 // never a peer that can stall.
 //
-// The stream is marked undirected and carries each cell's adjacency as
-// stored — for the symmetric, loop-free adjacency that undirected loads and
+// The stream is marked undirected and carries each cell's adjacency in ID
+// order — a label-ordered cell is sorted back into one reused buffer — so
+// for the symmetric, loop-free adjacency that undirected loads and
 // AddEdge maintain, byte for byte what building the edges {u,v | u<v} into an
 // undirected graph.Graph and writing that produced.
 func (c *Cluster) WriteSnapshot(w io.Writer) error {
@@ -36,7 +39,7 @@ func (c *Cluster) WriteSnapshot(w io.Writer) error {
 	// Labels are renumbered in order of first appearance by vertex ID: the
 	// numbering a graph built vertex by vertex gets, and the one recovery
 	// has always seen.
-	src := snapshotSource{c: c, remap: make([]graph.LabelID, c.labels.Len())}
+	src := &snapshotSource{c: c, remap: make([]graph.LabelID, c.labels.Len())}
 	for i := range src.remap {
 		src.remap[i] = graph.NoLabel
 	}
@@ -56,18 +59,38 @@ type snapshotSource struct {
 	c     *Cluster
 	names []string
 	remap []graph.LabelID // cluster label -> index into names
+	// scratch holds the two buffers Neighbors sorts a label-ordered cell
+	// back into ID order with, reused from cell to cell.
+	scratch []graph.NodeID
 }
 
-func (s snapshotSource) NumNodes() int64      { return int64(len(s.c.tags)) }
-func (s snapshotSource) Directed() bool       { return false }
-func (s snapshotSource) LabelNames() []string { return s.names }
+func (s *snapshotSource) NumNodes() int64      { return int64(len(s.c.tags)) }
+func (s *snapshotSource) Directed() bool       { return false }
+func (s *snapshotSource) LabelNames() []string { return s.names }
 
-func (s snapshotSource) Label(v graph.NodeID) graph.LabelID {
+func (s *snapshotSource) Label(v graph.NodeID) graph.LabelID {
 	return s.remap[s.c.tags[v].label()]
 }
 
-func (s snapshotSource) Neighbors(v graph.NodeID) []graph.NodeID {
-	return s.c.machines[s.c.tags[v].owner()].store.neighbors(s.c.slots[v])
+func (s *snapshotSource) store(v graph.NodeID) *Store {
+	return s.c.machines[s.c.tags[v].owner()].store
+}
+
+func (s *snapshotSource) Degree(v graph.NodeID) int {
+	return int(s.store(v).dir[s.c.slots[v]].deg)
+}
+
+// Neighbors returns v's adjacency in ID order: the cell itself, or a label-
+// ordered cell sorted into the reused buffer.
+func (s *snapshotSource) Neighbors(v graph.NodeID) []graph.NodeID {
+	nbrs := s.store(v).neighbors(s.c.slots[v])
+	if !labelOrdered(len(nbrs)) {
+		return nbrs
+	}
+	n := len(nbrs)
+	s.scratch = slices.Grow(s.scratch[:0], 2*n)[:2*n]
+	copy(s.scratch, nbrs)
+	return radixSort(s.scratch[:n], s.scratch[n:], 0, bits.Len64(uint64(len(s.c.tags))))
 }
 
 // RestoreEpoch seeds the cluster's mutation epoch, so that a recovered

@@ -1,6 +1,8 @@
 package memcloud
 
 import (
+	"math/bits"
+	"slices"
 	"unsafe"
 
 	"stwig/internal/graph"
@@ -20,6 +22,13 @@ import (
 // directory costs exactly cap(dir)·sizeof(cellRef) bytes. Slots are uint32,
 // which bounds a machine at 4.29 G vertices.
 //
+// A cell lists its neighbours in ascending ID order, unless it has more
+// than labelOrderBound of them: such a hub cell is kept in (label, id)
+// order, so exploration finds a leaf's candidates in it by binary search
+// over the neighbours' tags instead of reading every one (Cell.LabelOrdered).
+// Within one label the IDs still ascend. The order is a layout of the cell,
+// not an index: it costs no byte.
+//
 // Like the arena, the directory follows the single-writer / quiesced-reader
 // discipline described in update.go: queries read it without locks, updates
 // append to or rewrite it under the cluster's writer lock while no query
@@ -29,22 +38,98 @@ type Store struct {
 	arena []graph.NodeID // concatenated adjacency of all local vertices
 }
 
+// cellRef locates a cell in the arena. local counts the neighbours held by
+// the cell's own machine, which a label batch does not charge for; it sits
+// in what would otherwise be the struct's padding, so a cellRef stays 16
+// bytes.
 type cellRef struct {
-	off int64
-	deg int32
+	off   int64
+	deg   int32
+	local int32
+}
+
+// labelOrderBound is the degree above which a cell is kept in (label, id)
+// order. It is not a setting: only tests lower it, to order small cells.
+var labelOrderBound = 1024
+
+// labelOrdered reports whether a cell of deg neighbours is kept in (label,
+// id) order.
+func labelOrdered(deg int) bool { return deg > labelOrderBound }
+
+// idBits is the width of a vertex ID in a cellKey: a cluster addresses at
+// most MaxMachines × maxSlots = 2^38 vertices.
+const idBits = 64 - labelBits
+
+// cellKey is neighbour id's rank in a label-ordered cell: its label, then
+// its ID. The label's low labelBits keep LabelID order, NoLabel (all ones)
+// last, which is the order the matcher's binary search assumes.
+func cellKey(t cellTag, id graph.NodeID) uint64 {
+	return uint64(t.label()&(1<<labelBits-1))<<idBits | uint64(id)
+}
+
+// orderByLabel puts nbrs, a cell in ID order, in (label, id) order: a
+// stable sort of their keys by label. It returns scratch, grown to the
+// two key buffers the sort needs, for the next call to reuse.
+func orderByLabel(nbrs []graph.NodeID, tags []cellTag, scratch []uint64) []uint64 {
+	n := len(nbrs)
+	scratch = slices.Grow(scratch[:0], 2*n)[:2*n]
+	keys := scratch[:n]
+	var all uint64 // every key's bits: the sort stops at the highest label bit set
+	for i, w := range nbrs {
+		keys[i] = cellKey(tags[w], w)
+		all |= keys[i]
+	}
+	sorted := radixSort(keys, scratch[n:], idBits, bits.Len64(all))
+	for i, k := range sorted {
+		nbrs[i] = graph.NodeID(k & (1<<idBits - 1))
+	}
+	return scratch
+}
+
+// radixSort sorts a stably by bits [lo, hi) of its elements, one byte per
+// pass, through buf, which must be as long as a. It returns the sorted
+// elements: a or buf. A big cell is sorted this way — by label when it is
+// ordered, back by ID for a snapshot — in time linear in its degree.
+func radixSort[T ~int64 | ~uint64](a, buf []T, lo, hi int) []T {
+	for shift := lo; shift < hi; shift += 8 {
+		var count [256]int
+		for _, x := range a {
+			count[byte(x>>shift)]++
+		}
+		sum := 0
+		for i, c := range count {
+			count[i] = sum
+			sum += c
+		}
+		for _, x := range a {
+			d := byte(x >> shift)
+			buf[count[d]] = x
+			count[d]++
+		}
+		a, buf = buf, a
+	}
+	return a
 }
 
 // maxSlots is the number of vertices one machine can address.
 const maxSlots = 1 << 32
 
 // Cell is the unit returned by Cloud.Load: a vertex's label and the IDs of
-// all its neighbors (local or not). For local loads, Neighbors aliases the
-// arena and must not be modified; remote loads receive a copy.
+// all its neighbors (local or not), in the cell's order (LabelOrdered).
+// Neighbors aliases the arena and must not be modified.
 type Cell struct {
-	ID        graph.NodeID
-	Label     graph.LabelID
+	ID    graph.NodeID
+	Label graph.LabelID
+	// local is the count of neighbours on the vertex's own machine.
+	local     int32
 	Neighbors []graph.NodeID
 }
+
+// LabelOrdered reports whether Neighbors is in (label, id) order — labels
+// ascending as LabelIDs, NoLabel last, and IDs ascending within a label —
+// rather than in ID order. Only a cell of more than labelOrderBound
+// neighbours is.
+func (c Cell) LabelOrdered() bool { return labelOrdered(len(c.Neighbors)) }
 
 // newStore sizes the directory and the arena for a known partition.
 func newStore(nodes, arenaWords int64) *Store {

@@ -245,14 +245,48 @@ func runStoreOps(t *testing.T, kind string, machines int, data []byte) {
 	checkTwins(t, -1, a, b)
 }
 
-// checkCell compares one loaded cell with the model, by label name (label
-// IDs are private to a cluster's table).
-func checkCell(t *testing.T, step int, what string, c *Cluster, cell Cell, v graph.NodeID, want *modelCell) {
+// cellOrder returns the model's neighbours of v in the order c's cell must
+// hold them. Labels are compared as c's label IDs, which are private to a
+// cluster's table: a reloaded snapshot may number them differently.
+func cellOrder(c *Cluster, model storeModel, v graph.NodeID) []graph.NodeID {
+	return inCellOrder(model[v].nbrs, func(w graph.NodeID) graph.LabelID {
+		l, _ := c.Labels().Lookup(model[w].label)
+		return l
+	})
+}
+
+// checkCell compares one loaded cell with the model, by label name: the
+// label, the neighbours in the cell's order, and the count of them on the
+// vertex's machine.
+func checkCell(t *testing.T, step int, what string, c *Cluster, cell Cell, v graph.NodeID, model storeModel) {
 	t.Helper()
-	if cell.ID != v || c.Labels().Name(cell.Label) != want.label || !slices.Equal(cell.Neighbors, want.nbrs) {
+	want := model[v]
+	nbrs := cellOrder(c, model, v)
+	if cell.ID != v || c.Labels().Name(cell.Label) != want.label || !slices.Equal(cell.Neighbors, nbrs) {
 		t.Fatalf("step %d: %s(%d) = {%d %q %v}, model has {%q %v}", step, what, v,
-			cell.ID, c.Labels().Name(cell.Label), cell.Neighbors, want.label, want.nbrs)
+			cell.ID, c.Labels().Name(cell.Label), cell.Neighbors, want.label, nbrs)
 	}
+	if local := localCount(c, v, nbrs); cell.local != local {
+		t.Fatalf("step %d: %s(%d) counts %d local neighbours, the model %d", step, what, v, cell.local, local)
+	}
+}
+
+// modelCharge is what a label batch from machine from owes for the cells of
+// vs: one message per remote owner, one word per neighbour it holds.
+func modelCharge(c *Cluster, model storeModel, from int, vs ...graph.NodeID) NetStats {
+	words := make([]int, c.NumMachines())
+	for _, v := range vs {
+		for _, w := range model[v].nbrs {
+			words[c.Owner(w)]++
+		}
+	}
+	var cost NetStats
+	for owner, n := range words {
+		if owner != from && n > 0 {
+			cost.Add(NetStats{Messages: 1, Bytes: payloadSize(1, n)})
+		}
+	}
+	return cost
 }
 
 // checkAgainstModel reads the whole graph back through every read path,
@@ -287,8 +321,8 @@ func checkAgainstModel(t *testing.T, step int, c *Cluster, model storeModel, own
 		if c.Labels().Name(tag.label()) != want.label {
 			t.Fatalf("step %d: tag of vertex %d holds label %q, model has %q", step, v, c.Labels().Name(tag.label()), want.label)
 		}
-		if nbrs := c.machines[tag.owner()].store.neighbors(c.slots[v]); !slices.Equal(nbrs, want.nbrs) {
-			t.Fatalf("step %d: slot of vertex %d finds %v on machine %d, model has %v", step, v, nbrs, tag.owner(), want.nbrs)
+		if nbrs, wantNbrs := c.machines[tag.owner()].store.neighbors(c.slots[v]), cellOrder(c, model, v); !slices.Equal(nbrs, wantNbrs) {
+			t.Fatalf("step %d: slot of vertex %d finds %v on machine %d, model has %v", step, v, nbrs, tag.owner(), wantNbrs)
 		}
 	}
 	missing := []graph.NodeID{-1, n, math.MaxInt64}
@@ -309,7 +343,7 @@ func checkAgainstModel(t *testing.T, step int, c *Cluster, model storeModel, own
 	}
 	for from := 0; from < c.NumMachines(); from++ {
 		m := c.Machine(from)
-		perOwner := make([]int, c.NumMachines())
+		var own []graph.NodeID
 		for v := graph.NodeID(0); v < n; v++ {
 			want := model[v]
 			owner := c.Owner(v)
@@ -320,31 +354,32 @@ func checkAgainstModel(t *testing.T, step int, c *Cluster, model storeModel, own
 				t.Fatalf("step %d: vertex %d moved from machine %d to %d", step, v, first, owner)
 			}
 			owners[v] = owner
-			perOwner[owner]++
 
 			cell, ok := c.Cell(v)
 			if !ok {
 				t.Fatalf("step %d: Cell(%d) not found", step, v)
 			}
-			checkCell(t, step, "Cell", c, cell, v, want)
+			checkCell(t, step, "Cell", c, cell, v, model)
 
 			local, ok := m.LoadLocal(v)
 			if ok != (owner == from) || m.Owns(v) != ok {
 				t.Fatalf("step %d: machine %d LoadLocal(%d) ok=%v Owns=%v, owner is %d", step, from, v, ok, m.Owns(v), owner)
 			}
 			if ok {
-				checkCell(t, step, "LoadLocal", c, local, v, want)
+				checkCell(t, step, "LoadLocal", c, local, v, model)
+				own = append(own, v)
+				// A cell alone costs one message per remote owner of its
+				// neighbours.
+				if got, want := chargeFrom(c, from, v), modelCharge(c, model, from, v); got != want {
+					t.Fatalf("step %d: LabelBatch from %d charged %v for the cell of %d, want %v", step, from, got, v, want)
+				}
 			}
 			labels, cost := resolveFrom(c, from, []graph.NodeID{v})
 			if c.Labels().Name(labels[0]) != want.label {
 				t.Fatalf("step %d: LabelBatch from %d resolved %d to %q, model has %q", step, from, v, c.Labels().Name(labels[0]), want.label)
 			}
-			wantCost := NetStats{}
-			if owner != from {
-				wantCost = NetStats{Messages: 1, Bytes: payloadSize(1)}
-			}
-			if cost != wantCost {
-				t.Fatalf("step %d: LabelBatch from %d of vertex %d cost %v, want %v", step, from, v, cost, wantCost)
+			if cost != (NetStats{}) {
+				t.Fatalf("step %d: LabelBatch from %d charged %v for reading the label of %d", step, from, cost, v)
 			}
 		}
 
@@ -361,15 +396,13 @@ func checkAgainstModel(t *testing.T, step int, c *Cluster, model storeModel, own
 				t.Fatalf("step %d: LabelBatch resolved %d to %q, model has %q", step, v, c.Labels().Name(labels[i]), want.label)
 			}
 		}
-		var cost NetStats
-		for owner, words := range perOwner {
-			if owner != from && words > 0 {
-				cost.Messages++
-				cost.Bytes += payloadSize(words)
-			}
+		if got != (NetStats{}) {
+			t.Fatalf("step %d: LabelBatch from %d charged %v for reading labels", step, from, got)
 		}
-		if got != cost {
-			t.Fatalf("step %d: LabelBatch from %d cost %v, want %v", step, from, got, cost)
+		// Every cell of the machine in one batch: still one message per
+		// remote owner, carrying the words of all the cells.
+		if got, want := chargeFrom(c, from, own...), modelCharge(c, model, from, own...); got != want {
+			t.Fatalf("step %d: LabelBatch from %d charged %v for its %d cells, want %v", step, from, got, len(own), want)
 		}
 
 		// Reads of vertices that do not exist find nothing; the batch above
@@ -431,12 +464,26 @@ func checkSnapshotRoundTrip(t *testing.T, step int, kind string, c *Cluster, mod
 	if fresh.NumNodes() != int64(len(model)) {
 		t.Fatalf("step %d: snapshot has %d vertices, model %d", step, fresh.NumNodes(), len(model))
 	}
-	for v, want := range model {
+	for v := range model {
 		cell, ok := fresh.Cell(v)
 		if !ok {
 			t.Fatalf("step %d: vertex %d lost in the snapshot", step, v)
 		}
-		checkCell(t, step, "reloaded snapshot", fresh, cell, v, want)
+		checkCell(t, step, "reloaded snapshot", fresh, cell, v, model)
+	}
+}
+
+// modelOrderBounds are the label-order bounds the model test runs at: the
+// real one, which no cell of these small graphs reaches, and one the
+// generated ops cross both ways.
+var modelOrderBounds = []int{labelOrderBound, 3}
+
+// runStoreOpsAtBounds runs the driver once at each of modelOrderBounds.
+func runStoreOpsAtBounds(t *testing.T, kind string, machines int, data []byte) {
+	t.Helper()
+	for _, bound := range modelOrderBounds {
+		lowerOrderBound(t, bound)
+		runStoreOps(t, kind, machines, data)
 	}
 }
 
@@ -447,7 +494,7 @@ func TestStoreModelGenerated(t *testing.T) {
 				for seed := int64(0); seed < 4; seed++ {
 					data := make([]byte, 240)
 					rand.New(rand.NewSource(seed*31 + int64(machines))).Read(data)
-					runStoreOps(t, kind, machines, data)
+					runStoreOpsAtBounds(t, kind, machines, data)
 				}
 			})
 		}
@@ -455,7 +502,8 @@ func TestStoreModelGenerated(t *testing.T) {
 }
 
 // FuzzStoreOps lets the fuzzer write the interleaving: the first two bytes
-// pick the partitioner and the cluster size, the rest are operations.
+// pick the partitioner and the cluster size, the rest are operations, run
+// at each of modelOrderBounds.
 func FuzzStoreOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 3, 1, 0, 5, 6})                                // add a "fresh" vertex, an edge, compact
@@ -467,6 +515,6 @@ func FuzzStoreOps(f *testing.F) {
 		r := &opReader{data: data}
 		kind := partitionerKinds[r.next()%len(partitionerKinds)]
 		machines := []int{1, 3, 8}[r.next()%3]
-		runStoreOps(t, kind, machines, data[r.pos:])
+		runStoreOpsAtBounds(t, kind, machines, data[r.pos:])
 	})
 }

@@ -1,7 +1,9 @@
 package memcloud
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"stwig/internal/graph"
@@ -114,13 +116,13 @@ func (c *Cluster) addEdgeLocked(u, v graph.NodeID) error {
 	if mu.store.hasNeighbor(au.slot, v) {
 		return fmt.Errorf("memcloud: edge (%d,%d) already exists", u, v)
 	}
-	c.upd.stats.GarbageWords += mu.store.insertNeighbor(au.slot, v)
-	c.upd.stats.GarbageWords += mv.store.insertNeighbor(av.slot, u)
+	c.upd.stats.GarbageWords += mu.store.insertNeighbor(au.slot, v, c.tags, mu == mv)
+	c.upd.stats.GarbageWords += mv.store.insertNeighbor(av.slot, u, c.tags, mu == mv)
 	// Cross-pair maintenance is additive-only: removing the last edge of a
 	// label pair leaves a stale bit, which only ever makes load sets larger
 	// (correctness preserved, communication slightly pessimistic).
-	c.cross.add(mu.id, mv.id, au.label(), av.label())
-	c.cross.add(mv.id, mu.id, av.label(), au.label())
+	c.cross.add(mu.id, au.label(), av.label(), 1<<mv.id)
+	c.cross.add(mv.id, av.label(), au.label(), 1<<mu.id)
 	c.upd.stats.EdgesAdded++
 	c.epoch.Add(1)
 	return nil
@@ -148,8 +150,8 @@ func (c *Cluster) removeEdgeLocked(u, v graph.NodeID) error {
 	if !mu.store.hasNeighbor(au.slot, v) {
 		return fmt.Errorf("memcloud: edge (%d,%d) does not exist", u, v)
 	}
-	mu.store.removeNeighbor(au.slot, v)
-	mv.store.removeNeighbor(av.slot, u)
+	mu.store.removeNeighbor(au.slot, v, mu == mv)
+	mv.store.removeNeighbor(av.slot, u, mu == mv)
 	c.upd.stats.EdgesRemoved++
 	c.epoch.Add(1)
 	return nil
@@ -262,33 +264,42 @@ func (s *Store) hasNeighbor(slot uint32, nb graph.NodeID) bool {
 	return false
 }
 
-// insertNeighbor adds nb to the sorted adjacency of the vertex in slot,
-// relocating the cell to the arena tail. Returns the number of words turned
-// into garbage.
-func (s *Store) insertNeighbor(slot uint32, nb graph.NodeID) int64 {
+// insertNeighbor adds nb to the adjacency of the vertex in slot at its
+// place in the cell's order, relocating the cell to the arena tail; a cell
+// that grows past labelOrderBound is put in (label, id) order in its new
+// copy. local says nb lives on the cell's machine. Returns the number of
+// words turned into garbage.
+func (s *Store) insertNeighbor(slot uint32, nb graph.NodeID, tags []cellTag, local bool) int64 {
 	ref := &s.dir[slot]
 	old := s.neighbors(slot)
-	newOff := int64(len(s.arena))
-	// Copy with sorted insertion.
-	inserted := false
-	for _, x := range old {
-		if !inserted && nb < x {
-			s.arena = append(s.arena, nb)
-			inserted = true
-		}
-		s.arena = append(s.arena, x)
+	var at int
+	if labelOrdered(len(old)) {
+		at, _ = slices.BinarySearchFunc(old, cellKey(tags[nb], nb), func(x graph.NodeID, k uint64) int {
+			return cmp.Compare(cellKey(tags[x], x), k)
+		})
+	} else {
+		at, _ = slices.BinarySearch(old, nb)
 	}
-	if !inserted {
-		s.arena = append(s.arena, nb)
+	newOff := int64(len(s.arena))
+	s.arena = append(s.arena, old[:at]...)
+	s.arena = append(s.arena, nb)
+	s.arena = append(s.arena, old[at:]...)
+	if cell := s.arena[newOff:]; !labelOrdered(len(old)) && labelOrdered(len(cell)) {
+		orderByLabel(cell, tags, nil)
 	}
 	garbage := int64(ref.deg)
 	ref.off, ref.deg = newOff, ref.deg+1
+	if local {
+		ref.local++
+	}
 	return garbage
 }
 
 // removeNeighbor deletes nb from the adjacency of the vertex in slot in
-// place (shrinking the cell without relocation).
-func (s *Store) removeNeighbor(slot uint32, nb graph.NodeID) {
+// place (shrinking the cell without relocation), keeping the cell's order;
+// a cell that shrinks to labelOrderBound goes back to ID order. local says
+// nb lives on the cell's machine.
+func (s *Store) removeNeighbor(slot uint32, nb graph.NodeID, local bool) {
 	adj := s.neighbors(slot)
 	w := 0
 	for _, x := range adj {
@@ -297,12 +308,19 @@ func (s *Store) removeNeighbor(slot uint32, nb graph.NodeID) {
 			w++
 		}
 	}
+	if labelOrdered(len(adj)) && !labelOrdered(w) {
+		slices.Sort(adj[:w])
+	}
 	s.dir[slot].deg = int32(w)
+	if local {
+		s.dir[slot].local--
+	}
 }
 
-// compact rewrites the arena with only live cells, in slot order, returning
-// reclaimed words. Slot order is a function of the update history alone, so
-// two clusters driven identically compact to identical arenas.
+// compact rewrites the arena with only live cells, in slot order and each
+// cell as it is, returning reclaimed words. Slot order is a function of the
+// update history alone, so two clusters driven identically compact to
+// identical arenas.
 func (s *Store) compact() int64 {
 	before := int64(len(s.arena))
 	var live int64

@@ -2,6 +2,7 @@ package memcloud
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -128,21 +129,32 @@ func TestAddNodeAssignsFreshIDs(t *testing.T) {
 	}
 }
 
+// Vertex 0 has degree 3 and vertex 4 degree 2: with the bound at 3, the
+// insertion takes 0's cell over it and leaves 4's under it; at 2, both cells
+// are label-ordered before and after.
 func TestAddEdgeVisibleBothSides(t *testing.T) {
-	c, _ := updatableCluster(t)
-	// testGraph has no edge (0,4).
-	if err := c.AddEdge(0, 4); err != nil {
-		t.Fatal(err)
-	}
-	cell0, _ := c.Cell(0)
-	cell4, _ := c.Cell(4)
-	if !containsNode(cell0.Neighbors, 4) || !containsNode(cell4.Neighbors, 0) {
-		t.Fatalf("edge not visible: %v / %v", cell0.Neighbors, cell4.Neighbors)
-	}
-	// Adjacency stays sorted after insertion.
-	for i := 1; i < len(cell0.Neighbors); i++ {
-		if cell0.Neighbors[i-1] >= cell0.Neighbors[i] {
-			t.Fatalf("adjacency unsorted after insert: %v", cell0.Neighbors)
+	for _, bound := range []int{labelOrderBound, 3, 2} {
+		lowerOrderBound(t, bound)
+		c, g := updatableCluster(t)
+		// testGraph has no edge (0,4).
+		if err := c.AddEdge(0, 4); err != nil {
+			t.Fatal(err)
+		}
+		cell0, _ := c.Cell(0)
+		cell4, _ := c.Cell(4)
+		if !containsNode(cell0.Neighbors, 4) || !containsNode(cell4.Neighbors, 0) {
+			t.Fatalf("edge not visible: %v / %v", cell0.Neighbors, cell4.Neighbors)
+		}
+		// Adjacency stays in the cell's order after insertion, and the
+		// local counts follow.
+		for _, cell := range []Cell{cell0, cell4} {
+			want := inCellOrder(cell.Neighbors, g.Label)
+			if !slices.Equal(cell.Neighbors, want) {
+				t.Fatalf("bound %d: cell of %d out of order after insert: %v, want %v", bound, cell.ID, cell.Neighbors, want)
+			}
+			if local := localCount(c, cell.ID, want); cell.local != local {
+				t.Fatalf("bound %d: cell of %d counts %d local neighbours, want %d", bound, cell.ID, cell.local, local)
+			}
 		}
 	}
 }
@@ -266,7 +278,16 @@ func TestCompactReclaimsGarbage(t *testing.T) {
 
 func TestPropertyUpdatesMatchRebuiltGraph(t *testing.T) {
 	// Applying random updates to a loaded cluster must leave it equivalent
-	// to a cluster loaded from the equivalently mutated graph.
+	// to a cluster loaded from the equivalently mutated graph: the same
+	// cells, in the same order, with the same local counts. At the lowered
+	// bound the updates take cells across it both ways.
+	for _, bound := range []int{labelOrderBound, 3} {
+		lowerOrderBound(t, bound)
+		checkUpdatesMatchRebuiltGraph(t)
+	}
+}
+
+func checkUpdatesMatchRebuiltGraph(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 10 + rng.Intn(20)
@@ -360,8 +381,11 @@ func TestPropertyUpdatesMatchRebuiltGraph(t *testing.T) {
 			if c.Labels().Name(cell.Label) != want.LabelString(id) {
 				return false
 			}
-			wantN := want.Neighbors(id)
-			if len(cell.Neighbors) != len(wantN) {
+			wantN := inCellOrder(want.Neighbors(id), func(w graph.NodeID) graph.LabelID {
+				l, _ := c.Labels().Lookup(want.LabelString(w))
+				return l
+			})
+			if len(cell.Neighbors) != len(wantN) || cell.local != localCount(c, id, wantN) {
 				return false
 			}
 			got := append([]graph.NodeID(nil), cell.Neighbors...)

@@ -61,7 +61,7 @@ func (ns *namespace) sliced(q *core.Query, sel *ShardSelector) *core.Query {
 	}
 	n := sel.N
 	if n <= 0 {
-		n = ns.eng.Cluster().NumNodes()
+		n = ns.eng.Cluster().QueryNumNodes()
 	}
 	lo, hi := memcloud.RangePartitioner{K: sel.Count, N: n}.Range(sel.Index)
 	return q.Sliced(lo, hi)
