@@ -379,9 +379,6 @@ func BenchmarkAblation_Ordering(b *testing.B) {
 // BenchmarkAblation_JoinOrder disables cost-based join ordering.
 func BenchmarkAblation_JoinOrder(b *testing.B) { benchAblation(b, core.Options{NoJoinOrderOpt: true}) }
 
-// BenchmarkAblation_Semijoin disables the pre-join semi-join reduction.
-func BenchmarkAblation_Semijoin(b *testing.B) { benchAblation(b, core.Options{NoSemijoin: true}) }
-
 // BenchmarkAblation_PipelineJoin contrasts block sizes for the pipelined
 // join (memory/latency tradeoff of §4.2 step 3).
 func BenchmarkAblation_PipelineJoin(b *testing.B) {

@@ -165,12 +165,17 @@ func TestJoinAllocsDoNotGrowWithMatches(t *testing.T) {
 const untracedRunAllocs = 80
 
 // tracedRunAllocs is the same run with a trace ID: what stwigd executes,
-// since it stamps every request with one. The 19 allocations over
+// since it stamps every request with one. The 13 allocations over
 // untracedRunAllocs are the span tree: the step names, the per-machine span
-// slots and child lists, and the tree itself. 99, down from 101 with the
-// untraced run's per-machine generator; 101 was down from 113 with the
-// untraced run's 10 and the two machine span names, which come from a table.
-const tracedRunAllocs = 99
+// slots and child lists, and the tree itself. 93, down from 99: with the
+// pre-join reduction pass deleted, a machine span has no third child whose
+// "(N rounds)" name was formatted per run, and its exchange/blockjoin child
+// list is one two-element literal instead of a one-element literal grown
+// twice by append — four allocations per machine become one. 99 was
+// down from 101 with the untraced run's per-machine generator; 101 was down
+// from 113 with the untraced run's 10 and the two machine span names, which
+// come from a table.
+const tracedRunAllocs = 93
 
 // planAllocs is what Planner.Plan allocates for pathFixture's small query
 // on eight machines: the plan and four of its slices (labels, label counts,

@@ -47,9 +47,6 @@ type Options struct {
 	// NoJoinOrderOpt joins each machine's relations in root-id order
 	// instead of reordering them smallest first.
 	NoJoinOrderOpt bool
-	// NoSemijoin disables the pre-join semi-join reduction pass, which
-	// otherwise runs on joins of up to semijoinWordCap words.
-	NoSemijoin bool
 
 	// SimulateParallel runs the per-machine phases sequentially, timing
 	// each machine, and reports ExecStats.ModeledParallelTime — the wall
@@ -65,11 +62,6 @@ type Options struct {
 	// memcloud.DefaultNetworkModel.
 	NetModel memcloud.NetworkModel
 }
-
-// semijoinWordCap is the total relation volume (in 8-byte words) up to
-// which the pre-join semi-join reduction runs; larger joins skip it as pure
-// overhead.
-const semijoinWordCap = 30_000
 
 // normalizeOptions fills defaulted fields; NewEngine, NewPlanner, and
 // NewExecutor all apply it so the layers agree regardless of how they were

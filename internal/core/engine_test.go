@@ -368,8 +368,7 @@ func TestPropertyAblationsPreserveResults(t *testing.T) {
 		{NoLoadSets: true},
 		{RandomDecomposition: true},
 		{NoJoinOrderOpt: true},
-		{NoSemijoin: true},
-		{NoBindings: true, NoLoadSets: true, RandomDecomposition: true, NoJoinOrderOpt: true, NoSemijoin: true},
+		{NoBindings: true, NoLoadSets: true, RandomDecomposition: true, NoJoinOrderOpt: true},
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

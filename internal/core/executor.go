@@ -368,34 +368,25 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 	r.forEachMachine(func(mach *memcloud.Machine) {
 		machine := mach.ID()
 
-		// Per-machine tracing: the phases below stamp exchangeD/semijoinD
-		// as they finish; the deferred record derives blockjoin time as the
+		// Per-machine tracing: exchangeD is stamped when the relations are
+		// assembled; the deferred record derives blockjoin time as the
 		// remainder and writes this machine's (disjoint) machSpans slot.
 		// perMachineCounts[machine] is complete here because the joiner
 		// delivers every block before the closure returns.
 		var machStart time.Time
-		var exchangeD, semijoinD time.Duration
-		var semijoinRounds int
+		var exchangeD time.Duration
 		if r.traced {
 			machStart = time.Now()
 			defer func() {
 				total := time.Since(machStart)
-				children := []Span{{Name: "exchange", Duration: exchangeD}}
-				if semijoinRounds > 0 {
-					children = append(children, Span{
-						Name:     fmt.Sprintf("semijoin (%d rounds)", semijoinRounds),
-						Duration: semijoinD,
-					})
-				}
-				children = append(children, Span{
-					Name:     "blockjoin",
-					Duration: total - exchangeD - semijoinD,
-				})
 				r.machSpans[machine] = Span{
 					Name:     machineSpanNames[machine],
 					Duration: total,
 					Matches:  int64(perMachineCounts[machine]),
-					Children: children,
+					Children: []Span{
+						{Name: "exchange", Duration: exchangeD},
+						{Name: "blockjoin", Duration: total - exchangeD},
+					},
 				}
 			}()
 		}
@@ -403,12 +394,9 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 		// Assemble R_k(q_t) = G_k(q_t) ∪ ⋃_{j ∈ F_{k,t}} G_j(q_t).
 		// Matches are aliased, not copied: the exploration results are
 		// shared with every other machine's join, so a relation moves to a
-		// private match array before its first remote extension, and the
-		// semi-join deep-copies before it filters.
+		// private match array before its first remote extension.
 		ms := &r.sc.machines[machine]
-		js := &ms.join
-		rels := js.relations(len(dec.Twigs))
-		totalWords := 0
+		rels := ms.join.relations(len(dec.Twigs))
 		for t, twig := range dec.Twigs {
 			rel := rels[t]
 			rel.reset(twig, perTwig[t][machine])
@@ -427,22 +415,11 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 					rel.extend(remote)
 				}
 			}
-			var words int
-			rel.card, words = rel.size()
-			totalWords += words
+			rel.card = rel.size()
 		}
 		sortRelationsDeterministic(rels)
 		if r.traced {
 			exchangeD = time.Since(machStart)
-		}
-		// Semi-join reduction pays on selective (often cyclic) queries
-		// but is pure overhead when relations are huge and
-		// unselective; gate it by volume (semijoinWordCap).
-		if !ex.opts.NoSemijoin && totalWords <= semijoinWordCap {
-			semijoinRounds = semijoinReduce(q, rels, js)
-			if r.traced {
-				semijoinD = time.Since(machStart) - exchangeD
-			}
 		}
 		rels = orderRelations(rels, !ex.opts.NoJoinOrderOpt)
 

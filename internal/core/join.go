@@ -29,11 +29,8 @@ import (
 //     pairs sorted by vertex, then by match index — probed by binary search.
 //     Slot 0 indexes the matches' roots, slot 1+i the candidates of leaf i.
 //     An index is built at most once per relation and run, on its first
-//     probe, after the semi-join has finished filtering; exactly one joiner
-//     works a machine's relations, so the lazy build needs no lock.
-//   - The semi-join's value sets are sorted arrays of distinct ids,
-//     intersected by merge, and it filters one flat deep copy per relation
-//     (one id array, one header array) in place.
+//     probe; exactly one joiner works a machine's relations, so the lazy
+//     build needs no lock.
 //   - The machine's joiner appends every accepted assignment to one flat id
 //     block that it owns and starts over after each flush. The flush hands
 //     the block to the run's serialized emit path, which slices it into
@@ -42,9 +39,9 @@ import (
 //     valid only until the emit callback returns; whoever keeps a match
 //     copies it (Engine.MatchStream does, once per block).
 //
-// All of it is scratch of one run: per machine the relations with their index
-// and copy buffers and the joiner, and the one header array, live in the
-// runScratch the execution takes from Executor.scratch when it starts and
+// All of it is scratch of one run: per machine the relations with their
+// index and match buffers and the joiner, and the one header array, live in
+// the runScratch the execution takes from Executor.scratch when it starts and
 // puts back — referencing nothing of the run, and holding at most
 // maxIdleJoinBytes of join memory — when it ends. A warm query whose join
 // memory fits that bound allocates nothing here; a larger one grows again
@@ -67,7 +64,7 @@ type relIndex struct {
 }
 
 // relation is one STwig's result set prepared for joining. It is its own
-// scratch: idx, own, sets and ids keep their capacity from run to run (a
+// scratch: idx and own keep their capacity from run to run (a
 // machine reuses relation t for STwig t of its next query), so preparing a
 // relation allocates only while it outgrows every earlier one in its place.
 type relation struct {
@@ -79,9 +76,7 @@ type relation struct {
 	// private reports that matches is own rather than an exploration
 	// result, which every machine's join aliases and nobody may write.
 	private bool
-	own     []STwigMatch     // the private match array
-	sets    [][]graph.NodeID // deepCopy's leaf-set headers, one run per match
-	ids     []graph.NodeID   // deepCopy's candidates, one run per leaf set
+	own     []STwigMatch // the private match array
 }
 
 // reset points r at one STwig's matches and drops the previous indexes.
@@ -115,33 +110,6 @@ func (r *relation) extend(remote []STwigMatch) {
 	r.privatize()
 	r.own = append(r.own, remote...)
 	r.matches = r.own
-}
-
-// deepCopy makes every leaf set private as well, so the semi-join can filter
-// them in place: all candidates move into one id array and all headers into
-// one header array, sized first so that no append moves what an earlier
-// header points at.
-func (r *relation) deepCopy() {
-	r.privatize()
-	total := 0
-	for i := range r.matches {
-		for _, s := range r.matches[i].LeafSets {
-			total += len(s)
-		}
-	}
-	ids := reuse(r.ids, total)
-	sets := reuse(r.sets, len(r.matches)*len(r.twig.Leaves))
-	for i := range r.matches {
-		m := &r.matches[i]
-		first := len(sets)
-		for _, s := range m.LeafSets {
-			lo := len(ids)
-			ids = append(ids, s...)
-			sets = append(sets, ids[lo:len(ids):len(ids)])
-		}
-		m.LeafSets = sets[first:len(sets):len(sets)]
-	}
-	r.ids, r.sets = ids, sets
 }
 
 // reuse returns s emptied, with room for n elements: a kept buffer grows to
@@ -215,16 +183,13 @@ func covered(rels []*relation, v int) bool {
 	return false
 }
 
-// size walks r's matches once for both of its sizes: card, the summed
-// ExpandedCount — the exact number of tuples the relation denotes (ignoring
-// injectivity), which orders the join — and words, its wire/memory size in
-// 8-byte words, which decides whether the semi-join pass pays.
-func (r *relation) size() (card float64, words int) {
+// size returns the summed ExpandedCount of r's matches: the exact number of
+// tuples the relation denotes (ignoring injectivity), which orders the join.
+func (r *relation) size() (card float64) {
 	for _, m := range r.matches {
 		card += float64(m.ExpandedCount())
-		words += m.words()
 	}
-	return card, words
+	return card
 }
 
 // orderRelations picks a left-deep join order, in place: the smallest
@@ -493,9 +458,9 @@ func (j *joiner) bind(v int, id graph.NodeID) bool {
 
 func (j *joiner) unbind(v int) { j.assignment[v] = graph.InvalidNode }
 
-// sortRelationsDeterministic puts relations in root-id order before the
-// semi-join and the join order: that order is the one orderRelations breaks
-// its last ties by, and what NoJoinOrderOpt keeps.
+// sortRelationsDeterministic puts relations in root-id order before the join
+// order is chosen: that order is the one orderRelations breaks its last ties
+// by, and what NoJoinOrderOpt keeps.
 func sortRelationsDeterministic(rels []*relation) {
 	slices.SortStableFunc(rels, func(a, b *relation) int {
 		return cmp.Compare(a.twig.Root, b.twig.Root)
@@ -503,15 +468,10 @@ func sortRelationsDeterministic(rels []*relation) {
 }
 
 // joinScratch is one machine's reusable join state: its relations (indexed
-// by STwig) with their buffers, the join order over them, and the
-// semi-join's value sets.
+// by STwig) with their buffers, and the join order over them.
 type joinScratch struct {
 	rels  []relation
 	order []*relation
-
-	allowed    [][]graph.NodeID // per query vertex; nil = unconstrained
-	allowedIDs []graph.NodeID   // backing array of allowed
-	vals       []graph.NodeID   // one relation's values of one vertex
 }
 
 // relations returns n reset-able relations and the order slice over them.
@@ -535,10 +495,10 @@ func (js *joinScratch) release() {
 // idleBytes is the memory a released joinScratch keeps for the next run
 // (capacities times element sizes).
 func (js *joinScratch) idleBytes() int {
-	n := 8 * (cap(js.allowedIDs) + cap(js.vals))
+	n := 0
 	for i := range js.rels[:cap(js.rels)] {
 		r := &js.rels[:cap(js.rels)][i]
-		n += 32*cap(r.own) + 24*cap(r.sets) + 8*cap(r.ids)
+		n += 32 * cap(r.own)
 		for _, ix := range r.idx[:cap(r.idx)] {
 			n += 16 * cap(ix.postings)
 		}
@@ -549,161 +509,4 @@ func (js *joinScratch) idleBytes() int {
 // release drops the run a pooled joiner worked for; its buffers stay.
 func (j *joiner) release() {
 	*j = joiner{assignment: j.assignment, block: j.block}
-}
-
-// semijoinReduce shrinks relations before the join: for every query vertex
-// v, a data vertex can participate only if it appears as a possible v-value
-// in every relation whose STwig contains v. Values failing that test cannot
-// occur in any full match (a full match's restriction to each STwig is in
-// its relation), so filtering them is sound. This is the join-phase
-// counterpart of exploration-time binding propagation: bindings prune
-// forward along the STwig order, the semi-join pass prunes backward.
-//
-// The relations' matches are shared with other machines' concurrent joins,
-// so each is deep-copied first and filtered in place on the copy. Runs
-// passes until a fixpoint (bounded for safety); each pass is linear in the
-// total relation size up to the sort of the value sets. Returns how many
-// passes (rounds) ran, for the traced span tree.
-func semijoinReduce(q *Query, rels []*relation, js *joinScratch) int {
-	const maxPasses = 4
-	for _, r := range rels {
-		r.deepCopy()
-	}
-	for pass := 0; pass < maxPasses; pass++ {
-		allowed := js.allowedSets(rels, q.NumVertices())
-		changed := false
-		for _, r := range rels {
-			if filterRelation(r, allowed) {
-				changed = true
-			}
-		}
-		if !changed {
-			return pass + 1
-		}
-		for _, r := range rels {
-			r.card, _ = r.size()
-		}
-	}
-	return maxPasses
-}
-
-// allowedSets computes allowed[v] = ∩ over the relations covering v of the
-// ids that can play v there, as a sorted array of distinct ids, for every
-// query vertex at least two relations cover. A vertex only one relation
-// covers stays nil — unconstrained: intersecting a relation with its own
-// values filters nothing.
-func (js *joinScratch) allowedSets(rels []*relation, n int) [][]graph.NodeID {
-	allowed := reuse(js.allowed, n)[:n]
-	clear(allowed)
-	// Never nil, so that an empty set cut from it is not "unconstrained".
-	ids := reuse(js.allowedIDs, 1)
-	vals := js.vals
-	for v := range allowed {
-		covering := 0
-		for _, r := range rels {
-			if r.twig.slot(v) >= 0 {
-				covering++
-			}
-		}
-		if covering < 2 {
-			continue
-		}
-		for _, r := range rels {
-			slot := r.twig.slot(v)
-			if slot < 0 {
-				continue
-			}
-			if allowed[v] == nil {
-				// The first set is built where it will stay. A reallocating
-				// append leaves earlier sets valid in the old array.
-				at := len(ids)
-				ids = r.appendValues(ids, slot)
-				k := len(sortedDistinct(ids[at:]))
-				ids = ids[:at+k]
-				allowed[v] = ids[at : at+k : at+k]
-				continue
-			}
-			vals = r.appendValues(vals[:0], slot)
-			allowed[v] = intersectSorted(allowed[v], sortedDistinct(vals))
-		}
-	}
-	js.allowed, js.allowedIDs, js.vals = allowed, ids, vals
-	return allowed
-}
-
-// appendValues appends every id playing slot in r's matches (with repeats).
-func (r *relation) appendValues(dst []graph.NodeID, slot int) []graph.NodeID {
-	for i := range r.matches {
-		if slot == 0 {
-			dst = append(dst, r.matches[i].Root)
-		} else {
-			dst = append(dst, r.matches[i].LeafSets[slot-1]...)
-		}
-	}
-	return dst
-}
-
-// sortedDistinct sorts ids and drops repeats, in place.
-func sortedDistinct(ids []graph.NodeID) []graph.NodeID {
-	slices.Sort(ids)
-	return slices.Compact(ids)
-}
-
-// intersectSorted keeps in a, in place, the ids also in b; both are sorted
-// and distinct.
-func intersectSorted(a, b []graph.NodeID) []graph.NodeID {
-	out := a[:0]
-	for _, id := range a {
-		for len(b) > 0 && b[0] < id {
-			b = b[1:]
-		}
-		if len(b) > 0 && b[0] == id {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// filterRelation drops match roots and leaf candidates not in allowed,
-// returning whether anything changed.
-func filterRelation(r *relation, allowed [][]graph.NodeID) bool {
-	changed := false
-	twig := r.twig
-	kept := r.matches[:0]
-matchLoop:
-	for _, m := range r.matches {
-		if a := allowed[twig.Root]; a != nil {
-			if _, ok := slices.BinarySearch(a, m.Root); !ok {
-				changed = true
-				continue
-			}
-		}
-		for i, leaf := range twig.Leaves {
-			a := allowed[leaf]
-			if a == nil {
-				continue
-			}
-			set := m.LeafSets[i]
-			filtered := set[:0]
-			for _, id := range set {
-				if _, ok := slices.BinarySearch(a, id); ok {
-					filtered = append(filtered, id)
-				}
-			}
-			if len(filtered) != len(set) {
-				changed = true
-			}
-			if len(filtered) == 0 {
-				continue matchLoop
-			}
-			m.LeafSets[i] = filtered
-		}
-		if len(twig.Leaves) > 1 && !injectivelySatisfiable(m.LeafSets) {
-			changed = true
-			continue
-		}
-		kept = append(kept, m)
-	}
-	r.matches = kept
-	return changed
 }

@@ -13,7 +13,7 @@ import (
 func newRelation(twig STwig, matches []STwigMatch) *relation {
 	r := &relation{}
 	r.reset(twig, matches)
-	r.card, _ = r.size()
+	r.card = r.size()
 	return r
 }
 
@@ -29,27 +29,27 @@ func collectInto(dst *[]Match) func([]graph.NodeID, int) bool {
 }
 
 func TestEstimateCardinality(t *testing.T) {
-	size := func(matches []STwigMatch) (float64, int) {
+	size := func(matches []STwigMatch) float64 {
 		return newRelation(STwig{Root: 0, Leaves: []int{1, 2}}, matches).size()
 	}
-	if card, words := size(nil); card != 0 || words != 0 {
-		t.Fatalf("empty relation: cardinality %v, %d words", card, words)
+	if card := size(nil); card != 0 {
+		t.Fatalf("empty relation: cardinality %v", card)
 	}
 	small := []STwigMatch{
 		{Root: 1, LeafSets: [][]graph.NodeID{{1, 2}}},
 		{Root: 2, LeafSets: [][]graph.NodeID{{1, 2, 3}}},
 	}
-	if card, words := size(small); card != 5 || words != 9 {
-		t.Fatalf("cardinality %v, %d words; want 5 and 9", card, words)
+	if card := size(small); card != 5 {
+		t.Fatalf("cardinality %v; want 5", card)
 	}
-	// 1000 matches each denoting 4 tuples in 7 words: every match counts,
+	// 1000 matches each denoting 4 tuples: every match counts,
 	// however many there are.
 	big := make([]STwigMatch, 1000)
 	for i := range big {
 		big[i] = STwigMatch{Root: graph.NodeID(i), LeafSets: [][]graph.NodeID{{1, 2}, {3, 4}}}
 	}
-	if card, words := size(big); card != 4000 || words != 7000 {
-		t.Fatalf("cardinality %v, %d words; want 4000 and 7000", card, words)
+	if card := size(big); card != 4000 {
+		t.Fatalf("cardinality %v; want 4000", card)
 	}
 }
 

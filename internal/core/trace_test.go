@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -115,8 +116,10 @@ func TestTracedRunSpans(t *testing.T) {
 		if mach == nil {
 			t.Fatalf("machine %d span missing", m)
 		}
-		if SpanByName(mach.Children, "exchange") == nil || SpanByName(mach.Children, "blockjoin") == nil {
-			t.Fatalf("machine %d span lacks exchange/blockjoin children: %v", m, spanNames(mach.Children))
+		// A machine joins its relations as the exchange assembled them:
+		// nothing runs between the two phases.
+		if got := spanNames(mach.Children); !slices.Equal(got, []string{"exchange", "blockjoin"}) {
+			t.Fatalf("machine %d span has children %v, want [exchange blockjoin]", m, got)
 		}
 	}
 }

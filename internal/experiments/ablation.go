@@ -13,7 +13,10 @@ import (
 )
 
 // RunAblations measures the paper's design choices, each against the full
-// configuration on the same graph and query set:
+// configuration on the same graph and query set. "full (paper)" is the
+// paper's configuration, join included: each machine block-joins its exactly
+// sized relations as the exchange assembled them (§4.3), with no pass in
+// between. Each other row turns one of the paper's choices off:
 //
 //	bindings off      — §4.2's exploration without binding propagation,
 //	                    §3's "join everything" strategy

@@ -320,10 +320,10 @@ var specTable = tableOf(NamespaceSpec{})
 
 // retiredSpecKeys name settings that are gone: parallelism (a per-machine
 // worker pool), plancache (the engine's plan cache) and semijoincap (the
-// semi-join volume gate, now a constant). A manifest an earlier build wrote
-// may still carry them, so the parser checks each value as an integer and
-// discards it, and SpecString never writes one; boot then rewrites the
-// manifest without them.
+// volume gate of a pre-join semi-join pass, since deleted). A manifest an
+// earlier build wrote may still carry them, so the parser checks each value
+// as an integer and discards it, and SpecString never writes one; boot then
+// rewrites the manifest without them.
 var retiredSpecKeys = []string{"parallelism", "plancache", "semijoincap"}
 
 // BindFlags registers the flags that shape stwigd's default namespace —
