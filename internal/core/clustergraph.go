@@ -20,28 +20,19 @@ type ClusterGraph struct {
 }
 
 // BuildClusterGraph constructs the query-specific cluster graph and its
-// all-pairs distances: one BFS per machine, each level one OR over the
+// all-pairs distances. The adjacency is one probe of the cluster's
+// cross-pair table per query edge, which yields machine pairs, so it is
+// symmetric as read and has no diagonal (no machine is its own neighbour).
+// The distances are one BFS per machine, each level one OR over the
 // frontier's adjacency masks (the cluster has ≤ 64 machines).
 func BuildClusterGraph(c *memcloud.Cluster, q *Query, labels []graph.LabelID) ClusterGraph {
 	k := c.NumMachines()
 	cg := ClusterGraph{k: k, adj: make([]uint64, k), dist: make([]int, k*k)}
 	for u := range q.adj {
 		for _, v := range q.adj[u] {
-			if u > v {
-				continue
+			if u <= v {
+				c.CrossAdj(labels[u], labels[v], cg.adj)
 			}
-			lu, lv := labels[u], labels[v]
-			for i := 0; i < k; i++ {
-				cg.adj[i] |= c.CrossMask(i, lu, lv) | c.CrossMask(i, lv, lu)
-			}
-		}
-	}
-	// Symmetrize: an edge u~v with u on i and v on j appears in both
-	// orientations in the cross-pair table for undirected graphs, but keep
-	// the graph well-formed for any partition anyway.
-	for i := 0; i < k; i++ {
-		for mask := cg.adj[i]; mask != 0; mask &= mask - 1 {
-			cg.adj[bits.TrailingZeros64(mask)] |= 1 << uint(i)
 		}
 	}
 	for src := 0; src < k; src++ {

@@ -206,3 +206,56 @@ func TestPropertyLoadSetSoundness(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPropertyClusterGraphMatchesBruteForce: for random graphs, partitions,
+// cluster sizes and queries, BuildClusterGraph's adjacency is exactly the
+// cluster graph of §5.3 computed from the data graph: machines i ≠ j are
+// adjacent iff an edge whose labels match some query edge, in either
+// orientation, joins a vertex on i and one on j. No machine is its own
+// neighbour.
+func TestPropertyClusterGraphMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	labels := []string{"a", "b", "c", "d"}
+	for trial := 0; trial < 60; trial++ {
+		g := randomDataGraph(rng, 30+rng.Intn(30), 60+rng.Intn(60), labels)
+		q := randomConnectedQuery(rng, 2+rng.Intn(4), rng.Intn(3), labels)
+		k := []int{2, 3, 5, 8, 12, 17, 33, 64}[rng.Intn(8)]
+		var part memcloud.Partitioner
+		switch rng.Intn(3) {
+		case 0:
+			part = memcloud.HashPartitioner{K: k}
+		case 1:
+			part = memcloud.RangePartitioner{K: k, N: g.NumNodes()}
+		default:
+			part = memcloud.NewBFSPartitioner(g, k)
+		}
+		c := memcloud.MustNewCluster(memcloud.Config{Machines: k, Partitioner: part})
+		if err := c.LoadGraph(g); err != nil {
+			t.Fatal(err)
+		}
+		ql, ok := q.resolveLabels(c.Labels())
+		if !ok {
+			t.Fatalf("trial %d: query labels unresolved", trial)
+		}
+		queried := map[[2]graph.LabelID]bool{}
+		for _, e := range q.Edges() {
+			queried[[2]graph.LabelID{ql[e[0]], ql[e[1]]}] = true
+			queried[[2]graph.LabelID{ql[e[1]], ql[e[0]]}] = true
+		}
+		want := make([]uint64, k)
+		for v := int64(0); v < g.NumNodes(); v++ {
+			u := graph.NodeID(v)
+			for _, w := range g.Neighbors(u) {
+				if i, j := c.Owner(u), c.Owner(w); i != j && queried[[2]graph.LabelID{g.Label(u), g.Label(w)}] {
+					want[i] |= 1 << j
+				}
+			}
+		}
+		cg := BuildClusterGraph(c, q, ql)
+		for i := range want {
+			if cg.adj[i] != want[i] {
+				t.Fatalf("trial %d (%d machines, %d query edges): adj[%d] = %b, brute force %b", trial, k, q.NumEdges(), i, cg.adj[i], want[i])
+			}
+		}
+	}
+}

@@ -9,8 +9,9 @@ import (
 )
 
 // The address of a vertex is two 4-byte entries, one in each table, and
-// the tables are all the cluster spends per vertex outside the stores: a
-// label check reads only the tag table, half of the address.
+// the tables are all the cluster spends per vertex outside the stores and
+// the cross-pair table: a label check reads only the tag table, half of
+// the address.
 func TestCellAddrIsTwoFourByteTables(t *testing.T) {
 	c := loadedCluster(t, testGraph(t), 2)
 	if n := unsafe.Sizeof(c.tags[0]); n != 4 {
@@ -28,7 +29,7 @@ func TestCellAddrIsTwoFourByteTables(t *testing.T) {
 	if int64(len(c.tags)) != n || int64(len(c.slots)) != n {
 		t.Fatalf("tables hold %d tags and %d slots for %d vertices", len(c.tags), len(c.slots), n)
 	}
-	var stores int64
+	stores := c.cross.memoryBytes()
 	for i := 0; i < c.NumMachines(); i++ {
 		m := c.Machine(i)
 		stores += m.store.memoryBytes() + m.index.memoryBytes()

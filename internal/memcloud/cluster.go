@@ -12,9 +12,11 @@ import (
 	"stwig/internal/graph"
 )
 
-// MaxMachines bounds the simulated cluster size; cross-label-pair machine
-// sets are stored as single-word bitmasks, and a tag-table entry spends
-// ownerBits on the owner. The paper's clusters have 8 and 12 machines.
+// MaxMachines bounds the simulated cluster size: the planner's machine sets
+// are single-word bitmasks, and a tag-table entry spends ownerBits on the
+// owner. The paper's clusters have 8 and 12 machines. The cross-pair table
+// spends k(k−1)/2 bits per label pair (crossPairs), so its size grows with
+// the square of the cluster's.
 const MaxMachines = 1 << ownerBits
 
 // MaxLabels bounds the distinct labels a cluster holds: a tag-table entry
@@ -148,7 +150,8 @@ func MustNewCluster(cfg Config) *Cluster {
 
 // LoadGraph partitions g across the machines, builds each machine's slab
 // store and string index, and runs the cross-label-pair preprocessing of
-// §5.3. Its duration is what Table 2 reports.
+// §5.3: the one table of the label pairs each pair of machines shares an
+// edge between. Its duration is what Table 2 reports.
 func (c *Cluster) LoadGraph(g *graph.Graph) error {
 	if c.loaded {
 		return fmt.Errorf("memcloud: cluster already loaded")
@@ -179,17 +182,17 @@ func (c *Cluster) LoadGraph(g *graph.Graph) error {
 
 	// Each machine copies its own cells, puts those above labelOrderBound
 	// in (label, id) order (no other cell builds keys), and records, for
-	// each of its edges (u,w), the label pair (T(u),T(w)) against the
-	// machine pair (owner(u),owner(w)) — the cross-label-pair
-	// preprocessing. The table is keyed by source machine, so the machines
-	// write disjoint parts. A run of neighbours with one label is recorded
-	// as one mask of their owners, so an ordered cell costs a table write
-	// per label, not per edge. The same read of w's tag counts the cell's
-	// local neighbours.
+	// each of its edges (u,w) that leaves the machine, the label pair
+	// {T(u),T(w)} against the machine pair {owner(u),owner(w)} — the
+	// cross-label-pair preprocessing. A run of neighbours with one label is
+	// recorded as one mask of their remote owners, so an ordered cell costs
+	// a record per label, not per edge. The machines write the one table
+	// concurrently, in batches by region (crossLoader). The same read of
+	// w's tag counts the cell's local neighbours.
 	// One goroutine per machine, not ParallelEach's GOMAXPROCS workers: on
 	// a 2-core box this load ran ~20 % slower on two workers (scale-18
 	// R-MAT, 8 machines), and load time is the daemon's boot time.
-	cross := newCrossPairs(k)
+	cross := &crossLoader{cp: newCrossPairs(k)}
 	var wg sync.WaitGroup
 	for i := 0; i < k; i++ {
 		m := c.machines[i]
@@ -199,6 +202,7 @@ func (c *Cluster) LoadGraph(g *graph.Graph) error {
 		go func(m *Machine) {
 			defer wg.Done()
 			var scratch []uint64
+			batch := cross.batch(m.id, arenaWords[m.id])
 			for v := int64(0); v < n; v++ {
 				t := tags[v]
 				if t.owner() != m.id {
@@ -212,27 +216,31 @@ func (c *Cluster) LoadGraph(g *graph.Graph) error {
 					scratch = orderByLabel(cell, tags, scratch)
 				}
 				var local int32
-				var owners uint64 // of the run of neighbours labelled like w
+				var remote uint64 // owners of the run of neighbours labelled like w
 				for i, w := range cell {
 					tw := tags[w]
-					if tw.owner() == m.id {
+					if o := tw.owner(); o == m.id {
 						local++
+					} else {
+						remote |= 1 << o
 					}
-					owners |= 1 << tw.owner()
 					if i+1 == len(cell) || tags[cell[i+1]].label() != tw.label() {
-						cross.add(m.id, t.label(), tw.label(), owners)
-						owners = 0
+						if remote != 0 {
+							batch.add(t.label(), tw.label(), remote)
+							remote = 0
+						}
 					}
 				}
 				m.store.dir[slot].local = local
 			}
+			batch.close()
 			m.index.finalize()
 		}(m)
 	}
 	wg.Wait()
 
 	c.tags, c.slots = tags, slots
-	c.cross = cross
+	c.cross = cross.cp
 	c.labels = g.Labels()
 	c.loaded = true
 	return nil
@@ -244,7 +252,7 @@ func (c *Cluster) NumMachines() int { return c.cfg.Machines }
 // Epoch returns the cluster's mutation epoch: it increases with every
 // dynamic update (AddNode, AddEdge, RemoveEdge), each of which may change
 // the statistics a query plan is derived from — label frequencies, the label
-// table, or the cross-label-pair tables. A plan records the epoch it was
+// table, or the cross-pair table. A plan records the epoch it was
 // built at, and recovery restores it (RestoreEpoch).
 func (c *Cluster) Epoch() uint64 { return c.epoch.Load() }
 
@@ -281,25 +289,28 @@ func (c *Cluster) Owner(v graph.NodeID) int {
 // Labels returns the label table of the loaded graph, or nil before load.
 func (c *Cluster) Labels() *graph.LabelTable { return c.labels }
 
-// CrossMask returns the bitmask of machines j such that the data graph
-// contains an edge from a vertex labeled la on machine i to a vertex labeled
-// lb on machine j. This is the stored label-pair information §5.3 uses to
-// build a query-specific cluster graph without touching the data graph.
-func (c *Cluster) CrossMask(i int, la, lb graph.LabelID) uint64 {
-	return c.cross.mask(i, la, lb)
+// CrossAdj ORs into adj, a bitmask per machine, the machine pairs that an
+// edge labelled {la, lb} joins: for every such edge with an end on machine
+// i and the other on machine j ≠ i, bit j of adj[i] and bit i of adj[j].
+// This is the stored label-pair information §5.3 uses to build a
+// query-specific cluster graph without touching the data graph. Edges
+// inside one machine set nothing. Removed edges may leave their bits set.
+func (c *Cluster) CrossAdj(la, lb graph.LabelID, adj []uint64) {
+	c.cross.adjacency(la, lb, adj)
 }
 
 // TotalMemoryBytes reports resident bytes across the cluster: the address
-// tables once, plus every machine's store and string index. Reported in the
-// Table 1 reproduction. It takes the update lock: the walk reads slice
-// headers and posting-list maps that dynamic updates mutate, and
-// observability callers (Engine.Snapshot, the daemon's GET /stats) run
-// concurrently with updates.
+// tables once, the cross-pair table, and every machine's store and string
+// index. Reported in the Table 1 reproduction. It takes the update lock:
+// the walk reads slice headers and posting-list maps that dynamic updates
+// mutate, and observability callers (Engine.Snapshot, the daemon's GET
+// /stats) run concurrently with updates.
 func (c *Cluster) TotalMemoryBytes() int64 {
 	c.upd.mu.Lock()
 	defer c.upd.mu.Unlock()
 	total := int64(cap(c.tags))*int64(unsafe.Sizeof(cellTag(0))) +
-		int64(cap(c.slots))*int64(unsafe.Sizeof(uint32(0)))
+		int64(cap(c.slots))*int64(unsafe.Sizeof(uint32(0))) +
+		c.cross.memoryBytes()
 	for _, m := range c.machines {
 		total += m.store.memoryBytes() + m.index.memoryBytes()
 	}
@@ -307,8 +318,9 @@ func (c *Cluster) TotalMemoryBytes() int64 {
 }
 
 // StringIndexBytes estimates the total size of all machines' string
-// indexes, the only index the system builds. Like TotalMemoryBytes, it
-// locks out concurrent updates.
+// indexes, the only index the system builds over vertices; the other
+// preprocessing is §5.3's cross-pair table, which TotalMemoryBytes counts
+// too. Like TotalMemoryBytes, it locks out concurrent updates.
 func (c *Cluster) StringIndexBytes() int64 {
 	c.upd.mu.Lock()
 	defer c.upd.mu.Unlock()

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"stwig/internal/graph"
 	"stwig/internal/rmat"
@@ -281,93 +280,6 @@ func TestGlobalLabelCount(t *testing.T) {
 	}
 	if got := c.GlobalLabelCount(g.Labels().MustLookup("d")); got != 1 {
 		t.Fatalf("GlobalLabelCount(d) = %d, want 1", got)
-	}
-}
-
-func TestCrossMaskReflectsEdges(t *testing.T) {
-	g := testGraph(t)
-	c := loadedCluster(t, g, 4)
-	// Edge (0,1) = (a,b); owner(0)=0 owner(1)=0 under range partition of 8
-	// nodes over 4 machines (2 per machine).
-	la := g.Labels().MustLookup("a")
-	lb := g.Labels().MustLookup("b")
-	if c.CrossMask(0, la, lb)&1 == 0 {
-		t.Fatal("intra-machine (a,b) pair not recorded for machine 0")
-	}
-	// Edge (7,0): node 7 labeled b on machine 3, node 0 labeled a on machine 0.
-	if c.CrossMask(3, lb, la)&1 == 0 {
-		t.Fatal("cross-machine (b,a) pair m3->m0 not recorded")
-	}
-	if c.CrossMask(0, la, lb)&(1<<3) == 0 {
-		t.Fatal("cross-machine (a,b) pair m0->m3 not recorded")
-	}
-	// Never-adjacent label pair.
-	ld := g.Labels().MustLookup("d")
-	lf := g.Labels().MustLookup("f")
-	for i := 0; i < 4; i++ {
-		if c.CrossMask(i, ld, lf) != 0 {
-			t.Fatalf("phantom (d,f) pair on machine %d", i)
-		}
-	}
-}
-
-func TestPropertyCrossMaskSoundAndComplete(t *testing.T) {
-	// For random graphs and random partitions: CrossMask(i, la, lb) has bit
-	// j set iff some edge (u,v) with labels (la,lb) crosses (i,j).
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 10 + rng.Intn(40)
-		b := graph.NewBuilder(graph.Undirected(), graph.Dedupe())
-		labels := []string{"a", "b", "c"}
-		for _, l := range labels {
-			b.Labels().Intern(l) // every label resolvable even if unused
-		}
-		for i := 0; i < n; i++ {
-			b.AddNode(labels[rng.Intn(3)])
-		}
-		for i := 0; i < 3*n; i++ {
-			u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
-			if u != v {
-				b.MustAddEdge(u, v)
-			}
-		}
-		g := b.Build()
-		k := 2 + rng.Intn(4)
-		c := MustNewCluster(Config{Machines: k})
-		if err := c.LoadGraph(g); err != nil {
-			return false
-		}
-		// Recompute expected masks by brute force.
-		want := map[[3]uint64]uint64{}
-		for v := int64(0); v < g.NumNodes(); v++ {
-			u := graph.NodeID(v)
-			i := c.Owner(u)
-			for _, w := range g.Neighbors(u) {
-				key := [3]uint64{uint64(i), uint64(g.Label(u)), uint64(g.Label(w))}
-				want[key] |= 1 << uint(c.Owner(w))
-			}
-		}
-		for key, mask := range want {
-			if c.CrossMask(int(key[0]), graph.LabelID(key[1]), graph.LabelID(key[2])) != mask {
-				return false
-			}
-		}
-		// Soundness: no extra bits for pairs we did not see.
-		for i := 0; i < k; i++ {
-			for _, la := range []string{"a", "b", "c"} {
-				for _, lb := range []string{"a", "b", "c"} {
-					key := [3]uint64{uint64(i), uint64(g.Labels().MustLookup(la)), uint64(g.Labels().MustLookup(lb))}
-					got := c.CrossMask(i, g.Labels().MustLookup(la), g.Labels().MustLookup(lb))
-					if got != want[key] {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -20,8 +20,9 @@
 // The package provides the operators the paper's Algorithm 1 needs —
 // Cloud.Load of a local root (Machine.LoadLocal), Index.getID
 // (Machine.LocalIDs) and Index.hasLabel in its batched form (LabelBatch,
-// Trinity's message merging) — plus the label-pair preprocessing that §5.3
-// uses to build cluster graphs.
+// Trinity's message merging) — plus the label-pair preprocessing of §5.3:
+// one table, keyed by label pair, of the machine pairs that edges with
+// those labels join, from which the planner builds cluster graphs.
 package memcloud
 
 import (

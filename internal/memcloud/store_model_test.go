@@ -15,7 +15,8 @@ import (
 // into an interleaving of AddNode / AddEdge / RemoveEdge / CompactAll /
 // ApplyBatch — including operands that do not exist — which drives two
 // identically configured clusters and a plain map model side by side. After
-// every step every read path must agree with the model, and the two
+// every step every read path must agree with the model, the cross-pair
+// table must hold every machine pair the model's edges join, and the two
 // clusters must stay bit for bit the same. TestStoreModelGenerated feeds the
 // driver seeded random bytes under every partitioner and cluster size;
 // FuzzStoreOps feeds it whatever the fuzzer finds.
@@ -162,6 +163,7 @@ func runStoreOps(t *testing.T, kind string, machines int, data []byte) {
 		slices.Sort(model[id].nbrs)
 	}
 	a, b := modelCluster(t, kind, g, machines), modelCluster(t, kind, g, machines)
+	checkCrossPairs(t, -1, "loaded", a, model, true)
 	owners := map[graph.NodeID]int{} // placement is decided once per vertex
 	var applied uint64
 
@@ -187,6 +189,9 @@ func runStoreOps(t *testing.T, kind string, machines int, data []byte) {
 			}
 			if mut.Op == MutAddNode && id != want {
 				t.Fatalf("step %d: AddNode returned %d, want %d", step, id, want)
+			}
+			if mut.Op == MutAddEdge && ok {
+				checkEdgeCrossed(t, step, c, model, mut.U, mut.V)
 			}
 		}
 	}
@@ -223,6 +228,9 @@ func runStoreOps(t *testing.T, kind string, machines int, data []byte) {
 					if res.NodeID != wantIDs[i] {
 						t.Fatalf("step %d: batch[%d] NodeID = %d, want %d", step, i, res.NodeID, wantIDs[i])
 					}
+					if muts[i].Op == MutAddEdge && accept[i] {
+						checkEdgeCrossed(t, step, c, model, muts[i].U, muts[i].V)
+					}
 				}
 			}
 		default:
@@ -232,6 +240,7 @@ func runStoreOps(t *testing.T, kind string, machines int, data []byte) {
 			t.Fatalf("step %d: epochs %d / %d after %d applied mutations", step, a.Epoch(), b.Epoch(), applied)
 		}
 		checkAgainstModel(t, step, a, model, owners)
+		checkCrossPairs(t, step, "updated", a, model, false)
 		checkTwins(t, step, a, b)
 		checkSnapshotRoundTrip(t, step, kind, a, model)
 	}
@@ -470,6 +479,35 @@ func checkSnapshotRoundTrip(t *testing.T, step int, kind string, c *Cluster, mod
 			t.Fatalf("step %d: vertex %d lost in the snapshot", step, v)
 		}
 		checkCell(t, step, "reloaded snapshot", fresh, cell, v, model)
+	}
+	checkCrossPairs(t, step, "reloaded snapshot", fresh, model, true)
+}
+
+// checkCrossPairs compares c's cross-pair table with one recomputed from
+// the model's edges by brute force: equal if exact, else a superset, since
+// RemoveEdge leaves stale bits.
+func checkCrossPairs(t *testing.T, step int, what string, c *Cluster, model storeModel, exact bool) {
+	t.Helper()
+	want := bruteCrossTable(c, int64(len(model)),
+		func(v graph.NodeID) string { return model[v].label },
+		func(v graph.NodeID) []graph.NodeID { return model[v].nbrs })
+	if missing, extra := diffCrossTables(crossTable(c), want); len(missing) > 0 || exact && len(extra) > 0 {
+		t.Fatalf("step %d: %s cross-pair table lacks %v and holds %v beyond the model (exact: %v)", step, what, missing, extra, exact)
+	}
+}
+
+// checkEdgeCrossed requires the machine pair of the edge just added between
+// u and v to read back through CrossAdj at once, if it joins two machines.
+func checkEdgeCrossed(t *testing.T, step int, c *Cluster, model storeModel, u, v graph.NodeID) {
+	t.Helper()
+	i, j := c.Owner(u), c.Owner(v)
+	if i == j {
+		return
+	}
+	lu, _ := c.Labels().Lookup(model[u].label)
+	lv, _ := c.Labels().Lookup(model[v].label)
+	if adj := crossAdj(c, lu, lv); adj[i]&(1<<j) == 0 || adj[j]&(1<<i) == 0 {
+		t.Fatalf("step %d: AddEdge(%d, %d) joins machines %d and %d, CrossAdj reads %b", step, u, v, i, j, adj)
 	}
 }
 

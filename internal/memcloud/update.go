@@ -120,9 +120,11 @@ func (c *Cluster) addEdgeLocked(u, v graph.NodeID) error {
 	c.upd.stats.GarbageWords += mv.store.insertNeighbor(av.slot, u, c.tags, mu == mv)
 	// Cross-pair maintenance is additive-only: removing the last edge of a
 	// label pair leaves a stale bit, which only ever makes load sets larger
-	// (correctness preserved, communication slightly pessimistic).
-	c.cross.add(mu.id, au.label(), av.label(), 1<<mv.id)
-	c.cross.add(mv.id, av.label(), au.label(), 1<<mu.id)
+	// (correctness preserved, communication slightly pessimistic). An edge
+	// inside one machine records nothing.
+	if mu != mv {
+		c.cross.add(au.label(), av.label(), mu.id, mv.id)
+	}
 	c.upd.stats.EdgesAdded++
 	c.epoch.Add(1)
 	return nil
