@@ -5,6 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
+	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -230,92 +234,329 @@ func writeIDs(bw *bufio.Writer, ids []NodeID) error {
 	return nil
 }
 
-// ReadBinary deserializes a graph written by WriteBinary.
+// ReadBinary deserializes a graph written by WriteBinary. It is a client of
+// BinaryDecoder, which makes every check of the format; ReadBinary only
+// decides where the arrays land: in a Graph.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("graph: binary header: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %q", magic)
-	}
-	var b4 [4]byte
-	var b8 [8]byte
-	readU32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, b4[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(b4[:]), nil
-	}
-	readU64 := func() (uint64, error) {
-		if _, err := io.ReadFull(br, b8[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(b8[:]), nil
-	}
-	version, err := readU32()
+	d, err := NewBinaryDecoder(r)
 	if err != nil {
 		return nil, err
 	}
-	if version != binaryVersion {
-		return nil, fmt.Errorf("graph: unsupported binary version %d", version)
+	n := d.NumNodes()
+	g := &Graph{
+		offsets:  make([]int64, n+1),
+		adj:      make([]NodeID, d.NumEdges()),
+		labels:   make([]LabelID, n),
+		table:    d.Labels(),
+		directed: d.Directed(),
 	}
-	flags, err := readU32()
-	if err != nil {
+	if err := d.ReadLabels(g.labels); err != nil {
 		return nil, err
 	}
-	n, err := readU64()
-	if err != nil {
+	if err := d.ReadDegrees(g.offsets[1:]); err != nil {
 		return nil, err
 	}
-	m, err := readU64()
-	if err != nil {
-		return nil, err
+	for v := int64(0); v < n; v++ {
+		g.offsets[v+1] += g.offsets[v]
 	}
-	labelCount, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	table := NewLabelTable()
-	for i := uint32(0); i < labelCount; i++ {
-		sz, err := readU32()
-		if err != nil {
+	for v := int64(0); v < n; v++ {
+		if err := d.ReadNeighbors(g.Neighbors(NodeID(v))); err != nil {
 			return nil, err
 		}
-		name := make([]byte, sz)
-		if _, err := io.ReadFull(br, name); err != nil {
-			return nil, err
-		}
-		table.Intern(string(name))
-	}
-	labels := make([]LabelID, n)
-	for i := range labels {
-		x, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		labels[i] = LabelID(x)
-	}
-	offsets := make([]int64, n+1)
-	for i := range offsets {
-		x, err := readU64()
-		if err != nil {
-			return nil, err
-		}
-		offsets[i] = int64(x)
-	}
-	adj := make([]NodeID, m)
-	for i := range adj {
-		x, err := readU64()
-		if err != nil {
-			return nil, err
-		}
-		adj[i] = NodeID(x)
-	}
-	g := &Graph{offsets: offsets, adj: adj, labels: labels, table: table, directed: flags&flagDirected != 0}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("graph: binary payload invalid: %w", err)
 	}
 	return g, nil
+}
+
+// BinaryDecoder reads a graph in the binary format in one sequential pass,
+// in the order the format lays it out: the header and the label table
+// (NewBinaryDecoder), then every vertex's label (ReadLabels), every vertex's
+// degree (ReadDegrees) and every vertex's adjacency (ReadNeighbors), each in
+// ascending vertex order, in as many calls as the caller likes. It holds its
+// read buffer and nothing per vertex or per edge: the caller decides where
+// each array lands, so a loader can decode a graph straight into its final
+// layout.
+//
+// It makes every check the format implies and reports a violation as an
+// error: magic and version; label names distinct; each vertex's label named
+// by the table, or NoLabel; offsets[0] = 0, offsets monotone, and
+// offsets[n] = m; neighbours in [0, n) and each adjacency sorted. Where the
+// stream's length is known — a file, or a reader with a Len method — the
+// header's counts must also fit in it, so a corrupt count is an error and
+// not an allocation of its size; a stream of unknown length (a network
+// body) is trusted for its counts.
+type BinaryDecoder struct {
+	br       *bufio.Reader
+	n, m     int64
+	directed bool
+	labels   *LabelTable
+	phase    decodePhase
+	// next is the vertex the current phase reads next.
+	next int64
+	// off is offsets[next] in the degrees phase, and read the adjacency
+	// entries read so far.
+	off, read int64
+}
+
+type decodePhase int
+
+const (
+	decodingLabels decodePhase = iota
+	decodingDegrees
+	decodingNeighbors
+	decoded
+)
+
+// binaryHeaderSize is the fixed header: magic, version, flags, n, m and the
+// label count.
+const binaryHeaderSize = 4 + 4 + 4 + 8 + 8 + 4
+
+// NewBinaryDecoder reads the header and the label table from r.
+func NewBinaryDecoder(r io.Reader) (*BinaryDecoder, error) {
+	size, sized := streamSize(r)
+	br := bufio.NewReaderSize(r, 1<<20)
+	var hdr [binaryHeaderSize]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return nil, fmt.Errorf("graph: binary header: %w", err)
+	}
+	if string(hdr[:4]) != binaryMagic {
+		return nil, fmt.Errorf("graph: bad magic %q", hdr[:4])
+	}
+	if v := binary.LittleEndian.Uint32(hdr[4:]); v != binaryVersion {
+		return nil, fmt.Errorf("graph: unsupported binary version %d", v)
+	}
+	flags := binary.LittleEndian.Uint32(hdr[8:])
+	n := binary.LittleEndian.Uint64(hdr[12:])
+	m := binary.LittleEndian.Uint64(hdr[20:])
+	labelCount := binary.LittleEndian.Uint32(hdr[28:])
+
+	// The rest of the stream holds at least 4 bytes per label name, 4 + 8
+	// per vertex, one offset more and 8 per adjacency entry; spare is what
+	// it holds beyond that, which only the names' bytes may use.
+	limit := uint64(math.MaxInt64)
+	if sized {
+		limit = uint64(max(size-binaryHeaderSize, 0))
+	}
+	spare, ok := limit, true
+	for _, part := range [][2]uint64{{uint64(labelCount), 4}, {n, 12}, {1, 8}, {m, 8}} {
+		hi, need := bits.Mul64(part[0], part[1])
+		if hi != 0 || need > spare {
+			ok = false
+			break
+		}
+		spare -= need
+	}
+	if !ok {
+		return nil, fmt.Errorf("graph: header claims %d vertices, %d adjacency entries and %d labels, more than the stream holds", n, m, labelCount)
+	}
+
+	d := &BinaryDecoder{br: br, n: int64(n), m: int64(m), directed: flags&flagDirected != 0, labels: NewLabelTable()}
+	var name []byte
+	for i := uint32(0); i < labelCount; i++ {
+		b, err := d.chunk(4, 1)
+		if err != nil {
+			return nil, err
+		}
+		sz := binary.LittleEndian.Uint32(b)
+		d.discard(4)
+		if uint64(sz) > spare {
+			return nil, fmt.Errorf("graph: label %d is %d bytes long, more than the stream holds", i, sz)
+		}
+		spare -= uint64(sz)
+		name = slices.Grow(name[:0], int(sz))[:sz]
+		if _, err := io.ReadFull(br, name); err != nil {
+			return nil, truncated(err)
+		}
+		if d.labels.Intern(string(name)) != LabelID(i) {
+			return nil, fmt.Errorf("graph: label %q is named twice", name)
+		}
+	}
+	if err := d.advance(); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// streamSize returns how many bytes r has left, when r can tell: a regular
+// file, or an in-memory reader with a Len method.
+func streamSize(r io.Reader) (int64, bool) {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len()), true
+	case *os.File:
+		fi, err := r.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return 0, false
+		}
+		pos, err := r.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return 0, false
+		}
+		return fi.Size() - pos, true
+	}
+	return 0, false
+}
+
+// NumNodes returns the vertex count n the header declares.
+func (d *BinaryDecoder) NumNodes() int64 { return d.n }
+
+// NumEdges returns the adjacency-entry count m the header declares.
+func (d *BinaryDecoder) NumEdges() int64 { return d.m }
+
+// Directed reports the header's directed flag.
+func (d *BinaryDecoder) Directed() bool { return d.directed }
+
+// Labels returns the label table, whose LabelIDs are the file's.
+func (d *BinaryDecoder) Labels() *LabelTable { return d.labels }
+
+// ReadLabels decodes the labels of the next len(dst) vertices into dst. A
+// read of no labels does nothing.
+func (d *BinaryDecoder) ReadLabels(dst []LabelID) error {
+	if err := d.begin(decodingLabels, len(dst)); err != nil || len(dst) == 0 {
+		return err
+	}
+	count := LabelID(d.labels.Len())
+	for len(dst) > 0 {
+		b, err := d.chunk(4, len(dst))
+		if err != nil {
+			return err
+		}
+		k := len(b) / 4
+		for i := range k {
+			l := LabelID(binary.LittleEndian.Uint32(b[4*i:]))
+			if l >= count && l != NoLabel {
+				return fmt.Errorf("graph: vertex %d has label %d, but the table names %d labels", d.next+int64(i), l, count)
+			}
+			dst[i] = l
+		}
+		d.discard(len(b))
+		dst = dst[k:]
+		d.next += int64(k)
+	}
+	return d.advance()
+}
+
+// ReadDegrees decodes the degrees of the next len(dst) vertices into dst,
+// from the offsets. A read of no degrees does nothing.
+func (d *BinaryDecoder) ReadDegrees(dst []int64) error {
+	if err := d.begin(decodingDegrees, len(dst)); err != nil || len(dst) == 0 {
+		return err
+	}
+	for len(dst) > 0 {
+		b, err := d.chunk(8, len(dst))
+		if err != nil {
+			return err
+		}
+		k := len(b) / 8
+		for i := range k {
+			off := binary.LittleEndian.Uint64(b[8*i:])
+			if off < uint64(d.off) || off > uint64(d.m) {
+				return fmt.Errorf("graph: offsets[%d] = %d after %d: not monotone, or past the %d adjacency entries", d.next+int64(i)+1, off, d.off, d.m)
+			}
+			dst[i] = int64(off) - d.off
+			d.off = int64(off)
+		}
+		d.discard(len(b))
+		dst = dst[k:]
+		d.next += int64(k)
+	}
+	return d.advance()
+}
+
+// ReadNeighbors decodes the adjacency of the next vertex into dst, which
+// must be as long as that vertex's degree (ReadDegrees).
+func (d *BinaryDecoder) ReadNeighbors(dst []NodeID) error {
+	if err := d.begin(decodingNeighbors, 1); err != nil {
+		return err
+	}
+	if int64(len(dst)) > d.m-d.read {
+		return fmt.Errorf("graph: adjacency of vertex %d reads past the %d entries", d.next, d.m)
+	}
+	d.read += int64(len(dst))
+	var prev NodeID
+	for len(dst) > 0 {
+		b, err := d.chunk(8, len(dst))
+		if err != nil {
+			return err
+		}
+		k := len(b) / 8
+		for i := range k {
+			u := NodeID(binary.LittleEndian.Uint64(b[8*i:]))
+			if uint64(u) >= uint64(d.n) {
+				return fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", d.next, uint64(u))
+			}
+			if u < prev {
+				return fmt.Errorf("graph: adjacency of vertex %d not sorted", d.next)
+			}
+			dst[i], prev = u, u
+		}
+		d.discard(len(b))
+		dst = dst[k:]
+	}
+	d.next++
+	return d.advance()
+}
+
+// begin checks that a read of count vertices belongs to phase p and stays
+// within the vertices.
+func (d *BinaryDecoder) begin(p decodePhase, count int) error {
+	if count == 0 && p != decodingNeighbors {
+		return nil
+	}
+	if d.phase != p || int64(count) > d.n-d.next {
+		return fmt.Errorf("graph: binary decoder read out of order (phase %d at vertex %d, asked for phase %d)", d.phase, d.next, p)
+	}
+	return nil
+}
+
+// advance moves past every phase whose vertices are all read, checking
+// what a phase's end implies: the first offset when the degrees begin, the
+// last when they end.
+func (d *BinaryDecoder) advance() error {
+	for d.phase != decoded && d.next == d.n {
+		d.phase++
+		d.next = 0
+		switch d.phase {
+		case decodingDegrees:
+			b, err := d.chunk(8, 1)
+			if err != nil {
+				return err
+			}
+			if first := binary.LittleEndian.Uint64(b); first != 0 {
+				return fmt.Errorf("graph: offsets[0] = %d, want 0", first)
+			}
+			d.discard(8)
+		case decodingNeighbors:
+			if d.off != d.m {
+				return fmt.Errorf("graph: offsets[n] = %d, want %d", d.off, d.m)
+			}
+		case decoded:
+			if d.read != d.m {
+				return fmt.Errorf("graph: adjacency reads took %d of %d entries", d.read, d.m)
+			}
+		}
+	}
+	return nil
+}
+
+// chunk returns the next whole elements of size bytes that the read buffer
+// holds — at least one, at most max — filling the buffer when it holds
+// less than one. The caller decodes them in place, then discards them.
+func (d *BinaryDecoder) chunk(size, max int) ([]byte, error) {
+	if d.br.Buffered() < size {
+		if _, err := d.br.Peek(size); err != nil {
+			return nil, truncated(err)
+		}
+	}
+	b, _ := d.br.Peek(min(d.br.Buffered()/size, max) * size)
+	return b, nil
+}
+
+// discard drops k bytes that chunk returned, which the buffer holds.
+func (d *BinaryDecoder) discard(k int) { _, _ = d.br.Discard(k) }
+
+func truncated(err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("graph: binary payload truncated: %w", err)
 }

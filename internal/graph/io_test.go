@@ -2,7 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -166,5 +169,109 @@ func assertGraphsEqual(t *testing.T, a, b *Graph) {
 	t.Helper()
 	if !graphsEqual(a, b) {
 		t.Fatalf("graphs differ:\n a: %v\n b: %v", a.ComputeStats(), b.ComputeStats())
+	}
+}
+
+// binaryLayout gives where the arrays of g's binary encoding start.
+func binaryLayout(g *Graph) (labelsAt, offsetsAt, adjAt int) {
+	labelsAt = binaryHeaderSize
+	for _, name := range g.LabelNames() {
+		labelsAt += 4 + len(name)
+	}
+	offsetsAt = labelsAt + 4*int(g.NumNodes())
+	adjAt = offsetsAt + 8*int(g.NumNodes()+1)
+	return labelsAt, offsetsAt, adjAt
+}
+
+// Every check of the format is the decoder's: each corruption of a valid
+// encoding is an error, never a graph — a label the table does not name
+// included, which used to load and crash the next snapshot.
+func TestBinaryDecoderRejectsCorruptPayloads(t *testing.T) {
+	g := paperFigure1(t) // labels a a b c d; vertex 0's adjacency is [2 3]
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.Bytes()
+	labelsAt, offsetsAt, adjAt := binaryLayout(g)
+	n := int(g.NumNodes())
+	put32 := func(at int, x uint32) func([]byte) {
+		return func(b []byte) { binary.LittleEndian.PutUint32(b[at:], x) }
+	}
+	put64 := func(at int, x uint64) func([]byte) {
+		return func(b []byte) { binary.LittleEndian.PutUint64(b[at:], x) }
+	}
+	cases := []struct {
+		name    string
+		corrupt func([]byte)
+	}{
+		{"version", put32(4, 2)},
+		{"label the table does not name", put32(labelsAt, 7)},
+		{"label name twice", func(b []byte) { b[binaryHeaderSize+5+4] = 'a' }},
+		{"offsets[0] not 0", put64(offsetsAt, 1)},
+		{"offsets not monotone", put64(offsetsAt+8*2, 1)},
+		{"offset past m", put64(offsetsAt+8, 15)},
+		{"offsets[n] not m", put64(offsetsAt+8*n, 13)},
+		{"neighbour out of range", put64(adjAt, uint64(n))},
+		{"negative neighbour", put64(adjAt, math.MaxUint64)},
+		{"adjacency unsorted", func(b []byte) { put64(adjAt, 3)(b); put64(adjAt+8, 2)(b) }},
+		{"vertex count past the stream", put64(12, 1<<40)},
+		{"edge count past the stream", put64(20, 1<<40)},
+		{"label count past the stream", put32(28, 1<<30)},
+		{"label name past the stream", put32(binaryHeaderSize, 1<<30)},
+	}
+	for _, c := range cases {
+		b := bytes.Clone(valid)
+		c.corrupt(b)
+		if _, err := ReadBinary(bytes.NewReader(b)); err == nil {
+			t.Errorf("%s: ReadBinary accepted the payload", c.name)
+		}
+	}
+	if _, err := ReadBinary(bytes.NewReader(valid)); err != nil {
+		t.Fatalf("the uncorrupted payload: %v", err)
+	}
+}
+
+// A decoder reads each array in whatever pieces its caller asks for, and
+// refuses a read out of the format's order.
+func TestBinaryDecoderReadsInAnyPieces(t *testing.T) {
+	g := paperFigure1(t)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewBinaryDecoder(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ReadNeighbors(make([]NodeID, 2)); err == nil {
+		t.Fatal("ReadNeighbors before the labels succeeded")
+	}
+	n := int(g.NumNodes())
+	labels := make([]LabelID, n)
+	for v := range labels {
+		if err := d.ReadLabels(labels[v : v+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	degrees := make([]int64, n)
+	if err := d.ReadDegrees(degrees[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ReadDegrees(degrees[2:]); err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < n; v++ {
+		id := NodeID(v)
+		nbrs := make([]NodeID, degrees[v])
+		if err := d.ReadNeighbors(nbrs); err != nil {
+			t.Fatal(err)
+		}
+		if labels[v] != g.Label(id) || !slices.Equal(nbrs, g.Neighbors(id)) {
+			t.Fatalf("vertex %d decoded as label %d, adjacency %v", v, labels[v], nbrs)
+		}
+	}
+	if err := d.ReadNeighbors(nil); err == nil {
+		t.Fatal("ReadNeighbors past the last vertex succeeded")
 	}
 }

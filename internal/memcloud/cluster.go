@@ -2,6 +2,8 @@ package memcloud
 
 import (
 	"fmt"
+	"io"
+	"math"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -28,7 +30,7 @@ const (
 	labelBits = 32 - ownerBits
 )
 
-// labelCap is the bound LoadGraph and AddNode enforce: MaxLabels, lowered
+// labelCap is the bound a load and AddNode enforce: MaxLabels, lowered
 // only by tests, which cannot intern 2^26 strings to reach it.
 var labelCap = MaxLabels
 
@@ -59,7 +61,7 @@ func (cfg Config) validate() error {
 
 // Cluster is a simulated Trinity memory cloud: a set of machines plus the
 // message fabric between them. A Cluster is safe for concurrent use once
-// LoadGraph has returned.
+// a load (LoadGraph, LoadBinary) has returned.
 type Cluster struct {
 	cfg      Config
 	part     Partitioner
@@ -70,7 +72,7 @@ type Cluster struct {
 	// in that machine's directory. A label check — exploration's inner loop,
 	// once per neighbour — reads only the tag, so it walks a table of 4 bytes
 	// per vertex instead of 8, and more of it stays in cache. The Partitioner
-	// decides placement once per vertex — in LoadGraph, and in AddNode for
+	// decides placement once per vertex — at load, and in AddNode for
 	// vertices that arrive later — and every lookup afterwards is an array
 	// read here. The tables obey the arena's discipline (update.go): queries
 	// read them without locks, AddNode appends to both under upd.mu while no
@@ -99,7 +101,11 @@ func newCellTag(owner int, label graph.LabelID) cellTag {
 
 func (t cellTag) owner() int { return int(t & (MaxMachines - 1)) }
 
-func (t cellTag) label() graph.LabelID { return graph.LabelID(t>>ownerBits) - 1 }
+func (t cellTag) label() graph.LabelID { return graph.LabelID(t.code()) - 1 }
+
+// code is the tag's label code, label+1: 0 for NoLabel. It indexes a table
+// with an entry for each label and one for NoLabel.
+func (t cellTag) code() uint32 { return uint32(t >> ownerBits) }
 
 // cellAddr is a vertex's whole address, composed from its entries in the
 // two tables: the slot (the store's width, maxSlots vertices per machine)
@@ -151,67 +157,184 @@ func MustNewCluster(cfg Config) *Cluster {
 // LoadGraph partitions g across the machines, builds each machine's slab
 // store and string index, and runs the cross-label-pair preprocessing of
 // §5.3: the one table of the label pairs each pair of machines shares an
-// edge between. Its duration is what Table 2 reports.
+// edge between. Its duration is what Table 2 reports. It runs LoadBinary's
+// loader, reading the labels, degrees and adjacency from g instead of a
+// stream: the cells are copies of g's adjacency, and the cluster shares g's
+// label table, which AddNode interns into.
 func (c *Cluster) LoadGraph(g *graph.Graph) error {
+	return c.load(&graphSource{g: g})
+}
+
+// LoadBinary loads a graph in graph.WriteBinary's format — a graph file, or
+// the stream WriteSnapshot writes — straight from r in one sequential pass.
+// No graph.Graph is built: each adjacency is decoded onto its owner's arena
+// at its final offset, so the load holds one copy of the graph, the
+// cluster's, plus a read buffer. A malformed stream is an error, never a
+// cluster (graph.BinaryDecoder makes the checks).
+func (c *Cluster) LoadBinary(r io.Reader) error {
+	d, err := graph.NewBinaryDecoder(r)
+	if err != nil {
+		return err
+	}
+	return c.load(d)
+}
+
+// loadSource is what a load reads a graph from, in the binary format's
+// order: every vertex's label, then every vertex's degree, then each
+// vertex's adjacency, in ascending vertex order (graph.BinaryDecoder). A
+// file and a graph in memory differ only in where the three come from.
+type loadSource interface {
+	NumNodes() int64
+	Labels() *graph.LabelTable
+	ReadLabels(dst []graph.LabelID) error
+	ReadDegrees(dst []int64) error
+	// ReadNeighbors fills dst, as long as the next vertex's degree, with
+	// its adjacency in ID order.
+	ReadNeighbors(dst []graph.NodeID) error
+}
+
+// graphSource reads a graph in memory as a loadSource. Each phase has its
+// own cursor.
+type graphSource struct {
+	g                     *graph.Graph
+	label, degree, nbrsOf int64
+}
+
+func (s *graphSource) NumNodes() int64           { return s.g.NumNodes() }
+func (s *graphSource) Labels() *graph.LabelTable { return s.g.Labels() }
+
+// ReadLabels rejects a label the graph's table does not name, which a
+// Builder's AddNodeLabelID lets in and a snapshot could not write back.
+func (s *graphSource) ReadLabels(dst []graph.LabelID) error {
+	count := graph.LabelID(s.g.Labels().Len())
+	for i := range dst {
+		l := s.g.Label(graph.NodeID(s.label))
+		if l >= count && l != graph.NoLabel {
+			return fmt.Errorf("memcloud: vertex %d has label %d, but the graph's table names %d labels", s.label, l, count)
+		}
+		dst[i] = l
+		s.label++
+	}
+	return nil
+}
+
+func (s *graphSource) ReadDegrees(dst []int64) error {
+	for i := range dst {
+		dst[i] = int64(s.g.Degree(graph.NodeID(s.degree)))
+		s.degree++
+	}
+	return nil
+}
+
+func (s *graphSource) ReadNeighbors(dst []graph.NodeID) error {
+	copy(dst, s.g.Neighbors(graph.NodeID(s.nbrsOf)))
+	s.nbrsOf++
+	return nil
+}
+
+// loadChunk is how many labels or degrees a load reads from its source at
+// a time.
+const loadChunk = 4096
+
+// load is the one loader behind LoadGraph and LoadBinary. It reads src once,
+// in order, and allocates every array it keeps at its final size:
+//
+//  1. the labels place every vertex: its owner (asked of the partitioner
+//     once), its label and its slot, in the address tables;
+//  2. the degrees size every machine's directory and arena exactly and give
+//     each cell its offset;
+//  3. each adjacency lands on its owner's arena at that offset;
+//  4. each machine indexes its labels, puts its cells above
+//     labelOrderBound in (label, id) order, counts each cell's local
+//     neighbours and records its cross-label pairs (§5.3).
+func (c *Cluster) load(src loadSource) error {
 	if c.loaded {
 		return fmt.Errorf("memcloud: cluster already loaded")
 	}
-	if l := g.Labels().Len(); l > labelCap {
+	labels := src.Labels()
+	if l := labels.Len(); l > labelCap {
 		return fmt.Errorf("memcloud: graph has %d labels, more than the %d a cluster holds", l, labelCap)
 	}
-	n := g.NumNodes()
+	n := src.NumNodes()
 	k := c.cfg.Machines
 
-	// Placement: ask the partitioner once per vertex and hand out slots in
-	// ascending ID order, which also sizes every store exactly.
 	tags := make([]cellTag, n)
 	slots := make([]uint32, n)
 	nodes := make([]int64, k)
-	arenaWords := make([]int64, k)
-	for v := int64(0); v < n; v++ {
-		id := graph.NodeID(v)
-		owner := c.part.Owner(id)
-		if nodes[owner] == maxSlots {
-			return fmt.Errorf("memcloud: machine %d would hold more than %d vertices", owner, int64(maxSlots))
+	lbuf := make([]graph.LabelID, min(n, loadChunk))
+	for v := int64(0); v < n; {
+		chunk := lbuf[:min(n-v, loadChunk)]
+		if err := src.ReadLabels(chunk); err != nil {
+			return err
 		}
-		tags[v] = newCellTag(owner, g.Label(id))
-		slots[v] = uint32(nodes[owner])
-		nodes[owner]++
-		arenaWords[owner] += int64(len(g.Neighbors(id)))
+		for _, l := range chunk {
+			owner := c.part.Owner(graph.NodeID(v))
+			if nodes[owner] == maxSlots {
+				return fmt.Errorf("memcloud: machine %d would hold more than %d vertices", owner, int64(maxSlots))
+			}
+			tags[v] = newCellTag(owner, l)
+			slots[v] = uint32(nodes[owner])
+			nodes[owner]++
+			v++
+		}
 	}
 
-	// Each machine copies its own cells, puts those above labelOrderBound
-	// in (label, id) order (no other cell builds keys), and records, for
-	// each of its edges (u,w) that leaves the machine, the label pair
-	// {T(u),T(w)} against the machine pair {owner(u),owner(w)} — the
-	// cross-label-pair preprocessing. A run of neighbours with one label is
-	// recorded as one mask of their remote owners, so an ordered cell costs
-	// a record per label, not per edge. The machines write the one table
-	// concurrently, in batches by region (crossLoader). The same read of
-	// w's tag counts the cell's local neighbours.
+	dirs := make([][]cellRef, k)
+	for i := range dirs {
+		dirs[i] = make([]cellRef, nodes[i])
+	}
+	arenaWords := make([]int64, k)
+	dbuf := make([]int64, min(n, loadChunk))
+	for v := int64(0); v < n; {
+		chunk := dbuf[:min(n-v, loadChunk)]
+		if err := src.ReadDegrees(chunk); err != nil {
+			return err
+		}
+		for _, deg := range chunk {
+			if deg > math.MaxInt32 {
+				return fmt.Errorf("memcloud: vertex %d has %d neighbours, more than a cell holds", v, deg)
+			}
+			o := tags[v].owner()
+			dirs[o][slots[v]] = cellRef{off: arenaWords[o], deg: int32(deg)}
+			arenaWords[o] += deg
+			v++
+		}
+	}
+	for i, m := range c.machines {
+		m.store = &Store{dir: dirs[i], arena: make([]graph.NodeID, arenaWords[i])}
+	}
+
+	for v := int64(0); v < n; v++ {
+		if err := src.ReadNeighbors(c.machines[tags[v].owner()].store.neighbors(slots[v])); err != nil {
+			return err
+		}
+	}
+
+	// Each machine records, for each of its edges (u,w) that leaves the
+	// machine, the label pair {T(u),T(w)} against the machine pair
+	// {owner(u),owner(w)} — the cross-label-pair preprocessing. A run of
+	// neighbours with one label is recorded as one mask of their remote
+	// owners, so an ordered cell costs a record per label, not per edge.
+	// The machines write the one table concurrently, in batches by region
+	// (crossLoader). The same read of w's tag counts the cell's local
+	// neighbours.
 	// One goroutine per machine, not ParallelEach's GOMAXPROCS workers: on
-	// a 2-core box this load ran ~20 % slower on two workers (scale-18
+	// a 2-core box this pass ran ~20 % slower on two workers (scale-18
 	// R-MAT, 8 machines), and load time is the daemon's boot time.
 	cross := &crossLoader{cp: newCrossPairs(k)}
 	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		m := c.machines[i]
-		m.store = newStore(nodes[i], arenaWords[i])
-		m.index = newStringIndex()
+	for _, m := range c.machines {
 		wg.Add(1)
 		go func(m *Machine) {
 			defer wg.Done()
+			m.index = newStringIndex(tags, m.id, labels.Len())
 			var scratch []uint64
 			batch := cross.batch(m.id, arenaWords[m.id])
-			for v := int64(0); v < n; v++ {
-				t := tags[v]
+			for v, t := range tags {
 				if t.owner() != m.id {
 					continue
 				}
-				id := graph.NodeID(v)
-				slot := m.store.put(g.Neighbors(id))
-				m.index.add(id, t.label())
-				cell := m.store.neighbors(slot)
+				cell := m.store.neighbors(slots[v])
 				if labelOrdered(len(cell)) {
 					scratch = orderByLabel(cell, tags, scratch)
 				}
@@ -231,17 +354,16 @@ func (c *Cluster) LoadGraph(g *graph.Graph) error {
 						}
 					}
 				}
-				m.store.dir[slot].local = local
+				m.store.dir[slots[v]].local = local
 			}
 			batch.close()
-			m.index.finalize()
 		}(m)
 	}
 	wg.Wait()
 
 	c.tags, c.slots = tags, slots
 	c.cross = cross.cp
-	c.labels = g.Labels()
+	c.labels = labels
 	c.loaded = true
 	return nil
 }

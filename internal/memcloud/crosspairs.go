@@ -22,7 +22,7 @@ import (
 //
 // The table probes linearly and stays at most 7/8 full. Its slots are split
 // into crossRegions equal regions by the top bits of a key's hash, and a
-// probe wraps within its key's region; the regions are what LoadGraph's
+// probe wraps within its key's region; the regions are what a load's
 // machines lock to write the table concurrently (crossLoader). When a
 // region would pass the bound, the whole table doubles, and a key keeps
 // its region at every size. Entries are never removed: RemoveEdge leaves
@@ -143,7 +143,7 @@ func (cp *crossPairs) pairBit(i, j int) int {
 
 // set sets triangle bit p in slot s.
 func (cp *crossPairs) set(s, p int) {
-	// Most of LoadGraph's records repeat a bit the table holds; reading
+	// Most of a load's records repeat a bit the table holds; reading
 	// first leaves the line shared with the other machines' cores.
 	if w, bit := &cp.sets[s*cp.words+p>>6], uint64(1)<<(p&63); *w&bit == 0 {
 		*w |= bit
@@ -182,7 +182,7 @@ func (cp *crossPairs) memoryBytes() int64 {
 	return 8*int64(cap(cp.keys)+cap(cp.sets)) + 2*int64(cap(cp.pairs))
 }
 
-// crossLoader lets LoadGraph's machines fill one table concurrently. Each
+// crossLoader lets a load's machines fill one table concurrently. Each
 // machine queues its records by region (crossBatch) and writes a full
 // queue into the table under that region's lock, so two machines contend
 // only when they flush to the same region at once. Every flush holds grow

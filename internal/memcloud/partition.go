@@ -12,7 +12,7 @@
 // label, and entry v of the slot table its slot in that machine's
 // directory, so locating any cell is three array reads and a label one. A
 // Partitioner is only the placement policy that fills the tables — asked
-// once per vertex, at LoadGraph or AddNode, never per lookup. The tables, the
+// once per vertex, at load or AddNode, never per lookup. The tables, the
 // directories and the arenas share one concurrency discipline (update.go):
 // queries read them without locks; updates mutate them under the cluster's
 // writer lock while no query runs.

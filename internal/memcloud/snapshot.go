@@ -10,10 +10,10 @@ import (
 
 // Checkpoint support: a consistent snapshot of the cluster's live graph —
 // everything dynamic updates have produced since load — serialized in
-// graph.WriteBinary's format so graph.ReadBinary can reload it onto a fresh
-// cluster at recovery. Together with the update journal (internal/journal)
-// this is the LogBase-style durability story: checkpoint bounds replay,
-// journal carries everything since.
+// graph.WriteBinary's format so LoadBinary streams it onto a fresh cluster
+// at recovery, with no graph.Graph in between. Together with the update
+// journal (internal/journal) this is the LogBase-style durability story:
+// checkpoint bounds replay, journal carries everything since.
 
 // WriteSnapshot streams the cluster's current graph to w in graph.WriteBinary's
 // format: every vertex in [0, NumNodes()) with its live label and adjacency,
@@ -38,16 +38,16 @@ func (c *Cluster) WriteSnapshot(w io.Writer) error {
 	defer c.upd.mu.Unlock()
 	// Labels are renumbered in order of first appearance by vertex ID: the
 	// numbering a graph built vertex by vertex gets, and the one recovery
-	// has always seen.
-	src := &snapshotSource{c: c, remap: make([]graph.LabelID, c.labels.Len())}
+	// has always seen. An unlabelled vertex is written as NoLabel: its tag
+	// code, 0, keeps the NoLabel it starts with.
+	src := &snapshotSource{c: c, remap: make([]graph.LabelID, c.labels.Len()+1)}
 	for i := range src.remap {
 		src.remap[i] = graph.NoLabel
 	}
 	for _, t := range c.tags {
-		l := t.label()
-		if src.remap[l] == graph.NoLabel {
-			src.remap[l] = graph.LabelID(len(src.names))
-			src.names = append(src.names, c.labels.Name(l))
+		if code := t.code(); code != 0 && src.remap[code] == graph.NoLabel {
+			src.remap[code] = graph.LabelID(len(src.names))
+			src.names = append(src.names, c.labels.Name(t.label()))
 		}
 	}
 	return graph.WriteBinaryFrom(w, src)
@@ -58,7 +58,7 @@ func (c *Cluster) WriteSnapshot(w io.Writer) error {
 type snapshotSource struct {
 	c     *Cluster
 	names []string
-	remap []graph.LabelID // cluster label -> index into names
+	remap []graph.LabelID // tag code -> index into names, or NoLabel
 	// scratch holds the two buffers Neighbors sorts a label-ordered cell
 	// back into ID order with, reused from cell to cell.
 	scratch []graph.NodeID
@@ -69,7 +69,7 @@ func (s *snapshotSource) Directed() bool       { return false }
 func (s *snapshotSource) LabelNames() []string { return s.names }
 
 func (s *snapshotSource) Label(v graph.NodeID) graph.LabelID {
-	return s.remap[s.c.tags[v].label()]
+	return s.remap[s.c.tags[v].code()]
 }
 
 func (s *snapshotSource) store(v graph.NodeID) *Store {

@@ -30,7 +30,11 @@ func checkSnapshotBytes(t *testing.T, c *Cluster) {
 	n := c.NumNodes()
 	for v := int64(0); v < n; v++ {
 		cell, _ := c.Cell(graph.NodeID(v))
-		b.AddNode(c.Labels().Name(cell.Label))
+		if cell.Label == graph.NoLabel {
+			b.AddNodeLabelID(graph.NoLabel)
+		} else {
+			b.AddNode(c.Labels().Name(cell.Label))
+		}
 	}
 	for v := int64(0); v < n; v++ {
 		cell, _ := c.Cell(graph.NodeID(v))

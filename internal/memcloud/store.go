@@ -131,14 +131,6 @@ type Cell struct {
 // neighbours is.
 func (c Cell) LabelOrdered() bool { return labelOrdered(len(c.Neighbors)) }
 
-// newStore sizes the directory and the arena for a known partition.
-func newStore(nodes, arenaWords int64) *Store {
-	return &Store{
-		dir:   make([]cellRef, 0, nodes),
-		arena: make([]graph.NodeID, 0, arenaWords),
-	}
-}
-
 // put appends a vertex cell, copying its neighbors onto the arena tail, and
 // returns the slot it now occupies.
 func (s *Store) put(neighbors []graph.NodeID) uint32 {

@@ -15,7 +15,6 @@ import (
 
 	"stwig/internal/core"
 	"stwig/internal/journal"
-	"stwig/internal/memcloud"
 )
 
 // Follower side of WAL-shipping replication (Config.FollowURL / stwigd
@@ -402,18 +401,10 @@ func (r *replicator) bootstrap(spec NamespaceSpec) (uint64, error) {
 		return 0, err
 	}
 	defer body.Close()
-	g, seq, epoch, err := readCheckpointFrom(body, "snapshot of "+spec.Name)
+	cluster, seq, err := readCheckpointFrom(body, "snapshot of "+spec.Name, spec.Machines)
 	if err != nil {
 		return 0, err
 	}
-	cluster, err := memcloud.NewCluster(memcloud.Config{Machines: spec.Machines})
-	if err != nil {
-		return 0, err
-	}
-	if err := cluster.LoadGraph(g); err != nil {
-		return 0, err
-	}
-	cluster.RestoreEpoch(epoch)
 	eng := core.NewEngine(cluster, core.Options{})
 	ns := newNamespace(spec.Name, eng, spec.configFor(r.s.cfg), nil)
 	if err := r.s.reg.add(ns, 0); err != nil {

@@ -188,50 +188,65 @@ func (r *registry) list() []*namespace {
 	return out
 }
 
-// Build materializes the spec: load or generate its graph, optionally
-// relabel, load it onto a fresh simulated cluster, and wrap an engine
-// around it. This is the expensive part of namespace creation and runs
-// without any registry lock held.
+// Build materializes the spec: load or generate its graph onto a fresh
+// simulated cluster, and wrap an engine around it. This is the expensive
+// part of namespace creation and runs without any registry lock held.
 func (spec NamespaceSpec) Build() (*core.Engine, error) {
-	var g *graph.Graph
-	var err error
+	cluster, err := memcloud.NewCluster(memcloud.Config{Machines: spec.Machines})
+	if err == nil {
+		err = spec.load(cluster)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("server: namespace %q: %w", spec.Name, err)
+	}
+	return core.NewEngine(cluster, core.Options{}), nil
+}
+
+// load fills cluster from the spec's source. A binary file streams straight
+// onto the cluster (LoadBinary), so boot holds one copy of the graph; only
+// relabel=degree, which relabels from the whole graph's degrees, builds the
+// graph in memory first.
+func (spec NamespaceSpec) load(cluster *memcloud.Cluster) error {
+	if spec.Source == "file" && spec.Relabel != "degree" {
+		f, err := os.Open(spec.Path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		return cluster.LoadBinary(f)
+	}
+	g, err := spec.graph()
+	if err != nil {
+		return err
+	}
+	if spec.Relabel == "degree" {
+		g = workload.RelabelByDegree(g, 100, 2)
+	}
+	return cluster.LoadGraph(g)
+}
+
+// graph generates or reads the spec's graph into memory.
+func (spec NamespaceSpec) graph() (*graph.Graph, error) {
 	switch spec.Source {
 	case "rmat":
-		g, err = rmat.Generate(rmat.Params{
+		return rmat.Generate(rmat.Params{
 			Scale:     spec.Scale,
 			AvgDegree: spec.Degree,
 			NumLabels: spec.Labels,
 			Seed:      spec.Seed,
 		})
 	case "file", "text":
-		var f *os.File
-		f, err = os.Open(spec.Path)
+		f, err := os.Open(spec.Path)
 		if err != nil {
-			break
+			return nil, err
 		}
+		defer f.Close()
 		if spec.Source == "text" {
-			g, err = graph.ReadText(f, graph.Undirected())
-		} else {
-			g, err = graph.ReadBinary(f)
+			return graph.ReadText(f, graph.Undirected())
 		}
-		f.Close()
-	default:
-		err = fmt.Errorf("server: namespace %q: unknown source kind %q", spec.Name, spec.Source)
+		return graph.ReadBinary(f)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("server: namespace %q: %w", spec.Name, err)
-	}
-	if spec.Relabel == "degree" {
-		g = workload.RelabelByDegree(g, 100, 2)
-	}
-	cluster, err := memcloud.NewCluster(memcloud.Config{Machines: spec.Machines})
-	if err != nil {
-		return nil, fmt.Errorf("server: namespace %q: %w", spec.Name, err)
-	}
-	if err := cluster.LoadGraph(g); err != nil {
-		return nil, fmt.Errorf("server: namespace %q: %w", spec.Name, err)
-	}
-	return core.NewEngine(cluster, core.Options{}), nil
+	return nil, fmt.Errorf("unknown source kind %q", spec.Source)
 }
 
 // Guardrails for namespaces created over the network (POST /ns). Boot-time

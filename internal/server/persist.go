@@ -13,7 +13,6 @@ import (
 	"syscall"
 
 	"stwig/internal/core"
-	"stwig/internal/graph"
 	"stwig/internal/journal"
 	"stwig/internal/memcloud"
 )
@@ -553,40 +552,46 @@ func writeCheckpoint(path string, c *memcloud.Cluster, seq, epoch uint64) error 
 	return syncDir(dir)
 }
 
-// readCheckpointFrom decodes a checkpoint stream (file or snapshot
-// response body).
-func readCheckpointFrom(r io.Reader, what string) (*graph.Graph, uint64, uint64, error) {
+// readCheckpointFrom streams a checkpoint (file or snapshot response body)
+// onto a fresh cluster of the given size and restores its epoch: no graph is
+// built first, so a restore holds one copy of the graph. It returns the
+// cluster and the checkpoint's sequence number.
+func readCheckpointFrom(r io.Reader, what string, machines int) (*memcloud.Cluster, uint64, error) {
 	var hdr [24]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, 0, fmt.Errorf("server: checkpoint header: %w", err)
+		return nil, 0, fmt.Errorf("server: checkpoint header: %w", err)
 	}
 	if string(hdr[:4]) != ckptMagic {
-		return nil, 0, 0, fmt.Errorf("server: checkpoint %s: bad magic %q", what, hdr[:4])
+		return nil, 0, fmt.Errorf("server: checkpoint %s: bad magic %q", what, hdr[:4])
 	}
 	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != ckptVersion {
-		return nil, 0, 0, fmt.Errorf("server: checkpoint %s: unsupported version %d", what, v)
+		return nil, 0, fmt.Errorf("server: checkpoint %s: unsupported version %d", what, v)
 	}
 	seq := binary.LittleEndian.Uint64(hdr[8:16])
 	epoch := binary.LittleEndian.Uint64(hdr[16:24])
-	g, err := graph.ReadBinary(r)
+	cluster, err := memcloud.NewCluster(memcloud.Config{Machines: machines})
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("server: checkpoint %s: %w", what, err)
+		return nil, 0, err
 	}
-	return g, seq, epoch, nil
+	if err := cluster.LoadBinary(r); err != nil {
+		return nil, 0, fmt.Errorf("server: checkpoint %s: %w", what, err)
+	}
+	cluster.RestoreEpoch(epoch)
+	return cluster, seq, nil
 }
 
-// readCheckpoint loads a checkpoint. A missing file returns (nil, 0, 0,
-// nil): recovery then rebuilds from the spec.
-func readCheckpoint(path string) (*graph.Graph, uint64, uint64, error) {
+// readCheckpoint loads a checkpoint. A missing file returns (nil, 0, nil):
+// recovery then rebuilds from the spec.
+func readCheckpoint(path string, machines int) (*memcloud.Cluster, uint64, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, 0, nil
+		return nil, 0, nil
 	}
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	defer f.Close()
-	return readCheckpointFrom(f, path)
+	return readCheckpointFrom(f, path, machines)
 }
 
 // saveCheckpointStream copies a leader snapshot (already in checkpoint-file
@@ -641,20 +646,12 @@ func recoverEngineRetry(spec NamespaceSpec, dir string, cfg Config, depth int) (
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fail(err)
 	}
-	g, ckptSeq, epoch, err := readCheckpoint(filepath.Join(dir, checkpointName))
+	cluster, ckptSeq, err := readCheckpoint(filepath.Join(dir, checkpointName), spec.Machines)
 	if err != nil {
 		return fail(err)
 	}
 	var eng *core.Engine
-	if g != nil {
-		cluster, err := memcloud.NewCluster(memcloud.Config{Machines: spec.Machines})
-		if err != nil {
-			return fail(err)
-		}
-		if err := cluster.LoadGraph(g); err != nil {
-			return fail(err)
-		}
-		cluster.RestoreEpoch(epoch)
+	if cluster != nil {
 		eng = core.NewEngine(cluster, core.Options{})
 	} else {
 		eng, err = spec.Build()
