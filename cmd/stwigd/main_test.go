@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -190,4 +193,37 @@ func mustParseNS(t *testing.T, flag string) server.NamespaceSpec {
 		t.Fatal(err)
 	}
 	return spec
+}
+
+// retiredFlagArgs, set in the environment, makes the test binary parse it
+// (space-separated) as stwigd's command line and exit: the child side of
+// TestRetiredFlagsAreUndefined.
+const retiredFlagArgs = "STWIGD_TEST_PARSE_ARGS"
+
+// TestRetiredFlagsAreUndefined: a flag whose setting is gone makes stwigd
+// exit non-zero as an undefined flag, rather than be accepted and ignored.
+// -checkpoint-every went when the journal's size became the checkpoint
+// cadence; the group-commit and fairness flags when the writer window
+// took their place; -plan-cache with the plan cache.
+func TestRetiredFlagsAreUndefined(t *testing.T) {
+	if args := os.Getenv(retiredFlagArgs); args != "" {
+		parseFlags(strings.Fields(args), envOf(nil))
+		os.Exit(0)
+	}
+	for _, args := range []string{
+		"-checkpoint-every 256",
+		"-group-commit-window 1ms",
+		"-group-commit-batches 4",
+		"-update-fairness-window 40ms",
+		"-plan-cache 1",
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRetiredFlagsAreUndefined$")
+		cmd.Env = append(os.Environ(), retiredFlagArgs+"="+args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		flagName := strings.Fields(args)[0]
+		if !errors.As(err, &exit) || exit.ExitCode() == 0 || !strings.Contains(string(out), "flag provided but not defined: "+flagName) {
+			t.Errorf("stwigd %s: err %v, output %q; want a non-zero exit naming the undefined flag", args, err, out)
+		}
+	}
 }

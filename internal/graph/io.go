@@ -137,6 +137,22 @@ func (g *Graph) LabelNames() []string { return g.table.Names() }
 // WriteBinary serializes g in the binary format.
 func WriteBinary(w io.Writer, g *Graph) error { return WriteBinaryFrom(w, g) }
 
+// BinarySize returns the number of bytes WriteBinaryFrom writes for src: the
+// header, the label table, and 4 + 8 bytes per vertex plus 8 per adjacency
+// entry. It walks the vertices once for their degrees and writes nothing.
+func BinarySize(src BinarySource) int64 {
+	size := int64(binaryHeaderSize)
+	for _, name := range src.LabelNames() {
+		size += 4 + int64(len(name))
+	}
+	n := src.NumNodes()
+	size += 4*n + 8*(n+1) // labels, offsets
+	for v := int64(0); v < n; v++ {
+		size += 8 * int64(src.Degree(NodeID(v)))
+	}
+	return size
+}
+
 // WriteBinaryFrom serializes src in the binary format. It walks the vertices
 // four times (edge count, labels, offsets, adjacency) and holds nothing but
 // its write buffer; only the last walk asks for adjacency.

@@ -133,6 +133,9 @@ func TestPropertyBinaryRoundTripRandom(t *testing.T) {
 		if err := WriteBinary(&buf, g); err != nil {
 			return false
 		}
+		if BinarySize(g) != int64(buf.Len()) {
+			return false
+		}
 		g2, err := ReadBinary(&buf)
 		if err != nil {
 			return false

@@ -66,7 +66,7 @@ func TestGoldenTailAfter(t *testing.T) {
 		{9, "", 0, 0}, // cursor past the tail: still just empty
 	}
 	for _, tc := range cases {
-		tail, err := TailAfter(path, tc.after)
+		tail, err := TailAfter(path, 0, tc.after, 0)
 		if err != nil {
 			t.Fatalf("TailAfter(%d): %v", tc.after, err)
 		}
@@ -138,7 +138,7 @@ func TestGoldenTailAfterPadded(t *testing.T) {
 		{9, "", 0, 0},
 	}
 	for _, tc := range cases {
-		tail, err := TailAfter(path, tc.after)
+		tail, err := TailAfter(path, 0, tc.after, 0)
 		if err != nil {
 			t.Fatalf("TailAfter(%d): %v", tc.after, err)
 		}
@@ -163,7 +163,7 @@ func TestGoldenTailAfterPaddedThenAppend(t *testing.T) {
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	tail, err := TailAfter(path, 2)
+	tail, err := TailAfter(path, 0, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,5 +203,74 @@ func TestGoldenTailScansBack(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].Seq != 1 || !rep.Torn {
 		t.Fatalf("scan of cut tail: %d records, torn=%v; want the intact first record only", len(recs), rep.Torn)
+	}
+}
+
+// TestTailAfterOffsetAndLimit pins TailAfter against TailAfter on a padded,
+// still-open journal: from any record start at or before the cursor's next
+// record it ships the same suffix, and a limit cuts that suffix at the
+// first frame boundary at or past it, never below one record.
+func TestTailAfterOffsetAndLimit(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	w, err := OpenWriter(path, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	w.SetAlign(64)
+	for i := 0; i < 12; i++ {
+		if _, err := w.Append(bytes.Repeat([]byte{byte('a' + i)}, 3+7*i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := ScanFile(path)
+	if err != nil || len(recs) != 12 {
+		t.Fatalf("scan: %d records, err %v", len(recs), err)
+	}
+	start := func(i int) int64 { // byte offset of recs[i]
+		if i == 0 {
+			return 0
+		}
+		return recs[i-1].End
+	}
+	for after := uint64(0); after <= 13; after++ {
+		want, err := TailAfter(path, 0, after, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < len(recs) && recs[k].Seq <= after+1; k++ {
+			got, err := TailAfter(path, start(k), after, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Frames, want.Frames) || got.FirstSeq != want.FirstSeq || got.LastSeq != want.LastSeq {
+				t.Fatalf("TailAfter(off of seq %d, after %d) = [%d, %d] %d B; from offset 0 = [%d, %d] %d B",
+					recs[k].Seq, after, got.FirstSeq, got.LastSeq, len(got.Frames), want.FirstSeq, want.LastSeq, len(want.Frames))
+			}
+		}
+		for _, limit := range []int64{1, 40, 100, 1 << 20} {
+			got, err := TailAfter(path, 0, after, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(want.Frames, got.Frames) || got.FirstSeq != want.FirstSeq {
+				t.Fatalf("TailAfter(after %d, limit %d) is not a prefix of the tail", after, limit)
+			}
+			if want.FirstSeq == 0 {
+				continue
+			}
+			// The cut lies on a frame boundary: the last shipped record's end.
+			lastEnd := recs[got.LastSeq-1].End - start(int(want.FirstSeq-1))
+			if int64(len(got.Frames)) != lastEnd {
+				t.Fatalf("TailAfter(after %d, limit %d) cut mid-frame: %d B, record %d ends at %d", after, limit, len(got.Frames), got.LastSeq, lastEnd)
+			}
+			short := lastEnd - (recs[got.LastSeq-1].End - start(int(got.LastSeq-1)))
+			if got.LastSeq != want.LastSeq && (lastEnd < limit || (got.LastSeq > got.FirstSeq && short >= limit)) {
+				t.Fatalf("TailAfter(after %d, limit %d) shipped %d B through seq %d; the cut belongs at the first record reaching the limit", after, limit, lastEnd, got.LastSeq)
+			}
+		}
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -86,49 +87,65 @@ func Scan(r io.Reader) ([]Record, ScanReport, error) {
 	var rep ScanReport
 	var hdr [frameHeaderSize]byte
 	for {
-		n, err := io.ReadFull(br, hdr[:])
+		payload, torn, err := readFrame(br, &hdr)
 		if err == io.EOF {
 			return recs, rep, nil
 		}
-		if err == io.ErrUnexpectedEOF {
+		if err == errTorn {
 			rep.Torn = true
-			rep.TornBytes += int64(n)
+			rep.TornBytes = torn + remaining(br)
 			return recs, rep, nil
 		}
 		if err != nil {
 			return recs, rep, err
 		}
-		payloadLen := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		if payloadLen < seqSize || payloadLen > MaxPayload {
-			// A frame must at least carry its sequence number; anything
-			// larger than the bound is a corrupt length, not a real record.
-			rep.Torn = true
-			rep.TornBytes += int64(frameHeaderSize) + int64(remaining(br))
-			return recs, rep, nil
-		}
-		payload := make([]byte, payloadLen)
-		pn, err := io.ReadFull(br, payload)
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			rep.Torn = true
-			rep.TornBytes += int64(frameHeaderSize) + int64(pn)
-			return recs, rep, nil
-		}
-		if err != nil {
-			return recs, rep, err
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			rep.Torn = true
-			rep.TornBytes += int64(frameHeaderSize) + int64(payloadLen) + int64(remaining(br))
-			return recs, rep, nil
-		}
-		rep.Committed += int64(frameHeaderSize) + int64(payloadLen)
+		rep.Committed += int64(frameHeaderSize) + int64(len(payload))
 		recs = append(recs, Record{
 			Seq:  binary.LittleEndian.Uint64(payload[:seqSize]),
 			Body: payload[seqSize:],
 			End:  rep.Committed,
 		})
 	}
+}
+
+// errTorn is readFrame's report that the bytes at the reader do not form an
+// intact frame: a short read, an impossible length, or a CRC mismatch.
+var errTorn = errors.New("journal: torn frame")
+
+// readFrame reads the next frame from br into hdr and a fresh payload. It
+// returns io.EOF at a clean end of input, errTorn with the number of bytes
+// it consumed when the frame is not intact, and any other error as a real
+// I/O failure.
+func readFrame(br *bufio.Reader, hdr *[frameHeaderSize]byte) ([]byte, int64, error) {
+	n, err := io.ReadFull(br, hdr[:])
+	if err == io.EOF {
+		return nil, 0, io.EOF
+	}
+	if err == io.ErrUnexpectedEOF {
+		return nil, int64(n), errTorn
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	payloadLen := binary.LittleEndian.Uint32(hdr[0:4])
+	crc := binary.LittleEndian.Uint32(hdr[4:8])
+	if payloadLen < seqSize || payloadLen > MaxPayload {
+		// A frame must at least carry its sequence number; anything larger
+		// than the bound is a corrupt length, not a real record.
+		return nil, frameHeaderSize, errTorn
+	}
+	payload := make([]byte, payloadLen)
+	pn, err := io.ReadFull(br, payload)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return nil, frameHeaderSize + int64(pn), errTorn
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	if crc32.ChecksumIEEE(payload) != crc {
+		return nil, frameHeaderSize + int64(payloadLen), errTorn
+	}
+	return payload, 0, nil
 }
 
 // remaining drains and counts whatever is left in br (bounded by the

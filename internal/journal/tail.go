@@ -1,7 +1,10 @@
 package journal
 
 import (
-	"bytes"
+	"bufio"
+	"encoding/binary"
+	"io"
+	"math"
 	"os"
 )
 
@@ -19,41 +22,53 @@ type Tail struct {
 	FirstSeq, LastSeq uint64
 }
 
-// TailAfter reads the journal at path and returns every intact record with
-// Seq > after, as raw frames. A missing file is an empty journal. Records
-// in one journal file carry strictly increasing sequence numbers, so the
-// result is a byte suffix of the committed prefix; a torn tail is simply
-// excluded, exactly as recovery would exclude it.
+// TailAfter reads the journal at path from byte offset off and returns
+// every intact record with Seq > after, as raw frames. off must be the start
+// of a frame no later than the first record past after (0 always is). A
+// missing file is an empty journal. Records in one journal file carry
+// strictly increasing sequence numbers, so the result is a byte suffix of
+// the committed prefix; a torn tail is simply excluded, exactly as recovery
+// would exclude it.
+//
+// It ships at most limit bytes of frames (0: no limit), but always the first
+// record past after, whatever its size, so a reader that loops on LastSeq
+// always makes progress. It reads the file only from off to the end of what
+// it ships (plus one buffer of read-ahead), so a caller that knows roughly
+// where its cursor's record starts pays for the bytes it ships, not for the
+// journal in front of them.
 //
 // The caller must ensure no writer is mid-append (stwigd serves tails under
 // the namespace's reader gate, which excludes the writer window).
-func TailAfter(path string, after uint64) (Tail, error) {
-	raw, err := os.ReadFile(path)
+func TailAfter(path string, off int64, after uint64, limit int64) (Tail, error) {
+	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return Tail{}, nil
 	}
 	if err != nil {
 		return Tail{}, err
 	}
-	recs, rep, err := Scan(bytes.NewReader(raw))
-	if err != nil {
-		return Tail{}, err
-	}
+	defer f.Close()
+	br := bufio.NewReaderSize(io.NewSectionReader(f, off, math.MaxInt64-off), 1<<16)
 	var t Tail
-	var start int64
-	for _, rec := range recs {
-		if rec.Seq <= after {
-			start = rec.End
+	var hdr [frameHeaderSize]byte
+	for limit <= 0 || t.FirstSeq == 0 || int64(len(t.Frames)) < limit {
+		payload, _, err := readFrame(br, &hdr)
+		if err == io.EOF || err == errTorn {
+			break
+		}
+		if err != nil {
+			return Tail{}, err
+		}
+		seq := binary.LittleEndian.Uint64(payload[:seqSize])
+		if seq <= after {
 			continue
 		}
 		if t.FirstSeq == 0 {
-			t.FirstSeq = rec.Seq
+			t.FirstSeq = seq
 		}
-		t.LastSeq = rec.Seq
+		t.LastSeq = seq
+		t.Frames = append(t.Frames, hdr[:]...)
+		t.Frames = append(t.Frames, payload...)
 	}
-	if t.FirstSeq == 0 {
-		return Tail{}, nil
-	}
-	t.Frames = raw[start:rep.Committed]
 	return t, nil
 }

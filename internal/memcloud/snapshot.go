@@ -36,10 +36,27 @@ func (c *Cluster) WriteSnapshot(w io.Writer) error {
 	}
 	c.upd.mu.Lock()
 	defer c.upd.mu.Unlock()
-	// Labels are renumbered in order of first appearance by vertex ID: the
-	// numbering a graph built vertex by vertex gets, and the one recovery
-	// has always seen. An unlabelled vertex is written as NoLabel: its tag
-	// code, 0, keeps the NoLabel it starts with.
+	return graph.WriteBinaryFrom(w, c.snapshotSource())
+}
+
+// SnapshotBytes returns the exact length of the stream WriteSnapshot would
+// write now, without writing it: one walk over the address tables and one
+// over the directories, under the update lock.
+func (c *Cluster) SnapshotBytes() int64 {
+	if !c.loaded {
+		return 0
+	}
+	c.upd.mu.Lock()
+	defer c.upd.mu.Unlock()
+	return graph.BinarySize(c.snapshotSource())
+}
+
+// snapshotSource prepares the cells for a snapshot. Labels are renumbered in
+// order of first appearance by vertex ID: the numbering a graph built vertex
+// by vertex gets, and the one recovery has always seen. An unlabelled vertex
+// is written as NoLabel: its tag code, 0, keeps the NoLabel it starts with.
+// The caller holds the update lock.
+func (c *Cluster) snapshotSource() *snapshotSource {
 	src := &snapshotSource{c: c, remap: make([]graph.LabelID, c.labels.Len()+1)}
 	for i := range src.remap {
 		src.remap[i] = graph.NoLabel
@@ -50,7 +67,7 @@ func (c *Cluster) WriteSnapshot(w io.Writer) error {
 			src.names = append(src.names, c.labels.Name(t.label()))
 		}
 	}
-	return graph.WriteBinaryFrom(w, src)
+	return src
 }
 
 // snapshotSource reads the cluster's cells as a graph.BinarySource. The

@@ -54,6 +54,58 @@ func checkSnapshotBytes(t *testing.T, c *Cluster) {
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("snapshot stream (%d bytes) differs from the built graph's serialization (%d bytes)", got.Len(), want.Len())
 	}
+	if n := c.SnapshotBytes(); n != int64(got.Len()) {
+		t.Fatalf("SnapshotBytes = %d, the stream is %d bytes", n, got.Len())
+	}
+}
+
+// TestSnapshotBytesIsTheStreamLength: SnapshotBytes is the length of what
+// WriteSnapshot writes, on graphs with hubs and unlabelled vertices, after
+// loading and after updates that add a label, grow a hub and delete edges.
+func TestSnapshotBytesIsTheStreamLength(t *testing.T) {
+	check := func(what string, c *Cluster) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := c.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if n := c.SnapshotBytes(); n != int64(buf.Len()) {
+			t.Fatalf("%s: SnapshotBytes = %d, WriteSnapshot wrote %d", what, n, buf.Len())
+		}
+	}
+	if n := MustNewCluster(Config{Machines: 2}).SnapshotBytes(); n != 0 {
+		t.Fatalf("unloaded cluster: SnapshotBytes = %d, want 0", n)
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		g := loadTestGraph(seed, 1500)
+		c := MustNewCluster(Config{Machines: 4})
+		if err := c.LoadGraph(g); err != nil {
+			t.Fatal(err)
+		}
+		check("loaded", c)
+		hub := graph.NodeID(0)
+		for v := int64(1); v < g.NumNodes(); v++ {
+			if g.Degree(graph.NodeID(v)) > g.Degree(hub) {
+				hub = graph.NodeID(v)
+			}
+		}
+		n := graph.NodeID(g.NumNodes())
+		muts := []Mutation{{Op: MutAddNode, Label: "fresh"}, {Op: MutAddNode, Label: "a"}, {Op: MutAddEdge, U: n, V: n + 1}}
+		for v := graph.NodeID(0); v < n; v += 7 {
+			if v != hub && !g.HasEdge(hub, v) {
+				muts = append(muts, Mutation{Op: MutAddEdge, U: hub, V: v})
+			}
+		}
+		for _, w := range g.Neighbors(hub)[:20] {
+			muts = append(muts, Mutation{Op: MutRemoveEdge, U: hub, V: w})
+		}
+		for i, r := range c.ApplyBatch(muts) {
+			if r.Err != nil {
+				t.Fatalf("seed %d: mutation %d: %v", seed, i, r.Err)
+			}
+		}
+		check("updated", c)
+	}
 }
 
 // TestSnapshotGraphRoundTrip: load → mutate → snapshot → reload must

@@ -36,6 +36,9 @@ import (
 type Store struct {
 	dir   []cellRef      // dir[slot]
 	arena []graph.NodeID // concatenated adjacency of all local vertices
+	// garbage counts the arena words no cell covers: the old copies of
+	// relocated cells and the tails that removals shrank off.
+	garbage int64
 }
 
 // cellRef locates a cell in the arena. local counts the neighbours held by

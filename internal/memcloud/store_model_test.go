@@ -151,9 +151,10 @@ func (r *opReader) mutation(m storeModel, kind int) Mutation {
 	}
 }
 
-// runStoreOps is the driver shared by the generated test and the fuzz
-// target.
-func runStoreOps(t *testing.T, kind string, machines int, data []byte) {
+// runStoreOps is the driver shared by the generated tests and the fuzz
+// target. It returns how many steps compacted an arena on their own, as an
+// insertion does instead of growing a full arena that holds enough garbage.
+func runStoreOps(t *testing.T, kind string, machines int, data []byte) (insertCompactions int) {
 	t.Helper()
 	g := rmat.MustGenerate(rmat.Params{Scale: 4, AvgDegree: 3, NumLabels: 3, Seed: 11})
 	model := storeModel{}
@@ -198,7 +199,9 @@ func runStoreOps(t *testing.T, kind string, machines int, data []byte) {
 
 	r := &opReader{data: data}
 	for step := 0; !r.done() && step < 256; step++ {
-		switch k := r.next() % 8; k {
+		garbage := a.UpdateStats().GarbageWords
+		k := r.next() % 8
+		switch k {
 		case 6:
 			ra, rb := a.CompactAll(), b.CompactAll()
 			if ra != rb {
@@ -239,6 +242,9 @@ func runStoreOps(t *testing.T, kind string, machines int, data []byte) {
 		if a.Epoch() != applied || b.Epoch() != applied {
 			t.Fatalf("step %d: epochs %d / %d after %d applied mutations", step, a.Epoch(), b.Epoch(), applied)
 		}
+		if k != 6 && a.UpdateStats().GarbageWords < garbage {
+			insertCompactions++ // only a compaction takes garbage away
+		}
 		checkAgainstModel(t, step, a, model, owners)
 		checkCrossPairs(t, step, "updated", a, model, false)
 		checkTwins(t, step, a, b)
@@ -252,6 +258,7 @@ func runStoreOps(t *testing.T, kind string, machines int, data []byte) {
 	checkCompacted(t, -1, a, model)
 	checkAgainstModel(t, -1, a, model, owners)
 	checkTwins(t, -1, a, b)
+	return insertCompactions
 }
 
 // cellOrder returns the model's neighbours of v in the order c's cell must
@@ -332,6 +339,17 @@ func checkAgainstModel(t *testing.T, step int, c *Cluster, model storeModel, own
 		}
 		if nbrs, wantNbrs := c.machines[tag.owner()].store.neighbors(c.slots[v]), cellOrder(c, model, v); !slices.Equal(nbrs, wantNbrs) {
 			t.Fatalf("step %d: slot of vertex %d finds %v on machine %d, model has %v", step, v, nbrs, tag.owner(), wantNbrs)
+		}
+	}
+	// Each store's garbage count is exact: the arena words no cell covers.
+	for i, m := range c.machines {
+		covered := int64(0)
+		for _, ref := range m.store.dir {
+			covered += int64(ref.deg)
+		}
+		if m.store.garbage != int64(len(m.store.arena))-covered {
+			t.Fatalf("step %d: machine %d counts %d garbage words, its arena holds %d words of which cells cover %d",
+				step, i, m.store.garbage, len(m.store.arena), covered)
 		}
 	}
 	missing := []graph.NodeID{-1, n, math.MaxInt64}
@@ -517,25 +535,48 @@ func checkEdgeCrossed(t *testing.T, step int, c *Cluster, model storeModel, u, v
 var modelOrderBounds = []int{labelOrderBound, 3}
 
 // runStoreOpsAtBounds runs the driver once at each of modelOrderBounds.
-func runStoreOpsAtBounds(t *testing.T, kind string, machines int, data []byte) {
+func runStoreOpsAtBounds(t *testing.T, kind string, machines int, data []byte) (insertCompactions int) {
 	t.Helper()
 	for _, bound := range modelOrderBounds {
 		lowerOrderBound(t, bound)
-		runStoreOps(t, kind, machines, data)
+		insertCompactions += runStoreOps(t, kind, machines, data)
 	}
+	return insertCompactions
 }
 
-func TestStoreModelGenerated(t *testing.T) {
+// runStoreModelGenerated feeds the driver seeds seeded inputs under every
+// partitioner and cluster size.
+func runStoreModelGenerated(t *testing.T, seeds int64) (insertCompactions int) {
 	for _, kind := range partitionerKinds {
 		for _, machines := range []int{1, 3, 8} {
 			t.Run(fmt.Sprintf("%s/%d", kind, machines), func(t *testing.T) {
-				for seed := int64(0); seed < 4; seed++ {
+				for seed := int64(0); seed < seeds; seed++ {
 					data := make([]byte, 240)
 					rand.New(rand.NewSource(seed*31 + int64(machines))).Read(data)
-					runStoreOpsAtBounds(t, kind, machines, data)
+					insertCompactions += runStoreOpsAtBounds(t, kind, machines, data)
 				}
 			})
 		}
+	}
+	return insertCompactions
+}
+
+func TestStoreModelGenerated(t *testing.T) { runStoreModelGenerated(t, 4) }
+
+// lowerCompactThreshold makes an insertion compact a full arena whenever
+// it holds any garbage, in a test.
+func lowerCompactThreshold(t *testing.T) {
+	old := compactShare
+	compactShare = math.MaxInt
+	t.Cleanup(func() { compactShare = old })
+}
+
+// TestStoreModelCompacting runs the model with the compaction threshold
+// lowered, so insertions compact arenas between every kind of step.
+func TestStoreModelCompacting(t *testing.T) {
+	lowerCompactThreshold(t)
+	if n := runStoreModelGenerated(t, 2); n == 0 {
+		t.Fatal("no insertion compacted an arena")
 	}
 }
 

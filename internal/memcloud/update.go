@@ -16,8 +16,11 @@ import (
 //
 // Storage follows the log-structured discipline of a memory trunk: growing
 // a cell's adjacency appends a fresh copy at the arena tail and retargets
-// the directory entry; the superseded region becomes garbage that
-// CompactAll reclaims. Removals shrink in place.
+// the directory entry; the superseded region becomes garbage. Removals
+// shrink in place. An insertion that would grow a full arena holding
+// enough garbage compacts it into the same capacity instead (compactShare),
+// so a stream of updates that adds and removes edges runs in bounded
+// memory; CompactAll reclaims everything at once.
 //
 // Concurrency: updates take the cluster's writer lock; the query read path
 // stays lock-free by design, so updates MUST NOT run concurrently with
@@ -32,8 +35,9 @@ type UpdateStats struct {
 	NodesAdded   uint64
 	EdgesAdded   uint64
 	EdgesRemoved uint64
-	// GarbageWords is the arena space superseded by cell relocations and
-	// reclaimable by CompactAll.
+	// GarbageWords is the arena space no cell covers — superseded by cell
+	// relocations or shrunk off by removals — and reclaimable by
+	// compaction.
 	GarbageWords int64
 }
 
@@ -116,8 +120,8 @@ func (c *Cluster) addEdgeLocked(u, v graph.NodeID) error {
 	if mu.store.hasNeighbor(au.slot, v) {
 		return fmt.Errorf("memcloud: edge (%d,%d) already exists", u, v)
 	}
-	c.upd.stats.GarbageWords += mu.store.insertNeighbor(au.slot, v, c.tags, mu == mv)
-	c.upd.stats.GarbageWords += mv.store.insertNeighbor(av.slot, u, c.tags, mu == mv)
+	mu.store.insertNeighbor(au.slot, v, c.tags, mu == mv)
+	mv.store.insertNeighbor(av.slot, u, c.tags, mu == mv)
 	// Cross-pair maintenance is additive-only: removing the last edge of a
 	// label pair leaves a stale bit, which only ever makes load sets larger
 	// (correctness preserved, communication slightly pessimistic). An edge
@@ -233,23 +237,27 @@ func (c *Cluster) ApplyBatch(muts []Mutation) []MutationResult {
 	return out
 }
 
-// UpdateStats snapshots the mutation counters.
+// UpdateStats snapshots the mutation counters and the machines' garbage.
 func (c *Cluster) UpdateStats() UpdateStats {
 	c.upd.mu.Lock()
 	defer c.upd.mu.Unlock()
-	return c.upd.stats
+	st := c.upd.stats
+	for _, m := range c.machines {
+		st.GarbageWords += m.store.garbage
+	}
+	return st
 }
 
-// CompactAll rewrites every machine's arena to drop garbage left by cell
-// relocations, returning the number of words reclaimed.
+// CompactAll rewrites every machine's arena to hold its live cells and
+// nothing more, returning the number of words reclaimed.
 func (c *Cluster) CompactAll() int64 {
 	c.upd.mu.Lock()
 	defer c.upd.mu.Unlock()
 	var reclaimed int64
 	for _, m := range c.machines {
-		reclaimed += m.store.compact()
+		s := m.store
+		reclaimed += s.compact(len(s.arena) - int(s.garbage))
 	}
-	c.upd.stats.GarbageWords = 0
 	return reclaimed
 }
 
@@ -266,13 +274,26 @@ func (s *Store) hasNeighbor(slot uint32, nb graph.NodeID) bool {
 	return false
 }
 
+// compactShare sets when an insertion compacts an arena instead of growing
+// it: when the relocated cell does not fit in the arena's capacity and at
+// least 1/compactShare of that capacity is garbage. append grows a large
+// arena by about a quarter; an eighth is half of that, which an arena whose
+// cells are relocated without net growth (edges added and removed again)
+// reaches before it fills up, so it compacts rather than grows. Compacting
+// gives back at least cap/compactShare words, so the next compaction is that
+// many relocated words away: a bounded number of copies per word. Not a
+// setting; only tests raise it, to compact whenever there is garbage.
+var compactShare = 8
+
 // insertNeighbor adds nb to the adjacency of the vertex in slot at its
 // place in the cell's order, relocating the cell to the arena tail; a cell
 // that grows past labelOrderBound is put in (label, id) order in its new
-// copy. local says nb lives on the cell's machine. Returns the number of
-// words turned into garbage.
-func (s *Store) insertNeighbor(slot uint32, nb graph.NodeID, tags []cellTag, local bool) int64 {
+// copy. local says nb lives on the cell's machine.
+func (s *Store) insertNeighbor(slot uint32, nb graph.NodeID, tags []cellTag, local bool) {
 	ref := &s.dir[slot]
+	if len(s.arena)+int(ref.deg)+1 > cap(s.arena) && s.garbage > 0 && s.garbage >= int64(cap(s.arena)/compactShare) {
+		s.compact(cap(s.arena))
+	}
 	old := s.neighbors(slot)
 	var at int
 	if labelOrdered(len(old)) {
@@ -289,12 +310,11 @@ func (s *Store) insertNeighbor(slot uint32, nb graph.NodeID, tags []cellTag, loc
 	if cell := s.arena[newOff:]; !labelOrdered(len(old)) && labelOrdered(len(cell)) {
 		orderByLabel(cell, tags, nil)
 	}
-	garbage := int64(ref.deg)
+	s.garbage += int64(ref.deg)
 	ref.off, ref.deg = newOff, ref.deg+1
 	if local {
 		ref.local++
 	}
-	return garbage
 }
 
 // removeNeighbor deletes nb from the adjacency of the vertex in slot in
@@ -313,6 +333,7 @@ func (s *Store) removeNeighbor(slot uint32, nb graph.NodeID, local bool) {
 	if labelOrdered(len(adj)) && !labelOrdered(w) {
 		slices.Sort(adj[:w])
 	}
+	s.garbage += int64(len(adj) - w)
 	s.dir[slot].deg = int32(w)
 	if local {
 		s.dir[slot].local--
@@ -320,16 +341,14 @@ func (s *Store) removeNeighbor(slot uint32, nb graph.NodeID, local bool) {
 }
 
 // compact rewrites the arena with only live cells, in slot order and each
-// cell as it is, returning reclaimed words. Slot order is a function of the
+// cell as it is, into a fresh arena of the given capacity (at least the
+// live words), returning reclaimed words. Slot order is a function of the
 // update history alone, so two clusters driven identically compact to
-// identical arenas.
-func (s *Store) compact() int64 {
-	before := int64(len(s.arena))
-	var live int64
-	for i := range s.dir {
-		live += int64(s.dir[i].deg)
-	}
-	newArena := make([]graph.NodeID, 0, live)
+// identical arenas. The old arena is left as it was: a Cell read before
+// the compaction still reads its neighbours.
+func (s *Store) compact(capacity int) int64 {
+	reclaimed := s.garbage
+	newArena := make([]graph.NodeID, 0, capacity)
 	for i := range s.dir {
 		ref := &s.dir[i]
 		off := int64(len(newArena))
@@ -337,7 +356,8 @@ func (s *Store) compact() int64 {
 		ref.off = off
 	}
 	s.arena = newArena
-	return before - live
+	s.garbage = 0
+	return reclaimed
 }
 
 // insertSorted adds id into the label's posting list keeping it sorted.

@@ -277,6 +277,48 @@ func TestCompactReclaimsGarbage(t *testing.T) {
 	}
 }
 
+// TestHubAddRemoveLoopStaysBounded adds and removes the same edge on a hub
+// over and over: every add relocates the hub's cell, more than a thousand
+// words of garbage a round, yet the arena compacts instead of growing, and
+// the cells read as loaded at the end.
+func TestHubAddRemoveLoopStaysBounded(t *testing.T) {
+	g := loadTestGraph(5, 3000)
+	c := MustNewCluster(Config{Machines: 4})
+	if err := c.LoadGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	hub := graph.NodeID(0)
+	for v := int64(1); v < g.NumNodes(); v++ {
+		if g.Degree(graph.NodeID(v)) > g.Degree(hub) {
+			hub = graph.NodeID(v)
+		}
+	}
+	other := graph.NodeID(0)
+	for g.HasEdge(hub, other) || other == hub {
+		other++
+	}
+	store := c.machines[c.Owner(hub)].store
+	loaded := cap(store.arena)
+	const rounds = 2000 // ~2.5 M words of relocated hub cells, unreclaimed
+	for i := 0; i < rounds; i++ {
+		if err := c.AddEdge(hub, other); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RemoveEdge(hub, other); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cap(store.arena); got > 2*loaded {
+		t.Fatalf("hub machine's arena grew from %d to %d words over %d add/remove rounds", loaded, got, rounds)
+	}
+	for v := int64(0); v < g.NumNodes(); v++ {
+		cell, _ := c.Cell(graph.NodeID(v))
+		if !slices.Equal(slices.Sorted(slices.Values(cell.Neighbors)), g.Neighbors(graph.NodeID(v))) {
+			t.Fatalf("vertex %d reads %d neighbours after the loop, loaded with %d", v, len(cell.Neighbors), g.Degree(graph.NodeID(v)))
+		}
+	}
+}
+
 func TestPropertyUpdatesMatchRebuiltGraph(t *testing.T) {
 	// Applying random updates to a loaded cluster must leave it equivalent
 	// to a cluster loaded from the equivalently mutated graph: the same

@@ -93,12 +93,7 @@ type Config struct {
 	// and on boot every manifest namespace is re-created and its journal
 	// replayed. Empty (the default) keeps the PR 2–4 behavior: everything is
 	// in-memory and lost on exit.
-	DataDir string `flag:"data-dir" help:"durability root: journal every update batch, checkpoint periodically, and recover namespaces on boot (empty disables persistence)"`
-	// CheckpointEvery is how many journaled batches accumulate before the
-	// namespace's cluster is snapshotted and its journal truncated (default
-	// 256). Smaller values bound replay time tighter at the cost of more
-	// snapshot I/O.
-	CheckpointEvery int `flag:"checkpoint-every" def:"256" min:"1" help:"journaled update batches between checkpoint/compaction cycles"`
+	DataDir string `flag:"data-dir" help:"durability root: journal every update batch, checkpoint when the journal is as large as the checkpoint, and recover namespaces on boot (empty disables persistence)"`
 	// JournalNoSync skips the per-batch fsync. Throughput testing only: a
 	// crash may then lose acknowledged updates, voiding the recovery
 	// contract the crash tests pin.

@@ -31,7 +31,6 @@ func TestConfigFromEnv(t *testing.T) {
 		"STWIGD_NS_ROOT":                "/srv/graphs",
 		"STWIGD_ADMIN_TOKEN":            "hunter2",
 		"STWIGD_DATA_DIR":               "/srv/stwig-data",
-		"STWIGD_CHECKPOINT_EVERY":       "17",
 		"STWIGD_JOURNAL_FSYNC":          "false",
 	}))
 	if err != nil {
@@ -51,7 +50,6 @@ func TestConfigFromEnv(t *testing.T) {
 		NamespaceRoot:    "/srv/graphs",
 		AdminToken:       "hunter2",
 		DataDir:          "/srv/stwig-data",
-		CheckpointEvery:  17,
 		JournalNoSync:    true,
 	}
 	if cfg != want {
@@ -76,7 +74,6 @@ func TestConfigFromEnv(t *testing.T) {
 		{"STWIGD_UPDATE_LOCK_WAIT": "x"},
 		{"STWIGD_UPDATE_QUEUE_DEPTH": "deep"},
 		{"STWIGD_UPDATE_BATCH_MAX": "4.5"},
-		{"STWIGD_CHECKPOINT_EVERY": "often"},
 		{"STWIGD_JOURNAL_FSYNC": "yes please"},
 	} {
 		if _, err := (Config{}).FromEnv(lookupMap(env)); err == nil {
@@ -96,9 +93,6 @@ func TestConfigValidateUpdatePipeline(t *testing.T) {
 		t.Fatalf("normalized update defaults = depth %d, batch %d, grace %v",
 			norm.UpdateQueueDepth, norm.UpdateBatchMax, readerGrace(norm.UpdateLockWait))
 	}
-	if norm.CheckpointEvery != 256 {
-		t.Fatalf("normalized CheckpointEvery = %d, want 256", norm.CheckpointEvery)
-	}
 	// Short writer patience pulls the grace period below it instead of
 	// leaving a cutoff that can never mature.
 	if got := readerGrace(50 * time.Millisecond); got != 25*time.Millisecond {
@@ -114,7 +108,6 @@ func TestConfigValidateUpdatePipeline(t *testing.T) {
 		{UpdateQueueDepth: -1},
 		{UpdateBatchMax: -2},
 		{UpdateLockWait: -time.Second},
-		{CheckpointEvery: -3},      // a negative cadence would never checkpoint
 		{MaxRequestBytes: -1},      // http.MaxBytesReader clamps it to 0: every body would 400
 		{RetryAfter: -time.Second}, // would strip Retry-After from every 429/503
 	} {

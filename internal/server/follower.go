@@ -557,7 +557,7 @@ func (r *replicator) applyRecord(ns *namespace, st *replState, rec journal.Recor
 	}
 	if ns.store != nil {
 		// The replication loop is the namespace's only mutator (writes are
-		// 403 until promotion), so the checkpoint cadence runs here exactly
+		// 403 until promotion), so the checkpoint rule runs here exactly
 		// as it runs in the dispatcher loop on a leader.
 		ns.store.maybeCheckpoint()
 	}

@@ -45,10 +45,10 @@ func applyDecodedMut(m *oracleModel, mut memcloud.Mutation) {
 // byte may surface as state; no committed record may vanish.
 func TestGroupCommitCrashRecoveryEveryByte(t *testing.T) {
 	liveDir := t.TempDir()
+	server.SetCheckpointBytes(t, server.NoCheckpoints)
 	cfg := server.Config{
-		DataDir:         liveDir,
-		JournalAlign:    512, // keep the padded file (and the cut count) small
-		CheckpointEvery: 1 << 20,
+		DataDir:      liveDir,
+		JournalAlign: 512, // keep the padded file (and the cut count) small
 	}
 	svc, err := server.NewMulti(cfg)
 	if err != nil {
@@ -210,10 +210,8 @@ func TestGroupCommitCrashRecoveryEveryByte(t *testing.T) {
 // an unsynced tail.
 func TestGroupCommitSharedFsync(t *testing.T) {
 	dir := t.TempDir()
-	cfg := server.Config{
-		DataDir:         dir,
-		CheckpointEvery: 1 << 20,
-	}
+	server.SetCheckpointBytes(t, server.NoCheckpoints)
+	cfg := server.Config{DataDir: dir}
 	svc, err := server.NewMulti(cfg)
 	if err != nil {
 		t.Fatal(err)

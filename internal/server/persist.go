@@ -31,9 +31,15 @@ import (
 // fsync (appendBatch). Recovery re-creates each manifest namespace (from its
 // checkpoint when one exists, else by rebuilding its spec), replays the
 // journal records past the checkpoint's sequence number, and truncates any
-// torn tail a mid-append crash left behind. Periodic checkpoints
-// (Config.CheckpointEvery journaled batches) snapshot the cluster and reset
-// the journal so replay stays bounded.
+// torn tail a mid-append crash left behind. A checkpoint snapshots the
+// cluster and resets the journal once the journal has grown as large as the
+// checkpoint (maybeCheckpoint): a checkpoint costs no more bytes than the
+// journal it retires (plus what the graph grew by since its size was
+// measured), and replay reads about one checkpoint's worth of journal at
+// most. A namespace built from a graph file checkpoints after its first
+// record instead (firstDue), so recovery never re-reads a file that may have
+// changed. A journal that long is tailed through a sparse index of record
+// offsets (tailOffset), so a follower's poll reads what it ships.
 
 const (
 	manifestName   = "manifest.json"
@@ -41,8 +47,9 @@ const (
 	checkpointName = "checkpoint.bin"
 	journalName    = "journal.wal"
 
-	ckptMagic   = "STWC"
-	ckptVersion = 1
+	ckptMagic      = "STWC"
+	ckptVersion    = 1
+	ckptHeaderSize = 24 // magic, version, seq, epoch
 )
 
 // manifestFile is the on-disk namespace ledger. Specs are stored in the
@@ -267,21 +274,67 @@ func (d *dataStore) cleanOrphans() error {
 
 // --- per-namespace storage -------------------------------------------------
 
+// checkpointSize is the size of the checkpoint file a namespace would write
+// for cluster c now. nsStorage measures it once, when it opens; after a
+// checkpoint it takes the size of the file it wrote.
+func checkpointSize(c *memcloud.Cluster) int64 { return ckptHeaderSize + c.SnapshotBytes() }
+
+// ruleBytes is the checkpoint size the checkpoint rule works with, given
+// the measured or written size n: n itself. Tests replace it
+// (export_test.go) to place checkpoints at chosen journal sizes.
+var ruleBytes = func(n int64) int64 { return n }
+
+// firstDue is the journal size at which a namespace that just opened with
+// a checkpoint of ckptBytes writes its next one. A namespace built from a
+// graph file (file: or text: spec) with no checkpoint yet would be rebuilt
+// by reading that file again, which may have changed or gone since, and its
+// journal replayed onto it by vertex id; so it checkpoints as soon as its
+// journal holds a record, and from then on its history never depends on
+// the file. An rmat spec rebuilds the same graph from its seed every time.
+func firstDue(spec NamespaceSpec, hasCheckpoint bool, ckptBytes int64) int64 {
+	if !hasCheckpoint && (spec.Source == "file" || spec.Source == "text") {
+		return 0
+	}
+	return ckptBytes
+}
+
+// tailIndexStride is the journal distance between two entries of
+// nsStorage.tailIndex: a wal tail reads at most this much journal in front
+// of its cursor's record.
+const tailIndexStride = 64 << 10
+
+// recordStart is where one journal record's frame begins in the file.
+type recordStart struct {
+	seq uint64
+	off int64
+}
+
 // nsStorage is one namespace's durable state: its journal writer plus the
 // checkpoint bookkeeping. The update dispatcher is its only writer; stats
 // snapshots may run concurrently, hence the mutex on the counters.
 type nsStorage struct {
 	dir   string
 	fsync bool
-	every int // journaled batches between checkpoints
 
 	w       *journal.Writer
 	cluster *memcloud.Cluster
+	// ckptBytes is the checkpoint's size as the rule sees it (ruleBytes):
+	// measured when the storage opened, then the size of the last file
+	// written. dueAt is the journal size at which the next checkpoint runs:
+	// ckptBytes (0 for a file-built namespace with no checkpoint yet, see
+	// firstDue), or ckptBytes past the journal size at a failed attempt.
+	// Only the namespace's one mutator (the dispatcher, or a follower's
+	// replication loop) reads or writes them.
+	ckptBytes, dueAt int64
 
-	mu        sync.Mutex
-	info      JournalInfo
-	sinceCkpt int
-	closed    bool
+	mu     sync.Mutex
+	info   JournalInfo
+	closed bool
+	// tailIndex holds the start of the journal's first record and of one
+	// record per tailIndexStride bytes after it, in file order, so a wal
+	// tail reads from just before its cursor (tailOffset) instead of from
+	// the start of a journal that may be as large as the graph.
+	tailIndex []recordStart
 	// change is closed (and replaced) on every append, waking wal long-poll
 	// waiters; lazily created by appendWait so namespaces nobody tails pay
 	// nothing.
@@ -314,7 +367,7 @@ var errJournalFailed = errors.New("journal failed; namespace is read-only until 
 // returned mark lets the caller roll the record back itself when the batch
 // fails AFTER journaling (an ApplyBatch panic).
 func (st *nsStorage) appendBatch(muts []memcloud.Mutation) (journal.Mark, error) {
-	mark := st.w.Mark()
+	mark, start := st.w.Mark(), st.w.Size()
 	body, err := journal.EncodeBatch(muts)
 	if err != nil {
 		return mark, err
@@ -348,10 +401,32 @@ func (st *nsStorage) appendBatch(muts []memcloud.Mutation) (journal.Mark, error)
 	st.info.Bytes += uint64(len(body)) + journal.FrameOverhead
 	st.info.LastSeq = seq
 	st.info.SizeBytes = st.w.Size()
-	st.sinceCkpt++
+	st.indexLocked(seq, start)
 	st.notifyLocked()
 	st.mu.Unlock()
 	return mark, nil
+}
+
+// indexLocked notes that record seq starts at byte off, if it is the
+// journal's first record or tailIndexStride past the last one noted.
+// Caller holds st.mu.
+func (st *nsStorage) indexLocked(seq uint64, off int64) {
+	if n := len(st.tailIndex); n == 0 || off-st.tailIndex[n-1].off >= tailIndexStride {
+		st.tailIndex = append(st.tailIndex, recordStart{seq, off})
+	}
+}
+
+// tailOffset returns where a read of the records past after can start in
+// the journal file: the start of the last indexed record at or before
+// record after+1 (0 when there is none).
+func (st *nsStorage) tailOffset(after uint64) int64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	i := sort.Search(len(st.tailIndex), func(i int) bool { return st.tailIndex[i].seq > after+1 })
+	if i == 0 {
+		return 0
+	}
+	return st.tailIndex[i-1].off
 }
 
 // notifyLocked wakes every appendWait waiter. Caller holds st.mu.
@@ -409,6 +484,9 @@ func (st *nsStorage) rollback(mark journal.Mark) {
 	}
 	st.mu.Lock()
 	st.info.SizeBytes = st.w.Size()
+	for len(st.tailIndex) > 0 && st.tailIndex[len(st.tailIndex)-1].off >= st.info.SizeBytes {
+		st.tailIndex = st.tailIndex[:len(st.tailIndex)-1]
+	}
 	st.mu.Unlock()
 }
 
@@ -427,24 +505,26 @@ func (st *nsStorage) discardAppended(mark journal.Mark) {
 	st.rollback(mark)
 }
 
-// maybeCheckpoint runs a checkpoint when enough batches have been journaled
-// since the last one. Called from the dispatcher loop between batches, so
-// the snapshot is exact: no mutation can land between the last journal
-// record and the snapshot. A failure is recorded and the cadence counter
-// reset — the next attempt waits another CheckpointEvery batches instead of
-// hammering a full-cluster snapshot onto an already-struggling disk after
-// every single batch; the journal keeps every record until one succeeds.
+// maybeCheckpoint runs a checkpoint once the journal has grown as large as
+// the checkpoint would be (dueAt), so the checkpoint costs no more bytes than
+// the journal it retires; an empty journal is never checkpointed. Called
+// from the dispatcher loop between batches, so the snapshot is exact: no
+// mutation can land between the last journal record and the snapshot. A
+// failure is recorded and the next attempt waits for another checkpoint's
+// worth of journal, instead of hammering a full-cluster snapshot onto an
+// already-struggling disk after every single batch; the journal keeps every
+// record until one succeeds.
 func (st *nsStorage) maybeCheckpoint() {
 	st.mu.Lock()
-	due := st.sinceCkpt >= st.every && !st.closed
+	closed := st.closed
 	st.mu.Unlock()
-	if !due {
+	if closed || st.w.Size() == 0 || st.w.Size() < st.dueAt {
 		return
 	}
 	if err := st.checkpoint(); err != nil {
+		st.dueAt = st.w.Size() + st.ckptBytes
 		st.mu.Lock()
 		st.info.CheckpointErrors++
-		st.sinceCkpt = 0
 		st.mu.Unlock()
 	}
 }
@@ -458,7 +538,8 @@ func (st *nsStorage) maybeCheckpoint() {
 func (st *nsStorage) checkpoint() error {
 	seq := st.w.NextSeq() - 1
 	epoch := st.cluster.Epoch()
-	if err := writeCheckpoint(filepath.Join(st.dir, checkpointName), st.cluster, seq, epoch); err != nil {
+	n, err := writeCheckpoint(filepath.Join(st.dir, checkpointName), st.cluster, seq, epoch)
+	if err != nil {
 		return err
 	}
 	st.mu.Lock()
@@ -470,11 +551,13 @@ func (st *nsStorage) checkpoint() error {
 	if err := st.w.Reset(); err != nil {
 		return err
 	}
+	st.ckptBytes = ruleBytes(n)
+	st.dueAt = st.ckptBytes
 	st.mu.Lock()
-	st.sinceCkpt = 0
 	st.info.Checkpoints++
 	st.info.CheckpointSeq = seq
 	st.info.SizeBytes = 0
+	st.tailIndex = st.tailIndex[:0]
 	st.mu.Unlock()
 	return nil
 }
@@ -514,7 +597,7 @@ func (st *nsStorage) close() {
 // snapshot-bootstrap wire format of GET /v1/ns/{name}/snapshot, so a follower
 // can save the response body as its checkpoint file verbatim.
 func writeCheckpointTo(w io.Writer, c *memcloud.Cluster, seq, epoch uint64) error {
-	var hdr [24]byte
+	var hdr [ckptHeaderSize]byte
 	copy(hdr[:4], ckptMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], ckptVersion)
 	binary.LittleEndian.PutUint64(hdr[8:16], seq)
@@ -525,31 +608,37 @@ func writeCheckpointTo(w io.Writer, c *memcloud.Cluster, seq, epoch uint64) erro
 	return c.WriteSnapshot(w)
 }
 
-// writeCheckpoint publishes the snapshot atomically:
+// writeCheckpoint publishes the snapshot atomically and returns the size of
+// the file:
 //
 //	"STWC" | u32 version | u64 seq | u64 epoch | graph binary (STWG...)
-func writeCheckpoint(path string, c *memcloud.Cluster, seq, epoch uint64) error {
+func writeCheckpoint(path string, c *memcloud.Cluster, seq, epoch uint64) (int64, error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".ckpt-*")
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer os.Remove(tmp.Name())
 	if err := writeCheckpointTo(tmp, c, seq, epoch); err != nil {
 		tmp.Close()
-		return err
+		return 0, err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return err
+		return 0, err
+	}
+	fi, err := tmp.Stat()
+	if err != nil {
+		tmp.Close()
+		return 0, err
 	}
 	if err := tmp.Close(); err != nil {
-		return err
+		return 0, err
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
+		return 0, err
 	}
-	return syncDir(dir)
+	return fi.Size(), syncDir(dir)
 }
 
 // readCheckpointFrom streams a checkpoint (file or snapshot response body)
@@ -557,7 +646,7 @@ func writeCheckpoint(path string, c *memcloud.Cluster, seq, epoch uint64) error 
 // built first, so a restore holds one copy of the graph. It returns the
 // cluster and the checkpoint's sequence number.
 func readCheckpointFrom(r io.Reader, what string, machines int) (*memcloud.Cluster, uint64, error) {
-	var hdr [24]byte
+	var hdr [ckptHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, 0, fmt.Errorf("server: checkpoint header: %w", err)
 	}
@@ -733,12 +822,22 @@ func recoverEngineRetry(spec NamespaceSpec, dir string, cfg Config, depth int) (
 	info.LastSeq = lastSeq
 	info.SizeBytes = w.Size()
 	st := &nsStorage{
-		dir:     dir,
-		fsync:   !cfg.JournalNoSync,
-		every:   cfg.CheckpointEvery,
-		w:       w,
-		cluster: eng.Cluster(),
-		info:    info,
+		dir:       dir,
+		fsync:     !cfg.JournalNoSync,
+		w:         w,
+		cluster:   eng.Cluster(),
+		ckptBytes: ruleBytes(checkpointSize(eng.Cluster())),
+		info:      info,
+	}
+	st.dueAt = firstDue(spec, cluster != nil, st.ckptBytes)
+	if w.Size() > 0 {
+		for i, r := range recs {
+			start := int64(0)
+			if i > 0 {
+				start = recs[i-1].End
+			}
+			st.indexLocked(r.Seq, start)
+		}
 	}
 	return eng, st, nil
 }
@@ -770,11 +869,13 @@ func (d *dataStore) newNamespaceStorage(spec NamespaceSpec, cluster *memcloud.Cl
 		w.Close()
 		return nil, err
 	}
+	ckptBytes := ruleBytes(checkpointSize(cluster))
 	return &nsStorage{
-		dir:     dir,
-		fsync:   !d.cfg.JournalNoSync,
-		every:   d.cfg.CheckpointEvery,
-		w:       w,
-		cluster: cluster,
+		dir:       dir,
+		fsync:     !d.cfg.JournalNoSync,
+		w:         w,
+		cluster:   cluster,
+		ckptBytes: ckptBytes,
+		dueAt:     firstDue(spec, false, ckptBytes),
 	}, nil
 }

@@ -4,11 +4,14 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"stwig/internal/baseline"
@@ -311,6 +314,209 @@ func TestRecoverySkipsRecordsAtOrBelowCheckpointSeq(t *testing.T) {
 	if got := recSt.journalStats().LastSeq; got != batches+1 {
 		t.Fatalf("post-recovery append got seq %d, want %d", got, batches+1)
 	}
+}
+
+// appendTo journals one add_node record sized so the journal ends exactly at
+// size bytes. The cluster is left as it is, so its checkpoint size does not
+// move: these records only feed the checkpoint rule.
+func appendTo(t *testing.T, st *nsStorage, size int64) {
+	t.Helper()
+	const fixed = journal.FrameOverhead + 5 + 1 + 4 // frame, batch header, op, label length
+	n := size - st.w.Size() - fixed
+	if n < 0 {
+		t.Fatalf("journal at %d bytes cannot end at %d with one record", st.w.Size(), size)
+	}
+	if _, err := st.appendBatch([]memcloud.Mutation{{Op: memcloud.MutAddNode, Label: strings.Repeat("x", int(n))}}); err != nil {
+		t.Fatal(err)
+	}
+	if st.w.Size() != size {
+		t.Fatalf("journal at %d bytes, want %d", st.w.Size(), size)
+	}
+}
+
+// TestMaybeCheckpointWhenJournalReachesCheckpoint pins the checkpoint rule:
+// a checkpoint is due exactly when the journal is at least as large as the
+// checkpoint file would be, which is what the file then measures; a failed
+// attempt waits for another checkpoint's worth of journal; a closed
+// namespace, or an empty journal, writes none.
+func TestMaybeCheckpointWhenJournalReachesCheckpoint(t *testing.T) {
+	open := func(t *testing.T) (*nsStorage, int64) {
+		spec := NamespaceSpec{Name: "due", Source: "rmat", Scale: 4, Degree: 3, Labels: 2, Seed: 5, Machines: 2}
+		_, st, err := recoverEngine(spec, t.TempDir(), Config{}.normalize())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(st.close)
+		return st, checkpointSize(st.cluster)
+	}
+	for _, tc := range []struct {
+		name    string
+		journal int64 // relative to the checkpoint size
+		close   bool
+		due     bool
+	}{
+		{name: "one byte short", journal: -1},
+		{name: "as large", journal: 0, due: true},
+		{name: "larger", journal: 1, due: true},
+		{name: "closed", journal: 0, close: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, size := open(t)
+			if st.dueAt != size {
+				t.Fatalf("opened with a checkpoint due at %d journal bytes, the checkpoint is %d", st.dueAt, size)
+			}
+			appendTo(t, st, size+tc.journal)
+			if tc.close {
+				st.close()
+			}
+			st.maybeCheckpoint()
+			info := st.journalStats()
+			if got := info.Checkpoints == 1; got != tc.due || info.CheckpointErrors != 0 {
+				t.Fatalf("journal of %d bytes against a %d-byte checkpoint: %d checkpoints, %d errors; due %v",
+					size+tc.journal, size, info.Checkpoints, info.CheckpointErrors, tc.due)
+			}
+			fi, err := os.Stat(filepath.Join(st.dir, checkpointName))
+			switch {
+			case !tc.due && !os.IsNotExist(err):
+				t.Fatalf("no checkpoint was due, yet the file is there (err %v)", err)
+			case tc.due && (err != nil || fi.Size() != size):
+				t.Fatalf("checkpoint file: %v, err %v; want %d bytes", fi, err, size)
+			case tc.due && (st.w.Size() != 0 || st.dueAt != size):
+				t.Fatalf("after the checkpoint: journal %d bytes, next due at %d; want 0 and %d", st.w.Size(), st.dueAt, size)
+			}
+		})
+	}
+
+	t.Run("empty journal", func(t *testing.T) {
+		// A file-built namespace opens due at 0 (firstDue); a window that
+		// journaled nothing (its gate wait timed out) must not checkpoint.
+		st, _ := open(t)
+		st.dueAt = 0
+		st.maybeCheckpoint()
+		if info := st.journalStats(); info.Checkpoints != 0 || info.CheckpointErrors != 0 {
+			t.Fatalf("empty journal: %d checkpoints, %d errors; want none", info.Checkpoints, info.CheckpointErrors)
+		}
+	})
+
+	t.Run("failure backs off", func(t *testing.T) {
+		st, size := open(t)
+		dir := st.dir
+		st.dir = filepath.Join(dir, "missing") // the checkpoint's temp file cannot be created
+		appendTo(t, st, size)
+		st.maybeCheckpoint()
+		if info := st.journalStats(); info.Checkpoints != 0 || info.CheckpointErrors != 1 || st.dueAt != 2*size {
+			t.Fatalf("failed attempt: %d checkpoints, %d errors, next due at %d; want 0, 1, %d", info.Checkpoints, info.CheckpointErrors, st.dueAt, 2*size)
+		}
+		st.dir = dir
+		appendTo(t, st, 2*size-100)
+		st.maybeCheckpoint()
+		if info := st.journalStats(); info.Checkpoints != 0 || info.CheckpointErrors != 1 {
+			t.Fatalf("retried before another checkpoint's worth of journal: %d checkpoints, %d errors", info.Checkpoints, info.CheckpointErrors)
+		}
+		appendTo(t, st, 2*size)
+		st.maybeCheckpoint()
+		if info := st.journalStats(); info.Checkpoints != 1 || info.CheckpointErrors != 1 || st.w.Size() != 0 {
+			t.Fatalf("retry: %d checkpoints, %d errors, journal %d bytes; want 1, 1, 0", info.Checkpoints, info.CheckpointErrors, st.w.Size())
+		}
+	})
+}
+
+// TestTailOffsetIndexesTheJournal pins the wal tail's index: from every
+// cursor, a read starting at tailOffset ships exactly what a read of the
+// whole file ships, and starts less than one stride plus one record in front
+// of the cursor's record — live, after a discarded record, rebuilt by
+// recovery (the same entries), and after a checkpoint empties it.
+func TestTailOffsetIndexesTheJournal(t *testing.T) {
+	cfg := Config{JournalNoSync: true}.normalize()
+	spec := NamespaceSpec{Name: "tail", Source: "rmat", Scale: 4, Degree: 3, Labels: 2, Seed: 7, Machines: 2}
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, journalName)
+	_, st, err := recoverEngine(spec, dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	const maxLabel = 6000
+	appendN := func(st *nsStorage, n int) {
+		for i := 0; i < n; i++ {
+			label := strings.Repeat("x", 1+rng.Intn(maxLabel))
+			if _, err := st.appendBatch([]memcloud.Mutation{{Op: memcloud.MutAddNode, Label: label}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(st *nsStorage, what string) {
+		t.Helper()
+		recs, _, err := journal.ScanFile(walPath)
+		if err != nil || len(recs) == 0 {
+			t.Fatalf("%s: %d records, err %v", what, len(recs), err)
+		}
+		for i, r := range recs {
+			from := r.Seq - 1
+			start := int64(0)
+			if i > 0 {
+				start = recs[i-1].End
+			}
+			off := st.tailOffset(from)
+			if off > start || start-off >= tailIndexStride+maxLabel+64 {
+				t.Fatalf("%s: cursor %d reads from byte %d, its record starts at %d", what, from, off, start)
+			}
+			got, err := journal.TailAfter(walPath, off, from, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := journal.TailAfter(walPath, 0, from, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Frames, want.Frames) || got.FirstSeq != want.FirstSeq || got.LastSeq != want.LastSeq {
+				t.Fatalf("%s: cursor %d from byte %d ships [%d, %d] %d B, the whole file [%d, %d] %d B",
+					what, from, off, got.FirstSeq, got.LastSeq, len(got.Frames), want.FirstSeq, want.LastSeq, len(want.Frames))
+			}
+		}
+	}
+
+	appendN(st, 120)
+	if len(st.tailIndex) < 4 {
+		t.Fatalf("%d index entries over a %d-byte journal", len(st.tailIndex), st.w.Size())
+	}
+	check(st, "live")
+	for {
+		// Discard a record that opened an index entry: the entry goes too.
+		n := len(st.tailIndex)
+		mark, err := st.appendBatch([]memcloud.Mutation{{Op: memcloud.MutAddNode, Label: strings.Repeat("d", maxLabel)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.tailIndex) > n {
+			st.discardAppended(mark)
+			if len(st.tailIndex) != n {
+				t.Fatalf("discarding the record that opened index entry %d left %d entries", n, len(st.tailIndex))
+			}
+			break
+		}
+	}
+	check(st, "after a discarded record")
+	live := slices.Clone(st.tailIndex)
+	st.close()
+
+	_, st, err = recoverEngine(spec, dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.close()
+	if !slices.Equal(st.tailIndex, live) {
+		t.Fatalf("recovery indexed %v, the live journal %v", st.tailIndex, live)
+	}
+	check(st, "recovered")
+	if err := st.checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.tailIndex) != 0 {
+		t.Fatalf("%d index entries after a checkpoint emptied the journal", len(st.tailIndex))
+	}
+	appendN(st, 40)
+	check(st, "after a checkpoint")
 }
 
 // TestDiscardAppendedExcludesRecordFromReplay pins the journal/graph

@@ -345,14 +345,18 @@ func TestCrashRecoveryCommittedPrefix(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryWithCheckpoint reruns the scenario with an aggressive
-// checkpoint cadence, so recovery exercises checkpoint-load + replay of the
+// TestCrashRecoveryWithCheckpoint reruns the scenario with a small
+// checkpoint size, so recovery exercises checkpoint-load + replay of the
 // post-checkpoint suffix, and cuts the post-checkpoint journal.
 func TestCrashRecoveryWithCheckpoint(t *testing.T) {
 	liveDir := t.TempDir()
-	// Cadence 4 over 9 sequential batches: checkpoints after batches 4 and
-	// 8, one journal record (seq 9) left for replay.
-	cfg := server.Config{DataDir: liveDir, CheckpointEvery: 4}
+	// Each sequential update is one record: 28 bytes for an add_node of a
+	// two-letter label, 38 for an add_edge or remove_edge. A 120-byte
+	// checkpoint is due at 122 bytes after batches 1-4 (94 after 1-3), and
+	// at 142 after batches 5-8 (114 after 5-7): checkpoints after batches
+	// 4 and 8, one journal record (seq 9) left for replay.
+	server.SetCheckpointBytes(t, 120)
+	cfg := server.Config{DataDir: liveDir}
 	svc, err := server.NewMulti(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -381,9 +385,9 @@ func TestCrashRecoveryWithCheckpoint(t *testing.T) {
 	}
 	// The checkpoint's covered sequence is whatever precedes the first
 	// surviving journal record; sequential updates journal one batch each,
-	// so with cadence 4 over 9 updates exactly seq 9 must remain.
+	// so with checkpoints after batches 4 and 8 exactly seq 9 must remain.
 	if len(recs) != 1 {
-		t.Fatalf("post-checkpoint journal holds %d records, want 1 (cadence 4 over %d sequential batches)", len(recs), final)
+		t.Fatalf("post-checkpoint journal holds %d records, want 1 (checkpoints after 4 and 8 of %d sequential batches)", len(recs), final)
 	}
 	ckptSeq := int(recs[0].Seq) - 1
 	if ckptSeq != 8 {
@@ -406,7 +410,7 @@ func TestCrashRecoveryWithCheckpoint(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(crashDir, "ns", durName, "journal.wal"), raw[:at], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		svc2, _, c2 := bootPersisted(t, server.Config{DataDir: crashDir, CheckpointEvery: 3})
+		svc2, _, c2 := bootPersisted(t, server.Config{DataDir: crashDir})
 		gModel := models[ckptSeq+k].build()
 		for pat, q := range patterns {
 			requireSetEqual(t, fmt.Sprintf("ckpt cut %d, pattern %s", at, pat),
@@ -760,4 +764,71 @@ func mustSpec(t *testing.T, name, spec string) server.NamespaceSpec {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestFileNamespaceCheckpointsAtFirstUpdate pins the rule for a namespace
+// built from a graph file: its first journaled update is followed by a
+// checkpoint (an rmat namespace waits for a checkpoint's worth of journal),
+// so its history never depends on the file again — a restart with the file
+// deleted recovers the checkpoint plus the journal after it.
+func TestFileNamespaceCheckpointsAtFirstUpdate(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.bin")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.WriteBinary(f, durBase(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := server.Config{DataDir: t.TempDir()}
+	svc, err := server.NewMulti(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.AddNamespaceSpec(mustSpec(t, durName, "file:"+path+",machines=2")); err != nil {
+		t.Fatal(err)
+	}
+	c := client.New(newHTTPServer(t, svc).URL).Namespace(durName)
+	journalOf := func(c *client.Client) *server.JournalInfo {
+		t.Helper()
+		st, err := c.Stats(context.Background())
+		if err != nil || st.Journal == nil {
+			t.Fatalf("stats: %+v, err %v", st, err)
+		}
+		return st.Journal
+	}
+	if j := journalOf(c); j.Checkpoints != 0 {
+		t.Fatalf("%d checkpoints before any update", j.Checkpoints)
+	}
+	model := oracleOf(durBase(t))
+	for i, u := range durMutations() {
+		if _, err := c.Update(context.Background(), u); err != nil {
+			t.Fatalf("mutation %d: %v", i, err)
+		}
+		model.apply(u)
+		// The dispatcher checkpoints after it has answered the window.
+		j := journalOf(c)
+		for deadline := time.Now().Add(10 * time.Second); j.Checkpoints == 0 && time.Now().Before(deadline); j = journalOf(c) {
+			time.Sleep(time.Millisecond)
+		}
+		if j.Checkpoints != 1 || j.CheckpointSeq != 1 {
+			t.Fatalf("after update %d: %d checkpoints, the last at seq %d; want one, at seq 1", i+1, j.Checkpoints, j.CheckpointSeq)
+		}
+	}
+	svc.Close()
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, c2 := bootPersisted(t, cfg)
+	if j := journalOf(c2); j.CheckpointSeq != 1 || j.ReplayedRecords != uint64(len(durMutations())-1) {
+		t.Fatalf("recovered journal = %+v, want checkpoint seq 1 and %d replayed records", j, len(durMutations())-1)
+	}
+	og := model.build()
+	for pattern, q := range durPatterns() {
+		requireSetEqual(t, "recovered "+pattern, serverSet(t, c2, pattern), oracleSet(og, q))
+	}
 }

@@ -274,7 +274,7 @@ func (s *Server) handleMetrics(rq *request) *apiError {
 			func(j *JournalInfo) float64 { return float64(j.LastSeq) })
 		perJournal("stwig_journal_size_bytes", "gauge", "Journal file length.",
 			func(j *JournalInfo) float64 { return float64(j.SizeBytes) })
-		perJournal("stwig_journal_checkpoints_total", "counter", "Completed checkpoint/compaction cycles.",
+		perJournal("stwig_journal_checkpoints_total", "counter", "Completed checkpoints: cluster snapshot written, journal truncated.",
 			func(j *JournalInfo) float64 { return float64(j.Checkpoints) })
 		perJournal("stwig_journal_checkpoint_errors_total", "counter", "Failed checkpoint attempts.",
 			func(j *JournalInfo) float64 { return float64(j.CheckpointErrors) })

@@ -43,6 +43,12 @@ const (
 // maxWALWait caps the wal long-poll window a client may request.
 const maxWALWait = 30 * time.Second
 
+// maxWALTailBytes caps the frames one wal response ships. A journal grows
+// to the size of its checkpoint before it is reset, so a follower that is
+// far behind catches up in polls of this size rather than one response as
+// large as the graph. A variable only so tests can lower it.
+var maxWALTailBytes int64 = 4 << 20
+
 // walHeader stamps a wal or snapshot reply with the leader's positions.
 func walHeader(w http.ResponseWriter, last, ckpt uint64) {
 	w.Header().Set("Content-Type", walContentType)
@@ -62,8 +68,11 @@ func notPersistedError(name string) *apiError {
 // cursor is caught up and wait_ms is positive, the request parks (without
 // holding any lock) until an append lands or the window closes, then
 // answers — possibly with an empty body, which just means "still caught
-// up". The response is one bounded batch, not an infinite stream; the
-// follower loops.
+// up". The response is one bounded batch, not an infinite stream: at most
+// maxWALTailBytes of frames (or the one record past the cursor, when that
+// alone is larger), read from the journal from just before the cursor's
+// record (nsStorage.tailOffset), so a poll costs the bytes it ships however
+// long the journal has grown. The follower loops.
 func (s *Server) handleWALTail(rq *request) *apiError {
 	ns, w, r := rq.ns, rq.w, rq.r
 	q := r.URL.Query()
@@ -101,7 +110,8 @@ func (s *Server) handleWALTail(rq *request) *apiError {
 				fmt.Sprintf("records after seq %d were compacted into the checkpoint at seq %d; bootstrap from /v1/ns/%s/snapshot", from, ckpt, ns.name))
 		}
 		if last > from {
-			tail, err := journal.TailAfter(filepath.Join(ns.store.dir, journalName), from)
+			off := ns.store.tailOffset(from)
+			tail, err := journal.TailAfter(filepath.Join(ns.store.dir, journalName), off, from, maxWALTailBytes)
 			ns.gate.runlock()
 			if err != nil {
 				return errStatus(http.StatusInternalServerError, fmt.Sprintf("reading journal tail: %v", err))

@@ -180,6 +180,59 @@ func TestFollowerReplicatesAndPromotes(t *testing.T) {
 	requireSetEqual(t, "promoted follower (a:qa)-(b:qb)", serverSet(t, cf, "(a:qa)-(b:qb)"), oracleSet(og, q))
 }
 
+// TestFollowerCheckpointsByJournalSize: a follower's journal is
+// checkpointed by the leader's rule, when it has grown as large as the
+// checkpoint, from the follower's own replication loop. The leader here never
+// checkpoints, so every record stays tailable and the follower's checkpoints
+// are its own: with a 120-byte checkpoint the follower's journal of the nine
+// scripted updates is checkpointed after records 4 and 8 (the arithmetic is
+// TestCrashRecoveryWithCheckpoint's), and a follower restarted from its data
+// dir recovers from that checkpoint plus record 9.
+func TestFollowerCheckpointsByJournalSize(t *testing.T) {
+	server.SetCheckpointBytes(t, server.NoCheckpoints)
+	_, cl, leaderURL := bootLeader(t, t.TempDir())
+	server.SetCheckpointBytes(t, 120)
+	dirF := t.TempDir()
+	svcF, cf, _ := bootFollower(t, dirF, leaderURL)
+	awaitReplicated(t, cf, 0)
+	model := oracleOf(durBase(t))
+	for i, u := range durMutations() {
+		if _, err := cl.Update(context.Background(), u); err != nil {
+			t.Fatalf("leader mutation %d: %v", i, err)
+		}
+		model.apply(u)
+	}
+	awaitReplicated(t, cf, leaderSeqOf(t, cl))
+	requireConverged(t, cl, cf, model)
+
+	sl, err := cl.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf, err := cf.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sl.Journal.Checkpoints != 0 {
+		t.Fatalf("leader wrote %d checkpoints, want none", sl.Journal.Checkpoints)
+	}
+	if sf.Journal == nil || sf.Journal.Checkpoints != 2 || sf.Journal.CheckpointSeq != 8 || sf.Journal.CheckpointErrors != 0 {
+		t.Fatalf("follower journal = %+v, want 2 checkpoints, the last covering seq 8", sf.Journal)
+	}
+
+	svcF.Close()
+	_, cf2, _ := bootFollower(t, dirF, leaderURL)
+	awaitReplicated(t, cf2, leaderSeqOf(t, cl))
+	requireConverged(t, cl, cf2, model)
+	sf2, err := cf2.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sf2.Journal.CheckpointSeq != 8 || sf2.Journal.ReplayedRecords != 1 {
+		t.Fatalf("restarted follower journal = %+v, want checkpoint seq 8 and 1 replayed record", sf2.Journal)
+	}
+}
+
 // cutProxy is a TCP proxy that forwards requests to target but severs the
 // server→client stream of the first cuts wal responses after limit bytes —
 // a mid-record connection cut, as seen from the follower.
@@ -419,4 +472,49 @@ func TestWalLongPollCaughtUpCarriesLeaderSeq(t *testing.T) {
 	if got != fmt.Sprint(leaderSeq) {
 		t.Fatalf("caught-up poll %s = %q, want the leader seq %d", server.LeaderSeqHeader, got, leaderSeq)
 	}
+}
+
+// TestFollowerCatchesUpThroughCappedPolls pins the wal response cap: with a
+// cap below one record, a poll ships exactly the record after its cursor,
+// wherever the cursor sits in the journal, and still names the leader's
+// newest sequence; a follower that restarts far behind catches up through
+// one poll per record and converges.
+func TestFollowerCatchesUpThroughCappedPolls(t *testing.T) {
+	server.SetCheckpointBytes(t, server.NoCheckpoints)
+	server.SetWALTailBytes(t, 1)
+	_, cl, leaderURL := bootLeader(t, t.TempDir())
+	dirF := t.TempDir()
+	svcF, cf, _ := bootFollower(t, dirF, leaderURL)
+	awaitReplicated(t, cf, 0)
+	svcF.Close()
+
+	model := oracleOf(durBase(t))
+	for i, u := range durMutations() {
+		if _, err := cl.Update(context.Background(), u); err != nil {
+			t.Fatalf("leader mutation %d: %v", i, err)
+		}
+		model.apply(u)
+	}
+	leaderSeq := leaderSeqOf(t, cl)
+	if leaderSeq < 3 {
+		t.Fatalf("leader journaled %d records; the test needs several", leaderSeq)
+	}
+	for from := uint64(0); from < leaderSeq; from++ {
+		resp, err := http.Get(fmt.Sprintf("%s/v1/ns/%s/wal?from=%d", leaderURL, durName, from))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, rep, err := journal.Scan(resp.Body)
+		resp.Body.Close()
+		if err != nil || rep.Torn || len(recs) != 1 || recs[0].Seq != from+1 {
+			t.Fatalf("poll from %d: %d records (first %+v), torn %v, err %v; want record %d alone", from, len(recs), recs, rep.Torn, err, from+1)
+		}
+		if got := resp.Header.Get(server.LeaderSeqHeader); got != fmt.Sprint(leaderSeq) {
+			t.Fatalf("poll from %d: %s = %q, want %d", from, server.LeaderSeqHeader, got, leaderSeq)
+		}
+	}
+
+	_, cf2, _ := bootFollower(t, dirF, leaderURL)
+	awaitReplicated(t, cf2, leaderSeq)
+	requireConverged(t, cl, cf2, model)
 }

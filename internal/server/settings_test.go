@@ -43,14 +43,14 @@ func samples(b bound) (a, other, garbage string) {
 // thing derived from it: the flag, the environment variable, their
 // precedence, the refusal of garbage, and the -help default and env note.
 func TestSettingsTable(t *testing.T) {
-	if len(configTable) != 20 || len(specTable) != 9 {
-		t.Fatalf("%d settings and %d spec keys, want 20 and 9", len(configTable), len(specTable))
+	if len(configTable) != 19 || len(specTable) != 9 {
+		t.Fatalf("%d settings and %d spec keys, want 19 and 9", len(configTable), len(specTable))
 	}
 	// The variables operators already have in their unit files.
 	wantEnv := strings.Fields(`STWIGD_MAX_INFLIGHT STWIGD_TIMEOUT STWIGD_MAX_TIMEOUT STWIGD_MAX_MATCHES
 		STWIGD_MAX_BYTES STWIGD_MAX_REQUEST_BYTES STWIGD_RETRY_AFTER STWIGD_UPDATE_LOCK_WAIT
 		STWIGD_UPDATE_QUEUE_DEPTH STWIGD_UPDATE_BATCH_MAX STWIGD_NS_ROOT STWIGD_DATA_DIR
-		STWIGD_CHECKPOINT_EVERY STWIGD_JOURNAL_FSYNC STWIGD_JOURNAL_ALIGN STWIGD_FOLLOW STWIGD_SHARD_MAP
+		STWIGD_JOURNAL_FSYNC STWIGD_JOURNAL_ALIGN STWIGD_FOLLOW STWIGD_SHARD_MAP
 		STWIGD_SHARD_ID STWIGD_ADMIN_TOKEN STWIGD_SLOW_QUERY`)
 	var gotEnv []string
 	for i := range configTable {

@@ -298,7 +298,7 @@ func (p *updatePipeline) run() {
 		if p.store != nil {
 			// Between windows the dispatcher is the only mutator, so the
 			// checkpoint snapshot is exactly the state the journal's last
-			// record left — the compaction is loss-free by construction.
+			// record left — truncating the journal loses nothing.
 			p.store.maybeCheckpoint()
 		}
 	}

@@ -75,7 +75,8 @@ func mustStats(t *testing.T, c *client.Client) *server.StatsResponse {
 // succeed and the epoch moves twice.
 func TestWindowAppliesSequentially(t *testing.T) {
 	dir := t.TempDir()
-	svc, c := bootDur(t, server.Config{DataDir: dir, CheckpointEvery: 1 << 20})
+	server.SetCheckpointBytes(t, server.NoCheckpoints)
+	svc, c := bootDur(t, server.Config{DataDir: dir})
 	ctx := context.Background()
 	base := durBase(t)
 	model := oracleOf(base)
@@ -149,7 +150,8 @@ func TestWindowAppliesSequentially(t *testing.T) {
 func TestQueuedUpdatesRideOneWindow(t *testing.T) {
 	const n = 8
 	dir := t.TempDir()
-	svc, err := server.NewMulti(server.Config{DataDir: dir, UpdateLockWait: 30 * time.Second, CheckpointEvery: 1 << 20})
+	server.SetCheckpointBytes(t, server.NoCheckpoints)
+	svc, err := server.NewMulti(server.Config{DataDir: dir, UpdateLockWait: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +239,8 @@ func TestJournalReproducesConcurrentWrites(t *testing.T) {
 func journalReproducesConcurrentWrites(t *testing.T, seed int64) {
 	const writers, rounds = 6, 12
 	dir := t.TempDir()
-	_, c := bootDur(t, server.Config{DataDir: dir, CheckpointEvery: 1 << 20})
+	server.SetCheckpointBytes(t, server.NoCheckpoints)
+	_, c := bootDur(t, server.Config{DataDir: dir})
 	ctx := context.Background()
 	base := durBase(t)
 	nBase := base.NumNodes()

@@ -345,7 +345,8 @@ type ShardInfo struct {
 
 // JournalInfo snapshots one namespace's durability state: the write-ahead
 // journal the dispatcher appends to before every ApplyBatch, and the
-// checkpoint/compaction cycle that keeps replay bounded.
+// checkpoints that keep replay bounded: one whenever the journal has grown
+// as large as the checkpoint.
 type JournalInfo struct {
 	// Enabled is true whenever the namespace journals its updates.
 	Enabled bool `json:"enabled"`
@@ -362,9 +363,10 @@ type JournalInfo struct {
 	// SizeBytes is the journal file's current length.
 	LastSeq   uint64 `json:"last_seq"`
 	SizeBytes int64  `json:"size_bytes"`
-	// Checkpoints counts completed checkpoint/compaction cycles since boot,
-	// CheckpointErrors failed attempts (the journal keeps growing until one
-	// succeeds), and CheckpointSeq the sequence the latest checkpoint covers.
+	// Checkpoints counts completed checkpoints (snapshot written, journal
+	// truncated) since boot, CheckpointErrors failed attempts (the journal
+	// keeps growing until one succeeds), and CheckpointSeq the sequence the
+	// latest checkpoint covers.
 	Checkpoints      uint64 `json:"checkpoints"`
 	CheckpointErrors uint64 `json:"checkpoint_errors,omitempty"`
 	CheckpointSeq    uint64 `json:"checkpoint_seq"`
