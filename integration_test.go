@@ -131,7 +131,7 @@ func TestEndToEndUpdatesAndStreaming(t *testing.T) {
 	}
 }
 
-func TestEndToEndWorkloadQueriesAcrossModes(t *testing.T) {
+func TestEndToEndWorkloadQueries(t *testing.T) {
 	g, err := workload.SynthWordNet(workload.WordNetParams{Nodes: 3000, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -140,8 +140,7 @@ func TestEndToEndWorkloadQueriesAcrossModes(t *testing.T) {
 	if err := c.LoadGraph(g); err != nil {
 		t.Fatal(err)
 	}
-	normal := core.NewEngine(c, core.Options{Seed: 7})
-	simulated := core.NewEngine(c, core.Options{Seed: 7, SimulateParallel: true})
+	eng := core.NewEngine(c, core.Options{Seed: 7})
 
 	rngQueries, err := workload.QuerySet(3, func() (*core.Query, error) {
 		return workload.DFSQuery(g, 5, newRand(7))
@@ -150,19 +149,20 @@ func TestEndToEndWorkloadQueriesAcrossModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range rngQueries {
-		a, err := normal.Match(q)
+		res, err := eng.Match(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := simulated.Match(q)
-		if err != nil {
-			t.Fatal(err)
+		if len(core.MatchSet(res.Matches)) != len(res.Matches) {
+			t.Fatalf("query %d: duplicate matches", i)
 		}
-		if len(core.MatchSet(a.Matches)) != len(core.MatchSet(b.Matches)) {
-			t.Fatalf("query %d: modes disagree (%d vs %d)", i, len(a.Matches), len(b.Matches))
+		for _, m := range res.Matches {
+			if err := core.VerifyMatch(c, q, m); err != nil {
+				t.Fatalf("query %d: %v", i, err)
+			}
 		}
-		if b.Stats.ModeledParallelTime <= 0 {
-			t.Fatal("simulated mode missing modeled time")
+		if res.Stats.ParallelTime <= 0 || res.Stats.MachineTime <= 0 {
+			t.Fatalf("query %d: machine times not filled: %+v", i, res.Stats)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"time"
 
 	"stwig/internal/graph"
 	"stwig/internal/memcloud"
@@ -137,15 +138,27 @@ type runScratch struct {
 }
 
 // machineScratch holds one machine's leaf filters and candidate buffers for
-// the current step, its join state and the traffic it has charged in this
-// run. Only the worker that claimed the machine writes net, so the charges
-// are plain adds; the forEachMachine barrier publishes them to the proxy.
+// the current step, its join state, the traffic it has charged in this run
+// and its time in the current parallel section. Only the worker that
+// claimed the machine writes them, so the charges are plain adds; the
+// forEachMachine barrier publishes them to the proxy.
 type machineScratch struct {
 	leaves []leafFilter
 	cands  [][]graph.NodeID
 	join   joinScratch
 	joiner joiner
 	net    memcloud.NetStats
+	// took is the machine's time in the section; exchange, stamped only by
+	// a traced join, is the part of it spent assembling relations.
+	took, exchange time.Duration
+}
+
+// stop reads the clock once to end the machine's section: its time since
+// start, and the reading that starts its worker's next machine. Only the
+// monotonic clock is read, at about half the cost of time.Now.
+func (ms *machineScratch) stop(start time.Time) time.Time {
+	ms.took = time.Since(start)
+	return start.Add(ms.took)
 }
 
 // newRunScratch sizes a scratch for a cluster of k machines.

@@ -47,20 +47,6 @@ type Options struct {
 	// NoJoinOrderOpt joins each machine's relations in root-id order
 	// instead of reordering them smallest first.
 	NoJoinOrderOpt bool
-
-	// SimulateParallel runs the per-machine phases sequentially, timing
-	// each machine, and reports ExecStats.ModeledParallelTime — the wall
-	// time a real k-machine cluster would take: per phase, the maximum of
-	// the machines' busy times, plus NetModel's transfer time for the
-	// query's traffic. This is the honest way to measure the speed-up
-	// experiments (Figure 9) on hosts without k real cores: goroutine
-	// wall-clock on a time-sliced CPU cannot exhibit parallel speed-up,
-	// only coordination overhead.
-	SimulateParallel bool
-	// NetModel converts traffic counters into modeled transfer time when
-	// SimulateParallel is set; the zero value selects
-	// memcloud.DefaultNetworkModel.
-	NetModel memcloud.NetworkModel
 }
 
 // normalizeOptions fills defaulted fields; NewEngine, NewPlanner, and
@@ -69,9 +55,6 @@ type Options struct {
 func normalizeOptions(opts Options) Options {
 	if opts.BlockSize <= 0 {
 		opts.BlockSize = 256
-	}
-	if opts.SimulateParallel && opts.NetModel == (memcloud.NetworkModel{}) {
-		opts.NetModel = memcloud.DefaultNetworkModel()
 	}
 	return opts
 }
@@ -173,8 +156,8 @@ func (e *Engine) Match(q *Query) (*Result, error) {
 	return e.MatchContext(context.Background(), q)
 }
 
-// MatchContext is Match with cancellation: the query aborts between
-// exploration steps and between join expansions once ctx is done,
+// MatchContext is Match with cancellation: once ctx is done the query
+// aborts within 1024 roots of an exploration step or one join expansion,
 // returning ctx's error.
 func (e *Engine) MatchContext(ctx context.Context, q *Query) (*Result, error) {
 	res := &Result{}

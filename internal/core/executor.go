@@ -60,7 +60,11 @@ type execution struct {
 	plan *Plan
 	emit func([]Match) (int, bool)
 	cut  restriction
-	pt   phaseTimer
+
+	// Folded at each parallel section's barrier (forEachMachine): the sums
+	// of every machine's time, of the sections' walls, and of each
+	// section's longest machine time.
+	machineTime, sectionWalls, sectionMax time.Duration
 
 	// sc is the run's pooled scratch: taken when the run starts, handed
 	// back — holding nothing of this run — when it ends.
@@ -77,8 +81,7 @@ type execution struct {
 
 	// Tracing state, populated only when traced (a trace ID in the context
 	// or in Options.TraceID): twigSpans collects one span per exploration
-	// step; machSpans one per machine during the join, indexed by machine
-	// ID so the concurrent per-machine closures write disjoint slots;
+	// step; machSpans one per machine, filled after the join's barrier;
 	// emitTime accumulates serialized emit time under the join's emitMu.
 	traced    bool
 	twigSpans []Span
@@ -96,33 +99,20 @@ var machineSpanNames = func() (names [memcloud.MaxMachines]string) {
 	return names
 }()
 
-// phaseTimer accumulates modeled times across a query's parallel sections.
-type phaseTimer struct {
-	parallel time.Duration // Σ over phases of max over machines
-	serial   time.Duration // Σ over phases of Σ over machines
-}
-
-// forEachMachine runs fn once per machine: concurrently on at most
-// GOMAXPROCS workers in normal mode (Cluster.ParallelEach), or sequentially
-// with per-machine timing when SimulateParallel is set.
-func (r *execution) forEachMachine(fn func(m *memcloud.Machine)) {
-	cluster := r.ex.cluster
-	if !r.ex.opts.SimulateParallel {
-		cluster.ParallelEach(fn)
-		return
+// forEachMachine runs fn once per machine on Cluster.ParallelEach's
+// workers, and after the barrier folds the times fn recorded
+// (machineScratch.stop) into the run's totals.
+func (r *execution) forEachMachine(fn func(m *memcloud.Machine, start time.Time) time.Time) {
+	sectionStart := time.Now()
+	r.ex.cluster.ParallelEach(fn)
+	r.sectionWalls += time.Since(sectionStart)
+	var longest time.Duration
+	for i := range r.sc.machines {
+		took := r.sc.machines[i].took
+		r.machineTime += took
+		longest = max(longest, took)
 	}
-	var maxD, sumD time.Duration
-	for i := 0; i < cluster.NumMachines(); i++ {
-		start := time.Now()
-		fn(cluster.Machine(i))
-		d := time.Since(start)
-		sumD += d
-		if d > maxD {
-			maxD = d
-		}
-	}
-	r.pt.parallel += maxD
-	r.pt.serial += sumD
+	r.sectionMax += longest
 }
 
 // traffic sums what the run has charged so far: the proxy's own messages
@@ -183,6 +173,8 @@ func (r *execution) run(ctx context.Context) (*ExecStats, error) {
 		Truncated:         truncated,
 		PerMachineMatches: perMachine,
 		EmitFlushes:       r.flushes.Load(),
+		MachineTime:       r.machineTime,
+		ParallelTime:      wall - r.sectionWalls + r.sectionMax,
 	}
 	for t := range plan.Decomposition.Twigs {
 		for k := 0; k < ex.cluster.NumMachines(); k++ {
@@ -191,14 +183,6 @@ func (r *execution) run(ctx context.Context) (*ExecStats, error) {
 	}
 	if r.traced {
 		stats.Spans = r.buildSpans(stats, exploreTime, joinTime, netAfterExplore)
-	}
-	if ex.opts.SimulateParallel {
-		// Modeled cluster wall time: serial proxy sections (wall minus the
-		// sequentialized machine time) + per-phase maxima + network.
-		netTime := ex.opts.NetModel.TransferTime(stats.Net, ex.cluster.NumMachines())
-		stats.ModeledParallelTime = wall - r.pt.serial + r.pt.parallel + netTime
-		stats.ModeledMachineTime = r.pt.serial
-		stats.ModeledNetTime = netTime
 	}
 	return stats, nil
 }
@@ -238,7 +222,8 @@ func (r *execution) buildSpans(stats *ExecStats, exploreTime, joinTime time.Dura
 // matches STwig t in parallel against the current bindings; the proxy then
 // rebuilds the binding sets of the vertices t covers from all machines'
 // matches and broadcasts them before step t+1. Returns perTwig[t][machine]
-// factored matches.
+// factored matches, or ctxErr's error: the machines poll it while they
+// match, so a deadline ends the step it passes in.
 func (r *execution) explore(ctx context.Context) ([][][]STwigMatch, error) {
 	ex := r.ex
 	dec := r.plan.Decomposition
@@ -256,9 +241,6 @@ func (r *execution) explore(ctx context.Context) ([][][]STwigMatch, error) {
 	}
 
 	for t, twig := range dec.Twigs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		var stepStart time.Time
 		var netBefore memcloud.NetStats
 		if r.traced {
@@ -271,13 +253,17 @@ func (r *execution) explore(ctx context.Context) ([][][]STwigMatch, error) {
 		// machine sends its contribution up, and receives the updated sets
 		// — only those this step touched — back down.
 		syncWords := (1 + len(twig.Leaves)) * sc.words
-		r.forEachMachine(func(m *memcloud.Machine) {
+		r.forEachMachine(func(m *memcloud.Machine, start time.Time) time.Time {
 			ms := &sc.machines[m.ID()]
-			perTwig[t][m.ID()] = matchSTwigOnMachine(m, twig, labels, bindings, r.cut, ms)
+			perTwig[t][m.ID()] = matchSTwigOnMachine(ctx, m, twig, labels, bindings, r.cut, ms)
 			if bindings != nil {
 				ex.cluster.AccountProxyTransfer(&ms.net, syncWords)
 			}
+			return ms.stop(start)
 		})
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
+		}
 		if bindings != nil {
 			bindings.rebind(twig, perTwig[t], sc)
 			for i := 0; i < k; i++ {
@@ -298,6 +284,18 @@ func (r *execution) explore(ctx context.Context) ([][][]STwigMatch, error) {
 		}
 	}
 	return perTwig, nil
+}
+
+// ctxErr is ctx.Err(), but reports a past deadline at once: busy workers
+// can delay the runtime's timer, so Done may close 10 ms or more late.
+func ctxErr(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // exchangeAndJoin fetches remote STwig results per the plan's load sets,
@@ -362,34 +360,8 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 		}
 	}
 
-	if r.traced {
-		r.machSpans = make([]Span, k)
-	}
-	r.forEachMachine(func(mach *memcloud.Machine) {
+	r.forEachMachine(func(mach *memcloud.Machine, start time.Time) time.Time {
 		machine := mach.ID()
-
-		// Per-machine tracing: exchangeD is stamped when the relations are
-		// assembled; the deferred record derives blockjoin time as the
-		// remainder and writes this machine's (disjoint) machSpans slot.
-		// perMachineCounts[machine] is complete here because the joiner
-		// delivers every block before the closure returns.
-		var machStart time.Time
-		var exchangeD time.Duration
-		if r.traced {
-			machStart = time.Now()
-			defer func() {
-				total := time.Since(machStart)
-				r.machSpans[machine] = Span{
-					Name:     machineSpanNames[machine],
-					Duration: total,
-					Matches:  int64(perMachineCounts[machine]),
-					Children: []Span{
-						{Name: "exchange", Duration: exchangeD},
-						{Name: "blockjoin", Duration: total - exchangeD},
-					},
-				}
-			}()
-		}
 
 		// Assemble R_k(q_t) = G_k(q_t) ∪ ⋃_{j ∈ F_{k,t}} G_j(q_t).
 		// Matches are aliased, not copied: the exploration results are
@@ -419,7 +391,7 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 		}
 		sortRelationsDeterministic(rels)
 		if r.traced {
-			exchangeD = time.Since(machStart)
+			ms.exchange = time.Since(start)
 		}
 		rels = orderRelations(rels, !ex.opts.NoJoinOrderOpt)
 
@@ -430,6 +402,23 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 		if jn.budgetHit {
 			truncatedFlag.Store(true)
 		}
+		return ms.stop(start)
 	})
+	if r.traced {
+		// A machine's span is the time folded for it, split at exchange.
+		r.machSpans = make([]Span, k)
+		for i := range r.machSpans {
+			ms := &r.sc.machines[i]
+			r.machSpans[i] = Span{
+				Name:     machineSpanNames[i],
+				Duration: ms.took,
+				Matches:  int64(perMachineCounts[i]),
+				Children: []Span{
+					{Name: "exchange", Duration: ms.exchange},
+					{Name: "blockjoin", Duration: ms.took - ms.exchange},
+				},
+			}
+		}
+	}
 	return perMachineCounts, truncatedFlag.Load()
 }

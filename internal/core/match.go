@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"stwig/internal/graph"
 	"stwig/internal/memcloud"
 )
@@ -77,7 +79,11 @@ func (m STwigMatch) words() int {
 // none of ms. Leaf sets and their per-match headers are carved from blocks
 // that double in size, so a step costs O(log matches) allocations and a
 // root that fails costs none.
-func matchSTwigOnMachine(m *memcloud.Machine, t STwig, labels []graph.LabelID, b *Bindings, cut restriction, ms *machineScratch) []STwigMatch {
+//
+// After every abortPollRoots roots it polls ctxErr (a shorter step is left
+// to the caller's check after it): an aborted step stops where it is, and
+// the caller returns the error instead of its matches.
+func matchSTwigOnMachine(ctx context.Context, m *memcloud.Machine, t STwig, labels []graph.LabelID, b *Bindings, cut restriction, ms *machineScratch) []STwigMatch {
 	leaves, cands := ms.fitLeaves(t, labels, cut)
 	batch := m.LabelBatch(&ms.net)
 	var out []STwigMatch
@@ -86,7 +92,10 @@ func matchSTwigOnMachine(m *memcloud.Machine, t STwig, labels []graph.LabelID, b
 	// The index lists its ids in ascending order, so the slice of a
 	// restricted root is found, not filtered: no cell outside it is loaded.
 rootLoop:
-	for _, n := range cut.rangeOf(t.Root).cut(m.LocalIDs(labels[t.Root])) {
+	for r, n := range cut.rangeOf(t.Root).cut(m.LocalIDs(labels[t.Root])) {
+		if r%abortPollRoots == abortPollRoots-1 && ctxErr(ctx) != nil {
+			break // the caller returns the error
+		}
 		if b != nil && !b.Allows(t.Root, n) {
 			continue
 		}
@@ -202,6 +211,9 @@ const (
 	minLeafIDBlock  = 64
 	minLeafSetBlock = 16
 )
+
+// abortPollRoots is how many roots matchSTwigOnMachine takes between polls.
+const abortPollRoots = 1024
 
 // leafFilter is what a neighbour must be to play one leaf of the STwig a
 // machine is matching.

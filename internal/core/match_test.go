@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"slices"
 	"testing"
@@ -44,7 +45,7 @@ func TestMatchSTwigAgainstPaperExample(t *testing.T) {
 
 	var all []STwigMatch
 	for i := 0; i < c.NumMachines(); i++ {
-		all = append(all, matchSTwigOnMachine(c.Machine(i), twig, labels, nil, restriction{ids: wholeIDSpace}, &machineScratch{})...)
+		all = append(all, matchSTwigOnMachine(context.Background(), c.Machine(i), twig, labels, nil, restriction{ids: wholeIDSpace}, &machineScratch{})...)
 	}
 	if len(all) != 2 {
 		t.Fatalf("got %d factored matches, want 2: %v", len(all), all)
@@ -68,7 +69,7 @@ func TestMatchSTwigRootsAreLocal(t *testing.T) {
 	labels := resolve(t, c, q)
 	twig := STwig{Root: 0, Leaves: []int{1}}
 	for i := 0; i < c.NumMachines(); i++ {
-		for _, m := range matchSTwigOnMachine(c.Machine(i), twig, labels, nil, restriction{ids: wholeIDSpace}, &machineScratch{}) {
+		for _, m := range matchSTwigOnMachine(context.Background(), c.Machine(i), twig, labels, nil, restriction{ids: wholeIDSpace}, &machineScratch{}) {
 			if c.Owner(m.Root) != i {
 				t.Fatalf("machine %d emitted non-local root %d", i, m.Root)
 			}
@@ -87,7 +88,7 @@ func TestMatchSTwigRespectsBindings(t *testing.T) {
 
 	var all []STwigMatch
 	for i := 0; i < c.NumMachines(); i++ {
-		all = append(all, matchSTwigOnMachine(c.Machine(i), twig, labels, b, restriction{ids: wholeIDSpace}, &machineScratch{})...)
+		all = append(all, matchSTwigOnMachine(context.Background(), c.Machine(i), twig, labels, b, restriction{ids: wholeIDSpace}, &machineScratch{})...)
 	}
 	if len(all) != 1 || all[0].Root != 1 {
 		t.Fatalf("binding filter on root ignored: %v", all)
@@ -98,7 +99,7 @@ func TestMatchSTwigRespectsBindings(t *testing.T) {
 	b2.SetIDs(1, nil)
 	all = nil
 	for i := 0; i < c.NumMachines(); i++ {
-		all = append(all, matchSTwigOnMachine(c.Machine(i), twig, labels, b2, restriction{ids: wholeIDSpace}, &machineScratch{})...)
+		all = append(all, matchSTwigOnMachine(context.Background(), c.Machine(i), twig, labels, b2, restriction{ids: wholeIDSpace}, &machineScratch{})...)
 	}
 	if len(all) != 0 {
 		t.Fatalf("empty leaf binding produced matches: %v", all)
@@ -116,7 +117,7 @@ func TestMatchSTwigExcludesRootFromLeaves(t *testing.T) {
 	q := MustNewQuery([]string{"x", "x"}, [][2]int{{0, 1}})
 	labels := resolve(t, c, q)
 	twig := STwig{Root: 0, Leaves: []int{1}}
-	ms := matchSTwigOnMachine(c.Machine(0), twig, labels, nil, restriction{ids: wholeIDSpace}, &machineScratch{})
+	ms := matchSTwigOnMachine(context.Background(), c.Machine(0), twig, labels, nil, restriction{ids: wholeIDSpace}, &machineScratch{})
 	if len(ms) != 2 {
 		t.Fatalf("want 2 matches (each vertex as root), got %v", ms)
 	}
@@ -145,7 +146,7 @@ func TestMatchSTwigSharedLeafLabel(t *testing.T) {
 	run := func(b *Bindings) []STwigMatch {
 		var all []STwigMatch
 		for i := 0; i < c.NumMachines(); i++ {
-			all = append(all, matchSTwigOnMachine(c.Machine(i), twig, labels, b, restriction{ids: wholeIDSpace}, &machineScratch{})...)
+			all = append(all, matchSTwigOnMachine(context.Background(), c.Machine(i), twig, labels, b, restriction{ids: wholeIDSpace}, &machineScratch{})...)
 		}
 		return all
 	}
@@ -220,7 +221,7 @@ func TestMatchSTwigChargesOneLabelReadPerNeighbour(t *testing.T) {
 			}
 		}
 		ms := &machineScratch{}
-		matched += len(matchSTwigOnMachine(m, twig, labels, b, cut, ms))
+		matched += len(matchSTwigOnMachine(context.Background(), m, twig, labels, b, cut, ms))
 		if roots == 0 || ms.net != want {
 			t.Fatalf("machine %d, %d roots: step charged %v, want %v", i, roots, ms.net, want)
 		}
@@ -371,7 +372,7 @@ func TestMatchSTwigHubRunsEqualTheScan(t *testing.T) {
 				hubSeen := false
 				for i := 0; i < c.NumMachines(); i++ {
 					m := c.Machine(i)
-					got := matchSTwigOnMachine(m, twig, tw.labels, bs, cu.cut, &machineScratch{})
+					got := matchSTwigOnMachine(context.Background(), m, twig, tw.labels, bs, cu.cut, &machineScratch{})
 					want := scanSTwig(c, m, twig, tw.labels, bs, cu.cut)
 					if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
 						t.Fatalf("%s, %s, bindings %d, machine %d:\n got %v\nwant %v", tw.name, cu.name, bi, i, got, want)

@@ -3,15 +3,16 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"stwig/internal/graph"
-	"stwig/internal/memcloud"
 	"stwig/internal/rmat"
 )
 
@@ -91,50 +92,33 @@ func settledGoroutines() int {
 	return n
 }
 
-// peakGoroutines runs q and returns the largest goroutine count seen from
-// inside the block callback — while the machines are joining — and the
-// number of blocks that sampled it.
-func peakGoroutines(t *testing.T, eng *Engine, q *Query) (peak, blocks int) {
-	t.Helper()
-	_, err := eng.MatchStreamBlocks(context.Background(), q, func(ms []Match) (int, bool) {
-		blocks++
-		peak = max(peak, runtime.NumGoroutine())
-		return len(ms), true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return peak, blocks
-}
-
 // TestRunUsesAtMostOneGoroutinePerCore: a phase runs its machines on
 // min(GOMAXPROCS, machines) workers while the caller waits, so neither the
 // exploration nor the join ever has more goroutines of its own than that —
-// fewer machines than cores, or fewer cores than machines. A fabric latency
-// holds each worker inside its phase, where a sampler polling the goroutine
-// count sees it; the join is also sampled from the block callback, which a
-// worker calls.
+// fewer machines than cores, or fewer cores than machines. A sampler polls
+// the goroutine count. A phase's workers may still be exiting when the next
+// phase starts its own, so the test runs each phase of the run alone and
+// waits for the count to fall back in between. The join holds its workers:
+// the block callback, which a worker calls under the emit lock, samples and
+// then sleeps, so every other worker of the join is alive meanwhile.
+// Exploration is too short to hold: it is repeated, a bounded number of
+// times, until the sampler has seen a worker.
 func TestRunUsesAtMostOneGoroutinePerCore(t *testing.T) {
 	g, q := scale15Graph(), scale15Query()
 	for _, tc := range []struct{ procs, machines int }{{2, 8}, {8, 2}} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d,machines=%d", tc.procs, tc.machines), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
-			c := memcloud.MustNewCluster(memcloud.Config{Machines: tc.machines, RemoteLatency: 200 * time.Microsecond})
-			if err := c.LoadGraph(g); err != nil {
+			eng := NewEngine(clusterFor(t, g, tc.machines), Options{})
+			plan, err := eng.planner.Plan(q)
+			if err != nil {
 				t.Fatal(err)
 			}
-			eng := NewEngine(c, Options{})
 
-			// explorePeak covers the run up to its first block: exploration,
-			// and the start of the join. joinPeak covers the rest.
 			var explorePeak, joinPeak atomic.Int64
-			var joining atomic.Bool
+			var phase atomic.Pointer[atomic.Int64]
+			phase.Store(&explorePeak)
 			sample := func() {
-				peak := &explorePeak
-				if joining.Load() {
-					peak = &joinPeak
-				}
-				n := int64(runtime.NumGoroutine())
+				peak, n := phase.Load(), int64(runtime.NumGoroutine())
 				for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
 				}
 			}
@@ -152,23 +136,36 @@ func TestRunUsesAtMostOneGoroutinePerCore(t *testing.T) {
 				}
 			}()
 			base := settledGoroutines()
+
 			blocks := 0
-			_, err := eng.MatchStreamBlocks(context.Background(), q, func(ms []Match) (int, bool) {
-				joining.Store(true)
-				blocks++
-				sample()
-				return len(ms), true
-			})
+			r := &execution{ex: eng.executor, plan: plan, cut: restriction{ids: wholeIDSpace},
+				emit: func(ms []Match) (int, bool) {
+					sample()
+					if blocks++; blocks <= 16 {
+						time.Sleep(200 * time.Microsecond)
+					}
+					return len(ms), true
+				}}
+			r.sc = eng.executor.scratch.Get().(*runScratch)
+			defer r.sc.forget()
+			var perTwig [][][]STwigMatch
+			explorePeak.Store(0) // what the sampler saw while the count settled
+			const tries = 50
+			for try := 1; perTwig == nil || explorePeak.Load() <= int64(base); try++ {
+				if try > tries {
+					t.Fatalf("the sampler saw no worker during exploration in %d runs (peak %d, %d before the run)", tries, explorePeak.Load(), base)
+				}
+				if perTwig, err = r.explore(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				waitNoExtraGoroutines(t, base)
+			}
+			phase.Store(&joinPeak)
+			r.exchangeAndJoin(context.Background(), perTwig)
 			close(stop)
 			<-stopped
-			if err != nil {
-				t.Fatal(err)
-			}
 			if blocks < 4 {
 				t.Fatalf("%d blocks; the fixture must flush several per machine", blocks)
-			}
-			if explorePeak.Load() <= int64(base) {
-				t.Fatalf("the sampler saw no worker during exploration (peak %d, %d before the run)", explorePeak.Load(), base)
 			}
 			limit := int64(base + min(tc.procs, tc.machines))
 			for _, p := range []struct {
@@ -308,36 +305,37 @@ func TestParallelContextCancelStopsWorkers(t *testing.T) {
 	waitNoExtraGoroutines(t, base)
 }
 
-// TestSimulateParallelStaysSequential: modeled per-machine timing requires
-// strictly sequential phases, so under SimulateParallel the machines take
-// turns on the caller's goroutine — a run starts none of its own — and the
-// results do not change.
-func TestSimulateParallelStaysSequential(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	q, engineFor := scale15Fixture(t, 2)
-	sim := engineFor(Options{SimulateParallel: true})
-	base := runtime.NumGoroutine()
-	if peak, _ := peakGoroutines(t, sim, q); peak > base {
-		t.Fatalf("%d goroutines during a SimulateParallel join, %d before the run", peak, base)
+// TestDeadlineEndsTheExplorationStep: the machines poll the context while
+// they match an STwig, so a deadline that passes in the middle of a long
+// step ends it, and the query returns the deadline's error. The fixture's
+// one step matches a 4-leaf star at each of 100,000 roots of a 1-label
+// graph: ~87 ms of machine time. On a 2-core box a query that checked the
+// context only between steps returned 55–85 ms after its 2 ms deadline
+// was set (~1 s under the race detector). Polling, 120 runs returned in
+// 2.1–4.1 ms (median 2.5 ms), and 10–39 ms under the race detector with
+// another package's race tests sharing the cores, as `go test ./...` runs
+// them. The slack leaves room for that and for a slower runner.
+func TestDeadlineEndsTheExplorationStep(t *testing.T) {
+	const deadline = 2 * time.Millisecond
+	slack := 20 * time.Millisecond
+	if raceEnabled {
+		slack = 200 * time.Millisecond
 	}
-
-	var plain, simulated []Match
-	if _, err := engineFor(Options{}).MatchStream(
-		context.Background(), q, func(m Match) bool { plain = append(plain, m); return true }); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := sim.MatchStream(
-		context.Background(), q, func(m Match) bool { simulated = append(simulated, m); return true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Modeled times are wall-clock measurements, so only their presence is
-	// deterministic.
-	if stats.ModeledParallelTime <= 0 {
-		t.Errorf("modeled time not populated: %v", stats.ModeledParallelTime)
-	}
-	got, want := MatchSet(simulated), MatchSet(plain)
-	if len(got) != len(want) {
-		t.Fatalf("%d distinct matches, want %d", len(got), len(want))
+	g := randomDataGraph(rand.New(rand.NewSource(1)), 100_000, 800_000, []string{"a"})
+	eng := NewEngine(clusterFor(t, g, 2), Options{})
+	q := MustNewQuery([]string{"a", "a", "a", "a", "a"}, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}})
+	for i := 0; i < 3; i++ {
+		runtime.GC() // the graph's build garbage is not the step's to collect
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		start := time.Now()
+		_, err := eng.MatchContext(ctx, q)
+		took := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("run %d: err %v, want the deadline's", i, err)
+		}
+		if took > deadline+slack {
+			t.Errorf("run %d: returned %v after a %v deadline, more than %v late", i, took, deadline, slack)
+		}
 	}
 }

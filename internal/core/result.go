@@ -68,17 +68,15 @@ type ExecStats struct {
 	// so SpanTotal(Spans) is within the run's wall clock.
 	Spans []Span
 
-	// Modeled times, populated only under Options.SimulateParallel:
-
-	// ModeledParallelTime is the wall time a real k-machine cluster would
-	// take: serial proxy sections + per-phase maxima over machines +
-	// modeled network transfer time.
-	ModeledParallelTime time.Duration
-	// ModeledMachineTime is the total machine busy time (the 1-machine
-	// equivalent workload).
-	ModeledMachineTime time.Duration
-	// ModeledNetTime is the network component of ModeledParallelTime.
-	ModeledNetTime time.Duration
+	// A machine's time in a parallel section (an exploration step, the
+	// join) is its worker's wall clock, so it is busy time only while
+	// workers ≤ cores, as by default: ParallelEach caps them at GOMAXPROCS.
+	// A join machine's time includes its waits for the serialized emit.
+	// MachineTime sums every machine's time over the sections.
+	MachineTime time.Duration
+	// ParallelTime is the run's wall time with each section's wall
+	// replaced by its longest machine's time; no network time is in it.
+	ParallelTime time.Duration
 }
 
 // Result is the answer to a subgraph matching query.

@@ -40,12 +40,6 @@ type Config struct {
 	Machines int
 	// Partitioner overrides the default HashPartitioner.
 	Partitioner Partitioner
-	// RemoteLatency, if nonzero, is slept once per charged message to
-	// emulate a network round trip. Off by default; no experiment sets it
-	// (the speed-up experiments model network time with NetworkModel
-	// instead), and its one user is a test that needs machines to stay
-	// busy long enough to be counted.
-	RemoteLatency time.Duration
 }
 
 func (cfg Config) validate() error {
@@ -460,8 +454,10 @@ func (c *Cluster) StringIndexBytes() int64 {
 // waits. A query phase is short: a goroutine per machine would charge it
 // their start-up, stack growth and scheduling, and no more than GOMAXPROCS
 // of them can run at once anyway. Calls for different machines may run
-// concurrently and in any order, and one must never wait for another.
-func (c *Cluster) ParallelEach(fn func(m *Machine)) {
+// concurrently and in any order, and one must never wait for another. A
+// worker reads the clock before its first machine; fn gets the reading its
+// machine starts at and returns the one that ends it.
+func (c *Cluster) ParallelEach(fn func(m *Machine, start time.Time) (end time.Time)) {
 	workers := min(runtime.GOMAXPROCS(0), len(c.machines))
 	var next atomic.Int32
 	var wg sync.WaitGroup
@@ -469,21 +465,18 @@ func (c *Cluster) ParallelEach(fn func(m *Machine)) {
 	for range workers {
 		go func() {
 			defer wg.Done()
+			start := time.Now()
 			for i := int(next.Add(1)) - 1; i < len(c.machines); i = int(next.Add(1)) - 1 {
-				fn(c.machines[i])
+				start = fn(c.machines[i], start)
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// charge books messages messages carrying words payload words in all to net
-// and applies the configured latency once per message.
+// charge books messages messages carrying words payload words in all to net.
 func (c *Cluster) charge(net *NetStats, messages, words int) {
 	net.Add(NetStats{Messages: uint64(messages), Bytes: payloadSize(messages, words)})
-	if c.cfg.RemoteLatency > 0 {
-		time.Sleep(time.Duration(messages) * c.cfg.RemoteLatency)
-	}
 }
 
 // Cell returns the cell of vertex id wherever it lives, and false when id

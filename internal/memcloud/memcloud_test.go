@@ -6,8 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
+	"time"
 
 	"stwig/internal/graph"
 	"stwig/internal/rmat"
@@ -319,10 +319,15 @@ func TestParallelEachRunsAllMachines(t *testing.T) {
 	g := testGraph(t)
 	c := loadedCluster(t, g, 4)
 	seen := make([]bool, 4)
-	var mu sort.IntSlice // abuse: no, use channel instead
-	_ = mu
 	results := make(chan int, 4)
-	c.ParallelEach(func(m *Machine) { results <- m.ID() })
+	before := time.Now()
+	c.ParallelEach(func(m *Machine, start time.Time) time.Time {
+		if start.Before(before) {
+			t.Errorf("machine %d starts at a reading taken before the call", m.ID())
+		}
+		results <- m.ID()
+		return time.Now()
+	})
 	close(results)
 	for id := range results {
 		seen[id] = true

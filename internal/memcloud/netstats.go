@@ -45,11 +45,10 @@ func payloadSize(messages, words int) uint64 {
 }
 
 // NetworkModel converts message/byte counters into modeled transfer time,
-// for simulation runs on hosts without real hardware parallelism (the
-// speed-up experiments use it; see core.Options.SimulateParallel). The
-// defaults approximate the paper's GigE cluster: ~1 Gbit/s effective
-// bandwidth and a small per-message overhead reflecting Trinity's
-// aggressive message batching.
+// which the speed-up experiments (Figure 9) add to a query's
+// ExecStats.ParallelTime. The defaults approximate the paper's GigE
+// cluster: ~1 Gbit/s effective bandwidth and a small per-message overhead
+// reflecting Trinity's aggressive message batching.
 type NetworkModel struct {
 	// LatencyPerMessage is charged once per accounted message.
 	LatencyPerMessage time.Duration
