@@ -124,17 +124,16 @@ func (b *Bindings) Values(v int) []graph.NodeID {
 // runScratch is the reusable memory of one run: for exploration, the
 // binding sets (the only numNodes-sized objects a query touches) and, per
 // machine, the leaf filters and candidate buffers of matchSTwig; for the
-// join, per machine, its relations (joinScratch) and its joiner with the
-// match block, and the one header array flushed blocks are handed out
+// join, per machine, its relations (joinScratch), its joiner with the
+// match block and the header array its flushed blocks are handed out
 // through. The Executor pools these between runs; one run owns a scratch
 // from its start to its end. Within a run the machine goroutines touch
-// disjoint machineScratch entries, the proxy alone takes and returns sets,
-// and matches is written under the join's emit mutex.
+// disjoint machineScratch entries and the proxy alone takes and returns
+// sets.
 type runScratch struct {
 	words    int      // ⌈numNodes/64⌉: the width of every set in free
 	free     []bitset // cleared sets ready for reuse
 	machines []machineScratch
-	matches  []Match // headers over the block being emitted
 }
 
 // machineScratch holds one machine's leaf filters and candidate buffers for
@@ -143,14 +142,15 @@ type runScratch struct {
 // claimed the machine writes them, so the charges are plain adds; the
 // forEachMachine barrier publishes them to the proxy.
 type machineScratch struct {
-	leaves []leafFilter
-	cands  [][]graph.NodeID
-	join   joinScratch
-	joiner joiner
-	net    memcloud.NetStats
-	// took is the machine's time in the section; exchange, stamped only by
-	// a traced join, is the part of it spent assembling relations.
-	took, exchange time.Duration
+	leaves  []leafFilter
+	cands   [][]graph.NodeID
+	join    joinScratch
+	joiner  joiner
+	matches []Match // headers over the block being emitted
+	net     memcloud.NetStats
+	// took is the machine's time in the section; exchange and emitTime,
+	// stamped by a traced join, its parts assembling relations and in emit.
+	took, exchange, emitTime time.Duration
 }
 
 // stop reads the clock once to end the machine's section: its time since
@@ -212,7 +212,6 @@ const maxIdleJoinBytes = 64 << 10
 // also trims the join memory to maxIdleJoinBytes: the joiners' blocks first
 // (a block is the largest single piece), then the machines' relations.
 func (sc *runScratch) forget() {
-	clear(sc.matches[:cap(sc.matches)])
 	held := 0
 	for i := range sc.machines {
 		j := &sc.machines[i].joiner
@@ -223,7 +222,8 @@ func (sc *runScratch) forget() {
 	}
 	for i := range sc.machines {
 		ms := &sc.machines[i]
-		ms.net = memcloud.NetStats{}
+		clear(ms.matches[:cap(ms.matches)])
+		ms.net, ms.emitTime = memcloud.NetStats{}, 0
 		ms.join.release()
 		if held += ms.join.idleBytes(); held > maxIdleJoinBytes {
 			ms.join = joinScratch{}
@@ -232,15 +232,15 @@ func (sc *runScratch) forget() {
 }
 
 // carve slices block — assignments of n ids each, back to back — into
-// matches over the run's one header array. One block is out at a time: the
-// join calls this under its emit mutex.
-func (sc *runScratch) carve(block []graph.NodeID, n int) []Match {
-	ms := sc.matches[:0]
+// matches over the machine's header array. A machine has one block out at
+// a time.
+func (ms *machineScratch) carve(block []graph.NodeID, n int) []Match {
+	out := ms.matches[:0]
 	for at := 0; at < len(block); at += n {
-		ms = append(ms, Match{Assignment: block[at : at+n : at+n]})
+		out = append(out, Match{Assignment: block[at : at+n : at+n]})
 	}
-	sc.matches = ms
-	return ms
+	ms.matches = out
+	return out
 }
 
 // bitset is a fixed-capacity bit vector over dense vertex IDs.

@@ -232,9 +232,9 @@ func TestCrossCheckEngineVsBaselinesUnderUpdates(t *testing.T) {
 				t.Fatal(err)
 			}
 			// BlockSize 8 makes even these 32–64-vertex graphs flush several
-			// blocks per machine, so the machine goroutines meet on the
-			// serialized emit path. CI runs this suite under -race at
-			// GOMAXPROCS 1 and 4.
+			// blocks per machine, so the machines' concurrent emits
+			// interleave. CI runs this suite under -race at GOMAXPROCS 1
+			// and 4.
 			eng := core.NewEngine(cluster, core.Options{Seed: seed, BlockSize: 8})
 			model := modelFromGraph(g)
 			labels := []string{rmat.LabelName(0), rmat.LabelName(1), rmat.LabelName(2)}

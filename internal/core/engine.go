@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -83,8 +84,8 @@ type Engine struct {
 	// matches emitted, cumulative since construction.
 	queries atomic.Uint64
 	matches atomic.Uint64
-	// emitFlushes accumulates each run's ExecStats.EmitFlushes: batched
-	// flushes through the serialized emit path.
+	// emitFlushes accumulates each run's ExecStats.EmitFlushes: the blocks
+	// the machines flushed to emit.
 	emitFlushes atomic.Uint64
 	// netMessages and netBytes accumulate each run's ExecStats.Net.
 	netMessages atomic.Uint64
@@ -160,59 +161,94 @@ func (e *Engine) Match(q *Query) (*Result, error) {
 // aborts within 1024 roots of an exploration step or one join expansion,
 // returning ctx's error.
 func (e *Engine) MatchContext(ctx context.Context, q *Query) (*Result, error) {
-	res := &Result{}
-	var mu sync.Mutex
-	stats, err := e.MatchStream(ctx, q, func(m Match) bool {
-		mu.Lock()
-		res.Matches = append(res.Matches, m)
-		mu.Unlock()
-		return true
+	// Each machine collects its own matches; the answer is their union.
+	perMachine := make([][]Match, e.cluster.NumMachines())
+	_, stats, err := e.matchStream(ctx, q, func(machine int, ms []Match) (int, bool) {
+		perMachine[machine] = appendCopies(perMachine[machine], ms)
+		return len(ms), true
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Stats = *stats
-	return res, nil
+	return &Result{Matches: slices.Concat(perMachine...), Stats: *stats}, nil
 }
 
 // MatchStream answers q incrementally: emit is called once per match, from
 // multiple goroutines but never concurrently; returning false stops the
-// query (Stats.Truncated is set). The pipelined join makes the first
-// matches arrive before the full result set is computed — the property the
-// paper's block-based join exists for. A match handed to emit is the
-// caller's to keep: it is a copy (one array per flushed block) of what the
-// join buffered.
-//
-// MatchStream delegates to the Planner for the proxy phase and to the
-// Executor for everything that touches the cluster; the returned stats
-// report how long planning took (PlanTime).
+// query (Stats.Truncated is set) and emit is not called again. The
+// pipelined join makes the first matches arrive before the full result set
+// is computed — the property the paper's block-based join exists for. A
+// match handed to emit is the caller's to keep: it is a copy (one array per
+// flushed block) of what the join buffered.
 func (e *Engine) MatchStream(ctx context.Context, q *Query, emit func(Match) bool) (*ExecStats, error) {
-	_, stats, err := e.matchStream(ctx, q, emit, nil)
-	return stats, err
+	var copies []Match
+	return e.MatchStreamBlocks(ctx, q, func(ms []Match) (int, bool) {
+		copies = appendCopies(copies[:0], ms)
+		for i, m := range copies {
+			if !emit(m) {
+				return i, false
+			}
+		}
+		return len(ms), true
+	})
 }
 
 // MatchStreamBlocks is MatchStream at block granularity: emitBlock receives
 // each flushed block of matches (never concurrently; never empty; at most
 // min(BlockSize, 1024) of them) and reports how many of them it consumed
 // plus whether to continue; returning false stops the query with
-// Stats.Truncated set. The consumed count lets a partially-delivered final
-// block (a downstream cap cutting mid-block) be accounted exactly.
-// Batch-oriented consumers — the daemon's NDJSON writer, bulk loaders — use
-// it to pay their per-delivery overhead (flushes, syscalls) once per block
-// instead of once per match.
+// Stats.Truncated set, and emitBlock is not called again. The consumed
+// count lets a partially-delivered final block (a downstream cap cutting
+// mid-block) be accounted exactly. Batch consumers — bulk loaders, oracles
+// that count and hash — pay their per-delivery overhead once per block.
 //
 // The block is lent, not given: the slice and every Assignment in it are
 // the join's own buffers, overwritten by the next matches as soon as
 // emitBlock returns. Encode, count or hash in place; copy (the ids, not the
 // Match values) whatever must outlive the callback.
 func (e *Engine) MatchStreamBlocks(ctx context.Context, q *Query, emitBlock func([]Match) (int, bool)) (*ExecStats, error) {
-	_, stats, err := e.matchStream(ctx, q, nil, emitBlock)
+	var mu sync.Mutex // the machines emit concurrently
+	stopped := false
+	_, stats, err := e.matchStream(ctx, q, func(_ int, ms []Match) (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if stopped {
+			return 0, false
+		}
+		n, ok := emitBlock(ms)
+		stopped = !ok
+		return n, ok
+	})
 	return stats, err
 }
 
-// matchStream plans q and runs the plan through whichever emit variant is
-// non-nil, returning the plan with the run's statistics.
-func (e *Engine) matchStream(ctx context.Context, q *Query, emit func(Match) bool, emitBlock func([]Match) (int, bool)) (*Plan, *ExecStats, error) {
+// MatchStreamMachines is MatchStreamBlocks without the lock: each machine
+// hands its blocks, in the order it found them, to emit with its id — one
+// call at a time per machine, concurrently across machines. Their answers
+// are disjoint (§4.2 step 3), so the blocks need no lock between them.
+// Returning false stops every machine, but one already inside emit
+// finishes that call. Blocks are lent.
+func (e *Engine) MatchStreamMachines(ctx context.Context, q *Query, emit func(machine int, ms []Match) (int, bool)) (*ExecStats, error) {
+	_, stats, err := e.matchStream(ctx, q, emit)
+	return stats, err
+}
+
+// appendCopies appends copies of the (non-empty) block ms to dst, all of
+// their assignments in one new array: the block dies when its callback
+// returns, but a per-match caller may keep what it is handed.
+func appendCopies(dst, ms []Match) []Match {
+	kept := make([]graph.NodeID, 0, len(ms)*len(ms[0].Assignment))
+	for _, m := range ms {
+		at := len(kept)
+		kept = append(kept, m.Assignment...)
+		dst = append(dst, Match{Assignment: kept[at:len(kept):len(kept)]})
+	}
+	return dst
+}
+
+// matchStream plans q and runs the plan, counting what emit accepts into
+// MatchesEmitted; it returns the plan with the run's statistics.
+func (e *Engine) matchStream(ctx context.Context, q *Query, emit func(int, []Match) (int, bool)) (*Plan, *ExecStats, error) {
 	traceID := TraceIDFromContext(ctx)
 	if traceID == "" && e.opts.TraceID != "" {
 		// Options.TraceID traces engine-wide; publish it on the context so
@@ -226,45 +262,12 @@ func (e *Engine) matchStream(ctx context.Context, q *Query, emit func(Match) boo
 	}
 
 	e.queries.Add(1)
-	// The callbacks are never invoked concurrently (the Executor serializes
-	// emission), so plain counters are safe; the atomic adds below publish
-	// them.
-	var emitted uint64
-	var counted func([]Match) (int, bool)
-	if emitBlock != nil {
-		counted = func(ms []Match) (int, bool) {
-			n, ok := emitBlock(ms)
-			if n < 0 {
-				n = 0
-			} else if n > len(ms) {
-				n = len(ms)
-			}
-			emitted += uint64(n)
-			return n, ok
-		}
-	} else {
-		// The block dies when this callback returns, but a per-match caller
-		// may keep what it is handed: give it copies, all of one block's in
-		// one array.
-		counted = func(ms []Match) (int, bool) {
-			words := 0
-			for _, m := range ms {
-				words += len(m.Assignment)
-			}
-			kept := make([]graph.NodeID, 0, words)
-			for i, m := range ms {
-				at := len(kept)
-				kept = append(kept, m.Assignment...)
-				emitted++
-				if !emit(Match{Assignment: kept[at:len(kept):len(kept)]}) {
-					return i, false
-				}
-			}
-			return len(ms), true
-		}
-	}
-	stats, err := e.executor.Run(ctx, plan, counted)
-	e.matches.Add(emitted)
+	stats, err := e.executor.Run(ctx, plan, func(machine int, ms []Match) (int, bool) {
+		n, ok := emit(machine, ms)
+		n = min(max(n, 0), len(ms))
+		e.matches.Add(uint64(n))
+		return n, ok
+	})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -34,16 +34,17 @@ func NewExecutor(c *memcloud.Cluster, opts Options) *Executor {
 	return ex
 }
 
-// Run executes plan, delivering matches in blocks: emit is called with
-// each flushed block (from multiple goroutines but never concurrently) and
-// returns how many of the block's matches it accepted plus whether to
-// continue; a false return stops the run and sets Stats.Truncated. A block
-// — the slice and the assignments in it — is the join's buffer and dead
-// once emit returns (see Engine.MatchStreamBlocks). The run produces the
+// Run executes plan, delivering matches in blocks: each machine calls emit
+// with its own id and each block it flushes, concurrently with the other
+// machines but never twice at once for itself (see
+// Engine.MatchStreamMachines). emit returns how many of the block's matches
+// it accepted plus whether to continue; a false return stops the run and
+// sets Stats.Truncated. A block — the slice and the assignments in it — is
+// the machine's buffer and dead once emit returns. The run produces the
 // plan's query's slice of the answer (Query.Sliced). Engine stamps the
 // returned stats with the planning time; Run itself fills everything
 // execution-derived.
-func (ex *Executor) Run(ctx context.Context, plan *Plan, emit func([]Match) (int, bool)) (*ExecStats, error) {
+func (ex *Executor) Run(ctx context.Context, plan *Plan, emit func(machine int, ms []Match) (int, bool)) (*ExecStats, error) {
 	if !plan.Resolvable {
 		return &ExecStats{}, nil
 	}
@@ -58,7 +59,7 @@ func (ex *Executor) Run(ctx context.Context, plan *Plan, emit func([]Match) (int
 type execution struct {
 	ex   *Executor
 	plan *Plan
-	emit func([]Match) (int, bool)
+	emit func(machine int, ms []Match) (int, bool)
 	cut  restriction
 
 	// Folded at each parallel section's barrier (forEachMachine): the sums
@@ -70,7 +71,7 @@ type execution struct {
 	// back — holding nothing of this run — when it ends.
 	sc *runScratch
 
-	// flushes counts blocks delivered through the serialized emit path
+	// flushes counts the blocks the machines delivered through emit
 	// (ExecStats.EmitFlushes).
 	flushes atomic.Uint64
 
@@ -82,7 +83,7 @@ type execution struct {
 	// Tracing state, populated only when traced (a trace ID in the context
 	// or in Options.TraceID): twigSpans collects one span per exploration
 	// step; machSpans one per machine, filled after the join's barrier;
-	// emitTime accumulates serialized emit time under the join's emitMu.
+	// emitTime sums the machines' time inside emit (machineScratch.emitTime).
 	traced    bool
 	twigSpans []Span
 	machSpans []Span
@@ -157,7 +158,7 @@ func (r *execution) run(ctx context.Context) (*ExecStats, error) {
 	joinStart := time.Now()
 	perMachine, truncated := r.exchangeAndJoin(ctx, perTwig)
 	joinTime := time.Since(joinStart)
-	if err := ctx.Err(); err != nil {
+	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 	wall := time.Since(wallStart)
@@ -299,10 +300,9 @@ func ctxErr(ctx context.Context) error {
 }
 
 // exchangeAndJoin fetches remote STwig results per the plan's load sets,
-// then runs the pipelined join on every machine in parallel, emitting
-// matches through the serialized emit callback. Per-machine result sets are
-// disjoint by the head-STwig construction, so the union needs no
-// deduplication.
+// then runs the pipelined join on every machine in parallel, each machine
+// handing its own blocks to emit. Per-machine result sets are disjoint by
+// the head-STwig construction, so the union needs no deduplication.
 func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatch) ([]int, bool) {
 	ex := r.ex
 	q := r.plan.Query
@@ -315,19 +315,14 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 		budget.Store(int64(ex.opts.MatchBudget))
 	}
 
-	// Serialize the user callback across the machines' workers; a false
-	// return (or a done context) stops every joiner.
-	// Joiners deliver whole blocks, so the mutex is taken once per block
-	// rather than once per match. perMachineCounts writes also happen
-	// under it; the forEachMachine barrier publishes them to the reader.
-	var emitMu sync.Mutex
-	var stopAll atomic.Bool
-	var truncatedFlag atomic.Bool
+	// A false return from emit stops every joiner; a machine already inside
+	// emit finishes that call. Each machine writes only its own count, and
+	// the forEachMachine barrier publishes them to the reader.
+	var stopAll, truncatedFlag atomic.Bool
 	perMachineCounts := make([]int, k)
 	emitBlockFor := func(machine int) func([]graph.NodeID, int) bool {
+		ms := &r.sc.machines[machine]
 		return func(block []graph.NodeID, width int) bool {
-			emitMu.Lock()
-			defer emitMu.Unlock()
 			if stopAll.Load() {
 				return false
 			}
@@ -336,9 +331,9 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 			if r.traced {
 				emitStart = time.Now()
 			}
-			n, ok := r.emit(r.sc.carve(block, width))
+			n, ok := r.emit(machine, ms.carve(block, width))
 			if r.traced {
-				r.emitTime += time.Since(emitStart)
+				ms.emitTime += time.Since(emitStart)
 			}
 			perMachineCounts[machine] += n
 			if !ok {
@@ -346,17 +341,6 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 				truncatedFlag.Store(true)
 			}
 			return ok
-		}
-	}
-	aborted := func() bool {
-		if stopAll.Load() {
-			return true
-		}
-		select {
-		case <-ctx.Done():
-			return true
-		default:
-			return false
 		}
 	}
 
@@ -397,7 +381,7 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 
 		jn := &ms.joiner
 		jn.q, jn.rels, jn.budget, jn.blockSize = q, rels, budget, ex.opts.BlockSize
-		jn.abort, jn.emitBlock = aborted, emitBlockFor(machine)
+		jn.ctx, jn.stop, jn.emitBlock = ctx, &stopAll, emitBlockFor(machine)
 		jn.run()
 		if jn.budgetHit {
 			truncatedFlag.Store(true)
@@ -409,6 +393,7 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 		r.machSpans = make([]Span, k)
 		for i := range r.machSpans {
 			ms := &r.sc.machines[i]
+			r.emitTime += ms.emitTime
 			r.machSpans[i] = Span{
 				Name:     machineSpanNames[i],
 				Duration: ms.took,

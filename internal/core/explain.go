@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -44,15 +45,15 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, q *Query) (*AnalyzeResult, 
 		ctx = WithTraceID(ctx, id)
 	}
 	start := time.Now()
-	matches := 0
-	plan, stats, err := e.matchStream(ctx, q, nil, func(ms []Match) (int, bool) {
-		matches += len(ms)
+	var matches atomic.Int64 // the machines emit concurrently
+	plan, stats, err := e.matchStream(ctx, q, func(_ int, ms []Match) (int, bool) {
+		matches.Add(int64(len(ms)))
 		return len(ms), true
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &AnalyzeResult{Plan: plan, Stats: *stats, Matches: matches, Wall: time.Since(start)}, nil
+	return &AnalyzeResult{Plan: plan, Stats: *stats, Matches: int(matches.Load()), Wall: time.Since(start)}, nil
 }
 
 // String renders the plan followed by the executed span tree.

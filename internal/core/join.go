@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"slices"
 	"sync/atomic"
 
@@ -33,14 +34,14 @@ import (
 //     build needs no lock.
 //   - The machine's joiner appends every accepted assignment to one flat id
 //     block that it owns and starts over after each flush. The flush hands
-//     the block to the run's serialized emit path, which slices it into
-//     Match values over the run's one header array (runScratch.carve). A
-//     flushed block — the []Match and every Assignment in it — is therefore
-//     valid only until the emit callback returns; whoever keeps a match
-//     copies it (Engine.MatchStream does, once per block).
+//     the block to the run's emit, which slices it into Match values over
+//     the machine's own header array (machineScratch.carve). A flushed block
+//     — the []Match and every Assignment in it — is therefore valid only
+//     until the emit callback returns; whoever keeps a match copies it
+//     (Engine.MatchStream and Engine.Match do, once per block).
 //
 // All of it is scratch of one run: per machine the relations with their
-// index and match buffers and the joiner, and the one header array, live in
+// index and match buffers, the joiner and the header array live in
 // the runScratch the execution takes from Executor.scratch when it starts and
 // puts back — referencing nothing of the run, and holding at most
 // maxIdleJoinBytes of join memory — when it ends. A warm query whose join
@@ -241,7 +242,7 @@ func orderRelations(rels []*relation, optimize bool) []*relation {
 }
 
 // joiner runs one machine's pipelined multiway join. It owns its assignment
-// and its match block; budget and abort are shared with the other machines'
+// and its match block; budget and stop are shared with the other machines'
 // joiners. A joiner is reused across runs (machineScratch): run keeps the
 // capacity of assignment and block.
 type joiner struct {
@@ -252,9 +253,10 @@ type joiner struct {
 	// to back, n ids each. Returning false stops this joiner. The joiner
 	// overwrites the block with its next matches once emitBlock returns.
 	emitBlock func(block []graph.NodeID, n int) bool
-	// abort, when non-nil, is polled between relation advances so context
-	// cancellation and cross-machine stops propagate into deep expansions.
-	abort func() bool
+	// A run sets stop (shared across machines) and ctx to end it early.
+	stop  *atomic.Bool
+	ctx   context.Context
+	polls int
 
 	assignment []graph.NodeID // current partial assignment; InvalidNode = unbound
 	block      []graph.NodeID // assignments accepted but not yet flushed
@@ -276,7 +278,7 @@ const minMatchBlock = 16
 
 // run consumes the driver relation in blocks, expanding each block through
 // the remaining relations and flushing accepted matches at block boundaries —
-// the serialized emit path is taken once per block, not once per match.
+// emit is called once per block, not once per match.
 func (j *joiner) run() {
 	n := j.q.NumVertices()
 	j.assignment = reuse(j.assignment, n)[:n]
@@ -380,7 +382,7 @@ func (j *joiner) nextRelation(depth int) {
 		j.emitCurrent()
 		return
 	}
-	if j.abort != nil && j.abort() {
+	if j.aborted() {
 		j.stopped = true
 		return
 	}
@@ -421,7 +423,7 @@ func (j *joiner) nextRelation(depth int) {
 // stays per-match (and atomic) so truncation points are identical to
 // unbatched emission.
 func (j *joiner) emitCurrent() {
-	if j.abort != nil && j.abort() {
+	if j.aborted() {
 		j.stopped = true
 		return
 	}
@@ -439,6 +441,22 @@ func (j *joiner) emitCurrent() {
 	j.block = append(j.block, j.assignment...)
 	if len(j.block) >= j.bufCap*n {
 		j.flushBuf()
+	}
+}
+
+// aborted is polled before every relation advance and accepted match. Done
+// closes late while every P is busy, so every abortPoll polls (not every
+// poll: this is the join's hottest path) the clock is read too (ctxErr).
+func (j *joiner) aborted() bool {
+	if j.ctx == nil { // a joiner outside a run
+		return false
+	}
+	select {
+	case <-j.ctx.Done():
+		return true
+	default:
+		j.polls++
+		return j.stop.Load() || j.polls%abortPoll == 0 && ctxErr(j.ctx) != nil
 	}
 }
 

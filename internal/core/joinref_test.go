@@ -170,9 +170,10 @@ func TestJoinLeavesExplorationResultsUntouched(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		matches := 0
-		r := &execution{ex: NewExecutor(c, opts), plan: plan, cut: restriction{ids: wholeIDSpace}, emit: func(ms []Match) (int, bool) {
-			matches += len(ms)
+		// Machines emit concurrently: each counts into its own slot.
+		matches := make([]int, machines)
+		r := &execution{ex: NewExecutor(c, opts), plan: plan, cut: restriction{ids: wholeIDSpace}, emit: func(machine int, ms []Match) (int, bool) {
+			matches[machine] += len(ms)
 			return len(ms), true
 		}}
 		r.sc = newRunScratch(machines)
@@ -191,7 +192,7 @@ func TestJoinLeavesExplorationResultsUntouched(t *testing.T) {
 		}
 		before := digest()
 		r.exchangeAndJoin(context.Background(), perTwig)
-		if matches == 0 {
+		if slices.Max(matches) == 0 {
 			t.Fatalf("%d machines: the fixture query has no matches", machines)
 		}
 		if digest() != before {

@@ -43,7 +43,7 @@ func TestRunFoldsMachineTimes(t *testing.T) {
 			}
 			r := &execution{ex: eng.executor, plan: plan, traced: true,
 				cut:  restriction{vertex: plan.Center, ids: plan.Query.slice},
-				emit: func(ms []Match) (int, bool) { return len(ms), true }}
+				emit: func(_ int, ms []Match) (int, bool) { return len(ms), true }}
 			start = time.Now()
 			s, err := r.run(context.Background())
 			wall = time.Since(start)

@@ -80,7 +80,7 @@ func (m STwigMatch) words() int {
 // that double in size, so a step costs O(log matches) allocations and a
 // root that fails costs none.
 //
-// After every abortPollRoots roots it polls ctxErr (a shorter step is left
+// After every abortPoll roots it polls ctxErr (a shorter step is left
 // to the caller's check after it): an aborted step stops where it is, and
 // the caller returns the error instead of its matches.
 func matchSTwigOnMachine(ctx context.Context, m *memcloud.Machine, t STwig, labels []graph.LabelID, b *Bindings, cut restriction, ms *machineScratch) []STwigMatch {
@@ -93,7 +93,7 @@ func matchSTwigOnMachine(ctx context.Context, m *memcloud.Machine, t STwig, labe
 	// restricted root is found, not filtered: no cell outside it is loaded.
 rootLoop:
 	for r, n := range cut.rangeOf(t.Root).cut(m.LocalIDs(labels[t.Root])) {
-		if r%abortPollRoots == abortPollRoots-1 && ctxErr(ctx) != nil {
+		if r%abortPoll == abortPoll-1 && ctxErr(ctx) != nil {
 			break // the caller returns the error
 		}
 		if b != nil && !b.Allows(t.Root, n) {
@@ -212,8 +212,9 @@ const (
 	minLeafSetBlock = 16
 )
 
-// abortPollRoots is how many roots matchSTwigOnMachine takes between polls.
-const abortPollRoots = 1024
+// abortPoll is how many roots matchSTwigOnMachine, and how many polls a
+// joiner, take between two reads of the deadline (ctxErr).
+const abortPoll = 1024
 
 // leafFilter is what a neighbour must be to play one leaf of the STwig a
 // machine is matching.

@@ -99,8 +99,8 @@ func settledGoroutines() int {
 // the goroutine count. A phase's workers may still be exiting when the next
 // phase starts its own, so the test runs each phase of the run alone and
 // waits for the count to fall back in between. The join holds its workers:
-// the block callback, which a worker calls under the emit lock, samples and
-// then sleeps, so every other worker of the join is alive meanwhile.
+// the block callback, which every worker calls for its own machines,
+// samples and then sleeps, so the join's workers are alive meanwhile.
 // Exploration is too short to hold: it is repeated, a bounded number of
 // times, until the sampler has seen a worker.
 func TestRunUsesAtMostOneGoroutinePerCore(t *testing.T) {
@@ -137,11 +137,11 @@ func TestRunUsesAtMostOneGoroutinePerCore(t *testing.T) {
 			}()
 			base := settledGoroutines()
 
-			blocks := 0
+			var blocks atomic.Int64 // machines emit concurrently
 			r := &execution{ex: eng.executor, plan: plan, cut: restriction{ids: wholeIDSpace},
-				emit: func(ms []Match) (int, bool) {
+				emit: func(_ int, ms []Match) (int, bool) {
 					sample()
-					if blocks++; blocks <= 16 {
+					if blocks.Add(1) <= 16 {
 						time.Sleep(200 * time.Microsecond)
 					}
 					return len(ms), true
@@ -164,8 +164,8 @@ func TestRunUsesAtMostOneGoroutinePerCore(t *testing.T) {
 			r.exchangeAndJoin(context.Background(), perTwig)
 			close(stop)
 			<-stopped
-			if blocks < 4 {
-				t.Fatalf("%d blocks; the fixture must flush several per machine", blocks)
+			if blocks.Load() < 4 {
+				t.Fatalf("%d blocks; the fixture must flush several per machine", blocks.Load())
 			}
 			limit := int64(base + min(tc.procs, tc.machines))
 			for _, p := range []struct {
@@ -333,6 +333,70 @@ func TestDeadlineEndsTheExplorationStep(t *testing.T) {
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("run %d: err %v, want the deadline's", i, err)
+		}
+		if took > deadline+slack {
+			t.Errorf("run %d: returned %v after a %v deadline, more than %v late", i, took, deadline, slack)
+		}
+	}
+}
+
+// lateDone is a context whose Done closes — and whose Err turns non-nil —
+// only a second after its deadline: the runtime's timer firing late while
+// every P runs a worker, made certain instead of likely.
+type lateDone struct {
+	context.Context // the deadline
+	done            <-chan struct{}
+}
+
+func (c lateDone) Done() <-chan struct{} { return c.done }
+
+func (c lateDone) Err() error {
+	select {
+	case <-c.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
+	}
+}
+
+// TestDeadlineEndsTheJoin is the join's twin of
+// TestDeadlineEndsTheExplorationStep. The fixture's 5-vertex path on a
+// dense 1-label graph (500 vertices, ~20,000 edges) explores and builds its
+// join indexes in ~9 ms (~90 ms under the race detector, hence its later
+// deadline), then enumerates for minutes, so the deadline passes inside the
+// join's expansion. Done closes a second late (lateDone): a join that
+// watched only Done ran until then and returned 1.0 s late. Reading the
+// deadline from the clock every abortPollJoin polls, 60 runs returned
+// 0.03–4.6 ms late (median 0.06 ms), and 18 under the race detector
+// 0.17–0.77 ms; the slack leaves room for a loaded runner.
+func TestDeadlineEndsTheJoin(t *testing.T) {
+	deadline, slack := 100*time.Millisecond, 20*time.Millisecond
+	if raceEnabled {
+		deadline, slack = 500*time.Millisecond, 200*time.Millisecond
+	}
+	g := randomDataGraph(rand.New(rand.NewSource(1)), 500, 20_000, []string{"a"})
+	eng := NewEngine(clusterFor(t, g, 2), Options{})
+	q := MustNewQuery([]string{"a", "a", "a", "a", "a"}, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		late, cancelLate := context.WithTimeout(context.Background(), deadline+time.Second)
+		start := time.Now()
+		var first time.Duration // when the first block arrived
+		_, err := eng.MatchStreamBlocks(lateDone{ctx, late.Done()}, q, func(ms []Match) (int, bool) {
+			if first == 0 {
+				first = time.Since(start)
+			}
+			return len(ms), true
+		})
+		took := time.Since(start)
+		cancel()
+		cancelLate()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("run %d: err %v, want the deadline's", i, err)
+		}
+		if first == 0 || first >= deadline {
+			t.Fatalf("run %d: first block after %v; the %v deadline must pass inside the join's expansion", i, first, deadline)
 		}
 		if took > deadline+slack {
 			t.Errorf("run %d: returned %v after a %v deadline, more than %v late", i, took, deadline, slack)

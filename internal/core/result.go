@@ -56,8 +56,8 @@ type ExecStats struct {
 	// is gone (a simulated machine runs on one worker). The field stays
 	// only until stwigbench/trace.go stops reading it.
 	ParallelTasks uint64
-	// EmitFlushes counts batched deliveries through the serialized emit
-	// path; each flush carries a block of matches.
+	// EmitFlushes counts the blocks the machines handed to emit; each
+	// flush carries a block of matches.
 	EmitFlushes uint64
 	// TraceID identifies a traced run (WithTraceID on the context, or
 	// Options.TraceID); empty for untraced runs.
@@ -71,7 +71,8 @@ type ExecStats struct {
 	// A machine's time in a parallel section (an exploration step, the
 	// join) is its worker's wall clock, so it is busy time only while
 	// workers ≤ cores, as by default: ParallelEach caps them at GOMAXPROCS.
-	// A join machine's time includes its waits for the serialized emit.
+	// A join machine's time includes its calls to emit (MatchStreamBlocks'
+	// lock waits too).
 	// MachineTime sums every machine's time over the sections.
 	MachineTime time.Duration
 	// ParallelTime is the run's wall time with each section's wall

@@ -47,9 +47,9 @@ func TraceIDFromContext(ctx context.Context) string {
 
 // Span is one timed phase of a traced query execution. The Executor builds
 // a small tree per run: top-level plan, explore (per-STwig children), and
-// join (per-machine children plus the serialized emit). Top-level spans are
-// sequential, so their durations sum to within the run's wall clock;
-// children of join run concurrently across machines and need not.
+// join (per-machine children plus emit, their summed emit time). Top-level
+// spans are sequential, so their durations sum to within the run's wall
+// clock; children of join run concurrently across machines and need not.
 type Span struct {
 	Name string `json:"name"`
 	// Duration is the span's wall-clock time.

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"stwig/internal/core"
-	"stwig/internal/graph"
 	"stwig/internal/memcloud"
 )
 
@@ -38,7 +37,8 @@ import (
 // request's trace ID in X-Stwig-Trace. A shard encodes a match once; from
 // there it is bytes. A shard's stream is canonical match lines with one
 // terminal record last, so each leg forwards the whole lines of every read
-// straight into the client's stream, under one mutex the legs share, and
+// straight into the client's stream, through one lineHandoff the legs share
+// — the way a local engine's machines hand over their encoded blocks — and
 // looks only at a read's last line: only a leg's terminal record is ever
 // decoded. What that trusts is checked once per leg: the trailer's match
 // count must equal the lines the leg forwarded, or the leg fails. The match
@@ -51,7 +51,8 @@ import (
 // with an error record. Either way any leg failure degrades loudly, as
 // shard_unavailable naming the dead shard, never as a silently partial match
 // set. Updates broadcast to every shard — all replicas must converge — and
-// the owning shard's acknowledgement is the one returned to the client.
+// shard 0's acknowledgement, the same node ids and epoch as every other's,
+// is the one returned to the client.
 
 // coordMaxLine bounds one NDJSON line read off a shard leg (mirrors the Go
 // client's scanner cap); a leg's read buffer grows past blockBufSize only to
@@ -91,8 +92,8 @@ type coordinator struct {
 	s    *Server
 	legs []*shardLeg
 	hc   *http.Client
-	// nsNodes caches each namespace's vertex count (namespace → int64) for
-	// update ownership routing; refreshed lazily from a shard's stats and
+	// nsNodes caches each namespace's vertex count (namespace → int64), the
+	// N a query fan-out pins; refreshed lazily from a shard's stats and
 	// bumped by add_node acknowledgements.
 	nsNodes sync.Map
 	// nsWrite serializes mutating broadcasts per namespace (namespace →
@@ -171,20 +172,17 @@ type legQueryResult struct {
 	err error
 }
 
-// fanout is what one query's legs share: the client's sink, and how the
-// fan-out ended early if it did. mu serializes the legs over both — the
-// shape of the engine's emitMu over machine goroutines — so a block is
-// forwarded whole and nothing is forwarded once the outcome is decided.
+// fanout is what one query's legs share: the hand-off into the client's
+// sink, and the leg that failed, if one did. The hand-off keeps a forwarded
+// block whole and lets nothing through once the outcome is decided: the
+// first leg to fail while the answer was still open shuts it and becomes
+// failed — the response degrades to its error, since a partial merge would
+// be a wrong answer — while a sink that declined more (a global cap
+// tripped) shuts it with the answer complete, and whatever the other legs
+// report after that is not a failure. Either one cancels every leg.
 type fanout struct {
-	mu   sync.Mutex
-	sink *streamWriter
-	// failed is the first leg to fail while the answer was still open: the
-	// response degrades to its error, since a partial merge would be a wrong
-	// answer. full reports the sink declined more (a global cap tripped): the
-	// answer is complete, and whatever the other legs report after that is
-	// not a failure. Either one cancels every leg.
-	failed *legQueryResult
-	full   bool
+	out    lineHandoff
+	failed *legQueryResult // set once, by the failure that shut out
 	cancel context.CancelFunc
 	// handshake releases the legs to forward once each of them has answered
 	// with response headers or failed.
@@ -200,10 +198,12 @@ func (f *fanout) fail(ctx context.Context, res *legQueryResult, err error) {
 	if ctx.Err() != nil && !errors.As(err, &refusal) {
 		err = ctx.Err()
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	res.err = err
-	if f.failed == nil && !f.full {
+	f.out.mu.Lock()
+	open := !f.out.shut && !f.out.sink.closed()
+	f.out.shut = true
+	f.out.mu.Unlock()
+	if open {
 		f.failed = res
 		f.cancel()
 	}
@@ -213,16 +213,10 @@ func (f *fanout) fail(ctx context.Context, res *legQueryResult, err error) {
 // the fan-out is decided — by this block or before it — the leg is told to
 // stop the way its cancelled context would.
 func (f *fanout) forward(res *legQueryResult, block []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.failed != nil || f.full {
-		return context.Canceled
-	}
-	taken, ok := f.sink.writeLines(block)
+	taken, ok := f.out.hand(block)
 	res.matches += taken
 	if !ok {
-		f.full = true
-		f.cancel() // the caps are satisfied; stop the shards' work
+		f.cancel() // the outcome is decided; stop the shards' work
 		return context.Canceled
 	}
 	return nil
@@ -250,7 +244,7 @@ func (c *coordinator) streamMatches(ctx context.Context, rq *request, req QueryR
 
 	legCtx, legCancel := context.WithCancel(ctx)
 	defer legCancel()
-	f := &fanout{sink: sink, cancel: legCancel}
+	f := &fanout{out: lineHandoff{sink: sink}, cancel: legCancel}
 	f.handshake.Add(len(c.legs))
 	results := make([]*legQueryResult, len(c.legs))
 	var wg sync.WaitGroup
@@ -584,31 +578,39 @@ func (c *coordinator) forward(all bool) handler {
 // broadcast relay the real refusal.
 func (c *coordinator) nodeCount(ctx context.Context, r *http.Request, ns string) (int64, *apiError) {
 	// A cached zero is treated as a miss and re-fetched: zero means the
-	// namespace looked empty, and pinning it would route every ownership
-	// decision to shard 0 forever.
+	// namespace looked empty, and pinning it would leave every later
+	// fan-out to the shards' own counts, which differ while an add_node
+	// broadcast is in flight.
 	if v, ok := c.nsNodes.Load(ns); ok {
 		if n := v.(*atomic.Int64).Load(); n > 0 {
 			return n, nil
 		}
 	}
-	leg := c.legs[0]
-	res := c.callLeg(ctx, leg, r, http.MethodGet, leg.url+tenantPath(ns, "/stats"), nil)
+	st, _, e := c.shardStats(ctx, r, ns)
 	if err := ctx.Err(); err != nil {
 		return 0, errContext(err, "") // the request ended, not the shard
 	}
-	if e := firstFailure(res); e != nil {
+	if st == nil {
 		return 0, e
 	}
-	if res.status != http.StatusOK {
-		return 0, nil
+	return st.Graph.Nodes, nil
+}
+
+// shardStats reads shard 0's stats of namespace ns and caches its vertex
+// count. A reply other than 200 comes back in res, with st nil.
+func (c *coordinator) shardStats(ctx context.Context, r *http.Request, ns string) (st *StatsResponse, res legHTTPResult, e *apiError) {
+	leg := c.legs[0]
+	res = c.callLeg(ctx, leg, r, http.MethodGet, leg.url+tenantPath(ns, "/stats"), nil)
+	if e = firstFailure(res); e != nil || res.status != http.StatusOK {
+		return nil, res, e
 	}
-	var st StatsResponse
-	if err := json.Unmarshal(res.body, &st); err != nil {
+	st = &StatsResponse{}
+	if err := json.Unmarshal(res.body, st); err != nil {
 		res.err = fmt.Errorf("bad stats body: %w", err)
-		return 0, firstFailure(res)
+		return nil, res, firstFailure(res)
 	}
 	c.bumpNodeCount(ns, st.Graph.Nodes)
-	return st.Graph.Nodes, nil
+	return st, res, nil
 }
 
 // bumpNodeCount raises the cached vertex count (never lowers it; remove_edge
@@ -628,30 +630,10 @@ func (c *coordinator) bumpNodeCount(ns string, n int64) {
 	}
 }
 
-// ownerShard picks which shard's acknowledgement an update returns: the
-// range owner of the mutation's anchor vertex — U for edge mutations, the
-// newly assigned id for add_node.
-func (c *coordinator) ownerShard(ctx context.Context, r *http.Request, ns string, req UpdateRequest, newNode int64) int {
-	anchor := req.U
-	// Every shard has applied the update by now; an unreadable count only
-	// sends the client shard 0's acknowledgement instead of the owner's.
-	n, _ := c.nodeCount(ctx, r, ns)
-	if req.Op == OpAddNode {
-		anchor = newNode
-		if newNode >= n {
-			n = newNode + 1
-		}
-	}
-	if n < 1 || anchor < 0 {
-		return 0
-	}
-	part := memcloud.RangePartitioner{K: len(c.legs), N: n}
-	return part.Owner(graph.NodeID(anchor))
-}
-
 // applyUpdates is the remote update sink: the batch is broadcast to every
-// shard — all replicas must converge — and the owning shard's reply is the
-// one relayed to the client.
+// shard — all replicas must converge — and shard 0's reply is relayed, since
+// every replica acknowledges the same node ids and epoch (only its wait_us
+// differs).
 func (c *coordinator) applyUpdates(rq *request, reqs []UpdateRequest, _ []memcloud.Mutation, bulk bool) *apiError {
 	name, ctx := rq.namespace, rq.r.Context()
 	// Single writer per namespace (see nsWrite): every shard must apply the
@@ -677,9 +659,8 @@ func (c *coordinator) applyUpdates(rq *request, reqs []UpdateRequest, _ []memclo
 		// snapshot, exactly like a follower bootstrap.)
 		return e
 	}
-	// Keep the node-count cache warm off the batch's add_node results; a
-	// lone add_node is owned by whoever owns the id it was just assigned.
-	var newNode int64 = -1
+	// Keep the node-count cache — the query fan-out's pinned N — warm off
+	// the batch's add_node results.
 	if results[0].status == http.StatusOK {
 		if bulk {
 			var br BulkUpdateResponse
@@ -693,32 +674,24 @@ func (c *coordinator) applyUpdates(rq *request, reqs []UpdateRequest, _ []memclo
 		} else if reqs[0].Op == OpAddNode {
 			var ur UpdateResponse
 			if json.Unmarshal(results[0].body, &ur) == nil {
-				newNode = ur.NodeID
-				c.bumpNodeCount(name, newNode+1)
+				c.bumpNodeCount(name, ur.NodeID+1)
 			}
 		}
 	}
-	return relay(rq, results[c.ownerShard(ctx, rq.r, name, reqs[0], newNode)])
+	return relay(rq, results[0])
 }
 
 // proxyStats serves the cluster view of a namespace: shard 0's stats body
 // (graph, engine, queue — identical shape on every replica) with the
 // coordinator's own cluster block and endpoint counters spliced in.
 func (c *coordinator) proxyStats(rq *request) *apiError {
-	leg := c.legs[0]
-	res := c.callLeg(rq.r.Context(), leg, rq.r, http.MethodGet, leg.url+tenantPath(rq.namespace, "/stats"), nil)
-	if e := firstFailure(res); e != nil {
+	st, res, e := c.shardStats(rq.r.Context(), rq.r, rq.namespace)
+	if e != nil {
 		return e
 	}
-	if res.status != http.StatusOK {
+	if st == nil {
 		return relay(rq, res)
 	}
-	var st StatsResponse
-	if err := json.Unmarshal(res.body, &st); err != nil {
-		res.err = fmt.Errorf("bad stats body: %w", err)
-		return firstFailure(res)
-	}
-	c.bumpNodeCount(st.Namespace, st.Graph.Nodes)
 	st.UptimeSeconds = time.Since(c.s.start).Seconds()
 	st.Draining = c.s.draining.Load()
 	st.Cluster = c.info()

@@ -251,7 +251,7 @@ func TestLegReaderAdversarialChunking(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name+"/reader", func(t *testing.T) {
 			rec := httptest.NewRecorder()
-			f := &fanout{sink: newStreamWriter(&statusWriter{ResponseWriter: rec}, 0, 0), cancel: func() {}}
+			f := &fanout{out: lineHandoff{sink: newStreamWriter(&statusWriter{ResponseWriter: rec}, 0, 0)}, cancel: func() {}}
 			res := &legQueryResult{}
 			err := forwardLeg(f, res, &chunkReader{chunks: append([]string(nil), c.chunks...)})
 			if c.wantErr != "" {
@@ -263,12 +263,12 @@ func TestLegReaderAdversarialChunking(t *testing.T) {
 			if err != nil || res.stats == nil {
 				t.Fatalf("err = %v, leg trailer %v; want a clean leg", err, res.stats)
 			}
-			f.sink.flush() // what the client's terminal record would take along
+			f.out.sink.flush() // what the client's terminal record would take along
 			if got := rec.Body.String(); got != c.want {
 				t.Fatalf("forwarded %d bytes, want %d:\n got %.200q\nwant %.200q", len(got), len(c.want), got, c.want)
 			}
-			if want := strings.Count(c.want, "\n"); res.matches != want || f.sink.matches != want {
-				t.Fatalf("leg counts %d matches, sink %d, want %d", res.matches, f.sink.matches, want)
+			if want := strings.Count(c.want, "\n"); res.matches != want || f.out.sink.matches != want {
+				t.Fatalf("leg counts %d matches, sink %d, want %d", res.matches, f.out.sink.matches, want)
 			}
 		})
 		t.Run(c.name+"/cluster", func(t *testing.T) {

@@ -68,8 +68,8 @@ func (ns *namespace) sliced(q *core.Query, sel *ShardSelector) *core.Query {
 }
 
 // streamMatches is the local match source: the tenant's engine — running the
-// slice of the query the request's selector names, if it has one — its
-// blocks encoded by the sink.
+// slice of the query the request's selector names, if it has one — each of
+// its machines encoding its own blocks and handing the lines to the sink.
 func (ns *namespace) streamMatches(ctx context.Context, rq *request, req QueryRequest, q *core.Query, sink *streamWriter, trailer *StreamStats) *apiError {
 	leave, e := ns.enter(ctx, rq)
 	if e != nil {
@@ -85,7 +85,7 @@ func (ns *namespace) streamMatches(ctx context.Context, rq *request, req QueryRe
 		sink.announce()
 	}
 	start := time.Now()
-	stats, err := ns.eng.MatchStreamBlocks(ctx, q, sink.writeMatches)
+	stats, err := ns.eng.MatchStreamMachines(ctx, q, (&lineHandoff{sink: sink}).encodeBlock)
 	rq.exec = time.Since(start)
 	if stats != nil {
 		rq.spans = stats.Spans

@@ -55,8 +55,8 @@ type request struct {
 	namespace string
 
 	// wait is time spent queued (reader gate, update queue); exec the
-	// engine, dispatcher, or shard fan-out work; emit the serialized match
-	// emission inside exec. Zero when the route has no such phase.
+	// engine, dispatcher, or shard fan-out work; emit the machines' summed
+	// match emission inside exec. Zero when the route has no such phase.
 	wait, exec, emit time.Duration
 	matches          int
 	// spans is the traced execution's phase tree, kept for the slow-query

@@ -38,17 +38,17 @@ func putBlock(b *[]byte) {
 
 // streamWriter is a query response's one match sink, whichever side of the
 // backend seam produces the matches: it owns the deferred 200, the pending
-// buffer, both caps and the terminal record. Matches arrive as engine
-// blocks, which it encodes (writeMatches), or as blocks of lines a shard
-// already encoded, which it forwards untouched (writeLines). The first block
-// goes to the wire at once, so the first matches reach the client as soon as
-// they are found; after it records collect until a write unit is pending, a
-// cap closes the stream, or the terminal record — stats trailer or error —
-// joins them, and each of those is one Write and one Flush. Both caps cut at
-// a record boundary, counting what is pending as well as what was written,
-// the cap-crossing record is delivered, and matches counts what reached the
-// wire. It is not safe for concurrent use: the engine's emit path and the
-// coordinator's fan-out each serialize their writers.
+// buffer, both caps and the terminal record. Matches arrive through a
+// lineHandoff as blocks of canonical match lines (writeLines), encoded by
+// the engine's machines or by a shard. The first block goes to the wire at
+// once, so the first matches reach the client as soon as they are found;
+// after it records collect until a write unit is pending, a cap closes the
+// stream, or the terminal record — stats trailer or error — joins them, and
+// each of those is one Write and one Flush. Both caps cut at a record
+// boundary, counting what is pending as well as what was written, the
+// cap-crossing record is delivered, and matches counts what reached the
+// wire. It is not safe for concurrent use: producers go through the
+// hand-off, and the terminal record follows them.
 type streamWriter struct {
 	// w counts the bytes written, which until the terminal record are all
 	// match payload — what the byte cap bounds.
@@ -152,34 +152,9 @@ func (sw *streamWriter) queue(records int) (int, bool) {
 	return records, !sw.closed()
 }
 
-// writeMatches encodes one engine block. sent is how many records the
-// stream took. The block is the engine's buffer and dies with this call:
-// every record is encoded before it returns. A block too big for what the
-// buffer has left past a write unit is written out as far as it fits, so the
-// buffer does not grow.
-func (sw *streamWriter) writeMatches(ms []core.Match) (sent int, ok bool) {
-	for ok = !sw.closed(); ok && sent < len(ms); {
-		buf, n := sw.pending(), 0
-		for _, m := range ms[sent:] {
-			if len(buf) >= blockBufSize && len(buf)+maxMatchLineLen(len(m.Assignment)) > cap(buf) {
-				break
-			}
-			buf = appendMatchLine(buf, m.Assignment)
-			n++
-			if sw.capped(sw.queued+n, len(buf)) {
-				break
-			}
-		}
-		*sw.buf = buf
-		n, ok = sw.queue(n)
-		sent += n
-	}
-	return sent, ok
-}
-
 // writeLines forwards a block of complete canonical match lines as is,
 // clipped at the line where a cap trips. taken is how many lines the stream
-// took.
+// took. A block of up to one write unit never grows the pooled buffer.
 func (sw *streamWriter) writeLines(block []byte) (taken int, ok bool) {
 	if sw.closed() {
 		return 0, false
@@ -235,4 +210,47 @@ func (sw *streamWriter) writeError(e *apiError, trace string) {
 	if sw.w.status != 0 {
 		sw.finish(Record{Type: RecordError, Error: e.msg, Code: e.code, TraceID: trace})
 	}
+}
+
+// lineHandoff is the one way match lines reach a streamWriter from the
+// producers running concurrently — the engine's machines (encodeBlock) or a
+// coordinator's legs (fanout): the lock keeps a block whole and caps global.
+type lineHandoff struct {
+	mu   sync.Mutex
+	sink *streamWriter
+	shut bool // a coordinator leg failed (fanout.fail): take no more lines
+}
+
+// hand passes one block of whole lines to the sink: how many lines the
+// stream took, and whether it takes more.
+func (h *lineHandoff) hand(block []byte) (int, bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.shut {
+		return 0, false
+	}
+	return h.sink.writeLines(block)
+}
+
+// encodeBlock is a machine's emit (core.Engine.MatchStreamMachines): it
+// encodes the block into a pooled buffer outside the lock and hands it over
+// a write unit at a time, so neither buffer grows, and returns how many
+// matches the stream took.
+func (h *lineHandoff) encodeBlock(_ int, ms []core.Match) (int, bool) {
+	buf := blockPool.Get().(*[]byte)
+	defer putBlock(buf)
+	lines, sent := (*buf)[:0], 0
+	for _, m := range ms {
+		if len(lines) > 0 && len(lines)+maxMatchLineLen(len(m.Assignment)) > blockBufSize {
+			n, ok := h.hand(lines)
+			if sent += n; !ok {
+				return sent, false
+			}
+			lines = lines[:0]
+		}
+		lines = appendMatchLine(lines, m.Assignment)
+	}
+	*buf = lines
+	n, ok := h.hand(lines)
+	return sent + n, ok
 }

@@ -46,7 +46,7 @@ func (w *writeRecorder) Write(p []byte) (int, error) {
 }
 
 // TestStreamWriterCapsCutWhereTheyAlwaysDid drives the sink's two inputs —
-// engine blocks it encodes, and blocks of lines a shard already encoded —
+// engine blocks the hand-off encodes, and blocks of lines a shard encoded —
 // with generated matches, block sizes and caps, and ends each stream with
 // the stats trailer or, every other round, an error record. Both inputs
 // must put exactly the reference's bytes on the wire ahead of the terminal
@@ -96,7 +96,7 @@ func TestStreamWriterCapsCutWhereTheyAlwaysDid(t *testing.T) {
 							block[i].Assignment[j] = graph.NodeID(v)
 						}
 					}
-					n, ok = sw.writeMatches(block)
+					n, ok = (&lineHandoff{sink: sw}).encodeBlock(0, block)
 				} else {
 					var block []byte
 					for _, a := range assignments[lo:hi] {
@@ -189,8 +189,9 @@ func TestStreamWriterBlocksDoNotAllocate(t *testing.T) {
 	}
 	sw := newStreamWriter(&statusWriter{ResponseWriter: &nullWriter{h: http.Header{}}}, 1<<40, 1<<40)
 	defer sw.release()
+	out := &lineHandoff{sink: sw}
 	for name, write := range map[string]func(){
-		"engine block":    func() { sw.writeMatches(block) },
+		"engine block":    func() { out.encodeBlock(0, block) },
 		"forwarded lines": func() { sw.writeLines(lines) },
 	} {
 		write() // takes the buffer, sends the header
