@@ -2,6 +2,8 @@ package memcloud
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"runtime"
 	"slices"
@@ -245,5 +247,81 @@ func TestWriteSnapshotHoldsNoGraphCopy(t *testing.T) {
 		if got := after.TotalAlloc - before.TotalAlloc; got > budget {
 			t.Errorf("scale %d (%d bytes of cells): WriteSnapshot allocated %d bytes, budget %d", scale, c.TotalMemoryBytes(), got, budget)
 		}
+	}
+}
+
+// TestSnapshotStreamsPinned pins the checkpoint format byte for byte: the
+// SHA-256 of WriteSnapshot's stream for a scale-16 R-MAT graph loaded with
+// a lowered label-order bound, so that its hubs are label-ordered, and
+// again after a fixed run of updates in which one cell grows past the bound
+// and another shrinks back to it. A change to the store's layout must not
+// move either digest.
+func TestSnapshotStreamsPinned(t *testing.T) {
+	const bound = 64
+	lowerOrderBound(t, bound)
+	g := rmat.MustGenerate(rmat.Params{Scale: 16, AvgDegree: 8, NumLabels: 16, Seed: 20120827})
+	c := MustNewCluster(Config{Machines: 8})
+	if err := c.LoadGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	digest := func() string {
+		h := sha256.New()
+		if err := c.WriteSnapshot(h); err != nil {
+			t.Fatal(err)
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	ordered := func(v graph.NodeID) bool {
+		cell, _ := c.Cell(v)
+		return cell.LabelOrdered()
+	}
+
+	// up has bound neighbours and gains one; down has bound+1 and loses
+	// one: the lowest IDs of those degrees.
+	up, down := graph.InvalidNode, graph.InvalidNode
+	hubs := 0
+	for v := graph.NodeID(0); v < graph.NodeID(g.NumNodes()); v++ {
+		switch d := g.Degree(v); {
+		case d == bound && up == graph.InvalidNode:
+			up = v
+		case d == bound+1 && down == graph.InvalidNode:
+			down = v
+		}
+		if ordered(v) {
+			hubs++
+		}
+	}
+	if up == graph.InvalidNode || down == graph.InvalidNode || hubs < 10 {
+		t.Fatalf("graph has no vertex of degree %d or %d, or only %d label-ordered cells", bound, bound+1, hubs)
+	}
+	if got, want := digest(), "edbda15250213c733b0c4925892e56c0cc437451d737abed1335b6b025ef5c4e"; got != want {
+		t.Fatalf("loaded: snapshot SHA-256 %s, want %s", got, want)
+	}
+
+	n := graph.NodeID(g.NumNodes())
+	muts := []Mutation{
+		{Op: MutAddNode, Label: "fresh"},
+		{Op: MutAddNode, Label: rmat.LabelName(3)},
+		{Op: MutAddEdge, U: up, V: n},
+		{Op: MutAddEdge, U: n, V: n + 1},
+		{Op: MutAddEdge, U: n + 1, V: down},
+		{Op: MutRemoveEdge, U: down, V: g.Neighbors(down)[0]},
+		{Op: MutRemoveEdge, U: down, V: g.Neighbors(down)[1]},
+	}
+	for v := graph.NodeID(1); v < 200; v += 13 {
+		if v != down {
+			muts = append(muts, Mutation{Op: MutAddEdge, U: v, V: n + 1})
+		}
+	}
+	for i, r := range c.ApplyBatch(muts) {
+		if r.Err != nil {
+			t.Fatalf("mutation %d (%+v): %v", i, muts[i], r.Err)
+		}
+	}
+	if !ordered(up) || ordered(down) {
+		t.Fatalf("after the updates vertex %d is label-ordered %v (want true), vertex %d %v (want false)", up, ordered(up), down, ordered(down))
+	}
+	if got, want := digest(), "6b67292774f8e09b1cbe94c20b870ff93ceba98fc78ed38a7032f92ec410c15f"; got != want {
+		t.Fatalf("updated: snapshot SHA-256 %s, want %s", got, want)
 	}
 }
