@@ -110,7 +110,8 @@ rootLoop:
 		if cell.LabelOrdered() {
 			for i := range leaves {
 				lf := &leaves[i]
-				for _, nb := range labelRun(&batch, cell.Neighbors, lf.label) {
+				for _, w := range labelRun(&batch, cell.Neighbors, lf.label) {
+					nb := graph.NodeID(w)
 					if nb != n && lf.within.contains(nb) && (b == nil || b.Allows(lf.vertex, nb)) {
 						cands[i] = append(cands[i], nb)
 					}
@@ -120,7 +121,8 @@ rootLoop:
 				}
 			}
 		} else {
-			for _, nb := range cell.Neighbors {
+			for _, w := range cell.Neighbors {
+				nb := graph.NodeID(w)
 				l := batch.Label(nb)
 				if nb == n {
 					continue // a vertex cannot match both root and leaf
@@ -166,11 +168,11 @@ rootLoop:
 // labelRun returns the run of neighbours labelled l in nbrs, a cell in
 // (label, id) order: two binary searches over the neighbours' tags, for
 // the first label not below l and the first above it.
-func labelRun(batch *memcloud.LabelBatch, nbrs []graph.NodeID, l graph.LabelID) []graph.NodeID {
+func labelRun(batch *memcloud.LabelBatch, nbrs []uint32, l graph.LabelID) []uint32 {
 	lo, hi := 0, len(nbrs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if batch.Label(nbrs[mid]) < l {
+		if batch.Label(graph.NodeID(nbrs[mid])) < l {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -180,7 +182,7 @@ func labelRun(batch *memcloud.LabelBatch, nbrs []graph.NodeID, l graph.LabelID) 
 	hi = len(nbrs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if batch.Label(nbrs[mid]) <= l {
+		if batch.Label(graph.NodeID(nbrs[mid])) <= l {
 			lo = mid + 1
 		} else {
 			hi = mid

@@ -211,7 +211,7 @@ func TestMatchSTwigChargesOneLabelReadPerNeighbour(t *testing.T) {
 			roots++
 			cell, _ := c.Cell(r)
 			for _, nb := range cell.Neighbors {
-				words[c.Owner(nb)]++
+				words[c.Owner(graph.NodeID(nb))]++
 			}
 		}
 		var want memcloud.NetStats
@@ -269,7 +269,8 @@ func scanSTwig(c *memcloud.Cluster, m *memcloud.Machine, t STwig, labels []graph
 		nbrs := slices.Sorted(slices.Values(cell.Neighbors))
 		sets := make([][]graph.NodeID, len(t.Leaves))
 		for i, v := range t.Leaves {
-			for _, nb := range nbrs {
+			for _, w := range nbrs {
+				nb := graph.NodeID(w)
 				if labelOf(c, nb) == labels[v] && nb != n &&
 					cut.rangeOf(v).contains(nb) && (b == nil || b.Allows(v, nb)) {
 					sets[i] = append(sets[i], nb)

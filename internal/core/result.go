@@ -141,7 +141,7 @@ func VerifyMatch(c *memcloud.Cluster, q *Query, m Match) error {
 		cell, _ := c.Cell(a)
 		found := false
 		for _, nb := range cell.Neighbors {
-			if nb == b {
+			if graph.NodeID(nb) == b {
 				found = true
 				break
 			}

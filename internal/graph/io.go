@@ -480,7 +480,18 @@ func (d *BinaryDecoder) ReadDegrees(dst []int64) error {
 
 // ReadNeighbors decodes the adjacency of the next vertex into dst, which
 // must be as long as that vertex's degree (ReadDegrees).
-func (d *BinaryDecoder) ReadNeighbors(dst []NodeID) error {
+func (d *BinaryDecoder) ReadNeighbors(dst []NodeID) error { return readNeighbors(d, dst) }
+
+// ReadNeighbors32 is ReadNeighbors onto 4-byte IDs, for a graph of at most
+// 2^32 vertices, whose every neighbour, in [0, n), fits one.
+func (d *BinaryDecoder) ReadNeighbors32(dst []uint32) error {
+	if d.n > 1<<32 {
+		return fmt.Errorf("graph: %d vertices do not fit 4-byte IDs", d.n)
+	}
+	return readNeighbors(d, dst)
+}
+
+func readNeighbors[T NodeID | uint32](d *BinaryDecoder, dst []T) error {
 	if err := d.begin(decodingNeighbors, 1); err != nil {
 		return err
 	}
@@ -488,7 +499,7 @@ func (d *BinaryDecoder) ReadNeighbors(dst []NodeID) error {
 		return fmt.Errorf("graph: adjacency of vertex %d reads past the %d entries", d.next, d.m)
 	}
 	d.read += int64(len(dst))
-	var prev NodeID
+	var prev uint64
 	for len(dst) > 0 {
 		b, err := d.chunk(8, len(dst))
 		if err != nil {
@@ -496,14 +507,14 @@ func (d *BinaryDecoder) ReadNeighbors(dst []NodeID) error {
 		}
 		k := len(b) / 8
 		for i := range k {
-			u := NodeID(binary.LittleEndian.Uint64(b[8*i:]))
-			if uint64(u) >= uint64(d.n) {
-				return fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", d.next, uint64(u))
+			u := binary.LittleEndian.Uint64(b[8*i:])
+			if u >= uint64(d.n) {
+				return fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", d.next, u)
 			}
 			if u < prev {
 				return fmt.Errorf("graph: adjacency of vertex %d not sorted", d.next)
 			}
-			dst[i], prev = u, u
+			dst[i], prev = T(u), u
 		}
 		d.discard(len(b))
 		dst = dst[k:]

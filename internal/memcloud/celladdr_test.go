@@ -1,6 +1,7 @@
 package memcloud
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 	"unsafe"
@@ -25,6 +26,10 @@ func TestCellAddrIsTwoFourByteTables(t *testing.T) {
 	if n := unsafe.Sizeof(cellRef{}); n != 16 {
 		t.Fatalf("a directory entry is %d bytes, want 16", n)
 	}
+	// A neighbour is an ID in 4 bytes: the cluster holds at most MaxNodes.
+	if n := unsafe.Sizeof(c.machines[0].store.arena[0]); n != 4 {
+		t.Fatalf("an arena entry is %d bytes, want 4", n)
+	}
 	n := c.NumNodes()
 	if int64(len(c.tags)) != n || int64(len(c.slots)) != n {
 		t.Fatalf("tables hold %d tags and %d slots for %d vertices", len(c.tags), len(c.slots), n)
@@ -44,7 +49,7 @@ func TestCellAddrRoundTrips(t *testing.T) {
 	for owner := 0; owner < MaxMachines; owner++ {
 		for _, l := range labels {
 			tag := newCellTag(owner, l)
-			for _, slot := range []uint32{0, 1, maxSlots - 1} {
+			for _, slot := range []uint32{0, 1, MaxNodes - 1} {
 				a := cellAddr{slot: slot, tag: tag}
 				if a.owner() != owner || a.label() != l || a.slot != slot {
 					t.Fatalf("cellAddr{%d, newCellTag(%d, %d)} reads back slot %d, owner %d, label %d",
@@ -82,13 +87,13 @@ func TestUnlabelledVertexResolvesToNoLabel(t *testing.T) {
 		t.Fatalf("checking machine 1's unlabelled vertex from machine 0 sent %d messages, want 1", net.Messages)
 	}
 	cell, ok := c.Cell(2)
-	if !ok || cell.Label != graph.NoLabel || !slices.Equal(cell.Neighbors, []graph.NodeID{0, 1}) {
+	if !ok || cell.Label != graph.NoLabel || !slices.Equal(wide(cell.Neighbors), []graph.NodeID{0, 1}) {
 		t.Fatalf("Cell(2) = %+v, %v; want the unlabelled cell adjacent to 0 and 1", cell, ok)
 	}
 	if cell, ok := c.Machine(1).LoadLocal(2); !ok || cell.Label != graph.NoLabel {
 		t.Fatalf("LoadLocal(2) = %+v, %v", cell, ok)
 	}
-	if cell, _ := c.Cell(0); !cell.LabelOrdered() || !slices.Equal(cell.Neighbors, []graph.NodeID{3, 1, 2}) {
+	if cell, _ := c.Cell(0); !cell.LabelOrdered() || !slices.Equal(wide(cell.Neighbors), []graph.NodeID{3, 1, 2}) {
 		t.Fatalf("Cell(0) lists %v (label-ordered %v), want [3 1 2]: a, b, then the unlabelled vertex", cell.Neighbors, cell.LabelOrdered())
 	}
 }
@@ -123,5 +128,46 @@ func TestLabelCap(t *testing.T) {
 	if c.NumNodes() != nodes+1 || c.Epoch() != epoch+1 {
 		t.Fatalf("after one accepted and one refused AddNode: %d nodes, epoch %d; want %d, %d",
 			c.NumNodes(), c.Epoch(), nodes+1, epoch+1)
+	}
+}
+
+// lowerNodeCap makes the vertex bound reachable in a test.
+func lowerNodeCap(t *testing.T, n int64) {
+	old := nodeCap
+	nodeCap = n
+	t.Cleanup(func() { nodeCap = old })
+}
+
+// TestNodeCap: a load refuses a graph of more vertices than a cluster
+// holds, from memory or from a stream, and AddNode refuses the vertex that
+// would pass the bound and changes nothing.
+func TestNodeCap(t *testing.T) {
+	g := testGraph(t)
+	n := g.NumNodes()
+	lowerNodeCap(t, n-1)
+	if err := MustNewCluster(Config{Machines: 2}).LoadGraph(g); err == nil {
+		t.Fatalf("LoadGraph accepted %d vertices over a cap of %d", n, nodeCap)
+	}
+	if err := MustNewCluster(Config{Machines: 2}).LoadBinary(bytes.NewReader(binaryOf(t, g))); err == nil {
+		t.Fatalf("LoadBinary accepted %d vertices over a cap of %d", n, nodeCap)
+	}
+
+	nodeCap = n + 1
+	c := loadedCluster(t, g, 2)
+	if id, err := c.AddNode("a"); err != nil || int64(id) != n {
+		t.Fatalf("AddNode below the cap = %d, %v; want vertex %d", id, err, n)
+	}
+	epoch := c.Epoch()
+	if id, err := c.AddNode("a"); err == nil {
+		t.Fatalf("AddNode added vertex %d over a cap of %d", id, nodeCap)
+	}
+	if r := c.ApplyBatch([]Mutation{{Op: MutAddNode, Label: "new"}})[0]; r.Err == nil || r.NodeID != graph.InvalidNode {
+		t.Fatalf("a batched AddNode over the cap = %+v, want an error", r)
+	}
+	if _, ok := c.Labels().Lookup("new"); ok {
+		t.Fatal("a refused AddNode interned its label")
+	}
+	if c.NumNodes() != nodeCap || c.Epoch() != epoch {
+		t.Fatalf("after refused AddNodes: %d vertices, epoch %d; want %d, %d", c.NumNodes(), c.Epoch(), nodeCap, epoch)
 	}
 }

@@ -25,6 +25,11 @@ const MaxMachines = 1 << ownerBits
 // has 2^labelBits label codes, and one of them is graph.NoLabel's.
 const MaxLabels = 1<<labelBits - 1
 
+// MaxNodes bounds the vertices a cluster holds: an arena entry names a
+// neighbour in 4 bytes (Store). A slot is 4 bytes too, and no machine can
+// hold more vertices than the cluster.
+const MaxNodes = 1 << 32
+
 const (
 	ownerBits = 6
 	labelBits = 32 - ownerBits
@@ -33,6 +38,10 @@ const (
 // labelCap is the bound a load and AddNode enforce: MaxLabels, lowered
 // only by tests, which cannot intern 2^26 strings to reach it.
 var labelCap = MaxLabels
+
+// nodeCap is the vertex bound a load and AddNode enforce: MaxNodes,
+// lowered only by tests, which cannot allocate 2^32 vertices to reach it.
+var nodeCap int64 = MaxNodes
 
 // Config describes a simulated cluster.
 type Config struct {
@@ -102,8 +111,7 @@ func (t cellTag) label() graph.LabelID { return graph.LabelID(t.code()) - 1 }
 func (t cellTag) code() uint32 { return uint32(t >> ownerBits) }
 
 // cellAddr is a vertex's whole address, composed from its entries in the
-// two tables: the slot (the store's width, maxSlots vertices per machine)
-// and the tag.
+// two tables: the slot and the tag.
 type cellAddr struct {
 	slot uint32
 	tag  cellTag
@@ -162,9 +170,9 @@ func (c *Cluster) LoadGraph(g *graph.Graph) error {
 // LoadBinary loads a graph in graph.WriteBinary's format — a graph file, or
 // the stream WriteSnapshot writes — straight from r in one sequential pass.
 // No graph.Graph is built: each adjacency is decoded onto its owner's arena
-// at its final offset, so the load holds one copy of the graph, the
-// cluster's, plus a read buffer. A malformed stream is an error, never a
-// cluster (graph.BinaryDecoder makes the checks).
+// at its final offset, in the arena's 4-byte entries, so the load holds one
+// copy of the graph, the cluster's, plus a read buffer. A malformed stream
+// is an error, never a cluster (graph.BinaryDecoder makes the checks).
 func (c *Cluster) LoadBinary(r io.Reader) error {
 	d, err := graph.NewBinaryDecoder(r)
 	if err != nil {
@@ -182,9 +190,9 @@ type loadSource interface {
 	Labels() *graph.LabelTable
 	ReadLabels(dst []graph.LabelID) error
 	ReadDegrees(dst []int64) error
-	// ReadNeighbors fills dst, as long as the next vertex's degree, with
-	// its adjacency in ID order.
-	ReadNeighbors(dst []graph.NodeID) error
+	// ReadNeighbors32 fills dst, as long as the next vertex's degree, with
+	// its adjacency in ID order, as arena entries.
+	ReadNeighbors32(dst []uint32) error
 }
 
 // graphSource reads a graph in memory as a loadSource. Each phase has its
@@ -220,8 +228,10 @@ func (s *graphSource) ReadDegrees(dst []int64) error {
 	return nil
 }
 
-func (s *graphSource) ReadNeighbors(dst []graph.NodeID) error {
-	copy(dst, s.g.Neighbors(graph.NodeID(s.nbrsOf)))
+func (s *graphSource) ReadNeighbors32(dst []uint32) error {
+	for i, w := range s.g.Neighbors(graph.NodeID(s.nbrsOf)) {
+		dst[i] = uint32(w)
+	}
 	s.nbrsOf++
 	return nil
 }
@@ -250,6 +260,9 @@ func (c *Cluster) load(src loadSource) error {
 		return fmt.Errorf("memcloud: graph has %d labels, more than the %d a cluster holds", l, labelCap)
 	}
 	n := src.NumNodes()
+	if n > nodeCap {
+		return fmt.Errorf("memcloud: graph has %d vertices, more than the %d a cluster holds", n, nodeCap)
+	}
 	k := c.cfg.Machines
 
 	tags := make([]cellTag, n)
@@ -263,9 +276,6 @@ func (c *Cluster) load(src loadSource) error {
 		}
 		for _, l := range chunk {
 			owner := c.part.Owner(graph.NodeID(v))
-			if nodes[owner] == maxSlots {
-				return fmt.Errorf("memcloud: machine %d would hold more than %d vertices", owner, int64(maxSlots))
-			}
 			tags[v] = newCellTag(owner, l)
 			slots[v] = uint32(nodes[owner])
 			nodes[owner]++
@@ -295,11 +305,11 @@ func (c *Cluster) load(src loadSource) error {
 		}
 	}
 	for i, m := range c.machines {
-		m.store = &Store{dir: dirs[i], arena: make([]graph.NodeID, arenaWords[i])}
+		m.store = &Store{dir: dirs[i], arena: make([]uint32, arenaWords[i])}
 	}
 
 	for v := int64(0); v < n; v++ {
-		if err := src.ReadNeighbors(c.machines[tags[v].owner()].store.neighbors(slots[v])); err != nil {
+		if err := src.ReadNeighbors32(c.machines[tags[v].owner()].store.neighbors(slots[v])); err != nil {
 			return err
 		}
 	}

@@ -149,6 +149,42 @@ func TestLoadBinaryMatchesLoadGraph(t *testing.T) {
 	}
 }
 
+// TestLoadBinaryReachesLastID: a streamed load decodes every adjacency onto
+// the 4-byte arena intact — neighbour IDs up to n − 1 included, in cells
+// both in ID order and, above a lowered bound, in (label, id) order — as
+// graph.ReadBinary reads the same file.
+func TestLoadBinaryReachesLastID(t *testing.T) {
+	lowerOrderBound(t, 8)
+	g := loadTestGraph(4, 1<<16+1000) // the last ID needs 17 bits
+	file := binaryOf(t, g)
+	want, err := graph.ReadBinary(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := MustNewCluster(Config{Machines: 3})
+	if err := c.LoadBinary(bytes.NewReader(file)); err != nil {
+		t.Fatal(err)
+	}
+	last := graph.NodeID(want.NumNodes() - 1)
+	lastInOrdered := false
+	for v := graph.NodeID(0); v <= last; v++ {
+		cell, ok := c.Cell(v)
+		if !ok || cell.Label != want.Label(v) {
+			t.Fatalf("vertex %d: Cell = %+v, %v; want label %d", v, cell, ok, want.Label(v))
+		}
+		wantN := inCellOrder(want.Neighbors(v), want.Label)
+		if got := wide(cell.Neighbors); !slices.Equal(got, wantN) {
+			t.Fatalf("vertex %d (label-ordered %v): neighbours %v, want %v", v, cell.LabelOrdered(), got, wantN)
+		}
+		if cell.LabelOrdered() && slices.Contains(wantN, last) {
+			lastInOrdered = true
+		}
+	}
+	if !lastInOrdered {
+		t.Fatalf("no label-ordered cell lists vertex %d", last)
+	}
+}
+
 // allocatedBy reports the bytes load allocates on a fresh 4-machine cluster.
 func allocatedBy(t *testing.T, load func(*Cluster) error) uint64 {
 	t.Helper()

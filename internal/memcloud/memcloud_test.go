@@ -128,6 +128,15 @@ func inCellOrder(nbrs []graph.NodeID, label func(graph.NodeID) graph.LabelID) []
 	return out
 }
 
+// wide returns a cell's neighbours widened from arena entries to IDs.
+func wide(nbrs []uint32) []graph.NodeID {
+	ids := make([]graph.NodeID, len(nbrs))
+	for i, w := range nbrs {
+		ids[i] = graph.NodeID(w)
+	}
+	return ids
+}
+
 // localCount counts the neighbours of v that c places on v's machine.
 func localCount(c *Cluster, v graph.NodeID, nbrs []graph.NodeID) int32 {
 	var n int32
@@ -159,10 +168,8 @@ func TestLoadReturnsCorrectCell(t *testing.T) {
 			if len(cell.Neighbors) != len(want) {
 				t.Fatalf("Cell(%d) has %d neighbors, want %d", id, len(cell.Neighbors), len(want))
 			}
-			for i := range want {
-				if cell.Neighbors[i] != want[i] {
-					t.Fatalf("bound %d: Cell(%d) neighbors = %v, want %v", bound, id, cell.Neighbors, want)
-				}
+			if got := wide(cell.Neighbors); !slices.Equal(got, want) {
+				t.Fatalf("bound %d: Cell(%d) neighbors = %v, want %v", bound, id, got, want)
 			}
 			if cell.LabelOrdered() != (len(want) > bound) {
 				t.Fatalf("bound %d: Cell(%d) of degree %d reports LabelOrdered %v", bound, id, len(want), cell.LabelOrdered())

@@ -76,8 +76,9 @@ type snapshotSource struct {
 	c     *Cluster
 	names []string
 	remap []graph.LabelID // tag code -> index into names, or NoLabel
-	// scratch holds the two buffers Neighbors sorts a label-ordered cell
-	// back into ID order with, reused from cell to cell.
+	// scratch holds the two buffers Neighbors widens a cell into and sorts
+	// a label-ordered one back into ID order with, reused from cell to
+	// cell.
 	scratch []graph.NodeID
 }
 
@@ -97,17 +98,20 @@ func (s *snapshotSource) Degree(v graph.NodeID) int {
 	return int(s.store(v).dir[s.c.slots[v]].deg)
 }
 
-// Neighbors returns v's adjacency in ID order: the cell itself, or a label-
-// ordered cell sorted into the reused buffer.
+// Neighbors returns v's adjacency in ID order, widened into the reused
+// buffer: the cell's entries, sorted there if the cell is label-ordered.
 func (s *snapshotSource) Neighbors(v graph.NodeID) []graph.NodeID {
 	nbrs := s.store(v).neighbors(s.c.slots[v])
-	if !labelOrdered(len(nbrs)) {
-		return nbrs
-	}
 	n := len(nbrs)
 	s.scratch = slices.Grow(s.scratch[:0], 2*n)[:2*n]
-	copy(s.scratch, nbrs)
-	return radixSort(s.scratch[:n], s.scratch[n:], 0, bits.Len64(uint64(len(s.c.tags))))
+	wide := s.scratch[:n]
+	for i, w := range nbrs {
+		wide[i] = graph.NodeID(w)
+	}
+	if !labelOrdered(n) {
+		return wide
+	}
+	return radixSort(wide, s.scratch[n:], 0, bits.Len64(uint64(len(s.c.tags))))
 }
 
 // RestoreEpoch seeds the cluster's mutation epoch, so that a recovered

@@ -40,7 +40,7 @@ func checkSnapshotBytes(t *testing.T, c *Cluster) {
 	}
 	for v := int64(0); v < n; v++ {
 		cell, _ := c.Cell(graph.NodeID(v))
-		for _, u := range cell.Neighbors {
+		for _, u := range wide(cell.Neighbors) {
 			if cell.ID < u {
 				b.MustAddEdge(cell.ID, u)
 			}

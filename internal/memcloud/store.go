@@ -19,8 +19,13 @@ import (
 // in dir[i], and the cluster's address tables (cluster.go) map a vertex ID
 // to its owner and label (the tag table) and its slot (the slot table). A
 // label lookup is therefore one array read and an adjacency lookup three — no hash, no per-entry overhead — and the
-// directory costs exactly cap(dir)·sizeof(cellRef) bytes. Slots are uint32,
-// which bounds a machine at 4.29 G vertices.
+// directory costs exactly cap(dir)·sizeof(cellRef) bytes.
+//
+// An arena entry is a neighbour's ID in 4 bytes, as is a slot: the cluster
+// holds at most MaxNodes = 2^32 vertices (4.29 G, past the paper's billion),
+// so every ID and every machine's slot fits one. Code that reads an entry
+// widens it to a graph.NodeID; leaf sets, relations and the wire keep the
+// full width.
 //
 // A cell lists its neighbours in ascending ID order, unless it has more
 // than labelOrderBound of them: such a hub cell is kept in (label, id)
@@ -34,8 +39,8 @@ import (
 // append to or rewrite it under the cluster's writer lock while no query
 // runs.
 type Store struct {
-	dir   []cellRef      // dir[slot]
-	arena []graph.NodeID // concatenated adjacency of all local vertices
+	dir   []cellRef // dir[slot]
+	arena []uint32  // concatenated adjacency of all local vertices
 	// garbage counts the arena words no cell covers: the old copies of
 	// relocated cells and the tails that removals shrank off.
 	garbage int64
@@ -59,21 +64,20 @@ var labelOrderBound = 1024
 // id) order.
 func labelOrdered(deg int) bool { return deg > labelOrderBound }
 
-// idBits is the width of a vertex ID in a cellKey: a cluster addresses at
-// most MaxMachines × maxSlots = 2^38 vertices.
-const idBits = 64 - labelBits
+// idBits is the width of a vertex ID in a cellKey: an arena entry's.
+const idBits = 32
 
 // cellKey is neighbour id's rank in a label-ordered cell: its label, then
 // its ID. The label's low labelBits keep LabelID order, NoLabel (all ones)
 // last, which is the order the matcher's binary search assumes.
-func cellKey(t cellTag, id graph.NodeID) uint64 {
+func cellKey(t cellTag, id uint32) uint64 {
 	return uint64(t.label()&(1<<labelBits-1))<<idBits | uint64(id)
 }
 
 // orderByLabel puts nbrs, a cell in ID order, in (label, id) order: a
 // stable sort of their keys by label. It returns scratch, grown to the
 // two key buffers the sort needs, for the next call to reuse.
-func orderByLabel(nbrs []graph.NodeID, tags []cellTag, scratch []uint64) []uint64 {
+func orderByLabel(nbrs []uint32, tags []cellTag, scratch []uint64) []uint64 {
 	n := len(nbrs)
 	scratch = slices.Grow(scratch[:0], 2*n)[:2*n]
 	keys := scratch[:n]
@@ -84,7 +88,7 @@ func orderByLabel(nbrs []graph.NodeID, tags []cellTag, scratch []uint64) []uint6
 	}
 	sorted := radixSort(keys, scratch[n:], idBits, bits.Len64(all))
 	for i, k := range sorted {
-		nbrs[i] = graph.NodeID(k & (1<<idBits - 1))
+		nbrs[i] = uint32(k)
 	}
 	return scratch
 }
@@ -114,9 +118,6 @@ func radixSort[T ~int64 | ~uint64](a, buf []T, lo, hi int) []T {
 	return a
 }
 
-// maxSlots is the number of vertices one machine can address.
-const maxSlots = 1 << 32
-
 // Cell is the unit returned by Cloud.Load: a vertex's label and the IDs of
 // all its neighbors (local or not), in the cell's order (LabelOrdered).
 // Neighbors aliases the arena and must not be modified.
@@ -124,8 +125,10 @@ type Cell struct {
 	ID    graph.NodeID
 	Label graph.LabelID
 	// local is the count of neighbours on the vertex's own machine.
-	local     int32
-	Neighbors []graph.NodeID
+	local int32
+	// Neighbors are the 4-byte arena entries; graph.NodeID(Neighbors[i])
+	// is a neighbour's ID.
+	Neighbors []uint32
 }
 
 // LabelOrdered reports whether Neighbors is in (label, id) order — labels
@@ -134,18 +137,14 @@ type Cell struct {
 // neighbours is.
 func (c Cell) LabelOrdered() bool { return labelOrdered(len(c.Neighbors)) }
 
-// put appends a vertex cell, copying its neighbors onto the arena tail, and
-// returns the slot it now occupies.
-func (s *Store) put(neighbors []graph.NodeID) uint32 {
-	slot := uint32(len(s.dir))
-	off := int64(len(s.arena))
-	s.arena = append(s.arena, neighbors...)
-	s.dir = append(s.dir, cellRef{off: off, deg: int32(len(neighbors))})
-	return slot
+// put appends an empty cell and returns the slot it occupies.
+func (s *Store) put() uint32 {
+	s.dir = append(s.dir, cellRef{off: int64(len(s.arena))})
+	return uint32(len(s.dir) - 1)
 }
 
 // neighbors returns the adjacency of the vertex in slot, aliasing the arena.
-func (s *Store) neighbors(slot uint32) []graph.NodeID {
+func (s *Store) neighbors(slot uint32) []uint32 {
 	ref := s.dir[slot]
 	return s.arena[ref.off : ref.off+int64(ref.deg)]
 }
@@ -157,5 +156,5 @@ func (s *Store) numNodes() int64 { return int64(len(s.dir)) }
 // and the arena's full capacity, including append headroom.
 func (s *Store) memoryBytes() int64 {
 	return int64(cap(s.dir))*int64(unsafe.Sizeof(cellRef{})) +
-		int64(cap(s.arena))*int64(unsafe.Sizeof(graph.NodeID(0)))
+		int64(cap(s.arena))*int64(unsafe.Sizeof(uint32(0)))
 }

@@ -278,7 +278,7 @@ func checkCell(t *testing.T, step int, what string, c *Cluster, cell Cell, v gra
 	t.Helper()
 	want := model[v]
 	nbrs := cellOrder(c, model, v)
-	if cell.ID != v || c.Labels().Name(cell.Label) != want.label || !slices.Equal(cell.Neighbors, nbrs) {
+	if cell.ID != v || c.Labels().Name(cell.Label) != want.label || !slices.Equal(wide(cell.Neighbors), nbrs) {
 		t.Fatalf("step %d: %s(%d) = {%d %q %v}, model has {%q %v}", step, what, v,
 			cell.ID, c.Labels().Name(cell.Label), cell.Neighbors, want.label, nbrs)
 	}
@@ -337,7 +337,7 @@ func checkAgainstModel(t *testing.T, step int, c *Cluster, model storeModel, own
 		if c.Labels().Name(tag.label()) != want.label {
 			t.Fatalf("step %d: tag of vertex %d holds label %q, model has %q", step, v, c.Labels().Name(tag.label()), want.label)
 		}
-		if nbrs, wantNbrs := c.machines[tag.owner()].store.neighbors(c.slots[v]), cellOrder(c, model, v); !slices.Equal(nbrs, wantNbrs) {
+		if nbrs, wantNbrs := wide(c.machines[tag.owner()].store.neighbors(c.slots[v])), cellOrder(c, model, v); !slices.Equal(nbrs, wantNbrs) {
 			t.Fatalf("step %d: slot of vertex %d finds %v on machine %d, model has %v", step, v, nbrs, tag.owner(), wantNbrs)
 		}
 	}

@@ -37,7 +37,7 @@ type UpdateStats struct {
 	EdgesRemoved uint64
 	// GarbageWords is the arena space no cell covers — superseded by cell
 	// relocations or shrunk off by removals — and reclaimable by
-	// compaction.
+	// compaction, in 4-byte arena entries.
 	GarbageWords int64
 }
 
@@ -73,11 +73,11 @@ func (c *Cluster) AddNode(label string) (graph.NodeID, error) {
 
 func (c *Cluster) addNodeLocked(label string) (graph.NodeID, error) {
 	id := graph.NodeID(len(c.tags))
+	if int64(id) >= nodeCap {
+		return graph.InvalidNode, fmt.Errorf("memcloud: new vertex %d would be vertex number %d, more than the %d a cluster holds", id, id+1, nodeCap)
+	}
 	// The one time the placement policy is asked about this vertex.
 	m := c.machines[c.part.Owner(id)]
-	if m.store.numNodes() == maxSlots {
-		return graph.InvalidNode, fmt.Errorf("memcloud: machine %d is full (%d vertices)", m.id, int64(maxSlots))
-	}
 	l, ok := c.labels.Lookup(label)
 	if !ok {
 		if n := c.labels.Len(); n >= labelCap {
@@ -86,7 +86,7 @@ func (c *Cluster) addNodeLocked(label string) (graph.NodeID, error) {
 		l = c.labels.Intern(label)
 	}
 	c.tags = append(c.tags, newCellTag(m.id, l))
-	c.slots = append(c.slots, m.store.put(nil))
+	c.slots = append(c.slots, m.store.put())
 	m.index.insertSorted(id, l)
 	c.upd.stats.NodesAdded++
 	c.epoch.Add(1)
@@ -120,8 +120,8 @@ func (c *Cluster) addEdgeLocked(u, v graph.NodeID) error {
 	if mu.store.hasNeighbor(au.slot, v) {
 		return fmt.Errorf("memcloud: edge (%d,%d) already exists", u, v)
 	}
-	mu.store.insertNeighbor(au.slot, v, c.tags, mu == mv)
-	mv.store.insertNeighbor(av.slot, u, c.tags, mu == mv)
+	mu.store.insertNeighbor(au.slot, uint32(v), c.tags, mu == mv)
+	mv.store.insertNeighbor(av.slot, uint32(u), c.tags, mu == mv)
 	// Cross-pair maintenance is additive-only: removing the last edge of a
 	// label pair leaves a stale bit, which only ever makes load sets larger
 	// (correctness preserved, communication slightly pessimistic). An edge
@@ -156,8 +156,8 @@ func (c *Cluster) removeEdgeLocked(u, v graph.NodeID) error {
 	if !mu.store.hasNeighbor(au.slot, v) {
 		return fmt.Errorf("memcloud: edge (%d,%d) does not exist", u, v)
 	}
-	mu.store.removeNeighbor(au.slot, v, mu == mv)
-	mv.store.removeNeighbor(av.slot, u, mu == mv)
+	mu.store.removeNeighbor(au.slot, uint32(v), mu == mv)
+	mv.store.removeNeighbor(av.slot, uint32(u), mu == mv)
 	c.upd.stats.EdgesRemoved++
 	c.epoch.Add(1)
 	return nil
@@ -266,12 +266,7 @@ func (c *Cluster) CompactAll() int64 {
 // hasNeighbor reports whether the adjacency of the vertex in slot contains
 // nb.
 func (s *Store) hasNeighbor(slot uint32, nb graph.NodeID) bool {
-	for _, x := range s.neighbors(slot) {
-		if x == nb {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(s.neighbors(slot), uint32(nb))
 }
 
 // compactShare sets when an insertion compacts an arena instead of growing
@@ -289,7 +284,7 @@ var compactShare = 8
 // place in the cell's order, relocating the cell to the arena tail; a cell
 // that grows past labelOrderBound is put in (label, id) order in its new
 // copy. local says nb lives on the cell's machine.
-func (s *Store) insertNeighbor(slot uint32, nb graph.NodeID, tags []cellTag, local bool) {
+func (s *Store) insertNeighbor(slot uint32, nb uint32, tags []cellTag, local bool) {
 	ref := &s.dir[slot]
 	if len(s.arena)+int(ref.deg)+1 > cap(s.arena) && s.garbage > 0 && s.garbage >= int64(cap(s.arena)/compactShare) {
 		s.compact(cap(s.arena))
@@ -297,7 +292,7 @@ func (s *Store) insertNeighbor(slot uint32, nb graph.NodeID, tags []cellTag, loc
 	old := s.neighbors(slot)
 	var at int
 	if labelOrdered(len(old)) {
-		at, _ = slices.BinarySearchFunc(old, cellKey(tags[nb], nb), func(x graph.NodeID, k uint64) int {
+		at, _ = slices.BinarySearchFunc(old, cellKey(tags[nb], nb), func(x uint32, k uint64) int {
 			return cmp.Compare(cellKey(tags[x], x), k)
 		})
 	} else {
@@ -321,7 +316,7 @@ func (s *Store) insertNeighbor(slot uint32, nb graph.NodeID, tags []cellTag, loc
 // place (shrinking the cell without relocation), keeping the cell's order;
 // a cell that shrinks to labelOrderBound goes back to ID order. local says
 // nb lives on the cell's machine.
-func (s *Store) removeNeighbor(slot uint32, nb graph.NodeID, local bool) {
+func (s *Store) removeNeighbor(slot uint32, nb uint32, local bool) {
 	adj := s.neighbors(slot)
 	w := 0
 	for _, x := range adj {
@@ -348,7 +343,7 @@ func (s *Store) removeNeighbor(slot uint32, nb graph.NodeID, local bool) {
 // the compaction still reads its neighbours.
 func (s *Store) compact(capacity int) int64 {
 	reclaimed := s.garbage
-	newArena := make([]graph.NodeID, 0, capacity)
+	newArena := make([]uint32, 0, capacity)
 	for i := range s.dir {
 		ref := &s.dir[i]
 		off := int64(len(newArena))

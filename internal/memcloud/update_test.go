@@ -76,7 +76,7 @@ func TestApplyBatchMatchesOneShotMethods(t *testing.T) {
 	// Net effect: the edge exists (re-added), both sides visible.
 	cellU, _ := c.Cell(n)
 	cellV, _ := c.Cell(n + 1)
-	if !containsNode(cellU.Neighbors, n+1) || !containsNode(cellV.Neighbors, n) {
+	if !containsNode(wide(cellU.Neighbors), n+1) || !containsNode(wide(cellV.Neighbors), n) {
 		t.Fatalf("batched edge not visible: %v / %v", cellU.Neighbors, cellV.Neighbors)
 	}
 	st := c.UpdateStats()
@@ -142,14 +142,14 @@ func TestAddEdgeVisibleBothSides(t *testing.T) {
 		}
 		cell0, _ := c.Cell(0)
 		cell4, _ := c.Cell(4)
-		if !containsNode(cell0.Neighbors, 4) || !containsNode(cell4.Neighbors, 0) {
+		if !containsNode(wide(cell0.Neighbors), 4) || !containsNode(wide(cell4.Neighbors), 0) {
 			t.Fatalf("edge not visible: %v / %v", cell0.Neighbors, cell4.Neighbors)
 		}
 		// Adjacency stays in the cell's order after insertion, and the
 		// local counts follow.
 		for _, cell := range []Cell{cell0, cell4} {
-			want := inCellOrder(cell.Neighbors, g.Label)
-			if !slices.Equal(cell.Neighbors, want) {
+			want := inCellOrder(wide(cell.Neighbors), g.Label)
+			if !slices.Equal(wide(cell.Neighbors), want) {
 				t.Fatalf("bound %d: cell of %d out of order after insert: %v, want %v", bound, cell.ID, cell.Neighbors, want)
 			}
 			if local := localCount(c, cell.ID, want); cell.local != local {
@@ -233,7 +233,7 @@ func TestRemoveEdge(t *testing.T) {
 	}
 	cell0, _ := c.Cell(0)
 	cell1, _ := c.Cell(1)
-	if containsNode(cell0.Neighbors, 1) || containsNode(cell1.Neighbors, 0) {
+	if containsNode(wide(cell0.Neighbors), 1) || containsNode(wide(cell1.Neighbors), 0) {
 		t.Fatal("edge still visible after removal")
 	}
 	if err := c.RemoveEdge(0, 1); err == nil {
@@ -269,7 +269,7 @@ func TestCompactReclaimsGarbage(t *testing.T) {
 	}
 	// All cells still intact after compaction.
 	cell0, ok := c.Cell(0)
-	if !ok || !containsNode(cell0.Neighbors, 4) || !containsNode(cell0.Neighbors, 6) {
+	if !ok || !containsNode(wide(cell0.Neighbors), 4) || !containsNode(wide(cell0.Neighbors), 6) {
 		t.Fatalf("cell damaged by compaction: %v", cell0.Neighbors)
 	}
 	if c.CompactAll() != 0 {
@@ -313,7 +313,7 @@ func TestHubAddRemoveLoopStaysBounded(t *testing.T) {
 	}
 	for v := int64(0); v < g.NumNodes(); v++ {
 		cell, _ := c.Cell(graph.NodeID(v))
-		if !slices.Equal(slices.Sorted(slices.Values(cell.Neighbors)), g.Neighbors(graph.NodeID(v))) {
+		if !slices.Equal(slices.Sorted(slices.Values(wide(cell.Neighbors))), g.Neighbors(graph.NodeID(v))) {
 			t.Fatalf("vertex %d reads %d neighbours after the loop, loaded with %d", v, len(cell.Neighbors), g.Degree(graph.NodeID(v)))
 		}
 	}
@@ -431,7 +431,7 @@ func checkUpdatesMatchRebuiltGraph(t *testing.T) {
 			if len(cell.Neighbors) != len(wantN) || cell.local != localCount(c, id, wantN) {
 				return false
 			}
-			got := append([]graph.NodeID(nil), cell.Neighbors...)
+			got := wide(cell.Neighbors)
 			for i := range wantN {
 				if got[i] != wantN[i] {
 					return false
