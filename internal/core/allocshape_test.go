@@ -155,19 +155,24 @@ func TestJoinAllocsDoNotGrowWithMatches(t *testing.T) {
 // untracedRunAllocs is what one warm run of pathFixture's small query
 // allocates on two machines with no trace ID. It changes only with the code
 // on the query path (or, rarely, with the Go release): a change that moves
-// it says why and updates it. 80, down from 82: the join no longer builds a
-// random generator per machine to sample relation sizes with (it escaped to
-// the heap), since relations are sized exactly. 82 was down from 92: each of
-// the run's three phases (two STwig steps and the join) starts its workers
-// from one closure instead of a closure and a go wrapper per machine, and the
-// per-machine sort of the relations no longer builds a reflect swapper and a
-// closure (sort.SliceStable → slices.SortStableFunc).
-const untracedRunAllocs = 80
+// it says why and updates it. 71, down from 80: each of the run's three
+// phases (two STwig steps and the join) hands its machines to parked workers
+// in a pooled phase record, where it allocated a closure, its claim counter
+// and its wait group — 3 × 3 allocations fewer. 80, down from 82: the join
+// no longer builds a random generator per machine to sample relation sizes
+// with (it escaped to the heap), since relations are sized exactly. 82 was
+// down from 92: each of the run's three phases (two STwig steps and the
+// join) starts its workers from one closure instead of a closure and a go
+// wrapper per machine, and the per-machine sort of the relations no longer
+// builds a reflect swapper and a closure (sort.SliceStable →
+// slices.SortStableFunc).
+const untracedRunAllocs = 71
 
 // tracedRunAllocs is the same run with a trace ID: what stwigd executes,
 // since it stamps every request with one. The 13 allocations over
 // untracedRunAllocs are the span tree: the step names, the per-machine span
-// slots and child lists, and the tree itself. 93, down from 99: with the
+// slots and child lists, and the tree itself. 84, down from 93 by the
+// untraced run's 9 (84 − 71 = 93 − 80 = 13). 93, down from 99: with the
 // pre-join reduction pass deleted, a machine span has no third child whose
 // "(N rounds)" name was formatted per run, and its exchange/blockjoin child
 // list is one two-element literal instead of a one-element literal grown
@@ -175,7 +180,7 @@ const untracedRunAllocs = 80
 // down from 101 with the untraced run's per-machine generator; 101 was down
 // from 113 with the untraced run's 10 and the two machine span names, which
 // come from a table.
-const tracedRunAllocs = 93
+const tracedRunAllocs = 84
 
 // planAllocs is what Planner.Plan allocates for pathFixture's small query
 // on eight machines: the plan and four of its slices (labels, label counts,

@@ -25,22 +25,46 @@ import (
 // point, allocates its own set.
 type Bindings struct {
 	numNodes int64
-	sets     []bitset
+	sets     []boundSet
+}
+
+// boundSet is one H_v. A selective step sets bits in a few dozen of the
+// set's ⌈numNodes/64⌉ words, so the set lists the words add made non-zero,
+// and handing it back to the scratch clears those alone. A set with more
+// than len(bits)/8 of them is dense: its list stops growing (a list costs
+// up to half the set's own bytes), and the whole set is cleared.
+type boundSet struct {
+	bits    bitset
+	nonzero []int32 // word indexes: a cluster has at most 2^32 vertices
+	dense   bool
+}
+
+// add sets id's bit, listing its word when the bit makes it non-zero.
+func (s *boundSet) add(id graph.NodeID) {
+	w := id >> 6
+	if s.bits[w] == 0 && !s.dense {
+		if len(s.nonzero) < len(s.bits)/8 {
+			s.nonzero = append(s.nonzero, int32(w))
+		} else {
+			s.dense = true
+		}
+	}
+	s.bits[w] |= 1 << (uint(id) & 63)
 }
 
 // NewBindings returns all-unbound bindings for nVertices query vertices
 // over a data graph of numNodes dense vertex IDs.
 func NewBindings(nVertices int, numNodes int64) *Bindings {
-	return &Bindings{numNodes: numNodes, sets: make([]bitset, nVertices)}
+	return &Bindings{numNodes: numNodes, sets: make([]boundSet, nVertices)}
 }
 
 // Bound reports whether query vertex v has been bound by a processed STwig.
-func (b *Bindings) Bound(v int) bool { return b.sets[v] != nil }
+func (b *Bindings) Bound(v int) bool { return b.sets[v].bits != nil }
 
 // Allows reports whether data vertex id is still eligible for query vertex
 // v. Unbound vertices allow everything.
 func (b *Bindings) Allows(v int, id graph.NodeID) bool {
-	s := b.sets[v]
+	s := b.sets[v].bits
 	if s == nil {
 		return true
 	}
@@ -49,10 +73,10 @@ func (b *Bindings) Allows(v int, id graph.NodeID) bool {
 
 // Size returns |H_v|, or -1 if v is unbound.
 func (b *Bindings) Size(v int) int {
-	if b.sets[v] == nil {
+	if b.sets[v].bits == nil {
 		return -1
 	}
-	return b.sets[v].popcount()
+	return b.sets[v].bits.popcount()
 }
 
 // SetIDs replaces H_v with the given vertices. The engine computes
@@ -64,7 +88,7 @@ func (b *Bindings) SetIDs(v int, ids []graph.NodeID) {
 	for _, id := range ids {
 		s.set(id)
 	}
-	b.sets[v] = s
+	b.sets[v] = boundSet{bits: s, dense: true}
 }
 
 // rebind is the proxy's binding synchronization after one STwig step:
@@ -75,7 +99,7 @@ func (b *Bindings) rebind(t STwig, perMachine [][]STwigMatch, sc *runScratch) {
 	root := sc.takeSet()
 	for _, matches := range perMachine {
 		for i := range matches {
-			root.set(matches[i].Root)
+			root.add(matches[i].Root)
 		}
 	}
 	b.install(t.Root, root, sc)
@@ -84,7 +108,7 @@ func (b *Bindings) rebind(t STwig, perMachine [][]STwigMatch, sc *runScratch) {
 		for _, matches := range perMachine {
 			for i := range matches {
 				for _, id := range matches[i].LeafSets[li] {
-					set.set(id)
+					set.add(id)
 				}
 			}
 		}
@@ -93,8 +117,8 @@ func (b *Bindings) rebind(t STwig, perMachine [][]STwigMatch, sc *runScratch) {
 }
 
 // install makes s the new H_v, handing the set it replaces back to sc.
-func (b *Bindings) install(v int, s bitset, sc *runScratch) {
-	if old := b.sets[v]; old != nil {
+func (b *Bindings) install(v int, s boundSet, sc *runScratch) {
+	if old := b.sets[v]; old.bits != nil {
 		sc.putSet(old)
 	}
 	b.sets[v] = s
@@ -103,16 +127,16 @@ func (b *Bindings) install(v int, s bitset, sc *runScratch) {
 // release hands every bound set back to sc, leaving b all-unbound.
 func (b *Bindings) release(sc *runScratch) {
 	for v, s := range b.sets {
-		if s != nil {
+		if s.bits != nil {
 			sc.putSet(s)
-			b.sets[v] = nil
+			b.sets[v] = boundSet{}
 		}
 	}
 }
 
 // Values returns H_v's members in ascending order, nil when unbound.
 func (b *Bindings) Values(v int) []graph.NodeID {
-	s := b.sets[v]
+	s := b.sets[v].bits
 	if s == nil {
 		return nil
 	}
@@ -131,8 +155,8 @@ func (b *Bindings) Values(v int) []graph.NodeID {
 // disjoint machineScratch entries and the proxy alone takes and returns
 // sets.
 type runScratch struct {
-	words    int      // ⌈numNodes/64⌉: the width of every set in free
-	free     []bitset // cleared sets ready for reuse
+	words    int        // ⌈numNodes/64⌉: the width of every set in free
+	free     []boundSet // cleared sets ready for reuse
 	machines []machineScratch
 }
 
@@ -175,23 +199,30 @@ func (sc *runScratch) fit(numNodes int64) {
 }
 
 // takeSet returns an all-zero set of the fitted width.
-func (sc *runScratch) takeSet() bitset {
+func (sc *runScratch) takeSet() boundSet {
 	if n := len(sc.free); n > 0 {
 		s := sc.free[n-1]
 		sc.free = sc.free[:n-1]
 		return s
 	}
-	return make(bitset, sc.words)
+	return boundSet{bits: make(bitset, sc.words)}
 }
 
-// putSet clears s and keeps it for the next takeSet. A set of another
-// width (SetIDs on a differently sized Bindings) is left to the collector.
-func (sc *runScratch) putSet(s bitset) {
-	if len(s) != sc.words {
+// putSet clears s — the words it lists, or all of a dense set — and keeps
+// it for the next takeSet. A set of another width (SetIDs on a differently
+// sized Bindings) is left to the collector.
+func (sc *runScratch) putSet(s boundSet) {
+	if len(s.bits) != sc.words {
 		return
 	}
-	clear(s)
-	sc.free = append(sc.free, s)
+	if s.dense {
+		clear(s.bits)
+	} else {
+		for _, w := range s.nonzero {
+			s.bits[w] = 0
+		}
+	}
+	sc.free = append(sc.free, boundSet{bits: s.bits, nonzero: s.nonzero[:0]})
 }
 
 // maxIdleJoinBytes bounds the join memory — match blocks, relation buffers —

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -506,8 +507,67 @@ func TestCollectDeltas(t *testing.T) {
 		t.Fatalf("%d sets back in the scratch, want the 4 ever allocated", len(sc.free))
 	}
 	for _, s := range sc.free {
-		if s.popcount() != 0 {
+		if s.bits.popcount() != 0 {
 			t.Fatal("a set went back to the scratch uncleared")
 		}
+	}
+}
+
+// TestPropertyRebindClearsWhatItSet: a binding set lists every word it has
+// made non-zero until it turns dense, and putSet hands back an all-zero set
+// either way — over a width where both happen, and across many steps that
+// reuse the same sets.
+func TestPropertyRebindClearsWhatItSet(t *testing.T) {
+	const numNodes = 64 * 64 // 64 words: a set lists up to 8 of them
+	rng := rand.New(rand.NewSource(1))
+	sc := newRunScratch(1)
+	sc.fit(numNodes)
+	var sparse, dense int
+	for run := 0; run < 200; run++ {
+		b := NewBindings(2, numNodes)
+		for step := 0; step < 3; step++ {
+			// A cluster of ids a few words wide, or ids from anywhere.
+			span := int64(64 * (1 + rng.Intn(16)))
+			if rng.Intn(4) == 0 {
+				span = numNodes
+			}
+			matches := make([]STwigMatch, 1+rng.Intn(40))
+			for i := range matches {
+				matches[i] = STwigMatch{
+					Root:     graph.NodeID(rng.Int63n(span)),
+					LeafSets: [][]graph.NodeID{{graph.NodeID(rng.Int63n(span))}},
+				}
+			}
+			b.rebind(STwig{Root: 0, Leaves: []int{1}}, [][]STwigMatch{matches}, sc)
+			for v := range b.sets {
+				s := b.sets[v]
+				if s.dense {
+					dense++
+					continue
+				}
+				sparse++
+				listed := map[int32]bool{}
+				for _, w := range s.nonzero {
+					listed[w] = true
+				}
+				for w, word := range s.bits {
+					if (word != 0) != listed[int32(w)] {
+						t.Fatalf("run %d step %d: word %d is %#x, listed %v", run, step, w, word, listed[int32(w)])
+					}
+				}
+				if len(s.nonzero) > len(s.bits)/8 {
+					t.Fatalf("a set lists %d of its %d words", len(s.nonzero), len(s.bits))
+				}
+			}
+		}
+		b.release(sc)
+		for _, s := range sc.free {
+			if s.bits.popcount() != 0 || len(s.nonzero) != 0 || s.dense {
+				t.Fatalf("run %d: a set went back to the scratch uncleared", run)
+			}
+		}
+	}
+	if sparse == 0 || dense == 0 {
+		t.Fatalf("%d listed and %d dense sets: the fixture must make both", sparse, dense)
 	}
 }

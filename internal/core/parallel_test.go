@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"stwig/internal/graph"
+	"stwig/internal/memcloud"
 	"stwig/internal/rmat"
 )
 
@@ -61,48 +62,61 @@ func denseClique(t testing.TB) (*graph.Graph, *Query) {
 	return b.Build(), MustNewQuery([]string{"a", "a"}, [][2]int{{0, 1}})
 }
 
-// waitNoExtraGoroutines fails the test if the goroutine count does not
+// liveGoroutines counts the goroutines that are not ParallelEach workers
+// parked between phases: those are the process's worker pool, not a run's.
+func liveGoroutines() int {
+	return runtime.NumGoroutine() - memcloud.ParkedWorkers()
+}
+
+// waitNoExtraGoroutines fails the test if the live goroutine count does not
 // return to (roughly) the pre-test baseline: a goroutine that outlives its
 // run.
 func waitNoExtraGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= base {
+		if liveGoroutines() <= base {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("goroutine leak: %d live, baseline %d", runtime.NumGoroutine(), base)
+	t.Fatalf("goroutine leak: %d live, baseline %d", liveGoroutines(), base)
 }
 
-// settledGoroutines returns the goroutine count once it has held still for
-// a few milliseconds: the workers of a phase that just returned (the load's,
-// a previous run's) may not have exited yet.
-func settledGoroutines() int {
-	n := runtime.NumGoroutine()
-	for still := 0; still < 3; {
-		time.Sleep(time.Millisecond)
-		if m := runtime.NumGoroutine(); m == n {
-			still++
-		} else {
-			n, still = m, 0
-		}
+// inFlight counts the calls of a probe that run at once, and keeps the
+// peak and the total.
+type inFlight struct{ now, peak, calls atomic.Int64 }
+
+// hold is one probe call: it stays in flight for d.
+func (f *inFlight) hold(d time.Duration) {
+	f.calls.Add(1)
+	n := f.now.Add(1)
+	for old := f.peak.Load(); n > old && !f.peak.CompareAndSwap(old, n); old = f.peak.Load() {
 	}
-	return n
+	time.Sleep(d)
+	f.now.Add(-1)
+}
+
+// probedCtx holds every Err call in flight: exploration reads it on the
+// machines, after every abortPoll roots.
+type probedCtx struct {
+	context.Context
+	f *inFlight
+}
+
+func (c probedCtx) Err() error {
+	c.f.hold(200 * time.Microsecond)
+	return c.Context.Err()
 }
 
 // TestRunUsesAtMostOneGoroutinePerCore: a phase runs its machines on
 // min(GOMAXPROCS, machines) workers while the caller waits, so neither the
-// exploration nor the join ever has more goroutines of its own than that —
-// fewer machines than cores, or fewer cores than machines. A sampler polls
-// the goroutine count. A phase's workers may still be exiting when the next
-// phase starts its own, so the test runs each phase of the run alone and
-// waits for the count to fall back in between. The join holds its workers:
-// the block callback, which every worker calls for its own machines,
-// samples and then sleeps, so the join's workers are alive meanwhile.
-// Exploration is too short to hold: it is repeated, a bounded number of
-// times, until the sampler has seen a worker.
+// exploration nor the join ever has more machine calls in flight than that
+// — fewer machines than cores, or fewer cores than machines. The probes sit
+// inside the machine calls and sleep there, so a machine that had a worker
+// of its own would be seen: in exploration the context's Err, which every
+// machine reads at least once (the fixture has more than abortPoll roots
+// per machine); in the join the block callback.
 func TestRunUsesAtMostOneGoroutinePerCore(t *testing.T) {
 	g, q := scale15Graph(), scale15Query()
 	for _, tc := range []struct{ procs, machines int }{{2, 8}, {8, 2}} {
@@ -113,71 +127,37 @@ func TestRunUsesAtMostOneGoroutinePerCore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			var explorePeak, joinPeak atomic.Int64
-			var phase atomic.Pointer[atomic.Int64]
-			phase.Store(&explorePeak)
-			sample := func() {
-				peak, n := phase.Load(), int64(runtime.NumGoroutine())
-				for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
-				}
-			}
-			stop, stopped := make(chan struct{}), make(chan struct{})
-			go func() {
-				defer close(stopped)
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-						sample()
-						time.Sleep(20 * time.Microsecond)
-					}
-				}
-			}()
-			base := settledGoroutines()
-
-			var blocks atomic.Int64 // machines emit concurrently
+			var explore, join inFlight
 			r := &execution{ex: eng.executor, plan: plan, cut: restriction{ids: wholeIDSpace},
 				emit: func(_ int, ms []Match) (int, bool) {
-					sample()
-					if blocks.Add(1) <= 16 {
-						time.Sleep(200 * time.Microsecond)
+					if join.calls.Load() < 16 {
+						join.hold(200 * time.Microsecond)
+					} else {
+						join.hold(0)
 					}
 					return len(ms), true
 				}}
 			r.sc = eng.executor.scratch.Get().(*runScratch)
 			defer r.sc.forget()
-			var perTwig [][][]STwigMatch
-			explorePeak.Store(0) // what the sampler saw while the count settled
-			const tries = 50
-			for try := 1; perTwig == nil || explorePeak.Load() <= int64(base); try++ {
-				if try > tries {
-					t.Fatalf("the sampler saw no worker during exploration in %d runs (peak %d, %d before the run)", tries, explorePeak.Load(), base)
-				}
-				if perTwig, err = r.explore(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-				waitNoExtraGoroutines(t, base)
+			perTwig, err := r.explore(probedCtx{context.Background(), &explore})
+			if err != nil {
+				t.Fatal(err)
 			}
-			phase.Store(&joinPeak)
 			r.exchangeAndJoin(context.Background(), perTwig)
-			close(stop)
-			<-stopped
-			if blocks.Load() < 4 {
-				t.Fatalf("%d blocks; the fixture must flush several per machine", blocks.Load())
+			// The proxy reads Err once more after the step, alone.
+			if explore.calls.Load() < int64(tc.machines)+1 || join.calls.Load() < 4 {
+				t.Fatalf("%d context reads and %d blocks; the fixture must probe every machine in exploration and flush several blocks",
+					explore.calls.Load(), join.calls.Load())
 			}
-			limit := int64(base + min(tc.procs, tc.machines))
+			limit := int64(min(tc.procs, tc.machines))
 			for _, p := range []struct {
 				phase string
 				peak  int64
-			}{{"exploration", explorePeak.Load()}, {"join", joinPeak.Load()}} {
+			}{{"exploration", explore.peak.Load()}, {"join", join.peak.Load()}} {
 				if p.peak > limit {
-					t.Errorf("%d goroutines during the %s, %d before the run: more than min(GOMAXPROCS, machines) = %d workers",
-						p.peak, p.phase, base, min(tc.procs, tc.machines))
+					t.Errorf("%d machine calls at once during the %s: more than min(GOMAXPROCS, machines) = %d", p.peak, p.phase, limit)
 				}
 			}
-			waitNoExtraGoroutines(t, base-1)
 		})
 	}
 }
@@ -225,7 +205,7 @@ func TestSingleMachineEmissionIsDeterministic(t *testing.T) {
 func TestParallelBudgetStopsWorkers(t *testing.T) {
 	g, q := denseClique(t)
 	c := clusterFor(t, g, 2)
-	base := runtime.NumGoroutine()
+	base := liveGoroutines()
 
 	res, err := NewEngine(c, Options{MatchBudget: 64}).Match(q)
 	if err != nil {
@@ -252,7 +232,7 @@ func TestParallelBudgetStopsWorkers(t *testing.T) {
 func TestParallelEmitStopStopsWorkers(t *testing.T) {
 	g, q := denseClique(t)
 	c := clusterFor(t, g, 2)
-	base := runtime.NumGoroutine()
+	base := liveGoroutines()
 
 	count := 0
 	stats, err := NewEngine(c, Options{}).MatchStream(
@@ -279,7 +259,7 @@ func TestParallelEmitStopStopsWorkers(t *testing.T) {
 func TestParallelContextCancelStopsWorkers(t *testing.T) {
 	g, q := denseClique(t)
 	c := clusterFor(t, g, 2)
-	base := runtime.NumGoroutine()
+	base := liveGoroutines()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

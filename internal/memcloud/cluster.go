@@ -463,25 +463,92 @@ func (c *Cluster) StringIndexBytes() int64 {
 // machines from a shared counter until none is left, and the caller only
 // waits. A query phase is short: a goroutine per machine would charge it
 // their start-up, stack growth and scheduling, and no more than GOMAXPROCS
-// of them can run at once anyway. Calls for different machines may run
-// concurrently and in any order, and one must never wait for another. A
-// worker reads the clock before its first machine; fn gets the reading its
-// machine starts at and returns the one that ends it.
+// of them can run at once anyway. So the workers outlive the phase: the
+// phase goes to workers parked by earlier phases of any cluster, and a
+// goroutine is started only for a worker no parked one can be. A worker
+// keeps the stack it grew in fn from phase to phase. Calls for different
+// machines may run concurrently and in any order, and one must never wait
+// for another. A worker reads the clock before its first machine; fn gets
+// the reading its machine starts at and returns the one that ends it.
 func (c *Cluster) ParallelEach(fn func(m *Machine, start time.Time) (end time.Time)) {
-	workers := min(runtime.GOMAXPROCS(0), len(c.machines))
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for range workers {
-		go func() {
-			defer wg.Done()
-			start := time.Now()
-			for i := int(next.Add(1)) - 1; i < len(c.machines); i = int(next.Add(1)) - 1 {
-				start = fn(c.machines[i], start)
-			}
-		}()
+	procs := runtime.GOMAXPROCS(0)
+	workers := min(procs, len(c.machines))
+	p := phases.Get().(*phase)
+	p.machines, p.fn, p.procs = c.machines, fn, procs
+	p.next.Store(0)
+	p.wg.Add(workers)
+	// A wake channel's one slot is empty while its worker is parked, so the
+	// hand-off never waits: not for a worker still on its way to the
+	// receive, nor for one blocked in another phase's fn.
+	parked.mu.Lock()
+	for ; workers > 0 && len(parked.wake) > 0; workers-- {
+		last := len(parked.wake) - 1
+		parked.wake[last] <- p
+		parked.wake[last] = nil
+		parked.wake = parked.wake[:last]
 	}
-	wg.Wait()
+	parked.mu.Unlock()
+	for range workers {
+		go work(p)
+	}
+	p.wg.Wait()
+	p.machines, p.fn = nil, nil
+	phases.Put(p)
+}
+
+// phase is one ParallelEach call, shared by its workers. Phases are pooled:
+// once the caller's Wait returns, no worker touches its phase again.
+type phase struct {
+	machines []*Machine
+	fn       func(m *Machine, start time.Time) (end time.Time)
+	next     atomic.Int32 // the claim counter
+	procs    int          // GOMAXPROCS when the phase began: the parking bound
+	wg       sync.WaitGroup
+}
+
+var phases = sync.Pool{New: func() any { return new(phase) }}
+
+// parked holds the wake channels of the workers waiting for a phase,
+// process-wide; the most recently parked worker is taken first.
+var parked struct {
+	mu   sync.Mutex
+	wake []chan *phase
+}
+
+// ParkedWorkers returns how many ParallelEach workers are parked between
+// phases: at most GOMAXPROCS, and no leak. Goroutine-leak checks subtract
+// it.
+func ParkedWorkers() int {
+	parked.mu.Lock()
+	defer parked.mu.Unlock()
+	return len(parked.wake)
+}
+
+// work is a worker's life: it runs p, then every phase handed to it while
+// it was parked, and exits when it finds GOMAXPROCS workers parked already.
+func work(p *phase) {
+	wake := make(chan *phase, 1)
+	for p.run(wake) {
+		p = <-wake
+	}
+}
+
+// run claims machines of p until none is left, and reports whether the
+// worker parked. It parks before it leaves the phase's barrier, so the
+// caller's next phase finds it parked.
+func (p *phase) run(wake chan *phase) bool {
+	start := time.Now()
+	for i := int(p.next.Add(1)) - 1; i < len(p.machines); i = int(p.next.Add(1)) - 1 {
+		start = p.fn(p.machines[i], start)
+	}
+	parked.mu.Lock()
+	park := len(parked.wake) < p.procs
+	if park {
+		parked.wake = append(parked.wake, wake)
+	}
+	parked.mu.Unlock()
+	p.wg.Done()
+	return park
 }
 
 // charge books messages messages carrying words payload words in all to net.

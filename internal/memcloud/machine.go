@@ -4,8 +4,9 @@ import "stwig/internal/graph"
 
 // Machine is one simulated cluster member: a partition's slab store plus its
 // local string index. A query phase runs each machine once, on one of at
-// most GOMAXPROCS workers (see Cluster.ParallelEach); a Machine's read API is
-// safe for concurrent use after a load.
+// most GOMAXPROCS workers that the process parks between phases (see
+// Cluster.ParallelEach); a Machine's read API is safe for concurrent use
+// after a load.
 type Machine struct {
 	id      int
 	cluster *Cluster

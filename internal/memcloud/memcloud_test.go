@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -343,6 +346,118 @@ func TestParallelEachRunsAllMachines(t *testing.T) {
 		if !ok {
 			t.Fatalf("machine %d did not run", i)
 		}
+	}
+}
+
+// TestParallelEachBlockedPhaseStallsNoOther: a phase whose machines block
+// — a join stuck in emit on a slow client's socket — holds its own workers
+// only. Phases on the same cluster and on another still run to the end
+// while it is blocked: the hand-off to parked workers never waits for one.
+func TestParallelEachBlockedPhaseStallsNoOther(t *testing.T) {
+	g := testGraph(t)
+	c, other := loadedCluster(t, g, 4), loadedCluster(t, g, 4)
+	workers := min(runtime.GOMAXPROCS(0), 4)
+	entered := make(chan struct{}, 4)
+	release, blockedDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(blockedDone)
+		c.ParallelEach(func(m *Machine, start time.Time) time.Time {
+			entered <- struct{}{}
+			<-release
+			return time.Now()
+		})
+	}()
+	for range workers { // every worker of the blocked phase is inside fn
+		<-entered
+	}
+	for _, cl := range []*Cluster{c, other, c, other} {
+		done := make(chan int, 4)
+		go func() {
+			cl.ParallelEach(func(m *Machine, start time.Time) time.Time {
+				done <- m.ID()
+				return time.Now()
+			})
+			close(done)
+		}()
+		ran := 0
+		timeout := time.After(10 * time.Second)
+		for open := true; open; {
+			select {
+			case _, open = <-done:
+				if open {
+					ran++
+				}
+			case <-timeout:
+				t.Fatalf("a phase waited behind a blocked one: %d of 4 machines ran", ran)
+			}
+		}
+		if ran != 4 {
+			t.Fatalf("%d of 4 machines ran", ran)
+		}
+	}
+	close(release)
+	<-blockedDone
+}
+
+// TestParallelEachPoolSettles: after a burst of concurrent phases on
+// several clusters, each worker either parks or exits, and at most
+// GOMAXPROCS park: the goroutine count falls back to what it was, plus at
+// most GOMAXPROCS parked workers.
+func TestParallelEachPoolSettles(t *testing.T) {
+	g := testGraph(t)
+	clusters := []*Cluster{loadedCluster(t, g, 4), loadedCluster(t, g, 3), loadedCluster(t, g, 1)}
+	procs := runtime.GOMAXPROCS(0)
+	base := runtime.NumGoroutine() - ParkedWorkers()
+	var wg sync.WaitGroup
+	for i := range 32 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				clusters[i%len(clusters)].ParallelEach(func(m *Machine, start time.Time) time.Time {
+					if m.ID()%2 == 0 {
+						runtime.Gosched()
+					}
+					return time.Now()
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base+procs {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the burst, %d parked: more than %d before it + GOMAXPROCS = %d",
+				runtime.NumGoroutine(), ParkedWorkers(), base, procs)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := ParkedWorkers(); n > procs {
+		t.Fatalf("%d workers parked, more than GOMAXPROCS = %d", n, procs)
+	}
+}
+
+// TestParallelEachWarmPoolStartsNoGoroutine: a phase's workers park before
+// it returns, so the next phase finds them and starts no goroutine — not
+// even one that is gone again by the time the caller looks.
+func TestParallelEachWarmPoolStartsNoGoroutine(t *testing.T) {
+	g := testGraph(t)
+	c := loadedCluster(t, g, 4)
+	noop := func(m *Machine, start time.Time) time.Time { return time.Now() }
+	c.ParallelEach(noop)
+	before := runtime.NumGoroutine()
+	var peak atomic.Int64
+	c.ParallelEach(func(m *Machine, start time.Time) time.Time {
+		n := int64(runtime.NumGoroutine())
+		for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
+		}
+		return time.Now()
+	})
+	if peak.Load() > int64(before) {
+		t.Fatalf("%d goroutines during the second phase, %d before it: it started workers", peak.Load(), before)
+	}
+	if n := ParkedWorkers(); n < min(runtime.GOMAXPROCS(0), 4) {
+		t.Fatalf("%d workers parked after two phases of %d workers", n, min(runtime.GOMAXPROCS(0), 4))
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -521,7 +520,7 @@ func TestUpdateQueueBackpressureAndDrain(t *testing.T) {
 	if err := c.Healthz(ctx); err != nil {
 		t.Fatal(err)
 	}
-	baseline := runtime.NumGoroutine() + 8
+	baseline := liveGoroutines() + 8
 
 	// Pin a stream: its executor holds the reader gate until canceled.
 	cancel, typ := startStream(t, ts.URL+"/v1", hc)

@@ -12,7 +12,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -588,7 +587,7 @@ func TestServerCloseDrainThenClose(t *testing.T) {
 	defer ts.Close()
 	root := client.New(ts.URL, client.WithRetry(0, 0))
 	c := root.Namespace(durName)
-	baseline := runtime.NumGoroutine() + 8
+	baseline := liveGoroutines() + 8
 
 	const updaters = 4
 	var wg sync.WaitGroup
