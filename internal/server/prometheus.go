@@ -77,9 +77,10 @@ func (p *promWriter) latencyHistogram(name string, h *histogram, baseKV ...strin
 
 // goRuntime emits the process-wide Go runtime gauges. They are read here, at
 // scrape time, from runtime/metrics — which does not stop the world — and
-// nothing on the query path feeds them. A running query adds
-// min(GOMAXPROCS, machines) goroutines, one per worker its phases run the
-// simulated machines on.
+// nothing on the query path feeds them. The goroutine gauge includes up
+// to GOMAXPROCS query-phase workers, parked between phases on an idle
+// daemon too (memcloud.ParallelEach); running queries add goroutines only
+// where their phases need more workers than are parked.
 func (p *promWriter) goRuntime() {
 	samples := []rtmetrics.Sample{
 		{Name: "/memory/classes/heap/objects:bytes"},
