@@ -31,8 +31,9 @@ type Bindings struct {
 // boundSet is one H_v. A selective step sets bits in a few dozen of the
 // set's ⌈numNodes/64⌉ words, so the set lists the words add made non-zero,
 // and handing it back to the scratch clears those alone. A set with more
-// than len(bits)/8 of them is dense: its list stops growing (a list costs
-// up to half the set's own bytes), and the whole set is cleared.
+// than len(bits)/8 of them is dense: its list stops there, so that a pooled
+// list never costs more than a sixteenth of its set's bytes, and the whole
+// set is cleared.
 type boundSet struct {
 	bits    bitset
 	nonzero []int32 // word indexes: a cluster has at most 2^32 vertices

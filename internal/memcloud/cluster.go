@@ -465,8 +465,8 @@ func (c *Cluster) StringIndexBytes() int64 {
 // their start-up, stack growth and scheduling, and no more than GOMAXPROCS
 // of them can run at once anyway. So the workers outlive the phase: the
 // phase goes to workers parked by earlier phases of any cluster, and a
-// goroutine is started only for a worker no parked one can be. A worker
-// keeps the stack it grew in fn from phase to phase. Calls for different
+// goroutine is started only when no worker is parked. A worker keeps the
+// stack it grew in fn from phase to phase. Calls for different
 // machines may run concurrently and in any order, and one must never wait
 // for another. A worker reads the clock before its first machine; fn gets
 // the reading its machine starts at and returns the one that ends it.
