@@ -47,12 +47,12 @@ import (
 // reaches the client until every leg has answered with response headers —
 // a shard sends them the moment the request is admitted — so a shard that is
 // down, refusing or 5xx when the query starts always costs the client a
-// status-coded envelope; one that fails after that handshake ends the stream
-// with an error record. Either way any leg failure degrades loudly, as
-// shard_unavailable naming the dead shard, never as a silently partial match
-// set. Updates broadcast to every shard — all replicas must converge — and
-// shard 0's acknowledgement, the same node ids and epoch as every other's,
-// is the one returned to the client.
+// status-coded envelope, and so does one that fails later while the client's
+// first write unit is pending; after that, an error record ends the stream.
+// Either way any leg failure degrades loudly, as shard_unavailable naming the
+// dead shard, never as a silently partial match set. Updates broadcast to
+// every shard — all replicas must converge — and shard 0's acknowledgement,
+// the same node ids and epoch as every other's, is the one returned.
 
 // coordMaxLine bounds one NDJSON line read off a shard leg (mirrors the Go
 // client's scanner cap); a leg's read buffer grows past blockBufSize only to

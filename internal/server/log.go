@@ -65,8 +65,7 @@ type request struct {
 }
 
 // statusWriter captures the status code and body bytes a handler writes,
-// for the request summary log. It forwards Flush so NDJSON streaming keeps
-// working through it.
+// for the request summary log.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -87,12 +86,6 @@ func (sw *statusWriter) Write(p []byte) (int, error) {
 	n, err := sw.ResponseWriter.Write(p)
 	sw.bytes += int64(n)
 	return n, err
-}
-
-func (sw *statusWriter) Flush() {
-	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // beginRequest starts per-request observability: it resolves the trace ID

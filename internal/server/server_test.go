@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"stwig/internal/core"
+	"stwig/internal/graph"
 	"stwig/internal/memcloud"
 	"stwig/internal/rmat"
 	"stwig/internal/server"
@@ -618,6 +620,62 @@ func TestDeadlineExceededErrorRecord(t *testing.T) {
 	}
 	if !strings.Contains(last.Error, "deadline") {
 		t.Fatalf("error record %q does not name the deadline", last.Error)
+	}
+}
+
+// TestDeadlineBeforeFirstWriteUnitIsAnEnvelope fails a query whose answer
+// stays under one write unit: its 8 matches are found at once, and its
+// deadline passes inside the join that follows. Nothing has reached the wire
+// when it fails, so the client must get the deadline's status and error
+// envelope — never a 200 carrying some matches and an error record. The
+// fixture is two machines by vertex range: the first holds a 4-cycle, whose
+// join emits its 8 matches within a few milliseconds (under the race detector
+// too), the second a 4,000-leaf star, whose join runs for seconds and finds
+// no cycle.
+func TestDeadlineBeforeFirstWriteUnitIsAnEnvelope(t *testing.T) {
+	const leaves, deadline = 4000, 200 * time.Millisecond
+	b := graph.NewBuilder(graph.Undirected(), graph.Dedupe())
+	for i := 0; i < 2*(leaves+1); i++ {
+		b.AddNode("a")
+	}
+	for i := 0; i < 4; i++ {
+		b.MustAddEdge(graph.NodeID(i), graph.NodeID((i+1)%4))
+	}
+	for hub, i := graph.NodeID(leaves+1), 1; i <= leaves; i++ {
+		b.MustAddEdge(hub, hub+graph.NodeID(i))
+	}
+	g := b.Build()
+	cluster := memcloud.MustNewCluster(memcloud.Config{Machines: 2, Partitioner: memcloud.RangePartitioner{K: 2, N: g.NumNodes()}})
+	if err := cluster.LoadGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	eng := core.NewEngine(cluster, core.Options{})
+
+	// The fixture's own check: matches arrive before the deadline, which
+	// then ends the query.
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	found := 0
+	_, err := eng.MatchStreamBlocks(ctx, core.MustNewQuery([]string{"a", "a", "a", "a"}, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}}),
+		func(ms []core.Match) (int, bool) { found += len(ms); return len(ms), true })
+	cancel()
+	if found == 0 || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("%d matches before the deadline, err %v; want some, then the deadline's error", found, err)
+	}
+
+	_, ts, _ := newTestServer(t, eng, server.Config{})
+	body, _ := json.Marshal(server.QueryRequest{Pattern: "(a:a)-(b:a), (b)-(c:a), (c)-(d:a), (d)-(a)", TimeoutMS: int(deadline.Milliseconds())})
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env server.ErrorResponse
+	if resp.StatusCode != http.StatusGatewayTimeout || json.Unmarshal(raw, &env) != nil || env.Code != server.CodeDeadline {
+		t.Fatalf("status %d, body %q; want %d and a %s envelope", resp.StatusCode, raw, http.StatusGatewayTimeout, server.CodeDeadline)
 	}
 }
 

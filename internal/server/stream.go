@@ -9,11 +9,12 @@ import (
 	"stwig/internal/core"
 )
 
-// blockBufSize is a match stream's write unit. Past its first block a
-// response's records collect in a pooled buffer that goes to the wire once
-// it holds this much: two or three default engine blocks of four-vertex
-// matches (~13 KB each), which net/http's chunked writer puts on the socket
-// in at most three write syscalls. A coordinator leg reads its shard's
+// blockBufSize is a match stream's write unit: a response's records collect
+// in a pooled buffer that goes to the wire once it holds this much — two or
+// three default engine blocks of four-vertex matches (~13 KB each). It
+// outgrows net/http's buffers (2 KB response, 4 KB connection), so a unit
+// reaches the socket as it is written, in two write syscalls, and only its
+// chunk's CRLF waits for the next write. A coordinator leg reads its shard's
 // response in chunks of at most this.
 const blockBufSize = 32 << 10
 
@@ -40,15 +41,16 @@ func putBlock(b *[]byte) {
 // backend seam produces the matches: it owns the deferred 200, the pending
 // buffer, both caps and the terminal record. Matches arrive through a
 // lineHandoff as blocks of canonical match lines (writeLines), encoded by
-// the engine's machines or by a shard. The first block goes to the wire at
-// once, so the first matches reach the client as soon as they are found;
-// after it records collect until a write unit is pending, a cap closes the
-// stream, or the terminal record — stats trailer or error — joins them, and
-// each of those is one Write and one Flush. Both caps cut at a record
-// boundary, counting what is pending as well as what was written, the
-// cap-crossing record is delivered, and matches counts what reached the
-// wire. It is not safe for concurrent use: producers go through the
-// hand-off, and the terminal record follows them.
+// the engine's machines or by a shard. Records collect until a write unit is
+// pending, a cap closes the stream, or the terminal record — stats trailer
+// or error — joins them, and each of those is one Write. So the first match
+// reaches the client with the first write unit or the whole answer,
+// whichever comes first, and an answer under net/http's 2 KB buffer leaves
+// with a Content-Length, header and body in one write syscall. Both caps cut
+// at a record boundary, counting what is pending as well as what was
+// written, the cap-crossing record is delivered, and matches counts what
+// reached the wire. It is not safe for concurrent use: producers go through
+// the hand-off, and the terminal record follows them.
 type streamWriter struct {
 	// w counts the bytes written, which until the terminal record are all
 	// match payload — what the byte cap bounds.
@@ -86,7 +88,7 @@ func (sw *streamWriter) pending() []byte {
 }
 
 // begin sends the 200 header if nothing has been sent yet. It is deferred to
-// the first record so that a failure preceding all output can still use a
+// the first write so that a failure preceding all output can still use a
 // proper error status.
 func (sw *streamWriter) begin() {
 	if sw.w.status == 0 {
@@ -97,10 +99,13 @@ func (sw *streamWriter) begin() {
 }
 
 // announce sends the 200 header at once, ahead of any record: a shard's half
-// of the leg handshake (see coordinator.streamMatches).
+// of the leg handshake (see coordinator.streamMatches). It is the sink's one
+// flush; the handler's return flushes the terminal write.
 func (sw *streamWriter) announce() {
 	sw.begin()
-	sw.w.Flush()
+	if f, ok := sw.w.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
 }
 
 // closed reports whether the stream takes no more matches.
@@ -122,8 +127,8 @@ func (sw *streamWriter) capped(n, size int) bool {
 	return true
 }
 
-// flush writes the pending buffer out, one Write and one Flush, and reports
-// whether it reached the wire.
+// flush writes the pending buffer out in one Write and reports whether it
+// reached the wire.
 func (sw *streamWriter) flush() bool {
 	buf, records := *sw.buf, sw.queued
 	*sw.buf, sw.queued = buf[:0], 0
@@ -135,18 +140,16 @@ func (sw *streamWriter) flush() bool {
 		sw.failed = true
 		return false
 	}
-	sw.w.Flush()
 	sw.matches += records
 	return true
 }
 
 // queue books records just added to the pending buffer and writes the
-// buffer out if they are the stream's first, a write unit is pending or a
-// cap closed the stream. It reports how many records the stream took and
-// whether it takes more.
+// buffer out if a write unit is pending or a cap closed the stream. It
+// reports how many records the stream took and whether it takes more.
 func (sw *streamWriter) queue(records int) (int, bool) {
 	sw.queued += records
-	if (sw.matches == 0 || len(*sw.buf) >= blockBufSize || sw.limitHit || sw.capHit) && !sw.flush() {
+	if (len(*sw.buf) >= blockBufSize || sw.limitHit || sw.capHit) && !sw.flush() {
 		return 0, false
 	}
 	return records, !sw.closed()
@@ -203,9 +206,11 @@ func (sw *streamWriter) writeTrailer(stats *StreamStats) {
 	sw.finish(Record{Type: RecordStats, Stats: stats})
 }
 
-// writeError closes a stream whose 200 is out with the error record. Before
-// the header it writes nothing: nothing is pending then, and the request's
-// envelope reports the failure with a status instead.
+// writeError closes a stream whose 200 is out with the error record, which
+// carries the records still pending. While nothing has reached the wire —
+// the status is set only as a write or an announced header goes out — it
+// writes nothing and the pending records are dropped: the request's envelope
+// reports the failure with its status, never a 200 and a partial answer.
 func (sw *streamWriter) writeError(e *apiError, trace string) {
 	if sw.w.status != 0 {
 		sw.finish(Record{Type: RecordError, Error: e.msg, Code: e.code, TraceID: trace})

@@ -30,11 +30,12 @@ func referenceStream(t *testing.T, assignments [][]int64, maxBytes int64, maxMat
 }
 
 // writeRecorder is a ResponseWriter that keeps the body and the size of
-// every Write.
+// every Write, and counts the Flushes asked of it.
 type writeRecorder struct {
-	h      http.Header
-	body   []byte
-	writes []int
+	h       http.Header
+	body    []byte
+	writes  []int
+	flushes int
 }
 
 func (w *writeRecorder) Header() http.Header { return w.h }
@@ -44,6 +45,7 @@ func (w *writeRecorder) Write(p []byte) (int, error) {
 	w.writes = append(w.writes, len(p))
 	return len(p), nil
 }
+func (w *writeRecorder) Flush() { w.flushes++ }
 
 // TestStreamWriterCapsCutWhereTheyAlwaysDid drives the sink's two inputs —
 // engine blocks the hand-off encodes, and blocks of lines a shard encoded —
@@ -51,10 +53,12 @@ func (w *writeRecorder) Write(p []byte) (int, error) {
 // the stats trailer or, every other round, an error record. Both inputs
 // must put exactly the reference's bytes on the wire ahead of the terminal
 // record, cut at the same record with the same flags and the same count,
-// and decline everything after the cut. Records collect into write units:
-// every write but the first, the one a cap closes the stream with, and the
-// last is at least blockBufSize, and the last carries the records still
-// pending along with the terminal record.
+// and decline everything after the cut — except an error round in which no
+// record reached the wire, which writes nothing at all: the request's
+// envelope reports that failure. Records collect into write units: every
+// write but the one a cap closes the stream with and the last is at least
+// blockBufSize, the last carries the records still pending along with the
+// terminal record, and nothing is flushed: the handler's return does that.
 func TestStreamWriterCapsCutWhereTheyAlwaysDid(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 300; round++ {
@@ -124,10 +128,14 @@ func TestStreamWriterCapsCutWhereTheyAlwaysDid(t *testing.T) {
 			}
 			sw.release()
 
-			// A stream that never started has no header out, so the error
-			// envelope, not the sink, reports its failure.
-			terminal := round%2 == 0 || len(wantWire) > 0
-			body := rec.body
+			// A stream with nothing on the wire has no header out, so the
+			// error envelope, not the sink, reports its failure, and the
+			// records still pending are dropped.
+			terminal := round%2 == 0 || written > 0
+			body, wantBody, wantCount := rec.body, wantWire, wantMatches
+			if !terminal {
+				wantBody, wantCount = nil, 0
+			}
 			if terminal {
 				last := bytes.LastIndexByte(body[:len(body)-1], '\n') + 1
 				var end Record
@@ -139,12 +147,12 @@ func TestStreamWriterCapsCutWhereTheyAlwaysDid(t *testing.T) {
 					t.Fatalf("%s: the terminal record's write is %d bytes after %d written; want the %d pending records in it", desc, w, written, pending)
 				}
 			}
-			if !bytes.Equal(body, wantWire) {
-				t.Fatalf("%s: wire differs from the reference:\n got %q\nwant %q", desc, body, wantWire)
+			if !bytes.Equal(body, wantBody) {
+				t.Fatalf("%s: wire differs from the reference:\n got %q\nwant %q", desc, body, wantBody)
 			}
-			if delivered != wantMatches || sw.matches != wantMatches || sw.limitHit != wantLimit || sw.capHit != wantCap {
-				t.Fatalf("%s: took %d, counts %d, limit_hit=%v byte_cap_hit=%v; want %d, limit_hit=%v byte_cap_hit=%v",
-					desc, delivered, sw.matches, sw.limitHit, sw.capHit, wantMatches, wantLimit, wantCap)
+			if delivered != wantMatches || sw.matches != wantCount || sw.limitHit != wantLimit || sw.capHit != wantCap {
+				t.Fatalf("%s: took %d, counts %d, limit_hit=%v byte_cap_hit=%v; want %d taken, %d counted, limit_hit=%v byte_cap_hit=%v",
+					desc, delivered, sw.matches, sw.limitHit, sw.capHit, wantMatches, wantCount, wantLimit, wantCap)
 			}
 			if round%2 == 0 && (stats.Matches != wantMatches || stats.LimitHit != wantLimit || stats.ByteCapHit != wantCap) {
 				t.Fatalf("%s: trailer %+v; want %d matches, limit_hit=%v byte_cap_hit=%v", desc, stats, wantMatches, wantLimit, wantCap)
@@ -152,16 +160,19 @@ func TestStreamWriterCapsCutWhereTheyAlwaysDid(t *testing.T) {
 			if open == (wantLimit || wantCap) {
 				t.Fatalf("%s: sink open = %v after limit_hit=%v byte_cap_hit=%v", desc, open, wantLimit, wantCap)
 			}
-			var middle []int
-			if len(rec.writes) > 2 {
-				middle = rec.writes[1 : len(rec.writes)-1]
+			if rec.flushes != 0 {
+				t.Fatalf("%s: %d flushes; the sink leaves them to the handler's return", desc, rec.flushes)
 			}
-			if (wantLimit || wantCap) && len(middle) > 0 {
-				middle = middle[:len(middle)-1]
+			var units []int
+			if len(rec.writes) > 1 {
+				units = rec.writes[:len(rec.writes)-1]
 			}
-			for _, w := range middle {
+			if (wantLimit || wantCap) && len(units) > 0 {
+				units = units[:len(units)-1]
+			}
+			for _, w := range units {
 				if w < blockBufSize {
-					t.Fatalf("%s: writes %v: a %d-byte write is neither the first, the cap's nor the last", desc, rec.writes, w)
+					t.Fatalf("%s: writes %v: a %d-byte write is neither the cap's nor the last", desc, rec.writes, w)
 				}
 			}
 		}
