@@ -50,12 +50,17 @@ func bytesPerQuery(t *testing.T, eng *Engine, q *Query) uint64 {
 // run of q: the scratch pool is warm, and the collector is held off so it
 // cannot empty the pool between runs.
 func costPerQuery(t *testing.T, eng *Engine, q *Query) (bytes, allocs uint64) {
+	return costPerQueryIn(t, context.Background(), eng, q)
+}
+
+// costPerQueryIn is costPerQuery with every run under ctx.
+func costPerQueryIn(t *testing.T, ctx context.Context, eng *Engine, q *Query) (bytes, allocs uint64) {
 	t.Helper()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	discard := func(ms []Match) (int, bool) { return len(ms), true }
 	run := func() {
-		if _, err := eng.MatchStreamBlocks(context.Background(), q, discard); err != nil {
+		if _, err := eng.MatchStreamBlocks(ctx, q, discard); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,10 +173,15 @@ func TestJoinAllocsDoNotGrowWithMatches(t *testing.T) {
 // slices.SortStableFunc).
 const untracedRunAllocs = 71
 
-// tracedRunAllocs is the same run with a trace ID: what stwigd executes,
-// since it stamps every request with one. The 13 allocations over
+// tracedRunAllocs is the same run on an engine with Options.TraceID, which
+// records spans on every run (stwigql -trace). The 9 allocations over
 // untracedRunAllocs are the span tree: the step names, the per-machine span
-// slots and child lists, and the tree itself. 84, down from 93 by the
+// slots and child lists, and the tree itself. 80, down from 84: the plan
+// span is built with the tree instead of as a one-element array grown by
+// an append in front of it (2), and the engine no longer puts its trace ID
+// into a context value per run (2: the value and its boxed string). A
+// trace ID alone no longer records spans, so what stwigd runs is the
+// untraced count (TestTraceIDAloneRecordsNoSpans). 84, down from 93 by the
 // untraced run's 9 (84 − 71 = 93 − 80 = 13). 93, down from 99: with the
 // pre-join reduction pass deleted, a machine span has no third child whose
 // "(N rounds)" name was formatted per run, and its exchange/blockjoin child
@@ -180,7 +190,7 @@ const untracedRunAllocs = 71
 // down from 101 with the untraced run's per-machine generator; 101 was down
 // from 113 with the untraced run's 10 and the two machine span names, which
 // come from a table.
-const tracedRunAllocs = 84
+const tracedRunAllocs = 80
 
 // planAllocs is what Planner.Plan allocates for pathFixture's small query
 // on eight machines: the plan and four of its slices (labels, label counts,
@@ -226,6 +236,33 @@ func TestUntracedRunAllocsPinned(t *testing.T) {
 	}
 	if traced != tracedRunAllocs {
 		t.Errorf("a warm traced run allocates %d times, pinned at %d", traced, tracedRunAllocs)
+	}
+}
+
+// TestTraceIDAloneRecordsNoSpans: a trace ID in the context — stwigd's
+// every query until it asked for spans only to log slow queries — is
+// stamped into the stats and nothing more: no span tree, the untraced
+// run's allocations, and the fixed timings every run fills.
+func TestTraceIDAloneRecordsNoSpans(t *testing.T) {
+	g, small, _ := pathFixture()
+	eng := NewEngine(clusterFor(t, g, 2), Options{})
+	ctx := WithTraceID(context.Background(), "0123456789abcdef")
+	stats, err := eng.MatchStreamBlocks(ctx, small, func(ms []Match) (int, bool) { return len(ms), true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.TraceID != "0123456789abcdef" || stats.Spans != nil {
+		t.Fatalf("TraceID %q, %d spans; want the context's ID and no spans", stats.TraceID, len(stats.Spans))
+	}
+	if stats.ExploreTime <= 0 || stats.JoinTime <= 0 || stats.EmitTime <= 0 || stats.MachineTime <= 0 {
+		t.Fatalf("fixed timings not filled: explore %v join %v emit %v machine %v",
+			stats.ExploreTime, stats.JoinTime, stats.EmitTime, stats.MachineTime)
+	}
+	if raceEnabled {
+		return // sync.Pool drops entries at random under the race detector
+	}
+	if _, allocs := costPerQueryIn(t, ctx, eng, small); allocs != untracedRunAllocs {
+		t.Errorf("a warm run with only a trace ID allocates %d times, want the untraced %d", allocs, untracedRunAllocs)
 	}
 }
 

@@ -173,8 +173,9 @@ type machineScratch struct {
 	joiner  joiner
 	matches []Match // headers over the block being emitted
 	net     memcloud.NetStats
-	// took is the machine's time in the section; exchange and emitTime,
-	// stamped by a traced join, its parts assembling relations and in emit.
+	// took is the machine's time in the section; emitTime its time inside
+	// emit in the join, and exchange, stamped only by a run that records
+	// spans, its time assembling relations.
 	took, exchange, emitTime time.Duration
 }
 

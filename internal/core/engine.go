@@ -26,12 +26,12 @@ type Options struct {
 	// Seed seeds RandomDecomposition's random cover; nothing else draws
 	// from it.
 	Seed int64
-	// TraceID, when non-empty, traces every run of this engine that does
-	// not already carry a trace ID in its context: ExecStats.TraceID is
-	// stamped and ExecStats.Spans records the phase tree. Per-request
-	// tracing (the daemon) uses WithTraceID on the context instead; this
-	// field serves per-invocation embedders like the CLI. Empty (the
-	// default) leaves untraced runs free of any recording overhead.
+	// TraceID, when non-empty, traces every run of this engine: a run
+	// whose context carries no trace ID of its own stamps this one into
+	// ExecStats.TraceID, and every run records its phase tree in
+	// ExecStats.Spans. It serves per-invocation embedders like the CLI; a
+	// caller that wants one run's spans asks with WithSpans instead. Empty
+	// (the default) leaves runs free of any span recording.
 	TraceID string
 
 	// Ablation switches (all false in the paper's configuration):
@@ -249,13 +249,6 @@ func appendCopies(dst, ms []Match) []Match {
 // matchStream plans q and runs the plan, counting what emit accepts into
 // MatchesEmitted; it returns the plan with the run's statistics.
 func (e *Engine) matchStream(ctx context.Context, q *Query, emit func(int, []Match) (int, bool)) (*Plan, *ExecStats, error) {
-	traceID := TraceIDFromContext(ctx)
-	if traceID == "" && e.opts.TraceID != "" {
-		// Options.TraceID traces engine-wide; publish it on the context so
-		// the Executor sees one mechanism.
-		traceID = e.opts.TraceID
-		ctx = WithTraceID(ctx, traceID)
-	}
 	plan, err := e.planner.Plan(q)
 	if err != nil {
 		return nil, nil, err
@@ -274,12 +267,8 @@ func (e *Engine) matchStream(ctx context.Context, q *Query, emit func(int, []Mat
 	e.emitFlushes.Add(stats.EmitFlushes)
 	e.netMessages.Add(stats.Net.Messages)
 	e.netBytes.Add(stats.Net.Bytes)
-	stats.PlanTime = plan.BuildTime
-	if traceID != "" {
-		stats.TraceID = traceID
-		// The plan span belongs to the Engine (the Executor never sees
-		// planning); prepend it so top-level spans cover the whole run.
-		stats.Spans = append([]Span{{Name: "plan", Duration: plan.BuildTime}}, stats.Spans...)
+	if stats.TraceID = TraceIDFromContext(ctx); stats.TraceID == "" {
+		stats.TraceID = e.opts.TraceID
 	}
 	return plan, stats, nil
 }

@@ -41,16 +41,20 @@ func NewExecutor(c *memcloud.Cluster, opts Options) *Executor {
 // it accepted plus whether to continue; a false return stops the run and
 // sets Stats.Truncated. A block — the slice and the assignments in it — is
 // the machine's buffer and dead once emit returns. The run produces the
-// plan's query's slice of the answer (Query.Sliced). Engine stamps the
-// returned stats with the planning time; Run itself fills everything
-// execution-derived.
+// plan's query's slice of the answer (Query.Sliced). Run fills the stats'
+// fixed fields on every run; it builds the span tree only when ctx asks
+// for it (WithSpans) or Options.TraceID is set.
 func (ex *Executor) Run(ctx context.Context, plan *Plan, emit func(machine int, ms []Match) (int, bool)) (*ExecStats, error) {
+	spans := spansRequested(ctx) || ex.opts.TraceID != ""
 	if !plan.Resolvable {
-		return &ExecStats{}, nil
+		stats := &ExecStats{PlanTime: plan.BuildTime}
+		if spans {
+			stats.Spans = []Span{{Name: "plan", Duration: plan.BuildTime}}
+		}
+		return stats, nil
 	}
-	r := &execution{ex: ex, plan: plan, emit: emit,
-		cut:    restriction{vertex: plan.Center, ids: plan.Query.slice},
-		traced: TraceIDFromContext(ctx) != "" || ex.opts.TraceID != ""}
+	r := &execution{ex: ex, plan: plan, emit: emit, spans: spans,
+		cut: restriction{vertex: plan.Center, ids: plan.Query.slice}}
 	return r.run(ctx)
 }
 
@@ -80,19 +84,20 @@ type execution struct {
 	// (machineScratch.net); traffic sums the two.
 	net memcloud.NetStats
 
-	// Tracing state, populated only when traced (a trace ID in the context
-	// or in Options.TraceID): twigSpans collects one span per exploration
-	// step; machSpans one per machine, filled after the join's barrier;
-	// emitTime sums the machines' time inside emit (machineScratch.emitTime).
-	traced    bool
+	// emitTime sums the machines' time inside emit (machineScratch.emitTime),
+	// folded after the join's barrier.
+	emitTime time.Duration
+
+	// Span state, populated only when the run records spans (see Run):
+	// twigSpans collects one span per exploration step; machSpans one per
+	// machine, filled after the join's barrier.
+	spans     bool
 	twigSpans []Span
 	machSpans []Span
-	emitTime  time.Duration
 }
 
-// machineSpanNames names the join's per-machine spans. stwigd traces every
-// query, so formatting the names would cost an allocation per machine per
-// query.
+// machineSpanNames names the join's per-machine spans, so a run that
+// records spans formats no name per machine.
 var machineSpanNames = func() (names [memcloud.MaxMachines]string) {
 	for i := range names {
 		names[i] = fmt.Sprintf("machine %d", i)
@@ -164,6 +169,7 @@ func (r *execution) run(ctx context.Context) (*ExecStats, error) {
 	wall := time.Since(wallStart)
 
 	stats := &ExecStats{
+		PlanTime: plan.BuildTime,
 		// Deep-copied: ExecStats escapes to callers, who may edit it while
 		// still holding the plan (EXPLAIN ANALYZE hands out both).
 		Decomposition:     plan.Decomposition.clone(),
@@ -171,6 +177,7 @@ func (r *execution) run(ctx context.Context) (*ExecStats, error) {
 		Net:               r.traffic(),
 		ExploreTime:       exploreTime,
 		JoinTime:          joinTime,
+		EmitTime:          r.emitTime,
 		Truncated:         truncated,
 		PerMachineMatches: perMachine,
 		EmitFlushes:       r.flushes.Load(),
@@ -182,19 +189,20 @@ func (r *execution) run(ctx context.Context) (*ExecStats, error) {
 			stats.STwigMatchCounts[t] += len(perTwig[t][k])
 		}
 	}
-	if r.traced {
-		stats.Spans = r.buildSpans(stats, exploreTime, joinTime, netAfterExplore)
+	if r.spans {
+		stats.Spans = r.buildSpans(stats, netAfterExplore)
 	}
 	return stats, nil
 }
 
-// buildSpans assembles a traced run's span tree from the phase timers and
-// the per-step/per-machine records the phases left behind. Top-level spans
-// (explore, join) are sequential; join's machine children overlap in time.
-func (r *execution) buildSpans(stats *ExecStats, exploreTime, joinTime time.Duration, netAfterExplore memcloud.NetStats) []Span {
+// buildSpans assembles a run's span tree from its stats and the
+// per-step/per-machine records the phases left behind. Top-level spans
+// (plan, explore, join) are sequential; join's machine children overlap in
+// time.
+func (r *execution) buildSpans(stats *ExecStats, netAfterExplore memcloud.NetStats) []Span {
 	exploreSpan := Span{
 		Name:     "explore",
-		Duration: exploreTime,
+		Duration: stats.ExploreTime,
 		Children: r.twigSpans,
 	}
 	for i := range r.twigSpans {
@@ -207,16 +215,16 @@ func (r *execution) buildSpans(stats *ExecStats, exploreTime, joinTime time.Dura
 	}
 	joinSpan := Span{
 		Name:     "join",
-		Duration: joinTime,
+		Duration: stats.JoinTime,
 		Matches:  joinMatches,
 		Words:    int64((stats.Net.Bytes - netAfterExplore.Bytes) / 8),
 		Children: append(r.machSpans, Span{
 			Name:     "emit",
-			Duration: r.emitTime,
+			Duration: stats.EmitTime,
 			Matches:  joinMatches,
 		}),
 	}
-	return []Span{exploreSpan, joinSpan}
+	return []Span{{Name: "plan", Duration: stats.PlanTime}, exploreSpan, joinSpan}
 }
 
 // explore runs the ordered STwig matching (§4.2 step 2): every machine
@@ -244,7 +252,7 @@ func (r *execution) explore(ctx context.Context) ([][][]STwigMatch, error) {
 	for t, twig := range dec.Twigs {
 		var stepStart time.Time
 		var netBefore memcloud.NetStats
-		if r.traced {
+		if r.spans {
 			stepStart = time.Now()
 			netBefore = r.traffic()
 		}
@@ -271,7 +279,7 @@ func (r *execution) explore(ctx context.Context) ([][][]STwigMatch, error) {
 				ex.cluster.AccountProxyTransfer(&r.net, syncWords)
 			}
 		}
-		if r.traced {
+		if r.spans {
 			matches := 0
 			for j := 0; j < k; j++ {
 				matches += len(perTwig[t][j])
@@ -327,14 +335,9 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 				return false
 			}
 			r.flushes.Add(1)
-			var emitStart time.Time
-			if r.traced {
-				emitStart = time.Now()
-			}
+			emitStart := time.Now()
 			n, ok := r.emit(machine, ms.carve(block, width))
-			if r.traced {
-				ms.emitTime += time.Since(emitStart)
-			}
+			ms.emitTime += time.Since(emitStart)
 			perMachineCounts[machine] += n
 			if !ok {
 				stopAll.Store(true)
@@ -374,7 +377,7 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 			rel.card = rel.size()
 		}
 		sortRelationsDeterministic(rels)
-		if r.traced {
+		if r.spans {
 			ms.exchange = time.Since(start)
 		}
 		rels = orderRelations(rels, !ex.opts.NoJoinOrderOpt)
@@ -388,12 +391,14 @@ func (r *execution) exchangeAndJoin(ctx context.Context, perTwig [][][]STwigMatc
 		}
 		return ms.stop(start)
 	})
-	if r.traced {
+	for i := range r.sc.machines {
+		r.emitTime += r.sc.machines[i].emitTime
+	}
+	if r.spans {
 		// A machine's span is the time folded for it, split at exchange.
 		r.machSpans = make([]Span, k)
 		for i := range r.machSpans {
 			ms := &r.sc.machines[i]
-			r.emitTime += ms.emitTime
 			r.machSpans[i] = Span{
 				Name:     machineSpanNames[i],
 				Duration: ms.took,

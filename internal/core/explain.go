@@ -37,13 +37,10 @@ type AnalyzeResult struct {
 // Options.TraceID, then minted. The run pays full execution cost and counts
 // in the engine's workload counters like any query.
 func (e *Engine) ExplainAnalyze(ctx context.Context, q *Query) (*AnalyzeResult, error) {
-	if TraceIDFromContext(ctx) == "" {
-		id := e.opts.TraceID
-		if id == "" {
-			id = NewTraceID()
-		}
-		ctx = WithTraceID(ctx, id)
+	if TraceIDFromContext(ctx) == "" && e.opts.TraceID == "" {
+		ctx = WithTraceID(ctx, NewTraceID())
 	}
+	ctx = WithSpans(ctx)
 	start := time.Now()
 	var matches atomic.Int64 // the machines emit concurrently
 	plan, stats, err := e.matchStream(ctx, q, func(_ int, ms []Match) (int, bool) {

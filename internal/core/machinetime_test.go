@@ -41,7 +41,7 @@ func TestRunFoldsMachineTimes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := &execution{ex: eng.executor, plan: plan, traced: true,
+			r := &execution{ex: eng.executor, plan: plan, spans: true,
 				cut:  restriction{vertex: plan.Center, ids: plan.Query.slice},
 				emit: func(_ int, ms []Match) (int, bool) { return len(ms), true }}
 			start = time.Now()

@@ -69,23 +69,49 @@ func NewQuery(labels []string, edges [][2]int) (*Query, error) {
 		return nil, fmt.Errorf("core: empty query")
 	}
 	q := &Query{labels: append([]string(nil), labels...), adj: make([][]int, n), slice: wholeIDSpace}
-	seen := make(map[[2]int]bool, len(edges))
-	for _, e := range edges {
+	// Every adjacency list is carved from one array, sized by a first pass
+	// that counts degrees up to the first edge out of range or looping. The
+	// second pass fills the lists up to that edge, so the error reported is
+	// the first edge's in order, as it would be in one pass.
+	var small [16]int
+	deg := small[:0]
+	if n <= len(small) {
+		deg = small[:n]
+	} else {
+		deg = make([]int, n)
+	}
+	bad := len(edges)
+	for i, e := range edges {
 		u, v := e[0], e[1]
-		if u < 0 || u >= n || v < 0 || v >= n {
-			return nil, fmt.Errorf("core: query edge (%d,%d) out of range [0,%d)", u, v, n)
+		if u < 0 || u >= n || v < 0 || v >= n || u == v {
+			bad = i
+			break
 		}
-		if u == v {
-			return nil, fmt.Errorf("core: query self-loop at vertex %d", u)
-		}
-		key := [2]int{min(u, v), max(u, v)}
-		if seen[key] {
+		deg[u]++
+		deg[v]++
+	}
+	back := make([]int, 0, 2*bad)
+	for v, d := range deg {
+		q.adj[v] = back[len(back) : len(back) : len(back)+d]
+		back = back[:len(back)+d]
+	}
+	for _, e := range edges[:bad] {
+		u, v := e[0], e[1]
+		// A pattern vertex has a handful of neighbours: a scan of u's list
+		// so far is the duplicate check.
+		if slices.Contains(q.adj[u], v) {
 			return nil, fmt.Errorf("core: duplicate query edge (%d,%d)", u, v)
 		}
-		seen[key] = true
 		q.adj[u] = append(q.adj[u], v)
 		q.adj[v] = append(q.adj[v], u)
 		q.m++
+	}
+	if bad < len(edges) {
+		u, v := edges[bad][0], edges[bad][1]
+		if u == v && u >= 0 && u < n {
+			return nil, fmt.Errorf("core: query self-loop at vertex %d", u)
+		}
+		return nil, fmt.Errorf("core: query edge (%d,%d) out of range [0,%d)", u, v, n)
 	}
 	for i := range q.adj {
 		sort.Ints(q.adj[i])

@@ -26,6 +26,50 @@ func TestNewQueryValidation(t *testing.T) {
 	}
 }
 
+// TestNewQueryReportsTheFirstBadEdge: whichever way edges are wrong, the
+// error names the first wrong edge in the order given.
+func TestNewQueryReportsTheFirstBadEdge(t *testing.T) {
+	labels := []string{"a", "b", "c"}
+	for _, c := range []struct {
+		edges [][2]int
+		want  string
+	}{
+		{[][2]int{{0, 1}, {1, 0}, {0, 7}}, "duplicate query edge (1,0)"},
+		{[][2]int{{0, 1}, {0, 7}, {1, 0}}, "query edge (0,7) out of range"},
+		{[][2]int{{0, 1}, {2, 2}, {1, 0}}, "self-loop at vertex 2"},
+		{[][2]int{{0, 1}, {1, 0}, {2, 2}}, "duplicate query edge (1,0)"},
+		{[][2]int{{5, 5}}, "query edge (5,5) out of range"},
+	} {
+		if _, err := NewQuery(labels, c.edges); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("NewQuery(%v) = %v, want an error naming %q", c.edges, err, c.want)
+		}
+	}
+}
+
+// TestNewQueryAllocs: a query of up to 16 vertices is four allocations —
+// its struct, its labels, its adjacency headers, and the one array its
+// adjacency lists are carved from — however many edges it has.
+func TestNewQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const n = 12
+	labels := make([]string, n)
+	var edges [][2]int
+	for v := range labels {
+		labels[v] = "x"
+		edges = append(edges, [2]int{v, (v + 1) % n}, [2]int{v, (v + 3) % n})
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := NewQuery(labels, edges); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 4 {
+		t.Errorf("NewQuery of %d vertices and %d edges allocates %v times, want 4", n, len(edges), allocs)
+	}
+}
+
 func TestQueryAccessors(t *testing.T) {
 	// The paper's Figure 4(a): a-b, a-c, b-c, b-e, c-d (roughly); use the
 	// simpler Figure 1(b) query: d-a, a-b, a-c, b-c.

@@ -47,6 +47,9 @@ type ExecStats struct {
 	Net memcloud.NetStats
 	// ExploreTime and JoinTime split the execution wall clock.
 	ExploreTime, JoinTime time.Duration
+	// EmitTime sums the machines' time inside emit, part of JoinTime's
+	// machine time: what the caller's match sink cost the join.
+	EmitTime time.Duration
 	// Truncated reports that the match budget stopped enumeration early.
 	Truncated bool
 	// PerMachineMatches[k] is how many final matches machine k produced
@@ -62,10 +65,11 @@ type ExecStats struct {
 	// TraceID identifies a traced run (WithTraceID on the context, or
 	// Options.TraceID); empty for untraced runs.
 	TraceID string
-	// Spans is the traced run's phase tree — plan, explore (per-STwig
-	// children), join (per-machine children plus emit). Nil for untraced
-	// runs; the hot path records nothing. Top-level spans are sequential,
-	// so SpanTotal(Spans) is within the run's wall clock.
+	// Spans is the phase tree of a run that asked for it (WithSpans on the
+	// context, or Options.TraceID) — plan, explore (per-STwig children),
+	// join (per-machine children plus emit). Nil otherwise; such a run
+	// records nothing. Top-level spans are sequential, so SpanTotal(Spans)
+	// is within the run's wall clock.
 	Spans []Span
 
 	// A machine's time in a parallel section (an exploration step, the

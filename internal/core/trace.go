@@ -9,15 +9,35 @@ import (
 	"time"
 )
 
-// Per-query tracing. A query run is "traced" when a trace ID reaches the
-// Executor — either carried by the context (WithTraceID, the daemon's
-// per-request mechanism) or set statically in Options.TraceID (the CLI's
-// per-invocation mechanism). Traced runs record a span tree of phase
-// timings in ExecStats.Spans and stamp ExecStats.TraceID; untraced runs
-// skip every recording branch so the hot path allocates nothing extra.
+// Per-query tracing. Every run fills ExecStats' fixed timings (plan,
+// explore, join, emit, machine time) at no extra allocation. A trace ID —
+// carried by the context (WithTraceID) or set in Options.TraceID — is
+// stamped into ExecStats.TraceID and nothing more. The span tree in
+// ExecStats.Spans is built only for a run that asks for it: a context
+// marked WithSpans (EXPLAIN ANALYZE, a daemon logging slow queries) or an
+// engine with Options.TraceID (the CLI's -trace). Runs that do not ask skip
+// every recording branch.
 
-// traceKey is the context key carrying a query's trace ID.
-type traceKey struct{}
+// traceKey is the context key carrying a query's trace ID; spansKey marks
+// a context whose runs record spans.
+type (
+	traceKey struct{}
+	spansKey struct{}
+)
+
+// WithSpans returns a context whose runs record their span tree in
+// ExecStats.Spans.
+func WithSpans(ctx context.Context) context.Context {
+	if spansRequested(ctx) {
+		return ctx
+	}
+	return context.WithValue(ctx, spansKey{}, true)
+}
+
+// spansRequested reports whether ctx was marked by WithSpans.
+func spansRequested(ctx context.Context) bool {
+	return ctx.Value(spansKey{}) != nil
+}
 
 // NewTraceID mints a 16-hex-character random trace identifier.
 func NewTraceID() string {
@@ -31,7 +51,8 @@ func NewTraceID() string {
 }
 
 // WithTraceID returns a context carrying id; an empty id leaves ctx
-// unchanged. Runs under the returned context are traced.
+// unchanged. Runs under the returned context stamp id into
+// ExecStats.TraceID; it does not by itself make them record spans.
 func WithTraceID(ctx context.Context, id string) context.Context {
 	if id == "" {
 		return ctx
@@ -45,9 +66,10 @@ func TraceIDFromContext(ctx context.Context) string {
 	return id
 }
 
-// Span is one timed phase of a traced query execution. The Executor builds
-// a small tree per run: top-level plan, explore (per-STwig children), and
-// join (per-machine children plus emit, their summed emit time). Top-level
+// Span is one timed phase of a query execution that records spans. The
+// Executor builds a small tree per run: top-level plan, explore (per-STwig
+// children), and join (per-machine children plus emit, their summed emit
+// time). Top-level
 // spans are sequential, so their durations sum to within the run's wall
 // clock; children of join run concurrently across machines and need not.
 type Span struct {

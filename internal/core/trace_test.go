@@ -63,7 +63,7 @@ func TestTracedRunSpans(t *testing.T) {
 	c := clusterFor(t, figure1Graph(), 2)
 	e := NewEngine(c, Options{})
 	q := figure1Query()
-	ctx := WithTraceID(context.Background(), "feedface00000001")
+	ctx := WithSpans(WithTraceID(context.Background(), "feedface00000001"))
 
 	start := time.Now()
 	var matches int

@@ -1,6 +1,8 @@
 package memcloud
 
 import (
+	"unsafe"
+
 	"stwig/internal/graph"
 )
 
@@ -13,8 +15,16 @@ import (
 // array per machine with cap == len, so the first AddNode under a label
 // moves that list rather than writing over the next label's postings.
 type StringIndex struct {
-	byLabel map[graph.LabelID][]graph.NodeID
+	// lists[c] is the posting list of tag code c (label+1, NoLabel 0; see
+	// cellTag): a lookup is a bounds check and an index, no hashing. A
+	// label the machine holds no vertex of has a nil list, or none past the
+	// end of lists.
+	lists [][]graph.NodeID
 }
+
+// listIndex is label's tag code, its list's index in lists: NoLabel wraps
+// to 0.
+func listIndex(label graph.LabelID) int { return int(label + 1) }
 
 // newStringIndex indexes machine's vertices as tags, the cluster's tag
 // table, places them: it counts each label's vertices, carves the posting
@@ -31,11 +41,7 @@ func newStringIndex(tags []cellTag, machine, labels int) *StringIndex {
 			ends[t.code()+1]++
 		}
 	}
-	distinct := 0
 	for code := 1; code < len(ends); code++ {
-		if ends[code] > 0 {
-			distinct++
-		}
 		ends[code] += ends[code-1]
 	}
 	postings := make([]graph.NodeID, ends[len(ends)-1])
@@ -45,11 +51,11 @@ func newStringIndex(tags []cellTag, machine, labels int) *StringIndex {
 			ends[t.code()]++
 		}
 	}
-	ix := &StringIndex{byLabel: make(map[graph.LabelID][]graph.NodeID, distinct)}
+	ix := &StringIndex{lists: make([][]graph.NodeID, labels+1)}
 	start := 0
 	for code, end := range ends[:labels+1] {
 		if end > start {
-			ix.byLabel[graph.LabelID(code)-1] = postings[start:end:end]
+			ix.lists[code] = postings[start:end:end]
 		}
 		start = end
 	}
@@ -60,22 +66,25 @@ func newStringIndex(tags []cellTag, machine, labels int) *StringIndex {
 // returned slice is shared; callers must not modify it. This is the paper's
 // Index.getID(label).
 func (ix *StringIndex) IDs(label graph.LabelID) []graph.NodeID {
-	return ix.byLabel[label]
+	if c := listIndex(label); c < len(ix.lists) {
+		return ix.lists[c]
+	}
+	return nil
 }
 
 // Count returns the number of local vertices carrying label, without
 // materializing anything. Used for selectivity estimates.
 func (ix *StringIndex) Count(label graph.LabelID) int {
-	return len(ix.byLabel[label])
+	return len(ix.IDs(label))
 }
 
 // memoryBytes estimates the index's resident size: 8 bytes per posting a
-// list has room for, plus per-label map overhead. The point of Table 1's
-// "Index Size" column is that this is linear in the vertex count.
+// list has room for, plus a 24-byte slice header per tag code. The point of
+// Table 1's "Index Size" column is that this is linear in the vertex count.
 func (ix *StringIndex) memoryBytes() int64 {
-	var total int64
-	for _, ids := range ix.byLabel {
-		total += int64(cap(ids))*8 + 48
+	total := int64(cap(ix.lists)) * int64(unsafe.Sizeof([]graph.NodeID(nil)))
+	for _, ids := range ix.lists {
+		total += int64(cap(ids)) * 8
 	}
 	return total
 }

@@ -357,7 +357,11 @@ func (s *Store) compact(capacity int) int64 {
 
 // insertSorted adds id into the label's posting list keeping it sorted.
 func (ix *StringIndex) insertSorted(id graph.NodeID, label graph.LabelID) {
-	ids := ix.byLabel[label]
+	c := listIndex(label)
+	if c >= len(ix.lists) {
+		ix.lists = append(ix.lists, make([][]graph.NodeID, c+1-len(ix.lists))...)
+	}
+	ids := ix.lists[c]
 	pos := len(ids)
 	for i, x := range ids {
 		if x >= id {
@@ -368,5 +372,5 @@ func (ix *StringIndex) insertSorted(id graph.NodeID, label graph.LabelID) {
 	ids = append(ids, 0)
 	copy(ids[pos+1:], ids[pos:])
 	ids[pos] = id
-	ix.byLabel[label] = ids
+	ix.lists[c] = ids
 }

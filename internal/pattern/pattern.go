@@ -33,30 +33,29 @@ func Parse(input string) (*core.Query, error) {
 	if rest, ok := p.keyword("MATCH"); ok {
 		p.pos = rest
 	}
-	type vertex struct {
-		name  string
-		label string
-		index int
-	}
-	vars := map[string]*vertex{}
-	var order []*vertex
-	var edges [][2]int
+	// The variables in order of first mention; a pattern names a handful,
+	// so a scan finds one faster than a map would. Every mention and every
+	// edge takes a '(' of its own, which bounds both lists.
+	mentions := strings.Count(input, "(")
+	vars := make([]variable, 0, mentions)
+	edges := make([][2]int, 0, mentions)
 
-	lookup := func(name, label string) (*vertex, error) {
-		v := vars[name]
-		if v == nil {
-			v = &vertex{name: name, label: label, index: len(order)}
-			vars[name] = v
-			order = append(order, v)
-			return v, nil
-		}
-		if label != "" {
-			if v.label != "" && v.label != label {
-				return nil, fmt.Errorf("pattern: variable %q relabeled %q -> %q", name, v.label, label)
+	lookup := func(name, label string) (int, error) {
+		for i := range vars {
+			v := &vars[i]
+			if v.name != name {
+				continue
 			}
-			v.label = label
+			if label != "" {
+				if v.label != "" && v.label != label {
+					return 0, fmt.Errorf("pattern: variable %q relabeled %q -> %q", name, v.label, label)
+				}
+				v.label = label
+			}
+			return i, nil
 		}
-		return v, nil
+		vars = append(vars, variable{name: name, label: label})
+		return len(vars) - 1, nil
 	}
 
 	for {
@@ -72,9 +71,9 @@ func Parse(input string) (*core.Query, error) {
 				return nil, err
 			}
 			if prev >= 0 {
-				edges = append(edges, [2]int{prev, v.index})
+				edges = append(edges, [2]int{prev, v})
 			}
-			prev = v.index
+			prev = v
 			p.skipSpace()
 			if !p.consume('-') {
 				break
@@ -92,8 +91,8 @@ func Parse(input string) (*core.Query, error) {
 		return nil, fmt.Errorf("pattern: unexpected %q at offset %d", p.src[p.pos:], p.pos)
 	}
 
-	labels := make([]string, len(order))
-	for i, v := range order {
+	labels := make([]string, len(vars))
+	for i, v := range vars {
 		if v.label == "" {
 			return nil, fmt.Errorf("pattern: variable %q has no label on any mention", v.name)
 		}
@@ -111,6 +110,10 @@ func Parse(input string) (*core.Query, error) {
 	}
 	return q, nil
 }
+
+// variable is one pattern variable: its name and the label some mention
+// gave it.
+type variable struct{ name, label string }
 
 // MustParse is Parse that panics on error; for examples and tests.
 func MustParse(input string) *core.Query {

@@ -282,8 +282,10 @@ func (c *coordinator) streamMatches(ctx context.Context, rq *request, req QueryR
 			st.Error = res.err.Error()
 		}
 		trailer.Shards[i] = st
-		// A coordinator's slow-query breakdown is per leg.
-		rq.spans = append(rq.spans, core.Span{Name: fmt.Sprintf("shard %d", i), Duration: res.elapsed, Matches: int64(res.matches)})
+		if c.s.cfg.SlowQuery > 0 {
+			// A coordinator's slow-query breakdown is per leg.
+			rq.spans = append(rq.spans, core.Span{Name: fmt.Sprintf("shard %d", i), Duration: res.elapsed, Matches: int64(res.matches)})
+		}
 		elapsedMax = max(elapsedMax, res.elapsed)
 		legStats := res.stats
 		if legStats == nil {

@@ -25,21 +25,28 @@ const gateWait = " while waiting for a graph update"
 // when the tenant is saturated), then the tenant's reader gate. A parked
 // update dispatcher past its reader grace period holds the gate against new
 // readers; the park is bounded by the writer's patience (UpdateLockWait)
-// and the request's own deadline. The caller must call leave exactly once —
-// deferred, so a panicking engine call (swallowed by net/http's recover)
-// cannot leak the reader and brick this tenant's update path.
-func (ns *namespace) enter(ctx context.Context, rq *request) (leave func(), e *apiError) {
+// and the request's own deadline. Once enter admits, the caller must call
+// leave exactly once — deferred, so a panicking engine call (swallowed by
+// net/http's recover) cannot leak the reader and brick this tenant's update
+// path.
+func (ns *namespace) enter(ctx context.Context, rq *request) *apiError {
 	if !ns.adm.tryAcquire() {
-		return nil, errRetry(http.StatusTooManyRequests, CodeOverloaded,
+		return errRetry(http.StatusTooManyRequests, CodeOverloaded,
 			fmt.Sprintf("overloaded: namespace %q has too many in-flight queries", ns.name), ns.cfg.RetryAfter)
 	}
 	gateStart := time.Now()
 	if err := ns.gate.rlock(ctx); err != nil {
 		ns.adm.release()
-		return nil, errContext(err, gateWait)
+		return errContext(err, gateWait)
 	}
 	rq.wait = time.Since(gateStart)
-	return func() { ns.gate.runlock(); ns.adm.release() }, nil
+	return nil
+}
+
+// leave ends the unit of query work enter admitted.
+func (ns *namespace) leave() {
+	ns.gate.runlock()
+	ns.adm.release()
 }
 
 // sliced returns q cut down to the slice of the answer the selector names,
@@ -71,11 +78,10 @@ func (ns *namespace) sliced(q *core.Query, sel *ShardSelector) *core.Query {
 // slice of the query the request's selector names, if it has one — each of
 // its machines encoding its own blocks and handing the lines to the sink.
 func (ns *namespace) streamMatches(ctx context.Context, rq *request, req QueryRequest, q *core.Query, sink *streamWriter, trailer *StreamStats) *apiError {
-	leave, e := ns.enter(ctx, rq)
-	if e != nil {
+	if e := ns.enter(ctx, rq); e != nil {
 		return e
 	}
-	defer leave()
+	defer ns.leave()
 	if req.Shard != nil {
 		q = ns.sliced(q, req.Shard)
 		// The shard's half of the leg handshake: admitted means the 200
@@ -88,10 +94,7 @@ func (ns *namespace) streamMatches(ctx context.Context, rq *request, req QueryRe
 	stats, err := ns.eng.MatchStreamMachines(ctx, q, (&lineHandoff{sink: sink}).encodeBlock)
 	rq.exec = time.Since(start)
 	if stats != nil {
-		rq.spans = stats.Spans
-		if emit := core.SpanByName(stats.Spans, "emit"); emit != nil {
-			rq.emit = emit.Duration
-		}
+		rq.emit, rq.spans = stats.EmitTime, stats.Spans
 	}
 	if err != nil {
 		return errFrom(err, http.StatusInternalServerError, CodeInternal)
@@ -189,17 +192,16 @@ func (s *Server) handleExplain(rq *request) *apiError {
 	if e := s.validateShard(req.Shard); e != nil {
 		return e
 	}
-	ctx, cancel := s.requestContext(rq.r, core.Limits{Timeout: ns.cfg.DefaultTimeout})
-	defer cancel()
-	leave, e := ns.enter(ctx, rq)
-	if e != nil {
+	ctx := s.requestContext(rq, core.Limits{Timeout: ns.cfg.DefaultTimeout})
+	defer s.endRequest(rq)
+	if e := ns.enter(ctx, rq); e != nil {
 		return e
 	}
-	defer leave()
+	defer ns.leave()
 	q = ns.sliced(q, req.Shard)
 	if req.Analyze {
 		execStart := time.Now()
-		ar, err := ns.eng.ExplainAnalyze(ctx, q)
+		ar, err := ns.eng.ExplainAnalyze(core.WithTraceID(ctx, rq.trace), q)
 		rq.exec = time.Since(execStart)
 		if err != nil {
 			return errStatus(http.StatusInternalServerError, err.Error())

@@ -44,6 +44,10 @@ func sanitizeTraceID(id string) string {
 type request struct {
 	w *statusWriter
 	r *http.Request
+	// sw is what w points at, allocated with the request.
+	sw statusWriter
+	// cancel ends the context requestContext derived, nil until it has.
+	cancel context.CancelFunc
 	// ns is the tenant a tenant route resolved to, nil on a coordinator
 	// (which hosts none); be is where that tenant's graph lives either way.
 	// Both are nil on non-tenant routes.
@@ -59,8 +63,8 @@ type request struct {
 	// match emission inside exec. Zero when the route has no such phase.
 	wait, exec, emit time.Duration
 	matches          int
-	// spans is the traced execution's phase tree, kept for the slow-query
-	// log.
+	// spans is the execution's phase tree, kept for the slow-query log:
+	// recorded only when Config.SlowQuery is set.
 	spans []core.Span
 }
 
@@ -90,20 +94,29 @@ func (sw *statusWriter) Write(p []byte) (int, error) {
 
 // beginRequest starts per-request observability: it resolves the trace ID
 // (client-sent X-Stwig-Trace honored when well-formed, minted otherwise),
-// echoes it as a response header before any handler output, threads it
-// into the request context for the engine, and wraps the ResponseWriter so
-// status and bytes are captured for the summary log. The effective ID also
-// replaces the request's own header, so a coordinator forwarding this
-// request's headers to a shard forwards the ID the client will see.
+// echoes it as a response header before any handler output, and wraps the
+// ResponseWriter so status and bytes are captured for the summary log. The
+// effective ID is also the request's own header, so a coordinator
+// forwarding this request's headers to a shard forwards the ID the client
+// will see. A well-formed client ID is echoed with the request's own header
+// value, so it costs no allocation.
 func beginRequest(route string, w http.ResponseWriter, r *http.Request) *request {
-	trace := sanitizeTraceID(r.Header.Get(TraceHeader))
+	sent := r.Header[TraceHeader]
+	trace := ""
+	if len(sent) > 0 {
+		trace = sanitizeTraceID(sent[0])
+	}
 	if trace == "" {
 		trace = core.NewTraceID()
 	}
-	w.Header().Set(TraceHeader, trace)
-	r = r.WithContext(core.WithTraceID(r.Context(), trace))
-	r.Header.Set(TraceHeader, trace)
-	return &request{w: &statusWriter{ResponseWriter: w}, r: r, route: route, trace: trace}
+	if len(sent) != 1 || sent[0] != trace {
+		sent = []string{trace}
+		r.Header[TraceHeader] = sent
+	}
+	w.Header()[TraceHeader] = sent
+	rq := &request{r: r, sw: statusWriter{ResponseWriter: w}, route: route, trace: trace}
+	rq.w = &rq.sw
+	return rq
 }
 
 // logRequest emits the one structured summary line every request gets, and

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"math"
 	"strconv"
 
@@ -112,4 +113,99 @@ func ParseMatchLine(line []byte, dst []int64) (assignment []int64, ok bool) {
 		return nil, false
 	}
 	return dst, true
+}
+
+// The terminal records are spelled the same way: byte for byte what
+// encoding/json produces for Record{Type: RecordStats, Stats: st} and
+// Record{Type: RecordError, ...}, appended without reflection. Every field
+// of StreamStats and ShardLegStats is written here, in declaration order,
+// with its tag's omitempty; TestTerminalRecordsMatchEncodingJSON holds the
+// two spellings equal.
+
+// appendRecord appends the stats record carrying st, newline included.
+func (st *StreamStats) appendRecord(dst []byte) []byte {
+	dst = append(dst, `{"type":"stats","stats":{`...)
+	if st.TraceID != "" {
+		dst = appendJSONString(append(dst, `"trace_id":`...), st.TraceID)
+		dst = append(dst, ',')
+	}
+	dst = strconv.AppendInt(append(dst, `"matches":`...), int64(st.Matches), 10)
+	dst = appendFlag(dst, `,"truncated":true`, st.Truncated)
+	dst = appendFlag(dst, `,"limit_hit":true`, st.LimitHit)
+	dst = appendFlag(dst, `,"byte_cap_hit":true`, st.ByteCapHit)
+	dst = appendFlag(dst, `,"plan_cache_hit":true`, st.PlanCacheHit)
+	dst = strconv.AppendInt(append(dst, `,"plan_us":`...), st.PlanMicros, 10)
+	dst = strconv.AppendInt(append(dst, `,"explore_us":`...), st.ExploreMicros, 10)
+	dst = strconv.AppendInt(append(dst, `,"join_us":`...), st.JoinMicros, 10)
+	dst = strconv.AppendInt(append(dst, `,"elapsed_us":`...), st.ElapsedMicros, 10)
+	dst = strconv.AppendUint(append(dst, `,"net_messages":`...), st.NetMessages, 10)
+	dst = strconv.AppendUint(append(dst, `,"net_bytes":`...), st.NetBytes, 10)
+	if st.EmitFlushes != 0 {
+		dst = strconv.AppendUint(append(dst, `,"emit_flushes":`...), st.EmitFlushes, 10)
+	}
+	if len(st.Shards) > 0 {
+		dst = append(dst, `,"shards":[`...)
+		for i := range st.Shards {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = st.Shards[i].appendJSON(dst)
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, "}}\n"...)
+}
+
+// appendJSON appends the leg's JSON object.
+func (l *ShardLegStats) appendJSON(dst []byte) []byte {
+	dst = strconv.AppendInt(append(dst, `{"shard":`...), int64(l.Shard), 10)
+	if l.URL != "" {
+		dst = appendJSONString(append(dst, `,"url":`...), l.URL)
+	}
+	dst = strconv.AppendInt(append(dst, `,"matches":`...), int64(l.Matches), 10)
+	dst = strconv.AppendInt(append(dst, `,"bytes":`...), l.Bytes, 10)
+	dst = strconv.AppendInt(append(dst, `,"elapsed_us":`...), l.ElapsedMicros, 10)
+	if l.Error != "" {
+		dst = appendJSONString(append(dst, `,"error":`...), l.Error)
+	}
+	return append(dst, '}')
+}
+
+// appendErrorRecord appends the error record, newline included.
+func appendErrorRecord(dst []byte, msg, code, trace string) []byte {
+	dst = append(dst, `{"type":"error"`...)
+	if msg != "" {
+		dst = appendJSONString(append(dst, `,"error":`...), msg)
+	}
+	if code != "" {
+		dst = appendJSONString(append(dst, `,"code":`...), code)
+	}
+	if trace != "" {
+		dst = appendJSONString(append(dst, `,"trace_id":`...), trace)
+	}
+	return append(dst, "}\n"...)
+}
+
+// appendFlag appends field when set: an omitempty bool is written only as
+// true.
+func appendFlag(dst []byte, field string, set bool) []byte {
+	if set {
+		dst = append(dst, field...)
+	}
+	return dst
+}
+
+// appendJSONString appends s as a JSON string. A string of printable ASCII
+// that encoding/json leaves alone (no quote, backslash or HTML character)
+// is copied; any other takes encoding/json's own escaping.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s)
+			return append(dst, quoted...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }

@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -161,4 +163,80 @@ func FuzzMatchLine(f *testing.F) {
 			t.Fatalf("scanner accepted %q, the encoder writes %q", line[:n], own)
 		}
 	})
+}
+
+// TestTerminalRecordsMatchEncodingJSON is the golden for the terminal
+// records' append encoder: a local trailer, a coordinator trailer whose legs'
+// url and error need escaping, and error records, each byte for byte what
+// encoding/json writes for the same Record plus the NDJSON newline.
+func TestTerminalRecordsMatchEncodingJSON(t *testing.T) {
+	golden := func(t *testing.T, rec Record, got []byte) {
+		t.Helper()
+		want, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(got, want) {
+			t.Errorf("append encoder wrote\n%s\nencoding/json writes\n%s", got, want)
+		}
+	}
+	stats := map[string]*StreamStats{
+		"empty": {},
+		"local": {TraceID: "e2e-trace-0123", Matches: 2, PlanMicros: 12, ExploreMicros: 80,
+			JoinMicros: 9, ElapsedMicros: 104, NetMessages: 48, NetBytes: 1936, EmitFlushes: 2},
+		"capped": {Matches: math.MaxInt64, Truncated: true, LimitHit: true, ByteCapHit: true, PlanCacheHit: true,
+			PlanMicros: -1, NetMessages: math.MaxUint64, NetBytes: 1},
+		"coordinator": {TraceID: "cluster-trace-0001", Matches: 42, ElapsedMicros: 900, Shards: []ShardLegStats{
+			{Shard: 0, URL: "http://127.0.0.1:7051", Matches: 20, Bytes: 1234, ElapsedMicros: 800},
+			{Shard: 1, URL: `http://h/"a"\b?x=<1>&y=2`, Matches: 22, Bytes: 5, ElapsedMicros: 1,
+				Error: "shard 1 (\"dead\") unavailable:\n\tread: connection reset <&>   café \xff\x01"},
+			{Shard: 2},
+		}},
+	}
+	// Every field set, however many StreamStats and ShardLegStats grow: a
+	// field the encoder does not write fails here.
+	every := &StreamStats{}
+	fillEveryField(reflect.ValueOf(every).Elem())
+	stats["every field"] = every
+	for name, st := range stats {
+		t.Run("stats/"+name, func(t *testing.T) {
+			golden(t, Record{Type: RecordStats, Stats: st}, st.appendRecord([]byte("prefix\n"))[len("prefix\n"):])
+		})
+	}
+	for name, e := range map[string]Record{
+		"plain":   {Error: "deadline exceeded", Code: CodeDeadline, TraceID: "slow-query-trace"},
+		"escaped": {Error: "pattern: unexpected \"x\" at offset 3 <&>\té\x7f\xfe", Code: CodeBadRequest},
+		"bare":    {},
+	} {
+		t.Run("error/"+name, func(t *testing.T) {
+			e.Type = RecordError
+			golden(t, e, appendErrorRecord(nil, e.Error, e.Code, e.TraceID))
+		})
+	}
+}
+
+// fillEveryField sets every field of the struct v, and of the structs in
+// its slices, to a value that is not its zero: strings that need escaping,
+// true, 7, and two-element slices.
+func fillEveryField(v reflect.Value) {
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString(fmt.Sprintf("<%s \"%d\">", v.Type().Field(i).Name, i))
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(7)
+		case reflect.Uint64:
+			f.SetUint(7)
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 2, 2))
+			for j := 0; j < 2; j++ {
+				fillEveryField(f.Index(j))
+			}
+		default:
+			panic("fillEveryField: no value for a " + f.Kind().String())
+		}
+	}
 }

@@ -1,13 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"stwig/internal/core"
@@ -308,10 +311,62 @@ func decodeBody(rq *request, limit int64, v any) *apiError {
 	return nil
 }
 
+// The canonical bare-pattern query body: what encoding/json writes for a
+// QueryRequest that sets only Pattern, when the pattern is printable ASCII
+// without a quote or a backslash — every query a client sends with no caps,
+// selector or timeout.
+const (
+	patternBodyOpen  = `{"pattern":"`
+	patternBodyClose = `"}`
+)
+
+// decodeQueryBody is decodeBody for a QueryRequest. A body that is the
+// canonical bare-pattern spelling, whole in one small read, is taken without
+// a JSON decoder; any other goes to encoding/json as decodeBody would give it,
+// the bytes already read first.
+func decodeQueryBody(rq *request, limit int64, req *QueryRequest) *apiError {
+	rq.r.Body = http.MaxBytesReader(rq.w, rq.r.Body, limit)
+	buf := blockPool.Get().(*[]byte)
+	defer putBlock(buf)
+	head := (*buf)[:512]
+	n, err := io.ReadFull(rq.r.Body, head)
+	whole := err == io.EOF || err == io.ErrUnexpectedEOF
+	if whole {
+		body := bytes.TrimRight(head[:n], " \t\r\n")
+		if p, ok := bytes.CutPrefix(body, []byte(patternBodyOpen)); ok {
+			if p, ok = bytes.CutSuffix(p, []byte(patternBodyClose)); ok && plainASCII(p) {
+				req.Pattern = string(p)
+				return nil
+			}
+		}
+	}
+	var src io.Reader = bytes.NewReader(head[:n])
+	if !whole {
+		// More may follow, or the read failed and fails again for the
+		// decoder.
+		src = io.MultiReader(src, rq.r.Body)
+	}
+	if err := json.NewDecoder(src).Decode(req); err != nil {
+		return errStatus(http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	}
+	return nil
+}
+
+// plainASCII reports whether b is printable ASCII with no quote or
+// backslash: a JSON string body that decodes to itself.
+func plainASCII(b []byte) bool {
+	for _, c := range b {
+		if c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
+			return false
+		}
+	}
+	return true
+}
+
 // decodeQuery parses the body of /query and /explain and compiles it into
 // a validated core.Query.
 func decodeQuery(rq *request, limit int64) (req QueryRequest, q *core.Query, e *apiError) {
-	if e := decodeBody(rq, limit, &req); e != nil {
+	if e := decodeQueryBody(rq, limit, &req); e != nil {
 		return req, nil, e
 	}
 	var err error
@@ -319,12 +374,12 @@ func decodeQuery(rq *request, limit int64) (req QueryRequest, q *core.Query, e *
 	case (req.Pattern != "") == (req.Query != ""):
 		err = errors.New("set exactly one of \"pattern\" and \"query\"")
 	case req.Pattern != "":
+		// Parse already holds a pattern to the engine's rules.
 		q, err = pattern.Parse(req.Pattern)
 	default:
-		q, err = core.ParseQuery(strings.NewReader(req.Query))
-	}
-	if err == nil {
-		err = core.ValidateQuery(q)
+		if q, err = core.ParseQuery(strings.NewReader(req.Query)); err == nil {
+			err = core.ValidateQuery(q)
+		}
 	}
 	if err != nil {
 		return req, nil, errStatus(http.StatusBadRequest, err.Error())
@@ -332,12 +387,40 @@ func decodeQuery(rq *request, limit int64) (req QueryRequest, q *core.Query, e *
 	return req, q, nil
 }
 
-// requestContext joins the client's context to the server's run context and
-// applies the request's deadline.
-func (s *Server) requestContext(r *http.Request, lim core.Limits) (context.Context, context.CancelFunc) {
-	ctx, cancel := lim.WithContext(r.Context())
-	stopWatch := context.AfterFunc(s.runCtx, cancel)
-	return ctx, func() { stopWatch(); cancel() }
+// requestContext derives the context a request's work runs under: the
+// client's, bounded by the request's deadline, ended by Abort, and marked to
+// record spans when the slow-query log may print them. The caller must
+// defer endRequest.
+func (s *Server) requestContext(rq *request, lim core.Limits) context.Context {
+	ctx, cancel := lim.WithContext(rq.r.Context())
+	if s.cfg.SlowQuery > 0 {
+		ctx = core.WithSpans(ctx)
+	}
+	rq.cancel = cancel
+	s.inflight.mu.Lock()
+	if s.inflight.aborted {
+		cancel()
+	} else {
+		s.inflight.reqs[rq] = struct{}{}
+	}
+	s.inflight.mu.Unlock()
+	return ctx
+}
+
+// endRequest cancels the context requestContext derived and forgets it.
+func (s *Server) endRequest(rq *request) {
+	s.inflight.mu.Lock()
+	delete(s.inflight.reqs, rq)
+	s.inflight.mu.Unlock()
+	rq.cancel()
+}
+
+// inflight is the set of requests whose contexts Abort ends: each between
+// its requestContext and its endRequest.
+type inflight struct {
+	mu      sync.Mutex
+	aborted bool // Abort ran: every later request is born cancelled
+	reqs    map[*request]struct{}
 }
 
 // validateShard checks a request's shard selector: not client-sent on a
@@ -380,8 +463,8 @@ func (s *Server) handleQuery(rq *request) *apiError {
 		return e
 	}
 	timeout, maxMatches := cfg.effectiveLimits(req)
-	ctx, cancel := s.requestContext(rq.r, core.Limits{Timeout: timeout})
-	defer cancel()
+	ctx := s.requestContext(rq, core.Limits{Timeout: timeout})
+	defer s.endRequest(rq)
 
 	sink := newStreamWriter(rq.w, cfg.MaxBytes, maxMatches)
 	defer sink.release()

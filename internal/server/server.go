@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"crypto/subtle"
 	"errors"
 	"fmt"
@@ -46,10 +45,9 @@ type Server struct {
 	coord *coordinator
 
 	draining atomic.Bool
-	// runCtx is canceled by Abort; every request context is joined to it
-	// so a hard shutdown tears down in-flight executors.
-	runCtx context.Context
-	abort  context.CancelFunc
+	// inflight holds every request context Abort must end, so a hard
+	// shutdown tears down in-flight executors.
+	inflight inflight
 }
 
 // New builds a service serving eng as the "default" namespace — the
@@ -80,26 +78,22 @@ func NewMulti(cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	runCtx, abort := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:      cfg.normalize(),
 		reg:      newRegistry(),
 		met:      newMetrics(),
 		start:    time.Now(),
 		buildSem: make(chan struct{}, 2),
-		runCtx:   runCtx,
-		abort:    abort,
+		inflight: inflight{reqs: map[*request]struct{}{}},
 	}
 	if s.cfg.DataDir != "" {
 		store, err := openDataStore(s.cfg.DataDir, s.cfg)
 		if err != nil {
-			abort()
 			return nil, err
 		}
 		s.store = store
 		if err := s.recoverPersisted(); err != nil {
 			s.Close()
-			abort()
 			return nil, err
 		}
 	}
@@ -128,9 +122,16 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Abort cancels every in-flight request's context, aborting their
-// executors. It is the hard stop a daemon applies when the drain timeout
-// expires. Idempotent.
-func (s *Server) Abort() { s.abort() }
+// executors, and every later request's at once. It is the hard stop a
+// daemon applies when the drain timeout expires. Idempotent.
+func (s *Server) Abort() {
+	s.inflight.mu.Lock()
+	defer s.inflight.mu.Unlock()
+	s.inflight.aborted = true
+	for rq := range s.inflight.reqs {
+		rq.cancel()
+	}
+}
 
 // Close releases the server's background resources: every namespace's
 // update dispatcher drains its in-flight batch and stops (still-queued

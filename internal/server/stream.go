@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"sync"
 
@@ -87,13 +86,21 @@ func (sw *streamWriter) pending() []byte {
 	return *sw.buf
 }
 
+// streamHeaders are a match stream's two fixed header values. Every
+// response shares them: net/http only reads a handler's header values.
+var (
+	ndjsonContentTypeValue = []string{ndjsonContentType}
+	noBufferingValue       = []string{"no"}
+)
+
 // begin sends the 200 header if nothing has been sent yet. It is deferred to
 // the first write so that a failure preceding all output can still use a
 // proper error status.
 func (sw *streamWriter) begin() {
 	if sw.w.status == 0 {
-		sw.w.Header().Set("Content-Type", ndjsonContentType)
-		sw.w.Header().Set("X-Accel-Buffering", "no")
+		h := sw.w.Header()
+		h["Content-Type"] = ndjsonContentTypeValue
+		h["X-Accel-Buffering"] = noBufferingValue
 		sw.w.WriteHeader(http.StatusOK)
 	}
 }
@@ -181,17 +188,13 @@ func (sw *streamWriter) writeLines(block []byte) (taken int, ok bool) {
 	return sw.queue(taken)
 }
 
-// finish ends the stream with its terminal record, in one write with the
-// records still pending.
-func (sw *streamWriter) finish(rec Record) {
+// finish ends the stream with its terminal record — the line appendRecord
+// adds to the records still pending — in one write with them.
+func (sw *streamWriter) finish(appendRecord func([]byte) []byte) {
 	if sw.failed {
 		return
 	}
-	buf := sw.pending()
-	if line, err := json.Marshal(rec); err == nil {
-		buf = append(append(buf, line...), '\n')
-	}
-	*sw.buf = buf
+	*sw.buf = appendRecord(sw.pending())
 	sw.flush()
 }
 
@@ -203,7 +206,7 @@ func (sw *streamWriter) writeTrailer(stats *StreamStats) {
 	stats.Truncated = stats.Truncated || sw.limitHit || sw.capHit
 	stats.LimitHit = sw.limitHit
 	stats.ByteCapHit = sw.capHit
-	sw.finish(Record{Type: RecordStats, Stats: stats})
+	sw.finish(stats.appendRecord)
 }
 
 // writeError closes a stream whose 200 is out with the error record, which
@@ -213,7 +216,7 @@ func (sw *streamWriter) writeTrailer(stats *StreamStats) {
 // reports the failure with its status, never a 200 and a partial answer.
 func (sw *streamWriter) writeError(e *apiError, trace string) {
 	if sw.w.status != 0 {
-		sw.finish(Record{Type: RecordError, Error: e.msg, Code: e.code, TraceID: trace})
+		sw.finish(func(dst []byte) []byte { return appendErrorRecord(dst, e.msg, e.code, trace) })
 	}
 }
 

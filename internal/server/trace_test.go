@@ -255,6 +255,33 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 }
 
+// TestRequestLogEmitWithoutSpans: the request log's emit — the machines'
+// summed time inside emit — is filled on every query, not only on one that
+// records spans: here no trace header was sent and the slow-query log is
+// off, so nothing asks for spans.
+func TestRequestLogEmitWithoutSpans(t *testing.T) {
+	eng := newEngine(t, 8, 8, 4, 2)
+	var buf syncBuffer
+	_, ts, _ := newTestServer(t, eng, server.Config{Logger: slogJSON(&buf)})
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json",
+		strings.NewReader(`{"pattern":"(a:L0)-(b:L1)","max_matches":5}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	trace := resp.Header.Get(server.TraceHeader)
+	line := waitForLogLine(t, &buf, func(m map[string]any) bool {
+		return m["msg"] == "request" && m["route"] == "/query" && m["trace_id"] == trace
+	})
+	if line["matches"] != float64(5) {
+		t.Fatalf("request log matches = %v, want 5", line["matches"])
+	}
+	if emit, _ := line["emit"].(float64); emit <= 0 {
+		t.Fatalf("request log emit = %v, want a positive duration", line["emit"])
+	}
+}
+
 // TestPprofGate: /debug/pprof is disabled outright (403) without an admin
 // token, rejects a wrong token (401), and serves the index with the right
 // one.
